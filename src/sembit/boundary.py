@@ -23,19 +23,23 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelRealization, Scenario
-from .errors import DomainMismatch, EmptyRegion, InfeasibleTarget, TargetUnreachable
-from .rates import LN2, Allocation, RatePair, Scheme, shannon_rate, snr_db
-from .search import REFINE_LEVELS, REFINE_ZOOM, refine_search
-from .similarity import (
-    eval_similarity,
-    power_for_similarity_grid,
-    required_power_for_similarity,
+from .errors import DomainMismatch, EmptyRegion, TargetUnreachable
+from .rates import (
+    MIN_BAND_FRACTION,
+    Allocation,
+    RatePair,
+    Scheme,
+    lemma1_bounds,
+    orth_inv_slope,
+    overlay_inv_slope,
+    pipe_rate,
+    sem_power,
+    shannon_rate,
+    snr_db,
+    water_fill_max_grid,
 )
-
-# Smallest shared-band fraction the hybrid search will consider; avoids a
-# zero-bandwidth semantic band sneaking in through float underflow.  The
-# exact-zero corner is handled by the orthogonal collapse branch instead.
-_MIN_BAND_FRACTION = 1e-9
+from .search import REFINE_LEVELS, REFINE_ZOOM, refine_search
+from .similarity import eval_similarity, required_power_for_similarity
 
 
 @dataclass(frozen=True)
@@ -132,46 +136,6 @@ def oma_extremes(scenario: Scenario, real: ChannelRealization) -> Extremes:
     )
 
 
-def lemma1_bounds(scenario: Scenario, sigma_target: float) -> tuple[float, float]:
-    """Bandwidth interval that a semantic-rate target pins down.
-
-    Below w_low = sigma*k the required similarity exceeds 1; above
-    w_up = sigma*k/min_similarity the required similarity drops under the
-    floor, so the floor constraint is implied everywhere inside the
-    interval and never needs separate checking.  A zero target carries no
-    semantic stream and collapses the interval to {0}.
-
-    Raises:
-        InfeasibleTarget: w_low exceeds the carrier bandwidth.
-    """
-    if sigma_target < 0:
-        raise ValueError("sigma_target must be non-negative")
-    if sigma_target == 0.0:
-        return 0.0, 0.0
-    w = scenario.total_bandwidth
-    w_low = sigma_target * scenario.k
-    if w_low > w:
-        raise InfeasibleTarget(
-            f"semantic rate {sigma_target:.6g} needs at least {w_low:.6g} Hz "
-            f"even at similarity 1; carrier has {w:.6g} Hz"
-        )
-    if scenario.min_similarity > 0.0:
-        w_up = min(w_low / scenario.min_similarity, w)
-    else:
-        w_up = w
-    return w_low, w_up
-
-
-def _bit_rate_grid(w_bit: np.ndarray, power: np.ndarray, gain: float, n0: float) -> np.ndarray:
-    """Vectorised AWGN rate; zero band or power contributes nothing."""
-    w_bit = np.asarray(w_bit, dtype=float)
-    power = np.asarray(power, dtype=float)
-    live = (w_bit > 0) & (power > 0)
-    w_safe = np.where(live, w_bit, 1.0)
-    rate = w_safe * np.log1p(np.where(live, power, 0.0) * gain / (w_safe * n0)) / LN2
-    return np.where(live, rate, 0.0)
-
-
 def solve_oma_point(
     scenario: Scenario,
     real: ChannelRealization,
@@ -194,36 +158,22 @@ def solve_oma_point(
         rate = shannon_rate(w, p_max, real.gain_b, n0)
         alloc = Allocation.orthogonal(0.0, w, 0.0, p_max)
         return BoundaryPoint(0.0, rate, 0.0, alloc)
-    w_low, w_up = lemma1_bounds(scenario, sigma_target)
+    floor = scenario.min_similarity
+    w_low, w_up = lemma1_bounds(scenario, sigma_target, floor)
 
     def score(ws: np.ndarray) -> np.ndarray:
-        eps_req = sigma_target * scenario.k / ws
-        p_req = power_for_similarity_grid(params, eps_req, ws, real.gain_s, n0)
-        ok = p_req <= p_max
-        return np.where(
-            ok, _bit_rate_grid(w - ws, np.where(ok, p_max - p_req, 0.0), real.gain_b, n0), 0.0
-        )
+        p_req = sem_power(scenario, real, sigma_target, floor, ws)
+        w_bit = w - ws
+        p_bit = np.where(p_req <= p_max, p_max - p_req, 0.0)
+        return pipe_rate(w_bit, p_bit, orth_inv_slope(w_bit, real.gain_b, n0))
 
     ws, rate = refine_search(score, w_low, w_up, grid_n, maximize=True, tie_high=False)
-    eps_req = sigma_target * scenario.k / ws
-    p_req = float(
-        power_for_similarity_grid(params, np.array(eps_req), np.array(ws), real.gain_s, n0)
-    )
+    p_req = float(sem_power(scenario, real, sigma_target, floor, ws))
     if p_req > p_max:
         return BoundaryPoint(sigma_target, 0.0, 0.0, None)
     eps = eval_similarity(params, snr_db(p_req, real.gain_s, ws, n0))
     alloc = Allocation.orthogonal(ws, w - ws, p_req, p_max - p_req)
     return BoundaryPoint(sigma_target, rate, eps, alloc)
-
-
-def oma_boundary_point(
-    scenario: Scenario,
-    real: ChannelRealization,
-    sigma_target: float,
-    grid_n: int = 512,
-) -> float:
-    """Bit rate on the orthogonal boundary at one semantic-rate target."""
-    return solve_oma_point(scenario, real, sigma_target, grid_n).bit_rate
 
 
 def noma_sigma_min(scenario: Scenario) -> float:
@@ -273,18 +223,12 @@ def solve_noma_point(
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     n0 = scenario.noise_psd
-    params = scenario.logistic
-    eps_rate = sigma_target * scenario.k / w
-    if eps_rate >= params.a_high or scenario.min_similarity >= params.a_high:
+    p_s = float(sem_power(scenario, real, sigma_target, scenario.min_similarity, w))
+    if not p_s <= p_max:  # also an unreachable similarity, which costs +inf
         return BoundaryPoint(sigma_target, 0.0, 0.0, None)
-    eps_need = max(eps_rate, scenario.min_similarity)
-    p_s = required_power_for_similarity(params, eps_need, w, real.gain_s, n0)
-    if p_s > p_max:
-        return BoundaryPoint(sigma_target, 0.0, 0.0, None)
-    g_eff = real.gain_eff
     p_b = p_max - p_s
-    rate = w * math.log1p(p_b * g_eff / (p_s * g_eff + w * n0)) / LN2 if p_b > 0 else 0.0
-    eps = eval_similarity(params, snr_db(p_s, real.gain_s, w, n0))
+    rate = float(pipe_rate(w, p_b, overlay_inv_slope(w, p_s, real.gain_eff, n0)))
+    eps = eval_similarity(scenario.logistic, snr_db(p_s, real.gain_s, w, n0))
     return BoundaryPoint(sigma_target, rate, eps, Allocation.overlay(w, p_s, p_b))
 
 
@@ -317,12 +261,10 @@ def noma_boundary(
             f"{p_max:.6g} W before the bit stream gets anything"
         )
     p_s = np.linspace(p_floor, p_max, n_points)
-    g_eff = real.gain_eff
     with np.errstate(divide="ignore"):
         gamma_db = 10.0 * np.log10(p_s * real.gain_s / (w * n0))
     eps = eval_similarity(params, gamma_db)
-    p_b = p_max - p_s
-    bit = w * np.log1p(p_b * g_eff / (p_s * g_eff + w * n0)) / LN2
+    bit = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, n0))
     points = tuple(
         RatePair(sem_rate=float(w * e / scenario.k), bit_rate=float(r), similarity=float(e))
         for e, r in zip(eps, bit)
@@ -335,28 +277,6 @@ def noma_boundary(
     )
 
 
-def water_fill_max(
-    h_m: float, h_b: float, w_m: float, w_b: float, budget: float
-) -> tuple[float, float]:
-    """Split ``budget`` W between two parallel bit pipes to maximise rate.
-
-    ``h_m`` and ``h_b`` are channel gain over total in-band noise (plus
-    interference) power, so pipe i carries rate_i = w_i * log2(1 + p_i * h_i).
-    Standard water level with clamping at the box edges; the clamped pair
-    still spends the whole budget.
-    """
-    if h_m <= 0 or h_b <= 0:
-        raise ValueError("pipe slopes must be positive")
-    if w_m < 0 or w_b < 0 or w_m + w_b <= 0:
-        raise ValueError("pipe bandwidths must be non-negative and not both zero")
-    if budget <= 0:
-        return 0.0, 0.0
-    level = (w_m + w_b) / (budget + 1.0 / h_m + 1.0 / h_b)
-    p_bm = min(max(w_m / level - 1.0 / h_m, 0.0), budget)
-    p_bo = min(max(w_b / level - 1.0 / h_b, 0.0), budget)
-    return p_bm, p_bo
-
-
 def _hybrid_rate_grid(
     scenario: Scenario,
     real: ChannelRealization,
@@ -365,27 +285,16 @@ def _hybrid_rate_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Water-filled hybrid bit rate for candidate (shared band, sem power).
 
-    Returns (rate, p_bm, p_bo); infeasible candidates (semantic power
-    already over budget) come back with rate 0.  Inverse slopes are used
-    throughout so the w_m == W corner needs no special casing beyond a
-    guarded 0/0.
+    Returns (rate, p_bm, p_bo); candidates whose semantic power already
+    spends the budget get no bit power and rate 0.
     """
-    w = scenario.total_bandwidth
     n0 = scenario.noise_psd
-    g_eff = real.gain_eff
-    budget = scenario.max_power - p_s
-    ok = budget > 0
-    budget = np.where(ok, budget, 0.0)
-    inv_hm = (p_s * g_eff + w_m * n0) / g_eff
-    inv_hb = (w - w_m) * n0 / real.gain_b
-    level = w / (budget + inv_hm + inv_hb)
-    p_bm = np.clip(w_m / level - inv_hm, 0.0, budget)
-    p_bo = np.clip((w - w_m) / level - inv_hb, 0.0, budget)
-    rate_m = w_m * np.log1p(p_bm / inv_hm) / LN2
-    live_o = (p_bo > 0) & (inv_hb > 0)
-    rate_o = np.where(live_o, (w - w_m) * np.log1p(p_bo / np.where(live_o, inv_hb, 1.0)) / LN2, 0.0)
-    rate = np.where(ok, rate_m + rate_o, 0.0)
-    return rate, np.where(ok, p_bm, 0.0), np.where(ok, p_bo, 0.0)
+    budget = np.maximum(scenario.max_power - p_s, 0.0)
+    w_b = scenario.total_bandwidth - w_m
+    inv_hm = overlay_inv_slope(w_m, p_s, real.gain_eff, n0)
+    inv_hb = orth_inv_slope(w_b, real.gain_b, n0)
+    p_bm, p_bo = water_fill_max_grid(w_m, inv_hm, w_b, inv_hb, budget)
+    return pipe_rate(w_m, p_bm, inv_hm) + pipe_rate(w_b, p_bo, inv_hb), p_bm, p_bo
 
 
 def solve_semi_point(
@@ -410,20 +319,16 @@ def solve_semi_point(
     if sigma_target == 0.0:
         rate = shannon_rate(w, p_max, real.gain_b, n0)
         return BoundaryPoint(0.0, rate, 0.0, Allocation.hybrid(0.0, w, 0.0, 0.0, p_max))
-    w_low, _ = lemma1_bounds(scenario, sigma_target)
-    w_low = max(w_low, w * _MIN_BAND_FRACTION)
+    w_low, _ = lemma1_bounds(scenario, sigma_target, scenario.min_similarity)
+    w_low = max(w_low, w * MIN_BAND_FRACTION)
     oma_pt = solve_oma_point(scenario, real, sigma_target, grid_n)
     noma_pt = solve_noma_point(scenario, real, sigma_target)
     extra = [w]
     if oma_pt.alloc is not None and oma_pt.alloc.w_sem >= w_low:
         extra.append(oma_pt.alloc.w_sem)
 
-    def sem_power(wm: np.ndarray) -> np.ndarray:
-        eps_need = np.maximum(sigma_target * scenario.k / wm, scenario.min_similarity)
-        return power_for_similarity_grid(params, eps_need, wm, real.gain_s, n0)
-
     def score(wm: np.ndarray) -> np.ndarray:
-        p_s = sem_power(wm)
+        p_s = sem_power(scenario, real, sigma_target, scenario.min_similarity, wm)
         feasible = p_s <= p_max
         p_s_safe = np.where(feasible, p_s, 0.0)
         rate, _, _ = _hybrid_rate_grid(scenario, real, wm, p_s_safe)
@@ -434,7 +339,7 @@ def solve_semi_point(
     )
 
     best = BoundaryPoint(sigma_target, 0.0, 0.0, None)
-    p_s = float(sem_power(np.array(wm)))
+    p_s = float(sem_power(scenario, real, sigma_target, scenario.min_similarity, wm))
     if p_s <= p_max and rate > 0.0:
         r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, np.array(wm), np.array(p_s))
         eps = eval_similarity(params, snr_db(p_s, real.gain_s, wm, n0))
@@ -459,16 +364,6 @@ def solve_semi_point(
             Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0),
         )
     return best
-
-
-def semi_boundary_point(
-    scenario: Scenario,
-    real: ChannelRealization,
-    sigma_target: float,
-    grid_n: int = 512,
-) -> float:
-    """Bit rate on the hybrid boundary at one semantic-rate target."""
-    return solve_semi_point(scenario, real, sigma_target, grid_n).bit_rate
 
 
 def sweep_boundary(

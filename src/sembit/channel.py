@@ -9,7 +9,7 @@ acceptable similarity, and the fitted S-curve table.  A
 Distances follow g = pathloss_ref * d**(-pathloss_exp) * e with e a
 unit-mean exponential (squared magnitude of a Rayleigh coefficient).
 Draws are Philox-keyed so realisation i of a sweep depends only on
-(base_seed, i), never on thread schedule or sweep order.
+(base_seed, i), never on sweep order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DistanceBelowReference
+from .errors import DistanceBelowReference, require_finite
 from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
@@ -81,6 +81,17 @@ class Scenario:
     params: ParamTable = field(default_factory=default_table)
 
     def __post_init__(self):
+        require_finite(
+            self,
+            "total_bandwidth",
+            "max_power",
+            "noise_psd",
+            "min_similarity",
+            "d_s",
+            "d_b",
+            "pathloss_ref",
+            "pathloss_exp",
+        )
         if self.total_bandwidth <= 0:
             raise ValueError("total_bandwidth must be positive")
         if self.max_power <= 0:
@@ -183,6 +194,7 @@ class ChannelRealization:
     seed: int | None = None
 
     def __post_init__(self):
+        require_finite(self, "gain_s", "gain_b")
         if self.gain_s <= 0 or self.gain_b <= 0:
             raise ValueError("channel gains must be positive")
 

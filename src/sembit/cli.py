@@ -41,17 +41,11 @@ from .errors import (
     Infeasible,
     InfeasibleTarget,
     InsufficientData,
-    RateUnreachable,
     SembitError,
     TargetUnreachable,
 )
 from .montecarlo import SweepSpec, run_sweep
-from .power import (
-    PowerTargets,
-    solve_noma_min_power,
-    solve_oma_min_power,
-    solve_semi_min_power,
-)
+from .power import PowerTargets, solve_min_powers
 from .rates import Scheme, rates_for
 from .similarity import fit_logistic, fit_mse, ParamTable, read_samples_csv
 
@@ -204,11 +198,6 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
         min_similarity=params["floor"],
         bit_target=params["bits"],
     )
-    solvers = {
-        "oma": lambda: solve_oma_min_power(scenario, real, targets, params["grid"]),
-        "noma": lambda: solve_noma_min_power(scenario, real, targets),
-        "semi": lambda: solve_semi_min_power(scenario, real, targets, params["grid"]),
-    }
     report: dict = {
         "targets": {
             "sigma_target": targets.sigma_target,
@@ -220,14 +209,13 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
     }
     feasible_any = False
     failed_verify = []
-    for name in ("oma", "noma", "semi"):
-        try:
-            sol = solvers[name]()
-        except Infeasible as exc:
+    for scheme, sol in solve_min_powers(scenario, real, targets, params["grid"]).items():
+        name = scheme.value
+        if isinstance(sol, Infeasible):
             report["schemes"][name] = {
                 "feasible": False,
-                "cause": exc.cause,
-                "message": str(exc),
+                "cause": sol.cause,
+                "message": str(sol),
             }
             continue
         feasible_any = True
@@ -418,7 +406,7 @@ def main(argv=None) -> int:
     except EmptyRegion as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_REGION
-    except (Infeasible, InfeasibleTarget, RateUnreachable, TargetUnreachable) as exc:
+    except (Infeasible, InfeasibleTarget, TargetUnreachable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (

@@ -1,11 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finiteness check.
 
 Everything derives from :class:`SembitError` so callers can catch one base
 class at CLI or sweep level and map it to an exit code or an infeasibility
-counter.
+counter.  Malformed input raises ValueError, which the CLI maps to exit 2.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def require_finite(obj, *fields: str) -> None:
+    """Raise ValueError unless each named attribute of ``obj`` is a finite number."""
+    for name in fields:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class SembitError(Exception):
@@ -18,10 +28,6 @@ class TargetBelowFloor(SembitError):
 
 class TargetUnreachable(SembitError):
     """Similarity target at or above the upper asymptote: no finite SNR works."""
-
-
-class RateUnreachable(SembitError):
-    """Semantic-rate target exceeds bandwidth * a_high / k: no finite power works."""
 
 
 class InsufficientData(SembitError):

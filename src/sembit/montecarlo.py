@@ -3,10 +3,10 @@
 One sweep varies a single quantity (semantic-rate target, similarity
 floor, bit-rate target, or source length) and, for each value, averages
 the three schemes' minimum powers over seeded channel draws.  Realisation
-i always uses the seed derived from (base_seed, i), so results do not
-depend on thread count or on which sweep values run first, and the same
-draws are reused across sweep values (common random numbers keeps the
-scheme curves directly comparable).
+i always uses the seed derived from (base_seed, i) and is drawn once, then
+reused for every sweep value (common random numbers keeps the scheme
+curves directly comparable).  No sweep variable changes the mean link
+gains, so one draw serves them all.
 
 Infeasibility here is structural (bandwidth or curve-ceiling bound), so
 for a given sweep value a scheme is either feasible for every draw or for
@@ -18,25 +18,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .channel import Scenario, derive_seed, sample_realization
-from .errors import SembitError
-from .power import (
-    PowerTargets,
-    noma_min_power,
-    oma_min_power,
-    semi_min_power,
-)
+from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
+from .power import PowerSolution, PowerTargets, solve_min_powers
 
 SWEEP_VARIABLES = ("sigma_target", "min_similarity", "bit_target", "k")
 SCHEME_ORDER = ("oma", "noma", "semi")
-THREADS_ENV = "SVB_THREADS"
 
 
 @dataclass(frozen=True)
@@ -154,43 +145,28 @@ class SweepResult:
                 )
 
 
-def _solve_draw(scenario: Scenario, targets: PowerTargets, grid_n: int, seed: int):
-    """Three scheme minima for one draw; NaN marks an infeasible scheme."""
-    real = sample_realization(scenario, seed)
-    out = []
-    for solver in (oma_min_power, noma_min_power, semi_min_power):
-        try:
-            if solver is noma_min_power:
-                out.append(solver(scenario, real, targets))
-            else:
-                out.append(solver(scenario, real, targets, grid_n))
-        except SembitError:
-            out.append(math.nan)
-    return out
+def _solve_draw(
+    scenario: Scenario, targets: PowerTargets, grid_n: int, real: ChannelRealization
+) -> list[float]:
+    """Three scheme minima for one draw, in SCHEME_ORDER; NaN marks an infeasible scheme."""
+    return [
+        sol.total if isinstance(sol, PowerSolution) else math.nan
+        for sol in solve_min_powers(scenario, real, targets, grid_n).values()
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute a sweep; deterministic for a given spec regardless of threads.
-
-    Thread count comes from the SVB_THREADS environment variable (default
-    1); results are gathered by realisation index, so scheduling cannot
-    reorder them.
-    """
-    threads = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    seeds = [derive_seed(spec.base_seed, i) for i in range(spec.n_realizations)]
+    """Execute a sweep; deterministic for a given spec."""
+    reals = [
+        sample_realization(spec.scenario, derive_seed(spec.base_seed, i))
+        for i in range(spec.n_realizations)
+    ]
     rows = []
     for value in spec.values:
         scenario, targets = spec.apply(value)
-
-        def solve(seed, _scn=scenario, _tg=targets):
-            return _solve_draw(_scn, _tg, spec.grid_n, seed)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                draws = list(pool.map(solve, seeds))
-        else:
-            draws = [solve(s) for s in seeds]
-        arr = np.asarray(draws, dtype=float)
+        arr = np.asarray(
+            [_solve_draw(scenario, targets, spec.grid_n, real) for real in reals], dtype=float
+        )
         for j, scheme in enumerate(SCHEME_ORDER):
             col = arr[:, j]
             feasible = np.isfinite(col)

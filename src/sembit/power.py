@@ -18,10 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, Scenario
-from .errors import Infeasible, InfeasibleBandwidth
-from .rates import LN2, Allocation, Scheme
+from .errors import Infeasible, require_finite
+from .rates import (
+    MIN_BAND_FRACTION,
+    Allocation,
+    Scheme,
+    lemma1_bounds,
+    orth_inv_slope,
+    overlay_inv_slope,
+    pipe_power,
+    sem_power,
+    water_fill_min_grid,
+)
 from .search import refine_search
-from .similarity import power_for_similarity_grid, required_power_for_similarity
 
 _EPS_EDGE = 1e-9  # keep similarity candidates off the open asymptote
 
@@ -41,6 +50,7 @@ class PowerTargets:
     bit_target: float
 
     def __post_init__(self):
+        require_finite(self, "sigma_target", "min_similarity", "bit_target")
         if self.sigma_target < 0 or self.bit_target < 0:
             raise ValueError("targets must be non-negative")
         if not 0.0 <= self.min_similarity < 1.0:
@@ -92,29 +102,6 @@ def _check_feasible(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -
         )
 
 
-def _bit_power_grid(w_bit: np.ndarray, rate: float, gain: float, noise_psd: float) -> np.ndarray:
-    """Power for an orthogonal pipe to carry ``rate``; inf if no bandwidth."""
-    w_bit = np.asarray(w_bit, dtype=float)
-    if rate <= 0:
-        return np.zeros_like(w_bit)
-    out = np.full_like(w_bit, np.inf)
-    live = w_bit > 0
-    with np.errstate(over="ignore"):
-        out[live] = w_bit[live] * noise_psd / gain * np.expm1(LN2 * rate / w_bit[live])
-    return out
-
-
-def _sem_band_interval(scenario: Scenario, targets: PowerTargets) -> tuple[float, float]:
-    """Orthogonal semantic-band interval implied by the two semantic targets."""
-    w = scenario.total_bandwidth
-    w_low = targets.sigma_target * scenario.k
-    if targets.min_similarity > 0:
-        w_up = min(w_low / targets.min_similarity, w)
-    else:
-        w_up = w
-    return w_low, w_up
-
-
 def _eps_seeded_bands(scenario: Scenario, targets: PowerTargets, n: int = 64) -> np.ndarray:
     """Extra band candidates spaced evenly in required similarity.
 
@@ -154,38 +141,39 @@ def solve_oma_min_power(
     toward the smaller semantic band.
 
     Raises:
-        Infeasible: structurally unreachable targets (see _check_feasible).
+        Infeasible: structurally unreachable targets (see _check_feasible),
+            or "bandwidth-bound" when every band that meets the semantic
+            targets leaves too little bit band for a finite bit power.
     """
     _check_feasible(scenario, targets, Scheme.OMA)
     w = scenario.total_bandwidth
-    n0 = scenario.noise_psd
-    params = scenario.logistic
-    if targets.sigma_target == 0.0:
-        p_bit = float(_bit_power_grid(np.array([w]), targets.bit_target, real.gain_b, n0)[0])
-        return PowerSolution(p_bit, Allocation.orthogonal(0.0, w, 0.0, p_bit))
+    sigma, floor = targets.sigma_target, targets.min_similarity
 
-    w_low, w_up = _sem_band_interval(scenario, targets)
+    def bit_power(ws):
+        w_bit = w - ws
+        inv_h = orth_inv_slope(w_bit, real.gain_b, scenario.noise_psd)
+        return pipe_power(w_bit, targets.bit_target, inv_h)
 
-    def total(ws: np.ndarray) -> np.ndarray:
-        eps_need = np.maximum(targets.sigma_target * scenario.k / ws, targets.min_similarity)
-        p_sem = power_for_similarity_grid(params, eps_need, ws, real.gain_s, n0)
-        p_bit = _bit_power_grid(w - ws, targets.bit_target, real.gain_b, n0)
-        return p_sem + p_bit
+    def total(ws):
+        return sem_power(scenario, real, sigma, floor, ws) + bit_power(ws)
 
-    ws, best = _min_grid_search(total, w_low, w_up, grid_n, _eps_seeded_bands(scenario, targets))
-    eps_need = max(targets.sigma_target * scenario.k / ws, targets.min_similarity)
-    p_sem = required_power_for_similarity(params, eps_need, ws, real.gain_s, n0)
-    p_bit = float(_bit_power_grid(np.array([w - ws]), targets.bit_target, real.gain_b, n0)[0])
+    if sigma == 0.0:
+        ws, best = 0.0, float(bit_power(0.0))
+    else:
+        w_low, w_up = lemma1_bounds(scenario, sigma, floor)
+        extra = _eps_seeded_bands(scenario, targets)
+        ws, best = _min_grid_search(total, w_low, w_up, grid_n, extra)
+    if not math.isfinite(best):
+        a_high = scenario.logistic.a_high
+        raise Infeasible(
+            f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
+            f"below the curve ceiling {a_high} leaves a bit band of at most "
+            f"{w - sigma * scenario.k / a_high:.6g} Hz",
+            cause="bandwidth-bound",
+        )
+    p_sem = float(sem_power(scenario, real, sigma, floor, ws)) if ws > 0 else 0.0
+    p_bit = float(bit_power(ws))
     return PowerSolution(p_sem + p_bit, Allocation.orthogonal(ws, w - ws, p_sem, p_bit))
-
-
-def oma_min_power(
-    scenario: Scenario,
-    real: ChannelRealization,
-    targets: PowerTargets,
-    grid_n: int = 512,
-) -> float:
-    return solve_oma_min_power(scenario, real, targets, grid_n).total
 
 
 def solve_noma_min_power(
@@ -205,95 +193,90 @@ def solve_noma_min_power(
     """
     _check_feasible(scenario, targets, Scheme.NOMA)
     w = scenario.total_bandwidth
-    n0 = scenario.noise_psd
-    eps_need = max(targets.sigma_target * scenario.k / w, targets.min_similarity)
-    p_s = required_power_for_similarity(scenario.logistic, eps_need, w, real.gain_s, n0)
-    if targets.bit_target > 0:
-        g_eff = real.gain_eff
-        p_b = (p_s * g_eff + w * n0) / g_eff * math.expm1(LN2 * targets.bit_target / w)
-    else:
-        p_b = 0.0
+    p_s = float(sem_power(scenario, real, targets.sigma_target, targets.min_similarity, w))
+    inv_h = overlay_inv_slope(w, p_s, real.gain_eff, scenario.noise_psd)
+    p_b = float(pipe_power(w, targets.bit_target, inv_h))
     return PowerSolution(p_s + p_b, Allocation.overlay(w, p_s, p_b))
 
 
-def noma_min_power(
+def _hybrid_power(scenario, real, targets, wm):
+    """(p_sem, p_bit_shared, p_bit_orth) for shared-band candidates ``wm``.
+
+    The semantic power is pinned by the harder of the rate target and the
+    floor; inverse water-filling then splits the bit target between the
+    superposed and orthogonal pipes.  Candidates needing a similarity at
+    or above the curve ceiling cost +inf.
+    """
+    w = scenario.total_bandwidth
+    n0 = scenario.noise_psd
+    p_s = sem_power(scenario, real, targets.sigma_target, targets.min_similarity, wm)
+    p_m = np.full_like(p_s, np.inf)
+    p_o = np.zeros_like(p_s)
+    ok = np.isfinite(p_s)
+    w_m, w_b = wm[ok], w - wm[ok]
+    p_m[ok], p_o[ok] = water_fill_min_grid(
+        w_m,
+        overlay_inv_slope(w_m, p_s[ok], real.gain_eff, n0),
+        w_b,
+        orth_inv_slope(w_b, real.gain_b, n0),
+        targets.bit_target,
+    )
+    return p_s, p_m, p_o
+
+
+def _fold_semi(
     scenario: Scenario,
     real: ChannelRealization,
     targets: PowerTargets,
-) -> float:
-    return solve_noma_min_power(scenario, real, targets).total
+    grid_n: int,
+    oma: PowerSolution | Infeasible,
+    noma: PowerSolution | Infeasible,
+) -> PowerSolution:
+    """Hybrid minimum from its interior search and the two corner solutions.
 
-
-def water_fill_min(
-    h_m: float, h_b: float, w_m: float, w_b: float, rate_target: float
-) -> tuple[float, float]:
-    """Cheapest split of a rate target between two parallel bit pipes.
-
-    ``h_m`` and ``h_b`` are channel gain over total in-band noise (plus
-    interference) power, so pipe i carries rate_i = w_i * log2(1 + p_i * h_i).
-    Inverse water-filling meets rate_m + rate_b = rate_target at minimum
-    total power; when the unconstrained water level would push one pipe's
-    power negative, that pipe shuts off and the other inverts the full
-    target exactly.
-
-    Raises:
-        InfeasibleBandwidth: positive target with both pipes at zero width.
+    The interior searches the shared-band width over [sigma*k, W]; the
+    orthogonal and overlay solutions, when feasible, then compete on their
+    exact totals, so the hybrid never exceeds either.  Ties break toward
+    the narrower shared band and then toward the interior.
     """
-    if rate_target <= 0:
-        return 0.0, 0.0
-    if (w_m <= 0 or h_m <= 0) and (w_b <= 0 or h_b <= 0):
-        raise InfeasibleBandwidth("a positive bit target needs at least one live pipe")
-    if w_m <= 0 or h_m <= 0:
-        return 0.0, math.expm1(LN2 * rate_target / w_b) / h_b
-    if w_b <= 0 or h_b <= 0:
-        return math.expm1(LN2 * rate_target / w_m) / h_m, 0.0
-    w = w_m + w_b
-    log2_level = (
-        rate_target / w
-        - (w_m / w) * math.log2(w_m * h_m)
-        - (w_b / w) * math.log2(w_b * h_b)
-    )
-    level = 2.0 ** log2_level
-    p_bm = level * w_m - 1.0 / h_m
-    p_bo = level * w_b - 1.0 / h_b
-    if p_bm <= 0:
-        return 0.0, math.expm1(LN2 * rate_target / w_b) / h_b
-    if p_bo <= 0:
-        return math.expm1(LN2 * rate_target / w_m) / h_m, 0.0
-    return p_bm, p_bo
+    _check_feasible(scenario, targets, Scheme.SEMI)
+    w = scenario.total_bandwidth
+    best = None
+    if targets.sigma_target > 0:
+        w_low = lemma1_bounds(scenario, targets.sigma_target, targets.min_similarity)[0]
+
+        def total(wm: np.ndarray) -> np.ndarray:
+            p_s, p_m, p_o = _hybrid_power(scenario, real, targets, wm)
+            return p_s + (p_m + p_o)
+
+        extra = np.append(_eps_seeded_bands(scenario, targets), w)
+        wm, best_total = _min_grid_search(
+            total, max(w_low, w * MIN_BAND_FRACTION), w, grid_n, extra
+        )
+        if math.isfinite(best_total):
+            powers = _hybrid_power(scenario, real, targets, np.array([wm]))
+            p_s, p_m, p_o = (float(p[0]) for p in powers)
+            best = PowerSolution(best_total, Allocation.hybrid(wm, w - wm, p_s, p_m, p_o))
+    if isinstance(oma, PowerSolution) and (best is None or oma.total < best.total):
+        a = oma.alloc
+        alloc = Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth)
+        best = PowerSolution(oma.total, alloc)
+    if isinstance(noma, PowerSolution) and (best is None or noma.total < best.total):
+        a = noma.alloc
+        alloc = Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0)
+        best = PowerSolution(noma.total, alloc)
+    if best is None:
+        # Semi's structural checks are oma's, so only oma's own bit-band
+        # bound can leave it without any candidate.
+        raise oma
+    return best
 
 
-def _hybrid_bit_power_grid(
-    w_m: np.ndarray,
-    inv_hm: np.ndarray,
-    w_total: float,
-    gain_b: float,
-    noise_psd: float,
-    rate_target: float,
-) -> np.ndarray:
-    """Vectorised water_fill_min total over shared-band candidates.
-
-    inv_hb = w_b * noise_psd / gain_b, so w_b * h_b = gain_b / noise_psd is
-    constant and only the shared pipe's slope varies with the candidate.
-    """
-    w_m = np.asarray(w_m, dtype=float)
-    inv_hm = np.asarray(inv_hm, dtype=float)
-    if rate_target <= 0:
-        return np.zeros_like(w_m)
-    w_b = w_total - w_m
-    inv_hb = w_b * noise_psd / gain_b
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        term_m = np.where(w_m > 0, (w_m / w_total) * np.log2(w_m / inv_hm), 0.0)
-        term_b = np.where(w_b > 0, (w_b / w_total) * np.log2(gain_b / noise_psd), 0.0)
-        level = 2.0 ** (rate_target / w_total - term_m - term_b)
-        p_bm = level * w_m - inv_hm
-        p_bo = level * w_b - inv_hb
-        only_o = np.where(w_b > 0, inv_hb * np.expm1(LN2 * rate_target / np.where(w_b > 0, w_b, 1.0)), np.inf)
-        only_m = np.where(w_m > 0, inv_hm * np.expm1(LN2 * rate_target / np.where(w_m > 0, w_m, 1.0)), np.inf)
-    total = p_bm + p_bo
-    total = np.where(p_bm <= 0, only_o, total)
-    total = np.where(p_bo <= 0, only_m, total)
-    return total
+def _attempt(solve, *args) -> PowerSolution | Infeasible:
+    try:
+        return solve(*args)
+    except Infeasible as exc:
+        return exc
 
 
 def solve_semi_min_power(
@@ -307,69 +290,31 @@ def solve_semi_min_power(
     Searches the shared-band width over [sigma*k, W]; each candidate pays
     the pinned semantic power, then splits the bit target between the
     superposed and orthogonal pipes by inverse water-filling.  The
-    orthogonal and overlay optima join the comparison at the end, so the
-    hybrid result never exceeds either.  Ties break toward the narrower
-    shared band.
+    feasible ones of the orthogonal and overlay optima join the comparison
+    at the end, so the hybrid result never exceeds either.  Ties break
+    toward the narrower shared band.
 
     Raises:
         Infeasible: structurally unreachable targets.
     """
-    _check_feasible(scenario, targets, Scheme.SEMI)
-    w = scenario.total_bandwidth
-    n0 = scenario.noise_psd
-    params = scenario.logistic
-    oma_sol = solve_oma_min_power(scenario, real, targets, grid_n)
-    noma_sol = solve_noma_min_power(scenario, real, targets)
-
-    best_total = math.inf
-    best_alloc = None
-    if targets.sigma_target > 0:
-        w_lo = max(targets.sigma_target * scenario.k, w * 1e-9)
-
-        def total(wm: np.ndarray) -> np.ndarray:
-            eps_need = np.maximum(
-                targets.sigma_target * scenario.k / wm, targets.min_similarity
-            )
-            p_s = power_for_similarity_grid(params, eps_need, wm, real.gain_s, n0)
-            out = np.full_like(p_s, np.inf)
-            ok = np.isfinite(p_s)
-            if ok.any():
-                inv_hm = (p_s[ok] * real.gain_eff + wm[ok] * n0) / real.gain_eff
-                out[ok] = p_s[ok] + _hybrid_bit_power_grid(
-                    wm[ok], inv_hm, w, real.gain_b, n0, targets.bit_target
-                )
-            return out
-
-        extra = np.append(_eps_seeded_bands(scenario, targets), w)
-        wm, best_total = _min_grid_search(total, w_lo, w, grid_n, extra)
-        if math.isfinite(best_total):
-            eps_need = max(targets.sigma_target * scenario.k / wm, targets.min_similarity)
-            p_s = required_power_for_similarity(params, eps_need, wm, real.gain_s, n0)
-            inv_hm = (p_s * real.gain_eff + wm * n0) / real.gain_eff
-            p_bm, p_bo = water_fill_min(
-                1.0 / inv_hm,
-                real.gain_b / ((w - wm) * n0) if wm < w else 0.0,
-                wm,
-                w - wm,
-                targets.bit_target,
-            )
-            best_alloc = Allocation.hybrid(wm, w - wm, p_s, p_bm, p_bo)
-
-    if oma_sol.total < best_total or best_alloc is None:
-        a = oma_sol.alloc
-        best_total = oma_sol.total
-        best_alloc = Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth)
-    if noma_sol.total < best_total:
-        a = noma_sol.alloc
-        best_total = noma_sol.total
-        best_alloc = Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0)
-    return PowerSolution(best_total, best_alloc)
+    oma = _attempt(solve_oma_min_power, scenario, real, targets, grid_n)
+    noma = _attempt(solve_noma_min_power, scenario, real, targets)
+    return _fold_semi(scenario, real, targets, grid_n, oma, noma)
 
 
-def semi_min_power(
+def solve_min_powers(
     scenario: Scenario,
     real: ChannelRealization,
     targets: PowerTargets,
-    grid_n: int = 512,
-) -> float:
-    return solve_semi_min_power(scenario, real, targets, grid_n).total
+    grid_n: int,
+) -> dict[Scheme, PowerSolution | Infeasible]:
+    """All three schemes' minima for one draw, each solved once.
+
+    Maps each scheme, in oma, noma, semi order, to its solution or to the
+    :class:`Infeasible` its solver raised.  The semi fold reuses the oma
+    and noma results instead of solving them again.
+    """
+    oma = _attempt(solve_oma_min_power, scenario, real, targets, grid_n)
+    noma = _attempt(solve_noma_min_power, scenario, real, targets)
+    semi = _attempt(_fold_semi, scenario, real, targets, grid_n, oma, noma)
+    return {Scheme.OMA: oma, Scheme.NOMA: noma, Scheme.SEMI: semi}

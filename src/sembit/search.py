@@ -73,15 +73,3 @@ def refine_search(
             x_best, f_best = float(window[j]), float(fw[j])
         half /= zoom
     return x_best, f_best
-
-
-def pareto_envelope_desc(values: np.ndarray) -> np.ndarray:
-    """Running max from the right: enforce a non-increasing frontier.
-
-    Any bit rate achievable at a higher semantic rate is achievable at a
-    lower one too (shrink the semantic target, keep the allocation), so a
-    frontier sampled point by point may be lifted to its right-tail max
-    without leaving the achievable region.
-    """
-    arr = np.asarray(values, dtype=float)
-    return np.maximum.accumulate(arr[::-1])[::-1]

@@ -31,9 +31,9 @@ from scipy.optimize import minimize_scalar
 from .errors import (
     DegenerateData,
     InsufficientData,
-    RateUnreachable,
     TargetBelowFloor,
     TargetUnreachable,
+    require_finite,
 )
 
 LN10_OVER_10 = math.log(10.0) / 10.0
@@ -66,6 +66,7 @@ class LogisticParams:
     offset: float
 
     def __post_init__(self):
+        require_finite(self, "a_low", "a_high", "growth", "offset")
         if int(self.k) != self.k or self.k <= 0:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if not 0.0 <= self.a_low < 1.0:
@@ -76,8 +77,6 @@ class LogisticParams:
             )
         if self.growth <= 0.0:
             raise ValueError(f"growth must be positive, got {self.growth}")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -159,46 +158,11 @@ def required_power_for_similarity(
     """
     if bandwidth <= 0 or channel_gain <= 0 or noise_psd <= 0:
         raise ValueError("bandwidth, channel_gain and noise_psd must be positive")
-    try:
-        snr_db = invert_similarity(params, target)
-    except TargetBelowFloor:
-        return 0.0
-    snr_lin = math.exp(LN10_OVER_10 * snr_db)
-    return bandwidth * noise_psd / channel_gain * snr_lin
-
-
-def required_power_for_semantic_rate(
-    params: LogisticParams,
-    target_rate: float,
-    bandwidth: float,
-    channel_gain: float,
-    noise_psd: float,
-) -> float:
-    """Minimum power (W) so the normalised semantic rate reaches ``target_rate``.
-
-    The normalised rate over ``bandwidth`` is bandwidth * similarity / k,
-    so the power follows from a similarity target of target_rate * k /
-    bandwidth.
-
-    Raises:
-        RateUnreachable: target needs similarity >= a_high, or a positive
-            target with zero bandwidth.
-    """
-    if target_rate <= 0:
-        return 0.0
-    if bandwidth <= 0:
-        raise RateUnreachable(
-            f"semantic rate {target_rate} requested over no bandwidth"
+    if target >= params.a_high:
+        raise TargetUnreachable(
+            f"target {target} is at or above the upper asymptote {params.a_high}"
         )
-    eps_needed = target_rate * params.k / bandwidth
-    if eps_needed >= params.a_high:
-        raise RateUnreachable(
-            f"rate {target_rate} needs similarity {eps_needed:.6g} >= "
-            f"asymptote {params.a_high} over {bandwidth:.6g} Hz"
-        )
-    return required_power_for_similarity(
-        params, eps_needed, bandwidth, channel_gain, noise_psd
-    )
+    return float(power_for_similarity_grid(params, target, bandwidth, channel_gain, noise_psd))
 
 
 def power_for_similarity_grid(
@@ -208,25 +172,23 @@ def power_for_similarity_grid(
     channel_gain: float,
     noise_psd: float,
 ) -> np.ndarray:
-    """Vector form of :func:`required_power_for_similarity` for search loops.
+    """Transmit power (W) that lifts the similarity to ``targets``, elementwise.
 
-    Instead of raising, unreachable targets (>= a_high) map to +inf and
-    free targets (<= a_low) map to 0.  ``targets`` and ``bandwidths``
-    broadcast against each other; bandwidths must be positive.
+    The one statement of the inverted S-curve that every semantic power in
+    the package goes through, :func:`required_power_for_similarity`
+    included.  Instead of raising, unreachable targets (>= a_high) map to
+    +inf and free targets (<= a_low) map to 0.  ``targets`` and
+    ``bandwidths`` broadcast against each other; bandwidths must be
+    positive.
     """
     targets = np.asarray(targets, dtype=float)
-    bandwidths = np.asarray(bandwidths, dtype=float)
     span = params.a_high - params.a_low
-    out = np.full(np.broadcast(targets, bandwidths).shape, np.inf)
-    free = targets <= params.a_low
-    mid = (~free) & (targets < params.a_high)
-    frac = np.broadcast_to(targets, out.shape)[mid] - params.a_low
-    z = -np.log(span / frac - 1.0)
-    snr_lin = np.exp(LN10_OVER_10 * (z - params.offset) / params.growth)
-    bw = np.broadcast_to(bandwidths, out.shape)
-    out[mid] = bw[mid] * noise_psd / channel_gain * snr_lin
-    out[free] = 0.0
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = -np.log(span / (targets - params.a_low) - 1.0)
+        snr_lin = np.exp(LN10_OVER_10 * (z - params.offset) / params.growth)
+        power = bandwidths * noise_psd / channel_gain * snr_lin
+    power = np.where(targets < params.a_high, power, np.inf)
+    return np.where(targets <= params.a_low, 0.0, power)
 
 
 class ParamTable:

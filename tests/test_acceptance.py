@@ -250,7 +250,7 @@ def test_criterion_4_boundary_vs_dense_enumeration(table):
         for frac in (0.35, 0.6, 0.8):
             sigma = frac * ext.sigma_max
             floor = max(ext.r_max * 1e-9, 1e-6)
-            got_oma = sb.oma_boundary_point(scenario, real, sigma)
+            got_oma = sb.solve_oma_point(scenario, real, sigma).bit_rate
             brute_oma = _oma_brute(scenario, real, sigma)
             gap = abs(got_oma - brute_oma) / max(brute_oma, floor)
             worst = max(worst, gap)
@@ -258,7 +258,7 @@ def test_criterion_4_boundary_vs_dense_enumeration(table):
                 f"orthogonal point off enumeration by {gap:.2%} "
                 f"(scenario {i}, sigma {sigma:.4g})"
             )
-            got_semi = sb.semi_boundary_point(scenario, real, sigma)
+            got_semi = sb.solve_semi_point(scenario, real, sigma).bit_rate
             brute_semi = _semi_brute(scenario, real, sigma)
             gap = abs(got_semi - brute_semi) / max(brute_semi, floor)
             worst = max(worst, gap)
@@ -290,8 +290,8 @@ def test_criterion_5_hybrid_dominance_and_mutual_noncontainment(table):
         ext = sb.oma_extremes(scenario, real)
         if ext.sigma_max > 0:
             for sigma in np.linspace(0.0, ext.sigma_max, 12):
-                r_semi = sb.semi_boundary_point(scenario, real, float(sigma), grid_n=192)
-                r_oma = sb.oma_boundary_point(scenario, real, float(sigma), grid_n=192)
+                r_semi = sb.solve_semi_point(scenario, real, float(sigma), grid_n=192).bit_rate
+                r_oma = sb.solve_oma_point(scenario, real, float(sigma), grid_n=192).bit_rate
                 assert r_semi >= r_oma * (1 - tol), (
                     f"hybrid below orthogonal at sigma {sigma:.4g} (scenario {i})"
                 )
@@ -306,7 +306,7 @@ def test_criterion_5_hybrid_dominance_and_mutual_noncontainment(table):
                 )
                 sigma = scenario.total_bandwidth * eps / scenario.k
                 r_noma = sb.solve_noma_point(scenario, real, sigma).bit_rate
-                r_semi = sb.semi_boundary_point(scenario, real, sigma, grid_n=192)
+                r_semi = sb.solve_semi_point(scenario, real, sigma, grid_n=192).bit_rate
                 assert r_semi >= r_noma * (1 - tol), (
                     f"hybrid below overlay at sigma {sigma:.4g} (scenario {i})"
                 )
@@ -324,12 +324,12 @@ def test_criterion_5_hybrid_dominance_and_mutual_noncontainment(table):
     assert not v2.contained, "orthogonal unexpectedly covers the overlay boundary"
     # Witness a: at zero semantic rate the orthogonal intercept beats the
     # best bit rate the overlay reaches anywhere.
-    r_oma_zero = sb.oma_boundary_point(scenario, real, 0.0)
+    r_oma_zero = sb.solve_oma_point(scenario, real, 0.0).bit_rate
     assert r_oma_zero > float(np.max(b_noma.bit_rate)) * (1 + tol)
     # Witness b: at sigma = 0.2 MHz the overlay beats the orthogonal point.
     sigma_w = 200e3
     r_noma_w = sb.solve_noma_point(scenario, real, sigma_w).bit_rate
-    r_oma_w = sb.oma_boundary_point(scenario, real, sigma_w)
+    r_oma_w = sb.solve_oma_point(scenario, real, sigma_w).bit_rate
     assert r_noma_w > r_oma_w * (1 + tol)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0, f"criterion 5 took {elapsed:.1f}s (limit 600s)"
@@ -355,8 +355,8 @@ def test_criterion_6_symmetric_case_strict_gain():
         if ext.sigma_max <= 0:
             continue
         for sigma in np.linspace(0.0, ext.sigma_max, 17)[1:-1]:
-            r_semi = sb.semi_boundary_point(scenario, real, float(sigma), grid_n=192)
-            r_oma = sb.oma_boundary_point(scenario, real, float(sigma), grid_n=192)
+            r_semi = sb.solve_semi_point(scenario, real, float(sigma), grid_n=192).bit_rate
+            r_oma = sb.solve_oma_point(scenario, real, float(sigma), grid_n=192).bit_rate
             total += 1
             if r_semi > r_oma * (1 + 1e-9):
                 strict += 1
@@ -389,9 +389,9 @@ def test_criterion_7_min_power_ordering_flatness_monotonicity(table):
                 min_similarity=float(rng.uniform(0.3, a_high - 0.02)),
                 bit_target=float(rng.uniform(0.01, 4.0) * scenario.total_bandwidth),
             )
-            p_oma = sb.oma_min_power(scenario, real, targets, grid_n=256)
-            p_noma = sb.noma_min_power(scenario, real, targets)
-            p_semi = sb.semi_min_power(scenario, real, targets, grid_n=256)
+            p_oma = sb.solve_oma_min_power(scenario, real, targets, grid_n=256).total
+            p_noma = sb.solve_noma_min_power(scenario, real, targets).total
+            p_semi = sb.solve_semi_min_power(scenario, real, targets, grid_n=256).total
             assert p_semi <= min(p_oma, p_noma) + 1e-9, (
                 f"hybrid {p_semi!r} above min({p_oma!r}, {p_noma!r}) "
                 f"(scenario {i})"
@@ -408,11 +408,11 @@ def test_criterion_7_min_power_ordering_flatness_monotonicity(table):
         sigma_edge = floor * scenario.total_bandwidth / scenario.k
         targets = sb.PowerTargets(0.0, floor, float(rng.uniform(0.1, 2.0) * scenario.total_bandwidth))
         values = {
-            sb.noma_min_power(
+            sb.solve_noma_min_power(
                 scenario,
                 real,
                 sb.PowerTargets(frac * sigma_edge, floor, targets.bit_target),
-            )
+            ).total
             for frac in (0.0, 0.25, 0.5, 0.75, 0.95)
         }
         assert len(values) == 1, (
@@ -437,9 +437,9 @@ def test_criterion_7_min_power_ordering_flatness_monotonicity(table):
         }
         for field, values in axes.items():
             for solver in (
-                lambda t: sb.oma_min_power(scenario, real, t),
-                lambda t: sb.noma_min_power(scenario, real, t),
-                lambda t: sb.semi_min_power(scenario, real, t),
+                lambda t: sb.solve_oma_min_power(scenario, real, t).total,
+                lambda t: sb.solve_noma_min_power(scenario, real, t).total,
+                lambda t: sb.solve_semi_min_power(scenario, real, t).total,
             ):
                 prev = -math.inf
                 for v in values:

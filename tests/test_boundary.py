@@ -19,12 +19,10 @@ from sembit import (
     noma_boundary,
     noma_power_floor,
     noma_sigma_min,
-    oma_boundary_point,
     oma_extremes,
     rates_for,
     required_power_for_similarity,
     sample_realization,
-    semi_boundary_point,
     shannon_rate,
     snr_db,
     solve_noma_point,
@@ -71,30 +69,30 @@ class TestExtremes:
 
 class TestLemma1Bounds:
     def test_interval(self, scenario):
-        w_low, w_up = lemma1_bounds(scenario, 150e3)
+        w_low, w_up = lemma1_bounds(scenario, 150e3, scenario.min_similarity)
         assert w_low == pytest.approx(600e3)
         assert w_up == pytest.approx(750e3)
 
     def test_cap_at_carrier(self, scenario):
-        w_low, w_up = lemma1_bounds(scenario, 220e3)
+        w_low, w_up = lemma1_bounds(scenario, 220e3, scenario.min_similarity)
         assert w_low == pytest.approx(880e3)
         assert w_up == 1e6
 
     def test_zero_target_collapses(self, scenario):
-        assert lemma1_bounds(scenario, 0.0) == (0.0, 0.0)
+        assert lemma1_bounds(scenario, 0.0, scenario.min_similarity) == (0.0, 0.0)
 
     def test_no_floor_means_full_upper(self, scenario):
-        open_floor = scenario.with_updates(min_similarity=0.0)
-        _, w_up = lemma1_bounds(open_floor, 150e3)
+        _, w_up = lemma1_bounds(scenario, 150e3, 0.0)
         assert w_up == 1e6
 
     def test_infeasible_target(self, scenario):
         with pytest.raises(InfeasibleTarget):
-            lemma1_bounds(scenario, 260e3)  # needs 1.04 MHz at similarity 1
+            # needs 1.04 MHz at similarity 1
+            lemma1_bounds(scenario, 260e3, scenario.min_similarity)
 
     def test_negative_target(self, scenario):
         with pytest.raises(ValueError):
-            lemma1_bounds(scenario, -1.0)
+            lemma1_bounds(scenario, -1.0, scenario.min_similarity)
 
 
 class TestOmaPoint:
@@ -117,7 +115,7 @@ class TestOmaPoint:
 
     def test_boundary_decreases_with_target(self, scenario, realization):
         sigmas = [0.0, 50e3, 100e3, 150e3, 200e3]
-        rates = [oma_boundary_point(scenario, realization, s) for s in sigmas]
+        rates = [solve_oma_point(scenario, realization, s).bit_rate for s in sigmas]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_unreachable_target_scores_zero(self, scenario, realization):
@@ -144,7 +142,7 @@ class TestOmaPoint:
             w_bit > 0, w_bit * np.log1p((p - ps) * realization.gain_b / np.maximum(w_bit, 1.0) / n0) / math.log(2), 0.0
         )
         brute = float(np.max(np.where(feasible, bit, 0.0)))
-        solved = oma_boundary_point(scenario, realization, sigma)
+        solved = solve_oma_point(scenario, realization, sigma).bit_rate
         assert solved >= brute * (1 - 1e-6)
         assert solved == pytest.approx(brute, rel=0.02)
 
@@ -277,8 +275,8 @@ class TestSemiPoint:
             ext = oma_extremes(scenario, real)
             for frac in (0.2, 0.5, 0.8):
                 sigma = frac * ext.sigma_max
-                r_semi = semi_boundary_point(scenario, real, sigma, grid_n=128)
-                r_oma = oma_boundary_point(scenario, real, sigma, grid_n=128)
+                r_semi = solve_semi_point(scenario, real, sigma, grid_n=128).bit_rate
+                r_oma = solve_oma_point(scenario, real, sigma, grid_n=128).bit_rate
                 r_noma = solve_noma_point(scenario, real, sigma).bit_rate
                 assert r_semi >= r_oma
                 assert r_semi >= r_noma
@@ -297,8 +295,8 @@ class TestSemiPoint:
         # The hybrid's value proposition: strictly better than either corner
         # somewhere in the middle of the semantic-rate range.
         sigma = 150e3
-        r_semi = semi_boundary_point(scenario, realization, sigma)
-        r_oma = oma_boundary_point(scenario, realization, sigma)
+        r_semi = solve_semi_point(scenario, realization, sigma).bit_rate
+        r_oma = solve_oma_point(scenario, realization, sigma).bit_rate
         r_noma = solve_noma_point(scenario, realization, sigma).bit_rate
         assert r_semi > max(r_oma, r_noma) * (1 + 1e-9)
 

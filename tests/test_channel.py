@@ -8,6 +8,8 @@ from scipy import stats
 from sembit import (
     ChannelRealization,
     DistanceBelowReference,
+    LogisticParams,
+    PowerTargets,
     Scenario,
     dbm_to_watt,
     derive_seed,
@@ -26,6 +28,26 @@ class TestUnits:
     def test_round_trip(self, rng):
         for dbm in rng.uniform(-180.0, 50.0, size=50):
             assert watt_to_dbm(dbm_to_watt(dbm)) == pytest.approx(dbm, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Scenario(total_bandwidth=math.nan),
+        lambda: Scenario(max_power=math.inf),
+        lambda: Scenario(noise_psd=math.nan),
+        lambda: Scenario(d_b=math.inf),
+        lambda: LogisticParams(k=4, a_low=0.1, a_high=0.9, growth=math.nan, offset=0.0),
+        lambda: LogisticParams(k=4, a_low=0.1, a_high=0.9, growth=0.5, offset=math.inf),
+        lambda: PowerTargets(sigma_target=math.nan, min_similarity=0.8, bit_target=1e5),
+        lambda: PowerTargets(sigma_target=1e5, min_similarity=0.8, bit_target=math.inf),
+        lambda: ChannelRealization(gain_s=math.inf, gain_b=1e-9),
+        lambda: ChannelRealization(gain_s=1e-9, gain_b=math.nan),
+    ],
+)
+def test_non_finite_input_rejected_at_construction(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
 
 
 class TestPathLoss:

@@ -177,6 +177,40 @@ class TestPowerCommand:
         argv = self.power_args() + ["--scenario", str(tmp_path / "none.json")]
         assert main(argv) == 2
 
+    def test_infeasible_oma_keeps_other_schemes(self, tmp_path):
+        # The orthogonal split leaves no finite-power bit band here, while
+        # the overlay and hybrid still meet the targets.
+        out = tmp_path / "power"
+        argv = [
+            "power", "--seed", "0", "--sigma", "229400", "--floor", "0.6",
+            "--bits", "1.8e6", "--verify", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        schemes = json.loads((out / "power.json").read_text())["schemes"]
+        assert schemes["oma"]["feasible"] is False
+        assert schemes["oma"]["cause"] == "bandwidth-bound"
+        assert schemes["noma"]["verified"] is True
+        assert schemes["semi"]["verified"] is True
+
+    @pytest.mark.parametrize(
+        "targets, scenario_json",
+        [
+            ({"sigma": "nan"}, None),
+            ({"bits": "inf"}, None),
+            ({}, '{"total_bandwidth": NaN}'),
+            ({}, '{"max_power": Infinity}'),
+            ({}, '{"params": {"entries": [{"k": 4, "a_low": 0.1, "a_high": 0.9, '
+                 '"growth": NaN, "offset": 0.0}]}}'),
+        ],
+    )
+    def test_non_finite_input_is_bad_input(self, tmp_path, targets, scenario_json):
+        argv = self.power_args(**targets)
+        if scenario_json is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(scenario_json, encoding="utf-8")
+            argv += ["--scenario", str(path)]
+        assert main(argv) == 2
+
 
 class TestSweepCommand:
     def write_spec(self, tmp_path, scenario):

@@ -11,7 +11,7 @@ from sembit import (
     derive_seed,
     run_sweep,
     sample_realization,
-    semi_min_power,
+    solve_semi_min_power,
 )
 from sembit.montecarlo import SCHEME_ORDER, _solve_draw
 
@@ -81,13 +81,12 @@ class TestRunSweep:
         b = run_sweep(spec)
         assert a.rows == b.rows
 
-    def test_thread_count_does_not_change_results(self, scenario, monkeypatch):
-        spec = small_spec(scenario)
-        monkeypatch.setenv("SVB_THREADS", "1")
-        serial = run_sweep(spec)
-        monkeypatch.setenv("SVB_THREADS", "4")
-        threaded = run_sweep(spec)
-        assert serial.rows == threaded.rows
+    def test_rows_do_not_depend_on_other_sweep_values(self, scenario):
+        # One draw per seed serves every sweep value, so a value's rows are
+        # the same whichever other values share the sweep.
+        full = run_sweep(small_spec(scenario))
+        alone = run_sweep(small_spec(scenario, values=(150e3,)))
+        assert alone.rows == tuple(r for r in full.rows if r.sweep_value == 150e3)
 
     def test_mean_matches_direct_average(self, scenario):
         # Recompute one cell by hand from the same derived seeds.
@@ -95,12 +94,12 @@ class TestRunSweep:
         result = run_sweep(spec)
         _, targets = spec.apply(100e3)
         totals = [
-            semi_min_power(
+            solve_semi_min_power(
                 scenario,
                 sample_realization(scenario, derive_seed(spec.base_seed, i)),
                 targets,
                 spec.grid_n,
-            )
+            ).total
             for i in range(spec.n_realizations)
         ]
         semi_row = result.rows_for("semi")[0]
@@ -116,12 +115,22 @@ class TestRunSweep:
         spec3 = small_spec(scenario, values=(100e3,), n_realizations=3)
         _, targets = spec3.apply(100e3)
         solo = [
-            _solve_draw(scenario, targets, spec3.grid_n, derive_seed(spec3.base_seed, i))
+            _solve_draw(
+                scenario,
+                targets,
+                spec3.grid_n,
+                sample_realization(scenario, derive_seed(spec3.base_seed, i)),
+            )
             for i in range(3)
         ]
         spec6 = small_spec(scenario, values=(100e3,), n_realizations=6)
         longer = [
-            _solve_draw(scenario, targets, spec6.grid_n, derive_seed(spec6.base_seed, i))
+            _solve_draw(
+                scenario,
+                targets,
+                spec6.grid_n,
+                sample_realization(scenario, derive_seed(spec6.base_seed, i)),
+            )
             for i in range(6)
         ]
         assert longer[:3] == solo

@@ -7,12 +7,9 @@ from sembit import (
     Infeasible,
     InfeasibleBandwidth,
     PowerTargets,
-    noma_min_power,
-    oma_min_power,
     rates_for,
     required_power_for_similarity,
     sample_realization,
-    semi_min_power,
     solve_noma_min_power,
     solve_oma_min_power,
     solve_semi_min_power,
@@ -70,13 +67,13 @@ class TestOmaMinPower:
         assert pair.similarity == pytest.approx(eps_need, rel=1e-9)
 
     def test_monotone_in_each_target(self, scenario, realization):
-        base = oma_min_power(scenario, realization, TRIPLE)
+        base = solve_oma_min_power(scenario, realization, TRIPLE).total
         for bump in (
             PowerTargets(140e3, 0.8, 8e5),
             PowerTargets(100e3, 0.85, 8e5),
             PowerTargets(100e3, 0.8, 1.2e6),
         ):
-            assert oma_min_power(scenario, realization, bump) >= base * (1 - 1e-9)
+            assert solve_oma_min_power(scenario, realization, bump).total >= base * (1 - 1e-9)
 
     def test_matches_dense_band_scan(self, scenario, realization):
         # Independent oracle: brute-force the semantic band on a fine grid
@@ -100,19 +97,19 @@ class TestOmaMinPower:
             p_b = w_b * n0 / realization.gain_b * math.expm1(math.log(2.0) * TRIPLE.bit_target / w_b)
             totals.append(p_s + p_b)
         brute = min(totals)
-        solved = oma_min_power(scenario, realization, TRIPLE)
+        solved = solve_oma_min_power(scenario, realization, TRIPLE).total
         assert solved <= brute * (1 + 1e-9)
         assert solved == pytest.approx(brute, rel=1e-3)
 
     def test_structural_infeasibility_causes(self, scenario, realization):
         with pytest.raises(Infeasible) as e:
-            oma_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5))
+            solve_oma_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
         assert e.value.cause == "bandwidth-bound"
         with pytest.raises(Infeasible) as e:
-            oma_min_power(scenario, realization, PowerTargets(231e3, 0.8, 1e5))
+            solve_oma_min_power(scenario, realization, PowerTargets(231e3, 0.8, 1e5)).total
         assert e.value.cause == "rate-asymptote"
         with pytest.raises(Infeasible) as e:
-            oma_min_power(scenario, realization, PowerTargets(100e3, 0.95, 1e5))
+            solve_oma_min_power(scenario, realization, PowerTargets(100e3, 0.95, 1e5)).total
         assert e.value.cause == "similarity-asymptote"
 
     def test_zero_sigma_ignores_floor(self, scenario, realization):
@@ -120,6 +117,19 @@ class TestOmaMinPower:
         targets = PowerTargets(0.0, 0.95, 8e5)
         sol = solve_oma_min_power(scenario, realization, targets)
         assert math.isfinite(sol.total)
+
+    def test_bit_band_too_narrow_is_infeasible(self, scenario):
+        # Only semantic bands within 436 Hz of the carrier width keep the
+        # needed similarity below the ceiling, and no such sliver carries
+        # 1.8 Mb/s at finite power; semi still has the overlay corner.
+        real = sample_realization(scenario, 0)
+        targets = PowerTargets(229.4e3, 0.6, 1.8e6)
+        with pytest.raises(Infeasible) as e:
+            solve_oma_min_power(scenario, real, targets)
+        assert e.value.cause == "bandwidth-bound"
+        assert "bit band of at most 435.73 Hz" in str(e.value)
+        noma = solve_noma_min_power(scenario, real, targets)
+        assert solve_semi_min_power(scenario, real, targets).total <= noma.total
 
     def test_floor_near_ceiling_still_solved(self, scenario, realization):
         # The feasible similarity window is a sliver below the curve
@@ -148,14 +158,14 @@ class TestNomaMinPower:
         # While sigma*k/W <= floor the answer is the same float, not merely
         # close: the semantic power is pinned by the floor in all cases.
         totals = {
-            noma_min_power(scenario, realization, PowerTargets(s, 0.8, 8e5))
+            solve_noma_min_power(scenario, realization, PowerTargets(s, 0.8, 8e5)).total
             for s in (0.0, 50e3, 100e3, 150e3, 200e3)
         }
         assert len(totals) == 1
 
     def test_rises_once_rate_binds(self, scenario, realization):
-        flat = noma_min_power(scenario, realization, PowerTargets(200e3, 0.8, 8e5))
-        steep = noma_min_power(scenario, realization, PowerTargets(215e3, 0.8, 8e5))
+        flat = solve_noma_min_power(scenario, realization, PowerTargets(200e3, 0.8, 8e5)).total
+        steep = solve_noma_min_power(scenario, realization, PowerTargets(215e3, 0.8, 8e5)).total
         assert steep > flat
 
     def test_meets_targets(self, scenario, realization):
@@ -167,7 +177,7 @@ class TestNomaMinPower:
 
     def test_floor_always_active_even_at_zero_sigma(self, scenario, realization):
         with pytest.raises(Infeasible) as e:
-            noma_min_power(scenario, realization, PowerTargets(0.0, 0.95, 8e5))
+            solve_noma_min_power(scenario, realization, PowerTargets(0.0, 0.95, 8e5)).total
         assert e.value.cause == "similarity-asymptote"
 
 
@@ -223,9 +233,9 @@ class TestSemiMinPower:
                 PowerTargets(150e3, 0.8, 2e6),
                 PowerTargets(50e3, 0.6, 5e6),
             ):
-                p_semi = semi_min_power(scenario, real, targets, grid_n=128)
-                p_oma = oma_min_power(scenario, real, targets, grid_n=128)
-                p_noma = noma_min_power(scenario, real, targets)
+                p_semi = solve_semi_min_power(scenario, real, targets, grid_n=128).total
+                p_oma = solve_oma_min_power(scenario, real, targets, grid_n=128).total
+                p_noma = solve_noma_min_power(scenario, real, targets).total
                 assert p_semi <= min(p_oma, p_noma) + 1e-12
 
     def test_meets_targets(self, scenario, realization):
@@ -240,25 +250,33 @@ class TestSemiMinPower:
         # On an asymmetric draw with a demanding triple the hybrid beats
         # both corners strictly, not merely ties them.
         targets = PowerTargets(150e3, 0.8, 2e6)
-        p_semi = semi_min_power(scenario, realization, targets)
-        p_oma = oma_min_power(scenario, realization, targets)
-        p_noma = noma_min_power(scenario, realization, targets)
+        p_semi = solve_semi_min_power(scenario, realization, targets).total
+        p_oma = solve_oma_min_power(scenario, realization, targets).total
+        p_noma = solve_noma_min_power(scenario, realization, targets).total
         assert p_semi < min(p_oma, p_noma) * (1 - 1e-6)
+
+    def test_zero_sigma_survives_unreachable_floor(self, scenario):
+        # Without a semantic stream the floor binds only the overlay, so an
+        # infeasible overlay must not take the orthogonal corner with it.
+        real = sample_realization(scenario, 1)
+        targets = PowerTargets(0.0, 0.95, 5e5)
+        sol = solve_semi_min_power(scenario, real, targets)
+        assert sol.total == solve_oma_min_power(scenario, real, targets).total
 
     def test_zero_sigma_reduces_to_best_corner(self, scenario, realization):
         targets = PowerTargets(0.0, 0.8, 8e5)
-        p_semi = semi_min_power(scenario, realization, targets)
-        p_oma = oma_min_power(scenario, realization, targets)
+        p_semi = solve_semi_min_power(scenario, realization, targets).total
+        p_oma = solve_oma_min_power(scenario, realization, targets).total
         assert p_semi <= p_oma * (1 + 1e-12)
 
     def test_monotone_in_each_target(self, scenario, realization):
-        base = semi_min_power(scenario, realization, TRIPLE)
+        base = solve_semi_min_power(scenario, realization, TRIPLE).total
         for bump in (
             PowerTargets(140e3, 0.8, 8e5),
             PowerTargets(100e3, 0.85, 8e5),
             PowerTargets(100e3, 0.8, 1.2e6),
         ):
-            assert semi_min_power(scenario, realization, bump) >= base * (1 - 1e-9)
+            assert solve_semi_min_power(scenario, realization, bump).total >= base * (1 - 1e-9)
 
     def test_floor_near_ceiling_still_solved(self, scenario, realization):
         targets = PowerTargets(50e3, 0.9175, 4e5)
@@ -269,4 +287,4 @@ class TestSemiMinPower:
 
     def test_structural_infeasibility_propagates(self, scenario, realization):
         with pytest.raises(Infeasible):
-            semi_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5))
+            solve_semi_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sembit.search import pareto_envelope_desc, refine_search
+from sembit.search import refine_search
 
 
 class TestRefineSearch:
@@ -91,20 +91,3 @@ class TestRefineSearch:
         x_fine, f_fine = refine_search(objective, 0.0, 1.0, 9, levels=3)
         assert f_fine > f_coarse
         assert abs(x_fine - target) < 1e-3
-
-
-class TestParetoEnvelope:
-    def test_lifts_to_right_tail_max(self):
-        vals = np.array([5.0, 1.0, 4.0, 2.0, 3.0, 0.0])
-        out = pareto_envelope_desc(vals)
-        np.testing.assert_allclose(out, [5.0, 4.0, 4.0, 3.0, 3.0, 0.0])
-
-    def test_non_increasing_output(self, rng):
-        vals = rng.uniform(0.0, 1.0, size=200)
-        out = pareto_envelope_desc(vals)
-        assert np.all(np.diff(out) <= 0)
-        assert np.all(out >= vals)
-
-    def test_already_monotone_unchanged(self):
-        vals = np.array([3.0, 2.0, 1.0])
-        np.testing.assert_array_equal(pareto_envelope_desc(vals), vals)

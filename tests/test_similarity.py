@@ -9,7 +9,6 @@ from sembit import (
     InsufficientData,
     LogisticParams,
     ParamTable,
-    RateUnreachable,
     SimilaritySample,
     TargetBelowFloor,
     TargetUnreachable,
@@ -20,7 +19,6 @@ from sembit import (
     invert_similarity,
     power_for_similarity_grid,
     read_samples_csv,
-    required_power_for_semantic_rate,
     required_power_for_similarity,
 )
 
@@ -133,24 +131,6 @@ class TestRequiredPower:
             required_power_for_similarity(P4, 0.6, 0.0, self.G, self.N0)
         with pytest.raises(ValueError):
             required_power_for_similarity(P4, 0.6, self.W, -1.0, self.N0)
-
-    def test_rate_form_reduces_to_similarity_form(self):
-        rate = 0.6 * self.W / P4.k  # needs similarity exactly 0.6
-        p_rate = required_power_for_semantic_rate(P4, rate, self.W, self.G, self.N0)
-        p_sim = required_power_for_similarity(P4, 0.6, self.W, self.G, self.N0)
-        assert p_rate == pytest.approx(p_sim, rel=1e-12)
-
-    def test_rate_zero_is_free(self):
-        assert required_power_for_semantic_rate(P4, 0.0, self.W, self.G, self.N0) == 0.0
-
-    def test_rate_beyond_asymptote(self):
-        rate = 0.9 * self.W / P4.k
-        with pytest.raises(RateUnreachable):
-            required_power_for_semantic_rate(P4, rate, self.W, self.G, self.N0)
-
-    def test_rate_over_zero_bandwidth(self):
-        with pytest.raises(RateUnreachable):
-            required_power_for_semantic_rate(P4, 1.0, 0.0, self.G, self.N0)
 
     def test_grid_matches_scalar(self, rng):
         targets = rng.uniform(0.0, 1.0, size=200)
