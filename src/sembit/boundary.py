@@ -11,6 +11,9 @@ Candidate pools for the hybrid search are seeded with the orthogonal and
 overlay solutions (both are hybrid corner cases), so the hybrid boundary
 dominates the other two at finite grid resolution by construction, not
 merely up to search luck.
+
+A sweep solves its semantic-rate targets in row batches, one search per
+batch; each point equals what the one-target solver returns for it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from .channel import ChannelRealization, Scenario
 from .errors import DomainMismatch, EmptyRegion, TargetUnreachable
 from .rates import (
-    MIN_BAND_FRACTION,
     Allocation,
     RatePair,
     Scheme,
@@ -38,7 +40,7 @@ from .rates import (
     snr_db,
     water_fill_max_grid,
 )
-from .search import REFINE_LEVELS, REFINE_ZOOM, refine_search
+from .search import REFINE_LEVELS, REFINE_ZOOM, refine_search, row_batches
 from .similarity import eval_similarity, required_power_for_similarity
 
 
@@ -150,30 +152,49 @@ def solve_oma_point(
     whose power need exceeds the budget score zero.  Ties break toward the
     smaller semantic band.
     """
+    return _oma_points(scenario, real, np.array([sigma_target], dtype=float), grid_n)[0]
+
+
+def _oma_points(
+    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, grid_n: int
+) -> list[BoundaryPoint]:
+    """:func:`solve_oma_point` at each target of ``sigma``, one search for all."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     n0 = scenario.noise_psd
-    params = scenario.logistic
-    if sigma_target == 0.0:
-        rate = shannon_rate(w, p_max, real.gain_b, n0)
-        alloc = Allocation.orthogonal(0.0, w, 0.0, p_max)
-        return BoundaryPoint(0.0, rate, 0.0, alloc)
     floor = scenario.min_similarity
-    w_low, w_up = lemma1_bounds(scenario, sigma_target, floor)
+    r_max = shannon_rate(w, p_max, real.gain_b, n0)
+    zero = BoundaryPoint(0.0, r_max, 0.0, Allocation.orthogonal(0.0, w, 0.0, p_max))
+    s = sigma[sigma != 0.0]
+    lo, hi = np.array([lemma1_bounds(scenario, x, floor) for x in s]).reshape(-1, 2).T
+    s_col = s[:, None]
 
     def score(ws: np.ndarray) -> np.ndarray:
-        p_req = sem_power(scenario, real, sigma_target, floor, ws)
+        p_req = sem_power(scenario, real, s_col, floor, ws)
         w_bit = w - ws
         p_bit = np.where(p_req <= p_max, p_max - p_req, 0.0)
         return pipe_rate(w_bit, p_bit, orth_inv_slope(w_bit, real.gain_b, n0))
 
-    ws, rate = refine_search(score, w_low, w_up, grid_n, maximize=True, tie_high=False)
-    p_req = float(sem_power(scenario, real, sigma_target, floor, ws))
-    if p_req > p_max:
-        return BoundaryPoint(sigma_target, 0.0, 0.0, None)
-    eps = eval_similarity(params, snr_db(p_req, real.gain_s, ws, n0))
-    alloc = Allocation.orthogonal(ws, w - ws, p_req, p_max - p_req)
-    return BoundaryPoint(sigma_target, rate, eps, alloc)
+    ws, rate = refine_search(score, lo, hi, grid_n, maximize=True, tie_high=False)
+    p_req = sem_power(scenario, real, s, floor, ws)
+    solved = (
+        BoundaryPoint(
+            x_s,
+            r,
+            eval_similarity(scenario.logistic, snr_db(p, real.gain_s, x, n0)),
+            Allocation.orthogonal(x, w - x, p, p_max - p),
+        )
+        if p <= p_max
+        else BoundaryPoint(x_s, 0.0, 0.0, None)
+        for x_s, x, r, p in zip(s.tolist(), ws.tolist(), rate.tolist(), p_req.tolist())
+    )
+    return _with_zeros(sigma, zero, solved)
+
+
+def _with_zeros(sigma: np.ndarray, zero: BoundaryPoint, solved) -> list[BoundaryPoint]:
+    """Points in ``sigma`` order: ``zero`` at each zero target, ``solved`` at the rest."""
+    solved = iter(solved)
+    return [zero if x == 0.0 else next(solved) for x in sigma]
 
 
 def noma_sigma_min(scenario: Scenario) -> float:
@@ -220,16 +241,29 @@ def solve_noma_point(
     goes to the superposed bit stream.  Returns a zero-rate point with no
     allocation when the target cannot be met within budget.
     """
+    return _noma_points(scenario, real, np.array([sigma_target], dtype=float))[0]
+
+
+def _noma_points(
+    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray
+) -> list[BoundaryPoint]:
+    """:func:`solve_noma_point` at each target of ``sigma``."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     n0 = scenario.noise_psd
-    p_s = float(sem_power(scenario, real, sigma_target, scenario.min_similarity, w))
-    if not p_s <= p_max:  # also an unreachable similarity, which costs +inf
-        return BoundaryPoint(sigma_target, 0.0, 0.0, None)
-    p_b = p_max - p_s
-    rate = float(pipe_rate(w, p_b, overlay_inv_slope(w, p_s, real.gain_eff, n0)))
-    eps = eval_similarity(scenario.logistic, snr_db(p_s, real.gain_s, w, n0))
-    return BoundaryPoint(sigma_target, rate, eps, Allocation.overlay(w, p_s, p_b))
+    p_s = sem_power(scenario, real, sigma, scenario.min_similarity, w)
+    rate = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, n0))
+    return [
+        BoundaryPoint(
+            x,
+            r,
+            eval_similarity(scenario.logistic, snr_db(p, real.gain_s, w, n0)),
+            Allocation.overlay(w, p, p_max - p),
+        )
+        if p <= p_max  # false also for an unreachable similarity, which costs +inf
+        else BoundaryPoint(x, 0.0, 0.0, None)
+        for x, p, r in zip(sigma.tolist(), p_s.tolist(), rate.tolist())
+    ]
 
 
 def noma_boundary(
@@ -312,58 +346,62 @@ def solve_semi_point(
     candidate pool, so the result never falls below either.  Ties break
     toward the wider shared band.
     """
+    return _semi_points(scenario, real, np.array([sigma_target], dtype=float), grid_n)[0]
+
+
+def _semi_points(
+    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, grid_n: int
+) -> list[BoundaryPoint]:
+    """:func:`solve_semi_point` at each target of ``sigma``, one search for all."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     n0 = scenario.noise_psd
-    params = scenario.logistic
-    if sigma_target == 0.0:
-        rate = shannon_rate(w, p_max, real.gain_b, n0)
-        return BoundaryPoint(0.0, rate, 0.0, Allocation.hybrid(0.0, w, 0.0, 0.0, p_max))
-    w_low, _ = lemma1_bounds(scenario, sigma_target, scenario.min_similarity)
-    w_low = max(w_low, w * MIN_BAND_FRACTION)
-    oma_pt = solve_oma_point(scenario, real, sigma_target, grid_n)
-    noma_pt = solve_noma_point(scenario, real, sigma_target)
-    extra = [w]
-    if oma_pt.alloc is not None and oma_pt.alloc.w_sem >= w_low:
-        extra.append(oma_pt.alloc.w_sem)
+    floor = scenario.min_similarity
+    r_max = shannon_rate(w, p_max, real.gain_b, n0)
+    zero = BoundaryPoint(0.0, r_max, 0.0, Allocation.hybrid(0.0, w, 0.0, 0.0, p_max))
+    s = sigma[sigma != 0.0]
+    lo = np.array([lemma1_bounds(scenario, x, floor)[0] for x in s])
+    oma = _oma_points(scenario, real, s, grid_n)
+    noma = _noma_points(scenario, real, s)
+    # The oma band seeds a row's search when it fits; w pads the other rows.
+    seed = [
+        p.alloc.w_sem if p.alloc is not None and p.alloc.w_sem >= low else w
+        for p, low in zip(oma, lo)
+    ]
+    s_col = s[:, None]
 
     def score(wm: np.ndarray) -> np.ndarray:
-        p_s = sem_power(scenario, real, sigma_target, scenario.min_similarity, wm)
+        p_s = sem_power(scenario, real, s_col, floor, wm)
         feasible = p_s <= p_max
-        p_s_safe = np.where(feasible, p_s, 0.0)
-        rate, _, _ = _hybrid_rate_grid(scenario, real, wm, p_s_safe)
+        rate, _, _ = _hybrid_rate_grid(scenario, real, wm, np.where(feasible, p_s, 0.0))
         return np.where(feasible, rate, 0.0)
 
-    wm, rate = refine_search(
-        score, w_low, w, grid_n, maximize=True, tie_high=True, extra=extra
-    )
-
-    best = BoundaryPoint(sigma_target, 0.0, 0.0, None)
-    p_s = float(sem_power(scenario, real, sigma_target, scenario.min_similarity, wm))
-    if p_s <= p_max and rate > 0.0:
-        r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, np.array(wm), np.array(p_s))
-        eps = eval_similarity(params, snr_db(p_s, real.gain_s, wm, n0))
-        alloc = Allocation.hybrid(wm, w - wm, p_s, float(p_bm), float(p_bo))
-        best = BoundaryPoint(sigma_target, float(r), eps, alloc)
-    # Corner seeds win outright if the interior search could not beat them;
-    # comparing realised numbers keeps the dominance exact, not approximate.
-    if oma_pt.alloc is not None and oma_pt.bit_rate > best.bit_rate:
-        a = oma_pt.alloc
-        best = BoundaryPoint(
-            sigma_target,
-            oma_pt.bit_rate,
-            oma_pt.similarity,
-            Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth),
-        )
-    if noma_pt.alloc is not None and noma_pt.bit_rate > best.bit_rate:
-        a = noma_pt.alloc
-        best = BoundaryPoint(
-            sigma_target,
-            noma_pt.bit_rate,
-            noma_pt.similarity,
-            Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0),
-        )
-    return best
+    extra = np.column_stack([np.full(len(s), w), seed])
+    wm, rate = refine_search(score, lo, w, grid_n, maximize=True, tie_high=True, extra=extra)
+    p_s = sem_power(scenario, real, s, floor, wm)
+    interior = (p_s <= p_max) & (rate > 0.0)
+    r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, wm, np.where(interior, p_s, 0.0))
+    solved = []
+    for i, x_s in enumerate(s.tolist()):
+        best = BoundaryPoint(x_s, 0.0, 0.0, None)
+        if interior[i]:
+            x, p = float(wm[i]), float(p_s[i])
+            eps = eval_similarity(scenario.logistic, snr_db(p, real.gain_s, x, n0))
+            alloc = Allocation.hybrid(x, w - x, p, float(p_bm[i]), float(p_bo[i]))
+            best = BoundaryPoint(x_s, float(r[i]), eps, alloc)
+        # Corner seeds win outright if the interior search could not beat
+        # them; comparing realised numbers keeps the dominance exact.
+        o, v = oma[i], noma[i]
+        if o.alloc is not None and o.bit_rate > best.bit_rate:
+            a = o.alloc
+            alloc = Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth)
+            best = BoundaryPoint(x_s, o.bit_rate, o.similarity, alloc)
+        if v.alloc is not None and v.bit_rate > best.bit_rate:
+            a = v.alloc
+            alloc = Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0)
+            best = BoundaryPoint(x_s, v.bit_rate, v.similarity, alloc)
+        solved.append(best)
+    return _with_zeros(sigma, zero, solved)
 
 
 def sweep_boundary(
@@ -380,8 +418,9 @@ def sweep_boundary(
     evenly (or ``sigma_values`` when given) and the swept rates are lifted
     to their running right-max: anything achievable at a higher semantic
     rate is achievable at a lower one, so the lift stays inside the
-    region and irons out grid-resolution dents.  The overlay scheme has
-    its own closed-form sweep.
+    region and irons out grid-resolution dents.  The points are solved
+    in row batches, one search per batch.  The overlay scheme has its own
+    closed-form sweep.
 
     Raises:
         EmptyRegion: overlay sweep on a power-limited draw.
@@ -389,11 +428,8 @@ def sweep_boundary(
     scheme = Scheme(scheme)
     if scheme is Scheme.NOMA:
         if sigma_values is not None:
-            points = [solve_noma_point(scenario, real, float(s)) for s in sigma_values]
-            pairs = tuple(
-                RatePair(float(p.sigma), p.bit_rate, p.similarity)
-                for p in points
-            )
+            points = _noma_points(scenario, real, np.asarray(sigma_values, dtype=float))
+            pairs = tuple(RatePair(p.sigma, p.bit_rate, p.similarity) for p in points)
             return RegionBoundary(scheme, pairs, {"n_points": len(pairs)}, False)
         return noma_boundary(scenario, real, n_points)
     if n_points < 1:
@@ -401,8 +437,13 @@ def sweep_boundary(
     ext = oma_extremes(scenario, real)
     if sigma_values is None:
         sigma_values = np.linspace(0.0, ext.sigma_max, n_points)
-    solver = solve_oma_point if scheme is Scheme.OMA else solve_semi_point
-    solved = [solver(scenario, real, float(s), grid_n) for s in sigma_values]
+    sigma = np.asarray(sigma_values, dtype=float)
+    solver = _oma_points if scheme is Scheme.OMA else _semi_points
+    solved = [
+        p
+        for rows in row_batches(len(sigma), grid_n)
+        for p in solver(scenario, real, sigma[rows], grid_n)
+    ]
     rates = np.array([p.bit_rate for p in solved])
     # Lift to the right-tail max, carrying the achieving point's similarity.
     best_idx = len(solved) - 1
@@ -411,7 +452,7 @@ def sweep_boundary(
         if rates[i] >= rates[best_idx]:
             best_idx = i
         src = solved[best_idx]
-        lifted.append(RatePair(float(sigma_values[i]), src.bit_rate, src.similarity))
+        lifted.append(RatePair(float(sigma[i]), src.bit_rate, src.similarity))
     lifted.reverse()
     return RegionBoundary(
         scheme=scheme,
@@ -453,20 +494,15 @@ def check_containment(
             f"no overlap: inner sigma in [{s_in.min():.6g}, {s_in.max():.6g}], "
             f"outer in [{s_out[0]:.6g}, {s_out[-1]:.6g}]"
         )
-    witness = None
-    worst = 0.0
-    for s, r in zip(s_in, r_in):
-        if s < s_out[0] - slack or s > s_out[-1] + slack:
-            if witness is None:
-                witness = float(s)
-            worst = math.inf
-            continue
-        reach = float(np.interp(s, s_out, r_out))
-        if reach < r * (1.0 - tol):
-            if witness is None:
-                witness = float(s)
-            if r > 0:
-                worst = max(worst, (r - reach) / r)
+    outside = (s_in < s_out[0] - slack) | (s_in > s_out[-1] + slack)
+    reach = np.interp(s_in, s_out, r_out)
+    short = ~outside & (reach < r_in * (1.0 - tol))
+    uncovered = outside | short
+    witness = float(s_in[np.argmax(uncovered)]) if uncovered.any() else None
+    gap = short & (r_in > 0)
+    worst = float(np.max((r_in - reach)[gap] / r_in[gap], initial=0.0))
+    if outside.any():
+        worst = math.inf
     return Containment(
         contained=witness is None,
         witness_sigma=witness,

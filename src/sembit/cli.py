@@ -47,6 +47,7 @@ from .errors import (
 from .montecarlo import SweepSpec, run_sweep
 from .power import PowerTargets, solve_min_powers
 from .rates import Scheme, rates_for
+from .search import check_grid_n
 from .similarity import fit_logistic, fit_mse, ParamTable, read_samples_csv
 
 EXIT_OK = 0
@@ -108,6 +109,7 @@ def _run_fit(params: dict, out_dir: Path) -> int:
 
 
 def _run_region(params: dict, out_dir: Path) -> int:
+    check_grid_n(params["grid"])
     scenario = Scenario.from_dict(params["scenario"])
     real = sample_realization(scenario, params["seed"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -191,6 +193,7 @@ def _verify_solution(scenario, real, targets, alloc) -> list[str]:
 
 
 def _run_power(params: dict, out_dir: Path | None) -> int:
+    check_grid_n(params["grid"])
     scenario = Scenario.from_dict(params["scenario"])
     real = sample_realization(scenario, params["seed"])
     targets = PowerTargets(
@@ -323,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
     p_region.add_argument("--seed", type=int, default=0)
     p_region.add_argument("--points", type=int, default=200, help="boundary grid points")
-    p_region.add_argument("--grid", type=int, default=512, help="inner search grid size")
+    p_region.add_argument("--grid", type=int, default=512, help="inner search grid size (>= 2)")
     p_region.add_argument(
         "--schemes",
         default="all",
@@ -337,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_power.add_argument("--sigma", type=float, required=True, help="semantic rate target")
     p_power.add_argument("--floor", type=float, required=True, help="similarity floor")
     p_power.add_argument("--bits", type=float, required=True, help="bit rate target")
-    p_power.add_argument("--grid", type=int, default=512)
+    p_power.add_argument("--grid", type=int, default=512, help="search grid size (>= 2)")
     p_power.add_argument(
         "--verify", action="store_true", help="plug allocations back through the rate equations"
     )

@@ -6,7 +6,9 @@ the three schemes' minimum powers over seeded channel draws.  Realisation
 i always uses the seed derived from (base_seed, i) and is drawn once, then
 reused for every sweep value (common random numbers keeps the scheme
 curves directly comparable).  No sweep variable changes the mean link
-gains, so one draw serves them all.
+gains, so one draw serves them all.  The draws of one sweep value are
+solved together, one batched search per scheme for each row batch of
+draws (see :func:`sembit.search.row_batches`).
 
 Infeasibility here is structural (bandwidth or curve-ceiling bound), so
 for a given sweep value a scheme is either feasible for every draw or for
@@ -24,7 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
-from .power import PowerSolution, PowerTargets, solve_min_powers
+from .power import PowerSolution, PowerTargets, solve_min_powers_rows
+from .search import check_grid_n, row_batches
 
 SWEEP_VARIABLES = ("sigma_target", "min_similarity", "bit_target", "k")
 SCHEME_ORDER = ("oma", "noma", "semi")
@@ -51,8 +54,7 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one value")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        check_grid_n(self.grid_n)
 
     def apply(self, value: float) -> tuple[Scenario, PowerTargets]:
         """Scenario/targets pair with the swept variable set to ``value``."""
@@ -145,13 +147,13 @@ class SweepResult:
                 )
 
 
-def _solve_draw(
-    scenario: Scenario, targets: PowerTargets, grid_n: int, real: ChannelRealization
-) -> list[float]:
-    """Three scheme minima for one draw, in SCHEME_ORDER; NaN marks an infeasible scheme."""
+def _solve_draws(
+    scenario: Scenario, targets: PowerTargets, grid_n: int, reals: list[ChannelRealization]
+) -> list[list[float]]:
+    """Three scheme minima per draw, in SCHEME_ORDER; NaN marks an infeasible scheme."""
     return [
-        sol.total if isinstance(sol, PowerSolution) else math.nan
-        for sol in solve_min_powers(scenario, real, targets, grid_n).values()
+        [sol.total if isinstance(sol, PowerSolution) else math.nan for sol in draw.values()]
+        for draw in solve_min_powers_rows(scenario, reals, targets, grid_n)
     ]
 
 
@@ -161,12 +163,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         sample_realization(spec.scenario, derive_seed(spec.base_seed, i))
         for i in range(spec.n_realizations)
     ]
+    batches = row_batches(len(reals), spec.grid_n)
     rows = []
     for value in spec.values:
         scenario, targets = spec.apply(value)
-        arr = np.asarray(
-            [_solve_draw(scenario, targets, spec.grid_n, real) for real in reals], dtype=float
-        )
+        solved = (_solve_draws(scenario, targets, spec.grid_n, reals[b]) for b in batches)
+        arr = np.array([row for batch in solved for row in batch])
         for j, scheme in enumerate(SCHEME_ORDER):
             col = arr[:, j]
             feasible = np.isfinite(col)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelRealization, Scenario
 from .errors import Infeasible, require_finite
 from .rates import (
-    MIN_BAND_FRACTION,
     Allocation,
     Scheme,
     lemma1_bounds,
@@ -121,10 +122,24 @@ def _eps_seeded_bands(scenario: Scenario, targets: PowerTargets, n: int = 64) ->
     return targets.sigma_target * scenario.k / eps
 
 
-def _min_grid_search(objective, lo: float, hi: float, grid_n: int, extra: np.ndarray):
-    return refine_search(
-        objective, lo, hi, grid_n, maximize=False, tie_high=False, extra=tuple(extra)
-    )
+def _gain_columns(reals: Sequence[ChannelRealization]) -> SimpleNamespace:
+    """The draws' link gains as (draws, 1) columns, in place of one realization."""
+    g_s, g_b = (np.array([[getattr(r, g)] for r in reals]) for g in ("gain_s", "gain_b"))
+    return SimpleNamespace(gain_s=g_s, gain_b=g_b, gain_eff=np.minimum(g_s, g_b))
+
+
+def _solved(result: PowerSolution | Infeasible) -> PowerSolution:
+    if isinstance(result, Infeasible):
+        raise result
+    return result
+
+
+def _attempt_rows(rows: int, solve_rows, *args) -> list[PowerSolution | Infeasible]:
+    """``solve_rows(*args)``, or the structural Infeasible it raised, once per row."""
+    try:
+        return solve_rows(*args)
+    except Infeasible as exc:
+        return [exc] * rows
 
 
 def solve_oma_min_power(
@@ -145,35 +160,48 @@ def solve_oma_min_power(
             or "bandwidth-bound" when every band that meets the semantic
             targets leaves too little bit band for a finite bit power.
     """
+    return _solved(_oma_rows(scenario, _gain_columns([real]), targets, grid_n)[0])
+
+
+def _oma_rows(
+    scenario: Scenario, gains: SimpleNamespace, targets: PowerTargets, grid_n: int
+) -> list[PowerSolution | Infeasible]:
+    """:func:`solve_oma_min_power` for each draw of ``gains``, one search for all."""
     _check_feasible(scenario, targets, Scheme.OMA)
     w = scenario.total_bandwidth
     sigma, floor = targets.sigma_target, targets.min_similarity
+    rows = len(gains.gain_s)
 
     def bit_power(ws):
         w_bit = w - ws
-        inv_h = orth_inv_slope(w_bit, real.gain_b, scenario.noise_psd)
+        inv_h = orth_inv_slope(w_bit, gains.gain_b, scenario.noise_psd)
         return pipe_power(w_bit, targets.bit_target, inv_h)
 
     def total(ws):
-        return sem_power(scenario, real, sigma, floor, ws) + bit_power(ws)
+        return sem_power(scenario, gains, sigma, floor, ws) + bit_power(ws)
 
     if sigma == 0.0:
-        ws, best = 0.0, float(bit_power(0.0))
+        ws = p_sem = np.zeros((rows, 1))
     else:
         w_low, w_up = lemma1_bounds(scenario, sigma, floor)
         extra = _eps_seeded_bands(scenario, targets)
-        ws, best = _min_grid_search(total, w_low, w_up, grid_n, extra)
-    if not math.isfinite(best):
-        a_high = scenario.logistic.a_high
-        raise Infeasible(
+        ws = refine_search(
+            total, np.full(rows, w_low), w_up, grid_n, maximize=False, extra=extra
+        )[0][:, None]
+        p_sem = sem_power(scenario, gains, sigma, floor, ws)
+    p_bit = bit_power(ws)
+    a_high = scenario.logistic.a_high
+    return [
+        PowerSolution(p_s + p_b, Allocation.orthogonal(x, w - x, p_s, p_b))
+        if math.isfinite(p_s + p_b)
+        else Infeasible(
             f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
             f"below the curve ceiling {a_high} leaves a bit band of at most "
             f"{w - sigma * scenario.k / a_high:.6g} Hz",
             cause="bandwidth-bound",
         )
-    p_sem = float(sem_power(scenario, real, sigma, floor, ws)) if ws > 0 else 0.0
-    p_bit = float(bit_power(ws))
-    return PowerSolution(p_sem + p_bit, Allocation.orthogonal(ws, w - ws, p_sem, p_bit))
+        for x, p_s, p_b in zip(ws.ravel().tolist(), p_sem.ravel().tolist(), p_bit.ravel().tolist())
+    ]
 
 
 def solve_noma_min_power(
@@ -191,15 +219,25 @@ def solve_noma_min_power(
     Raises:
         Infeasible: structurally unreachable targets.
     """
+    return _solved(_noma_rows(scenario, _gain_columns([real]), targets)[0])
+
+
+def _noma_rows(
+    scenario: Scenario, gains: SimpleNamespace, targets: PowerTargets
+) -> list[PowerSolution]:
+    """:func:`solve_noma_min_power` for each draw of ``gains``."""
     _check_feasible(scenario, targets, Scheme.NOMA)
     w = scenario.total_bandwidth
-    p_s = float(sem_power(scenario, real, targets.sigma_target, targets.min_similarity, w))
-    inv_h = overlay_inv_slope(w, p_s, real.gain_eff, scenario.noise_psd)
-    p_b = float(pipe_power(w, targets.bit_target, inv_h))
-    return PowerSolution(p_s + p_b, Allocation.overlay(w, p_s, p_b))
+    p_s = sem_power(scenario, gains, targets.sigma_target, targets.min_similarity, w)
+    inv_h = overlay_inv_slope(w, p_s, gains.gain_eff, scenario.noise_psd)
+    p_b = pipe_power(w, targets.bit_target, inv_h)
+    return [
+        PowerSolution(s + b, Allocation.overlay(w, s, b))
+        for s, b in zip(p_s.ravel().tolist(), p_b.ravel().tolist())
+    ]
 
 
-def _hybrid_power(scenario, real, targets, wm):
+def _hybrid_power(scenario, gains, targets, wm):
     """(p_sem, p_bit_shared, p_bit_orth) for shared-band candidates ``wm``.
 
     The semantic power is pinned by the harder of the rate target and the
@@ -209,30 +247,28 @@ def _hybrid_power(scenario, real, targets, wm):
     """
     w = scenario.total_bandwidth
     n0 = scenario.noise_psd
-    p_s = sem_power(scenario, real, targets.sigma_target, targets.min_similarity, wm)
-    p_m = np.full_like(p_s, np.inf)
-    p_o = np.zeros_like(p_s)
+    p_s = sem_power(scenario, gains, targets.sigma_target, targets.min_similarity, wm)
     ok = np.isfinite(p_s)
-    w_m, w_b = wm[ok], w - wm[ok]
-    p_m[ok], p_o[ok] = water_fill_min_grid(
-        w_m,
-        overlay_inv_slope(w_m, p_s[ok], real.gain_eff, n0),
+    w_b = w - wm
+    p_m, p_o = water_fill_min_grid(
+        wm,
+        overlay_inv_slope(wm, np.where(ok, p_s, 0.0), gains.gain_eff, n0),
         w_b,
-        orth_inv_slope(w_b, real.gain_b, n0),
+        orth_inv_slope(w_b, gains.gain_b, n0),
         targets.bit_target,
     )
-    return p_s, p_m, p_o
+    return p_s, np.where(ok, p_m, np.inf), np.where(ok, p_o, 0.0)
 
 
-def _fold_semi(
+def _fold_semi_rows(
     scenario: Scenario,
-    real: ChannelRealization,
+    gains: SimpleNamespace,
     targets: PowerTargets,
     grid_n: int,
-    oma: PowerSolution | Infeasible,
-    noma: PowerSolution | Infeasible,
-) -> PowerSolution:
-    """Hybrid minimum from its interior search and the two corner solutions.
+    oma: list[PowerSolution | Infeasible],
+    noma: list[PowerSolution | Infeasible],
+) -> list[PowerSolution | Infeasible]:
+    """Hybrid minimum per draw from its interior search and the two corners.
 
     The interior searches the shared-band width over [sigma*k, W]; the
     orthogonal and overlay solutions, when feasible, then compete on their
@@ -241,42 +277,42 @@ def _fold_semi(
     """
     _check_feasible(scenario, targets, Scheme.SEMI)
     w = scenario.total_bandwidth
-    best = None
+    rows = len(gains.gain_s)
+    interior = [None] * rows
     if targets.sigma_target > 0:
         w_low = lemma1_bounds(scenario, targets.sigma_target, targets.min_similarity)[0]
 
         def total(wm: np.ndarray) -> np.ndarray:
-            p_s, p_m, p_o = _hybrid_power(scenario, real, targets, wm)
+            p_s, p_m, p_o = _hybrid_power(scenario, gains, targets, wm)
             return p_s + (p_m + p_o)
 
         extra = np.append(_eps_seeded_bands(scenario, targets), w)
-        wm, best_total = _min_grid_search(
-            total, max(w_low, w * MIN_BAND_FRACTION), w, grid_n, extra
+        wm, best_total = refine_search(
+            total, np.full(rows, w_low), w, grid_n, maximize=False, extra=extra
         )
-        if math.isfinite(best_total):
-            powers = _hybrid_power(scenario, real, targets, np.array([wm]))
-            p_s, p_m, p_o = (float(p[0]) for p in powers)
-            best = PowerSolution(best_total, Allocation.hybrid(wm, w - wm, p_s, p_m, p_o))
-    if isinstance(oma, PowerSolution) and (best is None or oma.total < best.total):
-        a = oma.alloc
-        alloc = Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth)
-        best = PowerSolution(oma.total, alloc)
-    if isinstance(noma, PowerSolution) and (best is None or noma.total < best.total):
-        a = noma.alloc
-        alloc = Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0)
-        best = PowerSolution(noma.total, alloc)
-    if best is None:
+        powers = _hybrid_power(scenario, gains, targets, wm[:, None])
+        interior = [
+            PowerSolution(t, Allocation.hybrid(x, w - x, p_s, p_m, p_o))
+            if math.isfinite(t)
+            else None
+            for x, t, p_s, p_m, p_o in zip(
+                wm.tolist(), best_total.tolist(), *(p.ravel().tolist() for p in powers)
+            )
+        ]
+    out = []
+    for best, o, v in zip(interior, oma, noma):
+        if isinstance(o, PowerSolution) and (best is None or o.total < best.total):
+            a = o.alloc
+            alloc = Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth)
+            best = PowerSolution(o.total, alloc)
+        if isinstance(v, PowerSolution) and (best is None or v.total < best.total):
+            a = v.alloc
+            alloc = Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0)
+            best = PowerSolution(v.total, alloc)
         # Semi's structural checks are oma's, so only oma's own bit-band
         # bound can leave it without any candidate.
-        raise oma
-    return best
-
-
-def _attempt(solve, *args) -> PowerSolution | Infeasible:
-    try:
-        return solve(*args)
-    except Infeasible as exc:
-        return exc
+        out.append(o if best is None else best)
+    return out
 
 
 def solve_semi_min_power(
@@ -297,9 +333,7 @@ def solve_semi_min_power(
     Raises:
         Infeasible: structurally unreachable targets.
     """
-    oma = _attempt(solve_oma_min_power, scenario, real, targets, grid_n)
-    noma = _attempt(solve_noma_min_power, scenario, real, targets)
-    return _fold_semi(scenario, real, targets, grid_n, oma, noma)
+    return _solved(solve_min_powers(scenario, real, targets, grid_n)[Scheme.SEMI])
 
 
 def solve_min_powers(
@@ -314,7 +348,21 @@ def solve_min_powers(
     :class:`Infeasible` its solver raised.  The semi fold reuses the oma
     and noma results instead of solving them again.
     """
-    oma = _attempt(solve_oma_min_power, scenario, real, targets, grid_n)
-    noma = _attempt(solve_noma_min_power, scenario, real, targets)
-    semi = _attempt(_fold_semi, scenario, real, targets, grid_n, oma, noma)
-    return {Scheme.OMA: oma, Scheme.NOMA: noma, Scheme.SEMI: semi}
+    return solve_min_powers_rows(scenario, [real], targets, grid_n)[0]
+
+
+def solve_min_powers_rows(
+    scenario: Scenario,
+    reals: Sequence[ChannelRealization],
+    targets: PowerTargets,
+    grid_n: int,
+) -> list[dict[Scheme, PowerSolution | Infeasible]]:
+    """:func:`solve_min_powers` for each draw of ``reals``, one search per scheme."""
+    gains = _gain_columns(reals)
+    rows = len(reals)
+    oma = _attempt_rows(rows, _oma_rows, scenario, gains, targets, grid_n)
+    noma = _attempt_rows(rows, _noma_rows, scenario, gains, targets)
+    semi = _attempt_rows(rows, _fold_semi_rows, scenario, gains, targets, grid_n, oma, noma)
+    return [
+        {Scheme.OMA: o, Scheme.NOMA: v, Scheme.SEMI: s} for o, v, s in zip(oma, noma, semi)
+    ]

@@ -28,10 +28,11 @@ from .similarity import eval_similarity, power_for_similarity_grid
 
 LN2 = math.log(2.0)
 _SUM_RTOL = 1e-9
-# Narrowest shared band a hybrid search considers, as a fraction of the
-# carrier; keeps a zero-width band from sneaking in through underflow.  The
-# exact-zero corner is the orthogonal solution, which every hybrid solve
-# compares against.
+# Narrowest band any search considers, as a fraction of the carrier.  A
+# narrower band's noise power w * N0 underflows into subnormal numbers, and
+# the semantic power that meets a target on it loses its significant bits.
+# The exact-zero shared band is the orthogonal solution, which every hybrid
+# solve compares against.
 MIN_BAND_FRACTION = 1e-9
 
 
@@ -166,8 +167,9 @@ def lemma1_bounds(scenario: Scenario, sigma_target: float, floor: float) -> tupl
     Below w_low = sigma*k the required similarity exceeds 1; above
     w_up = sigma*k/floor the required similarity drops under the
     similarity floor ``floor``, so the floor constraint is implied
-    everywhere inside the interval.  A zero target carries no semantic
-    stream and collapses the interval to {0}.
+    everywhere inside the interval.  Neither end goes below
+    ``MIN_BAND_FRACTION`` of the carrier.  A zero target carries no
+    semantic stream and collapses the interval to {0}.
 
     Raises:
         InfeasibleTarget: w_low exceeds the carrier bandwidth.
@@ -177,14 +179,15 @@ def lemma1_bounds(scenario: Scenario, sigma_target: float, floor: float) -> tupl
     if sigma_target == 0.0:
         return 0.0, 0.0
     w = scenario.total_bandwidth
-    w_low = sigma_target * scenario.k
-    if w_low > w:
+    w_need = sigma_target * scenario.k
+    if w_need > w:
         raise InfeasibleTarget(
-            f"semantic rate {sigma_target:.6g} needs at least {w_low:.6g} Hz "
+            f"semantic rate {sigma_target:.6g} needs at least {w_need:.6g} Hz "
             f"even at similarity 1; carrier has {w:.6g} Hz"
         )
-    w_up = min(w_low / floor, w) if floor > 0.0 else w
-    return w_low, w_up
+    w_low = max(w_need, w * MIN_BAND_FRACTION)
+    w_up = min(w_need / floor, w) if floor > 0.0 else w
+    return w_low, max(w_up, w_low)
 
 
 class Scheme(str, enum.Enum):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sembit import boundary, search
 from sembit import (
     Allocation,
     ChannelRealization,
@@ -84,6 +85,11 @@ class TestLemma1Bounds:
     def test_no_floor_means_full_upper(self, scenario):
         _, w_up = lemma1_bounds(scenario, 150e3, 0.0)
         assert w_up == 1e6
+
+    def test_tiny_target_keeps_a_minimum_band(self, scenario):
+        # sigma*k = 4e-300 Hz would put the band's noise power w * N0 deep
+        # among the subnormal numbers.
+        assert lemma1_bounds(scenario, 1e-300, scenario.min_similarity) == (1e-3, 1e-3)
 
     def test_infeasible_target(self, scenario):
         with pytest.raises(InfeasibleTarget):
@@ -361,6 +367,49 @@ def _boundary(scheme, pairs):
         points=tuple(RatePair(s, r, 0.8) for s, r in pairs),
         grid_spec={},
     )
+
+
+class TestBatchedPoints:
+    """Batched boundary points equal one-sigma calls exactly."""
+
+    @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
+    @pytest.mark.parametrize(
+        "scheme, solve, solve_rows",
+        [
+            (Scheme.OMA, solve_oma_point, boundary._oma_points),
+            (Scheme.SEMI, solve_semi_point, boundary._semi_points),
+        ],
+    )
+    def test_sweep_equals_one_sigma_calls(
+        self, scenario, monkeypatch, seed, scheme, solve, solve_rows
+    ):
+        real = sample_realization(scenario, seed)
+        assert oma_extremes(scenario, real).power_limited is (seed == 4)
+        sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 30)
+        single = [solve(scenario, real, float(s), 64) for s in sigma]
+        rates = np.array([p.bit_rate for p in single])
+
+        rows = solve_rows(scenario, real, sigma, 64)
+        np.testing.assert_array_equal([p.bit_rate for p in rows], rates)
+        np.testing.assert_array_equal(
+            [p.similarity for p in rows], [p.similarity for p in single]
+        )
+        assert [p.alloc for p in rows] == [p.alloc for p in single]
+
+        # Seven rows per batch: the sweep spans five batches, the last short.
+        monkeypatch.setattr(search, "BATCH_CANDIDATES", 7 * 64)
+        swept = sweep_boundary(scenario, real, scheme, grid_n=64, sigma_values=sigma)
+        best = [i + int(np.argmax(rates[i:])) for i in range(len(sigma))]
+        np.testing.assert_array_equal(swept.bit_rate, rates[best])
+        np.testing.assert_array_equal(
+            [p.similarity for p in swept.points], [single[j].similarity for j in best]
+        )
+
+    def test_noma_rows_equal_one_sigma_calls(self, scenario, realization):
+        sigma = np.linspace(0.0, 260e3, 27)  # crosses the overlay's feasible range
+        rows = boundary._noma_points(scenario, realization, sigma)
+        assert rows == [solve_noma_point(scenario, realization, float(s)) for s in sigma]
+        assert rows[0].alloc is not None and rows[-1].alloc is None
 
 
 class TestContainment:

@@ -117,6 +117,14 @@ class TestRegionCommand:
         assert (out / "semi.csv").exists()
         assert not (out / "noma.csv").exists()
 
+    @pytest.mark.parametrize("grid", [0, 1, -4])
+    @pytest.mark.parametrize("schemes", ["all", "noma"])
+    def test_grid_below_two_is_bad_input(self, tmp_path, capsys, grid, schemes):
+        out = tmp_path / "region"
+        assert main(self.region_args(out, seed=1, grid=grid, schemes=schemes)) == 2
+        assert "grid_n must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_scenario_json(self, tmp_path):
         bad = tmp_path / "scn.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -178,6 +186,13 @@ class TestPowerCommand:
         assert report["schemes"]["oma"]["feasible"] is True
         assert report["schemes"]["noma"]["feasible"] is False
         assert report["schemes"]["noma"]["cause"] == "similarity-asymptote"
+
+    @pytest.mark.parametrize("grid", ["0", "1", "-4"])
+    def test_grid_below_two_is_bad_input(self, tmp_path, capsys, grid):
+        out = tmp_path / "power"
+        assert main(self.power_args(out=out, extra=["--grid", grid])) == 2
+        assert "grid_n must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenario_file(self, tmp_path):
         argv = self.power_args() + ["--scenario", str(tmp_path / "none.json")]

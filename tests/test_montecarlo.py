@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from sembit import (
+    PowerSolution,
     PowerTargets,
     Scenario,
     SweepSpec,
     derive_seed,
     run_sweep,
     sample_realization,
+    search,
+    solve_min_powers,
     solve_semi_min_power,
 )
-from sembit.montecarlo import SCHEME_ORDER, _solve_draw
+from sembit.montecarlo import SCHEME_ORDER, _solve_draws
 
 
 def small_spec(scenario, **overrides):
@@ -114,26 +117,50 @@ class TestRunSweep:
         # coincide, so adding realisations only extends the average.
         spec3 = small_spec(scenario, values=(100e3,), n_realizations=3)
         _, targets = spec3.apply(100e3)
-        solo = [
-            _solve_draw(
-                scenario,
-                targets,
-                spec3.grid_n,
-                sample_realization(scenario, derive_seed(spec3.base_seed, i)),
-            )
-            for i in range(3)
-        ]
+        solo = _solve_draws(
+            scenario,
+            targets,
+            spec3.grid_n,
+            [sample_realization(scenario, derive_seed(spec3.base_seed, i)) for i in range(3)],
+        )
         spec6 = small_spec(scenario, values=(100e3,), n_realizations=6)
-        longer = [
-            _solve_draw(
-                scenario,
-                targets,
-                spec6.grid_n,
-                sample_realization(scenario, derive_seed(spec6.base_seed, i)),
-            )
-            for i in range(6)
-        ]
+        longer = _solve_draws(
+            scenario,
+            targets,
+            spec6.grid_n,
+            [sample_realization(scenario, derive_seed(spec6.base_seed, i)) for i in range(6)],
+        )
         assert longer[:3] == solo
+
+    def test_rows_equal_per_draw_solves(self, scenario, monkeypatch):
+        # Four draws per batch, so ten draws span three batches.
+        monkeypatch.setattr(search, "BATCH_CANDIDATES", 4 * 64)
+        spec = small_spec(scenario, values=(0.0, 100e3, 260e3), n_realizations=10)
+        result = run_sweep(spec)
+        reals = [
+            sample_realization(scenario, derive_seed(spec.base_seed, i))
+            for i in range(spec.n_realizations)
+        ]
+        for value in spec.values:
+            scn, targets = spec.apply(value)
+            per_draw = np.array(
+                [
+                    [
+                        sol.total if isinstance(sol, PowerSolution) else math.nan
+                        for sol in solve_min_powers(scn, real, targets, spec.grid_n).values()
+                    ]
+                    for real in reals
+                ]
+            )
+            for scheme, col in zip(SCHEME_ORDER, per_draw.T):
+                (row,) = [r for r in result.rows if (r.sweep_value, r.scheme) == (value, scheme)]
+                ok = np.isfinite(col)
+                if ok.any():
+                    assert row.mean_power_w == float(np.mean(col[ok]))
+                    assert row.stderr == float(np.std(col[ok], ddof=1) / math.sqrt(ok.sum()))
+                else:
+                    assert math.isnan(row.mean_power_w)
+                assert row.infeasible_frac == 1.0 - ok.sum() / len(col)
 
     def test_structural_infeasibility_marks_whole_value(self, scenario):
         # 260e3 needs 1.04 MHz at similarity 1: infeasible for every draw.

@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from sembit import (
+    ChannelRealization,
     Infeasible,
     InfeasibleBandwidth,
     PowerTargets,
+    Scenario,
     rates_for,
     required_power_for_similarity,
     sample_realization,
+    solve_min_powers,
     solve_noma_min_power,
     solve_oma_min_power,
     solve_semi_min_power,
     water_fill_min,
 )
+from sembit.cli import _verify_solution
+from sembit.power import solve_min_powers_rows
 
 TRIPLE = PowerTargets(sigma_target=100e3, min_similarity=0.8, bit_target=8e5)
 
@@ -263,6 +268,16 @@ class TestSemiMinPower:
         sol = solve_semi_min_power(scenario, real, targets)
         assert sol.total == solve_oma_min_power(scenario, real, targets).total
 
+    def test_tiny_sigma_meets_targets(self):
+        # A semantic band of sigma*k = 1.1e-302 Hz made the semantic power
+        # subnormal (7.4e-310 W), so it missed the similarity floor by 1.5e-6.
+        scenario = Scenario(total_bandwidth=5e5, k=5, min_similarity=0.5, d_s=12.0, d_b=12.0)
+        real = ChannelRealization(gain_s=5.60085633963867e-10, gain_b=1.3333205180857152e-08)
+        targets = PowerTargets(2.2250738585072014e-303, 0.8125, 0.0)
+        for solve in (solve_oma_min_power, solve_semi_min_power):
+            sol = solve(scenario, real, targets)
+            assert _verify_solution(scenario, real, targets, sol.alloc) == []
+
     def test_zero_sigma_reduces_to_best_corner(self, scenario, realization):
         targets = PowerTargets(0.0, 0.8, 8e5)
         p_semi = solve_semi_min_power(scenario, realization, targets).total
@@ -288,3 +303,30 @@ class TestSemiMinPower:
     def test_structural_infeasibility_propagates(self, scenario, realization):
         with pytest.raises(Infeasible):
             solve_semi_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
+
+
+class TestBatchedDraws:
+    """One batched solve over many draws equals per-draw solves exactly."""
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            TRIPLE,
+            PowerTargets(0.0, 0.93, 8e5),  # noma infeasible, bit-only corners live
+            PowerTargets(229400.0, 0.6, 1.8e6),  # oma has no finite-power bit band
+            PowerTargets(260e3, 0.8, 1e5),  # structurally infeasible
+        ],
+    )
+    def test_rows_equal_per_draw_solves(self, scenario, targets):
+        reals = [sample_realization(scenario, seed) for seed in range(9)]
+        batch = solve_min_powers_rows(scenario, reals, targets, 64)
+        assert len(batch) == len(reals)
+        for real, row in zip(reals, batch):
+            single = solve_min_powers(scenario, real, targets, 64)
+            assert list(row) == list(single)
+            for scheme, sol in single.items():
+                if isinstance(sol, Infeasible):
+                    assert type(row[scheme]) is type(sol)
+                    assert (row[scheme].cause, str(row[scheme])) == (sol.cause, str(sol))
+                else:
+                    assert row[scheme] == sol
