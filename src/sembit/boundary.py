@@ -161,11 +161,34 @@ def _oma_points(
     """:func:`solve_oma_point` at each target of ``sigma``, one search for all."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    n0 = scenario.noise_psd
-    floor = scenario.min_similarity
-    r_max = shannon_rate(w, p_max, real.gain_b, n0)
+    r_max = shannon_rate(w, p_max, real.gain_b, scenario.noise_psd)
     zero = BoundaryPoint(0.0, r_max, 0.0, Allocation.orthogonal(0.0, w, 0.0, p_max))
     s = sigma[sigma != 0.0]
+    ws, p_req, rate = _oma_search(scenario, real, s, grid_n)
+    ok = p_req <= p_max
+    eps = _similarities(scenario, real, ws, p_req, ok)
+    solved = (
+        BoundaryPoint(x_s, r, e, Allocation.orthogonal(x, w - x, p, p_max - p))
+        if keep
+        else BoundaryPoint(x_s, 0.0, 0.0, None)
+        for x_s, x, r, p, e, keep in zip(
+            s.tolist(), ws.tolist(), rate.tolist(), p_req.tolist(), eps.tolist(), ok.tolist()
+        )
+    )
+    return _with_zeros(sigma, zero, solved)
+
+
+def _oma_search(
+    scenario: Scenario, real: ChannelRealization, s: np.ndarray, grid_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(semantic band, its power, bit rate) of the oma optimum at each nonzero target.
+
+    A target whose power exceeds the budget gets bit rate 0.
+    """
+    w = scenario.total_bandwidth
+    p_max = scenario.max_power
+    n0 = scenario.noise_psd
+    floor = scenario.min_similarity
     lo, hi = np.array([lemma1_bounds(scenario, x, floor) for x in s]).reshape(-1, 2).T
     s_col = s[:, None]
 
@@ -176,19 +199,22 @@ def _oma_points(
         return pipe_rate(w_bit, p_bit, orth_inv_slope(w_bit, real.gain_b, n0))
 
     ws, rate = refine_search(score, lo, hi, grid_n, maximize=True, tie_high=False)
-    p_req = sem_power(scenario, real, s, floor, ws)
-    solved = (
-        BoundaryPoint(
-            x_s,
-            r,
-            eval_similarity(scenario.logistic, snr_db(p, real.gain_s, x, n0)),
-            Allocation.orthogonal(x, w - x, p, p_max - p),
-        )
-        if p <= p_max
-        else BoundaryPoint(x_s, 0.0, 0.0, None)
-        for x_s, x, r, p in zip(s.tolist(), ws.tolist(), rate.tolist(), p_req.tolist())
-    )
-    return _with_zeros(sigma, zero, solved)
+    return ws, sem_power(scenario, real, s, floor, ws), rate
+
+
+def _similarities(
+    scenario: Scenario,
+    real: ChannelRealization,
+    band: np.ndarray,
+    p_sem: np.ndarray,
+    ok: np.ndarray,
+) -> np.ndarray:
+    """Similarity of each semantic (band, power) pair where ``ok``, else 0, in one curve call."""
+    n0 = scenario.noise_psd
+    snr = [snr_db(p, real.gain_s, x, n0) for x, p in zip(band[ok].tolist(), p_sem[ok].tolist())]
+    eps = np.zeros(len(band))
+    eps[ok] = eval_similarity(scenario.logistic, np.array(snr, dtype=float))
+    return eps
 
 
 def _with_zeros(sigma: np.ndarray, zero: BoundaryPoint, solved) -> list[BoundaryPoint]:
@@ -250,20 +276,27 @@ def _noma_points(
     """:func:`solve_noma_point` at each target of ``sigma``."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    n0 = scenario.noise_psd
-    p_s = sem_power(scenario, real, sigma, scenario.min_similarity, w)
-    rate = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, n0))
+    p_s, rate = _noma_rates(scenario, real, sigma)
+    ok = p_s <= p_max  # false also for an unreachable similarity, which costs +inf
+    eps = _similarities(scenario, real, np.full(len(sigma), w), p_s, ok)
     return [
-        BoundaryPoint(
-            x,
-            r,
-            eval_similarity(scenario.logistic, snr_db(p, real.gain_s, w, n0)),
-            Allocation.overlay(w, p, p_max - p),
-        )
-        if p <= p_max  # false also for an unreachable similarity, which costs +inf
+        BoundaryPoint(x, r, e, Allocation.overlay(w, p, p_max - p))
+        if keep
         else BoundaryPoint(x, 0.0, 0.0, None)
-        for x, p, r in zip(sigma.tolist(), p_s.tolist(), rate.tolist())
+        for x, p, r, e, keep in zip(
+            sigma.tolist(), p_s.tolist(), rate.tolist(), eps.tolist(), ok.tolist()
+        )
     ]
+
+
+def _noma_rates(
+    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(semantic power, bit rate) of the overlay at each target of ``sigma``."""
+    w = scenario.total_bandwidth
+    p_s = sem_power(scenario, real, sigma, scenario.min_similarity, w)
+    inv_h = overlay_inv_slope(w, p_s, real.gain_eff, scenario.noise_psd)
+    return p_s, pipe_rate(w, scenario.max_power - p_s, inv_h)
 
 
 def noma_boundary(
@@ -355,19 +388,16 @@ def _semi_points(
     """:func:`solve_semi_point` at each target of ``sigma``, one search for all."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    n0 = scenario.noise_psd
     floor = scenario.min_similarity
-    r_max = shannon_rate(w, p_max, real.gain_b, n0)
+    r_max = shannon_rate(w, p_max, real.gain_b, scenario.noise_psd)
     zero = BoundaryPoint(0.0, r_max, 0.0, Allocation.hybrid(0.0, w, 0.0, 0.0, p_max))
     s = sigma[sigma != 0.0]
     lo = np.array([lemma1_bounds(scenario, x, floor)[0] for x in s])
-    oma = _oma_points(scenario, real, s, grid_n)
-    noma = _noma_points(scenario, real, s)
+    w_o, p_o, r_o = _oma_search(scenario, real, s, grid_n)
+    p_v, r_v = _noma_rates(scenario, real, s)
+    ok_o, ok_v = p_o <= p_max, p_v <= p_max
     # The oma band seeds a row's search when it fits; w pads the other rows.
-    seed = [
-        p.alloc.w_sem if p.alloc is not None and p.alloc.w_sem >= low else w
-        for p, low in zip(oma, lo)
-    ]
+    seed = np.where(ok_o & (w_o >= lo), w_o, w)
     s_col = s[:, None]
 
     def score(wm: np.ndarray) -> np.ndarray:
@@ -381,26 +411,30 @@ def _semi_points(
     p_s = sem_power(scenario, real, s, floor, wm)
     interior = (p_s <= p_max) & (rate > 0.0)
     r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, wm, np.where(interior, p_s, 0.0))
-    solved = []
-    for i, x_s in enumerate(s.tolist()):
-        best = BoundaryPoint(x_s, 0.0, 0.0, None)
-        if interior[i]:
-            x, p = float(wm[i]), float(p_s[i])
-            eps = eval_similarity(scenario.logistic, snr_db(p, real.gain_s, x, n0))
-            alloc = Allocation.hybrid(x, w - x, p, float(p_bm[i]), float(p_bo[i]))
-            best = BoundaryPoint(x_s, float(r[i]), eps, alloc)
-        # Corner seeds win outright if the interior search could not beat
-        # them; comparing realised numbers keeps the dominance exact.
-        o, v = oma[i], noma[i]
-        if o.alloc is not None and o.bit_rate > best.bit_rate:
-            a = o.alloc
-            alloc = Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth)
-            best = BoundaryPoint(x_s, o.bit_rate, o.similarity, alloc)
-        if v.alloc is not None and v.bit_rate > best.bit_rate:
-            a = v.alloc
-            alloc = Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0)
-            best = BoundaryPoint(x_s, v.bit_rate, v.similarity, alloc)
-        solved.append(best)
+    # Corner seeds win outright if the interior search could not beat
+    # them; comparing realised numbers keeps the dominance exact.  The oma
+    # corner is a hybrid whose shared band carries no bit power, the noma
+    # corner one with no bit-only band.
+    best = np.where(interior, r, 0.0)
+    use_o = ok_o & (r_o > best)
+    best = np.where(use_o, r_o, best)
+    use_v = ok_v & (r_v > best)
+    best = np.where(use_v, r_v, best)
+    won = use_v | use_o | interior
+    band = np.select([use_v, use_o], [w, w_o], wm)
+    p_sem = np.select([use_v, use_o], [p_v, p_o], p_s)
+    p_bm = np.select([use_v, use_o], [p_max - p_v, 0.0], p_bm)
+    p_bo = np.select([use_v, use_o], [0.0, p_max - p_o], p_bo)
+    eps = _similarities(scenario, real, band, p_sem, won)
+    splits = np.column_stack([band, p_sem, p_bm, p_bo]).tolist()
+    solved = (
+        BoundaryPoint(x_s, r, e, Allocation.hybrid(x, w - x, p, pm, po))
+        if keep
+        else BoundaryPoint(x_s, 0.0, 0.0, None)
+        for x_s, r, e, (x, p, pm, po), keep in zip(
+            s.tolist(), best.tolist(), eps.tolist(), splits, won.tolist()
+        )
+    )
     return _with_zeros(sigma, zero, solved)
 
 

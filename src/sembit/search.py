@@ -1,19 +1,24 @@
-"""Deterministic 1-D grid search with zoomed refinement, over rows of problems.
+"""Deterministic 1-D grid search with bracketing refinement, over rows of problems.
 
 All boundary and power searches in this package reduce to optimising a
 cheap vectorised objective over one bandwidth coordinate.  A uniform
-coarse grid finds the basin; a fixed number of zoom levels around the
-incumbent sharpen it.  No randomness, no tolerance-dependent iteration
-counts: the same inputs always visit the same candidates, which keeps
-CLI outputs bit-reproducible.
+coarse grid of ``n`` points finds the basin.  Each of ``REFINE_LEVELS``
+levels then brackets the incumbent: it samples ``2 * REFINE_ZOOM + 1``
+points over the incumbent plus or minus the previous level's spacing,
+clipped to the row's interval, so the spacing shrinks by ``REFINE_ZOOM``
+per level, to ``(hi - lo) / ((n - 1) * REFINE_ZOOM**REFINE_LEVELS)``.
+A unimodal objective has its optimum within one spacing of the best
+sample, so no candidate outside the bracket could win.  No randomness,
+no tolerance-dependent iteration counts: the same inputs always visit
+the same candidates, which keeps CLI outputs bit-reproducible.
 
 One call solves a batch of independent rows (boundary points at several
 semantic rates, or one target triple over several channel draws).  The
 objective scores a rows x candidates matrix at once, and every row sees
 exactly the candidates a one-row call would: its own ``np.linspace``
-grid and zoom windows, sorted.  Duplicate candidates may stay, since an
+grid and brackets, sorted.  Duplicate candidates may stay, since an
 equal x scores equally.  Callers cut long batches into
-:func:`row_batches` so that each objective call stays near
+:func:`row_batches` so that each coarse-grid call stays near
 ``BATCH_CANDIDATES`` candidates.
 """
 
@@ -24,7 +29,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 REFINE_LEVELS = 3
-REFINE_ZOOM = 8.0
+# Spacing shrinks by this factor per level; a bracket has 2 * REFINE_ZOOM + 1 points.
+REFINE_ZOOM = 32
 # Candidates per objective call a batch aims at: large enough to amortise
 # numpy's per-call overhead, small enough to keep temporaries in cache.
 BATCH_CANDIDATES = 1 << 14
@@ -80,7 +86,6 @@ def refine_search(
     tie_high: bool = False,
     extra: Iterable = (),
     levels: int = REFINE_LEVELS,
-    zoom: float = REFINE_ZOOM,
 ):
     """Optimise ``objective`` over [lo, hi] for each row; return (x_best, f_best).
 
@@ -90,8 +95,10 @@ def refine_search(
     to its scores elementwise.  ``extra`` points (clipped into each
     row's interval; broadcast to rows x m) join the coarse grid, so
     known-good special cases can seed the search and the result provably
-    never falls below them.  Ties break toward the smallest candidate
-    unless ``tie_high``.
+    never falls below them.  Each of ``levels`` brackets then samples
+    ``2 * REFINE_ZOOM + 1`` points within one previous spacing of the
+    incumbent.  Ties break toward the smallest candidate unless
+    ``tie_high``.
     """
     check_grid_n(n)
     one_row = np.ndim(lo) == 0 and np.ndim(hi) == 0
@@ -102,9 +109,8 @@ def refine_search(
     if np.any(hi < lo):
         raise ValueError(f"empty search interval [{lo}, {hi}]")
     rows = np.arange(len(lo))
-    ramp = np.arange(n, dtype=float)
 
-    grid = _linspace_rows(lo, hi, ramp)
+    grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
     extra = np.asarray(tuple(extra), dtype=float)
     if extra.size:
         grid = np.sort(np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1))
@@ -113,6 +119,7 @@ def refine_search(
     x_best, f_best = grid[rows, i], f[rows, i]
 
     half = (hi - lo) / (n - 1)
+    ramp = np.arange(2 * REFINE_ZOOM + 1, dtype=float)
     for _ in range(levels):
         window = _linspace_rows(np.maximum(lo, x_best - half), np.minimum(hi, x_best + half), ramp)
         window = np.sort(np.concatenate([window, x_best[:, None]], axis=1))
@@ -123,7 +130,7 @@ def refine_search(
         better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
         x_best = np.where(better, xj, x_best)
         f_best = np.where(better, fj, f_best)
-        half /= zoom
+        half /= REFINE_ZOOM
     if one_row:
         return float(x_best[0]), float(f_best[0])
     return x_best, f_best

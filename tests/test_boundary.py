@@ -395,6 +395,13 @@ class TestBatchedPoints:
             [p.similarity for p in rows], [p.similarity for p in single]
         )
         assert [p.alloc for p in rows] == [p.alloc for p in single]
+        # A batch's similarities come from one curve call; the scalar
+        # plug-back of each winning allocation is the reference.
+        solved = [p for p in rows if p.alloc is not None]
+        assert len(solved) > 1
+        assert [p.similarity for p in solved] == [
+            rates_for(scenario, real, p.alloc).similarity for p in solved
+        ]
 
         # Seven rows per batch: the sweep spans five batches, the last short.
         monkeypatch.setattr(search, "BATCH_CANDIDATES", 7 * 64)
@@ -410,6 +417,10 @@ class TestBatchedPoints:
         rows = boundary._noma_points(scenario, realization, sigma)
         assert rows == [solve_noma_point(scenario, realization, float(s)) for s in sigma]
         assert rows[0].alloc is not None and rows[-1].alloc is None
+        solved = [p for p in rows if p.alloc is not None]
+        assert [p.similarity for p in solved] == [
+            rates_for(scenario, realization, p.alloc).similarity for p in solved
+        ]
 
 
 class TestContainment:

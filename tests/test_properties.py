@@ -18,8 +18,8 @@ from sembit.cli import _verify_solution
 
 TABLE = sb.default_table()
 GRID_N = 64
-# The searched minimum is exact only to the final zoom window, about
-# 1/(GRID_N * 8**3) of the band; an optimum on the kink where the
+# The searched minimum is exact only to the final bracket spacing,
+# 1/((GRID_N - 1) * 32**3) of the band; an optimum on the kink where the
 # similarity floor takes over from the rate target turns that into a
 # first-order power error (up to 4.3e-6 seen at GRID_N = 64).
 MONOTONE_RTOL = 1e-4

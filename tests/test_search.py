@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sembit.search import BATCH_CANDIDATES, _linspace_rows, refine_search, row_batches
+from sembit.search import (
+    BATCH_CANDIDATES,
+    REFINE_LEVELS,
+    REFINE_ZOOM,
+    _linspace_rows,
+    refine_search,
+    row_batches,
+)
 
 
 class TestRefineSearch:
@@ -144,7 +151,8 @@ class TestRowBatches:
             return -x
 
         refine_search(objective, np.zeros(4), np.ones(4), 16, extra=[0.5])
-        assert shapes == [(4, 17)] + [(4, 17)] * 3
+        # Coarse grid plus the extra, then each bracket plus the incumbent.
+        assert shapes == [(4, 17)] + [(4, 2 * REFINE_ZOOM + 2)] * 3
 
     @pytest.mark.parametrize("n", [1, 0, -4])
     def test_grid_below_two_rejected(self, n):
@@ -166,3 +174,72 @@ class TestRowBatches:
         assert [b.start for b in batches] == [0, size, 2 * size, 3 * size]
         assert np.arange(3 * size + 1)[batches[-1]].tolist() == [3 * size]
         assert row_batches(5, 10 * BATCH_CANDIDATES) == [slice(i, i + 1) for i in range(5)]
+
+
+def unimodal(kind, rng, rows):
+    """Random row bounds, each row's maximiser x* and an objective peaking there.
+
+    ``smooth`` is skewed and smooth at its peak; ``kinked`` is the min of
+    two smooth pieces, like the similarity-floor kink; ``flank`` scores 0
+    on an infeasible flank left of the peak and is positive elsewhere.
+    """
+    lo = rng.uniform(-2.0, 1.0, rows)
+    hi = lo + rng.uniform(0.5, 4.0, rows)
+    # Most peaks interior, some past either end of the interval.
+    c = rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo))
+    d = rng.uniform(lo, np.clip(c, lo, hi))
+    a, b = rng.uniform(0.2, 5.0, (2, rows))
+    s = rng.uniform(-3.0, 3.0, rows)
+    a, b, c, d, s = (v[:, None] for v in (a, b, c, d, s))
+
+    def f(x, r=slice(None)):
+        t = x - c[r]
+        if kind == "smooth":
+            return -(a[r] * t**2 + b[r] * (np.exp(s[r] * t) - 1.0 - s[r] * t))
+        if kind == "kinked":
+            return -(np.maximum(-a[r] * t, b[r] * t) + 0.1 * t**2)
+        return np.where(x < d[r], 0.0, 10.0 / (1.0 + a[r] * t**2))
+
+    return lo, hi, np.clip(c[:, 0], lo, hi), f
+
+
+class TestBracketInvariant:
+    """On a unimodal objective each level keeps the optimum in its bracket.
+
+    The search then ends within one final spacing,
+    ``(hi - lo) / ((n - 1) * REFINE_ZOOM**REFINE_LEVELS)``, of the true
+    optimum x*, and scores no worse than a 20,001-point dense scan by
+    more than the objective changes over that spacing.
+    """
+
+    N = 64
+    ROWS = 40
+
+    @pytest.mark.parametrize("kind", ["smooth", "kinked", "flank"])
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("tie_high", [True, False])
+    def test_optimum_within_final_spacing(self, kind, maximize, tie_high):
+        lo, hi, x_star, f = unimodal(kind, np.random.default_rng(sum(map(ord, kind))), self.ROWS)
+        sign = 1.0 if maximize else -1.0
+
+        def objective(x, r=slice(None)):
+            return sign * f(x, r)
+
+        kw = dict(maximize=maximize, tie_high=tie_high)
+        xs, fs = refine_search(objective, lo, hi, self.N, **kw)
+        for r in range(self.ROWS):
+            x, fx = refine_search(lambda v: objective(v, [r]), lo[r], hi[r], self.N, **kw)
+            assert (x, fx) == (xs[r], fs[r])
+
+        spacing = (hi - lo) / ((self.N - 1) * REFINE_ZOOM**REFINE_LEVELS)
+        assert np.all(np.abs(xs - x_star) <= spacing)
+
+        f_star = objective(x_star[:, None])[:, 0]
+        near = x_star[:, None] + spacing[:, None] * np.linspace(-1.0, 1.0, 101)
+        near = np.clip(near, lo[:, None], hi[:, None])
+        change = np.max(np.abs(objective(near) - f_star[:, None]), axis=1)
+        slack = change + 1e-12 * np.maximum(1.0, np.abs(f_star))
+        dense = _linspace_rows(lo, hi, np.arange(20_001, dtype=float))
+        f_dense = sign * np.max(sign * objective(dense), axis=1)
+        assert np.all(np.abs(fs - f_star) <= slack)
+        assert np.all(sign * (fs - f_dense) >= -slack)
