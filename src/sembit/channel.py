@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DistanceBelowReference, require_finite
+from .errors import DistanceBelowReference, reject_unknown, require_finite
 from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
@@ -162,9 +162,7 @@ class Scenario:
             "pathloss_ref",
             "pathloss_exp",
         }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+        reject_unknown("scenario", data, known)
         if "k" in data:
             data["k"] = int(data["k"])
         return cls(params=table, **{k: float(v) if k != "k" else v for k, v in data.items()})

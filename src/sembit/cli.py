@@ -110,6 +110,8 @@ def _run_fit(params: dict, out_dir: Path) -> int:
 
 def _run_region(params: dict, out_dir: Path) -> int:
     check_grid_n(params["grid"])
+    if params["points"] < 1:
+        raise ValueError(f"n_points must be at least 1, got {params['points']}")
     scenario = Scenario.from_dict(params["scenario"])
     real = sample_realization(scenario, params["seed"])
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,13 @@ def require_finite(obj, *fields: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def reject_unknown(kind: str, payload, known) -> None:
+    """Raise ValueError naming every key of ``payload`` that is not in ``known``."""
+    unknown = set(payload) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")
+
+
 class SembitError(Exception):
     """Base class for all package-specific errors."""
 

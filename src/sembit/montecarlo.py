@@ -20,12 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
+from .errors import reject_unknown
 from .power import PowerSolution, PowerTargets, solve_min_powers_rows
 from .search import check_grid_n, row_batches
 
@@ -86,7 +87,9 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepSpec":
+        reject_unknown("sweep spec", payload, (f.name for f in fields(cls)))
         t = payload.get("targets", {})
+        reject_unknown("sweep targets", t, (f.name for f in fields(PowerTargets)))
         return cls(
             scenario=Scenario.from_dict(payload["scenario"]),
             variable=str(payload["variable"]),

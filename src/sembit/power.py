@@ -34,6 +34,7 @@ from .rates import (
 from .search import refine_search
 
 _EPS_EDGE = 1e-9  # keep similarity candidates off the open asymptote
+_EPS_BANDS = 64  # similarity-seeded band candidates per search
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def _check_feasible(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -
         )
 
 
-def _eps_seeded_bands(scenario: Scenario, targets: PowerTargets, n: int = 64) -> np.ndarray:
+def _eps_seeded_bands(scenario: Scenario, targets: PowerTargets) -> np.ndarray:
     """Extra band candidates spaced evenly in required similarity.
 
     A uniform bandwidth grid can miss the narrow feasible sliver next to
@@ -118,7 +119,7 @@ def _eps_seeded_bands(scenario: Scenario, targets: PowerTargets, n: int = 64) ->
     eps_hi = params.a_high - span * _EPS_EDGE
     if eps_lo >= eps_hi or targets.sigma_target <= 0:
         return np.empty(0)
-    eps = np.linspace(max(eps_lo, span * _EPS_EDGE + params.a_low), eps_hi, n)
+    eps = np.linspace(max(eps_lo, span * _EPS_EDGE + params.a_low), eps_hi, _EPS_BANDS)
     return targets.sigma_target * scenario.k / eps
 
 

@@ -26,7 +26,6 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateData,
@@ -38,12 +37,16 @@ from .errors import (
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
-# Fit search box: coarse grid per the build contract, refinement may move
-# slightly outside the grid but stays inside these hard bounds.
+# Fit search (see fit_logistic): a coarse (growth, offset) grid, then a
+# fixed number of bracket levels that may leave the grid but stay inside
+# the hard bounds.
 GROWTH_GRID = (0.05, 2.0, 32)
 OFFSET_GRID = (-10.0, 10.0, 64)
 GROWTH_BOUNDS = (1e-3, 20.0)
 OFFSET_BOUNDS = (-40.0, 40.0)
+FIT_LEVELS = 40
+FIT_BRACKET = 4
+FIT_SHRINK = 3.0
 _AMPLITUDE_GAP = 1e-9
 
 
@@ -320,9 +323,8 @@ def _amplitudes_for(s: np.ndarray, y: np.ndarray):
     The model a_low*(1-s) + a_high*s is linear in the two amplitudes, so
     each (growth, offset) cell reduces to a 2x2 normal-equation solve.
     Returns clamped (a_low, a_high) and the resulting mean squared error.
-    ``s`` may be 1-D (one cell) or 2-D (cells x samples).
+    ``s`` is 2-D (cells x samples).
     """
-    s = np.atleast_2d(s)
     u = 1.0 - s
     suu = np.einsum("ij,ij->i", u, u)
     suv = np.einsum("ij,ij->i", u, s)
@@ -345,14 +347,30 @@ def _amplitudes_for(s: np.ndarray, y: np.ndarray):
     return a1, a2, mse
 
 
+def _best_cell(growths: np.ndarray, offsets: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Lowest-MSE cell of the ``growths`` x ``offsets`` grid, first in grid order.
+
+    Returns (growth, offset, a_low, a_high, mse) of that cell.
+    """
+    gg, oo = (m.ravel() for m in np.meshgrid(growths, offsets, indexing="ij"))
+    a_low, a_high, mse = _amplitudes_for(_sigmoid(gg[:, None] * x + oo[:, None]), y)
+    i = int(np.argmin(mse))
+    return gg[i], oo[i], a_low[i], a_high[i], mse[i]
+
+
 def fit_logistic(samples: Sequence[SimilaritySample]) -> LogisticParams:
     """Fit one S-curve to samples that all share the same k.
 
-    Strategy: exhaustive coarse grid over (growth, offset) with the two
-    amplitudes solved in closed form per cell, then coordinate descent on
-    (growth, offset) with bounded scalar line searches until the relative
-    MSE improvement drops below 1e-10 (500 sweeps cap).  Deterministic:
-    no random restarts, ties resolved by grid order.
+    Strategy: the two amplitudes are solved in closed form per (growth,
+    offset) cell (variable projection, Golub and Pereyra 1973), so only
+    those two are searched.  An exhaustive coarse grid (``GROWTH_GRID`` x
+    ``OFFSET_GRID``) picks the start.  Each of ``FIT_LEVELS`` bracket levels
+    then scores ``2 * FIT_BRACKET + 1`` points per axis over growth +- h_g
+    and offset +- h_o, clipped to the hard bounds, with the half-widths
+    starting at one coarse spacing.  The fit moves to the best cell only
+    when its MSE is strictly lower; otherwise both half-widths shrink by
+    ``FIT_SHRINK``.  Every fit scores the same number of cells whatever the
+    data.  Deterministic: no random restarts, ties resolved by grid order.
 
     Raises:
         InsufficientData: fewer than 4 samples or fewer than 4 distinct SNRs.
@@ -374,44 +392,23 @@ def fit_logistic(samples: Sequence[SimilaritySample]) -> LogisticParams:
     if np.ptp(y) < 1e-12:
         raise DegenerateData("all similarity samples are equal")
 
-    g_lo, g_hi, g_n = GROWTH_GRID
-    o_lo, o_hi, o_n = OFFSET_GRID
-    growths = np.linspace(g_lo, g_hi, g_n)
-    offsets = np.linspace(o_lo, o_hi, o_n)
-    gg, oo = np.meshgrid(growths, offsets, indexing="ij")
-    cells = _sigmoid(gg.ravel()[:, None] * x[None, :] + oo.ravel()[:, None])
-    _, _, mse = _amplitudes_for(cells, y)
-    best = int(np.argmin(mse))
-    growth = float(gg.ravel()[best])
-    offset = float(oo.ravel()[best])
-
-    def cell_mse(c1: float, c2: float) -> float:
-        s = _sigmoid(c1 * x + c2)
-        return float(_amplitudes_for(s, y)[2][0])
-
-    current = cell_mse(growth, offset)
-    for _ in range(500):
-        previous = current
-        res = minimize_scalar(
-            lambda g: cell_mse(g, offset), bounds=GROWTH_BOUNDS, method="bounded"
+    growths, h_g = np.linspace(*GROWTH_GRID, retstep=True)
+    offsets, h_o = np.linspace(*OFFSET_GRID, retstep=True)
+    growth, offset, a_low, a_high, mse = _best_cell(growths, offsets, x, y)
+    ramp = np.linspace(-1.0, 1.0, 2 * FIT_BRACKET + 1)
+    for _ in range(FIT_LEVELS):
+        cell = _best_cell(
+            np.clip(growth + h_g * ramp, *GROWTH_BOUNDS),
+            np.clip(offset + h_o * ramp, *OFFSET_BOUNDS),
+            x,
+            y,
         )
-        if res.fun < current:
-            growth, current = float(res.x), float(res.fun)
-        res = minimize_scalar(
-            lambda o: cell_mse(growth, o), bounds=OFFSET_BOUNDS, method="bounded"
-        )
-        if res.fun < current:
-            offset, current = float(res.x), float(res.fun)
-        if previous - current <= 1e-10 * max(previous, 1e-300):
-            break
-
-    a_low, a_high, _ = _amplitudes_for(_sigmoid(growth * x + offset), y)
+        if cell[4] < mse:
+            growth, offset, a_low, a_high, mse = cell
+        else:
+            h_g, h_o = h_g / FIT_SHRINK, h_o / FIT_SHRINK
     return LogisticParams(
-        k=k,
-        a_low=float(a_low[0]),
-        a_high=float(a_high[0]),
-        growth=growth,
-        offset=offset,
+        k=k, a_low=float(a_low), a_high=float(a_high), growth=float(growth), offset=float(offset)
     )
 
 

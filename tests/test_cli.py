@@ -125,6 +125,13 @@ class TestRegionCommand:
         assert "grid_n must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_points_below_one_is_bad_input(self, tmp_path, capsys, points):
+        out = tmp_path / "region"
+        assert main(self.region_args(out, seed=1, points=points)) == 2
+        assert "n_points must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_scenario_json(self, tmp_path):
         bad = tmp_path / "scn.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -270,6 +277,17 @@ class TestSweepCommand:
         code = main(["sweep", "--spec", str(tmp_path / "no.json"), "--out", str(tmp_path / "s")])
         assert code == 2
 
+    @pytest.mark.parametrize("in_targets, key", [(False, "n_realisations"), (True, "bits")])
+    def test_unknown_spec_key_is_bad_input(self, tmp_path, capsys, scenario, in_targets, key):
+        path = self.write_spec(tmp_path, scenario)
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        (spec["targets"] if in_targets else spec)[key] = 4
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReplay:
     def test_region_replay_is_byte_identical(self, tmp_path):
@@ -299,6 +317,19 @@ class TestReplay:
         assert main(["replay", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
 
+    def test_fit_rerun_and_replay_are_byte_identical(self, tmp_path, table):
+        rng = np.random.default_rng(5)
+        snrs = rng.uniform(-10.0, 25.0, 30)
+        sims = np.clip(eval_similarity(table[4], snrs) + rng.normal(0.0, 0.02, 30), 0.0, 1.0)
+        csv_path = tmp_path / "samples.csv"
+        rows = [f"4,{x!r},{y!r}" for x, y in zip(snrs.tolist(), sims.tolist())]
+        csv_path.write_text("\n".join(["k,snr_db,similarity", *rows]) + "\n", encoding="utf-8")
+        outs = [tmp_path / name for name in ("a", "b", "c")]
+        assert main(["fit", "--input", str(csv_path), "--out", str(outs[0])]) == 0
+        assert main(["fit", "--input", str(csv_path), "--out", str(outs[1])]) == 0
+        assert main(["replay", str(outs[0] / "manifest.json"), "--out", str(outs[2])]) == 0
+        assert tree_bytes(outs[0]) == tree_bytes(outs[1]) == tree_bytes(outs[2])
+
     def test_replay_needs_out_for_region(self, tmp_path):
         out1 = tmp_path / "a"
         main(["region", "--seed", "7", "--points", "5", "--grid", "64", "--out", str(out1)])
@@ -311,6 +342,17 @@ class TestReplay:
 
 
 class TestEntryPoint:
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test extra.
+        code = (
+            "import sys, sembit.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script_installed(self):
         # The console script comes from the [project.scripts] declaration;
         # check it from the checkout, run it the way an installer's wrapper

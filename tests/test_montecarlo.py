@@ -67,6 +67,15 @@ class TestSweepSpec:
         spec.dump(path)
         assert SweepSpec.load(path) == spec
 
+    def test_from_dict_rejects_unknown_keys(self, scenario):
+        # A misspelt key must not fall back to its default without a word.
+        payload = small_spec(scenario).to_dict()
+        with pytest.raises(ValueError, match=r"unknown sweep spec fields: \['n_realisations'\]"):
+            SweepSpec.from_dict(dict(payload, n_realisations=4))
+        targets = dict(payload["targets"], bits=8e5)
+        with pytest.raises(ValueError, match=r"unknown sweep targets fields: \['bits'\]"):
+            SweepSpec.from_dict(dict(payload, targets=targets))
+
 
 class TestRunSweep:
     def test_row_layout(self, scenario):

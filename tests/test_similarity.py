@@ -226,12 +226,15 @@ class TestFit:
         assert fitted.growth == pytest.approx(self.TRUE.growth, abs=1e-3)
         assert fitted.offset == pytest.approx(self.TRUE.offset, abs=1e-2)
 
-    def test_noisy_fit_beats_truth_on_mse(self, rng):
+    @pytest.mark.parametrize(
+        "truth", [TRUE, *default_table()], ids=["true", *(f"k{p.k}" for p in default_table())]
+    )
+    def test_noisy_fit_beats_truth_on_mse(self, rng, truth):
         # Least squares must do at least as well as the generating curve.
         snrs = np.linspace(-15.0, 25.0, 61)
-        samples = self.samples_from(self.TRUE, snrs, noise=0.01, rng=rng)
+        samples = self.samples_from(truth, snrs, noise=0.01, rng=rng)
         fitted = fit_logistic(samples)
-        assert fit_mse(fitted, samples) <= fit_mse(self.TRUE, samples) * (1 + 1e-9)
+        assert fit_mse(fitted, samples) <= fit_mse(truth, samples) * (1 + 1e-9)
 
     def test_deterministic(self):
         snrs = np.linspace(-12.0, 22.0, 35)
