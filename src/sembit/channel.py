@@ -140,6 +140,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Scenario":
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"scenario must be an object, got {payload!r}")
         data = dict(payload)
         units = data.pop("units", None)
         if units not in (None, "dBm"):

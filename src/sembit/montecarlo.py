@@ -6,9 +6,11 @@ the three schemes' minimum powers over seeded channel draws.  Realisation
 i always uses the seed derived from (base_seed, i) and is drawn once, then
 reused for every sweep value (common random numbers keeps the scheme
 curves directly comparable).  No sweep variable changes the mean link
-gains, so one draw serves them all.  The draws of one sweep value are
-solved together, one batched search per scheme for each row batch of
-draws (see :func:`sembit.search.row_batches`).
+gains, so one draw serves them all.  Each (sweep value, draw) pair is
+one row with its own targets, and the rows of every value are solved
+together: one batched search per scheme for each row batch (see
+:func:`sembit.search.row_batches`).  Only a source-length sweep keeps
+one row set per value, since k changes the similarity S-curve.
 
 Infeasibility here is structural (bandwidth or curve-ceiling bound), so
 for a given sweep value a scheme is either feasible for every draw or for
@@ -27,8 +29,9 @@ import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
 from .errors import reject_unknown
-from .power import PowerSolution, PowerTargets, solve_min_powers_rows
-from .search import check_grid_n, row_batches
+from .power import PowerTargets, solve_min_powers_rows
+from .rates import Scheme
+from .search import check_grid_n
 
 SWEEP_VARIABLES = ("sigma_target", "min_similarity", "bit_target", "k")
 SCHEME_ORDER = ("oma", "noma", "semi")
@@ -88,12 +91,16 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepSpec":
         reject_unknown("sweep spec", payload, (f.name for f in fields(cls)))
-        t = payload.get("targets", {})
+        values, t = payload["values"], payload.get("targets", {})
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"sweep values must be a list of numbers, got {values!r}")
+        if not isinstance(t, Mapping):
+            raise ValueError(f"sweep targets must be an object, got {t!r}")
         reject_unknown("sweep targets", t, (f.name for f in fields(PowerTargets)))
         return cls(
             scenario=Scenario.from_dict(payload["scenario"]),
             variable=str(payload["variable"]),
-            values=tuple(float(v) for v in payload["values"]),
+            values=tuple(float(v) for v in values),
             targets=PowerTargets(
                 sigma_target=float(t.get("sigma_target", 0.0)),
                 min_similarity=float(t.get("min_similarity", 0.0)),
@@ -150,14 +157,27 @@ class SweepResult:
                 )
 
 
-def _solve_draws(
-    scenario: Scenario, targets: PowerTargets, grid_n: int, reals: list[ChannelRealization]
-) -> list[list[float]]:
-    """Three scheme minima per draw, in SCHEME_ORDER; NaN marks an infeasible scheme."""
-    return [
-        [sol.total if isinstance(sol, PowerSolution) else math.nan for sol in draw.values()]
-        for draw in solve_min_powers_rows(scenario, reals, targets, grid_n)
-    ]
+def _sweep_totals(spec: SweepSpec, reals: list[ChannelRealization]) -> np.ndarray:
+    """Each scheme's minimum power per (sweep value, draw), shape (values, draws, 3).
+
+    Schemes run in SCHEME_ORDER and NaN marks an infeasible one.  The rows
+    of all values with the same source length form one row set.
+    """
+    settings = [spec.apply(value) for value in spec.values]
+    # k picks the S-curve; a floor sweep's scenarios differ only in
+    # min_similarity, which the solve takes from the targets instead.
+    groups: dict[int, list[int]] = {}
+    for i, (scenario, _) in enumerate(settings):
+        groups.setdefault(scenario.k, []).append(i)
+    totals = np.empty((len(settings), len(reals), len(SCHEME_ORDER)))
+    for members in groups.values():
+        targets = [settings[i][1] for i in members for _ in reals]
+        solved = solve_min_powers_rows(
+            settings[members[0]][0], reals * len(members), targets, spec.grid_n
+        )
+        for j, scheme in enumerate(SCHEME_ORDER):
+            totals[members, :, j] = solved[Scheme(scheme)].total.reshape(len(members), -1)
+    return totals
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -166,12 +186,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         sample_realization(spec.scenario, derive_seed(spec.base_seed, i))
         for i in range(spec.n_realizations)
     ]
-    batches = row_batches(len(reals), spec.grid_n)
     rows = []
-    for value in spec.values:
-        scenario, targets = spec.apply(value)
-        solved = (_solve_draws(scenario, targets, spec.grid_n, reals[b]) for b in batches)
-        arr = np.array([row for batch in solved for row in batch])
+    for value, arr in zip(spec.values, _sweep_totals(spec, reals)):
         for j, scheme in enumerate(SCHEME_ORDER):
             col = arr[:, j]
             feasible = np.isfinite(col)

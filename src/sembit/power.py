@@ -8,12 +8,17 @@ scenario's max_power and it is the caller's business to compare.
 Same structural trick as the boundary module: the hybrid solver folds the
 orthogonal and overlay solutions into its candidate set, so its reported
 minimum never exceeds either (they are hybrid corner cases).
+
+The solvers work on row sets: each row is one channel draw with its own
+target triple, and each scheme's result is a :class:`PowerRows` of 1-D
+columns.  The one-row solvers below are one-row sets whose object is
+built from row 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -31,10 +36,16 @@ from .rates import (
     sem_power,
     water_fill_min_grid,
 )
-from .search import refine_search
+from .search import refine_search, row_batches
 
 _EPS_EDGE = 1e-9  # keep similarity candidates off the open asymptote
 _EPS_BANDS = 64  # similarity-seeded band candidates per search
+TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
+ALLOC_FIELDS = ("w_shared", "w_sem", "w_bit", "p_sem", "p_bit_shared", "p_bit_orth")
+# The (rows, 1) columns of a row set, in the order of its data matrix.
+ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
+# Infeasible.cause values by PowerRows.cause code; code 0 is a feasible row.
+CAUSES = ("", "bandwidth-bound", "rate-asymptote", "similarity-asymptote")
 
 
 @dataclass(frozen=True)
@@ -67,8 +78,27 @@ class PowerSolution:
     alloc: Allocation
 
 
-def _check_feasible(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> None:
-    """Structural feasibility: independent of the channel draw.
+@dataclass(frozen=True)
+class PowerRows:
+    """One scheme's minimum powers over a row set, one 1-D column per field.
+
+    ``total`` and the six :class:`Allocation` fields are NaN on an
+    infeasible row, and ``cause`` indexes :data:`CAUSES` (0 on a feasible
+    row).  The one-row solvers build their objects from row 0.
+    """
+
+    total: np.ndarray
+    w_shared: np.ndarray
+    w_sem: np.ndarray
+    w_bit: np.ndarray
+    p_sem: np.ndarray
+    p_bit_shared: np.ndarray
+    p_bit_orth: np.ndarray
+    cause: np.ndarray
+
+
+def _structural(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> Infeasible | None:
+    """Structural infeasibility, independent of the channel draw; None when feasible.
 
     The three causes, checked hardest-first:
       bandwidth-bound      the semantic rate needs more than the carrier
@@ -84,20 +114,20 @@ def _check_feasible(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -
     params = scenario.logistic
     need_bw = targets.sigma_target * scenario.k
     if need_bw > w:
-        raise Infeasible(
+        return Infeasible(
             f"semantic rate {targets.sigma_target:.6g} needs {need_bw:.6g} Hz "
             f"at similarity 1; carrier has {w:.6g} Hz",
             cause="bandwidth-bound",
         )
     if need_bw >= w * params.a_high:
-        raise Infeasible(
+        return Infeasible(
             f"semantic rate {targets.sigma_target:.6g} needs similarity "
             f"{need_bw / w:.6g} on the full band; curve ceiling is {params.a_high}",
             cause="rate-asymptote",
         )
     floor_active = targets.sigma_target > 0 or scheme is Scheme.NOMA
     if floor_active and targets.min_similarity >= params.a_high:
-        raise Infeasible(
+        return Infeasible(
             f"similarity floor {targets.min_similarity} is at or above the "
             f"curve ceiling {params.a_high}",
             cause="similarity-asymptote",
@@ -123,24 +153,129 @@ def _eps_seeded_bands(scenario: Scenario, targets: PowerTargets) -> np.ndarray:
     return targets.sigma_target * scenario.k / eps
 
 
-def _gain_columns(reals: Sequence[ChannelRealization]) -> SimpleNamespace:
-    """The draws' link gains as (draws, 1) columns, in place of one realization."""
-    g_s, g_b = (np.array([[getattr(r, g)] for r in reals]) for g in ("gain_s", "gain_b"))
-    return SimpleNamespace(gain_s=g_s, gain_b=g_b, gain_eff=np.minimum(g_s, g_b))
+def _rows(data: np.ndarray, tri: np.ndarray) -> SimpleNamespace:
+    """Rows of ``data``, whose columns follow :data:`ROW_COLUMNS`, as (rows, 1) views."""
+    return SimpleNamespace(data=data, tri=tri, **dict(zip(ROW_COLUMNS, data.T[:, :, None])))
+
+
+def _take(rs: SimpleNamespace, rows) -> SimpleNamespace:
+    """The rows ``rows`` (an index array or a slice) of ``rs``."""
+    return _rows(rs.data[rows], rs.tri[rows])
+
+
+def _cause_code(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> int:
+    """The :data:`CAUSES` code of ``scheme``'s structural check on ``targets``."""
+    exc = _structural(scenario, targets, scheme)
+    return 0 if exc is None else CAUSES.index(exc.cause)
+
+
+def _row_set(
+    scenario: Scenario, reals: Sequence[ChannelRealization], targets: Sequence[PowerTargets]
+) -> SimpleNamespace:
+    """Rows of (draw, target triple) with their gain and target columns.
+
+    ``tri`` maps each row to its distinct triple.  The structural checks
+    and the search bounds are worked out once per triple: per row come the
+    ``oma_cause`` and ``noma_cause`` codes (semi's checks are oma's), and
+    ``live``, the rows that need a search, with ``bounds`` holding their
+    triples' Lemma-1 interval and similarity-seeded bands.
+    """
+    index: dict[PowerTargets, int] = {}
+    tri = [index.setdefault(t, len(index)) for t in targets]
+    triples = list(index)
+    values = [[getattr(t, f) for f in TARGET_FIELDS] for t in triples]
+    data = [(r.gain_s, r.gain_b, min(r.gain_s, r.gain_b), *values[i]) for r, i in zip(reals, tri)]
+    rs = _rows(np.array(data), np.array(tri))
+    codes = [[_cause_code(scenario, t, s) for s in (Scheme.OMA, Scheme.NOMA)] for t in triples]
+    rs.oma_cause, rs.noma_cause = np.array([codes[i] for i in tri]).T
+    searched = [c[0] == 0 and t.sigma_target > 0 for c, t in zip(codes, triples)]
+    live = np.flatnonzero([searched[i] for i in tri])
+    rs.live = _take(rs, live)
+    rs.live.index = live
+    rs.bounds = {}
+    for i, t in enumerate(triples):
+        if searched[i]:
+            w_low, w_up = lemma1_bounds(scenario, t.sigma_target, t.min_similarity)
+            # Without room for similarity-seeded bands, repeat w_low, already
+            # the first grid point, so every row has as many extra candidates:
+            # an equal x scores equally, so the pick does not change.
+            eps = _eps_seeded_bands(scenario, t)
+            rs.bounds[i] = (w_low, w_up, eps if eps.size else np.full(_EPS_BANDS, w_low))
+    return rs
+
+
+def _search(rows: SimpleNamespace, objective, bounds: dict, grid_n: int):
+    """(x, f) minimising ``objective(batch, x)`` for each row, one search per row batch.
+
+    ``bounds`` maps each triple of ``rows`` to its (lo, hi, extra
+    candidates), with the same number of extras for every triple.
+    """
+    x, f = np.empty((2, len(rows.tri)))
+    for b in row_batches(len(rows.tri), grid_n):
+        batch = _take(rows, b)
+        lo, hi, extra = zip(*(bounds[t] for t in batch.tri.tolist()))
+        x[b], f[b] = refine_search(
+            partial(objective, batch),
+            np.array(lo),
+            np.array(hi),
+            grid_n,
+            maximize=False,
+            extra=np.array(extra),
+        )
+    return x, f
+
+
+def _columns(cause: np.ndarray, fields: np.ndarray) -> PowerRows:
+    """PowerRows from ``fields``, one line per field in order, blanked to NaN on infeasible rows."""
+    fields[:, cause != 0] = np.nan
+    return PowerRows(*fields, cause=cause)
+
+
+def _fields(rows: PowerRows) -> np.ndarray:
+    """The (7, rows) matrix :func:`_columns` builds ``rows`` from."""
+    return np.array([rows.total, *(getattr(rows, f) for f in ALLOC_FIELDS)])
+
+
+def _infeasible(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> Infeasible:
+    """The :class:`Infeasible` a one-row solve of ``scheme`` reports for ``targets``.
+
+    A structural cause comes from :func:`_structural`; past those checks
+    only the split schemes' bit band can fail.
+    """
+    exc = _structural(scenario, targets, scheme)
+    if exc is not None:
+        return exc
+    w = scenario.total_bandwidth
+    a_high = scenario.logistic.a_high
+    return Infeasible(
+        f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
+        f"below the curve ceiling {a_high} leaves a bit band of at most "
+        f"{w - targets.sigma_target * scenario.k / a_high:.6g} Hz",
+        cause="bandwidth-bound",
+    )
+
+
+def _solution(
+    scenario: Scenario, targets: PowerTargets, scheme: Scheme, rows: PowerRows, i: int
+) -> PowerSolution | Infeasible:
+    """Row ``i`` of ``rows`` as the object a one-row solve of ``targets`` returns."""
+    if rows.cause[i]:
+        return _infeasible(scenario, targets, scheme)
+    alloc = {f: getattr(rows, f).item(i) for f in ALLOC_FIELDS}
+    return PowerSolution(rows.total.item(i), Allocation(scheme, **alloc))
+
+
+def _row_solutions(
+    scenario: Scenario, targets: PowerTargets, solved: dict[Scheme, PowerRows], i: int
+) -> dict[Scheme, PowerSolution | Infeasible]:
+    """Row ``i`` of every scheme in ``solved``, as :func:`solve_min_powers` returns it."""
+    return {s: _solution(scenario, targets, s, rows, i) for s, rows in solved.items()}
 
 
 def _solved(result: PowerSolution | Infeasible) -> PowerSolution:
     if isinstance(result, Infeasible):
         raise result
     return result
-
-
-def _attempt_rows(rows: int, solve_rows, *args) -> list[PowerSolution | Infeasible]:
-    """``solve_rows(*args)``, or the structural Infeasible it raised, once per row."""
-    try:
-        return solve_rows(*args)
-    except Infeasible as exc:
-        return [exc] * rows
 
 
 def solve_oma_min_power(
@@ -157,52 +292,40 @@ def solve_oma_min_power(
     toward the smaller semantic band.
 
     Raises:
-        Infeasible: structurally unreachable targets (see _check_feasible),
+        Infeasible: structurally unreachable targets (see _structural),
             or "bandwidth-bound" when every band that meets the semantic
             targets leaves too little bit band for a finite bit power.
     """
-    return _solved(_oma_rows(scenario, _gain_columns([real]), targets, grid_n)[0])
+    rows = _oma_rows(scenario, _row_set(scenario, [real], [targets]), grid_n)
+    return _solved(_solution(scenario, targets, Scheme.OMA, rows, 0))
 
 
-def _oma_rows(
-    scenario: Scenario, gains: SimpleNamespace, targets: PowerTargets, grid_n: int
-) -> list[PowerSolution | Infeasible]:
-    """:func:`solve_oma_min_power` for each draw of ``gains``, one search for all."""
-    _check_feasible(scenario, targets, Scheme.OMA)
+def _oma_rows(scenario: Scenario, rs: SimpleNamespace, grid_n: int) -> PowerRows:
+    """:func:`solve_oma_min_power` for each row of ``rs``."""
     w = scenario.total_bandwidth
-    sigma, floor = targets.sigma_target, targets.min_similarity
-    rows = len(gains.gain_s)
 
-    def bit_power(ws):
+    def bit_power(g, ws):
         w_bit = w - ws
-        inv_h = orth_inv_slope(w_bit, gains.gain_b, scenario.noise_psd)
-        return pipe_power(w_bit, targets.bit_target, inv_h)
+        inv_h = orth_inv_slope(w_bit, g.gain_b, scenario.noise_psd)
+        return pipe_power(w_bit, g.bit_target, inv_h)
 
-    def total(ws):
-        return sem_power(scenario, gains, sigma, floor, ws) + bit_power(ws)
+    def total(g, ws):
+        return sem_power(scenario, g, g.sigma_target, g.min_similarity, ws) + bit_power(g, ws)
 
-    if sigma == 0.0:
-        ws = p_sem = np.zeros((rows, 1))
-    else:
-        w_low, w_up = lemma1_bounds(scenario, sigma, floor)
-        extra = _eps_seeded_bands(scenario, targets)
-        ws = refine_search(
-            total, np.full(rows, w_low), w_up, grid_n, maximize=False, extra=extra
-        )[0][:, None]
-        p_sem = sem_power(scenario, gains, sigma, floor, ws)
-    p_bit = bit_power(ws)
-    a_high = scenario.logistic.a_high
-    return [
-        PowerSolution(p_s + p_b, Allocation.orthogonal(x, w - x, p_s, p_b))
-        if math.isfinite(p_s + p_b)
-        else Infeasible(
-            f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
-            f"below the curve ceiling {a_high} leaves a bit band of at most "
-            f"{w - sigma * scenario.k / a_high:.6g} Hz",
-            cause="bandwidth-bound",
-        )
-        for x, p_s, p_b in zip(ws.ravel().tolist(), p_sem.ravel().tolist(), p_bit.ravel().tolist())
-    ]
+    # Rows without a search carry no semantic stream (or are infeasible):
+    # no band, no power.
+    ws, p_sem = np.zeros((2, len(rs.tri)))
+    live = rs.live.index
+    if live.size:
+        ws[live] = _search(rs.live, total, rs.bounds, grid_n)[0]
+        g = rs.live
+        p_sem[live] = sem_power(scenario, g, g.sigma_target, g.min_similarity, ws[live, None])[:, 0]
+    p_bit = bit_power(rs, ws[:, None])[:, 0]
+    tot = p_sem + p_bit
+    bit_band = (rs.oma_cause == 0) & ~np.isfinite(tot)
+    cause = np.where(bit_band, CAUSES.index("bandwidth-bound"), rs.oma_cause)
+    zero = np.zeros_like(ws)
+    return _columns(cause, np.array([tot, zero, ws, w - ws, p_sem, zero, p_bit]))
 
 
 def solve_noma_min_power(
@@ -220,25 +343,26 @@ def solve_noma_min_power(
     Raises:
         Infeasible: structurally unreachable targets.
     """
-    return _solved(_noma_rows(scenario, _gain_columns([real]), targets)[0])
+    rows = _noma_rows(scenario, _row_set(scenario, [real], [targets]))
+    return _solved(_solution(scenario, targets, Scheme.NOMA, rows, 0))
 
 
-def _noma_rows(
-    scenario: Scenario, gains: SimpleNamespace, targets: PowerTargets
-) -> list[PowerSolution]:
-    """:func:`solve_noma_min_power` for each draw of ``gains``."""
-    _check_feasible(scenario, targets, Scheme.NOMA)
+def _noma_rows(scenario: Scenario, rs: SimpleNamespace) -> PowerRows:
+    """:func:`solve_noma_min_power` for each row of ``rs``.
+
+    Structurally infeasible rows are evaluated too (at +inf semantic power)
+    and then blanked by their cause.
+    """
     w = scenario.total_bandwidth
-    p_s = sem_power(scenario, gains, targets.sigma_target, targets.min_similarity, w)
-    inv_h = overlay_inv_slope(w, p_s, gains.gain_eff, scenario.noise_psd)
-    p_b = pipe_power(w, targets.bit_target, inv_h)
-    return [
-        PowerSolution(s + b, Allocation.overlay(w, s, b))
-        for s, b in zip(p_s.ravel().tolist(), p_b.ravel().tolist())
-    ]
+    p_s = sem_power(scenario, rs, rs.sigma_target, rs.min_similarity, w)
+    inv_h = overlay_inv_slope(w, p_s, rs.gain_eff, scenario.noise_psd)
+    p_b = pipe_power(w, rs.bit_target, inv_h)[:, 0]
+    p_s = p_s[:, 0]
+    zero = np.zeros_like(p_s)
+    return _columns(rs.noma_cause, np.array([p_s + p_b, zero + w, zero, zero, p_s, p_b, zero]))
 
 
-def _hybrid_power(scenario, gains, targets, wm):
+def _hybrid_power(scenario: Scenario, rows: SimpleNamespace, wm):
     """(p_sem, p_bit_shared, p_bit_orth) for shared-band candidates ``wm``.
 
     The semantic power is pinned by the harder of the rate target and the
@@ -248,72 +372,53 @@ def _hybrid_power(scenario, gains, targets, wm):
     """
     w = scenario.total_bandwidth
     n0 = scenario.noise_psd
-    p_s = sem_power(scenario, gains, targets.sigma_target, targets.min_similarity, wm)
+    p_s = sem_power(scenario, rows, rows.sigma_target, rows.min_similarity, wm)
     ok = np.isfinite(p_s)
     w_b = w - wm
     p_m, p_o = water_fill_min_grid(
         wm,
-        overlay_inv_slope(wm, np.where(ok, p_s, 0.0), gains.gain_eff, n0),
+        overlay_inv_slope(wm, np.where(ok, p_s, 0.0), rows.gain_eff, n0),
         w_b,
-        orth_inv_slope(w_b, gains.gain_b, n0),
-        targets.bit_target,
+        orth_inv_slope(w_b, rows.gain_b, n0),
+        rows.bit_target,
     )
     return p_s, np.where(ok, p_m, np.inf), np.where(ok, p_o, 0.0)
 
 
-def _fold_semi_rows(
-    scenario: Scenario,
-    gains: SimpleNamespace,
-    targets: PowerTargets,
-    grid_n: int,
-    oma: list[PowerSolution | Infeasible],
-    noma: list[PowerSolution | Infeasible],
-) -> list[PowerSolution | Infeasible]:
-    """Hybrid minimum per draw from its interior search and the two corners.
+def _semi_rows(
+    scenario: Scenario, rs: SimpleNamespace, grid_n: int, oma: PowerRows, noma: PowerRows
+) -> PowerRows:
+    """Hybrid minimum per row from its interior search and the two corners.
 
     The interior searches the shared-band width over [sigma*k, W]; the
     orthogonal and overlay solutions, when feasible, then compete on their
     exact totals, so the hybrid never exceeds either.  Ties break toward
     the narrower shared band and then toward the interior.
     """
-    _check_feasible(scenario, targets, Scheme.SEMI)
     w = scenario.total_bandwidth
-    rows = len(gains.gain_s)
-    interior = [None] * rows
-    if targets.sigma_target > 0:
-        w_low = lemma1_bounds(scenario, targets.sigma_target, targets.min_similarity)[0]
 
-        def total(wm: np.ndarray) -> np.ndarray:
-            p_s, p_m, p_o = _hybrid_power(scenario, gains, targets, wm)
-            return p_s + (p_m + p_o)
+    def total(g, wm):
+        p_s, p_m, p_o = _hybrid_power(scenario, g, wm)
+        return p_s + (p_m + p_o)
 
-        extra = np.append(_eps_seeded_bands(scenario, targets), w)
-        wm, best_total = refine_search(
-            total, np.full(rows, w_low), w, grid_n, maximize=False, extra=extra
-        )
-        powers = _hybrid_power(scenario, gains, targets, wm[:, None])
-        interior = [
-            PowerSolution(t, Allocation.hybrid(x, w - x, p_s, p_m, p_o))
-            if math.isfinite(t)
-            else None
-            for x, t, p_s, p_m, p_o in zip(
-                wm.tolist(), best_total.tolist(), *(p.ravel().tolist() for p in powers)
-            )
-        ]
-    out = []
-    for best, o, v in zip(interior, oma, noma):
-        if isinstance(o, PowerSolution) and (best is None or o.total < best.total):
-            a = o.alloc
-            alloc = Allocation.hybrid(a.w_sem, a.w_bit, a.p_sem, 0.0, a.p_bit_orth)
-            best = PowerSolution(o.total, alloc)
-        if isinstance(v, PowerSolution) and (best is None or v.total < best.total):
-            a = v.alloc
-            alloc = Allocation.hybrid(a.w_shared, 0.0, a.p_sem, a.p_bit_shared, 0.0)
-            best = PowerSolution(v.total, alloc)
-        # Semi's structural checks are oma's, so only oma's own bit-band
-        # bound can leave it without any candidate.
-        out.append(o if best is None else best)
-    return out
+    bounds = {i: (w_low, w, np.append(eps, w)) for i, (w_low, _, eps) in rs.bounds.items()}
+    # One line per PowerRows field, in order; a row without a candidate costs +inf.
+    best = np.zeros((1 + len(ALLOC_FIELDS), len(rs.tri)))
+    best[0] = np.inf
+    live = rs.live.index
+    if live.size:
+        wm, f = _search(rs.live, total, bounds, grid_n)
+        p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, rs.live, wm[:, None]))
+        found = np.isfinite(f)
+        best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]
+    # An orthogonal split is a hybrid whose shared band is the semantic
+    # band (swap w_shared and w_sem); an overlay is a hybrid as it stands.
+    for corner in (_fields(oma)[[0, 2, 1, 3, 4, 5, 6]], _fields(noma)):
+        take = corner[0] < best[0]  # an infeasible corner's NaN never wins
+        best[:, take] = corner[:, take]
+    # Semi's structural checks are oma's, so only oma's own bit-band
+    # bound can leave a row without any candidate, and oma's cause is semi's.
+    return _columns(np.where(np.isfinite(best[0]), 0, oma.cause), best)
 
 
 def solve_semi_min_power(
@@ -349,21 +454,25 @@ def solve_min_powers(
     :class:`Infeasible` its solver raised.  The semi fold reuses the oma
     and noma results instead of solving them again.
     """
-    return solve_min_powers_rows(scenario, [real], targets, grid_n)[0]
+    solved = solve_min_powers_rows(scenario, [real], [targets], grid_n)
+    return _row_solutions(scenario, targets, solved, 0)
 
 
 def solve_min_powers_rows(
     scenario: Scenario,
     reals: Sequence[ChannelRealization],
-    targets: PowerTargets,
+    targets: Sequence[PowerTargets],
     grid_n: int,
-) -> list[dict[Scheme, PowerSolution | Infeasible]]:
-    """:func:`solve_min_powers` for each draw of ``reals``, one search per scheme."""
-    gains = _gain_columns(reals)
-    rows = len(reals)
-    oma = _attempt_rows(rows, _oma_rows, scenario, gains, targets, grid_n)
-    noma = _attempt_rows(rows, _noma_rows, scenario, gains, targets)
-    semi = _attempt_rows(rows, _fold_semi_rows, scenario, gains, targets, grid_n, oma, noma)
-    return [
-        {Scheme.OMA: o, Scheme.NOMA: v, Scheme.SEMI: s} for o, v, s in zip(oma, noma, semi)
-    ]
+) -> dict[Scheme, PowerRows]:
+    """Each scheme's minima over rows (draw ``reals[i]``, triple ``targets[i]``).
+
+    Maps each scheme, in oma, noma, semi order, to its columns.  The rows
+    that need a search (a positive rate target, structurally feasible) are
+    cut into :func:`row_batches`, one oma and one semi search each; every
+    row gets exactly the result a one-row solve would.
+    """
+    rs = _row_set(scenario, reals, targets)
+    oma = _oma_rows(scenario, rs, grid_n)
+    noma = _noma_rows(scenario, rs)
+    semi = _semi_rows(scenario, rs, grid_n, oma, noma)
+    return {Scheme.OMA: oma, Scheme.NOMA: noma, Scheme.SEMI: semi}

@@ -288,6 +288,26 @@ class TestSweepCommand:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("values", 5, "sweep values must be a list of numbers, got 5"),
+            ("targets", 3, "sweep targets must be an object, got 3"),
+            ("scenario", [1], "scenario must be an object, got [1]"),
+        ],
+    )
+    def test_wrongly_typed_spec_field_is_bad_input(
+        self, tmp_path, capsys, scenario, key, value, message
+    ):
+        path = self.write_spec(tmp_path, scenario)
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        spec[key] = value
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReplay:
     def test_region_replay_is_byte_identical(self, tmp_path):

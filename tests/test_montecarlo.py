@@ -1,5 +1,7 @@
 import csv
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from sembit import (
     solve_min_powers,
     solve_semi_min_power,
 )
-from sembit.montecarlo import SCHEME_ORDER, _solve_draws
+from sembit.cli import BUNDLED_SWEEPS
+from sembit.montecarlo import SCHEME_ORDER, _sweep_totals
 
 
 def small_spec(scenario, **overrides):
@@ -125,20 +128,15 @@ class TestRunSweep:
         # Common random numbers: the first draws of a short and a long run
         # coincide, so adding realisations only extends the average.
         spec3 = small_spec(scenario, values=(100e3,), n_realizations=3)
-        _, targets = spec3.apply(100e3)
-        solo = _solve_draws(
-            scenario,
-            targets,
-            spec3.grid_n,
+        solo = _sweep_totals(
+            spec3,
             [sample_realization(scenario, derive_seed(spec3.base_seed, i)) for i in range(3)],
-        )
+        )[0].tolist()
         spec6 = small_spec(scenario, values=(100e3,), n_realizations=6)
-        longer = _solve_draws(
-            scenario,
-            targets,
-            spec6.grid_n,
+        longer = _sweep_totals(
+            spec6,
             [sample_realization(scenario, derive_seed(spec6.base_seed, i)) for i in range(6)],
-        )
+        )[0].tolist()
         assert longer[:3] == solo
 
     def test_rows_equal_per_draw_solves(self, scenario, monkeypatch):
@@ -204,3 +202,64 @@ class TestRunSweep:
             assert float(parsed[0]) == row.sweep_value
             assert parsed[1] == row.scheme
             assert float(parsed[2]) == row.mean_power_w
+
+
+def one_row_totals(spec, reals):
+    """(values, draws, schemes) minima from one solve_min_powers call per value and draw."""
+    return np.array(
+        [
+            [
+                [
+                    sol.total if isinstance(sol, PowerSolution) else math.nan
+                    for sol in solve_min_powers(scn, real, targets, spec.grid_n).values()
+                ]
+                for real in reals
+            ]
+            for scn, targets in map(spec.apply, spec.values)
+        ]
+    )
+
+
+def summary(spec, totals):
+    """run_sweep's (value, mean, stderr, infeasible_frac) rows, computed from ``totals``."""
+    rows = []
+    for value, arr in zip(spec.values, totals):
+        for col in arr.T:
+            ok = col[np.isfinite(col)]
+            mean = float(np.mean(ok)) if ok.size else math.nan
+            stderr = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+            rows.append([value, mean, stderr if ok.size else math.nan, 1.0 - ok.size / len(col)])
+    return np.array(rows)
+
+
+class TestCrossValueRows:
+    """The rows of every sweep value solved together equal one-row solves exactly."""
+
+    def check(self, spec):
+        reals = [
+            sample_realization(spec.scenario, derive_seed(spec.base_seed, i))
+            for i in range(spec.n_realizations)
+        ]
+        expect = one_row_totals(spec, reals)
+        np.testing.assert_array_equal(_sweep_totals(spec, reals), expect)
+        got = [
+            [r.sweep_value, r.mean_power_w, r.stderr, r.infeasible_frac]
+            for r in run_sweep(spec).rows
+        ]
+        np.testing.assert_array_equal(np.array(got), summary(spec, expect))
+        return expect
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_SWEEPS))
+    def test_bundled_spec(self, name):
+        blob = resources.files("sembit.data").joinpath(BUNDLED_SWEEPS[name])
+        payload = json.loads(blob.read_text(encoding="utf-8"))
+        self.check(SweepSpec.from_dict(dict(payload, n_realizations=6)))
+
+    def test_zero_feasible_and_asymptote_values_in_one_batch(self, scenario, monkeypatch):
+        # Five rows per batch, so batches straddle the two searched values;
+        # 240e3 needs similarity 0.96 on the full band, above the 0.918 ceiling.
+        monkeypatch.setattr(search, "BATCH_CANDIDATES", 5 * 64)
+        spec = small_spec(scenario, values=(0.0, 100e3, 150e3, 240e3))
+        totals = self.check(spec)
+        assert np.isfinite(totals[:3]).all()
+        assert np.isnan(totals[3]).all()

@@ -9,6 +9,8 @@ from sembit import (
     InfeasibleBandwidth,
     PowerTargets,
     Scenario,
+    Scheme,
+    derive_seed,
     rates_for,
     required_power_for_similarity,
     sample_realization,
@@ -18,8 +20,16 @@ from sembit import (
     solve_semi_min_power,
     water_fill_min,
 )
+from sembit import power
 from sembit.cli import _verify_solution
-from sembit.power import solve_min_powers_rows
+from sembit.power import (
+    _EPS_BANDS,
+    ALLOC_FIELDS,
+    CAUSES,
+    _eps_seeded_bands,
+    _row_solutions,
+    solve_min_powers_rows,
+)
 
 TRIPLE = PowerTargets(sigma_target=100e3, min_similarity=0.8, bit_target=8e5)
 
@@ -319,7 +329,8 @@ class TestBatchedDraws:
     )
     def test_rows_equal_per_draw_solves(self, scenario, targets):
         reals = [sample_realization(scenario, seed) for seed in range(9)]
-        batch = solve_min_powers_rows(scenario, reals, targets, 64)
+        solved = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
+        batch = [_row_solutions(scenario, targets, solved, i) for i in range(len(reals))]
         assert len(batch) == len(reals)
         for real, row in zip(reals, batch):
             single = solve_min_powers(scenario, real, targets, 64)
@@ -330,3 +341,82 @@ class TestBatchedDraws:
                     assert (row[scheme].cause, str(row[scheme])) == (sol.cause, str(sol))
                 else:
                     assert row[scheme] == sol
+
+
+def near_ceiling(scenario):
+    """A floor so close to the curve ceiling that no similarity-seeded band fits."""
+    p = scenario.logistic
+    return PowerTargets(50e3, p.a_high - (p.a_high - p.a_low) * 1e-10, 4e5)
+
+
+class TestRowSets:
+    """Rows with different target triples in one row set equal their one-row solves."""
+
+    def test_padding_does_not_change_the_pick(self, scenario, monkeypatch):
+        # Rows without similarity-seeded bands get their lower band bound
+        # repeated in their place; dropping those copies again must give
+        # the same columns, bit for bit.
+        targets = near_ceiling(scenario)
+        assert len(_eps_seeded_bands(scenario, targets)) == 0
+        reals = [sample_realization(scenario, seed) for seed in range(6)]
+        padded = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
+        search = power.refine_search
+
+        def unpadded(objective, lo, hi, n, *, extra, **kwargs):
+            assert (extra[:, :_EPS_BANDS] == lo[:, None]).all()
+            return search(objective, lo, hi, n, extra=extra[:, _EPS_BANDS:], **kwargs)
+
+        monkeypatch.setattr(power, "refine_search", unpadded)
+        plain = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
+        assert np.isfinite(padded[Scheme.SEMI].total).all()
+        for scheme, rows in padded.items():
+            for name in ("total", *ALLOC_FIELDS, "cause"):
+                np.testing.assert_array_equal(getattr(rows, name), getattr(plain[scheme], name))
+
+    def test_mixed_triples_equal_one_row_solves(self, scenario):
+        near = near_ceiling(scenario)
+        assert len(_eps_seeded_bands(scenario, near)) == 0
+        assert len(_eps_seeded_bands(scenario, TRIPLE)) > 0
+        triples = [
+            TRIPLE,
+            near,
+            PowerTargets(0.0, 0.93, 8e5),  # noma infeasible, bit-only corners live
+            PowerTargets(229400.0, 0.6, 1.8e6),  # oma has no finite-power bit band
+            PowerTargets(260e3, 0.8, 1e5),  # bandwidth-bound
+            PowerTargets(231e3, 0.8, 1e5),  # rate-asymptote
+            PowerTargets(100e3, 0.95, 1e5),  # similarity-asymptote
+        ]
+        reals = [sample_realization(scenario, seed) for seed in range(3 * len(triples))]
+        targets = [triples[i % len(triples)] for i in range(len(reals))]
+        solved = solve_min_powers_rows(scenario, reals, targets, 64)
+        for i, (real, t) in enumerate(zip(reals, targets)):
+            single = solve_min_powers(scenario, real, t, 64)
+            rebuilt = _row_solutions(scenario, t, solved, i)
+            for scheme, sol in single.items():
+                rows = solved[scheme]
+                if isinstance(sol, Infeasible):
+                    assert type(rebuilt[scheme]) is Infeasible
+                    assert (rebuilt[scheme].cause, str(rebuilt[scheme])) == (sol.cause, str(sol))
+                    assert CAUSES[rows.cause[i]] == sol.cause
+                    assert np.isnan(rows.total[i])
+                else:
+                    assert rebuilt[scheme] == sol
+                    assert rows.cause[i] == 0
+                    assert rows.total[i] == sol.total
+                    for name in ALLOC_FIELDS:
+                        assert getattr(rows, name)[i] == getattr(sol.alloc, name)
+
+
+class TestPaperClaims:
+    def test_semi_saving_grows_as_semantic_user_gets_closer(self):
+        # Claim (ii) of the abstract: semi's advantage over the better pure
+        # scheme grows as the semantic user's channel improves relative to
+        # the bit user's.  Mean saving per geometry, d_s / d_b falling.
+        savings = []
+        for d_s, d_b in ((35.0, 15.0), (30.0, 20.0), (25.0, 25.0), (20.0, 30.0), (15.0, 35.0)):
+            scenario = Scenario(d_s=d_s, d_b=d_b)
+            reals = [sample_realization(scenario, derive_seed(2205, i)) for i in range(96)]
+            solved = solve_min_powers_rows(scenario, reals, [TRIPLE] * len(reals), 512)
+            best_pure = np.minimum(solved[Scheme.OMA].total, solved[Scheme.NOMA].total)
+            savings.append(float(np.mean(1.0 - solved[Scheme.SEMI].total / best_pure)))
+        assert all(a < b for a, b in zip(savings, savings[1:])), savings
