@@ -7,13 +7,19 @@ orthogonal scheme optimises one bandwidth split, the overlay has a closed
 form, and the hybrid optimises a shared-band width with the residual
 power water-filled between its two bit pipes.
 
-Candidate pools for the hybrid search are seeded with the orthogonal and
-overlay solutions (both are hybrid corner cases), so the hybrid boundary
-dominates the other two at finite grid resolution by construction, not
-merely up to search luck.
+The solvers work on sigma grids: each scheme's result is a
+:class:`BoundaryRows` of 1-D columns, one row per target, solved in row
+batches with one search per batch.  The one-target solvers build their
+:class:`BoundaryPoint` from row 0, and every row equals what they return
+for its target.
 
-A sweep solves its semantic-rate targets in row batches, one search per
-batch; each point equals what the one-target solver returns for it.
+The orthogonal and overlay solutions are hybrid corner cases, so the
+hybrid folds in the oma and noma rows it is given for the same targets
+(:func:`sembit.rates.fold_corners`): its boundary dominates the other two
+at finite grid resolution by construction, not merely up to search luck.
+:func:`trace_region` solves oma once, on the hybrid's sigma grid, and the
+hybrid reuses those rows; every boundary is the same as solving its
+scheme alone with :func:`sweep_boundary`.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +35,11 @@ import numpy as np
 from .channel import ChannelRealization, Scenario
 from .errors import DomainMismatch, EmptyRegion, TargetUnreachable
 from .rates import (
+    ALLOC_FIELDS,
     Allocation,
     RatePair,
     Scheme,
+    fold_corners,
     lemma1_bounds,
     orth_inv_slope,
     overlay_inv_slope,
@@ -67,6 +76,27 @@ class BoundaryPoint:
     bit_rate: float
     similarity: float
     alloc: Allocation | None
+
+
+@dataclass(frozen=True)
+class BoundaryRows:
+    """One scheme's boundary points over a sigma grid, one 1-D column per field.
+
+    A row whose target the budget cannot meet has no allocation:
+    ``solved`` is False there, its bit rate and similarity are 0 and its
+    six :class:`Allocation` fields NaN.  The one-target solvers build
+    their :class:`BoundaryPoint` from row 0.
+    """
+
+    bit_rate: np.ndarray
+    similarity: np.ndarray
+    w_shared: np.ndarray
+    w_sem: np.ndarray
+    w_bit: np.ndarray
+    p_sem: np.ndarray
+    p_bit_shared: np.ndarray
+    p_bit_orth: np.ndarray
+    solved: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,75 +182,91 @@ def solve_oma_point(
     whose power need exceeds the budget score zero.  Ties break toward the
     smaller semantic band.
     """
-    return _oma_points(scenario, real, np.array([sigma_target], dtype=float), grid_n)[0]
+    rows = _oma_points(scenario, real, np.array([sigma_target], dtype=float), grid_n)
+    return _point(rows, Scheme.OMA, sigma_target, 0)
 
 
 def _oma_points(
     scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, grid_n: int
-) -> list[BoundaryPoint]:
-    """:func:`solve_oma_point` at each target of ``sigma``, one search for all."""
-    w = scenario.total_bandwidth
-    p_max = scenario.max_power
-    r_max = shannon_rate(w, p_max, real.gain_b, scenario.noise_psd)
-    zero = BoundaryPoint(0.0, r_max, 0.0, Allocation.orthogonal(0.0, w, 0.0, p_max))
-    s = sigma[sigma != 0.0]
-    ws, p_req, rate = _oma_search(scenario, real, s, grid_n)
-    ok = p_req <= p_max
-    eps = _similarities(scenario, real, ws, p_req, ok)
-    solved = (
-        BoundaryPoint(x_s, r, e, Allocation.orthogonal(x, w - x, p, p_max - p))
-        if keep
-        else BoundaryPoint(x_s, 0.0, 0.0, None)
-        for x_s, x, r, p, e, keep in zip(
-            s.tolist(), ws.tolist(), rate.tolist(), p_req.tolist(), eps.tolist(), ok.tolist()
-        )
-    )
-    return _with_zeros(sigma, zero, solved)
+) -> BoundaryRows:
+    """:func:`solve_oma_point` at each target of ``sigma``, one search per row batch.
 
-
-def _oma_search(
-    scenario: Scenario, real: ChannelRealization, s: np.ndarray, grid_n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(semantic band, its power, bit rate) of the oma optimum at each nonzero target.
-
-    A target whose power exceeds the budget gets bit rate 0.
+    A zero target is the bit intercept: no semantic band, and the whole
+    budget on the full bit band.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     n0 = scenario.noise_psd
     floor = scenario.min_similarity
+    live = sigma != 0.0
+    s = sigma[live]
     lo, hi = np.array([lemma1_bounds(scenario, x, floor) for x in s]).reshape(-1, 2).T
-    s_col = s[:, None]
 
-    def score(ws: np.ndarray) -> np.ndarray:
+    def score(s_col: np.ndarray, ws: np.ndarray) -> np.ndarray:
         p_req = sem_power(scenario, real, s_col, floor, ws)
         w_bit = w - ws
         p_bit = np.where(p_req <= p_max, p_max - p_req, 0.0)
         return pipe_rate(w_bit, p_bit, orth_inv_slope(w_bit, real.gain_b, n0))
 
-    ws, rate = refine_search(score, lo, hi, grid_n, maximize=True, tie_high=False)
-    return ws, sem_power(scenario, real, s, floor, ws), rate
+    rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
+    ws, p_sem = np.zeros((2, len(sigma)))
+    ws[live], rate[live] = _search(score, s, lo, hi, grid_n, tie_high=False)
+    p_sem[live] = sem_power(scenario, real, s, floor, ws[live])
+    zero = np.zeros_like(ws)
+    fields = np.array([rate, zero, ws, w - ws, p_sem, zero, p_max - p_sem])
+    return _columns(scenario, real, fields, p_sem <= p_max)
 
 
-def _similarities(
-    scenario: Scenario,
-    real: ChannelRealization,
-    band: np.ndarray,
-    p_sem: np.ndarray,
-    ok: np.ndarray,
-) -> np.ndarray:
-    """Similarity of each semantic (band, power) pair where ``ok``, else 0, in one curve call."""
+def _search(score, s: np.ndarray, lo, hi, grid_n: int, tie_high: bool, extra=None):
+    """(x, f) maximising ``score(targets, x)`` for each target of ``s``, one search per row batch.
+
+    ``targets`` is the batch's (rows, 1) column of ``s``.  Row i searches
+    [lo[i], hi[i]], with the candidates ``extra[i]`` added when given.
+    """
+    x, f = np.empty((2, len(s)))
+    for b in row_batches(len(s), grid_n):
+        x[b], f[b] = refine_search(
+            partial(score, s[b, None]),
+            lo[b],
+            hi[b],
+            grid_n,
+            maximize=True,
+            tie_high=tie_high,
+            extra=() if extra is None else extra[b],
+        )
+    return x, f
+
+
+def _columns(scenario, real, best, solved) -> BoundaryRows:
+    """BoundaryRows from ``best``: a bit-rate line, then one line per :data:`ALLOC_FIELDS` entry.
+
+    Rows outside ``solved`` are blanked (bit rate 0, NaN fields).  The
+    rest get the similarity of their semantic stream, all in one curve
+    call; the stream rides on ``w_sem`` in a split and on ``w_shared``
+    otherwise, and a row without a semantic band gets 0.
+    """
+    best[0, ~solved] = 0.0
+    best[1:, ~solved] = np.nan
+    band = best[1] + best[2]
+    ok = solved & (band > 0.0)
     n0 = scenario.noise_psd
-    snr = [snr_db(p, real.gain_s, x, n0) for x, p in zip(band[ok].tolist(), p_sem[ok].tolist())]
+    snr = [snr_db(p, real.gain_s, x, n0) for x, p in zip(band[ok].tolist(), best[4, ok].tolist())]
     eps = np.zeros(len(band))
     eps[ok] = eval_similarity(scenario.logistic, np.array(snr, dtype=float))
-    return eps
+    return BoundaryRows(best[0], eps, *best[1:], solved=solved)
 
 
-def _with_zeros(sigma: np.ndarray, zero: BoundaryPoint, solved) -> list[BoundaryPoint]:
-    """Points in ``sigma`` order: ``zero`` at each zero target, ``solved`` at the rest."""
-    solved = iter(solved)
-    return [zero if x == 0.0 else next(solved) for x in sigma]
+def _fields(rows: BoundaryRows) -> np.ndarray:
+    """The (7, rows) matrix :func:`_columns` builds ``rows`` from."""
+    return np.array([rows.bit_rate, *(getattr(rows, f) for f in ALLOC_FIELDS)])
+
+
+def _point(rows: BoundaryRows, scheme: Scheme, sigma_target: float, i: int) -> BoundaryPoint:
+    """Row ``i`` of ``rows`` as the object a one-target solve of ``scheme`` returns."""
+    alloc = None
+    if rows.solved[i]:
+        alloc = Allocation(scheme, **{f: getattr(rows, f).item(i) for f in ALLOC_FIELDS})
+    return BoundaryPoint(float(sigma_target), rows.bit_rate.item(i), rows.similarity.item(i), alloc)
 
 
 def noma_sigma_min(scenario: Scenario) -> float:
@@ -267,36 +313,20 @@ def solve_noma_point(
     goes to the superposed bit stream.  Returns a zero-rate point with no
     allocation when the target cannot be met within budget.
     """
-    return _noma_points(scenario, real, np.array([sigma_target], dtype=float))[0]
+    rows = _noma_points(scenario, real, np.array([sigma_target], dtype=float))
+    return _point(rows, Scheme.NOMA, sigma_target, 0)
 
 
-def _noma_points(
-    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray
-) -> list[BoundaryPoint]:
+def _noma_points(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> BoundaryRows:
     """:func:`solve_noma_point` at each target of ``sigma``."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    p_s, rate = _noma_rates(scenario, real, sigma)
-    ok = p_s <= p_max  # false also for an unreachable similarity, which costs +inf
-    eps = _similarities(scenario, real, np.full(len(sigma), w), p_s, ok)
-    return [
-        BoundaryPoint(x, r, e, Allocation.overlay(w, p, p_max - p))
-        if keep
-        else BoundaryPoint(x, 0.0, 0.0, None)
-        for x, p, r, e, keep in zip(
-            sigma.tolist(), p_s.tolist(), rate.tolist(), eps.tolist(), ok.tolist()
-        )
-    ]
-
-
-def _noma_rates(
-    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(semantic power, bit rate) of the overlay at each target of ``sigma``."""
-    w = scenario.total_bandwidth
     p_s = sem_power(scenario, real, sigma, scenario.min_similarity, w)
-    inv_h = overlay_inv_slope(w, p_s, real.gain_eff, scenario.noise_psd)
-    return p_s, pipe_rate(w, scenario.max_power - p_s, inv_h)
+    rate = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, scenario.noise_psd))
+    zero = np.zeros_like(p_s)
+    fields = np.array([rate, zero + w, zero, zero, p_s, p_max - p_s, zero])
+    # An unreachable similarity costs +inf, which fails the budget too.
+    return _columns(scenario, real, fields, p_s <= p_max)
 
 
 def noma_boundary(
@@ -315,12 +345,7 @@ def noma_boundary(
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     n0 = scenario.noise_psd
-    params = scenario.logistic
-    if scenario.min_similarity >= params.a_high:
-        raise EmptyRegion(
-            f"similarity floor {scenario.min_similarity} is unreachable "
-            f"(curve ceiling {params.a_high})"
-        )
+    noma_sigma_min(scenario)  # raises EmptyRegion for an unreachable floor
     p_floor = noma_power_floor(scenario, real)
     if p_floor > p_max:
         raise EmptyRegion(
@@ -330,7 +355,7 @@ def noma_boundary(
     p_s = np.linspace(p_floor, p_max, n_points)
     with np.errstate(divide="ignore"):
         gamma_db = 10.0 * np.log10(p_s * real.gain_s / (w * n0))
-    eps = eval_similarity(params, gamma_db)
+    eps = eval_similarity(scenario.logistic, gamma_db)
     bit = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, n0))
     points = tuple(
         RatePair(sem_rate=float(w * e / scenario.k), bit_rate=float(r), similarity=float(e))
@@ -379,63 +404,80 @@ def solve_semi_point(
     candidate pool, so the result never falls below either.  Ties break
     toward the wider shared band.
     """
-    return _semi_points(scenario, real, np.array([sigma_target], dtype=float), grid_n)[0]
+    sigma = np.array([sigma_target], dtype=float)
+    oma = _oma_points(scenario, real, sigma, grid_n)
+    rows = _semi_points(scenario, real, sigma, grid_n, oma, _noma_points(scenario, real, sigma))
+    return _point(rows, Scheme.SEMI, sigma_target, 0)
 
 
 def _semi_points(
-    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, grid_n: int
-) -> list[BoundaryPoint]:
-    """:func:`solve_semi_point` at each target of ``sigma``, one search for all."""
+    scenario: Scenario,
+    real: ChannelRealization,
+    sigma: np.ndarray,
+    grid_n: int,
+    oma: BoundaryRows,
+    noma: BoundaryRows,
+) -> BoundaryRows:
+    """:func:`solve_semi_point` at each target of ``sigma``, one search per row batch.
+
+    ``oma`` and ``noma`` hold those schemes' rows for the same targets:
+    the oma band seeds each row's search, and both are folded in as
+    corners once it is done.
+    """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     floor = scenario.min_similarity
-    r_max = shannon_rate(w, p_max, real.gain_b, scenario.noise_psd)
-    zero = BoundaryPoint(0.0, r_max, 0.0, Allocation.hybrid(0.0, w, 0.0, 0.0, p_max))
-    s = sigma[sigma != 0.0]
+    live = np.flatnonzero(sigma != 0.0)
+    s = sigma[live]
     lo = np.array([lemma1_bounds(scenario, x, floor)[0] for x in s])
-    w_o, p_o, r_o = _oma_search(scenario, real, s, grid_n)
-    p_v, r_v = _noma_rates(scenario, real, s)
-    ok_o, ok_v = p_o <= p_max, p_v <= p_max
+    hi = np.full(len(s), w)
     # The oma band seeds a row's search when it fits; w pads the other rows.
-    seed = np.where(ok_o & (w_o >= lo), w_o, w)
-    s_col = s[:, None]
+    w_o = oma.w_sem[live]
+    seed = np.where(oma.solved[live] & (w_o >= lo), w_o, w)
 
-    def score(wm: np.ndarray) -> np.ndarray:
+    def score(s_col: np.ndarray, wm: np.ndarray) -> np.ndarray:
         p_s = sem_power(scenario, real, s_col, floor, wm)
         feasible = p_s <= p_max
         rate, _, _ = _hybrid_rate_grid(scenario, real, wm, np.where(feasible, p_s, 0.0))
         return np.where(feasible, rate, 0.0)
 
-    extra = np.column_stack([np.full(len(s), w), seed])
-    wm, rate = refine_search(score, lo, w, grid_n, maximize=True, tie_high=True, extra=extra)
+    extra = np.column_stack([hi, seed])
+    wm, rate = _search(score, s, lo, hi, grid_n, tie_high=True, extra=extra)
     p_s = sem_power(scenario, real, s, floor, wm)
     interior = (p_s <= p_max) & (rate > 0.0)
     r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, wm, np.where(interior, p_s, 0.0))
-    # Corner seeds win outright if the interior search could not beat
-    # them; comparing realised numbers keeps the dominance exact.  The oma
-    # corner is a hybrid whose shared band carries no bit power, the noma
-    # corner one with no bit-only band.
-    best = np.where(interior, r, 0.0)
-    use_o = ok_o & (r_o > best)
-    best = np.where(use_o, r_o, best)
-    use_v = ok_v & (r_v > best)
-    best = np.where(use_v, r_v, best)
-    won = use_v | use_o | interior
-    band = np.select([use_v, use_o], [w, w_o], wm)
-    p_sem = np.select([use_v, use_o], [p_v, p_o], p_s)
-    p_bm = np.select([use_v, use_o], [p_max - p_v, 0.0], p_bm)
-    p_bo = np.select([use_v, use_o], [0.0, p_max - p_o], p_bo)
-    eps = _similarities(scenario, real, band, p_sem, won)
-    splits = np.column_stack([band, p_sem, p_bm, p_bo]).tolist()
-    solved = (
-        BoundaryPoint(x_s, r, e, Allocation.hybrid(x, w - x, p, pm, po))
-        if keep
-        else BoundaryPoint(x_s, 0.0, 0.0, None)
-        for x_s, r, e, (x, p, pm, po), keep in zip(
-            s.tolist(), best.tolist(), eps.tolist(), splits, won.tolist()
-        )
+    # A row without an interior optimum scores 0 and has no allocation
+    # until a corner beats it; comparing realised numbers keeps the
+    # dominance exact.
+    best = np.full((1 + len(ALLOC_FIELDS), len(sigma)), np.nan)
+    best[0] = 0.0
+    found = np.array([r, wm, np.zeros_like(wm), w - wm, p_s, p_bm, p_bo])
+    best[:, live[interior]] = found[:, interior]
+    fold_corners(best, _fields(oma), _fields(noma), np.greater)
+    return _columns(scenario, real, best, ~np.isnan(best[1]))
+
+
+def _lifted(scheme, sigma, rate, eps, n_points, grid_n, ext) -> RegionBoundary:
+    """The boundary through ``sigma``, each bit rate lifted to its running right-max.
+
+    Point i carries the bit rate and similarity ``eps`` of the leftmost
+    maximum of ``rate`` at or after i (see :func:`sweep_boundary`);
+    ``ext`` is the draw's :class:`Extremes`.
+    """
+    top = np.maximum.accumulate(rate[::-1])[::-1]
+    at = np.where(rate == top, np.arange(len(rate)), len(rate))
+    src = np.minimum.accumulate(at[::-1])[::-1]
+    return RegionBoundary(
+        scheme=scheme,
+        points=tuple(map(RatePair, sigma.tolist(), rate[src].tolist(), eps[src].tolist())),
+        grid_spec={
+            "n_points": int(n_points),
+            "grid_n": int(grid_n),
+            "refine_levels": REFINE_LEVELS,
+            "refine_zoom": REFINE_ZOOM,
+        },
+        power_limited=ext.power_limited,
     )
-    return _with_zeros(sigma, zero, solved)
 
 
 def sweep_boundary(
@@ -452,8 +494,9 @@ def sweep_boundary(
     evenly (or ``sigma_values`` when given) and the swept rates are lifted
     to their running right-max: anything achievable at a higher semantic
     rate is achievable at a lower one, so the lift stays inside the
-    region and irons out grid-resolution dents.  The points are solved
-    in row batches, one search per batch.  The overlay scheme has its own
+    region and irons out grid-resolution dents.  The points are solved in
+    row batches, one search per batch; the hybrid solves oma on the same
+    grid first and folds it in.  The overlay scheme has its own
     closed-form sweep.
 
     Raises:
@@ -462,9 +505,10 @@ def sweep_boundary(
     scheme = Scheme(scheme)
     if scheme is Scheme.NOMA:
         if sigma_values is not None:
-            points = _noma_points(scenario, real, np.asarray(sigma_values, dtype=float))
-            pairs = tuple(RatePair(p.sigma, p.bit_rate, p.similarity) for p in points)
-            return RegionBoundary(scheme, pairs, {"n_points": len(pairs)}, False)
+            sigma = np.asarray(sigma_values, dtype=float)
+            rows = _noma_points(scenario, real, sigma)
+            pairs = map(RatePair, sigma.tolist(), rows.bit_rate.tolist(), rows.similarity.tolist())
+            return RegionBoundary(scheme, tuple(pairs), {"n_points": len(sigma)}, False)
         return noma_boundary(scenario, real, n_points)
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
@@ -472,33 +516,62 @@ def sweep_boundary(
     if sigma_values is None:
         sigma_values = np.linspace(0.0, ext.sigma_max, n_points)
     sigma = np.asarray(sigma_values, dtype=float)
-    solver = _oma_points if scheme is Scheme.OMA else _semi_points
-    solved = [
-        p
-        for rows in row_batches(len(sigma), grid_n)
-        for p in solver(scenario, real, sigma[rows], grid_n)
-    ]
-    rates = np.array([p.bit_rate for p in solved])
-    # Lift to the right-tail max, carrying the achieving point's similarity.
-    best_idx = len(solved) - 1
-    lifted = []
-    for i in range(len(solved) - 1, -1, -1):
-        if rates[i] >= rates[best_idx]:
-            best_idx = i
-        src = solved[best_idx]
-        lifted.append(RatePair(float(sigma[i]), src.bit_rate, src.similarity))
-    lifted.reverse()
-    return RegionBoundary(
-        scheme=scheme,
-        points=tuple(lifted),
-        grid_spec={
-            "n_points": int(n_points),
-            "grid_n": int(grid_n),
-            "refine_levels": REFINE_LEVELS,
-            "refine_zoom": REFINE_ZOOM,
-        },
-        power_limited=ext.power_limited,
-    )
+    rows = _oma_points(scenario, real, sigma, grid_n)
+    if scheme is Scheme.SEMI:
+        noma = _noma_points(scenario, real, sigma)
+        rows = _semi_points(scenario, real, sigma, grid_n, rows, noma)
+    return _lifted(scheme, sigma, rows.bit_rate, rows.similarity, n_points, grid_n, ext)
+
+
+def trace_region(
+    scenario: Scenario,
+    real: ChannelRealization,
+    schemes: Sequence[Scheme | str],
+    n_points: int = 200,
+    grid_n: int = 512,
+) -> tuple[dict[Scheme, RegionBoundary], EmptyRegion | None]:
+    """The boundaries of ``schemes`` for one draw, with oma solved once.
+
+    The overlay goes first.  When it is traced, the hybrid's grid is the
+    uniform grid over [0, sigma_max] merged with the overlay's sigma
+    samples (``np.unique`` of both), so containment checks interpolate at
+    exact hybrid knots; otherwise it is the uniform grid.  Oma is solved
+    once, on the hybrid's grid: the oma boundary lifts the rows of the
+    uniform grid, and the hybrid folds in all of them.  Each boundary
+    equals :func:`sweep_boundary` for its scheme, the hybrid's with its
+    grid as ``sigma_values``.
+
+    Returns the boundaries by scheme, and the :class:`EmptyRegion` that
+    left out the overlay on a power-limited draw (else None).
+    """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    schemes = {Scheme(s) for s in schemes}
+    found: dict[Scheme, RegionBoundary] = {}
+    empty = None
+    if Scheme.NOMA in schemes:
+        try:
+            found[Scheme.NOMA] = noma_boundary(scenario, real, n_points)
+        except EmptyRegion as exc:
+            empty = exc
+    if schemes - {Scheme.NOMA}:
+        ext = oma_extremes(scenario, real)
+        uniform = sigma = np.linspace(0.0, ext.sigma_max, n_points)
+        on_uniform = slice(None)
+        if Scheme.SEMI in schemes and Scheme.NOMA in found:
+            merged = np.concatenate([uniform, found[Scheme.NOMA].sigma])
+            sigma, inverse = np.unique(merged, return_inverse=True)
+            on_uniform = inverse[:n_points]
+        oma = _oma_points(scenario, real, sigma, grid_n)
+        lift = partial(_lifted, n_points=n_points, grid_n=grid_n, ext=ext)
+        if Scheme.OMA in schemes:
+            rate, eps = oma.bit_rate[on_uniform], oma.similarity[on_uniform]
+            found[Scheme.OMA] = lift(Scheme.OMA, uniform, rate, eps)
+        if Scheme.SEMI in schemes:
+            noma = _noma_points(scenario, real, sigma)
+            semi = _semi_points(scenario, real, sigma, grid_n, oma, noma)
+            found[Scheme.SEMI] = lift(Scheme.SEMI, sigma, semi.bit_rate, semi.similarity)
+    return found, empty
 
 
 def check_containment(

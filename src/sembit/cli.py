@@ -25,14 +25,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from importlib import resources
+from math import inf
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .boundary import check_containment, oma_extremes, sweep_boundary
+from .boundary import check_containment, trace_region
 from .channel import Scenario, sample_realization
 from .errors import (
     DegenerateData,
@@ -110,39 +109,16 @@ def _run_fit(params: dict, out_dir: Path) -> int:
 
 def _run_region(params: dict, out_dir: Path) -> int:
     check_grid_n(params["grid"])
-    if params["points"] < 1:
-        raise ValueError(f"n_points must be at least 1, got {params['points']}")
     scenario = Scenario.from_dict(params["scenario"])
     real = sample_realization(scenario, params["seed"])
+    boundaries, empty_overlay = trace_region(
+        scenario, real, params["schemes"], params["points"], params["grid"]
+    )
+    if empty_overlay is not None:
+        print(f"overlay region is empty on this draw: {empty_overlay}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
-    schemes = [Scheme(s) for s in params["schemes"]]
-    boundaries = {}
-    empty_overlay = None
-    # Overlay first: its sigma samples join the hybrid sweep's grid so the
-    # containment interpolation lands on exact hybrid knots.
-    order = sorted(schemes, key=lambda s: 0 if s is Scheme.NOMA else 1)
-    for scheme in order:
-        sigma_values = None
-        if scheme is Scheme.SEMI and Scheme.NOMA in boundaries:
-            ext = oma_extremes(scenario, real)
-            uniform = np.linspace(0.0, ext.sigma_max, params["points"])
-            sigma_values = np.unique(
-                np.concatenate([uniform, boundaries[Scheme.NOMA].sigma])
-            )
-        try:
-            boundaries[scheme] = sweep_boundary(
-                scenario,
-                real,
-                scheme,
-                n_points=params["points"],
-                grid_n=params["grid"],
-                sigma_values=sigma_values,
-            )
-        except EmptyRegion as exc:
-            empty_overlay = exc
-            print(f"overlay region is empty on this draw: {exc}", file=sys.stderr)
-            continue
-        boundaries[scheme].write_csv(out_dir / f"{scheme.value}.csv")
+    for scheme, boundary in boundaries.items():
+        boundary.write_csv(out_dir / f"{scheme.value}.csv")
     verdicts = {}
     pairs = [
         ("semi_covers_oma", Scheme.OMA, Scheme.SEMI),
@@ -157,14 +133,8 @@ def _run_region(params: dict, out_dir: Path) -> int:
             except DomainMismatch as exc:
                 verdicts[name] = {"error": str(exc)}
                 continue
-            verdicts[name] = {
-                "contained": verdict.contained,
-                "witness_sigma": verdict.witness_sigma,
-                "max_violation": verdict.max_violation
-                if verdict.max_violation != float("inf")
-                else "inf",
-                "checked": verdict.checked,
-            }
+            worst = verdict.max_violation
+            verdicts[name] = {**asdict(verdict), "max_violation": worst if worst != inf else "inf"}
     if verdicts:
         _write_json(out_dir / "containment.json", verdicts)
     _write_manifest(out_dir, "region", params, scenario)
@@ -398,12 +368,9 @@ def main(argv=None) -> int:
             }
             return _run_power(args, Path(ns.out) if ns.out else None)
         if ns.command == "sweep":
-            payload = _resolve_sweep_spec(ns.spec)
-            if ns.realizations is not None:
-                payload["n_realizations"] = ns.realizations
-            if ns.seed is not None:
-                payload["base_seed"] = ns.seed
-            spec = SweepSpec.from_dict(payload)  # validate before writing anything
+            spec = SweepSpec.from_dict(_resolve_sweep_spec(ns.spec))  # validate before writing
+            overrides = {"n_realizations": ns.realizations, "base_seed": ns.seed}
+            spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
             return _run_sweep_cmd({"spec": spec.to_dict()}, Path(ns.out))
         if ns.command == "replay":
             return _cmd_replay(ns)

@@ -8,6 +8,7 @@ counter.  Malformed input raises ValueError, which the CLI maps to exit 2.
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 
 def require_finite(obj, *fields: str) -> None:
@@ -19,7 +20,12 @@ def require_finite(obj, *fields: str) -> None:
 
 
 def reject_unknown(kind: str, payload, known) -> None:
-    """Raise ValueError naming every key of ``payload`` that is not in ``known``."""
+    """Raise ValueError unless ``payload`` is a mapping whose keys are all in ``known``.
+
+    The message names the payload's type or every unknown key.
+    """
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{kind} must be an object, got {payload!r}")
     unknown = set(payload) - set(known)
     if unknown:
         raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")

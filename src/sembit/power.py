@@ -27,8 +27,10 @@ import numpy as np
 from .channel import ChannelRealization, Scenario
 from .errors import Infeasible, require_finite
 from .rates import (
+    ALLOC_FIELDS,
     Allocation,
     Scheme,
+    fold_corners,
     lemma1_bounds,
     orth_inv_slope,
     overlay_inv_slope,
@@ -41,7 +43,6 @@ from .search import refine_search, row_batches
 _EPS_EDGE = 1e-9  # keep similarity candidates off the open asymptote
 _EPS_BANDS = 64  # similarity-seeded band candidates per search
 TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
-ALLOC_FIELDS = ("w_shared", "w_sem", "w_bit", "p_sem", "p_bit_shared", "p_bit_orth")
 # The (rows, 1) columns of a row set, in the order of its data matrix.
 ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
 # Infeasible.cause values by PowerRows.cause code; code 0 is a feasible row.
@@ -411,11 +412,7 @@ def _semi_rows(
         p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, rs.live, wm[:, None]))
         found = np.isfinite(f)
         best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]
-    # An orthogonal split is a hybrid whose shared band is the semantic
-    # band (swap w_shared and w_sem); an overlay is a hybrid as it stands.
-    for corner in (_fields(oma)[[0, 2, 1, 3, 4, 5, 6]], _fields(noma)):
-        take = corner[0] < best[0]  # an infeasible corner's NaN never wins
-        best[:, take] = corner[:, take]
+    fold_corners(best, _fields(oma), _fields(noma), np.less)
     # Semi's structural checks are oma's, so only oma's own bit-band
     # bound can leave a row without any candidate, and oma's cause is semi's.
     return _columns(np.where(np.isfinite(best[0]), 0, oma.cause), best)

@@ -196,6 +196,10 @@ class Scheme(str, enum.Enum):
     SEMI = "semi"
 
 
+# Allocation's numeric fields, in order.
+ALLOC_FIELDS = ("w_shared", "w_sem", "w_bit", "p_sem", "p_bit_shared", "p_bit_orth")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Bandwidth/power split for one transmission scheme.
@@ -215,7 +219,7 @@ class Allocation:
     p_bit_orth: float = 0.0
 
     def __post_init__(self):
-        for name in ("w_shared", "w_sem", "w_bit", "p_sem", "p_bit_shared", "p_bit_orth"):
+        for name in ALLOC_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -264,6 +268,21 @@ class Allocation:
             raise ValueError(
                 f"power parts sum to {self.total_power:.9g}, budget is {scenario.max_power:.9g}"
             )
+
+
+def fold_corners(best: np.ndarray, oma: np.ndarray, noma: np.ndarray, better) -> None:
+    """Fold the oma and noma corners into the hybrid's rows ``best``, in place.
+
+    Each matrix is (1 + 6, rows): a score line, then the
+    :data:`ALLOC_FIELDS` lines.  An orthogonal split is a hybrid whose
+    shared band is the semantic band (w_shared and w_sem swap); an overlay
+    is a hybrid as it stands.  A corner takes a row only where
+    ``better(corner score, best score)`` holds, a strict improvement, so
+    the interior wins ties, then the oma corner; a NaN score never wins.
+    """
+    for corner in (oma[[0, 2, 1, 3, 4, 5, 6]], noma):
+        take = better(corner[0], best[0])
+        best[:, take] = corner[:, take]
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ class TestNomaBoundary:
             noma_boundary(scenario.with_updates(max_power=1e-4), weak)
 
     def test_unreachable_floor_raises(self, scenario, realization):
-        with pytest.raises(EmptyRegion):
+        with pytest.raises(EmptyRegion, match=r"^similarity floor 0\.93 is unreachable \(curve"):
             noma_boundary(scenario.with_updates(min_similarity=0.93), realization)
 
     def test_power_floor_value(self, scenario, realization):
@@ -369,6 +369,18 @@ def _boundary(scheme, pairs):
     )
 
 
+def _points(scheme, rows, sigma):
+    """Every row of the columns ``rows`` as the point a one-sigma call returns."""
+    return [boundary._point(rows, scheme, s, i) for i, s in enumerate(sigma.tolist())]
+
+
+def _semi_points(scenario, real, sigma, grid_n):
+    """``boundary._semi_points`` folding the oma and noma columns of the same sigmas."""
+    oma = boundary._oma_points(scenario, real, sigma, grid_n)
+    noma = boundary._noma_points(scenario, real, sigma)
+    return boundary._semi_points(scenario, real, sigma, grid_n, oma, noma)
+
+
 class TestBatchedPoints:
     """Batched boundary points equal one-sigma calls exactly."""
 
@@ -377,7 +389,7 @@ class TestBatchedPoints:
         "scheme, solve, solve_rows",
         [
             (Scheme.OMA, solve_oma_point, boundary._oma_points),
-            (Scheme.SEMI, solve_semi_point, boundary._semi_points),
+            (Scheme.SEMI, solve_semi_point, _semi_points),
         ],
     )
     def test_sweep_equals_one_sigma_calls(
@@ -389,7 +401,7 @@ class TestBatchedPoints:
         single = [solve(scenario, real, float(s), 64) for s in sigma]
         rates = np.array([p.bit_rate for p in single])
 
-        rows = solve_rows(scenario, real, sigma, 64)
+        rows = _points(scheme, solve_rows(scenario, real, sigma, 64), sigma)
         np.testing.assert_array_equal([p.bit_rate for p in rows], rates)
         np.testing.assert_array_equal(
             [p.similarity for p in rows], [p.similarity for p in single]
@@ -414,13 +426,65 @@ class TestBatchedPoints:
 
     def test_noma_rows_equal_one_sigma_calls(self, scenario, realization):
         sigma = np.linspace(0.0, 260e3, 27)  # crosses the overlay's feasible range
-        rows = boundary._noma_points(scenario, realization, sigma)
+        rows = _points(Scheme.NOMA, boundary._noma_points(scenario, realization, sigma), sigma)
         assert rows == [solve_noma_point(scenario, realization, float(s)) for s in sigma]
         assert rows[0].alloc is not None and rows[-1].alloc is None
         solved = [p for p in rows if p.alloc is not None]
         assert [p.similarity for p in solved] == [
             rates_for(scenario, realization, p.alloc).similarity for p in solved
         ]
+
+
+def _columns(b):
+    """(sigma, bit rate, similarity) of a boundary's points."""
+    return np.array([[p.sem_rate, p.bit_rate, p.similarity] for p in b.points]).T
+
+
+class TestTraceRegion:
+    """One region solves oma once and matches the one-scheme sweeps exactly."""
+
+    @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
+    @pytest.mark.parametrize(
+        "schemes", [["oma", "noma", "semi"], ["oma", "semi"], ["semi"], ["noma", "semi"]]
+    )
+    def test_equals_standalone_sweeps(self, scenario, seed, schemes):
+        real = sample_realization(scenario, seed)
+        found, empty = boundary.trace_region(scenario, real, schemes, n_points=40, grid_n=64)
+        assert set(found) | ({Scheme.NOMA} if empty else set()) == set(map(Scheme, schemes))
+        assert (empty is not None) is (seed == 4 and "noma" in schemes)
+        grid = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 40)
+        if Scheme.NOMA in found:
+            grid = np.unique(np.concatenate([grid, found[Scheme.NOMA].sigma]))
+            assert len(grid) > 40
+            np.testing.assert_array_equal(
+                _columns(found[Scheme.NOMA]), _columns(noma_boundary(scenario, real, 40))
+            )
+        expect = {
+            Scheme.OMA: sweep_boundary(scenario, real, Scheme.OMA, n_points=40, grid_n=64),
+            Scheme.SEMI: sweep_boundary(
+                scenario, real, Scheme.SEMI, n_points=40, grid_n=64, sigma_values=grid
+            ),
+        }
+        for scheme in set(found) - {Scheme.NOMA}:
+            np.testing.assert_array_equal(_columns(found[scheme]), _columns(expect[scheme]))
+            assert found[scheme].power_limited is expect[scheme].power_limited
+            assert found[scheme].grid_spec == expect[scheme].grid_spec
+
+    @pytest.mark.parametrize("seed, calls", [(7, 26), (4, 14)])
+    def test_default_region_search_count(self, scenario, monkeypatch, seed, calls):
+        # 13 (7 on a power-limited draw) row batches of the hybrid's grid:
+        # one oma and one hybrid search each, and no second oma pass.
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(kwargs["tie_high"])
+            return search.refine_search(*args, **kwargs)
+
+        monkeypatch.setattr(boundary, "refine_search", counting)
+        real = sample_realization(scenario, seed)
+        boundary.trace_region(scenario, real, ["oma", "noma", "semi"])
+        assert len(counted) == calls
+        assert counted.count(False) == counted.count(True)  # oma searches, hybrid searches
 
 
 class TestContainment:

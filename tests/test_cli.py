@@ -308,6 +308,16 @@ class TestSweepCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload", [[], [{}]])
+    @pytest.mark.parametrize("override", [[], ["--realizations", "2"]])
+    def test_spec_that_is_not_an_object_is_bad_input(self, tmp_path, capsys, payload, override):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(path), *override, "--out", str(out)]) == 2
+        assert f"error: sweep spec must be an object, got {payload!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReplay:
     def test_region_replay_is_byte_identical(self, tmp_path):
