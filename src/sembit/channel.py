@@ -17,12 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DistanceBelowReference, reject_unknown, require_finite
+from .errors import DistanceBelowReference, reject_unknown, require_finite, require_int
 from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
@@ -153,21 +153,9 @@ class Scenario:
                 data["noise_psd"] = dbm_to_watt(float(data["noise_psd"]))
         params = data.pop("params", None)
         table = default_table() if params is None else ParamTable.from_dict(params)
-        known = {
-            "total_bandwidth",
-            "max_power",
-            "noise_psd",
-            "k",
-            "min_similarity",
-            "d_s",
-            "d_b",
-            "pathloss_ref",
-            "pathloss_exp",
-        }
-        reject_unknown("scenario", data, known)
-        if "k" in data:
-            data["k"] = int(data["k"])
-        return cls(params=table, **{k: float(v) if k != "k" else v for k, v in data.items()})
+        reject_unknown("scenario", data, (f.name for f in fields(cls)))
+        values = {k: require_int(k, v) if k == "k" else float(v) for k, v in data.items()}
+        return cls(params=table, **values)
 
     @classmethod
     def load(cls, path) -> "Scenario":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -282,7 +283,9 @@ def _cmd_replay(ns) -> int:
     return _dispatch(command, args, out_dir)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sembit",
         description="Rate regions and minimum-power allocation for mixed semantic/bit downlinks",

@@ -8,6 +8,7 @@ counter.  Malformed input raises ValueError, which the CLI maps to exit 2.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Mapping
 
 
@@ -17,6 +18,17 @@ def require_finite(obj, *fields: str) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an int; ValueError for a bool, a non-number or a fractional number.
+
+    An integral float such as 4.0 passes, so JSON written as 4.0 still reads.
+    """
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def reject_unknown(kind: str, payload, known) -> None:

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
-from .errors import reject_unknown
+from .errors import reject_unknown, require_int
 from .power import PowerTargets, solve_min_powers_rows
 from .rates import Scheme
 from .search import check_grid_n
@@ -56,6 +56,9 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("a sweep needs at least one value")
+        if self.variable == "k":
+            for value in self.values:
+                require_int("k sweep value", value)
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         check_grid_n(self.grid_n)
@@ -104,9 +107,9 @@ class SweepSpec:
                 min_similarity=float(t.get("min_similarity", 0.0)),
                 bit_target=float(t.get("bit_target", 0.0)),
             ),
-            n_realizations=int(payload.get("n_realizations", 500)),
-            base_seed=int(payload.get("base_seed", 0)),
-            grid_n=int(payload.get("grid_n", 512)),
+            n_realizations=require_int("n_realizations", payload.get("n_realizations", 500)),
+            base_seed=require_int("base_seed", payload.get("base_seed", 0)),
+            grid_n=require_int("grid_n", payload.get("grid_n", 512)),
         )
 
     @classmethod

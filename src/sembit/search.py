@@ -66,14 +66,13 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, ramp: np.ndarray) -> np.
 
 
 def _pick(values: np.ndarray, maximize: bool, tie_high: bool) -> np.ndarray:
-    """Column of each row's best candidate."""
-    # NaNs (dead candidates) always lose; comparisons below then stay sane.
+    """Column of each row's best candidate: the first of equals, or the last if ``tie_high``."""
+    # NaNs (dead candidates) always lose.
     values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
-    best = values.max(axis=1) if maximize else values.min(axis=1)
-    hit = values == best[:, None]
     if tie_high:
-        return values.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
-    return np.argmax(hit, axis=1)
+        values = values[:, ::-1]
+    i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
+    return values.shape[1] - 1 - i if tie_high else i
 
 
 def refine_search(
@@ -113,7 +112,8 @@ def refine_search(
     grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
     extra = np.asarray(tuple(extra), dtype=float)
     if extra.size:
-        grid = np.sort(np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1))
+        grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
+        grid.sort(axis=1)
     f = objective(grid)
     i = _pick(f, maximize, tie_high)
     x_best, f_best = grid[rows, i], f[rows, i]
@@ -122,7 +122,8 @@ def refine_search(
     ramp = np.arange(2 * REFINE_ZOOM + 1, dtype=float)
     for _ in range(levels):
         window = _linspace_rows(np.maximum(lo, x_best - half), np.minimum(hi, x_best + half), ramp)
-        window = np.sort(np.concatenate([window, x_best[:, None]], axis=1))
+        window = np.concatenate([window, x_best[:, None]], axis=1)
+        window.sort(axis=1)
         fw = objective(window)
         j = _pick(fw, maximize, tie_high)
         xj, fj = window[rows, j], fw[rows, j]

@@ -19,10 +19,12 @@ message); a :class:`ParamTable` maps k to its curve.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +35,7 @@ from .errors import (
     TargetBelowFloor,
     TargetUnreachable,
     require_finite,
+    require_int,
 )
 
 LN10_OVER_10 = math.log(10.0) / 10.0
@@ -205,7 +208,7 @@ class ParamTable:
             table[p.k] = p
         if not table:
             raise ValueError("a parameter table needs at least one entry")
-        self._table: Mapping[int, LogisticParams] = dict(sorted(table.items()))
+        self._table: Mapping[int, LogisticParams] = MappingProxyType(dict(sorted(table.items())))
 
     def __getitem__(self, k: int) -> LogisticParams:
         try:
@@ -257,7 +260,7 @@ class ParamTable:
         for row in rows:
             entries.append(
                 LogisticParams(
-                    k=int(row["k"]),
+                    k=require_int("k", row["k"]),
                     a_low=float(row["a_low"]),
                     a_high=float(row["a_high"]),
                     growth=float(row["growth"]),
@@ -277,8 +280,12 @@ class ParamTable:
             return cls.from_dict(json.load(fh))
 
 
+@functools.cache
 def default_table() -> ParamTable:
-    """Bundled illustrative table (synthetic curves, see data/README note)."""
+    """Bundled illustrative table of synthetic curves (``data/default_params.json``).
+
+    Parsed once per process; every caller shares the one read-only table.
+    """
     payload = resources.files("sembit.data").joinpath("default_params.json")
     return ParamTable.from_dict(json.loads(payload.read_text(encoding="utf-8")))
 

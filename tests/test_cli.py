@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sembit import ParamTable, Scenario, eval_similarity
+from sembit import ParamTable, Scenario, cli, eval_similarity
 from sembit.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -239,6 +239,53 @@ class TestPowerCommand:
             argv += ["--scenario", str(path)]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize(
+        "scenario_json, message",
+        [
+            ('{"k": 4.7}', "k must be an integer, got 4.7"),
+            ('{"k": true}', "k must be an integer, got True"),
+            ('{"params": {"entries": [{"k": 4.9, "a_low": 0.1, "a_high": 0.9, '
+             '"growth": 0.5, "offset": 0.0}]}}', "k must be an integer, got 4.9"),
+        ],
+        ids=["scenario-k-fraction", "scenario-k-bool", "params-k-fraction"],
+    )
+    def test_non_integer_k_is_bad_input(self, tmp_path, capsys, scenario_json, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(scenario_json, encoding="utf-8")
+        out = tmp_path / "power"
+        assert main(self.power_args(out=out, extra=["--scenario", str(path)])) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """One parser serves every call of ``main`` in a process."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "before, code",
+        [
+            ([], None),
+            (["power", "--sigma", "1", "--floor", "0.8", "--bits", "1", "--no-such-flag"], 2),
+            (["--version"], 0),
+        ],
+        ids=["first", "after-rejected-flag", "after-version"],
+    )
+    def test_power_output_is_unchanged_by_earlier_calls(self, tmp_path, capsys, before, code):
+        argv = TestPowerCommand().power_args(extra=["--verify"])
+        expected = tmp_path / "expected"
+        assert main([*argv, "--out", str(expected)]) == 0
+        if before:
+            with pytest.raises(SystemExit) as exc:
+                main(before)
+            assert exc.value.code == code
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert tree_bytes(out) == tree_bytes(expected)
+
 
 class TestSweepCommand:
     def write_spec(self, tmp_path, scenario):
@@ -307,6 +354,41 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"n_realizations": 2.5}, "n_realizations must be an integer, got 2.5"),
+            ({"n_realizations": True}, "n_realizations must be an integer, got True"),
+            ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+            ({"grid_n": 512.7}, "grid_n must be an integer, got 512.7"),
+            ({"variable": "k", "values": [4, 4.5]}, "k sweep value must be an integer, got 4.5"),
+        ],
+        ids=["realizations-fraction", "realizations-bool", "seed", "grid", "k-value"],
+    )
+    def test_non_integer_spec_field_is_bad_input(
+        self, tmp_path, capsys, scenario, changes, message
+    ):
+        path = self.write_spec(tmp_path, scenario)
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**spec, **changes}), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_floats_stay_valid(self, tmp_path, scenario):
+        path = self.write_spec(tmp_path, scenario)
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        spec.update(n_realizations=2.0, base_seed=3.0, grid_n=64.0, variable="k", values=[4.0])
+        spec["scenario"]["k"] = 4.0
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["args"]["spec"]
+        counts = (resolved["n_realizations"], resolved["base_seed"], resolved["grid_n"])
+        assert counts == (2, 3, 64)
+        assert resolved["scenario"]["k"] == 4
 
     @pytest.mark.parametrize("payload", [[], [{}]])
     @pytest.mark.parametrize("override", [[], ["--realizations", "2"]])

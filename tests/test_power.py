@@ -407,6 +407,30 @@ class TestRowSets:
                         assert getattr(rows, name)[i] == getattr(sol.alloc, name)
 
 
+class TestOneRowSearches:
+    """A one-row solve searches once for oma and once for semi, or not at all."""
+
+    @pytest.mark.parametrize(
+        "targets, extras",
+        [
+            (TRIPLE, [_EPS_BANDS, _EPS_BANDS + 1]),  # oma's bands, then semi's plus the full band
+            (PowerTargets(0.0, 0.8, 8e5), []),  # no semantic stream, no band to search
+            (PowerTargets(260e3, 0.8, 1e5), []),  # structurally infeasible (bandwidth-bound)
+        ],
+    )
+    def test_search_count(self, scenario, realization, monkeypatch, targets, extras):
+        search = power.refine_search
+        seen = []
+
+        def counting(objective, lo, hi, n, **kwargs):
+            seen.append(kwargs["extra"].shape)
+            return search(objective, lo, hi, n, **kwargs)
+
+        monkeypatch.setattr(power, "refine_search", counting)
+        solve_min_powers(scenario, realization, targets, 512)
+        assert seen == [(1, m) for m in extras]
+
+
 class TestPaperClaims:
     def test_semi_saving_grows_as_semantic_user_gets_closer(self):
         # Claim (ii) of the abstract: semi's advantage over the better pure

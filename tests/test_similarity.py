@@ -9,6 +9,7 @@ from sembit import (
     InsufficientData,
     LogisticParams,
     ParamTable,
+    Scenario,
     SimilaritySample,
     TargetBelowFloor,
     TargetUnreachable,
@@ -191,6 +192,11 @@ class TestParamTable:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             ParamTable([P4, P4])
+
+    def test_default_table_is_shared_and_read_only(self):
+        assert Scenario().params is Scenario().params
+        with pytest.raises(TypeError):
+            Scenario().params._table[4] = P4
 
     def test_json_round_trip(self, table, tmp_path):
         path = tmp_path / "params.json"
