@@ -11,7 +11,9 @@ The solvers work on sigma grids: each scheme's result is a
 :class:`BoundaryRows` of 1-D columns, one row per target, solved in row
 batches with one search per batch.  The one-target solvers build their
 :class:`BoundaryPoint` from row 0, and every row equals what they return
-for its target.
+for its target.  A search candidate whose semantic power exceeds the
+budget scores 0 without running the bit-rate kernel: only in-budget
+candidates are handed to it.
 
 The orthogonal and overlay solutions are hybrid corner cases, so the
 hybrid folds in the oma and noma rows it is given for the same targets
@@ -200,13 +202,15 @@ def _oma_points(
     floor = scenario.min_similarity
     live = sigma != 0.0
     s = sigma[live]
-    lo, hi = np.array([lemma1_bounds(scenario, x, floor) for x in s]).reshape(-1, 2).T
+    lo, hi = lemma1_bounds(scenario, s, floor)
 
     def score(s_col: np.ndarray, ws: np.ndarray) -> np.ndarray:
         p_req = sem_power(scenario, real, s_col, floor, ws)
-        w_bit = w - ws
-        p_bit = np.where(p_req <= p_max, p_max - p_req, 0.0)
-        return pipe_rate(w_bit, p_bit, orth_inv_slope(w_bit, real.gain_b, n0))
+        fits = p_req <= p_max
+        rate = np.zeros_like(ws)
+        w_bit = w - ws[fits]
+        rate[fits] = pipe_rate(w_bit, p_max - p_req[fits], orth_inv_slope(w_bit, real.gain_b, n0))
+        return rate
 
     rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
     ws, p_sem = np.zeros((2, len(sigma)))
@@ -429,7 +433,7 @@ def _semi_points(
     floor = scenario.min_similarity
     live = np.flatnonzero(sigma != 0.0)
     s = sigma[live]
-    lo = np.array([lemma1_bounds(scenario, x, floor)[0] for x in s])
+    lo = lemma1_bounds(scenario, s, floor)[0]
     hi = np.full(len(s), w)
     # The oma band seeds a row's search when it fits; w pads the other rows.
     w_o = oma.w_sem[live]
@@ -437,9 +441,10 @@ def _semi_points(
 
     def score(s_col: np.ndarray, wm: np.ndarray) -> np.ndarray:
         p_s = sem_power(scenario, real, s_col, floor, wm)
-        feasible = p_s <= p_max
-        rate, _, _ = _hybrid_rate_grid(scenario, real, wm, np.where(feasible, p_s, 0.0))
-        return np.where(feasible, rate, 0.0)
+        fits = p_s <= p_max
+        rate = np.zeros_like(wm)
+        rate[fits] = _hybrid_rate_grid(scenario, real, wm[fits], p_s[fits])[0]
+        return rate
 
     extra = np.column_stack([hi, seed])
     wm, rate = _search(score, s, lo, hi, grid_n, tie_high=True, extra=extra)

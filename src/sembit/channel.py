@@ -14,6 +14,7 @@ Draws are Philox-keyed so realisation i of a sweep depends only on
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -27,6 +28,16 @@ from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
 _WATT_PER_DBM = 1e-3
+
+
+@functools.cache
+def _default_params() -> dict:
+    """``default_table().to_dict()``, built once per process.
+
+    A payload equal to it parses to a table equal to the bundled one, so
+    :meth:`Scenario.from_dict` shares that table instead of rebuilding it.
+    """
+    return default_table().to_dict()
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -152,7 +163,8 @@ class Scenario:
             if "noise_psd" in data:
                 data["noise_psd"] = dbm_to_watt(float(data["noise_psd"]))
         params = data.pop("params", None)
-        table = default_table() if params is None else ParamTable.from_dict(params)
+        bundled = params in (None, _default_params())
+        table = default_table() if bundled else ParamTable.from_dict(params)
         reject_unknown("scenario", data, (f.name for f in fields(cls)))
         values = {k: require_int(k, v) if k == "k" else float(v) for k, v in data.items()}
         return cls(params=table, **values)

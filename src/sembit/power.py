@@ -194,14 +194,15 @@ def _row_set(
     rs.live = _take(rs, live)
     rs.live.index = live
     rs.bounds = {}
-    for i, t in enumerate(triples):
-        if searched[i]:
-            w_low, w_up = lemma1_bounds(scenario, t.sigma_target, t.min_similarity)
-            # Without room for similarity-seeded bands, repeat w_low, already
-            # the first grid point, so every row has as many extra candidates:
-            # an equal x scores equally, so the pick does not change.
-            eps = _eps_seeded_bands(scenario, t)
-            rs.bounds[i] = (w_low, w_up, eps if eps.size else np.full(_EPS_BANDS, w_low))
+    which = np.flatnonzero(searched)
+    sigma, floor = np.array([values[i][:2] for i in which]).reshape(-1, 2).T
+    lows, ups = lemma1_bounds(scenario, sigma, floor)
+    for i, w_low, w_up in zip(which.tolist(), lows.tolist(), ups.tolist()):
+        # Without room for similarity-seeded bands, repeat w_low, already
+        # the first grid point, so every row has as many extra candidates:
+        # an equal x scores equally, so the pick does not change.
+        eps = _eps_seeded_bands(scenario, triples[i])
+        rs.bounds[i] = (w_low, w_up, eps if eps.size else np.full(_EPS_BANDS, w_low))
     return rs
 
 

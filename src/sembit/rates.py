@@ -161,7 +161,7 @@ def water_fill_min(
     return float(p_m), float(p_b)
 
 
-def lemma1_bounds(scenario: Scenario, sigma_target: float, floor: float) -> tuple[float, float]:
+def lemma1_bounds(scenario: Scenario, sigma_target, floor):
     """Semantic-band interval [sigma*k, min(sigma*k/floor, W)] for a rate target.
 
     Below w_low = sigma*k the required similarity exceeds 1; above
@@ -169,25 +169,31 @@ def lemma1_bounds(scenario: Scenario, sigma_target: float, floor: float) -> tupl
     similarity floor ``floor``, so the floor constraint is implied
     everywhere inside the interval.  Neither end goes below
     ``MIN_BAND_FRACTION`` of the carrier.  A zero target carries no
-    semantic stream and collapses the interval to {0}.
+    semantic stream and collapses the interval to {0}, and a zero floor
+    caps nothing below the carrier.  Broadcasts over an array of targets,
+    with one floor or a floor per target; a scalar target with its floor
+    gives a pair of floats.
 
     Raises:
+        ValueError: a negative target.
         InfeasibleTarget: w_low exceeds the carrier bandwidth.
     """
-    if sigma_target < 0:
+    s = np.asarray(sigma_target, dtype=float)
+    if (s < 0).any():
         raise ValueError("sigma_target must be non-negative")
-    if sigma_target == 0.0:
-        return 0.0, 0.0
     w = scenario.total_bandwidth
-    w_need = sigma_target * scenario.k
-    if w_need > w:
+    w_need = s * scenario.k
+    if (w_need > w).any():
         raise InfeasibleTarget(
-            f"semantic rate {sigma_target:.6g} needs at least {w_need:.6g} Hz "
+            f"semantic rate {np.max(s):.6g} needs at least {np.max(w_need):.6g} Hz "
             f"even at similarity 1; carrier has {w:.6g} Hz"
         )
-    w_low = max(w_need, w * MIN_BAND_FRACTION)
-    w_up = min(w_need / floor, w) if floor > 0.0 else w
-    return w_low, max(w_up, w_low)
+    zero = s == 0.0
+    w_low = np.where(zero, 0.0, np.maximum(w_need, w * MIN_BAND_FRACTION))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_up = np.where(np.greater(floor, 0.0), np.minimum(w_need / floor, w), w)
+    w_up = np.where(zero, 0.0, np.maximum(w_up, w_low))
+    return (float(w_low), float(w_up)) if s.ndim == 0 else (w_low, w_up)
 
 
 class Scheme(str, enum.Enum):

@@ -3,14 +3,18 @@
 All boundary and power searches in this package reduce to optimising a
 cheap vectorised objective over one bandwidth coordinate.  A uniform
 coarse grid of ``n`` points finds the basin.  Each of ``REFINE_LEVELS``
-levels then brackets the incumbent: it samples ``2 * REFINE_ZOOM + 1``
-points over the incumbent plus or minus the previous level's spacing,
-clipped to the row's interval, so the spacing shrinks by ``REFINE_ZOOM``
-per level, to ``(hi - lo) / ((n - 1) * REFINE_ZOOM**REFINE_LEVELS)``.
-A unimodal objective has its optimum within one spacing of the best
-sample, so no candidate outside the bracket could win.  No randomness,
-no tolerance-dependent iteration counts: the same inputs always visit
-the same candidates, which keeps CLI outputs bit-reproducible.
+levels then brackets the incumbent: it scores exactly
+``2 * REFINE_ZOOM + 1`` points over the incumbent plus or minus the
+previous level's spacing, clipped to the row's interval, so the spacing
+shrinks by ``REFINE_ZOOM`` per level, to
+``(hi - lo) / ((n - 1) * REFINE_ZOOM**REFINE_LEVELS)``.  The incumbent
+keeps its score from the level that found it and is not scored again; a
+bracket point replaces it only when it scores better, or equal and on
+the tie side.  A unimodal objective has its optimum within one spacing
+of the best sample, so no candidate outside the bracket could win.  No
+randomness, no tolerance-dependent iteration counts: the same inputs
+always visit the same candidates, which keeps CLI outputs
+bit-reproducible.
 
 One call solves a batch of independent rows (boundary points at several
 semantic rates, or one target triple over several channel draws).  The
@@ -94,10 +98,10 @@ def refine_search(
     to its scores elementwise.  ``extra`` points (clipped into each
     row's interval; broadcast to rows x m) join the coarse grid, so
     known-good special cases can seed the search and the result provably
-    never falls below them.  Each of ``levels`` brackets then samples
-    ``2 * REFINE_ZOOM + 1`` points within one previous spacing of the
-    incumbent.  Ties break toward the smallest candidate unless
-    ``tie_high``.
+    never falls below them.  Each of ``levels`` brackets then scores
+    exactly ``2 * REFINE_ZOOM + 1`` points within one previous spacing of
+    the incumbent; the incumbent keeps its score and is not re-scored.
+    Ties break toward the smallest candidate unless ``tie_high``.
     """
     check_grid_n(n)
     one_row = np.ndim(lo) == 0 and np.ndim(hi) == 0
@@ -122,8 +126,6 @@ def refine_search(
     ramp = np.arange(2 * REFINE_ZOOM + 1, dtype=float)
     for _ in range(levels):
         window = _linspace_rows(np.maximum(lo, x_best - half), np.minimum(hi, x_best + half), ramp)
-        window = np.concatenate([window, x_best[:, None]], axis=1)
-        window.sort(axis=1)
         fw = objective(window)
         j = _pick(fw, maximize, tie_high)
         xj, fj = window[rows, j], fw[rows, j]

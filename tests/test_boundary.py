@@ -32,6 +32,7 @@ from sembit import (
     sweep_boundary,
     water_fill_max,
 )
+from sembit.rates import orth_inv_slope, pipe_rate, sem_power
 
 
 class TestExtremes:
@@ -99,6 +100,27 @@ class TestLemma1Bounds:
     def test_negative_target(self, scenario):
         with pytest.raises(ValueError):
             lemma1_bounds(scenario, -1.0, scenario.min_similarity)
+
+    @pytest.mark.parametrize("floor", [0.0, 0.8, 1.0 - 1e-12, "per target"])
+    def test_array_equals_scalar_calls(self, scenario, rng, floor):
+        top = scenario.total_bandwidth / scenario.k
+        sigma = np.concatenate([[0.0, 1e-300, top], rng.uniform(0.0, top, 300)])
+        sigma[rng.integers(3, len(sigma), 30)] = 0.0
+        if floor == "per target":
+            floor = rng.choice([0.0, -0.0, 1e-300, 0.5, 0.8, 1.0 - 1e-12], len(sigma))
+        lo, hi = lemma1_bounds(scenario, sigma, floor)
+        floors = np.broadcast_to(floor, sigma.shape).tolist()
+        scalar = [lemma1_bounds(scenario, x, f) for x, f in zip(sigma.tolist(), floors)]
+        assert {type(v) for pair in scalar for v in pair} == {float}
+        np.testing.assert_array_equal(np.column_stack([lo, hi]), scalar)
+
+    def test_array_raises_like_scalar(self, scenario):
+        floor = scenario.min_similarity
+        with pytest.raises(InfeasibleTarget, match="semantic rate 270000 needs at least 1.08e"):
+            lemma1_bounds(scenario, np.array([0.0, 100e3, 260e3, 270e3]), floor)
+        with pytest.raises(ValueError, match="non-negative"):
+            lemma1_bounds(scenario, np.array([100e3, -1.0]), floor)
+        assert lemma1_bounds(scenario, np.array([]), floor)[0].shape == (0,)
 
 
 class TestOmaPoint:
@@ -433,6 +455,65 @@ class TestBatchedPoints:
         assert [p.similarity for p in solved] == [
             rates_for(scenario, realization, p.alloc).similarity for p in solved
         ]
+
+
+def _full_oma_score(scenario, real, s_col, ws):
+    """The oma objective as it scored every candidate, over budget or not."""
+    w, p_max, floor = scenario.total_bandwidth, scenario.max_power, scenario.min_similarity
+    p_req = sem_power(scenario, real, s_col, floor, ws)
+    w_bit = w - ws
+    p_bit = np.where(p_req <= p_max, p_max - p_req, 0.0)
+    return pipe_rate(w_bit, p_bit, orth_inv_slope(w_bit, real.gain_b, scenario.noise_psd))
+
+
+def _full_semi_score(scenario, real, s_col, wm):
+    """The semi objective as it scored every candidate, over budget or not."""
+    p_s = sem_power(scenario, real, s_col, scenario.min_similarity, wm)
+    feasible = p_s <= scenario.max_power
+    rate, _, _ = boundary._hybrid_rate_grid(scenario, real, wm, np.where(feasible, p_s, 0.0))
+    return np.where(feasible, rate, 0.0)
+
+
+def _row_kinds(scenario, real, s_col, x):
+    """Per row of candidates ``x``: all over budget, all within it, or mixed."""
+    live = sem_power(scenario, real, s_col, scenario.min_similarity, x) <= scenario.max_power
+    return [("dead", "mixed", "live")[int(a) + int(b)] for a, b in zip(live.any(1), live.all(1))]
+
+
+class TestLiveOnlyScores:
+    """Scoring only the in-budget candidates changes no score, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
+    def test_scores_equal_full_grid_scoring(self, scenario, monkeypatch, seed):
+        real = sample_realization(scenario, seed)
+        full = {"_oma_points": _full_oma_score, "_semi_points": _full_semi_score}
+        scores = {}
+        kinds = set()
+
+        def spy(objective, lo, hi, n, **kw):
+            owner = objective.func.__qualname__.split(".")[0]
+            scores[owner] = objective.func
+
+            def checked(x):
+                got = objective(x)
+                want = full[owner](scenario, real, *objective.args, x)
+                np.testing.assert_array_equal(got, want)
+                kinds.update(_row_kinds(scenario, real, *objective.args, x))
+                return got
+
+            return search.refine_search(checked, lo, hi, n, **kw)
+
+        monkeypatch.setattr(boundary, "refine_search", spy)
+        sigma_max = oma_extremes(scenario, real).sigma_max
+        boundary.trace_region(scenario, real, ["oma", "semi"], n_points=40, grid_n=64)
+        assert kinds == {"dead", "live", "mixed"}
+
+        # Rows past the region's edge score nothing; thin bands are dead flanks.
+        s_col = np.linspace(0.0, 1.3 * sigma_max, 27)[:, None]
+        x = np.tile(np.geomspace(1e-300, scenario.total_bandwidth, 300), (len(s_col), 1))
+        assert {"dead", "mixed"} <= set(_row_kinds(scenario, real, s_col, x))
+        for owner, score in scores.items():
+            np.testing.assert_array_equal(score(s_col, x), full[owner](scenario, real, s_col, x))
 
 
 def _columns(b):

@@ -429,6 +429,22 @@ class TestReplay:
         assert main(["replay", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
 
+    @pytest.mark.parametrize("command", ["region", "power"])
+    def test_replay_with_own_table_is_byte_identical(self, tmp_path, command):
+        payload = Scenario().to_dict()
+        payload["params"]["entries"][1]["offset"] -= 0.25
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out1 = tmp_path / "a"
+        args = ["--sigma", "100e3", "--floor", "0.8", "--bits", "8e5", "--verify"]
+        argv = [command, "--scenario", str(path), "--seed", "7", "--grid", "64", "--out", str(out1)]
+        assert main(argv + (["--points", "10"] if command == "region" else args)) == 0
+        manifest = json.loads(read_bytes(out1 / "manifest.json"))
+        assert manifest["args"]["scenario"]["params"] == payload["params"]
+        out2 = tmp_path / "b"
+        assert main(["replay", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        assert tree_bytes(out1) == tree_bytes(out2)
+
     def test_fit_rerun_and_replay_are_byte_identical(self, tmp_path, table):
         rng = np.random.default_rng(5)
         snrs = rng.uniform(-10.0, 25.0, 30)

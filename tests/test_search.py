@@ -6,6 +6,7 @@ from sembit.search import (
     REFINE_LEVELS,
     REFINE_ZOOM,
     _linspace_rows,
+    _pick,
     refine_search,
     row_batches,
 )
@@ -151,8 +152,8 @@ class TestRowBatches:
             return -x
 
         refine_search(objective, np.zeros(4), np.ones(4), 16, extra=[0.5])
-        # Coarse grid plus the extra, then each bracket plus the incumbent.
-        assert shapes == [(4, 17)] + [(4, 2 * REFINE_ZOOM + 2)] * 3
+        # Coarse grid plus the extra, then each bracket; the incumbent is not re-scored.
+        assert shapes == [(4, 17)] + [(4, 2 * REFINE_ZOOM + 1)] * 3
 
     @pytest.mark.parametrize("n", [1, 0, -4])
     def test_grid_below_two_rejected(self, n):
@@ -243,3 +244,68 @@ class TestBracketInvariant:
         f_dense = sign * np.max(sign * objective(dense), axis=1)
         assert np.all(np.abs(fs - f_star) <= slack)
         assert np.all(sign * (fs - f_dense) >= -slack)
+
+
+def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra):
+    """:func:`refine_search` as it was when each bracket re-scored its incumbent."""
+    lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
+    rows = np.arange(len(lo))
+    grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
+    grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
+    grid.sort(axis=1)
+    f = objective(grid)
+    i = _pick(f, maximize, tie_high)
+    x_best, f_best = grid[rows, i], f[rows, i]
+    half = (hi - lo) / (n - 1)
+    ramp = np.arange(2 * REFINE_ZOOM + 1, dtype=float)
+    for _ in range(REFINE_LEVELS):
+        window = _linspace_rows(np.maximum(lo, x_best - half), np.minimum(hi, x_best + half), ramp)
+        window = np.concatenate([window, x_best[:, None]], axis=1)
+        window.sort(axis=1)
+        fw = objective(window)
+        j = _pick(fw, maximize, tie_high)
+        xj, fj = window[rows, j], fw[rows, j]
+        better = fj > f_best if maximize else fj < f_best
+        better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
+        x_best = np.where(better, xj, x_best)
+        f_best = np.where(better, fj, f_best)
+        half /= REFINE_ZOOM
+    return x_best, f_best
+
+
+class TestIncumbentNotRescored:
+    """Keeping the incumbent's score picks what re-scoring it picked, ties and NaNs included."""
+
+    ROWS = 60
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("tie_high", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_rescoring_bracket(self, maximize, tie_high, seed):
+        rng = np.random.default_rng([seed, maximize, tie_high])
+        lo = rng.uniform(-2.0, 1.0, self.ROWS)
+        hi = lo + rng.choice([0.0, 1e-12, 0.5, 3.0], self.ROWS)
+        a, b = rng.uniform(0.2, 6.0, (2, self.ROWS, 1))
+        scale = 10.0 ** rng.integers(0, 4, (self.ROWS, 1))  # coarse rounding makes wide plateaus
+        cut = rng.uniform(lo - 0.5, hi + 0.5)[:, None]  # NaN flank below cut, all NaN past hi
+        high_flank = rng.random((self.ROWS, 1)) < 0.3
+        extra = rng.uniform(lo - 1.0, hi + 1.0, (2, self.ROWS)).T
+
+        def objective(rows):
+            def f(x):
+                y = np.round(scale[rows] * (np.sin(a[rows] * x) + b[rows] * np.cos(2.0 * x)))
+                dead = np.where(high_flank[rows], x > cut[rows], x < cut[rows])
+                return np.where(dead, np.nan, y)
+
+            return f
+
+        kw = dict(maximize=maximize, tie_high=tie_high)
+        everything = np.arange(self.ROWS)
+        want = rescoring_search(objective(everything), lo, hi, 17, extra=extra, **kw)
+        got = refine_search(objective(everything), lo, hi, 17, extra=extra, **kw)
+        np.testing.assert_array_equal(got, want)
+        for r in range(0, self.ROWS, 7):
+            one = refine_search(objective([r]), lo[r], hi[r], 17, extra=extra[r], **kw)
+            np.testing.assert_array_equal(one, [want[0][r], want[1][r]])
+        f = want[1]
+        assert np.isnan(f).any() and (~np.isnan(f)).sum() > self.ROWS // 2
