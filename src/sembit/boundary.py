@@ -41,6 +41,7 @@ from .rates import (
     Allocation,
     RatePair,
     Scheme,
+    eps_seeded_bands,
     fold_corners,
     lemma1_bounds,
     orth_inv_slope,
@@ -51,7 +52,7 @@ from .rates import (
     snr_db,
     water_fill_max_grid,
 )
-from .search import REFINE_LEVELS, REFINE_ZOOM, refine_search, row_batches
+from .search import DEFAULT_GRID_N, REFINE_LEVELS, REFINE_ZOOM, refine_search, row_batches
 from .similarity import eval_similarity, required_power_for_similarity
 
 
@@ -174,15 +175,17 @@ def solve_oma_point(
     scenario: Scenario,
     real: ChannelRealization,
     sigma_target: float,
-    grid_n: int = 512,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> BoundaryPoint:
     """Orthogonal boundary point: max bit rate at one semantic-rate target.
 
-    Searches the semantic bandwidth over the interval from
-    :func:`lemma1_bounds`; each candidate pays the exact power that meets
-    the semantic target and hands the rest to the bit band.  Candidates
-    whose power need exceeds the budget score zero.  Ties break toward the
-    smaller semantic band.
+    Searches the semantic bandwidth over the interval
+    [sigma*k/a_high, min(sigma*k/floor, W)] from :func:`lemma1_bounds`,
+    with the similarity-seeded bands of :func:`eps_seeded_bands` added to
+    the grid; each candidate pays the exact power that meets the semantic
+    target and hands the rest to the bit band.  Candidates whose power
+    need exceeds the budget score zero.  Ties break toward the smaller
+    semantic band.
     """
     rows = _oma_points(scenario, real, np.array([sigma_target], dtype=float), grid_n)
     return _point(rows, Scheme.OMA, sigma_target, 0)
@@ -214,21 +217,22 @@ def _oma_points(
 
     rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
     ws, p_sem = np.zeros((2, len(sigma)))
-    ws[live], rate[live] = _search(score, s, lo, hi, grid_n, tie_high=False)
+    extra = eps_seeded_bands(scenario, s, floor)
+    ws[live], rate[live] = _search(score, s, lo, hi, grid_n, tie_high=False, extra=extra)
     p_sem[live] = sem_power(scenario, real, s, floor, ws[live])
     zero = np.zeros_like(ws)
     fields = np.array([rate, zero, ws, w - ws, p_sem, zero, p_max - p_sem])
     return _columns(scenario, real, fields, p_sem <= p_max)
 
 
-def _search(score, s: np.ndarray, lo, hi, grid_n: int, tie_high: bool, extra=None):
+def _search(score, s: np.ndarray, lo, hi, grid_n: int, tie_high: bool, extra: np.ndarray):
     """(x, f) maximising ``score(targets, x)`` for each target of ``s``, one search per row batch.
 
     ``targets`` is the batch's (rows, 1) column of ``s``.  Row i searches
-    [lo[i], hi[i]], with the candidates ``extra[i]`` added when given.
+    [lo[i], hi[i]] with the candidates ``extra[i]`` added.
     """
     x, f = np.empty((2, len(s)))
-    for b in row_batches(len(s), grid_n):
+    for b in row_batches(len(s), grid_n, extra.shape[1]):
         x[b], f[b] = refine_search(
             partial(score, s[b, None]),
             lo[b],
@@ -236,7 +240,7 @@ def _search(score, s: np.ndarray, lo, hi, grid_n: int, tie_high: bool, extra=Non
             grid_n,
             maximize=True,
             tie_high=tie_high,
-            extra=() if extra is None else extra[b],
+            extra=extra[b],
         )
     return x, f
 
@@ -397,7 +401,7 @@ def solve_semi_point(
     scenario: Scenario,
     real: ChannelRealization,
     sigma_target: float,
-    grid_n: int = 512,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> BoundaryPoint:
     """Hybrid boundary point: max bit rate at one semantic-rate target.
 
@@ -424,9 +428,11 @@ def _semi_points(
 ) -> BoundaryRows:
     """:func:`solve_semi_point` at each target of ``sigma``, one search per row batch.
 
-    ``oma`` and ``noma`` hold those schemes' rows for the same targets:
-    the oma band seeds each row's search, and both are folded in as
-    corners once it is done.
+    Each row searches the shared band over [sigma*k/a_high, W], seeded
+    with the similarity-seeded bands of :func:`eps_seeded_bands`, the full
+    band and the oma band.  ``oma`` and ``noma`` hold those schemes' rows
+    for the same targets: the oma band seeds each row's search, and both
+    are folded in as corners once it is done.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
@@ -446,7 +452,7 @@ def _semi_points(
         rate[fits] = _hybrid_rate_grid(scenario, real, wm[fits], p_s[fits])[0]
         return rate
 
-    extra = np.column_stack([hi, seed])
+    extra = np.column_stack([eps_seeded_bands(scenario, s, floor), hi, seed])
     wm, rate = _search(score, s, lo, hi, grid_n, tie_high=True, extra=extra)
     p_s = sem_power(scenario, real, s, floor, wm)
     interior = (p_s <= p_max) & (rate > 0.0)
@@ -490,7 +496,7 @@ def sweep_boundary(
     real: ChannelRealization,
     scheme: Scheme,
     n_points: int = 200,
-    grid_n: int = 512,
+    grid_n: int = DEFAULT_GRID_N,
     sigma_values: Sequence[float] | None = None,
 ) -> RegionBoundary:
     """Trace one scheme's boundary over a semantic-rate grid.
@@ -533,7 +539,7 @@ def trace_region(
     real: ChannelRealization,
     schemes: Sequence[Scheme | str],
     n_points: int = 200,
-    grid_n: int = 512,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> tuple[dict[Scheme, RegionBoundary], EmptyRegion | None]:
     """The boundaries of ``schemes`` for one draw, with oma solved once.
 

@@ -47,7 +47,7 @@ from .errors import (
 from .montecarlo import SweepSpec, run_sweep
 from .power import PowerTargets, solve_min_powers
 from .rates import Scheme, rates_for
-from .search import check_grid_n
+from .search import DEFAULT_GRID_N, check_grid_n
 from .similarity import fit_logistic, fit_mse, ParamTable, read_samples_csv
 
 EXIT_OK = 0
@@ -301,7 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
     p_region.add_argument("--seed", type=int, default=0)
     p_region.add_argument("--points", type=int, default=200, help="boundary grid points")
-    p_region.add_argument("--grid", type=int, default=512, help="inner search grid size (>= 2)")
+    p_region.add_argument(
+        "--grid", type=int, default=DEFAULT_GRID_N, help="coarse search grid size (>= 2)"
+    )
     p_region.add_argument(
         "--schemes",
         default="all",
@@ -315,7 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_power.add_argument("--sigma", type=float, required=True, help="semantic rate target")
     p_power.add_argument("--floor", type=float, required=True, help="similarity floor")
     p_power.add_argument("--bits", type=float, required=True, help="bit rate target")
-    p_power.add_argument("--grid", type=int, default=512, help="search grid size (>= 2)")
+    p_power.add_argument(
+        "--grid", type=int, default=DEFAULT_GRID_N, help="coarse search grid size (>= 2)"
+    )
     p_power.add_argument(
         "--verify", action="store_true", help="plug allocations back through the rate equations"
     )

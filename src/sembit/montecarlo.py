@@ -31,7 +31,7 @@ from .channel import ChannelRealization, Scenario, derive_seed, sample_realizati
 from .errors import reject_unknown, require_int
 from .power import PowerTargets, solve_min_powers_rows
 from .rates import Scheme
-from .search import check_grid_n
+from .search import DEFAULT_GRID_N, check_grid_n
 
 SWEEP_VARIABLES = ("sigma_target", "min_similarity", "bit_target", "k")
 SCHEME_ORDER = ("oma", "noma", "semi")
@@ -47,7 +47,7 @@ class SweepSpec:
     targets: PowerTargets
     n_realizations: int = 500
     base_seed: int = 0
-    grid_n: int = 512
+    grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -109,7 +109,7 @@ class SweepSpec:
             ),
             n_realizations=require_int("n_realizations", payload.get("n_realizations", 500)),
             base_seed=require_int("base_seed", payload.get("base_seed", 0)),
-            grid_n=require_int("grid_n", payload.get("grid_n", 512)),
+            grid_n=require_int("grid_n", payload.get("grid_n", DEFAULT_GRID_N)),
         )
 
     @classmethod

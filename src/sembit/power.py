@@ -30,6 +30,7 @@ from .rates import (
     ALLOC_FIELDS,
     Allocation,
     Scheme,
+    eps_seeded_bands,
     fold_corners,
     lemma1_bounds,
     orth_inv_slope,
@@ -38,10 +39,8 @@ from .rates import (
     sem_power,
     water_fill_min_grid,
 )
-from .search import refine_search, row_batches
+from .search import DEFAULT_GRID_N, refine_search, row_batches
 
-_EPS_EDGE = 1e-9  # keep similarity candidates off the open asymptote
-_EPS_BANDS = 64  # similarity-seeded band candidates per search
 TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
 # The (rows, 1) columns of a row set, in the order of its data matrix.
 ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
@@ -135,25 +134,6 @@ def _structural(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> In
         )
 
 
-def _eps_seeded_bands(scenario: Scenario, targets: PowerTargets) -> np.ndarray:
-    """Extra band candidates spaced evenly in required similarity.
-
-    A uniform bandwidth grid can miss the narrow feasible sliver next to
-    the curve ceiling when the floor sits close to it; gridding the
-    similarity axis instead covers that sliver deterministically.
-    """
-    params = scenario.logistic
-    span = params.a_high - params.a_low
-    eps_lo = max(
-        targets.min_similarity, targets.sigma_target * scenario.k / scenario.total_bandwidth
-    )
-    eps_hi = params.a_high - span * _EPS_EDGE
-    if eps_lo >= eps_hi or targets.sigma_target <= 0:
-        return np.empty(0)
-    eps = np.linspace(max(eps_lo, span * _EPS_EDGE + params.a_low), eps_hi, _EPS_BANDS)
-    return targets.sigma_target * scenario.k / eps
-
-
 def _rows(data: np.ndarray, tri: np.ndarray) -> SimpleNamespace:
     """Rows of ``data``, whose columns follow :data:`ROW_COLUMNS`, as (rows, 1) views."""
     return SimpleNamespace(data=data, tri=tri, **dict(zip(ROW_COLUMNS, data.T[:, :, None])))
@@ -176,10 +156,10 @@ def _row_set(
     """Rows of (draw, target triple) with their gain and target columns.
 
     ``tri`` maps each row to its distinct triple.  The structural checks
-    and the search bounds are worked out once per triple: per row come the
-    ``oma_cause`` and ``noma_cause`` codes (semi's checks are oma's), and
-    ``live``, the rows that need a search, with ``bounds`` holding their
-    triples' Lemma-1 interval and similarity-seeded bands.
+    are worked out once per triple: per row come the ``oma_cause`` and
+    ``noma_cause`` codes (semi's checks are oma's), and ``live``, the rows
+    that need a search, with their Lemma-1 interval in ``w_low``/``w_up``
+    and their similarity-seeded bands in ``bands``.
     """
     index: dict[PowerTargets, int] = {}
     tri = [index.setdefault(t, len(index)) for t in targets]
@@ -191,38 +171,28 @@ def _row_set(
     rs.oma_cause, rs.noma_cause = np.array([codes[i] for i in tri]).T
     searched = [c[0] == 0 and t.sigma_target > 0 for c, t in zip(codes, triples)]
     live = np.flatnonzero([searched[i] for i in tri])
-    rs.live = _take(rs, live)
-    rs.live.index = live
-    rs.bounds = {}
-    which = np.flatnonzero(searched)
-    sigma, floor = np.array([values[i][:2] for i in which]).reshape(-1, 2).T
-    lows, ups = lemma1_bounds(scenario, sigma, floor)
-    for i, w_low, w_up in zip(which.tolist(), lows.tolist(), ups.tolist()):
-        # Without room for similarity-seeded bands, repeat w_low, already
-        # the first grid point, so every row has as many extra candidates:
-        # an equal x scores equally, so the pick does not change.
-        eps = _eps_seeded_bands(scenario, triples[i])
-        rs.bounds[i] = (w_low, w_up, eps if eps.size else np.full(_EPS_BANDS, w_low))
+    g = rs.live = _take(rs, live)
+    g.index = live
+    sigma, floor = g.sigma_target[:, 0], g.min_similarity[:, 0]
+    g.w_low, g.w_up = lemma1_bounds(scenario, sigma, floor)
+    g.bands = eps_seeded_bands(scenario, sigma, floor)
     return rs
 
 
-def _search(rows: SimpleNamespace, objective, bounds: dict, grid_n: int):
+def _search(rows: SimpleNamespace, objective, lo, hi, extra: np.ndarray, grid_n: int):
     """(x, f) minimising ``objective(batch, x)`` for each row, one search per row batch.
 
-    ``bounds`` maps each triple of ``rows`` to its (lo, hi, extra
-    candidates), with the same number of extras for every triple.
+    Row i searches [lo[i], hi[i]] with the candidates ``extra[i]`` added.
     """
     x, f = np.empty((2, len(rows.tri)))
-    for b in row_batches(len(rows.tri), grid_n):
-        batch = _take(rows, b)
-        lo, hi, extra = zip(*(bounds[t] for t in batch.tri.tolist()))
+    for b in row_batches(len(rows.tri), grid_n, extra.shape[1]):
         x[b], f[b] = refine_search(
-            partial(objective, batch),
-            np.array(lo),
-            np.array(hi),
+            partial(objective, _take(rows, b)),
+            lo[b],
+            hi[b],
             grid_n,
             maximize=False,
-            extra=np.array(extra),
+            extra=extra[b],
         )
     return x, f
 
@@ -284,7 +254,7 @@ def solve_oma_min_power(
     scenario: Scenario,
     real: ChannelRealization,
     targets: PowerTargets,
-    grid_n: int = 512,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> PowerSolution:
     """Cheapest orthogonal allocation meeting the target triple.
 
@@ -319,8 +289,8 @@ def _oma_rows(scenario: Scenario, rs: SimpleNamespace, grid_n: int) -> PowerRows
     ws, p_sem = np.zeros((2, len(rs.tri)))
     live = rs.live.index
     if live.size:
-        ws[live] = _search(rs.live, total, rs.bounds, grid_n)[0]
         g = rs.live
+        ws[live] = _search(g, total, g.w_low, g.w_up, g.bands, grid_n)[0]
         p_sem[live] = sem_power(scenario, g, g.sigma_target, g.min_similarity, ws[live, None])[:, 0]
     p_bit = bit_power(rs, ws[:, None])[:, 0]
     tot = p_sem + p_bit
@@ -392,7 +362,7 @@ def _semi_rows(
 ) -> PowerRows:
     """Hybrid minimum per row from its interior search and the two corners.
 
-    The interior searches the shared-band width over [sigma*k, W]; the
+    The interior searches the shared-band width over [sigma*k/a_high, W]; the
     orthogonal and overlay solutions, when feasible, then compete on their
     exact totals, so the hybrid never exceeds either.  Ties break toward
     the narrower shared band and then toward the interior.
@@ -403,14 +373,15 @@ def _semi_rows(
         p_s, p_m, p_o = _hybrid_power(scenario, g, wm)
         return p_s + (p_m + p_o)
 
-    bounds = {i: (w_low, w, np.append(eps, w)) for i, (w_low, _, eps) in rs.bounds.items()}
     # One line per PowerRows field, in order; a row without a candidate costs +inf.
     best = np.zeros((1 + len(ALLOC_FIELDS), len(rs.tri)))
     best[0] = np.inf
     live = rs.live.index
     if live.size:
-        wm, f = _search(rs.live, total, bounds, grid_n)
-        p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, rs.live, wm[:, None]))
+        g = rs.live
+        full = np.full(len(live), w)
+        wm, f = _search(g, total, g.w_low, full, np.column_stack([g.bands, full]), grid_n)
+        p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, g, wm[:, None]))
         found = np.isfinite(f)
         best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]
     fold_corners(best, _fields(oma), _fields(noma), np.less)
@@ -423,11 +394,12 @@ def solve_semi_min_power(
     scenario: Scenario,
     real: ChannelRealization,
     targets: PowerTargets,
-    grid_n: int = 512,
+    grid_n: int = DEFAULT_GRID_N,
 ) -> PowerSolution:
     """Cheapest hybrid allocation meeting the target triple.
 
-    Searches the shared-band width over [sigma*k, W]; each candidate pays
+    Searches the shared-band width over [sigma*k/a_high, W], with
+    similarity-seeded bands added to the grid; each candidate pays
     the pinned semantic power, then splits the bit target between the
     superposed and orthogonal pipes by inverse water-filling.  The
     feasible ones of the orthogonal and overlay optima join the comparison

@@ -34,6 +34,11 @@ _SUM_RTOL = 1e-9
 # The exact-zero shared band is the orthogonal solution, which every hybrid
 # solve compares against.
 MIN_BAND_FRACTION = 1e-9
+# Similarity-seeded band candidates per search; the last one stays this
+# fraction of the curve's span below its open asymptote, the ceiling.
+EPS_BANDS = 64
+_EPS_EDGE = 1e-9
+_EPS_STEPS = np.linspace(0.0, 1.0, EPS_BANDS)
 
 
 def sem_power(scenario: Scenario, real: ChannelRealization, sigma_target, floor, bandwidth):
@@ -162,21 +167,24 @@ def water_fill_min(
 
 
 def lemma1_bounds(scenario: Scenario, sigma_target, floor):
-    """Semantic-band interval [sigma*k, min(sigma*k/floor, W)] for a rate target.
+    """Semantic-band interval [w_low, w_up] for a rate target.
 
-    Below w_low = sigma*k the required similarity exceeds 1; above
-    w_up = sigma*k/floor the required similarity drops under the
-    similarity floor ``floor``, so the floor constraint is implied
-    everywhere inside the interval.  Neither end goes below
-    ``MIN_BAND_FRACTION`` of the carrier.  A zero target carries no
-    semantic stream and collapses the interval to {0}, and a zero floor
-    caps nothing below the carrier.  Broadcasts over an array of targets,
-    with one floor or a floor per target; a scalar target with its floor
-    gives a pair of floats.
+    A band w needs similarity sigma*k/w.  Below w_low = min(sigma*k/a_high, W)
+    that reaches the curve's ceiling ``a_high``, where the semantic power
+    is +inf; above w_up = min(sigma*k/floor, W) the required similarity drops
+    under the similarity floor ``floor``, so the floor constraint is
+    implied everywhere inside the interval.  A target that needs the
+    ceiling even on the full band gets the point interval {W}.  Neither
+    end goes below ``MIN_BAND_FRACTION`` of the carrier.  A zero target
+    carries no semantic stream and collapses the interval to {0}, and a
+    zero floor caps nothing below the carrier.  Broadcasts over an array
+    of targets, with one floor or a floor per target; a scalar target
+    with its floor gives a pair of floats.
 
     Raises:
         ValueError: a negative target.
-        InfeasibleTarget: w_low exceeds the carrier bandwidth.
+        InfeasibleTarget: sigma*k, the band at similarity 1, exceeds the
+            carrier bandwidth.
     """
     s = np.asarray(sigma_target, dtype=float)
     if (s < 0).any():
@@ -189,11 +197,43 @@ def lemma1_bounds(scenario: Scenario, sigma_target, floor):
             f"even at similarity 1; carrier has {w:.6g} Hz"
         )
     zero = s == 0.0
-    w_low = np.where(zero, 0.0, np.maximum(w_need, w * MIN_BAND_FRACTION))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    w_edge = np.minimum(w_need / scenario.logistic.a_high, w)
+    w_low = np.where(zero, 0.0, np.maximum(w_edge, w * MIN_BAND_FRACTION))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         w_up = np.where(np.greater(floor, 0.0), np.minimum(w_need / floor, w), w)
     w_up = np.where(zero, 0.0, np.maximum(w_up, w_low))
     return (float(w_low), float(w_up)) if s.ndim == 0 else (w_low, w_up)
+
+
+def eps_seeded_bands(scenario: Scenario, sigma_target, floor) -> np.ndarray:
+    """``EPS_BANDS`` band candidates per target, spaced evenly in required similarity.
+
+    Row i holds sigma_i*k/eps for eps evenly from
+    max(floor_i, sigma_i*k/W, a_low) to just below the curve ceiling
+    ``a_high``.  A uniform band grid can miss the narrow feasible sliver by
+    the ceiling when the floor sits close to it, and a second basin near
+    the curve floor ``a_low``, where a wide band needs almost no semantic
+    power; the similarity axis covers both deterministically.  The first
+    candidate is the kink where the floor, or the curve floor, starts to
+    bind, and an optimum can sit exactly there; each band is rounded up by
+    one ulp so that it needs no more than its own similarity.  The bands
+    lie in the target's :func:`lemma1_bounds` interval, but for that ulp,
+    which the search's clipping takes back.  A target with no room
+    between its floor and the ceiling gets sigma*k/a_high, the start of
+    that interval, in every column, so every row has as many candidates.
+    Broadcasts over a 1-D array of targets, with one floor or a floor per
+    target; returns a (targets, ``EPS_BANDS``) matrix.
+    """
+    params = scenario.logistic
+    span = params.a_high - params.a_low
+    w_need = np.asarray(sigma_target, dtype=float) * scenario.k
+    eps_lo = np.maximum(np.maximum(floor, w_need / scenario.total_bandwidth), params.a_low)
+    eps_hi = params.a_high - span * _EPS_EDGE
+    eps = eps_lo[:, None] + (eps_hi - eps_lo)[:, None] * _EPS_STEPS
+    # One ulp up, so that no band needs more than its similarity: at a_low
+    # the power rises from 0 with infinite slope.
+    bands = np.nextafter(w_need[:, None] / eps, np.inf)
+    return np.where((eps_lo < eps_hi)[:, None], bands, (w_need / params.a_high)[:, None])
 
 
 class Scheme(str, enum.Enum):

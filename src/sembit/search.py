@@ -22,8 +22,12 @@ objective scores a rows x candidates matrix at once, and every row sees
 exactly the candidates a one-row call would: its own ``np.linspace``
 grid and brackets, sorted.  Duplicate candidates may stay, since an
 equal x scores equally.  Callers cut long batches into
-:func:`row_batches` so that each coarse-grid call stays near
+:func:`row_batches` so that each objective call stays near
 ``BATCH_CANDIDATES`` candidates.
+
+Unimodality holds only within a basin: the objectives this package
+searches can have a second local optimum, so callers seed the coarse grid
+with ``extra`` candidates that cover every basin they know of.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+# Default coarse grid size: the ``--grid`` of ``region`` and ``power``.
+DEFAULT_GRID_N = 64
 REFINE_LEVELS = 3
 # Spacing shrinks by this factor per level; a bracket has 2 * REFINE_ZOOM + 1 points.
-REFINE_ZOOM = 32
+REFINE_ZOOM = 64
 # Candidates per objective call a batch aims at: large enough to amortise
 # numpy's per-call overhead, small enough to keep temporaries in cache.
 BATCH_CANDIDATES = 1 << 14
@@ -47,9 +53,14 @@ def check_grid_n(grid_n: int) -> int:
     return grid_n
 
 
-def row_batches(n_rows: int, grid_n: int) -> list[slice]:
-    """Consecutive row slices of about ``BATCH_CANDIDATES`` candidates each."""
-    size = max(1, BATCH_CANDIDATES // check_grid_n(grid_n))
+def row_batches(n_rows: int, grid_n: int, n_extra: int = 0) -> list[slice]:
+    """Consecutive row slices of about ``BATCH_CANDIDATES`` candidates per objective call.
+
+    A batch is sized by its widest call: the coarse grid with ``n_extra``
+    seeds per row, or a bracket of ``2 * REFINE_ZOOM + 1`` points.
+    """
+    width = max(check_grid_n(grid_n) + n_extra, 2 * REFINE_ZOOM + 1)
+    size = max(1, BATCH_CANDIDATES // width)
     return [slice(i, i + size) for i in range(0, n_rows, size)]
 
 

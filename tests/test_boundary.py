@@ -32,7 +32,7 @@ from sembit import (
     sweep_boundary,
     water_fill_max,
 )
-from sembit.rates import orth_inv_slope, pipe_rate, sem_power
+from sembit.rates import EPS_BANDS, eps_seeded_bands, orth_inv_slope, pipe_rate, sem_power
 
 
 class TestExtremes:
@@ -71,14 +71,36 @@ class TestExtremes:
 
 class TestLemma1Bounds:
     def test_interval(self, scenario):
+        # The band starts where the required similarity sigma*k/w falls to
+        # the curve ceiling (0.918 at k=4), not where it falls to 1.
         w_low, w_up = lemma1_bounds(scenario, 150e3, scenario.min_similarity)
-        assert w_low == pytest.approx(600e3)
+        assert w_low == pytest.approx(600e3 / scenario.logistic.a_high)
         assert w_up == pytest.approx(750e3)
 
     def test_cap_at_carrier(self, scenario):
-        w_low, w_up = lemma1_bounds(scenario, 220e3, scenario.min_similarity)
-        assert w_low == pytest.approx(880e3)
+        floor = scenario.min_similarity
+        w_low, w_up = lemma1_bounds(scenario, 220e3, floor)
+        assert w_low == pytest.approx(880e3 / scenario.logistic.a_high)
         assert w_up == 1e6
+        # 920 kHz of band at similarity 1 needs the ceiling even on the full
+        # band: the interval is the carrier alone.
+        assert lemma1_bounds(scenario, 230e3, floor) == (1e6, 1e6)
+
+    @pytest.mark.parametrize("k", [3, 4, 7])
+    def test_bands_below_the_interval_cost_infinite_power(self, scenario, realization, k):
+        # Every band in [sigma*k, sigma*k/a_high) needs a similarity at or
+        # above the ceiling, so the interval leaves out no finite candidate.
+        sc = scenario.with_updates(k=k)
+        top = sc.total_bandwidth * sc.logistic.a_high / k
+        sigma = np.array([1e-3, 1.0, 25e3, 0.5 * top, top * (1 - 1e-12)])
+        w_low = lemma1_bounds(sc, sigma, 0.0)[0]
+        w_need = sigma * k
+        assert (w_need < w_low).all()
+        bands = w_need[:, None] + np.linspace(0.0, 1.0, 257) * (w_low - w_need)[:, None]
+        bands[:, -1] = np.nextafter(w_low, 0.0)
+        assert (bands < w_low[:, None]).all()
+        assert np.isposinf(sem_power(sc, realization, sigma[:, None], 0.0, bands)).all()
+        assert np.isfinite(sem_power(sc, realization, sigma, 0.0, w_low * (1 + 1e-9))).all()
 
     def test_zero_target_collapses(self, scenario):
         assert lemma1_bounds(scenario, 0.0, scenario.min_similarity) == (0.0, 0.0)
@@ -121,6 +143,35 @@ class TestLemma1Bounds:
         with pytest.raises(ValueError, match="non-negative"):
             lemma1_bounds(scenario, np.array([100e3, -1.0]), floor)
         assert lemma1_bounds(scenario, np.array([]), floor)[0].shape == (0,)
+
+
+class TestEpsSeededBands:
+    @pytest.mark.parametrize("floor", [0.0, 0.19, 0.8, "per target"])
+    def test_rows_lie_in_the_interval_and_meet_their_similarity(
+        self, scenario, realization, rng, floor
+    ):
+        top = scenario.total_bandwidth * scenario.logistic.a_high / scenario.k
+        sigma = rng.uniform(0.01, 1.0, 300) * top
+        if floor == "per target":
+            floor = rng.choice([0.0, 0.1, 0.172, 0.19, 0.5, 0.8, 0.9175, 0.95], len(sigma))
+        bands = eps_seeded_bands(scenario, sigma, floor)
+        assert bands.shape == (len(sigma), EPS_BANDS)
+        floors = np.broadcast_to(floor, sigma.shape)
+        for i in range(0, len(sigma), 23):
+            one = eps_seeded_bands(scenario, sigma[i : i + 1], floors[i])
+            np.testing.assert_array_equal(bands[i], one[0])
+        # Inside the Lemma-1 interval, but for the ulp each band is rounded up.
+        lo, hi = lemma1_bounds(scenario, sigma, floor)
+        assert (bands >= lo[:, None]).all()
+        assert (bands <= hi[:, None] * (1 + 4 * np.finfo(float).eps)).all()
+        # Where neither the floor nor the full band asks for more than the
+        # curve floor, the first seed is the band whose semantic power is 0.
+        w_need = sigma * scenario.k
+        free = np.maximum(floors, w_need / scenario.total_bandwidth) <= scenario.logistic.a_low
+        p_first = sem_power(scenario, realization, sigma, floors, bands[:, 0])
+        assert (p_first[free] == 0.0).all()
+        assert (p_first[~free] > 0.0).all()
+        assert free.any() == (floors.min() < scenario.logistic.a_low)
 
 
 class TestOmaPoint:
@@ -551,9 +602,9 @@ class TestTraceRegion:
             assert found[scheme].power_limited is expect[scheme].power_limited
             assert found[scheme].grid_spec == expect[scheme].grid_spec
 
-    @pytest.mark.parametrize("seed, calls", [(7, 26), (4, 14)])
+    @pytest.mark.parametrize("seed, calls", [(7, 8), (4, 4)])
     def test_default_region_search_count(self, scenario, monkeypatch, seed, calls):
-        # 13 (7 on a power-limited draw) row batches of the hybrid's grid:
+        # 4 (2 on a power-limited draw) row batches of the hybrid's grid:
         # one oma and one hybrid search each, and no second oma pass.
         counted = []
 

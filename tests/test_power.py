@@ -23,13 +23,12 @@ from sembit import (
 from sembit import power
 from sembit.cli import _verify_solution
 from sembit.power import (
-    _EPS_BANDS,
     ALLOC_FIELDS,
     CAUSES,
-    _eps_seeded_bands,
     _row_solutions,
     solve_min_powers_rows,
 )
+from sembit.rates import EPS_BANDS, eps_seeded_bands
 
 TRIPLE = PowerTargets(sigma_target=100e3, min_similarity=0.8, bit_target=8e5)
 
@@ -343,6 +342,12 @@ class TestBatchedDraws:
                     assert row[scheme] == sol
 
 
+def distinct_seeds(scenario, targets):
+    """How many distinct similarity-seeded bands ``targets`` gets."""
+    bands = eps_seeded_bands(scenario, np.array([targets.sigma_target]), targets.min_similarity)
+    return len(np.unique(bands))
+
+
 def near_ceiling(scenario):
     """A floor so close to the curve ceiling that no similarity-seeded band fits."""
     p = scenario.logistic
@@ -357,14 +362,14 @@ class TestRowSets:
         # repeated in their place; dropping those copies again must give
         # the same columns, bit for bit.
         targets = near_ceiling(scenario)
-        assert len(_eps_seeded_bands(scenario, targets)) == 0
+        assert distinct_seeds(scenario, targets) == 1
         reals = [sample_realization(scenario, seed) for seed in range(6)]
         padded = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
         search = power.refine_search
 
         def unpadded(objective, lo, hi, n, *, extra, **kwargs):
-            assert (extra[:, :_EPS_BANDS] == lo[:, None]).all()
-            return search(objective, lo, hi, n, extra=extra[:, _EPS_BANDS:], **kwargs)
+            assert (extra[:, :EPS_BANDS] == lo[:, None]).all()
+            return search(objective, lo, hi, n, extra=extra[:, EPS_BANDS:], **kwargs)
 
         monkeypatch.setattr(power, "refine_search", unpadded)
         plain = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
@@ -375,8 +380,8 @@ class TestRowSets:
 
     def test_mixed_triples_equal_one_row_solves(self, scenario):
         near = near_ceiling(scenario)
-        assert len(_eps_seeded_bands(scenario, near)) == 0
-        assert len(_eps_seeded_bands(scenario, TRIPLE)) > 0
+        assert distinct_seeds(scenario, near) == 1
+        assert distinct_seeds(scenario, TRIPLE) == EPS_BANDS
         triples = [
             TRIPLE,
             near,
@@ -413,7 +418,7 @@ class TestOneRowSearches:
     @pytest.mark.parametrize(
         "targets, extras",
         [
-            (TRIPLE, [_EPS_BANDS, _EPS_BANDS + 1]),  # oma's bands, then semi's plus the full band
+            (TRIPLE, [EPS_BANDS, EPS_BANDS + 1]),  # oma's bands, then semi's plus the full band
             (PowerTargets(0.0, 0.8, 8e5), []),  # no semantic stream, no band to search
             (PowerTargets(260e3, 0.8, 1e5), []),  # structurally infeasible (bandwidth-bound)
         ],

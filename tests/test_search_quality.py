@@ -1,0 +1,40 @@
+"""The default searches against a dense reference (``tools/search_quality.py``)."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sembit import Scenario, sample_realization, solve_oma_point, solve_semi_point
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_quality.py"
+_spec = importlib.util.spec_from_file_location("search_quality", _TOOL)
+quality = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(quality)
+
+
+def test_random_scenarios_match_the_reference():
+    gaps = quality.survey(40, seed=11)
+    for name, g in gaps.items():
+        assert g.size, name
+        assert g.max() <= quality.TOL, (name, g.max())
+
+
+def test_pinned_second_basin_is_found():
+    # A uniform 64-point grid alone lands in the lower basin here:
+    # 1,572,008.89 bit/s at a 607.0 kHz semantic band.
+    for scheme, gap in quality.pinned_gaps().items():
+        assert gap <= quality.TOL, (scheme, gap)
+
+
+@pytest.mark.parametrize("solve", [solve_oma_point, solve_semi_point])
+def test_pinned_row_value(solve):
+    pinned = quality.PINNED
+    scenario = Scenario(**pinned["scenario"])
+    real = sample_realization(scenario, pinned["seed"])
+    point = solve(scenario, real, pinned["sigma"])
+    assert point.bit_rate == pytest.approx(1_588_176.36, abs=0.4)
+    # The optimum carries the semantic stream alone, on a 709.8 kHz band.
+    band = point.alloc.w_sem + point.alloc.w_shared
+    assert np.isclose(band, 709.8e3, atol=0.1e3)
