@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ from .rates import (
     snr_db,
     water_fill_max_grid,
 )
-from .search import DEFAULT_GRID_N, REFINE_LEVELS, REFINE_ZOOM, refine_search, row_batches
+from .search import DEFAULT_GRID_N, REFINE_LEVELS, REFINE_ZOOM, search_rows
 from .similarity import eval_similarity, required_power_for_similarity
 
 
@@ -208,7 +207,7 @@ def _oma_points(
     lo, hi = lemma1_bounds(scenario, s, floor)
 
     def score(s_col: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        p_req = sem_power(scenario, real, s_col, floor, ws)
+        p_req = sem_power(scenario, real.gain_s, s_col, floor, ws)
         fits = p_req <= p_max
         rate = np.zeros_like(ws)
         w_bit = w - ws[fits]
@@ -218,31 +217,11 @@ def _oma_points(
     rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
     ws, p_sem = np.zeros((2, len(sigma)))
     extra = eps_seeded_bands(scenario, s, floor)
-    ws[live], rate[live] = _search(score, s, lo, hi, grid_n, tie_high=False, extra=extra)
-    p_sem[live] = sem_power(scenario, real, s, floor, ws[live])
+    ws[live], rate[live] = search_rows(score, s[:, None], lo, hi, extra, grid_n, maximize=True)
+    p_sem[live] = sem_power(scenario, real.gain_s, s, floor, ws[live])
     zero = np.zeros_like(ws)
     fields = np.array([rate, zero, ws, w - ws, p_sem, zero, p_max - p_sem])
     return _columns(scenario, real, fields, p_sem <= p_max)
-
-
-def _search(score, s: np.ndarray, lo, hi, grid_n: int, tie_high: bool, extra: np.ndarray):
-    """(x, f) maximising ``score(targets, x)`` for each target of ``s``, one search per row batch.
-
-    ``targets`` is the batch's (rows, 1) column of ``s``.  Row i searches
-    [lo[i], hi[i]] with the candidates ``extra[i]`` added.
-    """
-    x, f = np.empty((2, len(s)))
-    for b in row_batches(len(s), grid_n, extra.shape[1]):
-        x[b], f[b] = refine_search(
-            partial(score, s[b, None]),
-            lo[b],
-            hi[b],
-            grid_n,
-            maximize=True,
-            tie_high=tie_high,
-            extra=extra[b],
-        )
-    return x, f
 
 
 def _columns(scenario, real, best, solved) -> BoundaryRows:
@@ -329,7 +308,7 @@ def _noma_points(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray
     """:func:`solve_noma_point` at each target of ``sigma``."""
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    p_s = sem_power(scenario, real, sigma, scenario.min_similarity, w)
+    p_s = sem_power(scenario, real.gain_s, sigma, scenario.min_similarity, w)
     rate = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, scenario.noise_psd))
     zero = np.zeros_like(p_s)
     fields = np.array([rate, zero + w, zero, zero, p_s, p_max - p_s, zero])
@@ -446,15 +425,15 @@ def _semi_points(
     seed = np.where(oma.solved[live] & (w_o >= lo), w_o, w)
 
     def score(s_col: np.ndarray, wm: np.ndarray) -> np.ndarray:
-        p_s = sem_power(scenario, real, s_col, floor, wm)
+        p_s = sem_power(scenario, real.gain_s, s_col, floor, wm)
         fits = p_s <= p_max
         rate = np.zeros_like(wm)
         rate[fits] = _hybrid_rate_grid(scenario, real, wm[fits], p_s[fits])[0]
         return rate
 
     extra = np.column_stack([eps_seeded_bands(scenario, s, floor), hi, seed])
-    wm, rate = _search(score, s, lo, hi, grid_n, tie_high=True, extra=extra)
-    p_s = sem_power(scenario, real, s, floor, wm)
+    wm, rate = search_rows(score, s[:, None], lo, hi, extra, grid_n, maximize=True, tie_high=True)
+    p_s = sem_power(scenario, real.gain_s, s, floor, wm)
     interior = (p_s <= p_max) & (rate > 0.0)
     r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, wm, np.where(interior, p_s, 0.0))
     # A row without an interior optimum scores 0 and has no allocation
@@ -468,13 +447,14 @@ def _semi_points(
     return _columns(scenario, real, best, ~np.isnan(best[1]))
 
 
-def _lifted(scheme, sigma, rate, eps, n_points, grid_n, ext) -> RegionBoundary:
+def _lifted(scheme, sigma, rows: BoundaryRows, n_points, grid_n, ext, on=slice(None)):
     """The boundary through ``sigma``, each bit rate lifted to its running right-max.
 
-    Point i carries the bit rate and similarity ``eps`` of the leftmost
-    maximum of ``rate`` at or after i (see :func:`sweep_boundary`);
-    ``ext`` is the draw's :class:`Extremes`.
+    The bit rates and similarities are the rows ``on`` of ``rows``.  Point
+    i carries those of the leftmost maximum of the bit rate at or after i
+    (see :func:`sweep_boundary`); ``ext`` is the draw's :class:`Extremes`.
     """
+    rate, eps = rows.bit_rate[on], rows.similarity[on]
     top = np.maximum.accumulate(rate[::-1])[::-1]
     at = np.where(rate == top, np.arange(len(rate)), len(rate))
     src = np.minimum.accumulate(at[::-1])[::-1]
@@ -531,7 +511,7 @@ def sweep_boundary(
     if scheme is Scheme.SEMI:
         noma = _noma_points(scenario, real, sigma)
         rows = _semi_points(scenario, real, sigma, grid_n, rows, noma)
-    return _lifted(scheme, sigma, rows.bit_rate, rows.similarity, n_points, grid_n, ext)
+    return _lifted(scheme, sigma, rows, n_points, grid_n, ext)
 
 
 def trace_region(
@@ -558,6 +538,8 @@ def trace_region(
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     schemes = {Scheme(s) for s in schemes}
+    if not schemes:
+        raise ValueError("no scheme to trace: the scheme set is empty")
     found: dict[Scheme, RegionBoundary] = {}
     empty = None
     if Scheme.NOMA in schemes:
@@ -574,14 +556,12 @@ def trace_region(
             sigma, inverse = np.unique(merged, return_inverse=True)
             on_uniform = inverse[:n_points]
         oma = _oma_points(scenario, real, sigma, grid_n)
-        lift = partial(_lifted, n_points=n_points, grid_n=grid_n, ext=ext)
         if Scheme.OMA in schemes:
-            rate, eps = oma.bit_rate[on_uniform], oma.similarity[on_uniform]
-            found[Scheme.OMA] = lift(Scheme.OMA, uniform, rate, eps)
+            found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, n_points, grid_n, ext, on_uniform)
         if Scheme.SEMI in schemes:
             noma = _noma_points(scenario, real, sigma)
             semi = _semi_points(scenario, real, sigma, grid_n, oma, noma)
-            found[Scheme.SEMI] = lift(Scheme.SEMI, sigma, semi.bit_rate, semi.similarity)
+            found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi, n_points, grid_n, ext)
     return found, empty
 
 

@@ -8,8 +8,8 @@ reused for every sweep value (common random numbers keeps the scheme
 curves directly comparable).  No sweep variable changes the mean link
 gains, so one draw serves them all.  Each (sweep value, draw) pair is
 one row with its own targets, and the rows of every value are solved
-together: one batched search per scheme for each row batch (see
-:func:`sembit.search.row_batches`).  Only a source-length sweep keeps
+together: one :func:`sembit.search.search_rows` call per searched
+scheme, which runs one search per row batch.  Only a source-length sweep keeps
 one row set per value, since k changes the similarity S-curve.
 
 Infeasibility here is structural (bandwidth or curve-ceiling bound), so

@@ -18,8 +18,6 @@ built from row 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +37,10 @@ from .rates import (
     sem_power,
     water_fill_min_grid,
 )
-from .search import DEFAULT_GRID_N, refine_search, row_batches
+from .search import DEFAULT_GRID_N, search_rows
 
 TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
-# The (rows, 1) columns of a row set, in the order of its data matrix.
+# The columns of a row set's data matrix, in order.
 ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
 # Infeasible.cause values by PowerRows.cause code; code 0 is a feasible row.
 CAUSES = ("", "bandwidth-bound", "rate-asymptote", "similarity-asymptote")
@@ -134,16 +132,6 @@ def _structural(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> In
         )
 
 
-def _rows(data: np.ndarray, tri: np.ndarray) -> SimpleNamespace:
-    """Rows of ``data``, whose columns follow :data:`ROW_COLUMNS`, as (rows, 1) views."""
-    return SimpleNamespace(data=data, tri=tri, **dict(zip(ROW_COLUMNS, data.T[:, :, None])))
-
-
-def _take(rs: SimpleNamespace, rows) -> SimpleNamespace:
-    """The rows ``rows`` (an index array or a slice) of ``rs``."""
-    return _rows(rs.data[rows], rs.tri[rows])
-
-
 def _cause_code(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> int:
     """The :data:`CAUSES` code of ``scheme``'s structural check on ``targets``."""
     exc = _structural(scenario, targets, scheme)
@@ -152,49 +140,30 @@ def _cause_code(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> in
 
 def _row_set(
     scenario: Scenario, reals: Sequence[ChannelRealization], targets: Sequence[PowerTargets]
-) -> SimpleNamespace:
-    """Rows of (draw, target triple) with their gain and target columns.
+) -> tuple:
+    """Rows of (draw, target triple): (data, oma_cause, noma_cause, live, w_low, w_up, bands).
 
-    ``tri`` maps each row to its distinct triple.  The structural checks
-    are worked out once per triple: per row come the ``oma_cause`` and
-    ``noma_cause`` codes (semi's checks are oma's), and ``live``, the rows
-    that need a search, with their Lemma-1 interval in ``w_low``/``w_up``
-    and their similarity-seeded bands in ``bands``.
+    ``data`` is one (rows, 6) matrix whose columns follow
+    :data:`ROW_COLUMNS`.  The structural checks are worked out once per
+    distinct triple: per row come the ``oma_cause`` and ``noma_cause``
+    codes (semi's checks are oma's).  ``live`` holds the indices of the
+    rows that need a search, ``w_low`` and ``w_up`` their Lemma-1
+    interval, and ``bands`` their similarity-seeded bands.
     """
     index: dict[PowerTargets, int] = {}
     tri = [index.setdefault(t, len(index)) for t in targets]
     triples = list(index)
     values = [[getattr(t, f) for f in TARGET_FIELDS] for t in triples]
     data = [(r.gain_s, r.gain_b, min(r.gain_s, r.gain_b), *values[i]) for r, i in zip(reals, tri)]
-    rs = _rows(np.array(data), np.array(tri))
+    data = np.array(data)
     codes = [[_cause_code(scenario, t, s) for s in (Scheme.OMA, Scheme.NOMA)] for t in triples]
-    rs.oma_cause, rs.noma_cause = np.array([codes[i] for i in tri]).T
+    oma_cause, noma_cause = np.array([codes[i] for i in tri]).T
     searched = [c[0] == 0 and t.sigma_target > 0 for c, t in zip(codes, triples)]
     live = np.flatnonzero([searched[i] for i in tri])
-    g = rs.live = _take(rs, live)
-    g.index = live
-    sigma, floor = g.sigma_target[:, 0], g.min_similarity[:, 0]
-    g.w_low, g.w_up = lemma1_bounds(scenario, sigma, floor)
-    g.bands = eps_seeded_bands(scenario, sigma, floor)
-    return rs
-
-
-def _search(rows: SimpleNamespace, objective, lo, hi, extra: np.ndarray, grid_n: int):
-    """(x, f) minimising ``objective(batch, x)`` for each row, one search per row batch.
-
-    Row i searches [lo[i], hi[i]] with the candidates ``extra[i]`` added.
-    """
-    x, f = np.empty((2, len(rows.tri)))
-    for b in row_batches(len(rows.tri), grid_n, extra.shape[1]):
-        x[b], f[b] = refine_search(
-            partial(objective, _take(rows, b)),
-            lo[b],
-            hi[b],
-            grid_n,
-            maximize=False,
-            extra=extra[b],
-        )
-    return x, f
+    sigma, floor = data[live, 3], data[live, 4]
+    interval = lemma1_bounds(scenario, sigma, floor)
+    bands = eps_seeded_bands(scenario, sigma, floor)
+    return data, oma_cause, noma_cause, live, *interval, bands
 
 
 def _columns(cause: np.ndarray, fields: np.ndarray) -> PowerRows:
@@ -272,30 +241,33 @@ def solve_oma_min_power(
     return _solved(_solution(scenario, targets, Scheme.OMA, rows, 0))
 
 
-def _oma_rows(scenario: Scenario, rs: SimpleNamespace, grid_n: int) -> PowerRows:
-    """:func:`solve_oma_min_power` for each row of ``rs``."""
+def _oma_rows(scenario: Scenario, rs: tuple, grid_n: int) -> PowerRows:
+    """:func:`solve_oma_min_power` for each row of the :func:`_row_set` ``rs``."""
     w = scenario.total_bandwidth
+    data, oma_cause, _, live, w_low, w_up, bands = rs
+
+    def semantic_power(g, ws):
+        gain_s, _, _, sigma, floor, _ = g.T[:, :, None]
+        return sem_power(scenario, gain_s, sigma, floor, ws)
 
     def bit_power(g, ws):
+        _, gain_b, _, _, _, bit_target = g.T[:, :, None]
         w_bit = w - ws
-        inv_h = orth_inv_slope(w_bit, g.gain_b, scenario.noise_psd)
-        return pipe_power(w_bit, g.bit_target, inv_h)
+        return pipe_power(w_bit, bit_target, orth_inv_slope(w_bit, gain_b, scenario.noise_psd))
 
     def total(g, ws):
-        return sem_power(scenario, g, g.sigma_target, g.min_similarity, ws) + bit_power(g, ws)
+        return semantic_power(g, ws) + bit_power(g, ws)
 
     # Rows without a search carry no semantic stream (or are infeasible):
     # no band, no power.
-    ws, p_sem = np.zeros((2, len(rs.tri)))
-    live = rs.live.index
-    if live.size:
-        g = rs.live
-        ws[live] = _search(g, total, g.w_low, g.w_up, g.bands, grid_n)[0]
-        p_sem[live] = sem_power(scenario, g, g.sigma_target, g.min_similarity, ws[live, None])[:, 0]
-    p_bit = bit_power(rs, ws[:, None])[:, 0]
+    ws, p_sem = np.zeros((2, len(data)))
+    g = data[live]
+    ws[live] = search_rows(total, g, w_low, w_up, bands, grid_n, maximize=False)[0]
+    p_sem[live] = semantic_power(g, ws[live, None])[:, 0]
+    p_bit = bit_power(data, ws[:, None])[:, 0]
     tot = p_sem + p_bit
-    bit_band = (rs.oma_cause == 0) & ~np.isfinite(tot)
-    cause = np.where(bit_band, CAUSES.index("bandwidth-bound"), rs.oma_cause)
+    bit_band = (oma_cause == 0) & ~np.isfinite(tot)
+    cause = np.where(bit_band, CAUSES.index("bandwidth-bound"), oma_cause)
     zero = np.zeros_like(ws)
     return _columns(cause, np.array([tot, zero, ws, w - ws, p_sem, zero, p_bit]))
 
@@ -319,23 +291,25 @@ def solve_noma_min_power(
     return _solved(_solution(scenario, targets, Scheme.NOMA, rows, 0))
 
 
-def _noma_rows(scenario: Scenario, rs: SimpleNamespace) -> PowerRows:
+def _noma_rows(scenario: Scenario, rs: tuple) -> PowerRows:
     """:func:`solve_noma_min_power` for each row of ``rs``.
 
     Structurally infeasible rows are evaluated too (at +inf semantic power)
     and then blanked by their cause.
     """
     w = scenario.total_bandwidth
-    p_s = sem_power(scenario, rs, rs.sigma_target, rs.min_similarity, w)
-    inv_h = overlay_inv_slope(w, p_s, rs.gain_eff, scenario.noise_psd)
-    p_b = pipe_power(w, rs.bit_target, inv_h)[:, 0]
+    data, _, cause = rs[:3]
+    gain_s, _, gain_eff, sigma, floor, bit_target = data.T[:, :, None]
+    p_s = sem_power(scenario, gain_s, sigma, floor, w)
+    inv_h = overlay_inv_slope(w, p_s, gain_eff, scenario.noise_psd)
+    p_b = pipe_power(w, bit_target, inv_h)[:, 0]
     p_s = p_s[:, 0]
     zero = np.zeros_like(p_s)
-    return _columns(rs.noma_cause, np.array([p_s + p_b, zero + w, zero, zero, p_s, p_b, zero]))
+    return _columns(cause, np.array([p_s + p_b, zero + w, zero, zero, p_s, p_b, zero]))
 
 
-def _hybrid_power(scenario: Scenario, rows: SimpleNamespace, wm):
-    """(p_sem, p_bit_shared, p_bit_orth) for shared-band candidates ``wm``.
+def _hybrid_power(scenario: Scenario, g: np.ndarray, wm):
+    """(p_sem, p_bit_shared, p_bit_orth) of the row set rows ``g`` for shared bands ``wm``.
 
     The semantic power is pinned by the harder of the rate target and the
     floor; inverse water-filling then splits the bit target between the
@@ -344,21 +318,22 @@ def _hybrid_power(scenario: Scenario, rows: SimpleNamespace, wm):
     """
     w = scenario.total_bandwidth
     n0 = scenario.noise_psd
-    p_s = sem_power(scenario, rows, rows.sigma_target, rows.min_similarity, wm)
+    gain_s, gain_b, gain_eff, sigma, floor, bit_target = g.T[:, :, None]
+    p_s = sem_power(scenario, gain_s, sigma, floor, wm)
     ok = np.isfinite(p_s)
     w_b = w - wm
     p_m, p_o = water_fill_min_grid(
         wm,
-        overlay_inv_slope(wm, np.where(ok, p_s, 0.0), rows.gain_eff, n0),
+        overlay_inv_slope(wm, np.where(ok, p_s, 0.0), gain_eff, n0),
         w_b,
-        orth_inv_slope(w_b, rows.gain_b, n0),
-        rows.bit_target,
+        orth_inv_slope(w_b, gain_b, n0),
+        bit_target,
     )
     return p_s, np.where(ok, p_m, np.inf), np.where(ok, p_o, 0.0)
 
 
 def _semi_rows(
-    scenario: Scenario, rs: SimpleNamespace, grid_n: int, oma: PowerRows, noma: PowerRows
+    scenario: Scenario, rs: tuple, grid_n: int, oma: PowerRows, noma: PowerRows
 ) -> PowerRows:
     """Hybrid minimum per row from its interior search and the two corners.
 
@@ -368,22 +343,22 @@ def _semi_rows(
     the narrower shared band and then toward the interior.
     """
     w = scenario.total_bandwidth
+    data, _, _, live, w_low, _, bands = rs
 
     def total(g, wm):
         p_s, p_m, p_o = _hybrid_power(scenario, g, wm)
         return p_s + (p_m + p_o)
 
     # One line per PowerRows field, in order; a row without a candidate costs +inf.
-    best = np.zeros((1 + len(ALLOC_FIELDS), len(rs.tri)))
+    best = np.zeros((1 + len(ALLOC_FIELDS), len(data)))
     best[0] = np.inf
-    live = rs.live.index
-    if live.size:
-        g = rs.live
-        full = np.full(len(live), w)
-        wm, f = _search(g, total, g.w_low, full, np.column_stack([g.bands, full]), grid_n)
-        p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, g, wm[:, None]))
-        found = np.isfinite(f)
-        best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]
+    g = data[live]
+    full = np.full(len(live), w)
+    extra = np.column_stack([bands, full])
+    wm, f = search_rows(total, g, w_low, full, extra, grid_n, maximize=False)
+    p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, g, wm[:, None]))
+    found = np.isfinite(f)
+    best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]
     fold_corners(best, _fields(oma), _fields(noma), np.less)
     # Semi's structural checks are oma's, so only oma's own bit-band
     # bound can leave a row without any candidate, and oma's cause is semi's.
@@ -437,9 +412,10 @@ def solve_min_powers_rows(
     """Each scheme's minima over rows (draw ``reals[i]``, triple ``targets[i]``).
 
     Maps each scheme, in oma, noma, semi order, to its columns.  The rows
-    that need a search (a positive rate target, structurally feasible) are
-    cut into :func:`row_batches`, one oma and one semi search each; every
-    row gets exactly the result a one-row solve would.
+    that need a search (a positive rate target, structurally feasible)
+    are solved by one :func:`sembit.search.search_rows` call for oma and
+    one for semi, which cut them into row batches; every row gets exactly
+    the result a one-row solve would.
     """
     rs = _row_set(scenario, reals, targets)
     oma = _oma_rows(scenario, rs, grid_n)

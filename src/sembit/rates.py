@@ -41,15 +41,17 @@ _EPS_EDGE = 1e-9
 _EPS_STEPS = np.linspace(0.0, 1.0, EPS_BANDS)
 
 
-def sem_power(scenario: Scenario, real: ChannelRealization, sigma_target, floor, bandwidth):
+def sem_power(scenario: Scenario, gain_s, sigma_target, floor, bandwidth):
     """Semantic power over ``bandwidth`` for the harder of two targets.
 
     The rate target needs similarity sigma*k/w, the floor needs ``floor``;
     +inf where the harder one sits at or above the curve ceiling.
+    ``gain_s``, the semantic user's gain, is one number or a column of
+    them, one per row.
     """
     eps_need = np.maximum(sigma_target * scenario.k / bandwidth, floor)
     return power_for_similarity_grid(
-        scenario.logistic, eps_need, bandwidth, real.gain_s, scenario.noise_psd
+        scenario.logistic, eps_need, bandwidth, gain_s, scenario.noise_psd
     )
 
 

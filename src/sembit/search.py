@@ -21,9 +21,10 @@ semantic rates, or one target triple over several channel draws).  The
 objective scores a rows x candidates matrix at once, and every row sees
 exactly the candidates a one-row call would: its own ``np.linspace``
 grid and brackets, sorted.  Duplicate candidates may stay, since an
-equal x scores equally.  Callers cut long batches into
-:func:`row_batches` so that each objective call stays near
-``BATCH_CANDIDATES`` candidates.
+equal x scores equally.  :func:`search_rows`, the driver every boundary
+and power search goes through, cuts a row set into :func:`row_batches`
+so that each objective call stays near ``BATCH_CANDIDATES`` candidates,
+and runs one search per batch.
 
 Unimodality holds only within a basin: the objectives this package
 searches can have a second local optimum, so callers seed the coarse grid
@@ -32,6 +33,7 @@ with ``extra`` candidates that cover every basin they know of.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -148,3 +150,19 @@ def refine_search(
     if one_row:
         return float(x_best[0]), float(f_best[0])
     return x_best, f_best
+
+
+def search_rows(objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, tie_high=False):
+    """(x, f) optimising ``objective(cols[rows], x)`` for each row, one search per row batch.
+
+    ``cols`` holds one line of per-row data for each row, and row i
+    searches [lo[i], hi[i]] with the candidates ``extra[i]`` added; every
+    row gets exactly the result a one-row search would.
+    """
+    x, f = np.empty((2, len(lo)))
+    for b in row_batches(len(lo), grid_n, extra.shape[1]):
+        batch = partial(objective, cols[b])
+        x[b], f[b] = refine_search(
+            batch, lo[b], hi[b], grid_n, maximize=maximize, tie_high=tie_high, extra=extra[b]
+        )
+    return x, f

@@ -99,8 +99,8 @@ class TestLemma1Bounds:
         bands = w_need[:, None] + np.linspace(0.0, 1.0, 257) * (w_low - w_need)[:, None]
         bands[:, -1] = np.nextafter(w_low, 0.0)
         assert (bands < w_low[:, None]).all()
-        assert np.isposinf(sem_power(sc, realization, sigma[:, None], 0.0, bands)).all()
-        assert np.isfinite(sem_power(sc, realization, sigma, 0.0, w_low * (1 + 1e-9))).all()
+        assert np.isposinf(sem_power(sc, realization.gain_s, sigma[:, None], 0.0, bands)).all()
+        assert np.isfinite(sem_power(sc, realization.gain_s, sigma, 0.0, w_low * (1 + 1e-9))).all()
 
     def test_zero_target_collapses(self, scenario):
         assert lemma1_bounds(scenario, 0.0, scenario.min_similarity) == (0.0, 0.0)
@@ -168,7 +168,7 @@ class TestEpsSeededBands:
         # curve floor, the first seed is the band whose semantic power is 0.
         w_need = sigma * scenario.k
         free = np.maximum(floors, w_need / scenario.total_bandwidth) <= scenario.logistic.a_low
-        p_first = sem_power(scenario, realization, sigma, floors, bands[:, 0])
+        p_first = sem_power(scenario, realization.gain_s, sigma, floors, bands[:, 0])
         assert (p_first[free] == 0.0).all()
         assert (p_first[~free] > 0.0).all()
         assert free.any() == (floors.min() < scenario.logistic.a_low)
@@ -511,7 +511,7 @@ class TestBatchedPoints:
 def _full_oma_score(scenario, real, s_col, ws):
     """The oma objective as it scored every candidate, over budget or not."""
     w, p_max, floor = scenario.total_bandwidth, scenario.max_power, scenario.min_similarity
-    p_req = sem_power(scenario, real, s_col, floor, ws)
+    p_req = sem_power(scenario, real.gain_s, s_col, floor, ws)
     w_bit = w - ws
     p_bit = np.where(p_req <= p_max, p_max - p_req, 0.0)
     return pipe_rate(w_bit, p_bit, orth_inv_slope(w_bit, real.gain_b, scenario.noise_psd))
@@ -519,7 +519,7 @@ def _full_oma_score(scenario, real, s_col, ws):
 
 def _full_semi_score(scenario, real, s_col, wm):
     """The semi objective as it scored every candidate, over budget or not."""
-    p_s = sem_power(scenario, real, s_col, scenario.min_similarity, wm)
+    p_s = sem_power(scenario, real.gain_s, s_col, scenario.min_similarity, wm)
     feasible = p_s <= scenario.max_power
     rate, _, _ = boundary._hybrid_rate_grid(scenario, real, wm, np.where(feasible, p_s, 0.0))
     return np.where(feasible, rate, 0.0)
@@ -527,7 +527,8 @@ def _full_semi_score(scenario, real, s_col, wm):
 
 def _row_kinds(scenario, real, s_col, x):
     """Per row of candidates ``x``: all over budget, all within it, or mixed."""
-    live = sem_power(scenario, real, s_col, scenario.min_similarity, x) <= scenario.max_power
+    p_s = sem_power(scenario, real.gain_s, s_col, scenario.min_similarity, x)
+    live = p_s <= scenario.max_power
     return [("dead", "mixed", "live")[int(a) + int(b)] for a, b in zip(live.any(1), live.all(1))]
 
 
@@ -540,6 +541,7 @@ class TestLiveOnlyScores:
         full = {"_oma_points": _full_oma_score, "_semi_points": _full_semi_score}
         scores = {}
         kinds = set()
+        original = search.refine_search
 
         def spy(objective, lo, hi, n, **kw):
             owner = objective.func.__qualname__.split(".")[0]
@@ -552,11 +554,12 @@ class TestLiveOnlyScores:
                 kinds.update(_row_kinds(scenario, real, *objective.args, x))
                 return got
 
-            return search.refine_search(checked, lo, hi, n, **kw)
+            return original(checked, lo, hi, n, **kw)
 
-        monkeypatch.setattr(boundary, "refine_search", spy)
+        monkeypatch.setattr(search, "refine_search", spy)
         sigma_max = oma_extremes(scenario, real).sigma_max
         boundary.trace_region(scenario, real, ["oma", "semi"], n_points=40, grid_n=64)
+        assert set(scores) == set(full)  # the spy saw both searches
         assert kinds == {"dead", "live", "mixed"}
 
         # Rows past the region's edge score nothing; thin bands are dead flanks.
@@ -607,12 +610,13 @@ class TestTraceRegion:
         # 4 (2 on a power-limited draw) row batches of the hybrid's grid:
         # one oma and one hybrid search each, and no second oma pass.
         counted = []
+        original = search.refine_search
 
         def counting(*args, **kwargs):
             counted.append(kwargs["tie_high"])
-            return search.refine_search(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(boundary, "refine_search", counting)
+        monkeypatch.setattr(search, "refine_search", counting)
         real = sample_realization(scenario, seed)
         boundary.trace_region(scenario, real, ["oma", "noma", "semi"])
         assert len(counted) == calls

@@ -105,7 +105,11 @@ class TestRegionCommand:
         assert not (out / "containment.json").exists()
 
     def test_bad_scheme_name(self, tmp_path):
-        assert main(self.region_args(tmp_path / "r", schemes="oma,bogus")) == 2
+        # An unknown name, or a list that names no scheme at all.
+        for i, schemes in enumerate(["oma,bogus", ",", " , "]):
+            out = tmp_path / f"r{i}"
+            assert main(self.region_args(out, schemes=schemes)) == 2
+            assert not out.exists()
 
     def test_unreachable_floor_empties_overlay(self, tmp_path, scenario_file):
         hopeless = Scenario().with_updates(min_similarity=0.93)
@@ -462,6 +466,18 @@ class TestReplay:
         out1 = tmp_path / "a"
         main(["region", "--seed", "7", "--points", "5", "--grid", "64", "--out", str(out1)])
         assert main(["replay", str(out1 / "manifest.json")]) == 2
+
+    def test_replay_with_no_scheme_is_bad_input(self, tmp_path, capsys):
+        out1 = tmp_path / "a"
+        assert main(["region", "--seed", "7", "--points", "5", "--out", str(out1)]) == 0
+        manifest = json.loads(read_bytes(out1 / "manifest.json"))
+        manifest["args"]["schemes"] = []
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        out2 = tmp_path / "b"
+        assert main(["replay", str(path), "--out", str(out2)]) == 2
+        assert "the scheme set is empty" in capsys.readouterr().err
+        assert not out2.exists()
 
     def test_replay_rejects_non_manifest(self, tmp_path):
         stray = tmp_path / "stray.json"

@@ -20,7 +20,7 @@ from sembit import (
     solve_semi_min_power,
     water_fill_min,
 )
-from sembit import power
+from sembit import search
 from sembit.cli import _verify_solution
 from sembit.power import (
     ALLOC_FIELDS,
@@ -365,14 +365,17 @@ class TestRowSets:
         assert distinct_seeds(scenario, targets) == 1
         reals = [sample_realization(scenario, seed) for seed in range(6)]
         padded = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
-        search = power.refine_search
+        original = search.refine_search
+        unpadded_calls = []
 
         def unpadded(objective, lo, hi, n, *, extra, **kwargs):
             assert (extra[:, :EPS_BANDS] == lo[:, None]).all()
-            return search(objective, lo, hi, n, extra=extra[:, EPS_BANDS:], **kwargs)
+            unpadded_calls.append(extra.shape)
+            return original(objective, lo, hi, n, extra=extra[:, EPS_BANDS:], **kwargs)
 
-        monkeypatch.setattr(power, "refine_search", unpadded)
+        monkeypatch.setattr(search, "refine_search", unpadded)
         plain = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
+        assert unpadded_calls  # the patch fired
         assert np.isfinite(padded[Scheme.SEMI].total).all()
         for scheme, rows in padded.items():
             for name in ("total", *ALLOC_FIELDS, "cause"):
@@ -424,14 +427,14 @@ class TestOneRowSearches:
         ],
     )
     def test_search_count(self, scenario, realization, monkeypatch, targets, extras):
-        search = power.refine_search
+        original = search.refine_search
         seen = []
 
         def counting(objective, lo, hi, n, **kwargs):
             seen.append(kwargs["extra"].shape)
-            return search(objective, lo, hi, n, **kwargs)
+            return original(objective, lo, hi, n, **kwargs)
 
-        monkeypatch.setattr(power, "refine_search", counting)
+        monkeypatch.setattr(search, "refine_search", counting)
         solve_min_powers(scenario, realization, targets, 512)
         assert seen == [(1, m) for m in extras]
 

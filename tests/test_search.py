@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sembit.search import (
     _pick,
     refine_search,
     row_batches,
+    search_rows,
 )
 
 
@@ -175,6 +178,26 @@ class TestRowBatches:
         assert [b.start for b in batches] == [0, size, 2 * size, 3 * size]
         assert np.arange(3 * size + 1)[batches[-1]].tolist() == [3 * size]
         assert row_batches(5, 10 * BATCH_CANDIDATES) == [slice(i, i + 1) for i in range(5)]
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_search_rows_equals_one_search_per_row(self, maximize):
+        # Each row's objective reads its own line of ``cols``: a centre and a scale.
+        rng = np.random.default_rng(3)
+        n_rows = 300
+        assert len(row_batches(n_rows, 64, 2)) == 3
+        cols = rng.uniform(0.1, 1.0, (n_rows, 2))
+        lo, hi = np.zeros(n_rows), np.ones(n_rows)
+        extra = rng.uniform(-0.5, 1.5, (n_rows, 2))
+        sign = 1.0 if maximize else -1.0
+
+        def objective(c, x):
+            return -sign * c[:, 1:] * (x - c[:, :1]) ** 2
+
+        x, f = search_rows(objective, cols, lo, hi, extra, 64, maximize=maximize)
+        for r in range(n_rows):
+            one = partial(objective, cols[r : r + 1])
+            kw = dict(maximize=maximize, extra=extra[r])
+            assert refine_search(one, lo[r], hi[r], 64, **kw) == (x[r], f[r])
 
 
 def unimodal(kind, rng, rows):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sembit import Scenario, sample_realization, solve_oma_point, solve_semi_point
+from sembit import Scenario, sample_realization, search, solve_oma_point, solve_semi_point
+from sembit.search import REFINE_LEVELS
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_quality.py"
 _spec = importlib.util.spec_from_file_location("search_quality", _TOOL)
@@ -38,3 +39,26 @@ def test_pinned_row_value(solve):
     # The optimum carries the semantic stream alone, on a 709.8 kHz band.
     band = point.alloc.w_sem + point.alloc.w_shared
     assert np.isclose(band, 709.8e3, atol=0.1e3)
+
+
+def test_reference_levels_deepen_the_searches(monkeypatch):
+    # A one-row search makes one coarse objective call, then one per level.
+    original = search.refine_search
+    calls = []
+
+    def counting(objective, *args, **kwargs):
+        def counted(x):
+            calls.append(x.shape)
+            return objective(x)
+
+        return original(counted, *args, **kwargs)
+
+    monkeypatch.setattr(search, "refine_search", counting)
+    scenario = Scenario()
+    real = sample_realization(scenario, 7)
+    solve_oma_point(scenario, real, 100e3)
+    assert len(calls) == 1 + REFINE_LEVELS
+    calls.clear()
+    with quality.reference_levels():
+        solve_oma_point(scenario, real, 100e3)
+    assert len(calls) == 1 + quality.REF_LEVELS

@@ -63,14 +63,17 @@ PINNED = {
 
 @contextlib.contextmanager
 def reference_levels():
-    """Make the boundary and power searches run ``REF_LEVELS`` bracket levels."""
-    deep = functools.partial(search.refine_search, levels=REF_LEVELS)
-    saved = boundary.refine_search, power.refine_search
-    boundary.refine_search = power.refine_search = deep
+    """Make the boundary and power searches run ``REF_LEVELS`` bracket levels.
+
+    Every one of them goes through :func:`sembit.search.search_rows`, which
+    calls ``refine_search`` through the one binding in :mod:`sembit.search`.
+    """
+    saved = search.refine_search
+    search.refine_search = functools.partial(saved, levels=REF_LEVELS)
     try:
         yield
     finally:
-        boundary.refine_search, power.refine_search = saved
+        search.refine_search = saved
 
 
 def boundary_rows(scenario, real, sigma, grid_n):
