@@ -56,12 +56,13 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("a sweep needs at least one value")
-        if self.variable == "k":
-            for value in self.values:
-                require_int("k sweep value", value)
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         check_grid_n(self.grid_n)
+        for value in self.values:  # a bad value fails here, not after the draws
+            if self.variable == "k":
+                require_int("k sweep value", value)
+            self.apply(value)
 
     def apply(self, value: float) -> tuple[Scenario, PowerTargets]:
         """Scenario/targets pair with the swept variable set to ``value``."""
@@ -181,35 +182,44 @@ def _sweep_totals(spec: SweepSpec, reals: list[ChannelRealization]) -> np.ndarra
     return totals
 
 
+def _feasible_stats(col: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the finite entries of ``col``; NaN for both if none."""
+    ok = col[np.isfinite(col)]
+    if not ok.size:
+        return math.nan, math.nan
+    stderr = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
+    return float(np.mean(ok)), stderr
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute a sweep; deterministic for a given spec."""
     reals = [
         sample_realization(spec.scenario, derive_seed(spec.base_seed, i))
         for i in range(spec.n_realizations)
     ]
+    # (values, schemes, draws), draws contiguous: one reduction along them
+    # gives each fully feasible column exactly what np.mean and np.std of
+    # that column alone would.  A partly feasible column drops its NaNs.
+    totals = np.ascontiguousarray(_sweep_totals(spec, reals).transpose(0, 2, 1))
+    n = spec.n_realizations
+    n_ok = np.isfinite(totals).sum(axis=2).tolist()
+    means = totals.mean(axis=2).tolist()
+    stderrs = totals.std(axis=2, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(totals.shape[:2])
+    stderrs = stderrs.tolist()
     rows = []
-    for value, arr in zip(spec.values, _sweep_totals(spec, reals)):
+    for v, value in enumerate(spec.values):
         for j, scheme in enumerate(SCHEME_ORDER):
-            col = arr[:, j]
-            feasible = np.isfinite(col)
-            n_ok = int(feasible.sum())
-            if n_ok:
-                mean = float(np.mean(col[feasible]))
-                stderr = (
-                    float(np.std(col[feasible], ddof=1) / math.sqrt(n_ok))
-                    if n_ok > 1
-                    else 0.0
-                )
+            if n_ok[v][j] == n:
+                mean, stderr = means[v][j], stderrs[v][j]
             else:
-                mean = math.nan
-                stderr = math.nan
+                mean, stderr = _feasible_stats(totals[v, j])
             rows.append(
                 SweepRow(
                     sweep_value=float(value),
                     scheme=scheme,
                     mean_power_w=mean,
                     stderr=stderr,
-                    infeasible_frac=1.0 - n_ok / spec.n_realizations,
+                    infeasible_frac=1.0 - n_ok[v][j] / n,
                 )
             )
     return SweepResult(spec=spec, rows=tuple(rows))

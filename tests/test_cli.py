@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -379,6 +380,28 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("sigma_target", math.nan),
+            ("bit_target", math.inf),
+            ("min_similarity", 1.5),
+            ("sigma_target", -1.0),
+            ("k", 99),
+        ],
+    )
+    def test_bad_sweep_value_is_bad_input(self, tmp_path, scenario, variable, value):
+        # Both from a spec file and from a manifest to replay.
+        path = self.write_spec(tmp_path, scenario)
+        spec = dict(json.loads(path.read_text(encoding="utf-8")), variable=variable, values=[value])
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "sweep", "args": {"spec": spec}}), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        assert main(["replay", str(manifest), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_integral_floats_stay_valid(self, tmp_path, scenario):

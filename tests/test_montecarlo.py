@@ -12,6 +12,7 @@ from sembit import (
     Scenario,
     SweepSpec,
     derive_seed,
+    montecarlo,
     run_sweep,
     sample_realization,
     search,
@@ -44,6 +45,21 @@ class TestSweepSpec:
             small_spec(scenario, values=())
         with pytest.raises(ValueError):
             small_spec(scenario, n_realizations=0)
+
+    @pytest.mark.parametrize(
+        "variable, values, message",
+        [
+            ("sigma_target", (0.0, math.nan), "sigma_target must be finite, got nan"),
+            ("bit_target", (8e5, math.inf), "bit_target must be finite, got inf"),
+            ("min_similarity", (0.5, 1.5), r"min_similarity must lie in \[0, 1\)"),
+            ("sigma_target", (0.0, -1.0), "targets must be non-negative"),
+            ("k", (4, 99), "no S-curve for k=99"),
+        ],
+    )
+    def test_bad_value_rejected_at_construction(self, scenario, variable, values, message):
+        # Not later, inside run_sweep, after the draws are made.
+        with pytest.raises(ValueError, match=message):
+            small_spec(scenario, variable=variable, values=values)
 
     def test_apply_sigma(self, scenario):
         spec = small_spec(scenario)
@@ -263,3 +279,20 @@ class TestCrossValueRows:
         totals = self.check(spec)
         assert np.isfinite(totals[:3]).all()
         assert np.isnan(totals[3]).all()
+
+    @pytest.mark.parametrize("n_draws", [1, 2, 7])
+    def test_statistics_equal_per_column_calls(self, scenario, monkeypatch, n_draws):
+        # Fully, partly and not feasible columns; no bundled sweep has a
+        # partly feasible one.
+        rng = np.random.default_rng(n_draws)
+        totals = rng.exponential(1.0, (4, n_draws, 3)) * 10.0 ** rng.uniform(-3, 3, (4, 1, 1))
+        totals[1, 0] = np.nan
+        totals[2] = np.nan
+        totals[3, -1, 1] = np.nan
+        monkeypatch.setattr(montecarlo, "_sweep_totals", lambda spec, reals: totals)
+        spec = small_spec(scenario, values=(0.0, 50e3, 100e3, 150e3), n_realizations=n_draws)
+        got = [
+            [r.sweep_value, r.mean_power_w, r.stderr, r.infeasible_frac]
+            for r in run_sweep(spec).rows
+        ]
+        np.testing.assert_array_equal(np.array(got), summary(spec, totals))

@@ -1,10 +1,14 @@
+import platform
 from functools import partial
 
 import numpy as np
 import pytest
 
+from sembit import Scenario, Scheme, sample_realization, trace_region
+from sembit.rates import EPS_BANDS
 from sembit.search import (
     BATCH_CANDIDATES,
+    DEFAULT_GRID_N,
     REFINE_LEVELS,
     REFINE_ZOOM,
     _linspace_rows,
@@ -332,3 +336,35 @@ class TestIncumbentNotRescored:
             np.testing.assert_array_equal(one, [want[0][r], want[1][r]])
         f = want[1]
         assert np.isnan(f).any() and (~np.isnan(f)).sum() > self.ROWS // 2
+
+
+class TestHeapTrim:
+    """Batch temporaries stay on a heap that is not handed back to the kernel after each batch."""
+
+    MMAP_THRESHOLD = 128 * 1024  # glibc's default, which setting the trim threshold pins
+
+    def test_default_batch_temporary_stays_under_the_mmap_threshold(self):
+        # The widest call of a default region: the semi boundary's coarse
+        # grid, its similarity seeds, the full band and the corner seed.
+        width = DEFAULT_GRID_N + EPS_BANDS + 2
+        batch = row_batches(1000, DEFAULT_GRID_N, EPS_BANDS + 2)[0]
+        assert (batch.stop - batch.start) * width * 8 < self.MMAP_THRESHOLD
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's trim threshold")
+    def test_default_regions_fault_in_no_pages_after_warm_up(self):
+        # With glibc's default trim threshold each region faulted in about
+        # 6,000 pages that the previous batch had handed back.
+        import resource  # Unix only, like glibc
+
+        scenario = Scenario()
+
+        def region(seed):
+            trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
+
+        for seed in range(2):
+            region(seed)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for seed in range(2, 7):
+            region(seed)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 5 <= 50
