@@ -13,7 +13,9 @@ batches with one search per batch.  The one-target solvers build their
 :class:`BoundaryPoint` from row 0, and every row equals what they return
 for its target.  A search candidate whose semantic power exceeds the
 budget scores 0 without running the bit-rate kernel: only in-budget
-candidates are handed to it.
+candidates are handed to it.  A traced boundary, :class:`RegionBoundary`,
+is columns too: sigma, bit rate and similarity, which the containment
+check and the CSV writer read as they are.
 
 The orthogonal and overlay solutions are hybrid corner cases, so the
 hybrid folds in the oma and noma rows it is given for the same targets
@@ -51,7 +53,7 @@ from .rates import (
     snr_db,
     water_fill_max_grid,
 )
-from .search import DEFAULT_GRID_N, REFINE_LEVELS, REFINE_ZOOM, search_rows
+from .search import DEFAULT_GRID_N, search_rows
 from .similarity import eval_similarity, required_power_for_similarity
 
 
@@ -103,30 +105,27 @@ class BoundaryRows:
 
 @dataclass(frozen=True)
 class RegionBoundary:
-    """A swept boundary: rate pairs ordered by increasing semantic rate."""
+    """A swept boundary: one 1-D column per field, ordered by increasing semantic rate."""
 
     scheme: Scheme
-    points: tuple[RatePair, ...]
-    grid_spec: dict
-    power_limited: bool = False
+    sigma: np.ndarray
+    bit_rate: np.ndarray
+    similarity: np.ndarray
 
     @property
-    def sigma(self) -> np.ndarray:
-        return np.array([p.sem_rate for p in self.points])
+    def points(self) -> tuple[RatePair, ...]:
+        return tuple(RatePair(*row) for row in self._rows())
 
-    @property
-    def bit_rate(self) -> np.ndarray:
-        return np.array([p.bit_rate for p in self.points])
+    def _rows(self):
+        """(sigma, bit rate, similarity) per row, as plain floats."""
+        return zip(self.sigma.tolist(), self.bit_rate.tolist(), self.similarity.tolist())
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sigma", "bit_rate", "similarity"])
-            for p in self.points:
-                # float() strips any numpy scalar so repr stays plain digits.
-                writer.writerow(
-                    [repr(float(p.sem_rate)), repr(float(p.bit_rate)), repr(float(p.similarity))]
-                )
+            # A plain float's repr is plain digits, where a numpy scalar's is not.
+            writer.writerows(map(repr, row) for row in self._rows())
 
 
 @dataclass(frozen=True)
@@ -344,16 +343,7 @@ def noma_boundary(
         gamma_db = 10.0 * np.log10(p_s * real.gain_s / (w * n0))
     eps = eval_similarity(scenario.logistic, gamma_db)
     bit = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, n0))
-    points = tuple(
-        RatePair(sem_rate=float(w * e / scenario.k), bit_rate=float(r), similarity=float(e))
-        for e, r in zip(eps, bit)
-    )
-    return RegionBoundary(
-        scheme=Scheme.NOMA,
-        points=points,
-        grid_spec={"n_points": n_points},
-        power_limited=False,
-    )
+    return RegionBoundary(Scheme.NOMA, w * eps / scenario.k, bit, eps)
 
 
 def _hybrid_rate_grid(
@@ -447,28 +437,18 @@ def _semi_points(
     return _columns(scenario, real, best, ~np.isnan(best[1]))
 
 
-def _lifted(scheme, sigma, rows: BoundaryRows, n_points, grid_n, ext, on=slice(None)):
+def _lifted(scheme, sigma, rows: BoundaryRows, on=slice(None)):
     """The boundary through ``sigma``, each bit rate lifted to its running right-max.
 
     The bit rates and similarities are the rows ``on`` of ``rows``.  Point
     i carries those of the leftmost maximum of the bit rate at or after i
-    (see :func:`sweep_boundary`); ``ext`` is the draw's :class:`Extremes`.
+    (see :func:`sweep_boundary`).
     """
     rate, eps = rows.bit_rate[on], rows.similarity[on]
     top = np.maximum.accumulate(rate[::-1])[::-1]
     at = np.where(rate == top, np.arange(len(rate)), len(rate))
     src = np.minimum.accumulate(at[::-1])[::-1]
-    return RegionBoundary(
-        scheme=scheme,
-        points=tuple(map(RatePair, sigma.tolist(), rate[src].tolist(), eps[src].tolist())),
-        grid_spec={
-            "n_points": int(n_points),
-            "grid_n": int(grid_n),
-            "refine_levels": REFINE_LEVELS,
-            "refine_zoom": REFINE_ZOOM,
-        },
-        power_limited=ext.power_limited,
-    )
+    return RegionBoundary(scheme, sigma, rate[src], eps[src])
 
 
 def sweep_boundary(
@@ -498,20 +478,18 @@ def sweep_boundary(
         if sigma_values is not None:
             sigma = np.asarray(sigma_values, dtype=float)
             rows = _noma_points(scenario, real, sigma)
-            pairs = map(RatePair, sigma.tolist(), rows.bit_rate.tolist(), rows.similarity.tolist())
-            return RegionBoundary(scheme, tuple(pairs), {"n_points": len(sigma)}, False)
+            return RegionBoundary(scheme, sigma, rows.bit_rate, rows.similarity)
         return noma_boundary(scenario, real, n_points)
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    ext = oma_extremes(scenario, real)
     if sigma_values is None:
-        sigma_values = np.linspace(0.0, ext.sigma_max, n_points)
+        sigma_values = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, n_points)
     sigma = np.asarray(sigma_values, dtype=float)
     rows = _oma_points(scenario, real, sigma, grid_n)
     if scheme is Scheme.SEMI:
         noma = _noma_points(scenario, real, sigma)
         rows = _semi_points(scenario, real, sigma, grid_n, rows, noma)
-    return _lifted(scheme, sigma, rows, n_points, grid_n, ext)
+    return _lifted(scheme, sigma, rows)
 
 
 def trace_region(
@@ -548,8 +526,7 @@ def trace_region(
         except EmptyRegion as exc:
             empty = exc
     if schemes - {Scheme.NOMA}:
-        ext = oma_extremes(scenario, real)
-        uniform = sigma = np.linspace(0.0, ext.sigma_max, n_points)
+        uniform = sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, n_points)
         on_uniform = slice(None)
         if Scheme.SEMI in schemes and Scheme.NOMA in found:
             merged = np.concatenate([uniform, found[Scheme.NOMA].sigma])
@@ -557,11 +534,11 @@ def trace_region(
             on_uniform = inverse[:n_points]
         oma = _oma_points(scenario, real, sigma, grid_n)
         if Scheme.OMA in schemes:
-            found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, n_points, grid_n, ext, on_uniform)
+            found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, on_uniform)
         if Scheme.SEMI in schemes:
             noma = _noma_points(scenario, real, sigma)
             semi = _semi_points(scenario, real, sigma, grid_n, oma, noma)
-            found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi, n_points, grid_n, ext)
+            found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi)
     return found, empty
 
 
@@ -578,7 +555,7 @@ def check_containment(
     Raises:
         DomainMismatch: the two sigma ranges do not overlap at all.
     """
-    if not inner.points or not outer.points:
+    if not len(inner.sigma) or not len(outer.sigma):
         raise DomainMismatch("cannot compare an empty boundary")
     s_in = inner.sigma
     r_in = inner.bit_rate

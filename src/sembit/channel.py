@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DistanceBelowReference, reject_unknown, require_finite, require_int
+from .errors import DistanceBelowReference, reject_unknown, require_finite, require_float, require_int
 from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
@@ -158,15 +158,14 @@ class Scenario:
         if units not in (None, "dBm"):
             raise ValueError(f'unsupported units flag {units!r}; only "dBm"')
         if units == "dBm":
-            if "max_power" in data:
-                data["max_power"] = dbm_to_watt(float(data["max_power"]))
-            if "noise_psd" in data:
-                data["noise_psd"] = dbm_to_watt(float(data["noise_psd"]))
+            for name in ("max_power", "noise_psd"):
+                if name in data:
+                    data[name] = dbm_to_watt(require_float(name, data[name]))
         params = data.pop("params", None)
         bundled = params in (None, _default_params())
         table = default_table() if bundled else ParamTable.from_dict(params)
         reject_unknown("scenario", data, (f.name for f in fields(cls)))
-        values = {k: require_int(k, v) if k == "k" else float(v) for k, v in data.items()}
+        values = {k: (require_int if k == "k" else require_float)(k, v) for k, v in data.items()}
         return cls(params=table, **values)
 
     @classmethod

@@ -20,6 +20,14 @@ def require_finite(obj, *fields: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_float(name: str, value) -> float:
+    """``float(value)``, with ValueError where float() raises TypeError (None, a list)."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def require_int(name: str, value) -> int:
     """``value`` as an int; ValueError for a bool, a non-number or a fractional number.
 

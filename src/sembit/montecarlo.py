@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
-from .errors import reject_unknown, require_int
+from .errors import reject_unknown, require_float, require_int
 from .power import PowerTargets, solve_min_powers_rows
 from .rates import Scheme
 from .search import DEFAULT_GRID_N, check_grid_n
@@ -102,11 +102,9 @@ class SweepSpec:
         return cls(
             scenario=Scenario.from_dict(payload["scenario"]),
             variable=str(payload["variable"]),
-            values=tuple(float(v) for v in values),
+            values=tuple(require_float("sweep value", v) for v in values),
             targets=PowerTargets(
-                sigma_target=float(t.get("sigma_target", 0.0)),
-                min_similarity=float(t.get("min_similarity", 0.0)),
-                bit_target=float(t.get("bit_target", 0.0)),
+                **{f.name: require_float(f.name, t.get(f.name, 0.0)) for f in fields(PowerTargets)}
             ),
             n_realizations=require_int("n_realizations", payload.get("n_realizations", 500)),
             base_seed=require_int("base_seed", payload.get("base_seed", 0)),

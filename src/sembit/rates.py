@@ -5,7 +5,10 @@ Overlay (noma): both streams superpose on the full band; the bit user
 decodes and cancels the semantic signal first, so its rate sees the
 semantic power as interference through the weaker of the two link gains.
 Hybrid (semi): a shared sub-band carries the overlay, the remainder is an
-orthogonal bit-only band.
+orthogonal bit-only band.  The other two are its corners: oma is a hybrid
+with no bit power on its shared band, noma one with no bit-only band, so
+:func:`rates_for` evaluates every allocation as a hybrid and
+:func:`fold_corners` folds their solutions into the hybrid's.
 
 Every bit pipe is described by its width w and its inverse slope inv_h,
 the noise (plus interference) power over the gain, so that it carries
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, Scenario
-from .errors import InfeasibleBandwidth, InfeasibleTarget
+from .errors import InfeasibleBandwidth, InfeasibleTarget, require_finite
 from .similarity import eval_similarity, power_for_similarity_grid
 
 LN2 = math.log(2.0)
@@ -246,6 +249,12 @@ class Scheme(str, enum.Enum):
 
 # Allocation's numeric fields, in order.
 ALLOC_FIELDS = ("w_shared", "w_sem", "w_bit", "p_sem", "p_bit_shared", "p_bit_orth")
+# The fields each scheme leaves at zero.
+_UNUSED = {
+    Scheme.OMA: ("w_shared", "p_bit_shared"),
+    Scheme.NOMA: ("w_sem", "w_bit", "p_bit_orth"),
+    Scheme.SEMI: ("w_sem",),
+}
 
 
 @dataclass(frozen=True)
@@ -254,7 +263,8 @@ class Allocation:
 
     ``w_shared`` carries both streams (overlay); ``w_sem``/``w_bit`` are
     exclusive sub-bands.  ``p_bit_shared`` rides on the shared band,
-    ``p_bit_orth`` on the bit-only band.  Unused fields stay zero; use the
+    ``p_bit_orth`` on the bit-only band.  Every field is finite and
+    non-negative, and a field the scheme does not use is zero; use the
     constructors below rather than filling fields by hand.
     """
 
@@ -267,9 +277,14 @@ class Allocation:
     p_bit_orth: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, *ALLOC_FIELDS)
         for name in ALLOC_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        scheme = Scheme(self.scheme)
+        for name in _UNUSED[scheme]:
+            if getattr(self, name) != 0:
+                raise ValueError(f"{name} must be 0 under scheme {scheme.value}")
 
     @classmethod
     def orthogonal(cls, w_sem: float, w_bit: float, p_sem: float, p_bit: float) -> "Allocation":
@@ -359,69 +374,30 @@ def snr_db(power: float, gain: float, bandwidth: float, noise_psd: float) -> flo
     return 10.0 * math.log10(power * gain / (bandwidth * noise_psd))
 
 
-def _semantic_outputs(scenario, gain, bandwidth, power):
-    """(similarity, normalised sem rate) on a band; no band means neither."""
-    if bandwidth <= 0:
-        return 0.0, 0.0
-    eps = eval_similarity(
-        scenario.logistic, snr_db(power, gain, bandwidth, scenario.noise_psd)
-    )
-    return eps, bandwidth * eps / scenario.k
-
-
-def oma_rates(scenario: Scenario, real: ChannelRealization, alloc: Allocation) -> RatePair:
-    """Rates for an orthogonal split.  Zero semantic bandwidth is the
-    bit-only corner: semantic rate and reported similarity are both zero."""
-    if alloc.scheme is not Scheme.OMA:
-        raise ValueError(f"expected an orthogonal allocation, got {alloc.scheme}")
-    alloc.check_budget(scenario)
-    eps, sem = _semantic_outputs(scenario, real.gain_s, alloc.w_sem, alloc.p_sem)
-    bit = shannon_rate(alloc.w_bit, alloc.p_bit_orth, real.gain_b, scenario.noise_psd)
-    return RatePair(sem_rate=sem, bit_rate=bit, similarity=eps)
-
-
-def noma_rates(
-    scenario: Scenario, real: ChannelRealization, alloc: Allocation
-) -> tuple[RatePair, dict]:
-    """Rates for a full-band overlay.
-
-    Successive decoding at the bit user: it first decodes the semantic
-    signal (treating its own as noise), cancels it, then decodes its own
-    stream clean.  Both decode steps must succeed at the weaker gain, so
-    the bit rate uses gain_eff = min(gain_s, gain_b).  Returns the rate
-    pair plus the two decode-stage rates for diagnostics.
-    """
-    if alloc.scheme is not Scheme.NOMA:
-        raise ValueError(f"expected an overlay allocation, got {alloc.scheme}")
-    alloc.check_budget(scenario)
-    w = alloc.w_shared
-    n0 = scenario.noise_psd
-    eps, sem = _semantic_outputs(scenario, real.gain_s, w, alloc.p_sem)
-    p_b = alloc.p_bit_shared
-    bit = float(pipe_rate(w, p_b, overlay_inv_slope(w, alloc.p_sem, real.gain_eff, n0)))
-    r_b_to_b = shannon_rate(w, p_b, real.gain_b, n0)
-    decode = {"r_b_to_s": bit, "r_b_to_b": r_b_to_b}
-    return RatePair(sem_rate=sem, bit_rate=bit, similarity=eps), decode
-
-
-def semi_rates(scenario: Scenario, real: ChannelRealization, alloc: Allocation) -> RatePair:
-    """Rates for the hybrid: overlay on w_shared plus a clean bit band."""
-    if alloc.scheme is not Scheme.SEMI:
-        raise ValueError(f"expected a hybrid allocation, got {alloc.scheme}")
-    alloc.check_budget(scenario)
-    n0 = scenario.noise_psd
-    w_m = alloc.w_shared
-    eps, sem = _semantic_outputs(scenario, real.gain_s, w_m, alloc.p_sem)
-    inv_m = overlay_inv_slope(w_m, alloc.p_sem, real.gain_eff, n0)
-    bit_shared = float(pipe_rate(w_m, alloc.p_bit_shared, inv_m))
-    bit_orth = shannon_rate(alloc.w_bit, alloc.p_bit_orth, real.gain_b, n0)
-    return RatePair(sem_rate=sem, bit_rate=bit_shared + bit_orth, similarity=eps)
-
-
 def rates_for(scenario: Scenario, real: ChannelRealization, alloc: Allocation) -> RatePair:
-    """Scheme-dispatching convenience used by plug-back verification."""
-    if alloc.scheme is Scheme.OMA:
-        return oma_rates(scenario, real, alloc)
-    if alloc.scheme is Scheme.NOMA:
-        return noma_rates(scenario, real, alloc)[0]
-    return semi_rates(scenario, real, alloc)
+    """Rates that ``alloc`` achieves, evaluated as a hybrid whatever its scheme.
+
+    The semantic stream rides on w_shared + w_sem, one of which is always
+    zero.  The bit rate adds an overlay pipe on w_shared, where the bit
+    user first decodes and cancels the semantic signal, so both see the
+    weaker gain gain_eff and the semantic power stays as interference,
+    and a clean pipe on w_bit.  A pipe of zero width carries exactly 0,
+    so an orthogonal split (no shared band) and an overlay (no bit band)
+    need no case of their own.  A zero semantic band is the bit-only
+    corner: semantic rate and reported similarity are both zero.
+    """
+    alloc.check_budget(scenario)
+    n0 = scenario.noise_psd
+    band = alloc.w_shared + alloc.w_sem
+    eps = sem = 0.0
+    if band > 0:
+        eps = eval_similarity(scenario.logistic, snr_db(alloc.p_sem, real.gain_s, band, n0))
+        sem = band * eps / scenario.k
+    # The overlay pipe on w_shared and the clean one on w_bit in one kernel
+    # call, which costs little more than one pipe alone.
+    widths = np.array([alloc.w_shared, alloc.w_bit])
+    powers = np.array([alloc.p_bit_shared, alloc.p_bit_orth])
+    inv_m = overlay_inv_slope(alloc.w_shared, alloc.p_sem, real.gain_eff, n0)
+    inv = np.array([inv_m, orth_inv_slope(alloc.w_bit, real.gain_b, n0)])
+    shared, orth = pipe_rate(widths, powers, inv)
+    return RatePair(sem_rate=sem, bit_rate=float(shared + orth), similarity=eps)

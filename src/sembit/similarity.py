@@ -22,7 +22,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -34,7 +34,9 @@ from .errors import (
     InsufficientData,
     TargetBelowFloor,
     TargetUnreachable,
+    reject_unknown,
     require_finite,
+    require_float,
     require_int,
 )
 
@@ -252,21 +254,22 @@ class ParamTable:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ParamTable":
-        try:
-            rows = payload["entries"]
-        except (KeyError, TypeError):
-            raise ValueError('parameter table JSON must contain an "entries" list')
+        """The table of an ``{"entries": [...]}`` payload.
+
+        Besides ``entries`` the payload may hold a free-text ``note``;
+        ValueError for any other key, in the payload or in an entry.
+        """
+        rows = payload.get("entries") if isinstance(payload, Mapping) else None
+        if not isinstance(rows, list):
+            kind = 'parameter table must be an object with an "entries" list'
+            raise ValueError(f"{kind}, got {payload!r}")
+        reject_unknown("parameter table", payload, ("entries", "note"))
         entries = []
         for row in rows:
-            entries.append(
-                LogisticParams(
-                    k=require_int("k", row["k"]),
-                    a_low=float(row["a_low"]),
-                    a_high=float(row["a_high"]),
-                    growth=float(row["growth"]),
-                    offset=float(row["offset"]),
-                )
-            )
+            reject_unknown("parameter table entry", row, (f.name for f in fields(LogisticParams)))
+            k = require_int("k", row["k"])
+            floats = {f: require_float(f, row[f]) for f in ("a_low", "a_high", "growth", "offset")}
+            entries.append(LogisticParams(k=k, **floats))
         return cls(entries)
 
     def dump(self, path) -> None:

@@ -11,7 +11,6 @@ from sembit import (
     DomainMismatch,
     EmptyRegion,
     InfeasibleTarget,
-    RatePair,
     RegionBoundary,
     Scheme,
     check_containment,
@@ -395,7 +394,6 @@ class TestSweepBoundary:
         )
         assert np.all(np.diff(b.sigma) > 0)
         assert np.all(np.diff(b.bit_rate) <= 0)
-        assert not b.power_limited
 
     def test_semi_dominates_oma_on_shared_grid(self, scenario, realization):
         b_oma = sweep_boundary(scenario, realization, Scheme.OMA, n_points=25, grid_n=128)
@@ -435,11 +433,8 @@ class TestSweepBoundary:
 
 
 def _boundary(scheme, pairs):
-    return RegionBoundary(
-        scheme=scheme,
-        points=tuple(RatePair(s, r, 0.8) for s, r in pairs),
-        grid_spec={},
-    )
+    sigma, bit_rate = np.array(pairs, dtype=float).T
+    return RegionBoundary(scheme, sigma, bit_rate, np.full(len(pairs), 0.8))
 
 
 def _points(scheme, rows, sigma):
@@ -571,8 +566,8 @@ class TestLiveOnlyScores:
 
 
 def _columns(b):
-    """(sigma, bit rate, similarity) of a boundary's points."""
-    return np.array([[p.sem_rate, p.bit_rate, p.similarity] for p in b.points]).T
+    """A boundary's (sigma, bit rate, similarity) columns."""
+    return np.array([b.sigma, b.bit_rate, b.similarity])
 
 
 class TestTraceRegion:
@@ -602,8 +597,6 @@ class TestTraceRegion:
         }
         for scheme in set(found) - {Scheme.NOMA}:
             np.testing.assert_array_equal(_columns(found[scheme]), _columns(expect[scheme]))
-            assert found[scheme].power_limited is expect[scheme].power_limited
-            assert found[scheme].grid_spec == expect[scheme].grid_spec
 
     @pytest.mark.parametrize("seed, calls", [(7, 8), (4, 4)])
     def test_default_region_search_count(self, scenario, monkeypatch, seed, calls):

@@ -14,6 +14,8 @@ from sembit import ParamTable, Scenario, cli, eval_similarity
 from sembit.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
+# One parameter table entry, valid as it stands.
+ENTRY = {"k": 4, "a_low": 0.1, "a_high": 0.9, "growth": 0.5, "offset": 0.0}
 
 
 @pytest.fixture(autouse=True)
@@ -261,6 +263,57 @@ class TestPowerCommand:
         assert main(self.power_args(out=out, extra=["--scenario", str(path)])) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"entries": [dict(ENTRY, typo=1)]}, "unknown parameter table entry fields: ['typo']"),
+            ({"entries": [ENTRY], "extra_top": 1}, "unknown parameter table fields: ['extra_top']"),
+            ({"entries": "abc"}, "with an \"entries\" list, got {'entries': 'abc'}"),
+            ({"entries": [1, 2]}, "parameter table entry must be an object, got 1"),
+        ],
+        ids=["entry-key", "top-key", "entries-string", "entries-numbers"],
+    )
+    def test_bad_param_table_is_bad_input(self, tmp_path, capsys, params, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"params": params}), encoding="utf-8")
+        out = tmp_path / "power"
+        assert main(self.power_args(out=out, extra=["--scenario", str(path)])) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        ("power", {"max_power": None}, "max_power must be a number, got None"),
+        ("power", {"d_s": [20]}, "d_s must be a number, got [20]"),
+        ("power", {"params": {"entries": [dict(ENTRY, offset=None)]}}, "offset must be a number"),
+        ("sweep", {"values": [2e5, None]}, "sweep value must be a number, got None"),
+        ("sweep", {"targets": {"sigma_target": None}}, "sigma_target must be a number, got None"),
+    ],
+    ids=["max-power-null", "d-s-list", "offset-null", "sweep-value-null", "sigma-target-null"],
+)
+def test_null_or_list_for_a_number_is_bad_input(tmp_path, capsys, command, document, message):
+    """A JSON null or list where a number belongs exits 2, from a scenario or a sweep spec."""
+    path = tmp_path / "input.json"
+    out = tmp_path / "out"
+    if command == "power":
+        argv = ["power", "--scenario", str(path), "--sigma", "1e5", "--floor", "0.8", "--bits", "8e5"]
+    else:
+        document = {
+            "scenario": {},
+            "variable": "sigma_target",
+            "values": [1e5],
+            "n_realizations": 2,
+            **document,
+        }
+        argv = ["sweep", "--spec", str(path)]
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestParserReuse:

@@ -208,9 +208,37 @@ class TestParamTable:
             ParamTable.from_dict({"rows": []})
 
     def test_extra_json_keys_ignored(self, table):
+        # "note" is the one free-text key; the bundled table carries one.
         payload = table.to_dict()
         payload["note"] = "annotation"
         assert ParamTable.from_dict(payload) == table
+
+    def test_unknown_keys_rejected(self, table):
+        payload = table.to_dict()
+        payload["extra_top"] = 1
+        with pytest.raises(ValueError, match=r"unknown parameter table fields: \['extra_top'\]"):
+            ParamTable.from_dict(payload)
+        payload = table.to_dict()
+        payload["entries"][1]["typo"] = 1
+        with pytest.raises(ValueError, match=r"unknown parameter table entry fields: \['typo'\]"):
+            ParamTable.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"entries": "abc"}, "with an \"entries\" list, got {'entries': 'abc'}"),
+            ({"entries": [1, 2]}, "parameter table entry must be an object, got 1"),
+            ([], "parameter table must be an object with an \"entries\" list, got \\[\\]"),
+            (
+                {"entries": [{"k": 4, "a_low": 0.2, "a_high": 0.9, "growth": 0.5, "offset": None}]},
+                "offset must be a number, got None",
+            ),
+        ],
+        ids=["entries-string", "entries-numbers", "payload-list", "offset-null"],
+    )
+    def test_wrongly_typed_payload_rejected(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            ParamTable.from_dict(payload)
 
 
 class TestFit:
