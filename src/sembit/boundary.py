@@ -21,9 +21,10 @@ The orthogonal and overlay solutions are hybrid corner cases, so the
 hybrid folds in the oma and noma rows it is given for the same targets
 (:func:`sembit.rates.fold_corners`): its boundary dominates the other two
 at finite grid resolution by construction, not merely up to search luck.
-:func:`trace_region` solves oma once, on the hybrid's sigma grid, and the
-hybrid reuses those rows; every boundary is the same as solving its
-scheme alone with :func:`sweep_boundary`.
+:func:`trace_region` is the one region driver: it picks each scheme's
+sigma grid, solves oma once on the hybrid's grid and lets the hybrid
+reuse those rows.  :func:`sweep_boundary` is the same driver with one
+scheme.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelRealization, Scenario
-from .errors import DomainMismatch, EmptyRegion, TargetUnreachable
+from .errors import DomainMismatch, EmptyRegion
 from .rates import (
     ALLOC_FIELDS,
     Allocation,
@@ -54,7 +55,7 @@ from .rates import (
     water_fill_max_grid,
 )
 from .search import DEFAULT_GRID_N, search_rows
-from .similarity import eval_similarity, required_power_for_similarity
+from .similarity import eval_similarity, power_for_similarity_grid, required_power_for_similarity
 
 
 @dataclass(frozen=True)
@@ -154,14 +155,10 @@ def oma_extremes(scenario: Scenario, real: ChannelRealization) -> Extremes:
     eps_full = eval_similarity(params, snr_db(p, real.gain_s, w, n0))
     if scenario.min_similarity <= eps_full:
         return Extremes(sigma_max=w * eps_full / scenario.k, r_max=r_max, power_limited=False)
-    try:
-        p_unit = required_power_for_similarity(
-            params, scenario.min_similarity, 1.0, real.gain_s, n0
-        )
-    except TargetUnreachable:
-        # Floor above the curve's ceiling: no semantic point exists at all.
-        return Extremes(sigma_max=0.0, r_max=r_max, power_limited=True)
-    w_reach = p / p_unit  # widest band the budget lifts to the floor
+    # Widest band the budget lifts to the floor: none when the floor sits
+    # at or above the curve's ceiling, where the unit-band power is +inf.
+    p_unit = float(power_for_similarity_grid(params, scenario.min_similarity, 1.0, real.gain_s, n0))
+    w_reach = p / p_unit
     return Extremes(
         sigma_max=w_reach * scenario.min_similarity / scenario.k,
         r_max=r_max,
@@ -441,8 +438,10 @@ def _lifted(scheme, sigma, rows: BoundaryRows, on=slice(None)):
     """The boundary through ``sigma``, each bit rate lifted to its running right-max.
 
     The bit rates and similarities are the rows ``on`` of ``rows``.  Point
-    i carries those of the leftmost maximum of the bit rate at or after i
-    (see :func:`sweep_boundary`).
+    i carries those of the leftmost maximum of the bit rate at or after i:
+    anything achievable at a higher semantic rate is achievable at a lower
+    one, so the lift stays inside the region and irons out
+    grid-resolution dents.
     """
     rate, eps = rows.bit_rate[on], rows.similarity[on]
     top = np.maximum.accumulate(rate[::-1])[::-1]
@@ -457,39 +456,17 @@ def sweep_boundary(
     scheme: Scheme,
     n_points: int = 200,
     grid_n: int = DEFAULT_GRID_N,
-    sigma_values: Sequence[float] | None = None,
 ) -> RegionBoundary:
-    """Trace one scheme's boundary over a semantic-rate grid.
-
-    For the orthogonal and hybrid schemes the grid spans [0, sigma_max]
-    evenly (or ``sigma_values`` when given) and the swept rates are lifted
-    to their running right-max: anything achievable at a higher semantic
-    rate is achievable at a lower one, so the lift stays inside the
-    region and irons out grid-resolution dents.  The points are solved in
-    row batches, one search per batch; the hybrid solves oma on the same
-    grid first and folds it in.  The overlay scheme has its own
-    closed-form sweep.
+    """One scheme's boundary: :func:`trace_region` of that scheme alone.
 
     Raises:
         EmptyRegion: overlay sweep on a power-limited draw.
     """
     scheme = Scheme(scheme)
-    if scheme is Scheme.NOMA:
-        if sigma_values is not None:
-            sigma = np.asarray(sigma_values, dtype=float)
-            rows = _noma_points(scenario, real, sigma)
-            return RegionBoundary(scheme, sigma, rows.bit_rate, rows.similarity)
-        return noma_boundary(scenario, real, n_points)
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
-    if sigma_values is None:
-        sigma_values = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, n_points)
-    sigma = np.asarray(sigma_values, dtype=float)
-    rows = _oma_points(scenario, real, sigma, grid_n)
-    if scheme is Scheme.SEMI:
-        noma = _noma_points(scenario, real, sigma)
-        rows = _semi_points(scenario, real, sigma, grid_n, rows, noma)
-    return _lifted(scheme, sigma, rows)
+    found, empty = trace_region(scenario, real, [scheme], n_points, grid_n)
+    if empty is not None:
+        raise empty
+    return found[scheme]
 
 
 def trace_region(
@@ -501,14 +478,15 @@ def trace_region(
 ) -> tuple[dict[Scheme, RegionBoundary], EmptyRegion | None]:
     """The boundaries of ``schemes`` for one draw, with oma solved once.
 
-    The overlay goes first.  When it is traced, the hybrid's grid is the
-    uniform grid over [0, sigma_max] merged with the overlay's sigma
-    samples (``np.unique`` of both), so containment checks interpolate at
-    exact hybrid knots; otherwise it is the uniform grid.  Oma is solved
-    once, on the hybrid's grid: the oma boundary lifts the rows of the
-    uniform grid, and the hybrid folds in all of them.  Each boundary
-    equals :func:`sweep_boundary` for its scheme, the hybrid's with its
-    grid as ``sigma_values``.
+    The overlay goes first, with its own closed-form sweep
+    (:func:`noma_boundary`).  The orthogonal boundary lifts (see
+    :func:`_lifted`) its rows on the uniform grid of ``n_points`` sigma
+    values over [0, sigma_max].  The hybrid's grid is that uniform grid,
+    merged with the overlay's sigma samples (``np.unique`` of both) when
+    the overlay is traced, so containment checks interpolate at exact
+    hybrid knots.  Oma is solved once, on the hybrid's grid; the hybrid
+    folds in all of its rows and lifts its own.  Points are solved in row
+    batches, one search per batch.
 
     Returns the boundaries by scheme, and the :class:`EmptyRegion` that
     left out the overlay on a power-limited draw (else None).

@@ -136,18 +136,8 @@ class Scenario:
         return replace(self, **changes)
 
     def to_dict(self) -> dict:
-        return {
-            "total_bandwidth": self.total_bandwidth,
-            "max_power": self.max_power,
-            "noise_psd": self.noise_psd,
-            "k": self.k,
-            "min_similarity": self.min_similarity,
-            "d_s": self.d_s,
-            "d_b": self.d_b,
-            "pathloss_ref": self.pathloss_ref,
-            "pathloss_exp": self.pathloss_exp,
-            "params": self.params.to_dict(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "params": self.params.to_dict()}
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Scenario":

@@ -175,11 +175,7 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
         bit_target=params["bits"],
     )
     report: dict = {
-        "targets": {
-            "sigma_target": targets.sigma_target,
-            "min_similarity": targets.min_similarity,
-            "bit_target": targets.bit_target,
-        },
+        "targets": asdict(targets),
         "seed": params["seed"],
         "schemes": {},
     }

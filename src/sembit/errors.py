@@ -51,6 +51,13 @@ def reject_unknown(kind: str, payload, known) -> None:
         raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")
 
 
+def require_keys(kind: str, payload: Mapping, keys) -> None:
+    """Raise ValueError naming each of ``keys`` that the mapping ``payload`` lacks."""
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{kind} is missing {', '.join(map(repr, missing))}")
+
+
 class SembitError(Exception):
     """Base class for all package-specific errors."""
 

@@ -22,13 +22,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
-from .errors import reject_unknown, require_float, require_int
+from .errors import reject_unknown, require_float, require_int, require_keys
 from .power import PowerTargets, solve_min_powers_rows
 from .rates import Scheme
 from .search import DEFAULT_GRID_N, check_grid_n
@@ -78,23 +78,14 @@ class SweepSpec:
         return self.scenario.with_updates(k=int(value)), self.targets
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "variable": self.variable,
-            "values": list(self.values),
-            "targets": {
-                "sigma_target": self.targets.sigma_target,
-                "min_similarity": self.targets.min_similarity,
-                "bit_target": self.targets.bit_target,
-            },
-            "n_realizations": self.n_realizations,
-            "base_seed": self.base_seed,
-            "grid_n": self.grid_n,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        scenario, targets = self.scenario.to_dict(), asdict(self.targets)
+        return {**out, "scenario": scenario, "values": list(self.values), "targets": targets}
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepSpec":
         reject_unknown("sweep spec", payload, (f.name for f in fields(cls)))
+        require_keys("sweep spec", payload, ("scenario", "variable", "values"))
         values, t = payload["values"], payload.get("targets", {})
         if not isinstance(values, (list, tuple)):
             raise ValueError(f"sweep values must be a list of numbers, got {values!r}")

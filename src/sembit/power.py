@@ -13,6 +13,11 @@ The solvers work on row sets: each row is one channel draw with its own
 target triple, and each scheme's result is a :class:`PowerRows` of 1-D
 columns.  The one-row solvers below are one-row sets whose object is
 built from row 0.
+
+Infeasibility is one code per row, an index into :data:`CAUSES`: the
+structural checks give it once per distinct target triple, and oma's
+search adds its bit-band code.  The :class:`Infeasible` a one-row solve
+raises is built from that code and the row's targets alone.
 """
 
 from __future__ import annotations
@@ -43,7 +48,10 @@ TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
 # The columns of a row set's data matrix, in order.
 ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
 # Infeasible.cause values by PowerRows.cause code; code 0 is a feasible row.
-CAUSES = ("", "bandwidth-bound", "rate-asymptote", "similarity-asymptote")
+# Codes 1-3 are structural (see _structural); code _BIT_BAND is a split
+# scheme whose every semantic band leaves too little bit band.
+CAUSES = ("", "bandwidth-bound", "rate-asymptote", "similarity-asymptote", "bandwidth-bound")
+_BIT_BAND = 4
 
 
 @dataclass(frozen=True)
@@ -95,47 +103,28 @@ class PowerRows:
     cause: np.ndarray
 
 
-def _structural(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> Infeasible | None:
-    """Structural infeasibility, independent of the channel draw; None when feasible.
+def _structural(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> int:
+    """The :data:`CAUSES` code of a structural infeasibility, independent of the draw; 0 if none.
 
     The three causes, checked hardest-first:
-      bandwidth-bound      the semantic rate needs more than the carrier
-                           even at similarity 1;
-      rate-asymptote       the full band cannot reach the similarity the
-                           rate target implies (curve ceiling);
-      similarity-asymptote the floor itself sits at or above the ceiling.
+      1 bandwidth-bound      the semantic rate needs more than the carrier
+                             even at similarity 1;
+      2 rate-asymptote       the full band cannot reach the similarity the
+                             rate target implies (curve ceiling);
+      3 similarity-asymptote the floor itself sits at or above the ceiling.
     A zero semantic-rate target drops the semantic stream for the split
     schemes, so their floor constraint is vacuous then; the overlay always
     carries the semantic stream and keeps its floor.
     """
     w = scenario.total_bandwidth
-    params = scenario.logistic
+    a_high = scenario.logistic.a_high
     need_bw = targets.sigma_target * scenario.k
     if need_bw > w:
-        return Infeasible(
-            f"semantic rate {targets.sigma_target:.6g} needs {need_bw:.6g} Hz "
-            f"at similarity 1; carrier has {w:.6g} Hz",
-            cause="bandwidth-bound",
-        )
-    if need_bw >= w * params.a_high:
-        return Infeasible(
-            f"semantic rate {targets.sigma_target:.6g} needs similarity "
-            f"{need_bw / w:.6g} on the full band; curve ceiling is {params.a_high}",
-            cause="rate-asymptote",
-        )
+        return 1
+    if need_bw >= w * a_high:
+        return 2
     floor_active = targets.sigma_target > 0 or scheme is Scheme.NOMA
-    if floor_active and targets.min_similarity >= params.a_high:
-        return Infeasible(
-            f"similarity floor {targets.min_similarity} is at or above the "
-            f"curve ceiling {params.a_high}",
-            cause="similarity-asymptote",
-        )
-
-
-def _cause_code(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> int:
-    """The :data:`CAUSES` code of ``scheme``'s structural check on ``targets``."""
-    exc = _structural(scenario, targets, scheme)
-    return 0 if exc is None else CAUSES.index(exc.cause)
+    return 3 if floor_active and targets.min_similarity >= a_high else 0
 
 
 def _row_set(
@@ -156,7 +145,7 @@ def _row_set(
     values = [[getattr(t, f) for f in TARGET_FIELDS] for t in triples]
     data = [(r.gain_s, r.gain_b, min(r.gain_s, r.gain_b), *values[i]) for r, i in zip(reals, tri)]
     data = np.array(data)
-    codes = [[_cause_code(scenario, t, s) for s in (Scheme.OMA, Scheme.NOMA)] for t in triples]
+    codes = [[_structural(scenario, t, s) for s in (Scheme.OMA, Scheme.NOMA)] for t in triples]
     oma_cause, noma_cause = np.array([codes[i] for i in tri]).T
     searched = [c[0] == 0 and t.sigma_target > 0 for c, t in zip(codes, triples)]
     live = np.flatnonzero([searched[i] for i in tri])
@@ -177,23 +166,23 @@ def _fields(rows: PowerRows) -> np.ndarray:
     return np.array([rows.total, *(getattr(rows, f) for f in ALLOC_FIELDS)])
 
 
-def _infeasible(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> Infeasible:
-    """The :class:`Infeasible` a one-row solve of ``scheme`` reports for ``targets``.
-
-    A structural cause comes from :func:`_structural`; past those checks
-    only the split schemes' bit band can fail.
-    """
-    exc = _structural(scenario, targets, scheme)
-    if exc is not None:
-        return exc
+def _infeasible(scenario: Scenario, targets: PowerTargets, code: int) -> Infeasible:
+    """The :class:`Infeasible` of a row with :data:`CAUSES` code ``code`` and targets ``targets``."""
     w = scenario.total_bandwidth
     a_high = scenario.logistic.a_high
-    return Infeasible(
+    sigma = targets.sigma_target
+    need_bw = sigma * scenario.k
+    message = (
+        None,
+        f"semantic rate {sigma:.6g} needs {need_bw:.6g} Hz at similarity 1; carrier has {w:.6g} Hz",
+        f"semantic rate {sigma:.6g} needs similarity {need_bw / w:.6g} on the full band; "
+        f"curve ceiling is {a_high}",
+        f"similarity floor {targets.min_similarity} is at or above the curve ceiling {a_high}",
         f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
         f"below the curve ceiling {a_high} leaves a bit band of at most "
-        f"{w - targets.sigma_target * scenario.k / a_high:.6g} Hz",
-        cause="bandwidth-bound",
-    )
+        f"{w - need_bw / a_high:.6g} Hz",
+    )[code]
+    return Infeasible(message, cause=CAUSES[code])
 
 
 def _solution(
@@ -201,7 +190,7 @@ def _solution(
 ) -> PowerSolution | Infeasible:
     """Row ``i`` of ``rows`` as the object a one-row solve of ``targets`` returns."""
     if rows.cause[i]:
-        return _infeasible(scenario, targets, scheme)
+        return _infeasible(scenario, targets, rows.cause.item(i))
     alloc = {f: getattr(rows, f).item(i) for f in ALLOC_FIELDS}
     return PowerSolution(rows.total.item(i), Allocation(scheme, **alloc))
 
@@ -266,8 +255,7 @@ def _oma_rows(scenario: Scenario, rs: tuple, grid_n: int) -> PowerRows:
     p_sem[live] = semantic_power(g, ws[live, None])[:, 0]
     p_bit = bit_power(data, ws[:, None])[:, 0]
     tot = p_sem + p_bit
-    bit_band = (oma_cause == 0) & ~np.isfinite(tot)
-    cause = np.where(bit_band, CAUSES.index("bandwidth-bound"), oma_cause)
+    cause = np.where((oma_cause == 0) & ~np.isfinite(tot), _BIT_BAND, oma_cause)
     zero = np.zeros_like(ws)
     return _columns(cause, np.array([tot, zero, ws, w - ws, p_sem, zero, p_bit]))
 

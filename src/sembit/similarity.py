@@ -38,6 +38,7 @@ from .errors import (
     require_finite,
     require_float,
     require_int,
+    require_keys,
 )
 
 LN10_OVER_10 = math.log(10.0) / 10.0
@@ -85,6 +86,10 @@ class LogisticParams:
             )
         if self.growth <= 0.0:
             raise ValueError(f"growth must be positive, got {self.growth}")
+
+
+# LogisticParams' field names, in order: the keys of a parameter table entry.
+_ENTRY_FIELDS = tuple(f.name for f in fields(LogisticParams))
 
 
 @dataclass(frozen=True)
@@ -239,18 +244,7 @@ class ParamTable:
         return tuple(self._table)
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "k": p.k,
-                    "a_low": p.a_low,
-                    "a_high": p.a_high,
-                    "growth": p.growth,
-                    "offset": p.offset,
-                }
-                for p in self
-            ]
-        }
+        return {"entries": [{f: getattr(p, f) for f in _ENTRY_FIELDS} for p in self]}
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ParamTable":
@@ -266,9 +260,10 @@ class ParamTable:
         reject_unknown("parameter table", payload, ("entries", "note"))
         entries = []
         for row in rows:
-            reject_unknown("parameter table entry", row, (f.name for f in fields(LogisticParams)))
+            reject_unknown("parameter table entry", row, _ENTRY_FIELDS)
+            require_keys("parameter table entry", row, _ENTRY_FIELDS)
             k = require_int("k", row["k"])
-            floats = {f: require_float(f, row[f]) for f in ("a_low", "a_high", "growth", "offset")}
+            floats = {f: require_float(f, row[f]) for f in _ENTRY_FIELDS[1:]}
             entries.append(LogisticParams(k=k, **floats))
         return cls(entries)
 

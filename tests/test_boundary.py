@@ -407,15 +407,6 @@ class TestSweepBoundary:
         np.testing.assert_array_equal(via_sweep.sigma, direct.sigma)
         np.testing.assert_array_equal(via_sweep.bit_rate, direct.bit_rate)
 
-    def test_noma_sweep_at_given_sigmas(self, scenario, realization):
-        sigmas = [205e3, 215e3]
-        b = sweep_boundary(scenario, realization, Scheme.NOMA, sigma_values=sigmas)
-        assert len(b.points) == 2
-        for s, pt in zip(sigmas, b.points):
-            direct = solve_noma_point(scenario, realization, s)
-            assert pt.sem_rate == s
-            assert pt.bit_rate == direct.bit_rate
-
     def test_scheme_accepts_string(self, scenario, realization):
         b = sweep_boundary(scenario, realization, "oma", n_points=5, grid_n=64)
         assert b.scheme is Scheme.OMA
@@ -485,7 +476,7 @@ class TestBatchedPoints:
 
         # Seven rows per batch: the sweep spans five batches, the last short.
         monkeypatch.setattr(search, "BATCH_CANDIDATES", 7 * 64)
-        swept = sweep_boundary(scenario, real, scheme, grid_n=64, sigma_values=sigma)
+        swept = boundary._lifted(scheme, sigma, solve_rows(scenario, real, sigma, 64))
         best = [i + int(np.argmax(rates[i:])) for i in range(len(sigma))]
         np.testing.assert_array_equal(swept.bit_rate, rates[best])
         np.testing.assert_array_equal(
@@ -591,12 +582,27 @@ class TestTraceRegion:
             )
         expect = {
             Scheme.OMA: sweep_boundary(scenario, real, Scheme.OMA, n_points=40, grid_n=64),
-            Scheme.SEMI: sweep_boundary(
-                scenario, real, Scheme.SEMI, n_points=40, grid_n=64, sigma_values=grid
+            Scheme.SEMI: boundary._lifted(
+                Scheme.SEMI, grid, _semi_points(scenario, real, grid, 64)
             ),
         }
         for scheme in set(found) - {Scheme.NOMA}:
             np.testing.assert_array_equal(_columns(found[scheme]), _columns(expect[scheme]))
+
+    @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_sweep_boundary_is_one_scheme_region(self, scenario, seed, scheme):
+        real = sample_realization(scenario, seed)
+        found, empty = boundary.trace_region(scenario, real, [scheme], n_points=40, grid_n=64)
+        assert (empty is not None) == ((seed, scheme) == (4, Scheme.NOMA))
+        if empty is not None:
+            with pytest.raises(EmptyRegion) as e:
+                sweep_boundary(scenario, real, scheme, n_points=40, grid_n=64)
+            assert str(e.value) == str(empty)
+            return
+        swept = sweep_boundary(scenario, real, scheme, n_points=40, grid_n=64)
+        assert swept.scheme is scheme
+        np.testing.assert_array_equal(_columns(swept), _columns(found[scheme]))
 
     @pytest.mark.parametrize("seed, calls", [(7, 8), (4, 4)])
     def test_default_region_search_count(self, scenario, monkeypatch, seed, calls):

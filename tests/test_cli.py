@@ -283,6 +283,16 @@ class TestPowerCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", sorted(ENTRY))
+    def test_param_table_entry_missing_a_key_is_bad_input(self, tmp_path, capsys, key):
+        entry = {k: v for k, v in ENTRY.items() if k != key}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"params": {"entries": [entry]}}), encoding="utf-8")
+        out = tmp_path / "power"
+        assert main(self.power_args(out=out, extra=["--scenario", str(path)])) == 2
+        assert f"error: parameter table entry is missing {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "command, document, message",
@@ -391,6 +401,17 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["scenario", "variable", "values"])
+    def test_spec_missing_a_required_key_is_bad_input(self, tmp_path, capsys, scenario, key):
+        path = self.write_spec(tmp_path, scenario)
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        del spec[key]
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 2
+        assert f"error: sweep spec is missing {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

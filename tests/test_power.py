@@ -119,12 +119,21 @@ class TestOmaMinPower:
         with pytest.raises(Infeasible) as e:
             solve_oma_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
         assert e.value.cause == "bandwidth-bound"
+        assert str(e.value) == (
+            "semantic rate 260000 needs 1.04e+06 Hz at similarity 1; carrier has 1e+06 Hz"
+        )
         with pytest.raises(Infeasible) as e:
             solve_oma_min_power(scenario, realization, PowerTargets(231e3, 0.8, 1e5)).total
         assert e.value.cause == "rate-asymptote"
-        with pytest.raises(Infeasible) as e:
-            solve_oma_min_power(scenario, realization, PowerTargets(100e3, 0.95, 1e5)).total
-        assert e.value.cause == "similarity-asymptote"
+        assert str(e.value) == (
+            "semantic rate 231000 needs similarity 0.924 on the full band; curve ceiling is 0.918"
+        )
+        floor_above_ceiling = PowerTargets(100e3, 0.95, 1e5)
+        for solve in (solve_oma_min_power, solve_noma_min_power, solve_semi_min_power):
+            with pytest.raises(Infeasible) as e:
+                solve(scenario, realization, floor_above_ceiling).total
+            assert e.value.cause == "similarity-asymptote"
+            assert str(e.value) == "similarity floor 0.95 is at or above the curve ceiling 0.918"
 
     def test_zero_sigma_ignores_floor(self, scenario, realization):
         # No semantic stream, so even an unreachable floor is vacuous.
@@ -141,7 +150,10 @@ class TestOmaMinPower:
         with pytest.raises(Infeasible) as e:
             solve_oma_min_power(scenario, real, targets)
         assert e.value.cause == "bandwidth-bound"
-        assert "bit band of at most 435.73 Hz" in str(e.value)
+        assert str(e.value) == (
+            "bit rate 1.8e+06 needs infinite power: a semantic band below the curve "
+            "ceiling 0.918 leaves a bit band of at most 435.73 Hz"
+        )
         noma = solve_noma_min_power(scenario, real, targets)
         assert solve_semi_min_power(scenario, real, targets).total <= noma.total
 
