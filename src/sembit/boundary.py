@@ -57,6 +57,11 @@ from .rates import (
 from .search import DEFAULT_GRID_N, search_rows
 from .similarity import eval_similarity, power_for_similarity_grid, required_power_for_similarity
 
+# Bracket zoom of the boundary searches: 17-point brackets over 6 levels.
+# A region solves about 126 rows per objective call, so a search costs
+# about one unit per candidate, and narrow brackets score the fewest.
+SEARCH_ZOOM = 8
+
 
 @dataclass(frozen=True)
 class Extremes:
@@ -213,7 +218,9 @@ def _oma_points(
     rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
     ws, p_sem = np.zeros((2, len(sigma)))
     extra = eps_seeded_bands(scenario, s, floor)
-    ws[live], rate[live] = search_rows(score, s[:, None], lo, hi, extra, grid_n, maximize=True)
+    ws[live], rate[live] = search_rows(
+        score, s[:, None], lo, hi, extra, grid_n, maximize=True, zoom=SEARCH_ZOOM
+    )
     p_sem[live] = sem_power(scenario, real.gain_s, s, floor, ws[live])
     zero = np.zeros_like(ws)
     fields = np.array([rate, zero, ws, w - ws, p_sem, zero, p_max - p_sem])
@@ -419,7 +426,9 @@ def _semi_points(
         return rate
 
     extra = np.column_stack([eps_seeded_bands(scenario, s, floor), hi, seed])
-    wm, rate = search_rows(score, s[:, None], lo, hi, extra, grid_n, maximize=True, tie_high=True)
+    wm, rate = search_rows(
+        score, s[:, None], lo, hi, extra, grid_n, maximize=True, zoom=SEARCH_ZOOM, tie_high=True
+    )
     p_s = sem_power(scenario, real.gain_s, s, floor, wm)
     interior = (p_s <= p_max) & (rate > 0.0)
     r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, wm, np.where(interior, p_s, 0.0))

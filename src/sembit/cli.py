@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from importlib import resources
 from math import inf
 from pathlib import Path
@@ -135,11 +135,16 @@ def _run_region(params: dict, out_dir: Path) -> int:
                 verdicts[name] = {"error": str(exc)}
                 continue
             worst = verdict.max_violation
-            verdicts[name] = {**asdict(verdict), "max_violation": worst if worst != inf else "inf"}
+            verdicts[name] = {**_record(verdict), "max_violation": worst if worst != inf else "inf"}
     if verdicts:
         _write_json(out_dir / "containment.json", verdicts)
     _write_manifest(out_dir, "region", params, scenario)
     return EXIT_EMPTY_REGION if empty_overlay is not None else EXIT_OK
+
+
+def _record(obj) -> dict:
+    """A flat dataclass as a dict of its fields, without ``asdict``'s deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _verify_solution(scenario, real, targets, alloc) -> list[str]:
@@ -175,7 +180,7 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
         bit_target=params["bits"],
     )
     report: dict = {
-        "targets": asdict(targets),
+        "targets": _record(targets),
         "seed": params["seed"],
         "schemes": {},
     }
@@ -194,7 +199,7 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
         entry = {
             "feasible": True,
             "min_power_w": sol.total,
-            "allocation": {k: v if k != "scheme" else v.value for k, v in asdict(sol.alloc).items()},
+            "allocation": {**_record(sol.alloc), "scheme": sol.alloc.scheme.value},
         }
         if params["verify"]:
             problems = _verify_solution(scenario, real, targets, sol.alloc)

@@ -52,6 +52,10 @@ ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
 # scheme whose every semantic band leaves too little bit band.
 CAUSES = ("", "bandwidth-bound", "rate-asymptote", "similarity-asymptote", "bandwidth-bound")
 _BIT_BAND = 4
+# Bracket zoom of the power searches: 129-point brackets over 3 levels.
+# A one-row ``power`` request costs about one unit per objective call, so
+# few wide brackets beat many narrow ones.
+SEARCH_ZOOM = 64
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,9 @@ def _oma_rows(scenario: Scenario, rs: tuple, grid_n: int) -> PowerRows:
     # no band, no power.
     ws, p_sem = np.zeros((2, len(data)))
     g = data[live]
-    ws[live] = search_rows(total, g, w_low, w_up, bands, grid_n, maximize=False)[0]
+    ws[live] = search_rows(
+        total, g, w_low, w_up, bands, grid_n, maximize=False, zoom=SEARCH_ZOOM
+    )[0]
     p_sem[live] = semantic_power(g, ws[live, None])[:, 0]
     p_bit = bit_power(data, ws[:, None])[:, 0]
     tot = p_sem + p_bit
@@ -343,7 +349,7 @@ def _semi_rows(
     g = data[live]
     full = np.full(len(live), w)
     extra = np.column_stack([bands, full])
-    wm, f = search_rows(total, g, w_low, full, extra, grid_n, maximize=False)
+    wm, f = search_rows(total, g, w_low, full, extra, grid_n, maximize=False, zoom=SEARCH_ZOOM)
     p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, g, wm[:, None]))
     found = np.isfinite(f)
     best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]

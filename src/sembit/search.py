@@ -2,12 +2,17 @@
 
 All boundary and power searches in this package reduce to optimising a
 cheap vectorised objective over one bandwidth coordinate.  A uniform
-coarse grid of ``n`` points finds the basin.  Each of ``REFINE_LEVELS``
-levels then brackets the incumbent: it scores exactly
-``2 * REFINE_ZOOM + 1`` points over the incumbent plus or minus the
-previous level's spacing, clipped to the row's interval, so the spacing
-shrinks by ``REFINE_ZOOM`` per level, to
-``(hi - lo) / ((n - 1) * REFINE_ZOOM**REFINE_LEVELS)``.  The incumbent
+coarse grid of ``n`` points finds the basin.  Bracket levels then close
+in on the incumbent: each scores exactly ``2 * zoom + 1`` points over the
+incumbent plus or minus the previous level's spacing, clipped to the
+row's interval, so the spacing shrinks by ``zoom`` per level.  Every
+search shrinks it by ``REFINE_SHRINK`` in all, over
+``levels = log_zoom(REFINE_SHRINK)`` levels, to
+``(hi - lo) / ((n - 1) * REFINE_SHRINK)``; a zoom whose powers miss the
+shrink is rejected.  The caller picks the zoom by what its cost follows:
+a row-batched call costs about one unit per candidate, so narrow brackets
+over more levels are cheaper, while a one-row call costs about one unit
+per objective call, so wide brackets over few levels are.  The incumbent
 keeps its score from the level that found it and is not scored again; a
 bracket point replaces it only when it scores better, or equal and on
 the tie side.  A unimodal objective has its optimum within one spacing
@@ -53,8 +58,9 @@ import numpy as np
 
 # Default coarse grid size: the ``--grid`` of ``region`` and ``power``.
 DEFAULT_GRID_N = 64
-REFINE_LEVELS = 3
-# Spacing shrinks by this factor per level; a bracket has 2 * REFINE_ZOOM + 1 points.
+# Every search's final spacing is its coarse spacing over this factor.
+REFINE_SHRINK = 64**3
+# Default spacing shrink per level: brackets of 2 * 64 + 1 = 129 points, over 3 levels.
 REFINE_ZOOM = 64
 # Candidates per objective call a batch aims at: large enough to amortise
 # numpy's per-call overhead, small enough to keep temporaries in cache.
@@ -78,6 +84,19 @@ def check_grid_n(grid_n: int) -> int:
     return grid_n
 
 
+def refine_levels(zoom: int, shrink: int = REFINE_SHRINK) -> int:
+    """Bracket levels that shrink the spacing by exactly ``shrink`` at ``zoom`` per level.
+
+    Raises ValueError unless ``zoom`` is at least 2 and ``shrink`` a power of it.
+    """
+    levels = 0
+    while zoom > 1 and zoom**levels < shrink:
+        levels += 1
+    if zoom < 2 or zoom**levels != shrink:
+        raise ValueError(f"zoom {zoom} does not reach shrink {shrink} in whole levels")
+    return levels
+
+
 @cache
 def _keep_heap() -> None:
     """Set glibc's malloc trim threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.
@@ -93,13 +112,15 @@ def _keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
 
 
-def row_batches(n_rows: int, grid_n: int, n_extra: int = 0) -> list[slice]:
+def row_batches(
+    n_rows: int, grid_n: int, n_extra: int = 0, *, zoom: int = REFINE_ZOOM
+) -> list[slice]:
     """Consecutive row slices of about ``BATCH_CANDIDATES`` candidates per objective call.
 
     A batch is sized by its widest call: the coarse grid with ``n_extra``
-    seeds per row, or a bracket of ``2 * REFINE_ZOOM + 1`` points.
+    seeds per row, or a bracket of ``2 * zoom + 1`` points.
     """
-    width = max(check_grid_n(grid_n) + n_extra, 2 * REFINE_ZOOM + 1)
+    width = max(check_grid_n(grid_n) + n_extra, 2 * zoom + 1)
     size = max(1, BATCH_CANDIDATES // width)
     return [slice(i, i + size) for i in range(0, n_rows, size)]
 
@@ -139,7 +160,8 @@ def refine_search(
     maximize: bool = True,
     tie_high: bool = False,
     extra: Iterable = (),
-    levels: int = REFINE_LEVELS,
+    zoom: int = REFINE_ZOOM,
+    shrink: int = REFINE_SHRINK,
 ):
     """Optimise ``objective`` over [lo, hi] for each row; return (x_best, f_best).
 
@@ -149,12 +171,14 @@ def refine_search(
     to its scores elementwise.  ``extra`` points (clipped into each
     row's interval; broadcast to rows x m) join the coarse grid, so
     known-good special cases can seed the search and the result provably
-    never falls below them.  Each of ``levels`` brackets then scores
-    exactly ``2 * REFINE_ZOOM + 1`` points within one previous spacing of
-    the incumbent; the incumbent keeps its score and is not re-scored.
-    Ties break toward the smallest candidate unless ``tie_high``.
+    never falls below them.  Each of ``refine_levels(zoom, shrink)``
+    brackets then scores exactly ``2 * zoom + 1`` points within one
+    previous spacing of the incumbent; the incumbent keeps its score and
+    is not re-scored.  ``shrink=1`` stops at the coarse grid.  Ties break
+    toward the smallest candidate unless ``tie_high``.
     """
     check_grid_n(n)
+    levels = refine_levels(zoom, shrink)
     one_row = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -174,7 +198,7 @@ def refine_search(
     x_best, f_best = grid[rows, i], f[rows, i]
 
     half = (hi - lo) / (n - 1)
-    ramp = np.arange(2 * REFINE_ZOOM + 1, dtype=float)
+    ramp = np.arange(2 * zoom + 1, dtype=float)
     for _ in range(levels):
         window = _linspace_rows(np.maximum(lo, x_best - half), np.minimum(hi, x_best + half), ramp)
         fw = objective(window)
@@ -184,24 +208,26 @@ def refine_search(
         better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
         x_best = np.where(better, xj, x_best)
         f_best = np.where(better, fj, f_best)
-        half /= REFINE_ZOOM
+        half /= zoom
     if one_row:
         return float(x_best[0]), float(f_best[0])
     return x_best, f_best
 
 
-def search_rows(objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, tie_high=False):
+def search_rows(
+    objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, zoom: int, tie_high=False
+):
     """(x, f) optimising ``objective(cols[rows], x)`` for each row, one search per row batch.
 
     ``cols`` holds one line of per-row data for each row, and row i
-    searches [lo[i], hi[i]] with the candidates ``extra[i]`` added; every
-    row gets exactly the result a one-row search would.
+    searches [lo[i], hi[i]] with the candidates ``extra[i]`` added, in
+    brackets of ``2 * zoom + 1`` points; every row gets exactly the result
+    a one-row search would.
     """
     _keep_heap()
     x, f = np.empty((2, len(lo)))
-    for b in row_batches(len(lo), grid_n, extra.shape[1]):
+    kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
+    for b in row_batches(len(lo), grid_n, extra.shape[1], zoom=zoom):
         batch = partial(objective, cols[b])
-        x[b], f[b] = refine_search(
-            batch, lo[b], hi[b], grid_n, maximize=maximize, tie_high=tie_high, extra=extra[b]
-        )
+        x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, extra=extra[b], **kw)
     return x, f

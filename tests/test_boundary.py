@@ -483,6 +483,19 @@ class TestBatchedPoints:
             [p.similarity for p in swept.points], [single[j].similarity for j in best]
         )
 
+    @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
+    def test_default_region_rows_equal_one_sigma_calls(self, scenario, seed):
+        # A default region searches its rows in batches of more than 100;
+        # each lifted row is still the one-sigma solve at its target.
+        real = sample_realization(scenario, seed)
+        found, _ = boundary.trace_region(scenario, real, list(Scheme))
+        assert len(found[Scheme.SEMI].sigma) > search.BATCH_CANDIDATES // (2 * 64 + 2)
+        for scheme, solve in ((Scheme.OMA, solve_oma_point), (Scheme.SEMI, solve_semi_point)):
+            region = found[scheme]
+            rates = np.array([solve(scenario, real, float(s)).bit_rate for s in region.sigma])
+            lifted = np.maximum.accumulate(rates[::-1])[::-1]
+            np.testing.assert_array_equal(region.bit_rate, lifted)
+
     def test_noma_rows_equal_one_sigma_calls(self, scenario, realization):
         sigma = np.linspace(0.0, 260e3, 27)  # crosses the overlay's feasible range
         rows = _points(Scheme.NOMA, boundary._noma_points(scenario, realization, sigma), sigma)

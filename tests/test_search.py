@@ -4,19 +4,23 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sembit import Scenario, Scheme, sample_realization, trace_region
+from sembit import Scenario, Scheme, boundary, power, sample_realization, trace_region
 from sembit.rates import EPS_BANDS
 from sembit.search import (
     BATCH_CANDIDATES,
     DEFAULT_GRID_N,
-    REFINE_LEVELS,
+    REFINE_SHRINK,
     REFINE_ZOOM,
     _linspace_rows,
     _pick,
+    refine_levels,
     refine_search,
     row_batches,
     search_rows,
 )
+
+# The zooms the package searches with: the boundary's, then the power searches'.
+ZOOMS = (boundary.SEARCH_ZOOM, power.SEARCH_ZOOM)
 
 
 class TestRefineSearch:
@@ -102,10 +106,37 @@ class TestRefineSearch:
         def objective(x):
             return -np.abs(x - target)
 
-        _, f_coarse = refine_search(objective, 0.0, 1.0, 9, levels=0)
-        x_fine, f_fine = refine_search(objective, 0.0, 1.0, 9, levels=3)
-        assert f_fine > f_coarse
-        assert abs(x_fine - target) < 1e-3
+        _, f_coarse = refine_search(objective, 0.0, 1.0, 9, shrink=1)
+        for zoom in ZOOMS:
+            x_fine, f_fine = refine_search(objective, 0.0, 1.0, 9, zoom=zoom)
+            assert f_fine > f_coarse
+            assert abs(x_fine - target) < 1e-3
+
+
+class TestBracketShape:
+    """A zoom sets a bracket's width; the final shrink is the same for every search."""
+
+    def test_each_family_reaches_the_shrink(self):
+        assert refine_levels(boundary.SEARCH_ZOOM) == 6  # 17-point brackets
+        assert refine_levels(power.SEARCH_ZOOM) == 3  # 129-point brackets
+        for zoom in ZOOMS:
+            assert zoom ** refine_levels(zoom) == REFINE_SHRINK
+        assert refine_levels(REFINE_ZOOM, shrink=1) == 0
+        assert refine_levels(8, shrink=REFINE_SHRINK * 64) == 8
+
+    @pytest.mark.parametrize("zoom", [16, 3, 1, 0, -8])
+    def test_zoom_missing_the_shrink_rejected(self, zoom):
+        with pytest.raises(ValueError, match="does not reach shrink"):
+            refine_levels(zoom)
+        with pytest.raises(ValueError, match="does not reach shrink"):
+            refine_search(lambda x: x, 0.0, 1.0, 16, zoom=zoom)
+
+    def test_row_batches_size_from_the_zoom(self):
+        # A bracket wider than the coarse grid sets the batch; a narrower one does not.
+        for zoom in ZOOMS:
+            size = BATCH_CANDIDATES // max(64 + 2, 2 * zoom + 1)
+            batches = row_batches(3 * size, 64, 2, zoom=zoom)
+            assert [b.start for b in batches] == [0, size, 2 * size]
 
 
 class TestRowBatches:
@@ -158,9 +189,11 @@ class TestRowBatches:
             shapes.append(x.shape)
             return -x
 
-        refine_search(objective, np.zeros(4), np.ones(4), 16, extra=[0.5])
-        # Coarse grid plus the extra, then each bracket; the incumbent is not re-scored.
-        assert shapes == [(4, 17)] + [(4, 2 * REFINE_ZOOM + 1)] * 3
+        for zoom in ZOOMS:
+            shapes.clear()
+            refine_search(objective, np.zeros(4), np.ones(4), 16, extra=[0.5], zoom=zoom)
+            # Coarse grid plus the extra, then each bracket; the incumbent is not re-scored.
+            assert shapes == [(4, 17)] + [(4, 2 * zoom + 1)] * refine_levels(zoom)
 
     @pytest.mark.parametrize("n", [1, 0, -4])
     def test_grid_below_two_rejected(self, n):
@@ -188,7 +221,6 @@ class TestRowBatches:
         # Each row's objective reads its own line of ``cols``: a centre and a scale.
         rng = np.random.default_rng(3)
         n_rows = 300
-        assert len(row_batches(n_rows, 64, 2)) == 3
         cols = rng.uniform(0.1, 1.0, (n_rows, 2))
         lo, hi = np.zeros(n_rows), np.ones(n_rows)
         extra = rng.uniform(-0.5, 1.5, (n_rows, 2))
@@ -197,11 +229,13 @@ class TestRowBatches:
         def objective(c, x):
             return -sign * c[:, 1:] * (x - c[:, :1]) ** 2
 
-        x, f = search_rows(objective, cols, lo, hi, extra, 64, maximize=maximize)
-        for r in range(n_rows):
-            one = partial(objective, cols[r : r + 1])
-            kw = dict(maximize=maximize, extra=extra[r])
-            assert refine_search(one, lo[r], hi[r], 64, **kw) == (x[r], f[r])
+        for zoom, n_batches in zip(ZOOMS, (2, 3)):
+            assert len(row_batches(n_rows, 64, 2, zoom=zoom)) == n_batches
+            x, f = search_rows(objective, cols, lo, hi, extra, 64, maximize=maximize, zoom=zoom)
+            for r in range(n_rows):
+                one = partial(objective, cols[r : r + 1])
+                kw = dict(maximize=maximize, extra=extra[r], zoom=zoom)
+                assert refine_search(one, lo[r], hi[r], 64, **kw) == (x[r], f[r])
 
 
 def unimodal(kind, rng, rows):
@@ -235,7 +269,7 @@ class TestBracketInvariant:
     """On a unimodal objective each level keeps the optimum in its bracket.
 
     The search then ends within one final spacing,
-    ``(hi - lo) / ((n - 1) * REFINE_ZOOM**REFINE_LEVELS)``, of the true
+    ``(hi - lo) / ((n - 1) * REFINE_SHRINK)``, at any zoom, of the true
     optimum x*, and scores no worse than a 20,001-point dense scan by
     more than the objective changes over that spacing.
     """
@@ -253,15 +287,7 @@ class TestBracketInvariant:
         def objective(x, r=slice(None)):
             return sign * f(x, r)
 
-        kw = dict(maximize=maximize, tie_high=tie_high)
-        xs, fs = refine_search(objective, lo, hi, self.N, **kw)
-        for r in range(self.ROWS):
-            x, fx = refine_search(lambda v: objective(v, [r]), lo[r], hi[r], self.N, **kw)
-            assert (x, fx) == (xs[r], fs[r])
-
-        spacing = (hi - lo) / ((self.N - 1) * REFINE_ZOOM**REFINE_LEVELS)
-        assert np.all(np.abs(xs - x_star) <= spacing)
-
+        spacing = (hi - lo) / ((self.N - 1) * REFINE_SHRINK)
         f_star = objective(x_star[:, None])[:, 0]
         near = x_star[:, None] + spacing[:, None] * np.linspace(-1.0, 1.0, 101)
         near = np.clip(near, lo[:, None], hi[:, None])
@@ -269,11 +295,19 @@ class TestBracketInvariant:
         slack = change + 1e-12 * np.maximum(1.0, np.abs(f_star))
         dense = _linspace_rows(lo, hi, np.arange(20_001, dtype=float))
         f_dense = sign * np.max(sign * objective(dense), axis=1)
-        assert np.all(np.abs(fs - f_star) <= slack)
-        assert np.all(sign * (fs - f_dense) >= -slack)
+
+        for zoom in ZOOMS:
+            kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
+            xs, fs = refine_search(objective, lo, hi, self.N, **kw)
+            for r in range(self.ROWS):
+                x, fx = refine_search(lambda v: objective(v, [r]), lo[r], hi[r], self.N, **kw)
+                assert (x, fx) == (xs[r], fs[r])
+            assert np.all(np.abs(xs - x_star) <= spacing)
+            assert np.all(np.abs(fs - f_star) <= slack)
+            assert np.all(sign * (fs - f_dense) >= -slack)
 
 
-def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra):
+def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra, zoom):
     """:func:`refine_search` as it was when each bracket re-scored its incumbent."""
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     rows = np.arange(len(lo))
@@ -284,8 +318,8 @@ def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra):
     i = _pick(f, maximize, tie_high)
     x_best, f_best = grid[rows, i], f[rows, i]
     half = (hi - lo) / (n - 1)
-    ramp = np.arange(2 * REFINE_ZOOM + 1, dtype=float)
-    for _ in range(REFINE_LEVELS):
+    ramp = np.arange(2 * zoom + 1, dtype=float)
+    for _ in range(refine_levels(zoom)):
         window = _linspace_rows(np.maximum(lo, x_best - half), np.minimum(hi, x_best + half), ramp)
         window = np.concatenate([window, x_best[:, None]], axis=1)
         window.sort(axis=1)
@@ -296,7 +330,7 @@ def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra):
         better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
         x_best = np.where(better, xj, x_best)
         f_best = np.where(better, fj, f_best)
-        half /= REFINE_ZOOM
+        half /= zoom
     return x_best, f_best
 
 
@@ -326,16 +360,17 @@ class TestIncumbentNotRescored:
 
             return f
 
-        kw = dict(maximize=maximize, tie_high=tie_high)
         everything = np.arange(self.ROWS)
-        want = rescoring_search(objective(everything), lo, hi, 17, extra=extra, **kw)
-        got = refine_search(objective(everything), lo, hi, 17, extra=extra, **kw)
-        np.testing.assert_array_equal(got, want)
-        for r in range(0, self.ROWS, 7):
-            one = refine_search(objective([r]), lo[r], hi[r], 17, extra=extra[r], **kw)
-            np.testing.assert_array_equal(one, [want[0][r], want[1][r]])
-        f = want[1]
-        assert np.isnan(f).any() and (~np.isnan(f)).sum() > self.ROWS // 2
+        for zoom in ZOOMS:
+            kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
+            want = rescoring_search(objective(everything), lo, hi, 17, extra=extra, **kw)
+            got = refine_search(objective(everything), lo, hi, 17, extra=extra, **kw)
+            np.testing.assert_array_equal(got, want)
+            for r in range(0, self.ROWS, 7):
+                one = refine_search(objective([r]), lo[r], hi[r], 17, extra=extra[r], **kw)
+                np.testing.assert_array_equal(one, [want[0][r], want[1][r]])
+            f = want[1]
+            assert np.isnan(f).any() and (~np.isnan(f)).sum() > self.ROWS // 2
 
 
 class TestHeapTrim:

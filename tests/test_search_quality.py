@@ -6,8 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sembit import Scenario, sample_realization, search, solve_oma_point, solve_semi_point
-from sembit.search import REFINE_LEVELS
+from sembit import (
+    PowerTargets,
+    Scenario,
+    sample_realization,
+    search,
+    solve_min_powers,
+    solve_oma_point,
+    solve_semi_point,
+)
+from sembit.search import REFINE_SHRINK
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_quality.py"
 _spec = importlib.util.spec_from_file_location("search_quality", _TOOL)
@@ -42,23 +50,34 @@ def test_pinned_row_value(solve):
 
 
 def test_reference_levels_deepen_the_searches(monkeypatch):
-    # A one-row search makes one coarse objective call, then one per level.
+    # Each search makes one coarse objective call, then one per level: an
+    # oma boundary point searches 6 levels at zoom 8 (8 under the
+    # reference); a power solve searches oma, then semi, 3 levels each at
+    # zoom 64 (4 under the reference).
     original = search.refine_search
     calls = []
 
     def counting(objective, *args, **kwargs):
         def counted(x):
-            calls.append(x.shape)
+            calls[-1] += 1
             return objective(x)
 
+        calls.append(0)
         return original(counted, *args, **kwargs)
 
     monkeypatch.setattr(search, "refine_search", counting)
     scenario = Scenario()
     real = sample_realization(scenario, 7)
-    solve_oma_point(scenario, real, 100e3)
-    assert len(calls) == 1 + REFINE_LEVELS
-    calls.clear()
-    with quality.reference_levels():
-        solve_oma_point(scenario, real, 100e3)
-    assert len(calls) == 1 + quality.REF_LEVELS
+    targets = PowerTargets(sigma_target=150e3, min_similarity=0.8, bit_target=1e6)
+    assert quality.REF_SHRINK == REFINE_SHRINK * 64 == 64**4
+    for solve, searches, levels, deeper in (
+        (lambda: solve_oma_point(scenario, real, 100e3), 1, 6, 8),
+        (lambda: solve_min_powers(scenario, real, targets, 64), 2, 3, 4),
+    ):
+        calls.clear()
+        solve()
+        assert calls == [1 + levels] * searches
+        calls.clear()
+        with quality.reference_levels():
+            solve()
+        assert calls == [1 + deeper] * searches

@@ -7,8 +7,9 @@ power budget log-uniform in 0.03-3 W and one channel draw.  On it the
 oma and semi boundary rows at ``ROWS + 1`` semantic rates evenly over
 [0, sigma_max], and the oma and semi minimum powers of ``TRIPLES``
 random target triples that the budget can meet, are solved at the
-default coarse grid and with a ``REF_GRID``-point grid and
-``REF_LEVELS`` bracket levels.
+default coarse grid and with a ``REF_GRID``-point grid whose brackets
+shrink the spacing by ``REF_SHRINK``, 64 times the default's: each search
+keeps its own zoom and runs as many more levels as that takes.
 
 A boundary row misses when it falls more than ``TOL`` of its boundary's
 maximum below the reference; a power row misses when its total exceeds
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import sys
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from sembit.power import PowerTargets  # noqa: E402
 from sembit.rates import Scheme  # noqa: E402
 
 REF_GRID = 4096
-REF_LEVELS = 4
+REF_SHRINK = search.REFINE_SHRINK * 64
 TOL = 1e-7
 ROWS = 12
 TRIPLES = 8
@@ -63,13 +63,19 @@ PINNED = {
 
 @contextlib.contextmanager
 def reference_levels():
-    """Make the boundary and power searches run ``REF_LEVELS`` bracket levels.
+    """Make the boundary and power searches shrink their spacing by ``REF_SHRINK``.
 
     Every one of them goes through :func:`sembit.search.search_rows`, which
     calls ``refine_search`` through the one binding in :mod:`sembit.search`.
+    The shrink overrides any the caller passes, where a ``functools.partial``
+    keyword would be overridden by it.
     """
     saved = search.refine_search
-    search.refine_search = functools.partial(saved, levels=REF_LEVELS)
+
+    def deeper(*args, **kwargs):
+        return saved(*args, **{**kwargs, "shrink": REF_SHRINK})
+
+    search.refine_search = deeper
     try:
         yield
     finally:
@@ -91,7 +97,7 @@ def power_rows(scenario, real, targets, grid_n):
 
 
 def both(solve, *args):
-    """``solve`` at the default grid, then at the reference grid and levels."""
+    """``solve`` at the default grid, then at the reference grid and shrink."""
     found = solve(*args, search.DEFAULT_GRID_N)
     with reference_levels():
         ref = solve(*args, REF_GRID)
@@ -169,7 +175,10 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     gaps = survey(ns.scenarios, ns.seed)
     gaps["pinned boundary"] = np.array(list(pinned_gaps().values()))
-    print(f"grid {search.DEFAULT_GRID_N}/{search.REFINE_LEVELS} against {REF_GRID}/{REF_LEVELS}")
+    print(
+        f"grid {search.DEFAULT_GRID_N}, shrink {search.REFINE_SHRINK} against grid {REF_GRID},"
+        f" shrink {REF_SHRINK}; zoom {boundary.SEARCH_ZOOM} boundary, {power.SEARCH_ZOOM} power"
+    )
     misses = 0
     for name, g in gaps.items():
         n_miss = int((g > TOL).sum())
