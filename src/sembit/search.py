@@ -27,21 +27,27 @@ objective scores a rows x candidates matrix at once, and every row sees
 exactly the candidates a one-row call would: its own ``np.linspace``
 grid and brackets, sorted.  Duplicate candidates may stay, since an
 equal x scores equally.  :func:`search_rows`, the driver every boundary
-and power search goes through, cuts a row set into :func:`row_batches`
-so that each objective call stays near ``BATCH_CANDIDATES`` candidates,
-and runs one search per batch.
+and power search goes through, runs a row set in two phases, the coarse
+grid and then the brackets from its incumbents.  Each phase cuts the rows
+into :func:`row_batches` of its own width, so that each objective call
+stays near ``BATCH_CANDIDATES`` candidates: a default region's coarse
+phase scores batches of 126 rows x 130 candidates, and its bracket phase
+one batch of about 400 rows x 17 per scheme.  Cut to the coarse phase's
+126 rows, a 17-point bracket call would score about 2,100 candidates,
+too few to amortise numpy's per-call overhead.
 
 Before its first batch, :func:`search_rows` raises glibc's malloc trim
-threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  A default
-region's batch of 126 rows x 130 candidates makes every float temporary
-131,040 B, just under glibc's 128 KiB mmap threshold, so the temporaries
-live on the heap.  With glibc's default trim threshold, freeing a batch's
-temporaries handed the top of the heap back to the kernel, and the next
-objective call faulted the same pages in again: about 6,000 minor page
-faults, a third of the wall time, per default region.  With the higher
-threshold a region takes 0 to 3.  The setting is process-wide, so a
-program that embeds this package inherits it; where ``mallopt`` is
-missing (macOS, Windows) the call does nothing, and musl ignores it.
+threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  The semi
+boundary's coarse batches (126 x 130 candidates) and the 17-point bracket
+batches (at most 963 x 17) make float temporaries just under glibc's 128 KiB
+mmap threshold, so the temporaries live on the heap.  With glibc's
+default trim threshold, freeing a batch's temporaries handed the top of
+the heap back to the kernel, and the next objective call faulted the
+same pages in again: about 6,000 minor page faults, a third of the wall
+time, per default region.  With the higher threshold a region takes 0 to
+3.  The setting is process-wide, so a program that embeds this package
+inherits it; where ``mallopt`` is missing (macOS, Windows) the call does
+nothing, and musl ignores it.
 
 Unimodality holds only within a basin: the objectives this package
 searches can have a second local optimum, so callers seed the coarse grid
@@ -64,10 +70,11 @@ REFINE_SHRINK = 64**3
 REFINE_ZOOM = 64
 # Candidates per objective call a batch aims at: large enough to amortise
 # numpy's per-call overhead, small enough to keep temporaries in cache.
-# A batch's float temporary (rows x widest call x 8 B) must also stay under
-# glibc's default mmap threshold of 128 KiB: once the trim threshold below
-# is set, glibc stops raising the mmap threshold, so a larger temporary can
-# be mmapped and unmapped, page faults and all, on every objective call.
+# A batch's float temporary (rows x its phase's width x 8 B) must also stay
+# under glibc's default mmap threshold of 128 KiB: once the trim threshold
+# below is set, glibc stops raising the mmap threshold, so a larger
+# temporary can be mmapped and unmapped, page faults and all, on every
+# objective call.
 BATCH_CANDIDATES = 1 << 14
 # Free memory glibc keeps at the top of the heap instead of returning it to
 # the kernel: 256 batch temporaries.  A default region frees up to about 32
@@ -112,15 +119,12 @@ def _keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD)
 
 
-def row_batches(
-    n_rows: int, grid_n: int, n_extra: int = 0, *, zoom: int = REFINE_ZOOM
-) -> list[slice]:
+def row_batches(n_rows: int, width: int) -> list[slice]:
     """Consecutive row slices of about ``BATCH_CANDIDATES`` candidates per objective call.
 
-    A batch is sized by its widest call: the coarse grid with ``n_extra``
-    seeds per row, or a bracket of ``2 * zoom + 1`` points.
+    ``width`` is the number of candidates one row scores per call in the
+    phase being batched.
     """
-    width = max(check_grid_n(grid_n) + n_extra, 2 * zoom + 1)
     size = max(1, BATCH_CANDIDATES // width)
     return [slice(i, i + size) for i in range(0, n_rows, size)]
 
@@ -162,6 +166,7 @@ def refine_search(
     extra: Iterable = (),
     zoom: int = REFINE_ZOOM,
     shrink: int = REFINE_SHRINK,
+    start: tuple | None = None,
 ):
     """Optimise ``objective`` over [lo, hi] for each row; return (x_best, f_best).
 
@@ -174,8 +179,11 @@ def refine_search(
     never falls below them.  Each of ``refine_levels(zoom, shrink)``
     brackets then scores exactly ``2 * zoom + 1`` points within one
     previous spacing of the incumbent; the incumbent keeps its score and
-    is not re-scored.  ``shrink=1`` stops at the coarse grid.  Ties break
-    toward the smallest candidate unless ``tie_high``.
+    is not re-scored.  ``shrink=1`` stops at the coarse grid.
+    ``start=(x, f)`` skips the coarse grid (and ``extra``): the brackets
+    start from incumbents ``x`` that score ``f``, so a coarse-only call
+    and a call started from its result together equal one full call.
+    Ties break toward the smallest candidate unless ``tie_high``.
     """
     check_grid_n(n)
     levels = refine_levels(zoom, shrink)
@@ -184,18 +192,21 @@ def refine_search(
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape:
         lo, hi = np.broadcast_arrays(lo, hi)
-    if np.any(hi < lo):
+    if (hi < lo).any():
         raise ValueError(f"empty search interval [{lo}, {hi}]")
     rows = np.arange(len(lo))
 
-    grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
-    extra = np.asarray(tuple(extra), dtype=float)
-    if extra.size:
-        grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
-        grid.sort(axis=1)
-    f = objective(grid)
-    i = _pick(f, maximize, tie_high)
-    x_best, f_best = grid[rows, i], f[rows, i]
+    if start is None:
+        grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
+        extra = np.asarray(tuple(extra), dtype=float)
+        if extra.size:
+            grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
+            grid.sort(axis=1)
+        f = objective(grid)
+        i = _pick(f, maximize, tie_high)
+        x_best, f_best = grid[rows, i], f[rows, i]
+    else:
+        x_best, f_best = (np.atleast_1d(np.asarray(v, dtype=float)) for v in start)
 
     half = (hi - lo) / (n - 1)
     ramp = np.arange(2 * zoom + 1, dtype=float)
@@ -217,17 +228,24 @@ def refine_search(
 def search_rows(
     objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, zoom: int, tie_high=False
 ):
-    """(x, f) optimising ``objective(cols[rows], x)`` for each row, one search per row batch.
+    """(x, f) optimising ``objective(cols[rows], x)`` for each row, in two row-batched phases.
 
     ``cols`` holds one line of per-row data for each row, and row i
     searches [lo[i], hi[i]] with the candidates ``extra[i]`` added, in
     brackets of ``2 * zoom + 1`` points; every row gets exactly the result
-    a one-row search would.
+    a one-row search would.  The coarse grid runs first, then the
+    brackets from its incumbents, each phase cut into :func:`row_batches`
+    of its own width.  Both phases call :func:`refine_search` through this
+    module's binding, which `tools/search_quality.py` and the benchmark's
+    tracer wrap.
     """
     _keep_heap()
     x, f = np.empty((2, len(lo)))
     kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
-    for b in row_batches(len(lo), grid_n, extra.shape[1], zoom=zoom):
+    for b in row_batches(len(lo), check_grid_n(grid_n) + extra.shape[1]):
         batch = partial(objective, cols[b])
-        x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, extra=extra[b], **kw)
+        x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, extra=extra[b], shrink=1, **kw)
+    for b in row_batches(len(lo), 2 * zoom + 1):
+        batch = partial(objective, cols[b])
+        x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, start=(x[b], f[b]), **kw)
     return x, f

@@ -122,13 +122,21 @@ def eval_similarity(params: LogisticParams, snr_db):
     """Similarity at the given SNR (dB).  Accepts scalars or arrays.
 
     -inf maps to a_low and +inf to a_high, so callers may feed the
-    log-domain SNR of a zero-power allocation directly.
+    log-domain SNR of a zero-power allocation directly.  A scalar
+    comes back as a float, bit for bit the array path's element.
     """
+    if np.ndim(snr_db) == 0:
+        # _sigmoid's branches on one value; np.exp, not math.exp, so the
+        # exponential is the one the array path computes.
+        z = params.growth * float(snr_db) + params.offset
+        if z >= 0:
+            sig = 1.0 / (1.0 + float(np.exp(-z)))
+        else:
+            ez = float(np.exp(z))
+            sig = ez / (1.0 + ez)
+        return params.a_low + (params.a_high - params.a_low) * sig
     z = params.growth * np.asarray(snr_db, dtype=float) + params.offset
-    val = params.a_low + (params.a_high - params.a_low) * _sigmoid(z)
-    if np.isscalar(snr_db) or np.ndim(snr_db) == 0:
-        return float(val)
-    return val
+    return params.a_low + (params.a_high - params.a_low) * _sigmoid(z)
 
 
 def invert_similarity(params: LogisticParams, target: float) -> float:

@@ -619,20 +619,31 @@ class TestTraceRegion:
 
     @pytest.mark.parametrize("seed, calls", [(7, 8), (4, 4)])
     def test_default_region_search_count(self, scenario, monkeypatch, seed, calls):
-        # 4 (2 on a power-limited draw) row batches of the hybrid's grid:
-        # one oma and one hybrid search each, and no second oma pass.
-        counted = []
+        # Coarse phase: the oma and the hybrid search each cut the hybrid's
+        # grid into 4 (2 on a power-limited draw) row batches, and there is
+        # no second oma pass.  Bracket phase: one 17-point batch per search,
+        # one objective call for each of its 6 levels; 20 (16) objective
+        # calls in all.
+        phases, objective_calls = [], []
         original = search.refine_search
 
-        def counting(*args, **kwargs):
-            counted.append(kwargs["tie_high"])
-            return original(*args, **kwargs)
+        def counting(objective, *args, **kwargs):
+            phases.append((kwargs["tie_high"], "start" in kwargs))
+
+            def counted(x):
+                objective_calls.append(x.shape[1])
+                return objective(x)
+
+            return original(counted, *args, **kwargs)
 
         monkeypatch.setattr(search, "refine_search", counting)
         real = sample_realization(scenario, seed)
         boundary.trace_region(scenario, real, ["oma", "noma", "semi"])
-        assert len(counted) == calls
-        assert counted.count(False) == counted.count(True)  # oma searches, hybrid searches
+        # (tie_high, bracket phase): the oma search, then the hybrid search
+        oma, hybrid = [(False, False)] * (calls // 2), [(True, False)] * (calls // 2)
+        assert phases == [*oma, (False, True), *hybrid, (True, True)]
+        assert len(objective_calls) == calls + 2 * 6
+        assert objective_calls.count(2 * boundary.SEARCH_ZOOM + 1) == 2 * 6
 
 
 class TestContainment:

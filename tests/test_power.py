@@ -380,7 +380,10 @@ class TestRowSets:
         original = search.refine_search
         unpadded_calls = []
 
-        def unpadded(objective, lo, hi, n, *, extra, **kwargs):
+        def unpadded(objective, lo, hi, n, **kwargs):
+            if "start" in kwargs:  # the bracket phase has no extras
+                return original(objective, lo, hi, n, **kwargs)
+            extra = kwargs.pop("extra")
             assert (extra[:, :EPS_BANDS] == lo[:, None]).all()
             unpadded_calls.append(extra.shape)
             return original(objective, lo, hi, n, extra=extra[:, EPS_BANDS:], **kwargs)
@@ -428,7 +431,11 @@ class TestRowSets:
 
 
 class TestOneRowSearches:
-    """A one-row solve searches once for oma and once for semi, or not at all."""
+    """A one-row solve searches once for oma and once for semi, or not at all.
+
+    Each search is a coarse-phase call with the extras, then a bracket-phase
+    call started from its incumbent.
+    """
 
     @pytest.mark.parametrize(
         "targets, extras",
@@ -443,12 +450,12 @@ class TestOneRowSearches:
         seen = []
 
         def counting(objective, lo, hi, n, **kwargs):
-            seen.append(kwargs["extra"].shape)
+            seen.append("brackets" if "start" in kwargs else kwargs["extra"].shape)
             return original(objective, lo, hi, n, **kwargs)
 
         monkeypatch.setattr(search, "refine_search", counting)
         solve_min_powers(scenario, realization, targets, 512)
-        assert seen == [(1, m) for m in extras]
+        assert seen == [phase for m in extras for phase in ((1, m), "brackets")]
 
 
 class TestPaperClaims:

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sembit import Scenario, Scheme, boundary, power, sample_realization, trace_region
+from sembit import Scenario, Scheme, boundary, power, sample_realization, search, trace_region
 from sembit.rates import EPS_BANDS
 from sembit.search import (
     BATCH_CANDIDATES,
@@ -131,12 +131,29 @@ class TestBracketShape:
         with pytest.raises(ValueError, match="does not reach shrink"):
             refine_search(lambda x: x, 0.0, 1.0, 16, zoom=zoom)
 
-    def test_row_batches_size_from_the_zoom(self):
-        # A bracket wider than the coarse grid sets the batch; a narrower one does not.
+    def test_row_batches_size_from_the_zoom(self, monkeypatch):
+        # search_rows batches its coarse phase by the grid plus the extras,
+        # then its bracket phase by the 2 * zoom + 1 bracket points.
+        original = search.refine_search
+        seen = []
+
+        def spy(objective, lo, hi, n, **kwargs):
+            seen.append(("start" in kwargs, len(lo)))
+            return original(objective, lo, hi, n, **kwargs)
+
+        monkeypatch.setattr(search, "refine_search", spy)
+        n_rows = 1000
+        cols, extra = np.zeros((n_rows, 1)), np.zeros((n_rows, 2))
+        lo, hi = np.zeros(n_rows), np.ones(n_rows)
         for zoom in ZOOMS:
-            size = BATCH_CANDIDATES // max(64 + 2, 2 * zoom + 1)
-            batches = row_batches(3 * size, 64, 2, zoom=zoom)
-            assert [b.start for b in batches] == [0, size, 2 * size]
+            seen.clear()
+            search_rows(lambda c, x: -x, cols, lo, hi, extra, 64, maximize=True, zoom=zoom)
+            assert [phase for phase, _ in seen] == sorted(phase for phase, _ in seen)
+            for bracket, width in ((False, 64 + 2), (True, 2 * zoom + 1)):
+                size = BATCH_CANDIDATES // width
+                assert [rows for phase, rows in seen if phase == bracket] == (
+                    [size] * (n_rows // size) + [n_rows % size]
+                )
 
 
 class TestRowBatches:
@@ -217,7 +234,7 @@ class TestRowBatches:
         assert row_batches(5, 10 * BATCH_CANDIDATES) == [slice(i, i + 1) for i in range(5)]
 
     @pytest.mark.parametrize("maximize", [True, False])
-    def test_search_rows_equals_one_search_per_row(self, maximize):
+    def test_search_rows_equals_one_search_per_row(self, maximize, monkeypatch):
         # Each row's objective reads its own line of ``cols``: a centre and a scale.
         rng = np.random.default_rng(3)
         n_rows = 300
@@ -229,8 +246,15 @@ class TestRowBatches:
         def objective(c, x):
             return -sign * c[:, 1:] * (x - c[:, :1]) ** 2
 
-        for zoom, n_batches in zip(ZOOMS, (2, 3)):
-            assert len(row_batches(n_rows, 64, 2, zoom=zoom)) == n_batches
+        # (candidate budget, zoom, (coarse batches, bracket batches))
+        for budget, zoom, n_batches in (
+            (BATCH_CANDIDATES, ZOOMS[0], (2, 1)),  # several coarse batches, one bracket batch
+            (BATCH_CANDIDATES, ZOOMS[1], (2, 3)),
+            (17 * 100, ZOOMS[0], (12, 3)),  # several bracket batches
+        ):
+            monkeypatch.setattr(search, "BATCH_CANDIDATES", budget)
+            assert len(row_batches(n_rows, 64 + 2)) == n_batches[0]
+            assert len(row_batches(n_rows, 2 * zoom + 1)) == n_batches[1]
             x, f = search_rows(objective, cols, lo, hi, extra, 64, maximize=maximize, zoom=zoom)
             for r in range(n_rows):
                 one = partial(objective, cols[r : r + 1])
@@ -379,11 +403,13 @@ class TestHeapTrim:
     MMAP_THRESHOLD = 128 * 1024  # glibc's default, which setting the trim threshold pins
 
     def test_default_batch_temporary_stays_under_the_mmap_threshold(self):
-        # The widest call of a default region: the semi boundary's coarse
-        # grid, its similarity seeds, the full band and the corner seed.
-        width = DEFAULT_GRID_N + EPS_BANDS + 2
-        batch = row_batches(1000, DEFAULT_GRID_N, EPS_BANDS + 2)[0]
-        assert (batch.stop - batch.start) * width * 8 < self.MMAP_THRESHOLD
+        # The widest coarse call of a default region: the semi boundary's
+        # coarse grid, its similarity seeds, the full band and the corner
+        # seed.  Then the bracket calls of each zoom, batched by their own
+        # width: 963 x 17 x 8 = 130,968 B at zoom 8.
+        for width in (DEFAULT_GRID_N + EPS_BANDS + 2, *(2 * zoom + 1 for zoom in ZOOMS)):
+            batch = row_batches(10_000, width)[0]
+            assert (batch.stop - batch.start) * width * 8 < self.MMAP_THRESHOLD
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's trim threshold")
     def test_default_regions_fault_in_no_pages_after_warm_up(self):

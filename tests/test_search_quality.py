@@ -50,10 +50,11 @@ def test_pinned_row_value(solve):
 
 
 def test_reference_levels_deepen_the_searches(monkeypatch):
-    # Each search makes one coarse objective call, then one per level: an
-    # oma boundary point searches 6 levels at zoom 8 (8 under the
-    # reference); a power solve searches oma, then semi, 3 levels each at
-    # zoom 64 (4 under the reference).
+    # Each search makes a coarse-phase call with one objective call, then a
+    # bracket-phase call with one objective call per level: an oma boundary
+    # point searches 6 levels at zoom 8 (8 under the reference); a power
+    # solve searches oma, then semi, 3 levels each at zoom 64 (4 under the
+    # reference).  The reference leaves the coarse phase at the grid.
     original = search.refine_search
     calls = []
 
@@ -76,8 +77,8 @@ def test_reference_levels_deepen_the_searches(monkeypatch):
     ):
         calls.clear()
         solve()
-        assert calls == [1 + levels] * searches
+        assert calls == [1, levels] * searches
         calls.clear()
         with quality.reference_levels():
             solve()
-        assert calls == [1 + deeper] * searches
+        assert calls == [1, deeper] * searches

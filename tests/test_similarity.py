@@ -54,11 +54,26 @@ class TestEval:
         y = eval_similarity(P4, x)
         assert np.all(np.diff(y) > 0)
 
-    def test_array_matches_scalar(self):
-        x = np.linspace(-20.0, 20.0, 17)
-        y = eval_similarity(P4, x)
-        for xi, yi in zip(x, y):
-            assert eval_similarity(P4, float(xi)) == yi
+    def test_array_matches_scalar(self, rng):
+        # The scalar path equals the array path bit for bit: floats, numpy
+        # scalars and 0-d arrays, both branches of the sigmoid, the
+        # saturated tails, infinities, signed zeros, subnormals and NaN.
+        x = np.concatenate(
+            [
+                np.linspace(-20.0, 20.0, 17),
+                rng.uniform(-80.0, 80.0, 2000),
+                rng.normal(0.0, 5.0, 2000),
+                [math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan],
+            ]
+        )
+        for params in (P4, *(random_params(rng) for _ in range(3))):
+            y = eval_similarity(params, x)
+            for make in (float, np.float64, np.asarray):
+                scalar = [eval_similarity(params, make(xi)) for xi in x]
+                assert all(type(v) is float for v in scalar)
+                got, live = np.array(scalar), ~np.isnan(y)
+                np.testing.assert_array_equal(got, y)  # NaN where the array path has NaN
+                np.testing.assert_array_equal(got[live].view(np.int64), y[live].view(np.int64))
 
     def test_no_overflow_at_extreme_arguments(self):
         with np.errstate(over="raise"):

@@ -4,7 +4,9 @@ Runs, in process through ``sembit.cli.main`` and with SOURCE_DATE_EPOCH
 pinned, in a temporary directory:
 
 - ``region`` at seeds 0, 3, 4 and 7, ``--schemes semi`` and
-  ``--schemes oma,semi`` at seed 7, and ``--seed 1 --points 60 --grid 128``;
+  ``--schemes oma,semi`` at seed 7, ``--seed 1 --points 60 --grid 128``,
+  and ``--seed 1 --points 1000 --schemes oma,semi``, whose rows span
+  more than one bracket batch of the row-batched search;
 - ``power --verify --out`` on each of ``TRIPLES`` at seeds 0, 3 and 4,
   and one ``power --verify`` to stdout;
 - the three bundled sweeps at ``--realizations 60``;
@@ -82,6 +84,7 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
     region("region-semi", "--seed", "7", "--schemes", "semi")
     region("region-oma-semi", "--seed", "7", "--schemes", "oma,semi")
     region("region-seed1-60-128", "--seed", "1", "--points", "60", "--grid", "128")
+    region("region-seed1-1000-oma-semi", "--seed", "1", "--points", "1000", "--schemes", "oma,semi")
     for i, (sigma, floor, bits) in enumerate(TRIPLES):
         for seed in (0, 3, 4):
             label = f"power-{i}-seed{seed}"
