@@ -29,7 +29,6 @@ scheme.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -127,11 +126,14 @@ class RegionBoundary:
         return zip(self.sigma.tolist(), self.bit_rate.tolist(), self.similarity.tolist())
 
     def write_csv(self, path) -> None:
+        """Write the columns as CSV, one float repr per field, in one call.
+
+        No field can need quoting, so the lines are those of ``csv.writer``.
+        """
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sigma", "bit_rate", "similarity"])
             # A plain float's repr is plain digits, where a numpy scalar's is not.
-            writer.writerows(map(repr, row) for row in self._rows())
+            lines = [f"{s!r},{b!r},{e!r}\r\n" for s, b, e in self._rows()]
+            fh.write("sigma,bit_rate,similarity\r\n" + "".join(lines))
 
 
 @dataclass(frozen=True)
@@ -187,17 +189,28 @@ def solve_oma_point(
     need exceeds the budget score zero.  Ties break toward the smaller
     semantic band.
     """
-    rows = _oma_points(scenario, real, np.array([sigma_target], dtype=float), grid_n)
+    sigma = np.array([sigma_target], dtype=float)
+    rows = _oma_points(scenario, real, sigma, grid_n, _seeds(scenario, sigma))
     return _point(rows, Scheme.OMA, sigma_target, 0)
 
 
+def _seeds(scenario: Scenario, sigma: np.ndarray) -> np.ndarray:
+    """The :func:`eps_seeded_bands` of the nonzero targets of ``sigma``, which are searched."""
+    return eps_seeded_bands(scenario, sigma[sigma != 0.0], scenario.min_similarity)
+
+
 def _oma_points(
-    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, grid_n: int
+    scenario: Scenario,
+    real: ChannelRealization,
+    sigma: np.ndarray,
+    grid_n: int,
+    bands: np.ndarray,
 ) -> BoundaryRows:
     """:func:`solve_oma_point` at each target of ``sigma``, one search per row batch.
 
-    A zero target is the bit intercept: no semantic band, and the whole
-    budget on the full bit band.
+    ``bands`` holds the :func:`_seeds` of ``sigma``.  A zero target is the
+    bit intercept: no semantic band, and the whole budget on the full bit
+    band.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
@@ -217,9 +230,8 @@ def _oma_points(
 
     rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
     ws, p_sem = np.zeros((2, len(sigma)))
-    extra = eps_seeded_bands(scenario, s, floor)
     ws[live], rate[live] = search_rows(
-        score, s[:, None], lo, hi, extra, grid_n, maximize=True, zoom=SEARCH_ZOOM
+        score, s[:, None], lo, hi, bands, grid_n, maximize=True, zoom=SEARCH_ZOOM
     )
     p_sem[live] = sem_power(scenario, real.gain_s, s, floor, ws[live])
     zero = np.zeros_like(ws)
@@ -233,16 +245,19 @@ def _columns(scenario, real, best, solved) -> BoundaryRows:
     Rows outside ``solved`` are blanked (bit rate 0, NaN fields).  The
     rest get the similarity of their semantic stream, all in one curve
     call; the stream rides on ``w_sem`` in a split and on ``w_shared``
-    otherwise, and a row without a semantic band gets 0.
+    otherwise, and a row without a semantic band gets 0.  Each SNR is
+    :func:`snr_db`'s, bit for bit: the ratio is an array, but its log is
+    ``math.log10``, since ``np.log10`` can differ by one ulp.
     """
     best[0, ~solved] = 0.0
     best[1:, ~solved] = np.nan
     band = best[1] + best[2]
     ok = solved & (band > 0.0)
-    n0 = scenario.noise_psd
-    snr = [snr_db(p, real.gain_s, x, n0) for x, p in zip(band[ok].tolist(), best[4, ok].tolist())]
+    ratio = best[4, ok] * real.gain_s / (band[ok] * scenario.noise_psd)
+    # Zero power maps to -inf, as in snr_db.
+    log = [math.log10(r) if r > 0.0 else -math.inf for r in ratio.tolist()]
     eps = np.zeros(len(band))
-    eps[ok] = eval_similarity(scenario.logistic, np.array(snr, dtype=float))
+    eps[ok] = eval_similarity(scenario.logistic, 10.0 * np.array(log))
     return BoundaryRows(best[0], eps, *best[1:], solved=solved)
 
 
@@ -386,8 +401,10 @@ def solve_semi_point(
     toward the wider shared band.
     """
     sigma = np.array([sigma_target], dtype=float)
-    oma = _oma_points(scenario, real, sigma, grid_n)
-    rows = _semi_points(scenario, real, sigma, grid_n, oma, _noma_points(scenario, real, sigma))
+    bands = _seeds(scenario, sigma)
+    oma = _oma_points(scenario, real, sigma, grid_n, bands)
+    noma = _noma_points(scenario, real, sigma)
+    rows = _semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
     return _point(rows, Scheme.SEMI, sigma_target, 0)
 
 
@@ -396,16 +413,17 @@ def _semi_points(
     real: ChannelRealization,
     sigma: np.ndarray,
     grid_n: int,
+    bands: np.ndarray,
     oma: BoundaryRows,
     noma: BoundaryRows,
 ) -> BoundaryRows:
     """:func:`solve_semi_point` at each target of ``sigma``, one search per row batch.
 
     Each row searches the shared band over [sigma*k/a_high, W], seeded
-    with the similarity-seeded bands of :func:`eps_seeded_bands`, the full
-    band and the oma band.  ``oma`` and ``noma`` hold those schemes' rows
-    for the same targets: the oma band seeds each row's search, and both
-    are folded in as corners once it is done.
+    with its similarity-seeded bands (``bands``, the :func:`_seeds` of
+    ``sigma``), the full band and the oma band.  ``oma`` and ``noma`` hold
+    those schemes' rows for the same targets: the oma band seeds each
+    row's search, and both are folded in as corners once it is done.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
@@ -425,7 +443,7 @@ def _semi_points(
         rate[fits] = _hybrid_rate_grid(scenario, real, wm[fits], p_s[fits])[0]
         return rate
 
-    extra = np.column_stack([eps_seeded_bands(scenario, s, floor), hi, seed])
+    extra = np.column_stack([bands, hi, seed])
     wm, rate = search_rows(
         score, s[:, None], lo, hi, extra, grid_n, maximize=True, zoom=SEARCH_ZOOM, tie_high=True
     )
@@ -519,12 +537,13 @@ def trace_region(
             merged = np.concatenate([uniform, found[Scheme.NOMA].sigma])
             sigma, inverse = np.unique(merged, return_inverse=True)
             on_uniform = inverse[:n_points]
-        oma = _oma_points(scenario, real, sigma, grid_n)
+        bands = _seeds(scenario, sigma)
+        oma = _oma_points(scenario, real, sigma, grid_n, bands)
         if Scheme.OMA in schemes:
             found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, on_uniform)
         if Scheme.SEMI in schemes:
             noma = _noma_points(scenario, real, sigma)
-            semi = _semi_points(scenario, real, sigma, grid_n, oma, noma)
+            semi = _semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
             found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi)
     return found, empty
 

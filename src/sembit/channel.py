@@ -165,8 +165,7 @@ class Scenario:
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON form, for run manifests."""

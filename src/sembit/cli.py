@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 malformed input, 3 empty overlay region
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -72,8 +71,7 @@ def _timestamp() -> str:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, scenario: Scenario | None) -> None:
@@ -212,25 +210,16 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "power.json", report)
         with open(out_dir / "power.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sigma_target", "min_similarity", "bit_target", "scheme", "min_power_w"]
-            )
+            t = f"{targets.sigma_target!r},{targets.min_similarity!r},{targets.bit_target!r}"
+            lines = ["sigma_target,min_similarity,bit_target,scheme,min_power_w\r\n"]
             for name in ("oma", "noma", "semi"):
                 entry = report["schemes"][name]
-                writer.writerow(
-                    [
-                        repr(targets.sigma_target),
-                        repr(targets.min_similarity),
-                        repr(targets.bit_target),
-                        name,
-                        repr(entry["min_power_w"]) if entry["feasible"] else "nan",
-                    ]
-                )
+                power = repr(entry["min_power_w"]) if entry["feasible"] else "nan"
+                lines.append(f"{t},{name},{power}\r\n")
+            fh.write("".join(lines))
         _write_manifest(out_dir, "power", params, scenario)
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        print(json.dumps(report, indent=2, sort_keys=True))
     if failed_verify:
         for line in failed_verify:
             print(f"verification failed: {line}", file=sys.stderr)

@@ -19,10 +19,9 @@ none; the per-row infeasible fraction is 0 or 1.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -79,7 +78,8 @@ class SweepSpec:
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        scenario, targets = self.scenario.to_dict(), asdict(self.targets)
+        targets = {f.name: getattr(self.targets, f.name) for f in fields(self.targets)}
+        scenario = self.scenario.to_dict()
         return {**out, "scenario": scenario, "values": list(self.values), "targets": targets}
 
     @classmethod
@@ -109,8 +109,7 @@ class SweepSpec:
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -131,21 +130,13 @@ class SweepResult:
         return [r for r in self.rows if r.scheme == scheme]
 
     def write_csv(self, path) -> None:
+        """Write the rows as CSV in one call; no field can need quoting."""
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sweep_value", "scheme", "mean_power_w", "stderr", "infeasible_frac"]
-            )
+            lines = ["sweep_value,scheme,mean_power_w,stderr,infeasible_frac\r\n"]
             for r in self.rows:
-                writer.writerow(
-                    [
-                        repr(r.sweep_value),
-                        r.scheme,
-                        repr(r.mean_power_w),
-                        repr(r.stderr),
-                        repr(r.infeasible_frac),
-                    ]
-                )
+                stats = f"{r.mean_power_w!r},{r.stderr!r},{r.infeasible_frac!r}"
+                lines.append(f"{r.sweep_value!r},{r.scheme},{stats}\r\n")
+            fh.write("".join(lines))
 
 
 def _sweep_totals(spec: SweepSpec, reals: list[ChannelRealization]) -> np.ndarray:

@@ -37,10 +37,12 @@ one batch of about 400 rows x 17 per scheme.  Cut to the coarse phase's
 too few to amortise numpy's per-call overhead.
 
 Before its first batch, :func:`search_rows` raises glibc's malloc trim
-threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  The semi
-boundary's coarse batches (126 x 130 candidates) and the 17-point bracket
-batches (at most 963 x 17) make float temporaries just under glibc's 128 KiB
-mmap threshold, so the temporaries live on the heap.  With glibc's
+threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  Every batch's
+float temporary, with glibc's 8 B chunk header, stays under glibc's
+128 KiB mmap threshold, so the temporaries live on the heap: the semi
+boundary's coarse batches (126 x 130 x 8 + 8 = 131,048 B, a 131,056 B
+chunk), the oma coarse batches (127 x 128) and the 17-point bracket
+batches (at most 963 x 17 x 8 + 8 = 130,976 B).  With glibc's
 default trim threshold, freeing a batch's temporaries handed the top of
 the heap back to the kernel, and the next objective call faulted the
 same pages in again: about 6,000 minor page faults, a third of the wall
@@ -68,19 +70,22 @@ DEFAULT_GRID_N = 64
 REFINE_SHRINK = 64**3
 # Default spacing shrink per level: brackets of 2 * 64 + 1 = 129 points, over 3 levels.
 REFINE_ZOOM = 64
+# glibc's default mmap threshold: a malloc chunk of this size or more is mmapped.
+MMAP_THRESHOLD = 128 * 1024
 # Candidates per objective call a batch aims at: large enough to amortise
 # numpy's per-call overhead, small enough to keep temporaries in cache.
-# A batch's float temporary (rows x its phase's width x 8 B) must also stay
-# under glibc's default mmap threshold of 128 KiB: once the trim threshold
-# below is set, glibc stops raising the mmap threshold, so a larger
-# temporary can be mmapped and unmapped, page faults and all, on every
-# objective call.
-BATCH_CANDIDATES = 1 << 14
+# A batch's float temporary must also stay on the heap: once the trim
+# threshold below is set, glibc stops raising the mmap threshold, so a
+# larger temporary can be mmapped and unmapped, page faults and all, on
+# every objective call.  Its chunk, rows x its phase's width x 8 B plus
+# glibc's 8 B header rounded up to 16 B, is at most MMAP_THRESHOLD - 16
+# when the temporary holds at most 16,381 floats.
+BATCH_CANDIDATES = (MMAP_THRESHOLD - 16 - 8) // 8
 # Free memory glibc keeps at the top of the heap instead of returning it to
-# the kernel: 256 batch temporaries.  A default region frees up to about 32
-# at once (measured on x86_64: 4 MiB removed every fault, 2 MiB left 740
-# per region).
-MALLOC_TRIM_THRESHOLD = 256 * BATCH_CANDIDATES * 8
+# the kernel: 32 MiB, room for 256 batch temporaries.  A default region
+# frees up to about 32 at once (measured on x86_64: 4 MiB removed every
+# fault, 2 MiB left 740 per region).
+MALLOC_TRIM_THRESHOLD = 256 * MMAP_THRESHOLD
 _M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter number
 
 
@@ -198,7 +203,8 @@ def refine_search(
 
     if start is None:
         grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
-        extra = np.asarray(tuple(extra), dtype=float)
+        # tuple() takes any iterable, but would copy a matrix row by row.
+        extra = np.asarray(extra if isinstance(extra, np.ndarray) else tuple(extra), dtype=float)
         if extra.size:
             grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
             grid.sort(axis=1)

@@ -277,8 +277,7 @@ class ParamTable:
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "ParamTable":

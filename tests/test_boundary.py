@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -433,11 +434,17 @@ def _points(scheme, rows, sigma):
     return [boundary._point(rows, scheme, s, i) for i, s in enumerate(sigma.tolist())]
 
 
+def _oma_points(scenario, real, sigma, grid_n):
+    """``boundary._oma_points`` seeded with the similarity bands of ``sigma``."""
+    return boundary._oma_points(scenario, real, sigma, grid_n, boundary._seeds(scenario, sigma))
+
+
 def _semi_points(scenario, real, sigma, grid_n):
     """``boundary._semi_points`` folding the oma and noma columns of the same sigmas."""
-    oma = boundary._oma_points(scenario, real, sigma, grid_n)
+    bands = boundary._seeds(scenario, sigma)
+    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands)
     noma = boundary._noma_points(scenario, real, sigma)
-    return boundary._semi_points(scenario, real, sigma, grid_n, oma, noma)
+    return boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
 
 
 class TestBatchedPoints:
@@ -447,7 +454,7 @@ class TestBatchedPoints:
     @pytest.mark.parametrize(
         "scheme, solve, solve_rows",
         [
-            (Scheme.OMA, solve_oma_point, boundary._oma_points),
+            (Scheme.OMA, solve_oma_point, _oma_points),
             (Scheme.SEMI, solve_semi_point, _semi_points),
         ],
     )
@@ -567,6 +574,47 @@ class TestLiveOnlyScores:
         assert {"dead", "mixed"} <= set(_row_kinds(scenario, real, s_col, x))
         for owner, score in scores.items():
             np.testing.assert_array_equal(score(s_col, x), full[owner](scenario, real, s_col, x))
+
+
+class TestSimilarityColumn:
+    """Every boundary row's SNR and similarity are the scalar ``snr_db`` path's, bit for bit."""
+
+    def test_rows_equal_the_scalar_snr_path(self, scenario, monkeypatch):
+        # boundary._columns takes the log of an SNR ratio array with
+        # math.log10; np.log10 differs by one ulp on about 2% of inputs,
+        # which can move output similarities.
+        seen, snrs = [], []
+        columns, curve = boundary._columns, boundary.eval_similarity
+
+        def columns_spy(*args):
+            rows = columns(*args)
+            seen.append((sys._getframe(1).f_code.co_name, args[1], snrs.pop(), rows))
+            return rows
+
+        def curve_spy(params, snr):
+            if sys._getframe(1).f_code.co_name == "_columns":
+                snrs.append(snr)
+            return curve(params, snr)
+
+        monkeypatch.setattr(boundary, "_columns", columns_spy)
+        monkeypatch.setattr(boundary, "eval_similarity", curve_spy)
+        for seed in range(10):
+            boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
+        params, n0 = scenario.logistic, scenario.noise_psd
+        kinds = set()
+        for caller, real, snr, rows in seen:
+            band = rows.w_shared + rows.w_sem
+            live = rows.solved & (band > 0)
+            want = [snr_db(p, real.gain_s, w, n0) for w, p in zip(band[live].tolist(), rows.p_sem[live].tolist())]
+            np.testing.assert_array_equal(snr.view(np.int64), np.array(want).view(np.int64))
+            eps = np.zeros(len(band))
+            eps[live] = [eval_similarity(params, x) for x in want]
+            np.testing.assert_array_equal(rows.similarity.view(np.int64), eps.view(np.int64))
+            for ok, p in zip(rows.solved, rows.p_sem):
+                kinds.add((caller, "unsolved" if not ok else "zero power" if p == 0 else "solved"))
+        callers = ("_oma_points", "_noma_points", "_semi_points")
+        assert {(c, "solved") for c in callers} <= kinds
+        assert {k for _, k in kinds} == {"solved", "unsolved", "zero power"}
 
 
 def _columns(b):

@@ -403,13 +403,18 @@ class TestHeapTrim:
     MMAP_THRESHOLD = 128 * 1024  # glibc's default, which setting the trim threshold pins
 
     def test_default_batch_temporary_stays_under_the_mmap_threshold(self):
-        # The widest coarse call of a default region: the semi boundary's
-        # coarse grid, its similarity seeds, the full band and the corner
-        # seed.  Then the bracket calls of each zoom, batched by their own
-        # width: 963 x 17 x 8 = 130,968 B at zoom 8.
-        for width in (DEFAULT_GRID_N + EPS_BANDS + 2, *(2 * zoom + 1 for zoom in ZOOMS)):
+        # The coarse calls of a default search: the oma grid and its
+        # similarity seeds (128 wide), and the semi boundary's, which adds
+        # the full band and the corner seed.  Then the bracket calls of
+        # each zoom, batched by their own width.  glibc's chunk is the
+        # request plus an 8 B header, rounded up to 16 B on x86_64, and a
+        # chunk of 128 KiB or more is mmapped: 128 rows x 128 (a 131,088 B
+        # chunk) or 127 rows x 129 (131,072 B) would be.
+        widths = (DEFAULT_GRID_N + EPS_BANDS, DEFAULT_GRID_N + EPS_BANDS + 2)
+        for width in (*widths, *(2 * zoom + 1 for zoom in ZOOMS)):
             batch = row_batches(10_000, width)[0]
-            assert (batch.stop - batch.start) * width * 8 < self.MMAP_THRESHOLD
+            chunk = -(-((batch.stop - batch.start) * width * 8 + 8) // 16) * 16
+            assert chunk < self.MMAP_THRESHOLD, width
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's trim threshold")
     def test_default_regions_fault_in_no_pages_after_warm_up(self):

@@ -89,9 +89,10 @@ def reference_levels():
 
 def boundary_rows(scenario, real, sigma, grid_n):
     """Bit rates of the oma and semi boundary rows at the targets ``sigma``."""
-    oma = boundary._oma_points(scenario, real, sigma, grid_n)
+    bands = boundary._seeds(scenario, sigma)
+    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands)
     noma = boundary._noma_points(scenario, real, sigma)
-    semi = boundary._semi_points(scenario, real, sigma, grid_n, oma, noma)
+    semi = boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
     return {"oma": oma.bit_rate, "semi": semi.bit_rate}
 
 
