@@ -307,23 +307,22 @@ def _hybrid_power(scenario: Scenario, g: np.ndarray, wm):
 
     The semantic power is pinned by the harder of the rate target and the
     floor; inverse water-filling then splits the bit target between the
-    superposed and orthogonal pipes.  Candidates needing a similarity at
-    or above the curve ceiling cost +inf.
+    superposed and orthogonal pipes.  A candidate needing a similarity at
+    or above the curve ceiling costs +inf semantic power, which shuts the
+    superposed pipe.
     """
-    w = scenario.total_bandwidth
     n0 = scenario.noise_psd
     gain_s, gain_b, gain_eff, sigma, floor, bit_target = g.T[:, :, None]
     p_s = sem_power(scenario, gain_s, sigma, floor, wm)
-    ok = np.isfinite(p_s)
-    w_b = w - wm
+    w_b = scenario.total_bandwidth - wm
     p_m, p_o = water_fill_min_grid(
         wm,
-        overlay_inv_slope(wm, np.where(ok, p_s, 0.0), gain_eff, n0),
+        overlay_inv_slope(wm, p_s, gain_eff, n0),
         w_b,
         orth_inv_slope(w_b, gain_b, n0),
         bit_target,
     )
-    return p_s, np.where(ok, p_m, np.inf), np.where(ok, p_o, 0.0)
+    return p_s, p_m, p_o
 
 
 def _semi_rows(

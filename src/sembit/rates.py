@@ -59,17 +59,17 @@ def sem_power(scenario: Scenario, gain_s, sigma_target, floor, bandwidth):
 
 
 def orth_inv_slope(bandwidth, gain, noise_psd):
-    """Inverse slope of a clean band: its noise power over the gain."""
-    return bandwidth * noise_psd / gain
+    """Inverse slope of a clean band: its noise power over the gain, w * (N0 / g)."""
+    return bandwidth * (noise_psd / gain)
 
 
 def overlay_inv_slope(bandwidth, p_sem, gain_eff, noise_psd):
     """Inverse slope of the bit stream superposed on a semantic stream.
 
     The semantic power stays in the band as interference, both seen
-    through the weaker link gain ``gain_eff``.
+    through the weaker link gain ``gain_eff``: p_sem + w * (N0 / g_eff).
     """
-    return (p_sem * gain_eff + bandwidth * noise_psd) / gain_eff
+    return p_sem + bandwidth * (noise_psd / gain_eff)
 
 
 def pipe_rate(bandwidth, power, inv_slope):
@@ -80,14 +80,18 @@ def pipe_rate(bandwidth, power, inv_slope):
 
 
 def pipe_power(bandwidth, rate, inv_slope):
-    """Inverse of :func:`pipe_rate`: inv_h * (2**(R/w) - 1).
+    """Inverse of :func:`pipe_rate`: inv_h * expm1(R * ln2 / w).
 
-    No rate costs nothing; a positive rate over no band costs +inf.
+    No rate costs nothing; a positive rate over no band costs +inf.  Those
+    cases (and NaN) show as a negative or NaN power, so one reduction
+    finds them and only then are they patched.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         power = inv_slope * np.expm1(np.divide(LN2 * rate, bandwidth))
-    power = np.where(np.asarray(bandwidth) > 0, power, np.inf)
-    return np.where(np.asarray(rate) <= 0, 0.0, power)
+    if np.size(power) and not power.min() >= 0:
+        power = np.where(np.asarray(bandwidth) > 0, power, np.inf)
+        power = np.where(np.asarray(rate) <= 0, 0.0, power)
+    return power
 
 
 def water_fill_max_grid(w_m, inv_m, w_b, inv_b, budget):
@@ -105,24 +109,35 @@ def water_fill_max_grid(w_m, inv_m, w_b, inv_b, budget):
 def water_fill_min_grid(w_m, inv_m, w_b, inv_b, rate):
     """Cheapest split of ``rate`` between two pipes (inverse water-filling).
 
-    The water level meets rate_m + rate_b = rate at the least total power;
-    when it would push one pipe's power to or below zero, that pipe shuts
-    off and the other inverts the whole rate.  A pipe of zero width is
-    never used.  Returns (p_m, p_b), elementwise.
+    With both pipes open, the water level L that meets
+    rate_m + rate_b = R at the least total power is
+
+        ln L = (R * ln2 - w_m * ln(w_m / inv_m) - w_b * ln(w_b / inv_b)) / (w_m + w_b)
+
+    and pipe i gets inv_i * expm1(y_i), y_i = ln(L * w_i / inv_i).  In
+    the log domain that is y_m = (R * ln2 + w_b * d) / (w_m + w_b) and
+    y_b = y_m - d, with one logarithm d = ln((w_m / inv_m) / (w_b / inv_b)).
+    The both-open fill stays below a pipe's fill alone, R * ln2 / w_i as
+    in :func:`pipe_power`, exactly while the other pipe stays open, so
+    each pipe takes the smaller of the two; a pipe whose fill comes out
+    negative shuts, and its power is floored at 0.  A zero-width pipe, or
+    one of infinite inverse slope, is never used: its power comes out NaN
+    and is floored to 0 too.  No rate costs nothing, and a positive rate
+    with no band at all costs +inf on the superposed pipe; one reduction
+    finds that case, and only then is it patched.  Returns (p_m, p_b),
+    elementwise.
     """
-    w = w_m + w_b
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        term_m = np.where(w_m > 0, (w_m / w) * np.log2(np.divide(w_m, inv_m)), 0.0)
-        term_b = np.where(w_b > 0, (w_b / w) * np.log2(np.divide(w_b, inv_b)), 0.0)
-        level = 2.0 ** (rate / w - term_m - term_b)
-    p_m = level * w_m - inv_m
-    p_b = level * w_b - inv_b
-    shut_m = p_m <= 0
-    shut_b = p_b <= 0
-    live = np.asarray(rate) > 0
-    p_m = np.where(shut_b, pipe_power(w_m, rate, inv_m), np.where(shut_m, 0.0, p_m))
-    p_b = np.where(shut_b, 0.0, np.where(shut_m, pipe_power(w_b, rate, inv_b), p_b))
-    return np.where(live, p_m, 0.0), np.where(live, p_b, 0.0)
+        # numpy calls, not operators: plain floats would raise on a zero width.
+        ln_rate = np.multiply(LN2, rate)
+        w = w_m + w_b
+        d = np.log(np.divide(w_m, inv_m) / np.divide(w_b, inv_b))
+        y_m = (ln_rate + w_b * d) / w
+        p_m = np.fmax(inv_m * np.expm1(np.fmin(y_m, ln_rate / w_m)), 0.0)
+        p_b = np.fmax(inv_b * np.expm1(np.fmin(y_m - d, ln_rate / w_b)), 0.0)
+    if np.size(w) and not np.min(w) > 0:
+        p_m = np.where((np.asarray(w) == 0) & (np.asarray(rate) > 0), np.inf, p_m)
+    return p_m, p_b
 
 
 def water_fill_max(

@@ -197,19 +197,31 @@ def power_for_similarity_grid(
 
     The one statement of the inverted S-curve that every semantic power in
     the package goes through, :func:`required_power_for_similarity`
-    included.  Instead of raising, unreachable targets (>= a_high) map to
-    +inf and free targets (<= a_low) map to 0.  ``targets`` and
-    ``bandwidths`` broadcast against each other; bandwidths must be
-    positive.
+    included.  With c = ln(10) / (10 * growth), the power over band w is
+
+        exp(ln(N0 / g) - c * offset - c * ln((a_high - a_low) / (t - a_low) - 1)) * w
+
+    that is, N0 * w / g times the odds (t - a_low) / (a_high - t) to the
+    power c, times exp(-c * offset); the constant factors stay in the
+    exponent, where a steep curve cannot overflow them on their own.
+    Instead of raising, unreachable targets (>= a_high) map to +inf and
+    free targets (<= a_low) map to 0.  At a_high and at a_low the formula
+    gives those itself, and so does a target within rounding of a_high;
+    a target beyond either (or NaN) makes the logarithm's argument
+    negative or NaN, which one reduction finds, and only then is it
+    patched.  ``targets`` and ``bandwidths`` broadcast against each
+    other; bandwidths must be positive.
     """
     targets = np.asarray(targets, dtype=float)
-    span = params.a_high - params.a_low
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = -np.log(span / (targets - params.a_low) - 1.0)
-        snr_lin = np.exp(LN10_OVER_10 * (z - params.offset) / params.growth)
-        power = bandwidths * noise_psd / channel_gain * snr_lin
-    power = np.where(targets < params.a_high, power, np.inf)
-    return np.where(targets <= params.a_low, 0.0, power)
+    c = LN10_OVER_10 / params.growth
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_scale = np.log(noise_psd / channel_gain) - c * params.offset
+        inv_odds = (params.a_high - params.a_low) / (targets - params.a_low) - 1.0
+        power = np.exp(log_scale - c * np.log(inv_odds)) * bandwidths
+    if inv_odds.size and not inv_odds.min() >= 0:
+        power = np.where(targets < params.a_high, power, np.inf)
+        power = np.where(targets <= params.a_low, 0.0, power)
+    return power
 
 
 class ParamTable:

@@ -32,3 +32,22 @@ def realization(scenario):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240821)
+
+
+@pytest.fixture(scope="session")
+def assert_matches():
+    """Check that an array kernel's result ``got`` matches a reference's ``want``.
+
+    Shapes are equal; +-inf, 0 and NaN match exactly, and every other
+    value lies within ``rtol`` of the reference's, relative.
+    """
+
+    def check(got, want, rtol=1e-12):
+        assert np.shape(got) == np.shape(want)
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        exact = ~np.isfinite(want) | (want == 0)
+        np.testing.assert_array_equal(got[exact], want[exact])
+        near = np.abs(got[~exact] - want[~exact]) <= rtol * np.abs(want[~exact])
+        assert near.all(), (got[~exact][~near][:5], want[~exact][~near][:5])
+
+    return check

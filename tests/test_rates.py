@@ -18,7 +18,84 @@ from sembit import (
     solve_oma_point,
     solve_semi_point,
 )
-from sembit.rates import ALLOC_FIELDS, overlay_inv_slope, pipe_rate
+from sembit.power import _hybrid_power
+from sembit.rates import (
+    ALLOC_FIELDS,
+    LN2,
+    lemma1_bounds,
+    orth_inv_slope,
+    overlay_inv_slope,
+    pipe_power,
+    pipe_rate,
+    sem_power,
+    water_fill_min_grid,
+)
+
+N0 = 1e-17
+
+
+# The link kernels as first written, kept as references for the closed
+# forms that replaced them.
+def orth_inv_slope_reference(bandwidth, gain, noise_psd):
+    return bandwidth * noise_psd / gain
+
+
+def overlay_inv_slope_reference(bandwidth, p_sem, gain_eff, noise_psd):
+    return (p_sem * gain_eff + bandwidth * noise_psd) / gain_eff
+
+
+def pipe_power_reference(bandwidth, rate, inv_slope):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        power = inv_slope * np.expm1(np.divide(LN2 * rate, bandwidth))
+    power = np.where(np.asarray(bandwidth) > 0, power, np.inf)
+    return np.where(np.asarray(rate) <= 0, 0.0, power)
+
+
+def water_fill_min_grid_reference(w_m, inv_m, w_b, inv_b, rate):
+    """Level 2**(R/w - sum of (w_i/w) * log2(w_i/inv_i)), then a where per shut case."""
+    w_m, inv_m, w_b, inv_b, rate = (
+        np.asarray(a, dtype=float) for a in (w_m, inv_m, w_b, inv_b, rate)
+    )
+    w = w_m + w_b
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        term_m = np.where(w_m > 0, (w_m / w) * np.log2(np.divide(w_m, inv_m)), 0.0)
+        term_b = np.where(w_b > 0, (w_b / w) * np.log2(np.divide(w_b, inv_b)), 0.0)
+        level = 2.0 ** (rate / w - term_m - term_b)
+        p_m = level * w_m - inv_m
+        p_b = level * w_b - inv_b
+    shut_m = p_m <= 0
+    shut_b = p_b <= 0
+    live = rate > 0
+    p_m = np.where(shut_b, pipe_power_reference(w_m, rate, inv_m), np.where(shut_m, 0.0, p_m))
+    p_b = np.where(shut_b, 0.0, np.where(shut_m, pipe_power_reference(w_b, rate, inv_b), p_b))
+    return np.where(live, p_m, 0.0), np.where(live, p_b, 0.0)
+
+
+def hybrid_total_reference(scenario, g, wm):
+    """The semi objective as first assembled: +inf semantic power kept out of the bit split."""
+    w = scenario.total_bandwidth
+    gain_s, gain_b, gain_eff, sigma, floor, bit_target = g.T[:, :, None]
+    p_s = sem_power(scenario, gain_s, sigma, floor, wm)
+    ok = np.isfinite(p_s)
+    w_b = w - wm
+    p_m, p_o = water_fill_min_grid_reference(
+        wm,
+        overlay_inv_slope_reference(wm, np.where(ok, p_s, 0.0), gain_eff, N0),
+        w_b,
+        orth_inv_slope_reference(w_b, gain_b, N0),
+        bit_target,
+    )
+    return p_s + (np.where(ok, p_m, np.inf) + np.where(ok, p_o, 0.0))
+
+
+def random_pipes(rng, shape):
+    """(w_m, inv_m, w_b, inv_b): an overlay pipe (a third without semantic power), a clean one."""
+    w_m, w_b = rng.uniform(1e3, 1e6, size=(2, *shape))
+    gain_eff, gain_b = 10.0 ** rng.uniform(-12.0, -6.0, size=(2, *shape))
+    p_sem = 10.0 ** rng.uniform(-8.0, 2.0, size=shape)
+    p_sem = np.where(rng.uniform(size=shape) < 1 / 3, 0.0, p_sem)
+    inv_m = overlay_inv_slope_reference(w_m, p_sem, gain_eff, N0)
+    return w_m, inv_m, w_b, orth_inv_slope_reference(w_b, gain_b, N0)
 
 
 # The per-scheme rate functions rates_for replaced, kept as references.
@@ -118,6 +195,111 @@ class TestReferences:
                 assert repr(rates_for(probe, real, alloc)) == repr(want), alloc
                 checked[alloc.scheme] += 1
         assert min(checked.values()) >= 20, checked
+
+
+class TestKernelReferences:
+    """The link kernels against the formulas they replaced."""
+
+    def test_slopes(self, rng, assert_matches):
+        w, p_sem = rng.uniform(0.0, 1e6, size=100), 10.0 ** rng.uniform(-9.0, 2.0, size=100)
+        gain = 10.0 ** rng.uniform(-12.0, -6.0, size=(100, 1))
+        assert_matches(orth_inv_slope(w, gain, N0), orth_inv_slope_reference(w, gain, N0))
+        want = overlay_inv_slope_reference(w, p_sem, gain, N0)
+        assert_matches(overlay_inv_slope(w, p_sem, gain, N0), want)
+        assert_matches(overlay_inv_slope(w, np.inf, gain, N0), np.full(want.shape, np.inf))
+
+    def test_pipe_power(self, rng, assert_matches):
+        w = np.concatenate([[0.0, 0.0, 1e6, 1e6, 1e6], rng.uniform(1e3, 1e6, size=200)])
+        rate = [1e6, 0.0, 0.0, -1.0, np.nan]
+        rate = np.concatenate([rate, 10.0 ** rng.uniform(3.0, 7.0, size=200)])
+        for inv in (orth_inv_slope(w, 1e-9, N0), np.full(w.shape, 1e-10), np.full(w.shape, np.inf)):
+            assert_matches(pipe_power(w, rate, inv), pipe_power_reference(w, rate, inv))
+
+    def test_water_fill_random_grids(self, rng, assert_matches):
+        # Near a pipe's shut-off the level formula, L * w_i - inv_i, cancels
+        # (about 1e-9 relative at a fill of 1e-7), where expm1 of the fill
+        # does not: there the reference, not the kernel, is off.  Pipes
+        # with a fill of at least 0.01, or shut, are compared within 1e-12;
+        # the rest by their total and by the rate they carry.
+        w_m, inv_m, w_b, inv_b = random_pipes(rng, (40, 250))
+        rate = 10.0 ** rng.uniform(3.0, 7.0, size=(40, 1))
+        got = water_fill_min_grid(w_m, inv_m, w_b, inv_b, rate)
+        want = water_fill_min_grid_reference(w_m, inv_m, w_b, inv_b, rate)
+        fills = [np.log1p(p / inv) for p, inv in zip(want, (inv_m, inv_b))]
+        clear = ((fills[0] == 0) | (fills[0] >= 0.01)) & ((fills[1] == 0) | (fills[1] >= 0.01))
+        assert clear.mean() > 0.7 and (fills[0] == 0).any() and (fills[1] == 0).any()
+        for g, r in zip(got, want):
+            assert_matches(g[clear], r[clear])
+        assert_matches(got[0] + got[1], want[0] + want[1], rtol=1e-11)
+        carried = (w_m * np.log1p(got[0] / inv_m) + w_b * np.log1p(got[1] / inv_b)) / LN2
+        assert_matches(carried, np.broadcast_to(rate, carried.shape))
+
+    def test_water_fill_edges(self, assert_matches):
+        # Each column one case: both open, the overlay pipe shut by its
+        # interference, the clean pipe shut by its gain, a zero-width
+        # overlay pipe (with and without a slope), a zero-width clean pipe,
+        # no rate, a NaN rate, infinite semantic power (twice), and no band
+        # at all.
+        w_m = np.array([4e5, 4e5, 4e5, 0.0, 0.0, 4e5, 4e5, 4e5, 4e5, 4e5, 0.0])
+        w_b = np.array([6e5, 6e5, 6e5, 6e5, 6e5, 0.0, 6e5, 6e5, 6e5, 0.0, 0.0])
+        inv_m = np.array([2e-4, 1e3, 2e-4, 0.0, 1e-4, 2e-4, 2e-4, 2e-4, np.inf, np.inf, 0.0])
+        inv_b = np.array([1.2e-4, 1.2e-4, 1e3, 1.2e-4, 1.2e-4, 0, 1.2e-4, 1.2e-4, 1.2e-4, 0, 0])
+        rate = np.array([3e6, 3e6, 3e6, 3e6, 3e6, 3e6, 0.0, np.nan, 3e6, 3e6, 3e6])
+        p_m, p_b = water_fill_min_grid(w_m, inv_m, w_b, inv_b, rate)
+        # An infinitely noisy pipe is as unused as a zero-width one, and
+        # alone it costs +inf.
+        dead = np.isinf(inv_m)
+        want = water_fill_min_grid_reference(
+            np.where(dead, 0.0, w_m), np.where(dead, 0.0, inv_m), w_b, inv_b, rate
+        )
+        assert_matches(p_m[:9], want[0][:9])
+        assert_matches(p_b[:9], want[1][:9])
+        assert (p_m[[1, 3, 4, 6, 7, 8]] == 0).all() and (p_b[[2, 5, 6, 7]] == 0).all()
+        assert (p_m[9], p_b[9]) == (np.inf, 0.0)
+        # No band at all: the reference's level is inf * 0, NaN; a positive
+        # rate over no band costs +inf, as in pipe_power.
+        assert np.isnan(want[0][-1]) and (p_m[-1], p_b[-1]) == (np.inf, 0.0)
+
+    @pytest.mark.parametrize(
+        "shape_m, shape_rate",
+        [((), ()), ((3, 5), (3, 1)), ((3, 1), (3, 5)), ((0,), ()), ((3, 0), (3, 1))],
+    )
+    def test_water_fill_shapes(self, rng, shape_m, shape_rate, assert_matches):
+        w_m, inv_m, w_b, inv_b = random_pipes(rng, shape_m)
+        rate = 10.0 ** rng.uniform(5.0, 6.5, size=shape_rate)
+        got = water_fill_min_grid(w_m, inv_m, w_b, inv_b, rate)
+        want = water_fill_min_grid_reference(w_m, inv_m, w_b, inv_b, rate)
+        for g, r in zip(got, want):
+            assert_matches(g, r)
+        if not shape_m:  # plain floats too
+            floats = (float(a) for a in (w_m, inv_m, w_b, inv_b, rate))
+            for g, r in zip(water_fill_min_grid(*floats), want):
+                assert_matches(g, r)
+
+    def test_pipe_power_shapes(self, assert_matches):
+        cases = [(1e6, 2e6), (0.0, 1e6), (np.full((3, 1), 1e6), np.linspace(0.0, 1e6, 4))]
+        for w, rate in [*cases, (np.empty(0), 1e6)]:
+            inv = orth_inv_slope(w, 1e-9, N0)
+            assert_matches(pipe_power(w, rate, inv), pipe_power_reference(w, rate, inv))
+
+    def test_hybrid_objective(self, scenario, rng, assert_matches):
+        # Semi objective rows over shared bands from the interval start,
+        # where the semantic power is +inf, to the full carrier, where the
+        # clean pipe has no width.
+        w = scenario.total_bandwidth
+        reals = [sample_realization(scenario, seed) for seed in range(6)]
+        sigma = rng.uniform(1e3, 2.2e5, size=len(reals))
+        floor = rng.choice([0.0, 0.5, 0.8], size=len(reals))
+        bits = 10.0 ** rng.uniform(5.0, 6.5, size=len(reals))
+        rows = zip(reals, sigma, floor, bits)
+        g = np.array([(r.gain_s, r.gain_b, r.gain_eff, s, f, b) for r, s, f, b in rows])
+        w_low = lemma1_bounds(scenario, sigma, floor)[0]
+        wm = w_low[:, None] + (w - w_low)[:, None] * np.linspace(0.0, 1.0, 129)
+        wm = np.concatenate([wm, np.nextafter(w_low, 0.0)[:, None]], axis=1)
+        p_s, p_m, p_o = _hybrid_power(scenario, g, wm)
+        want = hybrid_total_reference(scenario, g, wm)
+        assert np.isposinf(want[:, 0]).any() and np.isposinf(want[:, -1]).all()
+        assert_matches(p_s + (p_m + p_o), want, rtol=1e-11)
 
 
 class TestShannon:

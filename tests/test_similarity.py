@@ -23,7 +23,32 @@ from sembit import (
     required_power_for_similarity,
 )
 
+from sembit.similarity import LN10_OVER_10
+
 P4 = LogisticParams(k=4, a_low=0.2, a_high=0.9, growth=0.5, offset=-1.0)
+
+
+def power_for_similarity_reference(params, targets, bandwidths, channel_gain, noise_psd):
+    """The inverted S-curve as first written: SNR in dB from the log-odds, then linear.
+
+    Kept as the reference for the closed form ``power_for_similarity_grid``
+    uses now.
+    """
+    targets = np.asarray(targets, dtype=float)
+    span = params.a_high - params.a_low
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = -np.log(span / (targets - params.a_low) - 1.0)
+        snr_lin = np.exp(LN10_OVER_10 * (z - params.offset) / params.growth)
+        power = bandwidths * noise_psd / channel_gain * snr_lin
+    power = np.where(targets < params.a_high, power, np.inf)
+    return np.where(targets <= params.a_low, 0.0, power)
+
+
+def edge_targets(params):
+    """Targets at, just inside and just outside both asymptotes, then 0, 1, +-inf and NaN."""
+    ends = [params.a_low, params.a_high]
+    around = [np.nextafter(a, d) for a in ends for d in (-np.inf, np.inf)]
+    return np.array([*ends, *around, 0.0, 1.0, -np.inf, np.inf, np.nan])
 
 
 def random_params(rng):
@@ -168,6 +193,59 @@ class TestRequiredPower:
         assert grid[0] == 0.0
         assert math.isfinite(grid[1])
         assert grid[2] == math.inf
+
+
+class TestPowerGridReference:
+    """power_for_similarity_grid against the S-curve inverse it replaced."""
+
+    def test_random_grids(self, rng, assert_matches):
+        for _ in range(20):
+            params = random_params(rng)
+            targets = rng.uniform(params.a_low - 0.05, params.a_high + 0.05, size=(8, 50))
+            bands = 10.0 ** rng.uniform(2.0, 7.0, size=(8, 50))
+            gains = 10.0 ** rng.uniform(-12.0, -6.0, size=(8, 1))
+            args = (params, targets, bands, gains, 1e-17)
+            assert_matches(power_for_similarity_grid(*args), power_for_similarity_reference(*args))
+
+    def test_edges(self, rng, assert_matches):
+        for params in (P4, *(random_params(rng) for _ in range(10))):
+            targets = edge_targets(params)
+            args = (params, targets, 1e6, 1e-9, 1e-17)
+            got = power_for_similarity_grid(*args)
+            assert_matches(got, power_for_similarity_reference(*args))
+            # At or above the ceiling (and NaN) costs +inf, at or below the floor nothing.
+            assert np.isposinf(got[[1, 5, 7, 9, 10]]).all()
+            assert (got[[0, 2, 6, 8]] == 0.0).all()
+
+    @pytest.mark.parametrize("offset", [-30.0, 30.0])
+    def test_steep_curves(self, offset, assert_matches):
+        # At growth 0.005, exp(-c * offset) alone overflows (offset -30) or
+        # underflows (offset 30), while the powers of targets near an
+        # asymptote stay finite; in the exponent the factor does neither.
+        params = LogisticParams(k=4, a_low=0.2, a_high=0.9, growth=0.005, offset=offset)
+        near = 0.7 * np.logspace(-15.0, -7.0, 200)
+        targets = np.concatenate([0.2 + near, 0.9 - near])
+        args = (params, targets, 1e6, 1e-9, 1e-17)
+        got = power_for_similarity_grid(*args)
+        assert ((got > 0) & np.isfinite(got)).sum() > 20
+        assert_matches(got, power_for_similarity_reference(*args))
+
+    @pytest.mark.parametrize(
+        "targets, bands",
+        [
+            (0.6, 1e6),
+            (np.float64(0.95), 1e6),
+            (np.array(0.1), np.array(1e6)),
+            (np.full((3, 1), 0.6), np.linspace(1e5, 1e6, 4)),
+            (np.array([[0.1], [0.6], [0.95]]), np.full((3, 5), 2e5)),
+            (np.empty(0), 1e6),
+            (np.empty((3, 0)), np.full((3, 1), 1e6)),
+            (np.full((3, 1), 0.6), np.empty((3, 0))),
+        ],
+    )
+    def test_shapes(self, targets, bands, assert_matches):
+        args = (P4, targets, bands, 1e-9, 1e-17)
+        assert_matches(power_for_similarity_grid(*args), power_for_similarity_reference(*args))
 
 
 class TestParamsValidation:

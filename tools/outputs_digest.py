@@ -20,19 +20,29 @@ lines.  The digests are printed, not judged: the exit status is 0.
 The runs work inside the temporary directory, so the fit manifest
 records a relative input path that repeats from run to run.
 
+``--save DIR`` also keeps every output file, as ``DIR/<label>/<name>``
+with a run's stdout in ``DIR/<label>/stdout.txt``.  ``--compare OLD NEW``
+runs nothing: for each file of two saved sets it prints the largest
+relative move of any number, |a - b| / max(|a|, |b|), with the worst
+pair and how many numbers moved.  A file whose text differs beyond its
+numbers, or that only one set has, is named as such.
+
 Usage:
-    python tools/outputs_digest.py
+    python tools/outputs_digest.py [--save DIR]
+    python tools/outputs_digest.py --compare OLD_DIR NEW_DIR
 
 Run from the root of a checkout; ``src`` goes on the import path.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -60,6 +70,10 @@ TRIPLES = (
 FIT_CURVES = {2: (0.2, 0.95, 0.4, 1.0), 4: (0.15, 0.9, 0.3, -0.5), 8: (0.1, 0.85, 0.25, -2.0)}
 FIT_SNR_DB = [-10.0 + 1.25 * i for i in range(25)]
 FIT_INPUT = "fit-samples.csv"
+STDOUT_NAME = "stdout.txt"
+# A number as the writers print it: a JSON or CSV float, an integer, or a
+# non-finite float's spelling.
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)")
 
 
 def write_fit_samples(path: Path) -> None:
@@ -108,7 +122,8 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def digest(save: Path | None) -> str:
+    """The digest lines of the run set; with ``save``, keep its outputs there too."""
     os.environ["SOURCE_DATE_EPOCH"] = EPOCH
     lines = []
     cwd = os.getcwd()
@@ -122,16 +137,77 @@ def main() -> int:
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main(argv)
                 lines.append(f"exit {code}  {label}")
+                # (digest name, saved name, bytes) of the run's stdout and files.
+                outputs = []
                 if stdout.getvalue():
-                    lines.append(f"{sha256(stdout.getvalue().encode())}  {label}/<stdout>")
+                    outputs.append(("<stdout>", STDOUT_NAME, stdout.getvalue().encode()))
                 out_dir = Path(tmp) / label
                 if out_dir.is_dir():
-                    for path in sorted(out_dir.iterdir()):
-                        lines.append(f"{sha256(path.read_bytes())}  {label}/{path.name}")
+                    outputs += [(p.name, p.name, p.read_bytes()) for p in sorted(out_dir.iterdir())]
+                for name, saved, data in outputs:
+                    lines.append(f"{sha256(data)}  {label}/{name}")
+                    if save is not None:
+                        (save / label).mkdir(parents=True, exist_ok=True)
+                        (save / label / saved).write_bytes(data)
         finally:
             os.chdir(cwd)
     text = "".join(line + "\n" for line in lines)
-    print(text + f"{sha256(text.encode())}  combined")
+    return text + f"{sha256(text.encode())}  combined"
+
+
+def _move(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 when equal (infinities and NaNs too), inf across a non-finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_file(old: Path, new: Path) -> str:
+    """One report line body for a file both sets hold."""
+    a, b = old.read_bytes(), new.read_bytes()
+    if a == b:
+        return "identical"
+    ta, tb = a.decode("utf-8"), b.decode("utf-8")
+    if NUMBER.split(ta) != NUMBER.split(tb):
+        return "text differs beyond its numbers"
+    na, nb = NUMBER.findall(ta), NUMBER.findall(tb)
+    moves = [(_move(float(x), float(y)), x, y) for x, y in zip(na, nb)]
+    worst = max(moves)
+    if not worst[0]:
+        return "same numbers, spelled differently"
+    moved = sum(m > 0 for m, _, _ in moves)
+    pair = f"({worst[1]} -> {worst[2]})"
+    return f"max rel move {worst[0]:.3g} {pair}, {moved} of {len(moves)} numbers moved"
+
+
+def compare(old_dir: Path, new_dir: Path) -> str:
+    """The report of :func:`compare_file` over two saved sets, one line per file."""
+    names: set[str] = set()
+    for d in (old_dir, new_dir):
+        names |= {p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()}
+    lines = []
+    for name in sorted(names):
+        old, new = old_dir / name, new_dir / name
+        if not old.is_file() or not new.is_file():
+            which = "new" if new.is_file() else "old"
+            lines.append(f"only in the {which} set  {name}")
+        else:
+            lines.append(f"{compare_file(old, new)}  {name}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--save", type=Path, metavar="DIR", help="also keep the outputs in DIR")
+    group.add_argument("--compare", type=Path, nargs=2, metavar=("OLD_DIR", "NEW_DIR"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        print(compare(*(d.resolve() for d in args.compare)))
+    else:
+        print(digest(args.save.resolve() if args.save else None))
     return 0
 
 
