@@ -8,9 +8,10 @@ reused for every sweep value (common random numbers keeps the scheme
 curves directly comparable).  No sweep variable changes the mean link
 gains, so one draw serves them all.  Each (sweep value, draw) pair is
 one row with its own targets, and the rows of every value are solved
-together: one :func:`sembit.search.search_rows` call per searched
-scheme, which runs one search per row batch.  Only a source-length sweep keeps
-one row set per value, since k changes the similarity S-curve.
+together: one :func:`sembit.search.search_rows` call for the oma and
+semi searches, which runs one search per row batch, or one in all when
+the rows fit one batch.  Only a source-length sweep keeps one row set
+per value, since k changes the similarity S-curve.
 
 Infeasibility here is structural (bandwidth or curve-ceiling bound), so
 for a given sweep value a scheme is either feasible for every draw or for

@@ -12,7 +12,11 @@ minimum never exceeds either (they are hybrid corner cases).
 The solvers work on row sets: each row is one channel draw with its own
 target triple, and each scheme's result is a :class:`PowerRows` of 1-D
 columns.  The one-row solvers below are one-row sets whose object is
-built from row 0.
+built from row 0.  Oma is the hybrid with no shared pipe, so one search
+serves both split schemes: each row that needs a search enters it twice,
+as an oma row over its semantic band and as a semi row over its shared
+band, and one objective call scores both kinds of row, computing the
+semantic power and the clean bit band's inverse slope once for all.
 
 Infeasibility is one code per row, an index into :data:`CAUSES`: the
 structural checks give it once per distinct target triple, and oma's
@@ -23,6 +27,7 @@ raises is built from that code and the row's targets alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -230,40 +235,27 @@ def solve_oma_min_power(
             or "bandwidth-bound" when every band that meets the semantic
             targets leaves too little bit band for a finite bit power.
     """
-    rows = _oma_rows(scenario, _row_set(scenario, [real], [targets]), grid_n)
-    return _solved(_solution(scenario, targets, Scheme.OMA, rows, 0))
+    return _solved(solve_min_powers(scenario, real, targets, grid_n)[Scheme.OMA])
 
 
-def _oma_rows(scenario: Scenario, rs: tuple, grid_n: int) -> PowerRows:
-    """:func:`solve_oma_min_power` for each row of the :func:`_row_set` ``rs``."""
+def _oma_rows(scenario: Scenario, rs: tuple, ws: np.ndarray, p_sem: np.ndarray) -> PowerRows:
+    """Oma columns of the :func:`_row_set` ``rs``, given its live rows' searched bands ``ws``.
+
+    ``p_sem`` holds the semantic power of each live row on its band.
+    """
     w = scenario.total_bandwidth
-    data, oma_cause, _, live, w_low, w_up, bands = rs
-
-    def semantic_power(g, ws):
-        gain_s, _, _, sigma, floor, _ = g.T[:, :, None]
-        return sem_power(scenario, gain_s, sigma, floor, ws)
-
-    def bit_power(g, ws):
-        _, gain_b, _, _, _, bit_target = g.T[:, :, None]
-        w_bit = w - ws
-        return pipe_power(w_bit, bit_target, orth_inv_slope(w_bit, gain_b, scenario.noise_psd))
-
-    def total(g, ws):
-        return semantic_power(g, ws) + bit_power(g, ws)
-
+    data, oma_cause, _, live = rs[:4]
     # Rows without a search carry no semantic stream (or are infeasible):
     # no band, no power.
-    ws, p_sem = np.zeros((2, len(data)))
-    g = data[live]
-    ws[live] = search_rows(
-        total, g, w_low, w_up, bands, grid_n, maximize=False, zoom=SEARCH_ZOOM
-    )[0]
-    p_sem[live] = semantic_power(g, ws[live, None])[:, 0]
-    p_bit = bit_power(data, ws[:, None])[:, 0]
-    tot = p_sem + p_bit
+    band, p_s = np.zeros((2, len(data)))
+    band[live], p_s[live] = ws, p_sem
+    _, gain_b, _, _, _, bit_target = data.T
+    w_bit = w - band
+    p_bit = pipe_power(w_bit, bit_target, orth_inv_slope(w_bit, gain_b, scenario.noise_psd))
+    tot = p_s + p_bit
     cause = np.where((oma_cause == 0) & ~np.isfinite(tot), _BIT_BAND, oma_cause)
-    zero = np.zeros_like(ws)
-    return _columns(cause, np.array([tot, zero, ws, w - ws, p_sem, zero, p_bit]))
+    zero = np.zeros_like(band)
+    return _columns(cause, np.array([tot, zero, band, w_bit, p_s, zero, p_bit]))
 
 
 def solve_noma_min_power(
@@ -302,54 +294,62 @@ def _noma_rows(scenario: Scenario, rs: tuple) -> PowerRows:
     return _columns(cause, np.array([p_s + p_b, zero + w, zero, zero, p_s, p_b, zero]))
 
 
-def _hybrid_power(scenario: Scenario, g: np.ndarray, wm):
-    """(p_sem, p_bit_shared, p_bit_orth) of the row set rows ``g`` for shared bands ``wm``.
+def _powers(scenario: Scenario, g: np.ndarray, x):
+    """(p_sem, p_bit_shared, p_bit_orth) of the search rows ``g`` at bands ``x``.
 
-    The semantic power is pinned by the harder of the rate target and the
-    floor; inverse water-filling then splits the bit target between the
-    superposed and orthogonal pipes.  A candidate needing a similarity at
-    or above the curve ceiling costs +inf semantic power, which shuts the
-    superposed pipe.
+    Each line of ``g`` holds a row's :data:`ROW_COLUMNS`, then 1 on an
+    oma row and 0 on a semi row; oma rows come first, as in every
+    consecutive slice of the search's row set.  Every row pays the
+    semantic power on band x pinned by the harder of the rate target and
+    the floor, and has the clean bit band W - x.  An oma row inverts its
+    whole bit target on that band; a semi row splits it between the
+    superposed pipe on x and the clean band by inverse water-filling.  A
+    candidate needing a similarity at or above the curve ceiling costs
+    +inf semantic power, which shuts the superposed pipe.
+    ``p_bit_shared`` has the semi rows only.
     """
     n0 = scenario.noise_psd
-    gain_s, gain_b, gain_eff, sigma, floor, bit_target = g.T[:, :, None]
-    p_s = sem_power(scenario, gain_s, sigma, floor, wm)
-    w_b = scenario.total_bandwidth - wm
+    gain_s, gain_b, gain_eff, sigma, floor, bit_target, oma = g.T[:, :, None]
+    k = np.count_nonzero(oma)
+    p_s = sem_power(scenario, gain_s, sigma, floor, x)
+    w_b = scenario.total_bandwidth - x
+    inv_b = orth_inv_slope(w_b, gain_b, n0)
+    m = slice(k, None)
     p_m, p_o = water_fill_min_grid(
-        wm,
-        overlay_inv_slope(wm, p_s, gain_eff, n0),
-        w_b,
-        orth_inv_slope(w_b, gain_b, n0),
-        bit_target,
+        x[m], overlay_inv_slope(x[m], p_s[m], gain_eff[m], n0), w_b[m], inv_b[m], bit_target[m]
     )
+    p_o = np.concatenate([pipe_power(w_b[:k], bit_target[:k], inv_b[:k]), p_o])
     return p_s, p_m, p_o
 
 
+def _total(scenario: Scenario, g: np.ndarray, x) -> np.ndarray:
+    """Total power of the search rows ``g`` at bands ``x``: the objective of the power search."""
+    p_s, p_m, p_o = _powers(scenario, g, x)
+    # In place, and bit for bit p_s + p_o on an oma row and p_s + (p_m + p_o)
+    # on a semi row: swapping the two terms of a float sum changes no bit.
+    p_o[len(p_o) - len(p_m) :] += p_m
+    p_o += p_s
+    return p_o
+
+
 def _semi_rows(
-    scenario: Scenario, rs: tuple, grid_n: int, oma: PowerRows, noma: PowerRows
+    scenario: Scenario, rs: tuple, won: tuple, oma: PowerRows, noma: PowerRows
 ) -> PowerRows:
     """Hybrid minimum per row from its interior search and the two corners.
 
-    The interior searches the shared-band width over [sigma*k/a_high, W]; the
-    orthogonal and overlay solutions, when feasible, then compete on their
-    exact totals, so the hybrid never exceeds either.  Ties break toward
-    the narrower shared band and then toward the interior.
+    ``won`` holds the live rows' lines (shared band, total, p_sem,
+    p_bit_shared, p_bit_orth) of the interior search over
+    [sigma*k/a_high, W]; the orthogonal and overlay solutions, when
+    feasible, then compete on their exact totals, so the hybrid never
+    exceeds either.  Ties break toward the narrower shared band and then
+    toward the interior.
     """
     w = scenario.total_bandwidth
-    data, _, _, live, w_low, _, bands = rs
-
-    def total(g, wm):
-        p_s, p_m, p_o = _hybrid_power(scenario, g, wm)
-        return p_s + (p_m + p_o)
-
+    data, _, _, live = rs[:4]
+    wm, f, p_s, p_m, p_o = won
     # One line per PowerRows field, in order; a row without a candidate costs +inf.
     best = np.zeros((1 + len(ALLOC_FIELDS), len(data)))
     best[0] = np.inf
-    g = data[live]
-    full = np.full(len(live), w)
-    extra = np.column_stack([bands, full])
-    wm, f = search_rows(total, g, w_low, full, extra, grid_n, maximize=False, zoom=SEARCH_ZOOM)
-    p_s, p_m, p_o = (p[:, 0] for p in _hybrid_power(scenario, g, wm[:, None]))
     found = np.isfinite(f)
     best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]
     fold_corners(best, _fields(oma), _fields(noma), np.less)
@@ -406,12 +406,24 @@ def solve_min_powers_rows(
 
     Maps each scheme, in oma, noma, semi order, to its columns.  The rows
     that need a search (a positive rate target, structurally feasible)
-    are solved by one :func:`sembit.search.search_rows` call for oma and
-    one for semi, which cut them into row batches; every row gets exactly
-    the result a one-row solve would.
+    are searched by one :func:`sembit.search.search_rows` call, each
+    twice: first as an oma row over its Lemma-1 interval [w_low, w_up],
+    then as a semi row over [w_low, W].  Each row's extras are its
+    similarity-seeded bands and its upper bound, which for an oma row
+    repeats its grid's last point and so cannot change its pick.  Every
+    row gets exactly the result a one-row solve would.
     """
     rs = _row_set(scenario, reals, targets)
-    oma = _oma_rows(scenario, rs, grid_n)
+    data, _, _, live, w_low, w_up, bands = rs
+    n = len(live)
+    g = np.column_stack([np.tile(data[live], (2, 1)), np.arange(2 * n) < n])
+    lo, hi = np.tile(w_low, 2), np.concatenate([w_up, np.full(n, scenario.total_bandwidth)])
+    extra = np.column_stack([np.tile(bands, (2, 1)), hi])
+    x, f = search_rows(
+        partial(_total, scenario), g, lo, hi, extra, grid_n, maximize=False, zoom=SEARCH_ZOOM
+    )
+    p_s, p_m, p_o = (p[:, 0] for p in _powers(scenario, g, x[:, None]))
+    oma = _oma_rows(scenario, rs, x[:n], p_s[:n])
     noma = _noma_rows(scenario, rs)
-    semi = _semi_rows(scenario, rs, grid_n, oma, noma)
+    semi = _semi_rows(scenario, rs, (x[n:], f[n:], p_s[n:], p_m, p_o[n:]), oma, noma)
     return {Scheme.OMA: oma, Scheme.NOMA: noma, Scheme.SEMI: semi}

@@ -34,7 +34,11 @@ stays near ``BATCH_CANDIDATES`` candidates: a default region's coarse
 phase scores batches of 126 rows x 130 candidates, and its bracket phase
 one batch of about 400 rows x 17 per scheme.  Cut to the coarse phase's
 126 rows, a 17-point bracket call would score about 2,100 candidates,
-too few to amortise numpy's per-call overhead.
+too few to amortise numpy's per-call overhead.  A row set that fits one
+batch in both phases, such as a sweep's power rows or a one-row solve,
+is searched by one :func:`refine_search` call, which scores exactly what
+the two phases would.  A minimum-power row set holds each row twice, an
+oma row and a semi row, which one objective scores together.
 
 Before its first batch, :func:`search_rows` raises glibc's malloc trim
 threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  Every batch's
@@ -241,17 +245,22 @@ def search_rows(
     brackets of ``2 * zoom + 1`` points; every row gets exactly the result
     a one-row search would.  The coarse grid runs first, then the
     brackets from its incumbents, each phase cut into :func:`row_batches`
-    of its own width.  Both phases call :func:`refine_search` through this
-    module's binding, which `tools/search_quality.py` and the benchmark's
-    tracer wrap.
+    of its own width; when each phase is one batch, one call runs both.
+    Every call goes to :func:`refine_search` through this module's
+    binding, which `tools/search_quality.py` and the benchmark's tracer
+    wrap.
     """
     _keep_heap()
-    x, f = np.empty((2, len(lo)))
     kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
-    for b in row_batches(len(lo), check_grid_n(grid_n) + extra.shape[1]):
+    coarse = row_batches(len(lo), check_grid_n(grid_n) + extra.shape[1])
+    brackets = row_batches(len(lo), 2 * zoom + 1)
+    if len(coarse) == len(brackets) == 1:
+        return refine_search(partial(objective, cols), lo, hi, grid_n, extra=extra, **kw)
+    x, f = np.empty((2, len(lo)))
+    for b in coarse:
         batch = partial(objective, cols[b])
         x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, extra=extra[b], shrink=1, **kw)
-    for b in row_batches(len(lo), 2 * zoom + 1):
+    for b in brackets:
         batch = partial(objective, cols[b])
         x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, start=(x[b], f[b]), **kw)
     return x, f

@@ -25,10 +25,20 @@ from sembit.cli import _verify_solution
 from sembit.power import (
     ALLOC_FIELDS,
     CAUSES,
+    _row_set,
     _row_solutions,
+    _total,
     solve_min_powers_rows,
 )
-from sembit.rates import EPS_BANDS, eps_seeded_bands
+from sembit.rates import (
+    EPS_BANDS,
+    eps_seeded_bands,
+    orth_inv_slope,
+    overlay_inv_slope,
+    pipe_power,
+    sem_power,
+    water_fill_min_grid,
+)
 
 TRIPLE = PowerTargets(sigma_target=100e3, min_similarity=0.8, bit_target=8e5)
 
@@ -326,18 +336,18 @@ class TestSemiMinPower:
             solve_semi_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
 
 
+BATCHED_TARGETS = [
+    TRIPLE,
+    PowerTargets(0.0, 0.93, 8e5),  # noma infeasible, bit-only corners live
+    PowerTargets(229400.0, 0.6, 1.8e6),  # oma has no finite-power bit band
+    PowerTargets(260e3, 0.8, 1e5),  # structurally infeasible
+]
+
+
 class TestBatchedDraws:
     """One batched solve over many draws equals per-draw solves exactly."""
 
-    @pytest.mark.parametrize(
-        "targets",
-        [
-            TRIPLE,
-            PowerTargets(0.0, 0.93, 8e5),  # noma infeasible, bit-only corners live
-            PowerTargets(229400.0, 0.6, 1.8e6),  # oma has no finite-power bit band
-            PowerTargets(260e3, 0.8, 1e5),  # structurally infeasible
-        ],
-    )
+    @pytest.mark.parametrize("targets", BATCHED_TARGETS)
     def test_rows_equal_per_draw_solves(self, scenario, targets):
         reals = [sample_realization(scenario, seed) for seed in range(9)]
         solved = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
@@ -431,16 +441,18 @@ class TestRowSets:
 
 
 class TestOneRowSearches:
-    """A one-row solve searches once for oma and once for semi, or not at all.
+    """A one-row solve searches its oma and semi rows in one call, or not at all.
 
-    Each search is a coarse-phase call with the extras, then a bracket-phase
-    call started from its incumbent.
+    The row set fits one batch in both phases, so the search is one
+    :func:`sembit.search.refine_search` call: the coarse grid with the
+    extras (the 64 similarity-seeded bands and the row's upper bound) for
+    the oma row and then the semi row, and the brackets from their incumbents.
     """
 
     @pytest.mark.parametrize(
         "targets, extras",
         [
-            (TRIPLE, [EPS_BANDS, EPS_BANDS + 1]),  # oma's bands, then semi's plus the full band
+            (TRIPLE, [(2, EPS_BANDS + 1)]),  # an oma row and a semi row
             (PowerTargets(0.0, 0.8, 8e5), []),  # no semantic stream, no band to search
             (PowerTargets(260e3, 0.8, 1e5), []),  # structurally infeasible (bandwidth-bound)
         ],
@@ -450,12 +462,136 @@ class TestOneRowSearches:
         seen = []
 
         def counting(objective, lo, hi, n, **kwargs):
-            seen.append("brackets" if "start" in kwargs else kwargs["extra"].shape)
+            assert "start" not in kwargs and "shrink" not in kwargs
+            seen.append(kwargs["extra"].shape)
             return original(objective, lo, hi, n, **kwargs)
 
         monkeypatch.setattr(search, "refine_search", counting)
         solve_min_powers(scenario, realization, targets, 512)
-        assert seen == [phase for m in extras for phase in ((1, m), "brackets")]
+        assert seen == extras
+
+
+def oma_total_reference(scenario, g, ws):
+    """The oma objective of the separate oma search: semantic plus clean-band bit power."""
+    gain_s, gain_b, _, sigma, floor, bit_target = g.T[:, :, None]
+    w_bit = scenario.total_bandwidth - ws
+    inv_b = orth_inv_slope(w_bit, gain_b, scenario.noise_psd)
+    return sem_power(scenario, gain_s, sigma, floor, ws) + pipe_power(w_bit, bit_target, inv_b)
+
+
+def semi_total_reference(scenario, g, wm):
+    """The semi objective of the separate semi search: semantic plus water-filled bit power."""
+    n0 = scenario.noise_psd
+    gain_s, gain_b, gain_eff, sigma, floor, bit_target = g.T[:, :, None]
+    p_s = sem_power(scenario, gain_s, sigma, floor, wm)
+    w_b = scenario.total_bandwidth - wm
+    p_m, p_o = water_fill_min_grid(
+        wm,
+        overlay_inv_slope(wm, p_s, gain_eff, n0),
+        w_b,
+        orth_inv_slope(w_b, gain_b, n0),
+        bit_target,
+    )
+    return p_s + (p_m + p_o)
+
+
+def total_reference(scenario, g, x):
+    """Each search row's objective from the reference of its scheme."""
+    oma = g[:, -1] == 1
+    want = np.empty_like(x)
+    want[oma] = oma_total_reference(scenario, g[oma, :-1], x[oma])
+    want[~oma] = semi_total_reference(scenario, g[~oma, :-1], x[~oma])
+    return want
+
+
+# Edge rows: w_up = W with a bit target, so the oma row's last candidate
+# leaves no bit band; a zero bit target; every similarity seed one band.
+EDGE_TRIPLES = [
+    TRIPLE,
+    PowerTargets(100e3, 0.0, 8e5),
+    PowerTargets(100e3, 0.8, 0.0),
+    PowerTargets(229400.0, 0.6, 1.8e6),  # oma has no finite-power bit band
+]
+
+
+class TestSharedObjective:
+    """The one power objective scores each row as its scheme's own objective did, bit for bit."""
+
+    def rows(self, scenario, triples, seeds):
+        """Search rows of ``triples`` over draws ``seeds``, oma rows first, and their lo and hi."""
+        reals = [sample_realization(scenario, seed) for seed in seeds]
+        targets = [triples[i % len(triples)] for i in range(len(reals))]
+        data, _, _, live, w_low, w_up = _row_set(scenario, reals, targets)[:6]
+        n = len(live)
+        g = np.column_stack([np.tile(data[live], (2, 1)), np.arange(2 * n) < n])
+        hi = np.concatenate([w_up, np.full(n, scenario.total_bandwidth)])
+        return g, np.tile(w_low, 2), hi
+
+    def test_equals_each_scheme_reference(self, scenario, rng):
+        triples = [*EDGE_TRIPLES, near_ceiling(scenario)]
+        triples += [
+            PowerTargets(s, f, b)
+            for s, f, b in zip(
+                rng.uniform(1e3, 2.2e5, 6), rng.choice([0.0, 0.5, 0.8], 6), rng.uniform(0, 2e6, 6)
+            )
+        ]
+        g, lo, hi = self.rows(scenario, triples, range(2 * len(triples)))
+        assert (g[:, -1] == 1).sum() == len(g) // 2
+        # Every interval's ends, the band just above the start, and random bands.
+        u = rng.uniform(size=(len(g), 40))
+        x = np.column_stack([lo, lo[:, None] + (hi - lo)[:, None] * u, hi, np.nextafter(lo, np.inf)])
+        want = total_reference(scenario, g, x)
+        assert np.isposinf(want).any() and np.isfinite(want).any()
+        n = len(g) // 2
+        # An oma row whose last candidate leaves no bit band, at a positive bit target.
+        assert ((hi[:n] == scenario.total_bandwidth) & (g[:n, 5] > 0)).any()
+        # Oma rows only, semi rows only, both, and the whole set.
+        for rows in (slice(0, n), slice(n, None), slice(n - 3, n + 2), slice(None)):
+            np.testing.assert_array_equal(_total(scenario, g[rows], x[rows]), want[rows])
+
+    def test_search_batches_score_as_the_references(self, scenario, monkeypatch):
+        # Batches of 3 rows of 129 candidates cut 5 draws' 10 search rows
+        # into oma rows only, both, and semi rows only.
+        triples = [*EDGE_TRIPLES, near_ceiling(scenario)]
+        reals = [sample_realization(scenario, seed) for seed in range(len(triples))]
+        whole = solve_min_powers_rows(scenario, reals, triples, 64)
+        original = search.refine_search
+        kinds = []
+
+        def spy(objective, lo, hi, n, **kwargs):
+            assert objective.func is _total
+
+            def checked(x):
+                scenario_, g = objective.args
+                kinds.append(tuple(np.unique(g[:, -1])))
+                got = objective(x)
+                np.testing.assert_array_equal(got, total_reference(scenario_, g, x))
+                return got
+
+            return original(checked, lo, hi, n, **kwargs)
+
+        monkeypatch.setattr(search, "BATCH_CANDIDATES", 3 * (64 + EPS_BANDS + 1))
+        monkeypatch.setattr(search, "refine_search", spy)
+        split = solve_min_powers_rows(scenario, reals, triples, 64)
+        assert set(kinds) == {(0.0,), (1.0,), (0.0, 1.0)}
+        for scheme, rows in whole.items():
+            for name in ("total", *ALLOC_FIELDS, "cause"):
+                np.testing.assert_array_equal(getattr(split[scheme], name), getattr(rows, name))
+
+
+class TestOmaWrapper:
+    @pytest.mark.parametrize("targets", BATCHED_TARGETS)
+    def test_oma_solve_is_the_oma_row_of_all_schemes(self, scenario, targets):
+        for seed in range(3):
+            real = sample_realization(scenario, seed)
+            want = solve_min_powers(scenario, real, targets, 64)[Scheme.OMA]
+            if isinstance(want, Infeasible):
+                with pytest.raises(Infeasible) as e:
+                    solve_oma_min_power(scenario, real, targets)
+                assert type(e.value) is type(want)
+                assert (e.value.cause, str(e.value)) == (want.cause, str(want))
+            else:
+                assert solve_oma_min_power(scenario, real, targets) == want
 
 
 class TestPaperClaims:

@@ -18,7 +18,7 @@ from sembit import (
     solve_oma_point,
     solve_semi_point,
 )
-from sembit.power import _hybrid_power
+from sembit.power import _powers
 from sembit.rates import (
     ALLOC_FIELDS,
     LN2,
@@ -283,21 +283,21 @@ class TestKernelReferences:
             assert_matches(pipe_power(w, rate, inv), pipe_power_reference(w, rate, inv))
 
     def test_hybrid_objective(self, scenario, rng, assert_matches):
-        # Semi objective rows over shared bands from the interval start,
-        # where the semantic power is +inf, to the full carrier, where the
-        # clean pipe has no width.
+        # Semi rows of the power search (oma column 0) over shared bands
+        # from the interval start, where the semantic power is +inf, to the
+        # full carrier, where the clean pipe has no width.
         w = scenario.total_bandwidth
         reals = [sample_realization(scenario, seed) for seed in range(6)]
         sigma = rng.uniform(1e3, 2.2e5, size=len(reals))
         floor = rng.choice([0.0, 0.5, 0.8], size=len(reals))
         bits = 10.0 ** rng.uniform(5.0, 6.5, size=len(reals))
         rows = zip(reals, sigma, floor, bits)
-        g = np.array([(r.gain_s, r.gain_b, r.gain_eff, s, f, b) for r, s, f, b in rows])
+        g = np.array([(r.gain_s, r.gain_b, r.gain_eff, s, f, b, 0.0) for r, s, f, b in rows])
         w_low = lemma1_bounds(scenario, sigma, floor)[0]
         wm = w_low[:, None] + (w - w_low)[:, None] * np.linspace(0.0, 1.0, 129)
         wm = np.concatenate([wm, np.nextafter(w_low, 0.0)[:, None]], axis=1)
-        p_s, p_m, p_o = _hybrid_power(scenario, g, wm)
-        want = hybrid_total_reference(scenario, g, wm)
+        p_s, p_m, p_o = _powers(scenario, g, wm)
+        want = hybrid_total_reference(scenario, g[:, :-1], wm)
         assert np.isposinf(want[:, 0]).any() and np.isposinf(want[:, -1]).all()
         assert_matches(p_s + (p_m + p_o), want, rtol=1e-11)
 

@@ -233,6 +233,30 @@ class TestRowBatches:
         assert np.arange(3 * size + 1)[batches[-1]].tolist() == [3 * size]
         assert row_batches(5, 10 * BATCH_CANDIDATES) == [slice(i, i + 1) for i in range(5)]
 
+    def test_one_batch_row_set_is_one_call(self, monkeypatch):
+        # Rows that fit one batch in both phases are searched by one full
+        # call, the coarse grid and every level; one more row splits the
+        # bracket phase, and the search goes back to two phases.
+        original = search.refine_search
+        seen = []
+
+        def spy(objective, lo, hi, n, **kwargs):
+            seen.append((len(lo), kwargs.get("shrink"), "start" in kwargs))
+            return original(objective, lo, hi, n, **kwargs)
+
+        monkeypatch.setattr(search, "refine_search", spy)
+        zoom = ZOOMS[1]
+        size = BATCH_CANDIDATES // (2 * zoom + 1)
+        for n_rows, calls in (
+            (size, [(size, None, False)]),
+            (size + 1, [(size + 1, 1, False), (size, None, True), (1, None, True)]),
+        ):
+            seen.clear()
+            cols, extra = np.zeros((n_rows, 1)), np.zeros((n_rows, 2))
+            lo, hi = np.zeros(n_rows), np.ones(n_rows)
+            search_rows(lambda c, x: -x, cols, lo, hi, extra, 64, maximize=True, zoom=zoom)
+            assert seen == calls
+
     @pytest.mark.parametrize("maximize", [True, False])
     def test_search_rows_equals_one_search_per_row(self, maximize, monkeypatch):
         # Each row's objective reads its own line of ``cols``: a centre and a scale.
@@ -248,6 +272,7 @@ class TestRowBatches:
 
         # (candidate budget, zoom, (coarse batches, bracket batches))
         for budget, zoom, n_batches in (
+            (n_rows * 129, ZOOMS[1], (1, 1)),  # one batch in both phases: one call
             (BATCH_CANDIDATES, ZOOMS[0], (2, 1)),  # several coarse batches, one bracket batch
             (BATCH_CANDIDATES, ZOOMS[1], (2, 3)),
             (17 * 100, ZOOMS[0], (12, 3)),  # several bracket batches

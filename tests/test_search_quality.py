@@ -15,6 +15,7 @@ from sembit import (
     solve_oma_point,
     solve_semi_point,
 )
+from sembit.power import solve_min_powers_rows
 from sembit.search import REFINE_SHRINK
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_quality.py"
@@ -50,11 +51,16 @@ def test_pinned_row_value(solve):
 
 
 def test_reference_levels_deepen_the_searches(monkeypatch):
-    # Each search makes a coarse-phase call with one objective call, then a
-    # bracket-phase call with one objective call per level: an oma boundary
-    # point searches 6 levels at zoom 8 (8 under the reference); a power
-    # solve searches oma, then semi, 3 levels each at zoom 64 (4 under the
-    # reference).  The reference leaves the coarse phase at the grid.
+    # A row set that fits one batch in both phases is searched by one call:
+    # one objective call for the coarse grid, then one per level.  An oma
+    # boundary point searches 6 levels at zoom 8 (8 under the reference); a
+    # one-row power solve searches its oma and semi rows together, 3 levels
+    # at zoom 64 (4 under the reference).  A row set that spans several
+    # batches makes coarse-phase calls of one objective call each, which the
+    # reference leaves at the grid, then bracket-phase calls: 70 draws make
+    # 140 power search rows, cut into 126 + 14 rows at the default grid and
+    # into 47 batches of at most 3 at the reference grid, then 126 + 14 for
+    # the brackets.
     original = search.refine_search
     calls = []
 
@@ -70,15 +76,21 @@ def test_reference_levels_deepen_the_searches(monkeypatch):
     scenario = Scenario()
     real = sample_realization(scenario, 7)
     targets = PowerTargets(sigma_target=150e3, min_similarity=0.8, bit_target=1e6)
+    reals = [sample_realization(scenario, seed) for seed in range(70)]
     assert quality.REF_SHRINK == REFINE_SHRINK * 64 == 64**4
-    for solve, searches, levels, deeper in (
-        (lambda: solve_oma_point(scenario, real, 100e3), 1, 6, 8),
-        (lambda: solve_min_powers(scenario, real, targets, 64), 2, 3, 4),
+    for solve, default, deeper in (
+        (lambda grid_n: solve_oma_point(scenario, real, 100e3, grid_n), [7], [9]),
+        (lambda grid_n: solve_min_powers(scenario, real, targets, grid_n), [4], [5]),
+        (
+            lambda grid_n: solve_min_powers_rows(scenario, reals, [targets] * 70, grid_n),
+            [1, 1, 3, 3],
+            [1] * 47 + [4, 4],
+        ),
     ):
         calls.clear()
-        solve()
-        assert calls == [1, levels] * searches
+        solve(64)
+        assert calls == default
         calls.clear()
         with quality.reference_levels():
-            solve()
-        assert calls == [1, deeper] * searches
+            solve(quality.REF_GRID)
+        assert calls == deeper

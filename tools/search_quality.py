@@ -66,17 +66,18 @@ def reference_levels():
     """Make the boundary and power searches shrink their spacing by ``REF_SHRINK``.
 
     Every one of them goes through :func:`sembit.search.search_rows`, which
-    calls ``refine_search`` through the one binding in :mod:`sembit.search`
-    in two phases: coarse-grid calls with ``shrink=1``, then bracket calls
-    started from their incumbents (``start=``).  Only the bracket calls
-    take the reference shrink, so the coarse calls still stop at the grid.
-    The shrink overrides any the caller passes, where a ``functools.partial``
+    calls ``refine_search`` through the one binding in :mod:`sembit.search`:
+    once for a row set that fits one batch in both phases, and otherwise in
+    two phases, coarse-grid calls with ``shrink=1`` and then bracket calls
+    started from their incumbents.  Every call but a coarse-only one takes
+    the reference shrink, so the coarse calls still stop at the grid.  The
+    shrink overrides any the caller passes, where a ``functools.partial``
     keyword would be overridden by it.
     """
     saved = search.refine_search
 
     def deeper(*args, **kwargs):
-        if "start" in kwargs:
+        if kwargs.get("shrink") != 1:
             kwargs["shrink"] = REF_SHRINK
         return saved(*args, **kwargs)
 
