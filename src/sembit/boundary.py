@@ -11,11 +11,18 @@ The solvers work on sigma grids: each scheme's result is a
 :class:`BoundaryRows` of 1-D columns, one row per target, solved in row
 batches with one search per batch.  The one-target solvers build their
 :class:`BoundaryPoint` from row 0, and every row equals what they return
-for its target.  A search candidate whose semantic power exceeds the
-budget scores 0 without running the bit-rate kernel: only in-budget
-candidates are handed to it.  A traced boundary, :class:`RegionBoundary`,
-is columns too: sigma, bit rate and similarity, which the containment
-check and the CSV writer read as they are.
+for its target.  A search objective scores its whole rows x candidates
+matrix with one full-width kernel of :mod:`sembit.rates`,
+:func:`~sembit.rates.orth_max_rate` or the closed-form water-fill of
+:func:`~sembit.rates.hybrid_max_rate`, which masks a candidate whose
+semantic power leaves no budget to 0.  The orthogonal score is
+:func:`~sembit.rates.pipe_rate`'s bit for bit, and the hybrid rows a
+search picks are evaluated again through
+:func:`~sembit.rates.water_fill_max_grid` and ``pipe_rate``, so each
+reported bit rate is the plug-back of its own allocation.  A traced
+boundary, :class:`RegionBoundary`, is columns too: sigma, bit rate and
+similarity, which the containment check and the CSV writer read as they
+are.
 
 The orthogonal and overlay solutions are hybrid corner cases, so the
 hybrid folds in the oma and noma rows it is given for the same targets
@@ -44,8 +51,10 @@ from .rates import (
     Scheme,
     eps_seeded_bands,
     fold_corners,
+    hybrid_max_rate,
     lemma1_bounds,
     orth_inv_slope,
+    orth_max_rate,
     overlay_inv_slope,
     pipe_rate,
     sem_power,
@@ -222,11 +231,7 @@ def _oma_points(
 
     def score(s_col: np.ndarray, ws: np.ndarray) -> np.ndarray:
         p_req = sem_power(scenario, real.gain_s, s_col, floor, ws)
-        fits = p_req <= p_max
-        rate = np.zeros_like(ws)
-        w_bit = w - ws[fits]
-        rate[fits] = pipe_rate(w_bit, p_max - p_req[fits], orth_inv_slope(w_bit, real.gain_b, n0))
-        return rate
+        return orth_max_rate(w, ws, p_req, p_max, real.gain_b, n0)
 
     rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
     ws, p_sem = np.zeros((2, len(sigma)))
@@ -438,10 +443,7 @@ def _semi_points(
 
     def score(s_col: np.ndarray, wm: np.ndarray) -> np.ndarray:
         p_s = sem_power(scenario, real.gain_s, s_col, floor, wm)
-        fits = p_s <= p_max
-        rate = np.zeros_like(wm)
-        rate[fits] = _hybrid_rate_grid(scenario, real, wm[fits], p_s[fits])[0]
-        return rate
+        return hybrid_max_rate(w, wm, p_s, p_max, real.gain_eff, real.gain_b, scenario.noise_psd)
 
     extra = np.column_stack([bands, hi, seed])
     wm, rate = search_rows(

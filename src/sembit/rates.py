@@ -72,11 +72,74 @@ def overlay_inv_slope(bandwidth, p_sem, gain_eff, noise_psd):
     return p_sem + bandwidth * (noise_psd / gain_eff)
 
 
+def _log_rate(bandwidth, power, inv_slope):
+    """w * log2(1 + p / inv_h), unmasked: NaN or at most 0 without a band or power."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bandwidth * np.log1p(np.divide(power, inv_slope)) / LN2
+
+
 def pipe_rate(bandwidth, power, inv_slope):
     """Bit rate w * log2(1 + p / inv_h); no band or no power carries nothing."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = bandwidth * np.log1p(np.divide(power, inv_slope)) / LN2
+    rate = _log_rate(bandwidth, power, inv_slope)
     return np.where((np.asarray(bandwidth) > 0) & (np.asarray(power) > 0), rate, 0.0)
+
+
+def orth_max_rate(w, w_sem, p_sem, p_max, gain_b, noise_psd):
+    """Bit rate of an orthogonal split's clean band w - w_sem with the rest of the budget.
+
+    Scores every candidate band of a rows x candidates matrix at once:
+    the semantic stream spends ``p_sem`` on ``w_sem`` and the bit stream
+    gets p_max - p_sem over the clean band,
+    (w - w_sem) * log2(1 + (p_max - p_sem) / ((w - w_sem) * N0 / g_b)),
+    bit for bit :func:`pipe_rate`'s.  Over the budget, with no budget
+    left or with no clean band, that rate is NaN or at most 0, so one
+    ``fmax`` scores all of those 0.
+    """
+    w_b = w - w_sem
+    return np.fmax(_log_rate(w_b, p_max - p_sem, orth_inv_slope(w_b, gain_b, noise_psd)), 0.0)
+
+
+def hybrid_max_rate(w, w_m, p_sem, p_max, gain_eff, gain_b, noise_psd):
+    """Water-filled bit rate of a hybrid with shared band ``w_m``, in closed form.
+
+    Scores every candidate of a rows x candidates matrix at once: the
+    semantic stream spends ``p_sem`` on the shared band, and the rest of
+    the budget is water-filled for the largest rate
+    (:func:`water_fill_max_grid`) between the superposed pipe on w_m,
+    inv_m = p_sem + w_m * k_m, and the clean band w_b = w - w_m,
+    inv_b = w_b * k_b, with k_m = N0 / g_eff and k_b = N0 / g_b.
+    Candidates at or over the budget have no bit power and score 0.
+
+    Two facts hold on every candidate within the budget.  The level's
+    denominator does not depend on the semantic power:
+
+        total = (p_max - p_sem) + inv_m + inv_b = p_max + w * k_b + w_m * (k_m - k_b).
+
+    And the bit-only pipe never shuts: g_eff = min(g_s, g_b) <= g_b, so
+    k_m >= k_b and total >= w * k_b, and its fill at the level w / total,
+    1 + p_b / inv_b = total / (w * k_b), is at least 1.  With both pipes
+    open, 1 + p_m / inv_m = w_m * total / (w * inv_m) and
+
+        rate * ln2 = w_m * ln(w_m * total / (w * inv_m)) + w_b * ln(total / (w * k_b)),
+
+    two logarithms per candidate.  Where that first fill drops below 1,
+    the superposed pipe shuts and the clean band takes the whole rest of
+    the budget: the rate is :func:`orth_max_rate` at band w_m.  One
+    reduction over the candidates within the budget finds that case, and
+    only then is it patched.
+    """
+    k_b = noise_psd / gain_b
+    inv_m = overlay_inv_slope(w_m, p_sem, gain_eff, noise_psd)
+    total = (p_max + w * k_b) + w_m * (noise_psd / gain_eff - k_b)
+    fits = p_sem < p_max
+    # An unreachable similarity costs p_sem = +inf, so its fill is 0, and log(0) = -inf.
+    with np.errstate(divide="ignore"):
+        fill_m = w_m * total / (w * inv_m)
+        rate = (w_m * np.log(fill_m) + (w - w_m) * np.log(total / (w * k_b))) / LN2
+    if np.min(fill_m, where=fits, initial=np.inf) < 1.0:
+        shut = orth_max_rate(w, w_m, p_sem, p_max, gain_b, noise_psd)
+        rate = np.where(fill_m < 1.0, shut, rate)
+    return np.where(fits, rate, 0.0)
 
 
 def pipe_power(bandwidth, rate, inv_slope):
@@ -225,6 +288,17 @@ def lemma1_bounds(scenario: Scenario, sigma_target, floor):
     return (float(w_low), float(w_up)) if s.ndim == 0 else (w_low, w_up)
 
 
+def _next_up(x: np.ndarray) -> np.ndarray:
+    """``np.nextafter(x, inf)`` of an array of positive, finite doubles, in place.
+
+    The next double up from such a number has its bit pattern plus one,
+    subnormals included; returns ``x``.
+    """
+    bits = x.view(np.int64)
+    bits += 1
+    return x
+
+
 def eps_seeded_bands(scenario: Scenario, sigma_target, floor) -> np.ndarray:
     """``EPS_BANDS`` band candidates per target, spaced evenly in required similarity.
 
@@ -243,6 +317,14 @@ def eps_seeded_bands(scenario: Scenario, sigma_target, floor) -> np.ndarray:
     that interval, in every column, so every row has as many candidates.
     Broadcasts over a 1-D array of targets, with one floor or a floor per
     target; returns a (targets, ``EPS_BANDS``) matrix.
+
+    Every quotient sigma*k/eps is a positive, finite double: both callers
+    pass only the positive targets they search, and each eps lies between
+    two positive similarities, the lower end (at least sigma*k/W) and one
+    just below ``a_high``.  So :func:`_next_up` is ``np.nextafter(x, inf)``
+    exactly, at a twentieth of its cost.  (A target so small that
+    sigma*k/W underflows to 0, on a curve with a_low = 0 and no floor,
+    divides by zero here.)
     """
     params = scenario.logistic
     span = params.a_high - params.a_low
@@ -252,7 +334,7 @@ def eps_seeded_bands(scenario: Scenario, sigma_target, floor) -> np.ndarray:
     eps = eps_lo[:, None] + (eps_hi - eps_lo)[:, None] * _EPS_STEPS
     # One ulp up, so that no band needs more than its similarity: at a_low
     # the power rises from 0 with infinite slope.
-    bands = np.nextafter(w_need[:, None] / eps, np.inf)
+    bands = _next_up(w_need[:, None] / eps)
     return np.where((eps_lo < eps_hi)[:, None], bands, (w_need / params.a_high)[:, None])
 
 

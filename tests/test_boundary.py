@@ -539,7 +539,15 @@ def _row_kinds(scenario, real, s_col, x):
 
 
 class TestLiveOnlyScores:
-    """Scoring only the in-budget candidates changes no score, bit for bit."""
+    """The full-width boundary scores against scoring every candidate as before.
+
+    The oma score is bit for bit the reference's.  The semi score's
+    closed-form water-fill rounds differently from the reference's
+    clamped split through two pipe rates: near a zero budget the rate is
+    about 1e-6 bit/s and its relative error large, while its absolute
+    error stays about 1e-15 of the row's best.  So each semi score lies
+    within 1e-12 of its row's largest reference score.
+    """
 
     @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
     def test_scores_equal_full_grid_scoring(self, scenario, monkeypatch, seed):
@@ -555,8 +563,7 @@ class TestLiveOnlyScores:
 
             def checked(x):
                 got = objective(x)
-                want = full[owner](scenario, real, *objective.args, x)
-                np.testing.assert_array_equal(got, want)
+                _assert_scores(owner, got, full[owner](scenario, real, *objective.args, x))
                 kinds.update(_row_kinds(scenario, real, *objective.args, x))
                 return got
 
@@ -573,7 +580,16 @@ class TestLiveOnlyScores:
         x = np.tile(np.geomspace(1e-300, scenario.total_bandwidth, 300), (len(s_col), 1))
         assert {"dead", "mixed"} <= set(_row_kinds(scenario, real, s_col, x))
         for owner, score in scores.items():
-            np.testing.assert_array_equal(score(s_col, x), full[owner](scenario, real, s_col, x))
+            _assert_scores(owner, score(s_col, x), full[owner](scenario, real, s_col, x))
+
+
+def _assert_scores(owner, got, want):
+    """Oma scores equal ``want``; semi scores lie within 1e-12 of their row's largest."""
+    if owner == "_oma_points":
+        np.testing.assert_array_equal(got, want)
+        return
+    tol = 1e-12 * want.max(axis=1, keepdims=True)
+    assert (np.abs(got - want) <= tol).all(), np.max(np.abs(got - want) / np.maximum(tol, 1e-300))
 
 
 class TestSimilarityColumn:

@@ -1,0 +1,35 @@
+"""The objective capture of ``tools/kernel_times.py``."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from sembit import PowerTargets, Scenario, sample_realization, search, solve_min_powers
+from sembit.boundary import trace_region
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_times.py"
+_spec = importlib.util.spec_from_file_location("kernel_times", _TOOL)
+kernel_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(kernel_times)
+
+
+def test_capture_records_every_objective_call_and_restores_the_search():
+    scenario = Scenario()
+    real = sample_realization(scenario, 7)
+    saved = search.refine_search
+    calls = {label: [] for label in kernel_times.OBJECTIVES.values()}
+    with kernel_times.capture(calls):
+        found, _ = trace_region(scenario, real, ["oma", "semi"], n_points=40)
+        solve_min_powers(scenario, real, PowerTargets(100e3, 0.8, 8e5), 64)
+    assert search.refine_search is saved
+    assert all(calls.values()), {label: len(made) for label, made in calls.items()}
+    # A replay scores what the search scored: the objective is pure.
+    for made in calls.values():
+        for objective, x in made:
+            score = objective(x)
+            assert score.shape == x.shape
+            np.testing.assert_array_equal(objective(x), score)
+    assert kernel_times.replay_seconds(calls["boundary semi"]) > 0.0
+    again, _ = trace_region(scenario, real, ["oma", "semi"], n_points=40)
+    np.testing.assert_array_equal(again["semi"].bit_rate, found["semi"].bit_rate)

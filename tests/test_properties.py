@@ -15,6 +15,15 @@ from hypothesis import strategies as st
 
 import sembit as sb
 from sembit.cli import _verify_solution
+from sembit.rates import (
+    MIN_BAND_FRACTION,
+    hybrid_max_rate,
+    orth_inv_slope,
+    orth_max_rate,
+    overlay_inv_slope,
+    sem_power,
+    water_fill_max_grid,
+)
 
 TABLE = sb.default_table()
 GRID_N = 64
@@ -103,3 +112,27 @@ def test_min_power_monotone_in_each_target(case, field, shrink):
         if isinstance(sol, sb.PowerSolution):
             assert isinstance(low[scheme], sb.PowerSolution), scheme
             assert low[scheme].total <= sol.total * (1 + MONOTONE_RTOL), scheme
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_semi_score_dominates_oma_score(case):
+    # Semi is never worse than oma, candidate by candidate: at the same
+    # target and band the hybrid may leave its shared pipe empty.  Where
+    # the water-fill does so, the two scores are one kernel's; elsewhere
+    # the closed form may round below by at most 1e-12 relative.
+    scenario, real, targets = case
+    w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
+    sigma, floor = targets.sigma_target, targets.min_similarity
+    lo = sb.lemma1_bounds(scenario, sigma, floor)[0]
+    x = np.linspace(max(lo, w * MIN_BAND_FRACTION), w, 257)
+    p_s = sem_power(scenario, real.gain_s, sigma, floor, x)
+    semi = hybrid_max_rate(w, x, p_s, p_max, real.gain_eff, real.gain_b, n0)
+    oma = orth_max_rate(w, x, p_s, p_max, real.gain_b, n0)
+    fits = p_s <= p_max
+    inv_m = overlay_inv_slope(x, np.where(fits, p_s, 0.0), real.gain_eff, n0)
+    inv_b = orth_inv_slope(w - x, real.gain_b, n0)
+    budget = np.where(fits, p_max - p_s, 0.0)
+    shut = water_fill_max_grid(x, inv_m, w - x, inv_b, budget)[0] == 0
+    assert (semi[shut] >= oma[shut]).all()
+    assert (semi >= oma * (1 - 1e-12)).all()

@@ -22,12 +22,16 @@ from sembit.power import _powers
 from sembit.rates import (
     ALLOC_FIELDS,
     LN2,
+    _next_up,
+    hybrid_max_rate,
     lemma1_bounds,
     orth_inv_slope,
+    orth_max_rate,
     overlay_inv_slope,
     pipe_power,
     pipe_rate,
     sem_power,
+    water_fill_max_grid,
     water_fill_min_grid,
 )
 
@@ -86,6 +90,24 @@ def hybrid_total_reference(scenario, g, wm):
         bit_target,
     )
     return p_s + (np.where(ok, p_m, np.inf) + np.where(ok, p_o, 0.0))
+
+
+def max_rate_references(w, x, p_sem, p_max, gain_eff, gain_b, noise_psd):
+    """(oma, semi) boundary scores as first written, with every candidate scored.
+
+    Over the budget a candidate's bit power is 0.  The semi split is the
+    clamped water level of :func:`water_fill_max_grid`, carried through
+    two :func:`pipe_rate` calls.
+    """
+    fits = p_sem <= p_max
+    w_b = w - x
+    inv_b = orth_inv_slope(w_b, gain_b, noise_psd)
+    oma = pipe_rate(w_b, np.where(fits, p_max - p_sem, 0.0), inv_b)
+    p_s = np.where(fits, p_sem, 0.0)
+    inv_m = overlay_inv_slope(x, p_s, gain_eff, noise_psd)
+    p_m, p_b = water_fill_max_grid(x, inv_m, w_b, inv_b, np.maximum(p_max - p_s, 0.0))
+    semi = pipe_rate(x, p_m, inv_m) + pipe_rate(w_b, p_b, inv_b)
+    return oma, np.where(fits, semi, 0.0)
 
 
 def random_pipes(rng, shape):
@@ -300,6 +322,61 @@ class TestKernelReferences:
         want = hybrid_total_reference(scenario, g[:, :-1], wm)
         assert np.isposinf(want[:, 0]).any() and np.isposinf(want[:, -1]).all()
         assert_matches(p_s + (p_m + p_o), want, rtol=1e-11)
+
+
+    def test_max_rate_kernels(self, rng):
+        # Random rows of candidates, then one column per edge: the shared
+        # pipe shut by its semantic power, no bit-only band (w_m = W) within
+        # the budget and at it, a zero budget, an unreachable similarity
+        # (p_sem = +inf), and over the budget.
+        w, p_max = 1e6, 0.5
+        gain_b = 1e-12
+        gain_eff = gain_b * 10.0 ** rng.uniform(-2.0, 0.0, size=(40, 1))
+        gain_eff[0] = gain_b
+        x = w * 10.0 ** rng.uniform(-6.0, 0.0, size=(40, 300))
+        p_sem = p_max * 10.0 ** rng.uniform(-6.0, 0.2, size=(40, 300))
+        edge_x = np.array([1e4, w, w, 4e5, 4e5, 4e5])
+        edge_p = np.array([0.9, 0.1, 1.0, 1.0, np.inf, 1.2]) * p_max
+        x = np.concatenate([x, np.broadcast_to(edge_x, (40, 6))], axis=1)
+        p_sem = np.concatenate([p_sem, np.broadcast_to(edge_p, (40, 6))], axis=1)
+        args = (w, x, p_sem, p_max)
+        oma_ref, semi_ref = max_rate_references(*args, gain_eff, gain_b, N0)
+        oma = orth_max_rate(*args, gain_b, N0)
+        semi = hybrid_max_rate(*args, gain_eff, gain_b, N0)
+
+        np.testing.assert_array_equal(oma, oma_ref)
+        tol = 1e-12 * semi_ref.max(axis=1, keepdims=True)
+        assert (np.abs(semi - semi_ref) <= tol).all()
+        # Where the superposed pipe gets no power, semi is oma exactly.
+        inv_m = overlay_inv_slope(x, np.where(p_sem <= p_max, p_sem, 0.0), gain_eff, N0)
+        p_m = water_fill_max_grid(x, inv_m, w - x, orth_inv_slope(w - x, gain_b, N0), p_max)[0]
+        shut = (p_m == 0) & (p_sem < p_max)
+        assert shut[:, -6].all() and 0.05 < shut.mean() < 0.95
+        np.testing.assert_array_equal(semi[shut], oma[shut])
+        # No bit-only band: the overlay's own rate, and 0, not NaN, at the budget.
+        w_only = pipe_rate(w, 0.9 * p_max, overlay_inv_slope(w, 0.1 * p_max, gain_eff[:, 0], N0))
+        np.testing.assert_allclose(semi[:, -5], w_only, rtol=1e-12)
+        assert (oma[:, -5] == 0).all()
+        assert (semi[:, -4:] == 0).all() and (oma[:, -4:] == 0).all()
+        # A zero budget carries nothing, also where the closed form's fill
+        # of the only pipe, w_m = W, rounds a hair above 1.
+        g = gain_b * 10.0 ** rng.uniform(-2.0, 0.0, size=1000)
+        budget = 10.0 ** rng.uniform(-2.0, 0.5, size=1000)
+        assert (hybrid_max_rate(w, w, budget, budget, g, gain_b, N0) == 0).all()
+
+    def test_next_up_is_nextafter(self, rng):
+        tiny = np.finfo(float).smallest_subnormal
+        big = np.finfo(float).max
+        x = np.concatenate([
+            10.0 ** rng.uniform(-300.0, 300.0, size=1000),
+            tiny * rng.integers(1, 2**52, size=200),
+            [tiny, np.finfo(float).smallest_normal - tiny, np.finfo(float).smallest_normal],
+            big * rng.uniform(0.5, 1.0, size=100),
+            [np.nextafter(big, 0.0), 1.0, 0.5],
+        ])
+        want = np.nextafter(x, np.inf)
+        got = _next_up(x.copy())
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestShannon:
