@@ -320,16 +320,18 @@ def eps_seeded_bands(scenario: Scenario, sigma_target, floor) -> np.ndarray:
 
     Every quotient sigma*k/eps is a positive, finite double: both callers
     pass only the positive targets they search, and each eps lies between
-    two positive similarities, the lower end (at least sigma*k/W) and one
-    just below ``a_high``.  So :func:`_next_up` is ``np.nextafter(x, inf)``
-    exactly, at a twentieth of its cost.  (A target so small that
-    sigma*k/W underflows to 0, on a curve with a_low = 0 and no floor,
-    divides by zero here.)
+    two positive similarities, the lower end and one just below
+    ``a_high``.  The lower end is at least sigma*k/W, and at least the
+    smallest positive double where that quotient underflows to 0 on a
+    curve with a_low = 0 and no floor; its band is then below W rather
+    than infinite.  So :func:`_next_up` is ``np.nextafter(x, inf)``
+    exactly, at a twentieth of its cost.
     """
     params = scenario.logistic
     span = params.a_high - params.a_low
     w_need = np.asarray(sigma_target, dtype=float) * scenario.k
-    eps_lo = np.maximum(np.maximum(floor, w_need / scenario.total_bandwidth), params.a_low)
+    eps_min = max(params.a_low, np.finfo(float).smallest_subnormal)
+    eps_lo = np.maximum(np.maximum(floor, w_need / scenario.total_bandwidth), eps_min)
     eps_hi = params.a_high - span * _EPS_EDGE
     eps = eps_lo[:, None] + (eps_hi - eps_lo)[:, None] * _EPS_STEPS
     # One ulp up, so that no band needs more than its similarity: at a_low

@@ -1,12 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sembit import (
     Allocation,
+    LogisticParams,
+    ParamTable,
     PowerTargets,
     RatePair,
+    Scenario,
     Scheme,
     eval_similarity,
     rates_for,
@@ -23,6 +27,7 @@ from sembit.rates import (
     ALLOC_FIELDS,
     LN2,
     _next_up,
+    eps_seeded_bands,
     hybrid_max_rate,
     lemma1_bounds,
     orth_inv_slope,
@@ -377,6 +382,23 @@ class TestKernelReferences:
         want = np.nextafter(x, np.inf)
         got = _next_up(x.copy())
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_eps_seeded_bands_stay_finite_when_the_lower_end_underflows(self):
+        # On a curve with a_low = 0 and no floor, sigma*k/W underflows to 0
+        # for a tiny target; the lower end then stops at the smallest
+        # positive double, so the first band is finite and below W.
+        curve = LogisticParams(k=4, a_low=0.0, a_high=0.9, growth=0.47, offset=-1.3)
+        scenario = Scenario(k=4, params=ParamTable([curve]), min_similarity=0.0)
+        real = sample_realization(scenario, 0)
+        sigma = np.array([1e-320, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bands = eps_seeded_bands(scenario, sigma, 0.0)
+            points = [solve(scenario, real, 1e-320) for solve in (solve_oma_point, solve_semi_point)]
+            solve_min_powers(scenario, real, PowerTargets(1e-320, 0.0, 1e5), 64)
+        assert np.isfinite(bands).all() and (bands > 0).all()
+        assert bands[0, 0] < scenario.total_bandwidth
+        assert all(np.isfinite(p.bit_rate) and p.bit_rate > 0 for p in points)
 
 
 class TestShannon:

@@ -7,20 +7,19 @@ through a wrapper on ``sembit.search.refine_search``: every boundary and
 power search calls it through that one binding, as
 ``tools/search_quality.py`` relies on too.  Each objective's captured
 calls are then replayed as they came, and the tool prints its calls,
-candidates and nanoseconds per candidate, the minimum over ``--passes``
+candidates and nanoseconds per candidate, the minimum over ``PASSES``
 passes.  The objectives are the oma and semi boundary scores and the
 minimum-power total, which scores oma and semi rows together.  The
 readings are printed, not judged: the exit status is 0.
 
 Usage:
-    python tools/kernel_times.py [--passes 5]
+    python tools/kernel_times.py
 
 Run from the root of a checkout; ``src`` goes on the import path.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import sys
 import time
@@ -35,6 +34,7 @@ from sembit.rates import Scheme  # noqa: E402
 
 REGION_SEEDS = range(10)
 SWEEP_DRAWS = 4
+PASSES = 5
 # Objective labels by the name of the function that owns the objective.
 OBJECTIVES = {
     "_oma_points": "boundary oma",
@@ -92,19 +92,14 @@ def replay_seconds(calls: list) -> float:
     return time.perf_counter() - t0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--passes", type=int, default=5, help="timed passes per objective (5)")
-    ns = parser.parse_args(argv)
-    if ns.passes < 1:
-        parser.error("--passes must be at least 1")
+def main() -> int:
     calls = captured_calls()
     print(f"default regions at seeds {REGION_SEEDS.start}-{REGION_SEEDS.stop - 1} and one "
-          f"{SWEEP_DRAWS}-draw semantic-rate sweep; min of {ns.passes} passes")
+          f"{SWEEP_DRAWS}-draw semantic-rate sweep; min of {PASSES} passes")
     print(f"{'objective':16s}  {'calls':>6s}  {'candidates':>10s}  {'ns_per_candidate':>16s}")
     for label, made in calls.items():
         n = sum(x.size for _, x in made)
-        best = min(replay_seconds(made) for _ in range(ns.passes))
+        best = min(replay_seconds(made) for _ in range(PASSES))
         print(f"{label:16s}  {len(made):6d}  {n:10d}  {best / max(n, 1) * 1e9:16.1f}")
     return 0
 
