@@ -9,7 +9,6 @@ the dual minimum-power problem, and runs seeded fading sweeps.
 """
 
 from .boundary import (
-    BoundaryPoint,
     Containment,
     Extremes,
     RegionBoundary,
@@ -18,10 +17,6 @@ from .boundary import (
     noma_power_floor,
     noma_sigma_min,
     oma_extremes,
-    solve_noma_point,
-    solve_oma_point,
-    solve_semi_point,
-    sweep_boundary,
     trace_region,
 )
 from .channel import (
@@ -39,7 +34,6 @@ from .errors import (
     DomainMismatch,
     EmptyRegion,
     Infeasible,
-    InfeasibleBandwidth,
     InfeasibleTarget,
     InsufficientData,
     SembitError,
@@ -51,9 +45,6 @@ from .power import (
     PowerSolution,
     PowerTargets,
     solve_min_powers,
-    solve_noma_min_power,
-    solve_oma_min_power,
-    solve_semi_min_power,
 )
 from .rates import (
     Allocation,
@@ -63,8 +54,6 @@ from .rates import (
     rates_for,
     shannon_rate,
     snr_db,
-    water_fill_max,
-    water_fill_min,
 )
 from .similarity import (
     LogisticParams,
@@ -84,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "BoundaryPoint",
     "ChannelRealization",
     "Containment",
     "DegenerateData",
@@ -93,7 +81,6 @@ __all__ = [
     "EmptyRegion",
     "Extremes",
     "Infeasible",
-    "InfeasibleBandwidth",
     "InfeasibleTarget",
     "InsufficientData",
     "LogisticParams",
@@ -133,16 +120,7 @@ __all__ = [
     "sample_realization",
     "shannon_rate",
     "snr_db",
-    "solve_noma_min_power",
     "solve_min_powers",
-    "solve_noma_point",
-    "solve_oma_min_power",
-    "solve_oma_point",
-    "solve_semi_min_power",
-    "solve_semi_point",
-    "sweep_boundary",
     "trace_region",
-    "water_fill_max",
-    "water_fill_min",
     "watt_to_dbm",
 ]

@@ -9,10 +9,9 @@ power water-filled between its two bit pipes.
 
 The solvers work on sigma grids: each scheme's result is a
 :class:`BoundaryRows` of 1-D columns, one row per target, solved in row
-batches with one search per batch.  The one-target solvers build their
-:class:`BoundaryPoint` from row 0, and every row equals what they return
-for its target.  A search objective scores its whole rows x candidates
-matrix with one full-width kernel of :mod:`sembit.rates`,
+batches with one search per batch; each row is exactly what a grid of
+its target alone gives.  A search objective scores its whole rows x
+candidates matrix with one full-width kernel of :mod:`sembit.rates`,
 :func:`~sembit.rates.orth_max_rate` or the closed-form water-fill of
 :func:`~sembit.rates.hybrid_max_rate`, which masks a candidate whose
 semantic power leaves no budget to 0.  The orthogonal score is
@@ -28,10 +27,9 @@ The orthogonal and overlay solutions are hybrid corner cases, so the
 hybrid folds in the oma and noma rows it is given for the same targets
 (:func:`sembit.rates.fold_corners`): its boundary dominates the other two
 at finite grid resolution by construction, not merely up to search luck.
-:func:`trace_region` is the one region driver: it picks each scheme's
-sigma grid, solves oma once on the hybrid's grid and lets the hybrid
-reuse those rows.  :func:`sweep_boundary` is the same driver with one
-scheme.
+:func:`trace_region` is the one region driver, for any set of schemes:
+it picks each scheme's sigma grid, solves oma once on the hybrid's grid
+and lets the hybrid reuse those rows.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .channel import ChannelRealization, Scenario
 from .errors import DomainMismatch, EmptyRegion
 from .rates import (
     ALLOC_FIELDS,
-    Allocation,
     RatePair,
     Scheme,
     eps_seeded_bands,
@@ -87,23 +84,12 @@ class Extremes:
 
 
 @dataclass(frozen=True)
-class BoundaryPoint:
-    """One solved boundary point with its optimising allocation."""
-
-    sigma: float
-    bit_rate: float
-    similarity: float
-    alloc: Allocation | None
-
-
-@dataclass(frozen=True)
 class BoundaryRows:
     """One scheme's boundary points over a sigma grid, one 1-D column per field.
 
     A row whose target the budget cannot meet has no allocation:
     ``solved`` is False there, its bit rate and similarity are 0 and its
-    six :class:`Allocation` fields NaN.  The one-target solvers build
-    their :class:`BoundaryPoint` from row 0.
+    six :class:`Allocation` fields NaN.
     """
 
     bit_rate: np.ndarray
@@ -182,27 +168,6 @@ def oma_extremes(scenario: Scenario, real: ChannelRealization) -> Extremes:
     )
 
 
-def solve_oma_point(
-    scenario: Scenario,
-    real: ChannelRealization,
-    sigma_target: float,
-    grid_n: int = DEFAULT_GRID_N,
-) -> BoundaryPoint:
-    """Orthogonal boundary point: max bit rate at one semantic-rate target.
-
-    Searches the semantic bandwidth over the interval
-    [sigma*k/a_high, min(sigma*k/floor, W)] from :func:`lemma1_bounds`,
-    with the similarity-seeded bands of :func:`eps_seeded_bands` added to
-    the grid; each candidate pays the exact power that meets the semantic
-    target and hands the rest to the bit band.  Candidates whose power
-    need exceeds the budget score zero.  Ties break toward the smaller
-    semantic band.
-    """
-    sigma = np.array([sigma_target], dtype=float)
-    rows = _oma_points(scenario, real, sigma, grid_n, _seeds(scenario, sigma))
-    return _point(rows, Scheme.OMA, sigma_target, 0)
-
-
 def _seeds(scenario: Scenario, sigma: np.ndarray) -> np.ndarray:
     """The :func:`eps_seeded_bands` of the nonzero targets of ``sigma``, which are searched."""
     return eps_seeded_bands(scenario, sigma[sigma != 0.0], scenario.min_similarity)
@@ -215,11 +180,16 @@ def _oma_points(
     grid_n: int,
     bands: np.ndarray,
 ) -> BoundaryRows:
-    """:func:`solve_oma_point` at each target of ``sigma``, one search per row batch.
+    """Orthogonal boundary rows: the largest bit rate at each target of ``sigma``.
 
-    ``bands`` holds the :func:`_seeds` of ``sigma``.  A zero target is the
-    bit intercept: no semantic band, and the whole budget on the full bit
-    band.
+    Each row searches the semantic band over its :func:`lemma1_bounds`
+    interval [sigma*k/a_high, min(sigma*k/floor, W)], with its
+    similarity-seeded bands ``bands`` (the :func:`_seeds` of ``sigma``)
+    added to the grid, one search per row batch.  A candidate pays the
+    exact power that meets the semantic target and hands the rest to the
+    bit band; one whose power need exceeds the budget scores zero.  Ties
+    break toward the smaller semantic band.  A zero target is the bit
+    intercept: no semantic band, and the whole budget on the full bit band.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
@@ -271,14 +241,6 @@ def _fields(rows: BoundaryRows) -> np.ndarray:
     return np.array([rows.bit_rate, *(getattr(rows, f) for f in ALLOC_FIELDS)])
 
 
-def _point(rows: BoundaryRows, scheme: Scheme, sigma_target: float, i: int) -> BoundaryPoint:
-    """Row ``i`` of ``rows`` as the object a one-target solve of ``scheme`` returns."""
-    alloc = None
-    if rows.solved[i]:
-        alloc = Allocation(scheme, **{f: getattr(rows, f).item(i) for f in ALLOC_FIELDS})
-    return BoundaryPoint(float(sigma_target), rows.bit_rate.item(i), rows.similarity.item(i), alloc)
-
-
 def noma_sigma_min(scenario: Scenario) -> float:
     """Smallest semantic rate any full-band overlay point can have.
 
@@ -311,24 +273,14 @@ def noma_power_floor(scenario: Scenario, real: ChannelRealization) -> float:
     )
 
 
-def solve_noma_point(
-    scenario: Scenario,
-    real: ChannelRealization,
-    sigma_target: float,
-) -> BoundaryPoint:
-    """Overlay operating point at one semantic-rate target (closed form).
-
-    The semantic power is pinned by whichever is harder: the rate target
-    over the full band or the similarity floor.  All remaining budget
-    goes to the superposed bit stream.  Returns a zero-rate point with no
-    allocation when the target cannot be met within budget.
-    """
-    rows = _noma_points(scenario, real, np.array([sigma_target], dtype=float))
-    return _point(rows, Scheme.NOMA, sigma_target, 0)
-
-
 def _noma_points(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> BoundaryRows:
-    """:func:`solve_noma_point` at each target of ``sigma``."""
+    """Overlay rows at each target of ``sigma``, in closed form.
+
+    The semantic power is pinned by whichever is harder, the rate target
+    over the full band or the similarity floor, and the rest of the budget
+    goes to the superposed bit stream.  A target the budget cannot meet
+    is an unsolved row.
+    """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     p_s = sem_power(scenario, real.gain_s, sigma, scenario.min_similarity, w)
@@ -390,29 +342,6 @@ def _hybrid_rate_grid(
     return pipe_rate(w_m, p_bm, inv_hm) + pipe_rate(w_b, p_bo, inv_hb), p_bm, p_bo
 
 
-def solve_semi_point(
-    scenario: Scenario,
-    real: ChannelRealization,
-    sigma_target: float,
-    grid_n: int = DEFAULT_GRID_N,
-) -> BoundaryPoint:
-    """Hybrid boundary point: max bit rate at one semantic-rate target.
-
-    One search coordinate: the shared-band width.  Each candidate pays the
-    semantic power pinned by the harder of the rate target and the
-    similarity floor, then water-fills the rest between the superposed and
-    orthogonal bit pipes.  The orthogonal and overlay solutions join the
-    candidate pool, so the result never falls below either.  Ties break
-    toward the wider shared band.
-    """
-    sigma = np.array([sigma_target], dtype=float)
-    bands = _seeds(scenario, sigma)
-    oma = _oma_points(scenario, real, sigma, grid_n, bands)
-    noma = _noma_points(scenario, real, sigma)
-    rows = _semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
-    return _point(rows, Scheme.SEMI, sigma_target, 0)
-
-
 def _semi_points(
     scenario: Scenario,
     real: ChannelRealization,
@@ -422,13 +351,17 @@ def _semi_points(
     oma: BoundaryRows,
     noma: BoundaryRows,
 ) -> BoundaryRows:
-    """:func:`solve_semi_point` at each target of ``sigma``, one search per row batch.
+    """Hybrid boundary rows: the largest bit rate at each target of ``sigma``.
 
     Each row searches the shared band over [sigma*k/a_high, W], seeded
     with its similarity-seeded bands (``bands``, the :func:`_seeds` of
-    ``sigma``), the full band and the oma band.  ``oma`` and ``noma`` hold
-    those schemes' rows for the same targets: the oma band seeds each
-    row's search, and both are folded in as corners once it is done.
+    ``sigma``), the full band and the oma band, one search per row batch.
+    A candidate pays the semantic power pinned by the harder of the rate
+    target and the similarity floor, then water-fills the rest between
+    the superposed and clean bit pipes.  Ties break toward the wider
+    shared band.  ``oma`` and ``noma`` hold those schemes' rows for the
+    same targets: the oma band seeds each row's search, and both are
+    folded in as corners once it is done, so no row falls below either.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
@@ -477,25 +410,6 @@ def _lifted(scheme, sigma, rows: BoundaryRows, on=slice(None)):
     at = np.where(rate == top, np.arange(len(rate)), len(rate))
     src = np.minimum.accumulate(at[::-1])[::-1]
     return RegionBoundary(scheme, sigma, rate[src], eps[src])
-
-
-def sweep_boundary(
-    scenario: Scenario,
-    real: ChannelRealization,
-    scheme: Scheme,
-    n_points: int = 200,
-    grid_n: int = DEFAULT_GRID_N,
-) -> RegionBoundary:
-    """One scheme's boundary: :func:`trace_region` of that scheme alone.
-
-    Raises:
-        EmptyRegion: overlay sweep on a power-limited draw.
-    """
-    scheme = Scheme(scheme)
-    found, empty = trace_region(scenario, real, [scheme], n_points, grid_n)
-    if empty is not None:
-        raise empty
-    return found[scheme]
 
 
 def trace_region(

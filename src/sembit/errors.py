@@ -94,10 +94,6 @@ class DomainMismatch(SembitError):
     """Two boundaries share no overlapping semantic-rate range."""
 
 
-class InfeasibleBandwidth(SembitError):
-    """A positive bit-rate target with zero bandwidth available to carry it."""
-
-
 class Infeasible(SembitError):
     """A power-minimisation target set that no allocation can meet.
 

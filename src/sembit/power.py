@@ -11,17 +11,19 @@ minimum never exceeds either (they are hybrid corner cases).
 
 The solvers work on row sets: each row is one channel draw with its own
 target triple, and each scheme's result is a :class:`PowerRows` of 1-D
-columns.  The one-row solvers below are one-row sets whose object is
-built from row 0.  Oma is the hybrid with no shared pipe, so one search
-serves both split schemes: each row that needs a search enters it twice,
-as an oma row over its semantic band and as a semi row over its shared
-band, and one objective call scores both kinds of row, computing the
-semantic power and the clean bit band's inverse slope once for all.
+columns (:func:`solve_min_powers_rows`); :func:`solve_min_powers` is a
+set of one row, as objects.  Oma is the hybrid with no shared pipe, so
+one search serves both split schemes: each row that needs a search
+enters it twice, as an oma row over its semantic band and as a semi row
+over its shared band, and one objective call scores both kinds of row,
+computing the semantic power and the clean bit band's inverse slope
+once for all.
 
 Infeasibility is one code per row, an index into :data:`CAUSES`: the
 structural checks give it once per distinct target triple, and oma's
-search adds its bit-band code.  The :class:`Infeasible` a one-row solve
-raises is built from that code and the row's targets alone.
+search adds its bit-band code.  The :class:`Infeasible` that
+:func:`solve_min_powers` maps a scheme to is built from that code and
+the row's targets alone.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .rates import (
     sem_power,
     water_fill_min_grid,
 )
-from .search import DEFAULT_GRID_N, search_rows
+from .search import search_rows
 
 TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
 # The columns of a row set's data matrix, in order.
@@ -99,7 +101,7 @@ class PowerRows:
 
     ``total`` and the six :class:`Allocation` fields are NaN on an
     infeasible row, and ``cause`` indexes :data:`CAUSES` (0 on a feasible
-    row).  The one-row solvers build their objects from row 0.
+    row).  :func:`solve_min_powers` builds its objects from row 0.
     """
 
     total: np.ndarray
@@ -197,7 +199,7 @@ def _infeasible(scenario: Scenario, targets: PowerTargets, code: int) -> Infeasi
 def _solution(
     scenario: Scenario, targets: PowerTargets, scheme: Scheme, rows: PowerRows, i: int
 ) -> PowerSolution | Infeasible:
-    """Row ``i`` of ``rows`` as the object a one-row solve of ``targets`` returns."""
+    """Row ``i`` of ``rows`` as :func:`solve_min_powers` maps ``scheme`` for ``targets``."""
     if rows.cause[i]:
         return _infeasible(scenario, targets, rows.cause.item(i))
     alloc = {f: getattr(rows, f).item(i) for f in ALLOC_FIELDS}
@@ -211,37 +213,14 @@ def _row_solutions(
     return {s: _solution(scenario, targets, s, rows, i) for s, rows in solved.items()}
 
 
-def _solved(result: PowerSolution | Infeasible) -> PowerSolution:
-    if isinstance(result, Infeasible):
-        raise result
-    return result
-
-
-def solve_oma_min_power(
-    scenario: Scenario,
-    real: ChannelRealization,
-    targets: PowerTargets,
-    grid_n: int = DEFAULT_GRID_N,
-) -> PowerSolution:
-    """Cheapest orthogonal allocation meeting the target triple.
-
-    Searches the semantic band width; each candidate pays exactly the
-    semantic power for max(rate-implied similarity, floor) and exactly the
-    bit power inverting the AWGN rate on the leftover band.  Ties break
-    toward the smaller semantic band.
-
-    Raises:
-        Infeasible: structurally unreachable targets (see _structural),
-            or "bandwidth-bound" when every band that meets the semantic
-            targets leaves too little bit band for a finite bit power.
-    """
-    return _solved(solve_min_powers(scenario, real, targets, grid_n)[Scheme.OMA])
-
-
 def _oma_rows(scenario: Scenario, rs: tuple, ws: np.ndarray, p_sem: np.ndarray) -> PowerRows:
     """Oma columns of the :func:`_row_set` ``rs``, given its live rows' searched bands ``ws``.
 
-    ``p_sem`` holds the semantic power of each live row on its band.
+    ``p_sem`` holds the semantic power of each live row on its band; ties
+    in the search broke toward the smaller semantic band.  The bit power
+    inverts the whole bit target on the leftover band, and a row whose
+    every semantic band leaves too little of it is infeasible with code
+    ``_BIT_BAND``.
     """
     w = scenario.total_bandwidth
     data, oma_cause, _, live = rs[:4]
@@ -258,30 +237,14 @@ def _oma_rows(scenario: Scenario, rs: tuple, ws: np.ndarray, p_sem: np.ndarray) 
     return _columns(cause, np.array([tot, zero, band, w_bit, p_s, zero, p_bit]))
 
 
-def solve_noma_min_power(
-    scenario: Scenario,
-    real: ChannelRealization,
-    targets: PowerTargets,
-) -> PowerSolution:
-    """Cheapest full-band overlay meeting the target triple (closed form).
+def _noma_rows(scenario: Scenario, rs: tuple) -> PowerRows:
+    """Cheapest full-band overlay for each row of ``rs``, in closed form.
 
     The semantic power is pinned by the harder of the rate target and the
     floor; the bit power then inverts the superposed-pipe rate with that
-    interference.  Exactly constant in the semantic-rate target while the
-    floor is the binding constraint.
-
-    Raises:
-        Infeasible: structurally unreachable targets.
-    """
-    rows = _noma_rows(scenario, _row_set(scenario, [real], [targets]))
-    return _solved(_solution(scenario, targets, Scheme.NOMA, rows, 0))
-
-
-def _noma_rows(scenario: Scenario, rs: tuple) -> PowerRows:
-    """:func:`solve_noma_min_power` for each row of ``rs``.
-
-    Structurally infeasible rows are evaluated too (at +inf semantic power)
-    and then blanked by their cause.
+    interference, so a row is exactly constant in its semantic-rate target
+    while the floor binds.  Structurally infeasible rows are evaluated too
+    (at +inf semantic power) and then blanked by their cause.
     """
     w = scenario.total_bandwidth
     data, _, cause = rs[:3]
@@ -358,28 +321,6 @@ def _semi_rows(
     return _columns(np.where(np.isfinite(best[0]), 0, oma.cause), best)
 
 
-def solve_semi_min_power(
-    scenario: Scenario,
-    real: ChannelRealization,
-    targets: PowerTargets,
-    grid_n: int = DEFAULT_GRID_N,
-) -> PowerSolution:
-    """Cheapest hybrid allocation meeting the target triple.
-
-    Searches the shared-band width over [sigma*k/a_high, W], with
-    similarity-seeded bands added to the grid; each candidate pays
-    the pinned semantic power, then splits the bit target between the
-    superposed and orthogonal pipes by inverse water-filling.  The
-    feasible ones of the orthogonal and overlay optima join the comparison
-    at the end, so the hybrid result never exceeds either.  Ties break
-    toward the narrower shared band.
-
-    Raises:
-        Infeasible: structurally unreachable targets.
-    """
-    return _solved(solve_min_powers(scenario, real, targets, grid_n)[Scheme.SEMI])
-
-
 def solve_min_powers(
     scenario: Scenario,
     real: ChannelRealization,
@@ -388,9 +329,10 @@ def solve_min_powers(
 ) -> dict[Scheme, PowerSolution | Infeasible]:
     """All three schemes' minima for one draw, each solved once.
 
-    Maps each scheme, in oma, noma, semi order, to its solution or to the
-    :class:`Infeasible` its solver raised.  The semi fold reuses the oma
-    and noma results instead of solving them again.
+    A row set of one (:func:`solve_min_powers_rows`): maps each scheme,
+    in oma, noma, semi order, to its solution or to the :class:`Infeasible`
+    that names why no allocation meets ``targets``.  The semi fold reuses
+    the oma and noma results instead of solving them again.
     """
     solved = solve_min_powers_rows(scenario, [real], [targets], grid_n)
     return _row_solutions(scenario, targets, solved, 0)

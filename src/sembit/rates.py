@@ -13,8 +13,8 @@ with no bit power on its shared band, noma one with no bit-only band, so
 Every bit pipe is described by its width w and its inverse slope inv_h,
 the noise (plus interference) power over the gain, so that it carries
 w * log2(1 + p / inv_h).  The kernels below state each equation once as
-an array function that broadcasts; the scalar helpers, boundary and power
-solvers, and plug-back checks all call them.
+an array function that broadcasts; the boundary and power solvers and
+the plug-back checks all call them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, Scenario
-from .errors import InfeasibleBandwidth, InfeasibleTarget, require_finite
+from .errors import InfeasibleTarget, require_finite
 from .similarity import eval_similarity, power_for_similarity_grid
 
 LN2 = math.log(2.0)
@@ -201,52 +201,6 @@ def water_fill_min_grid(w_m, inv_m, w_b, inv_b, rate):
     if np.size(w) and not np.min(w) > 0:
         p_m = np.where((np.asarray(w) == 0) & (np.asarray(rate) > 0), np.inf, p_m)
     return p_m, p_b
-
-
-def water_fill_max(
-    h_m: float, h_b: float, w_m: float, w_b: float, budget: float
-) -> tuple[float, float]:
-    """Split ``budget`` W between two parallel bit pipes to maximise rate.
-
-    ``h_m`` and ``h_b`` are channel gain over total in-band noise (plus
-    interference) power, so pipe i carries rate_i = w_i * log2(1 + p_i * h_i).
-    Standard water level with clamping at the box edges; the clamped pair
-    still spends the whole budget.
-    """
-    if h_m <= 0 or h_b <= 0:
-        raise ValueError("pipe slopes must be positive")
-    if w_m < 0 or w_b < 0 or w_m + w_b <= 0:
-        raise ValueError("pipe bandwidths must be non-negative and not both zero")
-    if budget <= 0:
-        return 0.0, 0.0
-    p_m, p_b = water_fill_max_grid(w_m, 1.0 / h_m, w_b, 1.0 / h_b, budget)
-    return float(p_m), float(p_b)
-
-
-def water_fill_min(
-    h_m: float, h_b: float, w_m: float, w_b: float, rate_target: float
-) -> tuple[float, float]:
-    """Cheapest split of a rate target between two parallel bit pipes.
-
-    ``h_m`` and ``h_b`` are channel gain over total in-band noise (plus
-    interference) power, so pipe i carries rate_i = w_i * log2(1 + p_i * h_i).
-    Inverse water-filling meets rate_m + rate_b = rate_target at minimum
-    total power; when the unconstrained water level would push one pipe's
-    power negative, that pipe shuts off and the other inverts the full
-    target exactly.
-
-    Raises:
-        InfeasibleBandwidth: positive target with both pipes at zero width.
-    """
-    if rate_target <= 0:
-        return 0.0, 0.0
-    # A pipe without width or slope is dead: zero width, zero inverse slope.
-    w_m, inv_m = (w_m, 1.0 / h_m) if w_m > 0 and h_m > 0 else (0.0, 0.0)
-    w_b, inv_b = (w_b, 1.0 / h_b) if w_b > 0 and h_b > 0 else (0.0, 0.0)
-    if w_m == 0 and w_b == 0:
-        raise InfeasibleBandwidth("a positive bit target needs at least one live pipe")
-    p_m, p_b = water_fill_min_grid(w_m, inv_m, w_b, inv_b, rate_target)
-    return float(p_m), float(p_b)
 
 
 def lemma1_bounds(scenario: Scenario, sigma_target, floor):

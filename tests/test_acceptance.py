@@ -16,6 +16,9 @@ import pytest
 
 import sembit as sb
 from sembit.cli import _resolve_sweep_spec, main as cli_main
+from sembit.rates import water_fill_max_grid, water_fill_min_grid
+
+from onerow import min_power, solve_noma_point, solve_oma_point, solve_semi_point, sweep_boundary
 
 RNG_SALT = 0x5EB17
 
@@ -129,7 +132,7 @@ def test_criterion_3_water_filling_vs_enumeration():
         w_m = rng.uniform(5e4, 9.5e5)
         w_b = rng.uniform(5e4, 9.5e5)
         budget = 10.0 ** rng.uniform(-2.0, 0.7)
-        p_m, p_b = sb.water_fill_max(h_m, h_b, w_m, w_b, budget)
+        p_m, p_b = water_fill_max_grid(w_m, 1 / h_m, w_b, 1 / h_b, budget)
         got = w_m * math.log2(1 + p_m * h_m) + w_b * math.log2(1 + p_b * h_b)
         brute = float(
             np.max(
@@ -150,7 +153,7 @@ def test_criterion_3_water_filling_vs_enumeration():
         w_m = rng.uniform(5e4, 9.5e5)
         w_b = rng.uniform(5e4, 9.5e5)
         rate = rng.uniform(2e5, 4e6)
-        p_m, p_b = sb.water_fill_min(h_m, h_b, w_m, w_b, rate)
+        p_m, p_b = water_fill_min_grid(w_m, 1 / h_m, w_b, 1 / h_b, rate)
         total = p_m + p_b
         powers = (
             np.expm1(math.log(2.0) * splits * rate / w_m) / h_m
@@ -250,7 +253,7 @@ def test_criterion_4_boundary_vs_dense_enumeration(table):
         for frac in (0.35, 0.6, 0.8):
             sigma = frac * ext.sigma_max
             floor = max(ext.r_max * 1e-9, 1e-6)
-            got_oma = sb.solve_oma_point(scenario, real, sigma).bit_rate
+            got_oma = solve_oma_point(scenario, real, sigma).bit_rate
             brute_oma = _oma_brute(scenario, real, sigma)
             gap = abs(got_oma - brute_oma) / max(brute_oma, floor)
             worst = max(worst, gap)
@@ -258,7 +261,7 @@ def test_criterion_4_boundary_vs_dense_enumeration(table):
                 f"orthogonal point off enumeration by {gap:.2%} "
                 f"(scenario {i}, sigma {sigma:.4g})"
             )
-            got_semi = sb.solve_semi_point(scenario, real, sigma).bit_rate
+            got_semi = solve_semi_point(scenario, real, sigma).bit_rate
             brute_semi = _semi_brute(scenario, real, sigma)
             gap = abs(got_semi - brute_semi) / max(brute_semi, floor)
             worst = max(worst, gap)
@@ -290,8 +293,8 @@ def test_criterion_5_hybrid_dominance_and_mutual_noncontainment(table):
         ext = sb.oma_extremes(scenario, real)
         if ext.sigma_max > 0:
             for sigma in np.linspace(0.0, ext.sigma_max, 12):
-                r_semi = sb.solve_semi_point(scenario, real, float(sigma), grid_n=192).bit_rate
-                r_oma = sb.solve_oma_point(scenario, real, float(sigma), grid_n=192).bit_rate
+                r_semi = solve_semi_point(scenario, real, float(sigma), grid_n=192).bit_rate
+                r_oma = solve_oma_point(scenario, real, float(sigma), grid_n=192).bit_rate
                 assert r_semi >= r_oma * (1 - tol), (
                     f"hybrid below orthogonal at sigma {sigma:.4g} (scenario {i})"
                 )
@@ -305,8 +308,8 @@ def test_criterion_5_hybrid_dominance_and_mutual_noncontainment(table):
                     sb.snr_db(float(p_s), real.gain_s, scenario.total_bandwidth, scenario.noise_psd),
                 )
                 sigma = scenario.total_bandwidth * eps / scenario.k
-                r_noma = sb.solve_noma_point(scenario, real, sigma).bit_rate
-                r_semi = sb.solve_semi_point(scenario, real, sigma, grid_n=192).bit_rate
+                r_noma = solve_noma_point(scenario, real, sigma).bit_rate
+                r_semi = solve_semi_point(scenario, real, sigma, grid_n=192).bit_rate
                 assert r_semi >= r_noma * (1 - tol), (
                     f"hybrid below overlay at sigma {sigma:.4g} (scenario {i})"
                 )
@@ -316,7 +319,7 @@ def test_criterion_5_hybrid_dominance_and_mutual_noncontainment(table):
     # power-sufficient draw, with solver-level witnesses.
     scenario = sb.Scenario()
     real = sb.sample_realization(scenario, 7)
-    b_oma = sb.sweep_boundary(scenario, real, sb.Scheme.OMA, n_points=60, grid_n=256)
+    b_oma = sweep_boundary(scenario, real, sb.Scheme.OMA, n_points=60, grid_n=256)
     b_noma = sb.noma_boundary(scenario, real, n_points=120)
     v1 = sb.check_containment(b_oma, b_noma)
     v2 = sb.check_containment(b_noma, b_oma)
@@ -324,12 +327,12 @@ def test_criterion_5_hybrid_dominance_and_mutual_noncontainment(table):
     assert not v2.contained, "orthogonal unexpectedly covers the overlay boundary"
     # Witness a: at zero semantic rate the orthogonal intercept beats the
     # best bit rate the overlay reaches anywhere.
-    r_oma_zero = sb.solve_oma_point(scenario, real, 0.0).bit_rate
+    r_oma_zero = solve_oma_point(scenario, real, 0.0).bit_rate
     assert r_oma_zero > float(np.max(b_noma.bit_rate)) * (1 + tol)
     # Witness b: at sigma = 0.2 MHz the overlay beats the orthogonal point.
     sigma_w = 200e3
-    r_noma_w = sb.solve_noma_point(scenario, real, sigma_w).bit_rate
-    r_oma_w = sb.solve_oma_point(scenario, real, sigma_w).bit_rate
+    r_noma_w = solve_noma_point(scenario, real, sigma_w).bit_rate
+    r_oma_w = solve_oma_point(scenario, real, sigma_w).bit_rate
     assert r_noma_w > r_oma_w * (1 + tol)
     elapsed = time.monotonic() - start
     assert elapsed < 600.0, f"criterion 5 took {elapsed:.1f}s (limit 600s)"
@@ -355,8 +358,8 @@ def test_criterion_6_symmetric_case_strict_gain():
         if ext.sigma_max <= 0:
             continue
         for sigma in np.linspace(0.0, ext.sigma_max, 17)[1:-1]:
-            r_semi = sb.solve_semi_point(scenario, real, float(sigma), grid_n=192).bit_rate
-            r_oma = sb.solve_oma_point(scenario, real, float(sigma), grid_n=192).bit_rate
+            r_semi = solve_semi_point(scenario, real, float(sigma), grid_n=192).bit_rate
+            r_oma = solve_oma_point(scenario, real, float(sigma), grid_n=192).bit_rate
             total += 1
             if r_semi > r_oma * (1 + 1e-9):
                 strict += 1
@@ -389,9 +392,9 @@ def test_criterion_7_min_power_ordering_flatness_monotonicity(table):
                 min_similarity=float(rng.uniform(0.3, a_high - 0.02)),
                 bit_target=float(rng.uniform(0.01, 4.0) * scenario.total_bandwidth),
             )
-            p_oma = sb.solve_oma_min_power(scenario, real, targets, grid_n=256).total
-            p_noma = sb.solve_noma_min_power(scenario, real, targets).total
-            p_semi = sb.solve_semi_min_power(scenario, real, targets, grid_n=256).total
+            p_oma = min_power(sb.Scheme.OMA, scenario, real, targets, grid_n=256).total
+            p_noma = min_power(sb.Scheme.NOMA, scenario, real, targets).total
+            p_semi = min_power(sb.Scheme.SEMI, scenario, real, targets, grid_n=256).total
             assert p_semi <= min(p_oma, p_noma) + 1e-9, (
                 f"hybrid {p_semi!r} above min({p_oma!r}, {p_noma!r}) "
                 f"(scenario {i})"
@@ -408,7 +411,8 @@ def test_criterion_7_min_power_ordering_flatness_monotonicity(table):
         sigma_edge = floor * scenario.total_bandwidth / scenario.k
         targets = sb.PowerTargets(0.0, floor, float(rng.uniform(0.1, 2.0) * scenario.total_bandwidth))
         values = {
-            sb.solve_noma_min_power(
+            min_power(
+                sb.Scheme.NOMA,
                 scenario,
                 real,
                 sb.PowerTargets(frac * sigma_edge, floor, targets.bit_target),
@@ -437,9 +441,9 @@ def test_criterion_7_min_power_ordering_flatness_monotonicity(table):
         }
         for field, values in axes.items():
             for solver in (
-                lambda t: sb.solve_oma_min_power(scenario, real, t).total,
-                lambda t: sb.solve_noma_min_power(scenario, real, t).total,
-                lambda t: sb.solve_semi_min_power(scenario, real, t).total,
+                lambda t: min_power(sb.Scheme.OMA, scenario, real, t).total,
+                lambda t: min_power(sb.Scheme.NOMA, scenario, real, t).total,
+                lambda t: min_power(sb.Scheme.SEMI, scenario, real, t).total,
             ):
                 prev = -math.inf
                 for v in values:

@@ -26,13 +26,25 @@ from sembit import (
     sample_realization,
     shannon_rate,
     snr_db,
+)
+from sembit.rates import (
+    EPS_BANDS,
+    eps_seeded_bands,
+    orth_inv_slope,
+    pipe_rate,
+    sem_power,
+    water_fill_max_grid,
+)
+
+from onerow import (
+    _oma_points,
+    _points,
+    _semi_points,
     solve_noma_point,
     solve_oma_point,
     solve_semi_point,
     sweep_boundary,
-    water_fill_max,
 )
-from sembit.rates import EPS_BANDS, eps_seeded_bands, orth_inv_slope, pipe_rate, sem_power
 
 
 class TestExtremes:
@@ -301,9 +313,11 @@ class TestNomaBoundary:
 
 
 class TestWaterFillMax:
+    """``water_fill_max_grid`` on pipes of gain-over-noise slope h, inverse slope 1/h."""
+
     def test_interior_split_equalises_marginals(self):
         h_m, h_b, w_m, w_b, budget = 2.0, 5.0, 2e5, 8e5, 3.0
-        p_m, p_b = water_fill_max(h_m, h_b, w_m, w_b, budget)
+        p_m, p_b = water_fill_max_grid(w_m, 1 / h_m, w_b, 1 / h_b, budget)
         assert p_m > 0 and p_b > 0
         assert p_m + p_b == pytest.approx(budget, rel=1e-12)
         dm = w_m * h_m / (1.0 + p_m * h_m)
@@ -311,7 +325,7 @@ class TestWaterFillMax:
         assert dm == pytest.approx(db, rel=1e-9)
 
     def test_corner_pins_weak_pipe_to_zero(self):
-        p_m, p_b = water_fill_max(1e-6, 1e3, 1e5, 9e5, 1e-3)
+        p_m, p_b = water_fill_max_grid(1e5, 1 / 1e-6, 9e5, 1 / 1e3, 1e-3)
         assert p_m == 0.0
         assert p_b == pytest.approx(1e-3, rel=1e-12)
 
@@ -322,7 +336,7 @@ class TestWaterFillMax:
             w_m = float(rng.uniform(1e4, 9e5))
             w_b = float(rng.uniform(1e4, 9e5))
             budget = float(rng.uniform(0.1, 5.0))
-            p_m, p_b = water_fill_max(h_m, h_b, w_m, w_b, budget)
+            p_m, p_b = water_fill_max_grid(w_m, 1 / h_m, w_b, 1 / h_b, budget)
             got = w_m * np.log2(1 + p_m * h_m) + w_b * np.log2(1 + p_b * h_b)
             split = np.linspace(0.0, 1.0, 100_001)
             rates = w_m * np.log2(1 + split * budget * h_m) + w_b * np.log2(
@@ -331,13 +345,13 @@ class TestWaterFillMax:
             assert got >= float(rates.max()) * (1 - 1e-9)
 
     def test_zero_budget(self):
-        assert water_fill_max(1.0, 1.0, 1e5, 1e5, 0.0) == (0.0, 0.0)
+        assert water_fill_max_grid(1e5, 1.0, 1e5, 1.0, 0.0) == (0.0, 0.0)
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            water_fill_max(0.0, 1.0, 1e5, 1e5, 1.0)
-        with pytest.raises(ValueError):
-            water_fill_max(1.0, 1.0, 0.0, 0.0, 1.0)
+        # A dead pipe, of zero width and zero inverse slope, gets no power,
+        # and the live one takes the whole budget.
+        assert water_fill_max_grid(0.0, 0.0, 1e5, 1.0, 1.0) == (0.0, 1.0)
+        assert water_fill_max_grid(1e5, 1.0, 0.0, 0.0, 1.0) == (1.0, 0.0)
 
 
 class TestSemiPoint:
@@ -427,24 +441,6 @@ class TestSweepBoundary:
 def _boundary(scheme, pairs):
     sigma, bit_rate = np.array(pairs, dtype=float).T
     return RegionBoundary(scheme, sigma, bit_rate, np.full(len(pairs), 0.8))
-
-
-def _points(scheme, rows, sigma):
-    """Every row of the columns ``rows`` as the point a one-sigma call returns."""
-    return [boundary._point(rows, scheme, s, i) for i, s in enumerate(sigma.tolist())]
-
-
-def _oma_points(scenario, real, sigma, grid_n):
-    """``boundary._oma_points`` seeded with the similarity bands of ``sigma``."""
-    return boundary._oma_points(scenario, real, sigma, grid_n, boundary._seeds(scenario, sigma))
-
-
-def _semi_points(scenario, real, sigma, grid_n):
-    """``boundary._semi_points`` folding the oma and noma columns of the same sigmas."""
-    bands = boundary._seeds(scenario, sigma)
-    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands)
-    noma = boundary._noma_points(scenario, real, sigma)
-    return boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
 
 
 class TestBatchedPoints:
@@ -669,17 +665,19 @@ class TestTraceRegion:
     @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_sweep_boundary_is_one_scheme_region(self, scenario, seed, scheme):
+        # A one-scheme region is that scheme of the region of all schemes.
+        # The overlay's sigmas join the hybrid's grid, so the hybrid is
+        # compared with the region that leaves the overlay out.
         real = sample_realization(scenario, seed)
         found, empty = boundary.trace_region(scenario, real, [scheme], n_points=40, grid_n=64)
         assert (empty is not None) == ((seed, scheme) == (4, Scheme.NOMA))
+        others = [Scheme.OMA, Scheme.SEMI] if scheme is Scheme.SEMI else list(Scheme)
+        whole, whole_empty = boundary.trace_region(scenario, real, others, n_points=40, grid_n=64)
         if empty is not None:
-            with pytest.raises(EmptyRegion) as e:
-                sweep_boundary(scenario, real, scheme, n_points=40, grid_n=64)
-            assert str(e.value) == str(empty)
+            assert scheme not in found and str(whole_empty) == str(empty)
             return
-        swept = sweep_boundary(scenario, real, scheme, n_points=40, grid_n=64)
-        assert swept.scheme is scheme
-        np.testing.assert_array_equal(_columns(swept), _columns(found[scheme]))
+        assert found[scheme].scheme is scheme
+        np.testing.assert_array_equal(_columns(found[scheme]), _columns(whole[scheme]))
 
     @pytest.mark.parametrize("seed, calls", [(7, 8), (4, 4)])
     def test_default_region_search_count(self, scenario, monkeypatch, seed, calls):

@@ -10,6 +10,7 @@ from sembit import (
     PowerSolution,
     PowerTargets,
     Scenario,
+    Scheme,
     SweepSpec,
     derive_seed,
     montecarlo,
@@ -17,10 +18,11 @@ from sembit import (
     sample_realization,
     search,
     solve_min_powers,
-    solve_semi_min_power,
 )
 from sembit.cli import BUNDLED_SWEEPS
 from sembit.montecarlo import SCHEME_ORDER, _sweep_totals
+
+from onerow import min_power
 
 
 def small_spec(scenario, **overrides):
@@ -125,7 +127,8 @@ class TestRunSweep:
         result = run_sweep(spec)
         _, targets = spec.apply(100e3)
         totals = [
-            solve_semi_min_power(
+            min_power(
+                Scheme.SEMI,
                 scenario,
                 sample_realization(scenario, derive_seed(spec.base_seed, i)),
                 targets,

@@ -6,7 +6,6 @@ import pytest
 from sembit import (
     ChannelRealization,
     Infeasible,
-    InfeasibleBandwidth,
     PowerTargets,
     Scenario,
     Scheme,
@@ -15,10 +14,6 @@ from sembit import (
     required_power_for_similarity,
     sample_realization,
     solve_min_powers,
-    solve_noma_min_power,
-    solve_oma_min_power,
-    solve_semi_min_power,
-    water_fill_min,
 )
 from sembit import search
 from sembit.cli import _verify_solution
@@ -39,6 +34,8 @@ from sembit.rates import (
     sem_power,
     water_fill_min_grid,
 )
+
+from onerow import min_power
 
 TRIPLE = PowerTargets(sigma_target=100e3, min_similarity=0.8, bit_target=8e5)
 
@@ -62,7 +59,7 @@ class TestTargets:
 class TestOmaMinPower:
     def test_bit_only_closed_form(self, scenario, realization):
         targets = PowerTargets(0.0, 0.8, 8e5)
-        sol = solve_oma_min_power(scenario, realization, targets)
+        sol = min_power(Scheme.OMA, scenario, realization, targets)
         w = scenario.total_bandwidth
         expect = w * scenario.noise_psd / realization.gain_b * math.expm1(
             math.log(2.0) * 8e5 / w
@@ -72,7 +69,7 @@ class TestOmaMinPower:
         assert sol.alloc.w_bit == w
 
     def test_meets_all_targets(self, scenario, realization):
-        sol = solve_oma_min_power(scenario, realization, TRIPLE)
+        sol = min_power(Scheme.OMA, scenario, realization, TRIPLE)
         pair = plug_back(scenario, realization, sol)
         assert pair.sem_rate >= TRIPLE.sigma_target * (1 - 1e-9)
         assert pair.similarity >= TRIPLE.min_similarity * (1 - 1e-9)
@@ -82,7 +79,7 @@ class TestOmaMinPower:
     def test_no_slack_in_components(self, scenario, realization):
         # On the optimum both the similarity floor (or rate) and the bit
         # target bind exactly: power above the need would not be minimal.
-        sol = solve_oma_min_power(scenario, realization, TRIPLE)
+        sol = min_power(Scheme.OMA, scenario, realization, TRIPLE)
         pair = plug_back(scenario, realization, sol)
         assert pair.bit_rate == pytest.approx(TRIPLE.bit_target, rel=1e-9)
         eps_need = max(
@@ -91,13 +88,13 @@ class TestOmaMinPower:
         assert pair.similarity == pytest.approx(eps_need, rel=1e-9)
 
     def test_monotone_in_each_target(self, scenario, realization):
-        base = solve_oma_min_power(scenario, realization, TRIPLE).total
+        base = min_power(Scheme.OMA, scenario, realization, TRIPLE).total
         for bump in (
             PowerTargets(140e3, 0.8, 8e5),
             PowerTargets(100e3, 0.85, 8e5),
             PowerTargets(100e3, 0.8, 1.2e6),
         ):
-            assert solve_oma_min_power(scenario, realization, bump).total >= base * (1 - 1e-9)
+            assert min_power(Scheme.OMA, scenario, realization, bump).total >= base * (1 - 1e-9)
 
     def test_matches_dense_band_scan(self, scenario, realization):
         # Independent oracle: brute-force the semantic band on a fine grid
@@ -121,34 +118,34 @@ class TestOmaMinPower:
             p_b = w_b * n0 / realization.gain_b * math.expm1(math.log(2.0) * TRIPLE.bit_target / w_b)
             totals.append(p_s + p_b)
         brute = min(totals)
-        solved = solve_oma_min_power(scenario, realization, TRIPLE).total
+        solved = min_power(Scheme.OMA, scenario, realization, TRIPLE).total
         assert solved <= brute * (1 + 1e-9)
         assert solved == pytest.approx(brute, rel=1e-3)
 
     def test_structural_infeasibility_causes(self, scenario, realization):
         with pytest.raises(Infeasible) as e:
-            solve_oma_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
+            min_power(Scheme.OMA, scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
         assert e.value.cause == "bandwidth-bound"
         assert str(e.value) == (
             "semantic rate 260000 needs 1.04e+06 Hz at similarity 1; carrier has 1e+06 Hz"
         )
         with pytest.raises(Infeasible) as e:
-            solve_oma_min_power(scenario, realization, PowerTargets(231e3, 0.8, 1e5)).total
+            min_power(Scheme.OMA, scenario, realization, PowerTargets(231e3, 0.8, 1e5)).total
         assert e.value.cause == "rate-asymptote"
         assert str(e.value) == (
             "semantic rate 231000 needs similarity 0.924 on the full band; curve ceiling is 0.918"
         )
         floor_above_ceiling = PowerTargets(100e3, 0.95, 1e5)
-        for solve in (solve_oma_min_power, solve_noma_min_power, solve_semi_min_power):
+        for scheme in Scheme:
             with pytest.raises(Infeasible) as e:
-                solve(scenario, realization, floor_above_ceiling).total
+                min_power(scheme, scenario, realization, floor_above_ceiling).total
             assert e.value.cause == "similarity-asymptote"
             assert str(e.value) == "similarity floor 0.95 is at or above the curve ceiling 0.918"
 
     def test_zero_sigma_ignores_floor(self, scenario, realization):
         # No semantic stream, so even an unreachable floor is vacuous.
         targets = PowerTargets(0.0, 0.95, 8e5)
-        sol = solve_oma_min_power(scenario, realization, targets)
+        sol = min_power(Scheme.OMA, scenario, realization, targets)
         assert math.isfinite(sol.total)
 
     def test_bit_band_too_narrow_is_infeasible(self, scenario):
@@ -158,20 +155,20 @@ class TestOmaMinPower:
         real = sample_realization(scenario, 0)
         targets = PowerTargets(229.4e3, 0.6, 1.8e6)
         with pytest.raises(Infeasible) as e:
-            solve_oma_min_power(scenario, real, targets)
+            min_power(Scheme.OMA, scenario, real, targets)
         assert e.value.cause == "bandwidth-bound"
         assert str(e.value) == (
             "bit rate 1.8e+06 needs infinite power: a semantic band below the curve "
             "ceiling 0.918 leaves a bit band of at most 435.73 Hz"
         )
-        noma = solve_noma_min_power(scenario, real, targets)
-        assert solve_semi_min_power(scenario, real, targets).total <= noma.total
+        noma = min_power(Scheme.NOMA, scenario, real, targets)
+        assert min_power(Scheme.SEMI, scenario, real, targets).total <= noma.total
 
     def test_floor_near_ceiling_still_solved(self, scenario, realization):
         # The feasible similarity window is a sliver below the curve
         # ceiling (0.918); similarity-axis seeding must still find it.
         targets = PowerTargets(50e3, 0.9175, 4e5)
-        sol = solve_oma_min_power(scenario, realization, targets)
+        sol = min_power(Scheme.OMA, scenario, realization, targets)
         assert math.isfinite(sol.total)
         pair = plug_back(scenario, realization, sol)
         assert pair.similarity >= 0.9175 * (1 - 1e-9)
@@ -179,7 +176,7 @@ class TestOmaMinPower:
 
 class TestNomaMinPower:
     def test_matches_manual_formula(self, scenario, realization):
-        sol = solve_noma_min_power(scenario, realization, TRIPLE)
+        sol = min_power(Scheme.NOMA, scenario, realization, TRIPLE)
         w = scenario.total_bandwidth
         n0 = scenario.noise_psd
         p_s = required_power_for_similarity(
@@ -194,18 +191,18 @@ class TestNomaMinPower:
         # While sigma*k/W <= floor the answer is the same float, not merely
         # close: the semantic power is pinned by the floor in all cases.
         totals = {
-            solve_noma_min_power(scenario, realization, PowerTargets(s, 0.8, 8e5)).total
+            min_power(Scheme.NOMA, scenario, realization, PowerTargets(s, 0.8, 8e5)).total
             for s in (0.0, 50e3, 100e3, 150e3, 200e3)
         }
         assert len(totals) == 1
 
     def test_rises_once_rate_binds(self, scenario, realization):
-        flat = solve_noma_min_power(scenario, realization, PowerTargets(200e3, 0.8, 8e5)).total
-        steep = solve_noma_min_power(scenario, realization, PowerTargets(215e3, 0.8, 8e5)).total
+        flat = min_power(Scheme.NOMA, scenario, realization, PowerTargets(200e3, 0.8, 8e5)).total
+        steep = min_power(Scheme.NOMA, scenario, realization, PowerTargets(215e3, 0.8, 8e5)).total
         assert steep > flat
 
     def test_meets_targets(self, scenario, realization):
-        sol = solve_noma_min_power(scenario, realization, TRIPLE)
+        sol = min_power(Scheme.NOMA, scenario, realization, TRIPLE)
         pair = plug_back(scenario, realization, sol)
         assert pair.sem_rate >= TRIPLE.sigma_target * (1 - 1e-9)
         assert pair.similarity >= 0.8 * (1 - 1e-9)
@@ -213,14 +210,16 @@ class TestNomaMinPower:
 
     def test_floor_always_active_even_at_zero_sigma(self, scenario, realization):
         with pytest.raises(Infeasible) as e:
-            solve_noma_min_power(scenario, realization, PowerTargets(0.0, 0.95, 8e5)).total
+            min_power(Scheme.NOMA, scenario, realization, PowerTargets(0.0, 0.95, 8e5)).total
         assert e.value.cause == "similarity-asymptote"
 
 
 class TestWaterFillMin:
+    """``water_fill_min_grid`` on pipes of gain-over-noise slope h, inverse slope 1/h."""
+
     def test_hits_rate_exactly_interior(self):
         h_m, h_b, w_m, w_b, rate = 2e9, 5e9, 4e5, 6e5, 3e6
-        p_m, p_b = water_fill_min(h_m, h_b, w_m, w_b, rate)
+        p_m, p_b = water_fill_min_grid(w_m, 1 / h_m, w_b, 1 / h_b, rate)
         assert p_m > 0 and p_b > 0
         got = w_m * math.log2(1 + p_m * h_m) + w_b * math.log2(1 + p_b * h_b)
         assert got == pytest.approx(rate, rel=1e-12)
@@ -228,21 +227,24 @@ class TestWaterFillMin:
     def test_single_pipe_fallback_exact(self):
         # A terrible shared pipe shuts off; the orthogonal pipe then inverts
         # the whole target exactly.
-        p_m, p_b = water_fill_min(1e-12, 5e9, 4e5, 6e5, 3e6)
+        p_m, p_b = water_fill_min_grid(4e5, 1 / 1e-12, 6e5, 1 / 5e9, 3e6)
         assert p_m == 0.0
         assert 6e5 * math.log2(1 + p_b * 5e9) == pytest.approx(3e6, rel=1e-12)
 
     def test_zero_width_pipe(self):
-        p_m, p_b = water_fill_min(2e9, 5e9, 0.0, 6e5, 3e6)
+        p_m, p_b = water_fill_min_grid(0.0, 1 / 2e9, 6e5, 1 / 5e9, 3e6)
         assert p_m == 0.0
         assert 6e5 * math.log2(1 + p_b * 5e9) == pytest.approx(3e6, rel=1e-12)
 
     def test_zero_target_free(self):
-        assert water_fill_min(2e9, 5e9, 4e5, 6e5, 0.0) == (0.0, 0.0)
+        assert water_fill_min_grid(4e5, 1 / 2e9, 6e5, 1 / 5e9, 0.0) == (0.0, 0.0)
 
     def test_no_live_pipe_raises(self):
-        with pytest.raises(InfeasibleBandwidth):
-            water_fill_min(2e9, 5e9, 0.0, 0.0, 1e6)
+        # A positive rate with no band at all costs +inf on the superposed
+        # pipe, whether the zero-width pipes keep their slopes or are dead.
+        for inv_m, inv_b in ((1 / 2e9, 1 / 5e9), (0.0, 0.0)):
+            p_m, p_b = water_fill_min_grid(0.0, inv_m, 0.0, inv_b, 1e6)
+            assert p_m == math.inf and p_b >= 0.0
 
     def test_matches_brute_force(self, rng):
         for _ in range(20):
@@ -251,7 +253,7 @@ class TestWaterFillMin:
             w_m = float(rng.uniform(1e5, 9e5))
             w_b = float(rng.uniform(1e5, 9e5))
             rate = float(rng.uniform(1e5, 5e6))
-            p_m, p_b = water_fill_min(h_m, h_b, w_m, w_b, rate)
+            p_m, p_b = water_fill_min_grid(w_m, 1 / h_m, w_b, 1 / h_b, rate)
             total = p_m + p_b
             t = np.linspace(0.0, 1.0, 100_001)
             powers = np.expm1(math.log(2.0) * t * rate / w_m) / h_m + np.expm1(
@@ -269,13 +271,13 @@ class TestSemiMinPower:
                 PowerTargets(150e3, 0.8, 2e6),
                 PowerTargets(50e3, 0.6, 5e6),
             ):
-                p_semi = solve_semi_min_power(scenario, real, targets, grid_n=128).total
-                p_oma = solve_oma_min_power(scenario, real, targets, grid_n=128).total
-                p_noma = solve_noma_min_power(scenario, real, targets).total
+                p_semi = min_power(Scheme.SEMI, scenario, real, targets, grid_n=128).total
+                p_oma = min_power(Scheme.OMA, scenario, real, targets, grid_n=128).total
+                p_noma = min_power(Scheme.NOMA, scenario, real, targets).total
                 assert p_semi <= min(p_oma, p_noma) + 1e-12
 
     def test_meets_targets(self, scenario, realization):
-        sol = solve_semi_min_power(scenario, realization, TRIPLE)
+        sol = min_power(Scheme.SEMI, scenario, realization, TRIPLE)
         pair = plug_back(scenario, realization, sol)
         assert pair.sem_rate >= TRIPLE.sigma_target * (1 - 1e-9)
         assert pair.similarity >= 0.8 * (1 - 1e-9)
@@ -286,9 +288,9 @@ class TestSemiMinPower:
         # On an asymmetric draw with a demanding triple the hybrid beats
         # both corners strictly, not merely ties them.
         targets = PowerTargets(150e3, 0.8, 2e6)
-        p_semi = solve_semi_min_power(scenario, realization, targets).total
-        p_oma = solve_oma_min_power(scenario, realization, targets).total
-        p_noma = solve_noma_min_power(scenario, realization, targets).total
+        p_semi = min_power(Scheme.SEMI, scenario, realization, targets).total
+        p_oma = min_power(Scheme.OMA, scenario, realization, targets).total
+        p_noma = min_power(Scheme.NOMA, scenario, realization, targets).total
         assert p_semi < min(p_oma, p_noma) * (1 - 1e-6)
 
     def test_zero_sigma_survives_unreachable_floor(self, scenario):
@@ -296,8 +298,8 @@ class TestSemiMinPower:
         # infeasible overlay must not take the orthogonal corner with it.
         real = sample_realization(scenario, 1)
         targets = PowerTargets(0.0, 0.95, 5e5)
-        sol = solve_semi_min_power(scenario, real, targets)
-        assert sol.total == solve_oma_min_power(scenario, real, targets).total
+        sol = min_power(Scheme.SEMI, scenario, real, targets)
+        assert sol.total == min_power(Scheme.OMA, scenario, real, targets).total
 
     def test_tiny_sigma_meets_targets(self):
         # A semantic band of sigma*k = 1.1e-302 Hz made the semantic power
@@ -305,35 +307,35 @@ class TestSemiMinPower:
         scenario = Scenario(total_bandwidth=5e5, k=5, min_similarity=0.5, d_s=12.0, d_b=12.0)
         real = ChannelRealization(gain_s=5.60085633963867e-10, gain_b=1.3333205180857152e-08)
         targets = PowerTargets(2.2250738585072014e-303, 0.8125, 0.0)
-        for solve in (solve_oma_min_power, solve_semi_min_power):
-            sol = solve(scenario, real, targets)
+        for scheme in (Scheme.OMA, Scheme.SEMI):
+            sol = min_power(scheme, scenario, real, targets)
             assert _verify_solution(scenario, real, targets, sol.alloc) == []
 
     def test_zero_sigma_reduces_to_best_corner(self, scenario, realization):
         targets = PowerTargets(0.0, 0.8, 8e5)
-        p_semi = solve_semi_min_power(scenario, realization, targets).total
-        p_oma = solve_oma_min_power(scenario, realization, targets).total
+        p_semi = min_power(Scheme.SEMI, scenario, realization, targets).total
+        p_oma = min_power(Scheme.OMA, scenario, realization, targets).total
         assert p_semi <= p_oma * (1 + 1e-12)
 
     def test_monotone_in_each_target(self, scenario, realization):
-        base = solve_semi_min_power(scenario, realization, TRIPLE).total
+        base = min_power(Scheme.SEMI, scenario, realization, TRIPLE).total
         for bump in (
             PowerTargets(140e3, 0.8, 8e5),
             PowerTargets(100e3, 0.85, 8e5),
             PowerTargets(100e3, 0.8, 1.2e6),
         ):
-            assert solve_semi_min_power(scenario, realization, bump).total >= base * (1 - 1e-9)
+            assert min_power(Scheme.SEMI, scenario, realization, bump).total >= base * (1 - 1e-9)
 
     def test_floor_near_ceiling_still_solved(self, scenario, realization):
         targets = PowerTargets(50e3, 0.9175, 4e5)
-        sol = solve_semi_min_power(scenario, realization, targets)
+        sol = min_power(Scheme.SEMI, scenario, realization, targets)
         assert math.isfinite(sol.total)
         pair = plug_back(scenario, realization, sol)
         assert pair.similarity >= 0.9175 * (1 - 1e-9)
 
     def test_structural_infeasibility_propagates(self, scenario, realization):
         with pytest.raises(Infeasible):
-            solve_semi_min_power(scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
+            min_power(Scheme.SEMI, scenario, realization, PowerTargets(260e3, 0.8, 1e5)).total
 
 
 BATCHED_TARGETS = [
@@ -587,11 +589,11 @@ class TestOmaWrapper:
             want = solve_min_powers(scenario, real, targets, 64)[Scheme.OMA]
             if isinstance(want, Infeasible):
                 with pytest.raises(Infeasible) as e:
-                    solve_oma_min_power(scenario, real, targets)
+                    min_power(Scheme.OMA, scenario, real, targets)
                 assert type(e.value) is type(want)
                 assert (e.value.cause, str(e.value)) == (want.cause, str(want))
             else:
-                assert solve_oma_min_power(scenario, real, targets) == want
+                assert min_power(Scheme.OMA, scenario, real, targets) == want
 
 
 class TestPaperClaims:

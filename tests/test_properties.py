@@ -25,6 +25,8 @@ from sembit.rates import (
     water_fill_max_grid,
 )
 
+from onerow import min_power, sweep_boundary
+
 TABLE = sb.default_table()
 GRID_N = 64
 # The searched minimum is exact only to the final bracket spacing,
@@ -71,7 +73,7 @@ def test_min_power_solutions(case):
         assert sb.Scheme.SEMI in feasible
         assert feasible[sb.Scheme.SEMI].total <= min(corners) * (1 + 1e-12)
     try:
-        semi = sb.solve_semi_min_power(scenario, real, targets, GRID_N)
+        semi = min_power(sb.Scheme.SEMI, scenario, real, targets, GRID_N)
     except sb.Infeasible as exc:
         semi = exc
     assert type(semi) is type(sols[sb.Scheme.SEMI])
@@ -83,7 +85,7 @@ def test_min_power_solutions(case):
 @given(cases())
 def test_boundary_contains_itself(case):
     scenario, real, _ = case
-    b = sb.sweep_boundary(scenario, real, sb.Scheme.OMA, n_points=6, grid_n=16)
+    b = sweep_boundary(scenario, real, sb.Scheme.OMA, n_points=6, grid_n=16)
     assert sb.check_containment(b, b).contained
 
 
@@ -91,7 +93,7 @@ def test_boundary_contains_itself(case):
 @given(cases(), st.sampled_from([sb.Scheme.OMA, sb.Scheme.SEMI]))
 def test_boundary_does_not_increase(case, scheme):
     scenario, real, _ = case
-    b = sb.sweep_boundary(scenario, real, scheme, n_points=8, grid_n=16)
+    b = sweep_boundary(scenario, real, scheme, n_points=8, grid_n=16)
     assert np.all(np.diff(b.sigma) >= 0)
     assert np.all(np.diff(b.bit_rate) <= 0)
 

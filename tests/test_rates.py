@@ -18,9 +18,6 @@ from sembit import (
     shannon_rate,
     snr_db,
     solve_min_powers,
-    solve_noma_point,
-    solve_oma_point,
-    solve_semi_point,
 )
 from sembit.power import _powers
 from sembit.rates import (
@@ -39,6 +36,8 @@ from sembit.rates import (
     water_fill_max_grid,
     water_fill_min_grid,
 )
+
+from onerow import solve_noma_point, solve_oma_point, solve_semi_point
 
 N0 = 1e-17
 

@@ -12,11 +12,11 @@ from sembit import (
     sample_realization,
     search,
     solve_min_powers,
-    solve_oma_point,
-    solve_semi_point,
 )
 from sembit.power import solve_min_powers_rows
 from sembit.search import REFINE_SHRINK
+
+from onerow import solve_oma_point, solve_semi_point
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "search_quality.py"
 _spec = importlib.util.spec_from_file_location("search_quality", _TOOL)
