@@ -63,6 +63,7 @@ from .similarity import (
     eval_similarity,
     fit_logistic,
     fit_mse,
+    fit_table,
     invert_similarity,
     power_for_similarity_grid,
     read_samples_csv,
@@ -105,6 +106,7 @@ __all__ = [
     "eval_similarity",
     "fit_logistic",
     "fit_mse",
+    "fit_table",
     "invert_similarity",
     "lemma1_bounds",
     "noma_boundary",

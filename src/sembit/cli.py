@@ -47,7 +47,7 @@ from .montecarlo import SweepSpec, run_sweep
 from .power import PowerTargets, solve_min_powers
 from .rates import Scheme, rates_for
 from .search import DEFAULT_GRID_N, check_grid_n
-from .similarity import fit_logistic, fit_mse, ParamTable, read_samples_csv
+from .similarity import fit_mse, fit_table, read_samples_csv
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -94,12 +94,10 @@ def _load_scenario(path: str | None) -> Scenario:
 
 def _run_fit(params: dict, out_dir: Path) -> int:
     groups = read_samples_csv(params["input"])
-    entries = []
-    for k in sorted(groups):
-        fitted = fit_logistic(groups[k])
-        entries.append(fitted)
-        print(f"k={k}: n={len(groups[k])} mse={fit_mse(fitted, groups[k]):.6e}")
-    table = ParamTable(entries)
+    table = fit_table(groups.values())
+    for fitted in table:
+        samples = groups[fitted.k]
+        print(f"k={fitted.k}: n={len(samples)} mse={fit_mse(fitted, samples):.6e}")
     out_dir.mkdir(parents=True, exist_ok=True)
     table.dump(out_dir / "params.json")
     _write_manifest(out_dir, "fit", params, None)

@@ -183,12 +183,17 @@ def water_fill_min_grid(w_m, inv_m, w_b, inv_b, rate):
     The both-open fill stays below a pipe's fill alone, R * ln2 / w_i as
     in :func:`pipe_power`, exactly while the other pipe stays open, so
     each pipe takes the smaller of the two; a pipe whose fill comes out
-    negative shuts, and its power is floored at 0.  A zero-width pipe, or
-    one of infinite inverse slope, is never used: its power comes out NaN
-    and is floored to 0 too.  No rate costs nothing, and a positive rate
-    with no band at all costs +inf on the superposed pipe; one reduction
-    finds that case, and only then is it patched.  Returns (p_m, p_b),
-    elementwise.
+    negative shuts, and its power is floored at 0.  A superposed pipe of
+    zero width or infinite inverse slope is never used: its power comes
+    out NaN or negative and is floored to 0 too.  The bit-only pipe is
+    unused at zero width only when it is dead, its inverse slope 0 as
+    well (what :func:`orth_inv_slope` gives a zero width); a zero-width
+    bit-only pipe with a positive inverse slope costs +inf for a positive
+    rate.  No rate costs nothing.  A positive rate with no band at all
+    costs +inf on the superposed pipe; one reduction finds that case, and
+    only then is it patched.  So two zero-width pipes with finite positive
+    inverse slopes return (inf, inf), and two dead pipes (inf, 0.0).
+    Returns (p_m, p_b), elementwise.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # numpy calls, not operators: plain floats would raise on a zero width.

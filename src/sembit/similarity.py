@@ -40,10 +40,11 @@ from .errors import (
     require_int,
     require_keys,
 )
+from .search import BATCH_CANDIDATES
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
-# Fit search (see fit_logistic): a coarse (growth, offset) grid, then a
+# Fit search (see fit_table): a coarse (growth, offset) grid, then a
 # fixed number of bracket levels that may leave the grid but stay inside
 # the hard bounds.
 GROWTH_GRID = (0.05, 2.0, 32)
@@ -101,6 +102,8 @@ class SimilaritySample:
     similarity: float
 
     def __post_init__(self):
+        if int(self.k) != self.k or self.k <= 0:
+            raise ValueError(f"k must be a positive integer, got {self.k}")
         if not 0.0 <= self.similarity <= 1.0:
             raise ValueError(f"similarity must lie in [0, 1], got {self.similarity}")
         if not math.isfinite(self.snr_db):
@@ -341,72 +344,84 @@ def read_samples_csv(path) -> dict[int, list[SimilaritySample]]:
     return groups
 
 
-def _amplitudes_for(s: np.ndarray, y: np.ndarray):
-    """Closed-form least-squares floor/ceiling given logistic weights ``s``.
+def _cells(growth: np.ndarray, offset: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Closed-form least-squares floor/ceiling and MSE of (growth, offset) cells.
 
+    Row c of ``growth`` and ``offset`` (curves x cells) holds cells of the
+    curve whose samples are row c of ``x`` and ``y`` (curves x samples).
     The model a_low*(1-s) + a_high*s is linear in the two amplitudes, so
-    each (growth, offset) cell reduces to a 2x2 normal-equation solve.
-    Returns clamped (a_low, a_high) and the resulting mean squared error.
-    ``s`` is 2-D (cells x samples).
+    each cell reduces to a 2x2 normal-equation solve.  Returns clamped
+    a_low, a_high and the mean squared error, each curves x cells.
     """
+    with np.errstate(over="ignore"):  # g * x of a huge finite SNR: the sigmoid saturates
+        z = growth[:, :, None] * x[:, None] + offset[:, :, None]
+    # The logistic with one exponential exp(-|z|), bit for bit _sigmoid's two branches.
+    e = np.exp(-np.abs(z))
+    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
     u = 1.0 - s
-    suu = np.einsum("ij,ij->i", u, u)
-    suv = np.einsum("ij,ij->i", u, s)
-    svv = np.einsum("ij,ij->i", s, s)
-    suy = u @ y
-    svy = s @ y
+    flat_u, flat_s = u.reshape(-1, y.shape[1]), s.reshape(-1, y.shape[1])
+    suu, suv, svv = (
+        np.einsum("ij,ij->i", a, b).reshape(growth.shape)
+        for a, b in ((flat_u, flat_u), (flat_u, flat_s), (flat_s, flat_s))
+    )
+    # One gemv per curve: a stacked einsum would sum in another order.
+    suy = np.array([uc @ yc for uc, yc in zip(u, y)])
+    svy = np.array([sc @ yc for sc, yc in zip(s, y)])
     det = suu * svv - suv * suv
     ok = det > 1e-30
-    a1 = np.zeros_like(det)
-    a2 = np.zeros_like(det)
-    a1[ok] = (suy[ok] * svv[ok] - svy[ok] * suv[ok]) / det[ok]
-    a2[ok] = (svy[ok] * suu[ok] - suy[ok] * suv[ok]) / det[ok]
+    det = np.where(ok, det, 1.0)
     # Saturated cells (all s equal) are unidentifiable: pin both to the mean.
-    a1[~ok] = y.mean()
-    a2[~ok] = y.mean()
-    a1 = np.clip(a1, 0.0, 1.0 - _AMPLITUDE_GAP)
-    a2 = np.clip(a2, a1 + _AMPLITUDE_GAP, 1.0)
-    resid = a1[:, None] * u + a2[:, None] * s - y[None, :]
-    mse = np.einsum("ij,ij->i", resid, resid) / y.size
-    return a1, a2, mse
+    y_mean = y.mean(axis=1)[:, None]
+    a_low = np.where(ok, (suy * svv - svy * suv) / det, y_mean)
+    a_high = np.where(ok, (svy * suu - suy * suv) / det, y_mean)
+    a_low = np.clip(a_low, 0.0, 1.0 - _AMPLITUDE_GAP)
+    a_high = np.clip(a_high, a_low + _AMPLITUDE_GAP, 1.0)
+    resid = (a_low[:, :, None] * u + a_high[:, :, None] * s - y[:, None]).reshape(-1, y.shape[1])
+    mse = np.einsum("ij,ij->i", resid, resid).reshape(growth.shape) / y.shape[1]
+    return a_low, a_high, mse
 
 
-def _best_cell(growths: np.ndarray, offsets: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Lowest-MSE cell of the ``growths`` x ``offsets`` grid, first in grid order.
+def _fit_curves(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fit the curves whose samples are the rows of ``x`` and ``y``, in lockstep.
 
-    Returns (growth, offset, a_low, a_high, mse) of that cell.
+    Returns one (a_low, a_high, growth, offset) row per curve.
     """
+    growths, h_g = np.linspace(*GROWTH_GRID, retstep=True)
+    offsets, h_o = np.linspace(*OFFSET_GRID, retstep=True)
     gg, oo = (m.ravel() for m in np.meshgrid(growths, offsets, indexing="ij"))
-    a_low, a_high, mse = _amplitudes_for(_sigmoid(gg[:, None] * x + oo[:, None]), y)
-    i = int(np.argmin(mse))
-    return gg[i], oo[i], a_low[i], a_high[i], mse[i]
+    # Coarse chunks of whole growth rows.  A gemv may sum a chunk's last
+    # rows in another order when the chunk is not a whole number of its
+    # row blocks; 64-cell rows keep every cell's sums the full grid's.  Up
+    # to 255 samples a chunk's float temporaries stay on the heap.
+    step = max(1, BATCH_CANDIDATES // (offsets.size * x.shape[1])) * offsets.size
+    best = []
+    for xc, yc in zip(x[:, None], y[:, None]):
+        chunks = [_cells(gg[None, i:i + step], oo[None, i:i + step], xc, yc)
+                  for i in range(0, gg.size, step)]
+        a_low, a_high, mse = (np.concatenate(col, axis=1)[0] for col in zip(*chunks))
+        i = np.argmin(mse)
+        best.append((gg[i], oo[i], a_low[i], a_high[i], mse[i]))
+    fit = np.array(best).T  # rows: growth, offset, a_low, a_high, mse; a column per curve
+    h_g, h_o = np.full(len(x), h_g), np.full(len(x), h_o)
+    ramp = np.linspace(-1.0, 1.0, 2 * FIT_BRACKET + 1)
+    for _ in range(FIT_LEVELS):
+        g = np.repeat(np.clip(fit[0][:, None] + h_g[:, None] * ramp, *GROWTH_BOUNDS), ramp.size, 1)
+        o = np.tile(np.clip(fit[1][:, None] + h_o[:, None] * ramp, *OFFSET_BOUNDS), ramp.size)
+        cells = np.stack((g, o, *_cells(g, o, x, y)))
+        cell = cells[:, np.arange(len(x)), np.argmin(cells[4], axis=1)]
+        better = cell[4] < fit[4]
+        fit = np.where(better, cell, fit)
+        h_g, h_o = np.where(better, h_g, h_g / FIT_SHRINK), np.where(better, h_o, h_o / FIT_SHRINK)
+    return fit[[2, 3, 0, 1]].T
 
 
-def fit_logistic(samples: Sequence[SimilaritySample]) -> LogisticParams:
-    """Fit one S-curve to samples that all share the same k.
-
-    Strategy: the two amplitudes are solved in closed form per (growth,
-    offset) cell (variable projection, Golub and Pereyra 1973), so only
-    those two are searched.  An exhaustive coarse grid (``GROWTH_GRID`` x
-    ``OFFSET_GRID``) picks the start.  Each of ``FIT_LEVELS`` bracket levels
-    then scores ``2 * FIT_BRACKET + 1`` points per axis over growth +- h_g
-    and offset +- h_o, clipped to the hard bounds, with the half-widths
-    starting at one coarse spacing.  The fit moves to the best cell only
-    when its MSE is strictly lower; otherwise both half-widths shrink by
-    ``FIT_SHRINK``.  Every fit scores the same number of cells whatever the
-    data.  Deterministic: no random restarts, ties resolved by grid order.
-
-    Raises:
-        InsufficientData: fewer than 4 samples or fewer than 4 distinct SNRs.
-        DegenerateData: all similarity values identical.
-        ValueError: samples mix different k.
-    """
+def _fit_inputs(samples: Sequence[SimilaritySample]):
+    """(k, snr_db, similarity) of one curve's samples, checked as fit_table documents."""
     if len(samples) < 4:
         raise InsufficientData(f"need at least 4 samples, got {len(samples)}")
     ks = {s.k for s in samples}
     if len(ks) != 1:
         raise ValueError(f"samples mix source lengths {sorted(ks)}")
-    k = ks.pop()
     x = np.array([s.snr_db for s in samples], dtype=float)
     y = np.array([s.similarity for s in samples], dtype=float)
     if np.unique(x).size < 4:
@@ -415,25 +430,51 @@ def fit_logistic(samples: Sequence[SimilaritySample]) -> LogisticParams:
         )
     if np.ptp(y) < 1e-12:
         raise DegenerateData("all similarity samples are equal")
+    return ks.pop(), x, y
 
-    growths, h_g = np.linspace(*GROWTH_GRID, retstep=True)
-    offsets, h_o = np.linspace(*OFFSET_GRID, retstep=True)
-    growth, offset, a_low, a_high, mse = _best_cell(growths, offsets, x, y)
-    ramp = np.linspace(-1.0, 1.0, 2 * FIT_BRACKET + 1)
-    for _ in range(FIT_LEVELS):
-        cell = _best_cell(
-            np.clip(growth + h_g * ramp, *GROWTH_BOUNDS),
-            np.clip(offset + h_o * ramp, *OFFSET_BOUNDS),
-            x,
-            y,
-        )
-        if cell[4] < mse:
-            growth, offset, a_low, a_high, mse = cell
-        else:
-            h_g, h_o = h_g / FIT_SHRINK, h_o / FIT_SHRINK
-    return LogisticParams(
-        k=k, a_low=float(a_low), a_high=float(a_high), growth=float(growth), offset=float(offset)
-    )
+
+def fit_table(groups: Iterable[Sequence[SimilaritySample]]) -> ParamTable:
+    """Fit one S-curve per group of samples, each group one k.
+
+    Strategy: the two amplitudes are solved in closed form per (growth,
+    offset) cell (variable projection, Golub and Pereyra 1973), so only
+    those two are searched.  An exhaustive coarse grid (``GROWTH_GRID`` x
+    ``OFFSET_GRID``) picks each curve's start.  Each of ``FIT_LEVELS``
+    bracket levels then scores ``2 * FIT_BRACKET + 1`` points per axis over
+    growth +- h_g and offset +- h_o, clipped to the hard bounds, with the
+    half-widths starting at one coarse spacing.  A curve moves to its best
+    cell only when that cell's MSE is strictly lower; otherwise both its
+    half-widths shrink by ``FIT_SHRINK``.  Curves with the same number of
+    samples run in lockstep, one batch of cells per level, each with its
+    own incumbent and half-widths, and every curve scores the same cells
+    as it would alone.  Deterministic: no random restarts, ties resolved by
+    grid order.  Every group is checked before any curve is fitted.
+
+    Raises:
+        InsufficientData: fewer than 4 samples or fewer than 4 distinct SNRs.
+        DegenerateData: all similarity values identical.
+        ValueError: a group mixes different k.
+    """
+    by_size: dict[int, list] = {}
+    for samples in groups:
+        k, x, y = _fit_inputs(samples)
+        by_size.setdefault(x.size, []).append((k, x, y))
+    entries = []
+    for n, curves in by_size.items():
+        # A level's float temporaries hold curves x 81 cells x n floats, at
+        # most BATCH_CANDIDATES as in the searches' batches up to 202 samples.
+        per_batch = max(1, BATCH_CANDIDATES // ((2 * FIT_BRACKET + 1) ** 2 * n))
+        for i in range(0, len(curves), per_batch):
+            ks, xs, ys = zip(*curves[i:i + per_batch])
+            fitted = _fit_curves(np.array(xs), np.array(ys))
+            entries += [LogisticParams(k, *map(float, row)) for k, row in zip(ks, fitted)]
+    return ParamTable(entries)
+
+
+def fit_logistic(samples: Sequence[SimilaritySample]) -> LogisticParams:
+    """Fit one S-curve to samples that all share the same k: :func:`fit_table` of one group."""
+    (fitted,) = fit_table([samples])
+    return fitted
 
 
 def fit_mse(params: LogisticParams, samples: Sequence[SimilaritySample]) -> float:

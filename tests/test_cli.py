@@ -63,6 +63,27 @@ class TestFitCommand:
         code = main(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_non_positive_k_is_bad_input_with_its_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "samples.csv"
+        rows = [f"4,{x!r},{0.2 + 0.05 * x!r}" for x in range(10)] + ["0,1.0,0.5"]
+        csv_path.write_text("k,snr_db,similarity\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(csv_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"{csv_path}:12: k must be a positive integer, got 0" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_bad_group_stops_the_fit_before_any_curve(self, tmp_path, capsys):
+        # Every group is checked first, so the good k=3 curve prints no line.
+        csv_path = tmp_path / "samples.csv"
+        rows = [f"3,{x!r},{0.2 + 0.05 * x!r}" for x in range(10)] + ["5,0.0,0.4", "5,1.0,0.5"]
+        csv_path.write_text("k,snr_db,similarity\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(csv_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "need at least 4 samples, got 2" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_malformed_csv_is_bad_input(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("k,snr,sim\n4,0,0.5\n", encoding="utf-8")

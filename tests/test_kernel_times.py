@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sembit import PowerTargets, Scenario, sample_realization, search, solve_min_powers
+from sembit import PowerTargets, Scenario, sample_realization, search, similarity, solve_min_powers
 from sembit.boundary import trace_region
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_times.py"
@@ -33,3 +33,18 @@ def test_capture_records_every_objective_call_and_restores_the_search():
     assert kernel_times.replay_seconds(calls["boundary semi"]) > 0.0
     again, _ = trace_region(scenario, real, ["oma", "semi"], n_points=40)
     np.testing.assert_array_equal(again["semi"].bit_rate, found["semi"].bit_rate)
+
+
+def test_fit_line_counts_the_cells_the_fit_scores(monkeypatch):
+    scored = []
+    cells = similarity._cells
+
+    def spy(growth, offset, x, y):
+        scored.append(growth.size)
+        return cells(growth, offset, x, y)
+
+    monkeypatch.setattr(similarity, "_cells", spy)
+    groups = kernel_times.fit_groups()
+    assert [len(g) for g in groups] == [kernel_times.FIT_SAMPLES] * kernel_times.FIT_CURVES
+    assert kernel_times.fit_seconds(groups) > 0.0
+    assert sum(scored) == kernel_times.fit_cells(groups)

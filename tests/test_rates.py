@@ -286,6 +286,18 @@ class TestKernelReferences:
         # rate over no band costs +inf, as in pipe_power.
         assert np.isnan(want[0][-1]) and (p_m[-1], p_b[-1]) == (np.inf, 0.0)
 
+    def test_water_fill_zero_width_pipes(self):
+        # A positive rate over no band: two zero-width pipes with finite
+        # inverse slopes both cost +inf, while a dead bit-only pipe (zero
+        # width, zero inverse slope) costs 0, also beside an open
+        # superposed pipe; a zero-width bit-only pipe with a slope does not.
+        assert water_fill_min_grid(0.0, 1 / 2e9, 0.0, 1 / 5e9, 1e6) == (np.inf, np.inf)
+        assert water_fill_min_grid(0.0, 0.0, 0.0, 0.0, 1e6) == (np.inf, 0.0)
+        alone = pipe_power(4e5, 3e6, 2e-4)
+        assert water_fill_min_grid(4e5, 2e-4, 0.0, 0.0, 3e6) == (alone, 0.0)
+        assert water_fill_min_grid(4e5, 2e-4, 0.0, 1.2e-4, 3e6) == (alone, np.inf)
+        assert water_fill_min_grid(0.0, 1 / 2e9, 0.0, 1 / 5e9, 0.0) == (0.0, 0.0)
+
     @pytest.mark.parametrize(
         "shape_m, shape_rate",
         [((), ()), ((3, 5), (3, 1)), ((3, 1), (3, 5)), ((0,), ()), ((3, 0), (3, 1))],

@@ -1,5 +1,9 @@
+import collections
+import dataclasses
 import json
 import math
+import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +21,25 @@ from sembit import (
     eval_similarity,
     fit_logistic,
     fit_mse,
+    fit_table,
     invert_similarity,
     power_for_similarity_grid,
     read_samples_csv,
     required_power_for_similarity,
 )
 
-from sembit.similarity import LN10_OVER_10
+from sembit import search, similarity
+from sembit.similarity import (
+    FIT_BRACKET,
+    FIT_LEVELS,
+    FIT_SHRINK,
+    GROWTH_BOUNDS,
+    GROWTH_GRID,
+    LN10_OVER_10,
+    OFFSET_BOUNDS,
+    OFFSET_GRID,
+    _sigmoid,
+)
 
 P4 = LogisticParams(k=4, a_low=0.2, a_high=0.9, growth=0.5, offset=-1.0)
 
@@ -42,6 +58,76 @@ def power_for_similarity_reference(params, targets, bandwidths, channel_gain, no
         power = bandwidths * noise_psd / channel_gain * snr_lin
     power = np.where(targets < params.a_high, power, np.inf)
     return np.where(targets <= params.a_low, 0.0, power)
+
+
+def fit_logistic_reference(samples, counts=None):
+    """The per-curve fit as first written: one ``_best_cell`` call per grid and level.
+
+    Kept as the reference for the lockstep ``fit_table``, which must give
+    the same curves bit for bit.  ``counts``, a Counter, tallies saturated
+    cells (det <= 1e-30) and bracket cells clipped to a hard bound.  The
+    coarse product ``g * x`` may overflow to inf on a huge finite SNR,
+    where the sigmoid saturates correctly; that warning is silenced here.
+    """
+    counts = collections.Counter() if counts is None else counts
+
+    def amplitudes_for(s, y):
+        u = 1.0 - s
+        suu = np.einsum("ij,ij->i", u, u)
+        suv = np.einsum("ij,ij->i", u, s)
+        svv = np.einsum("ij,ij->i", s, s)
+        suy = u @ y
+        svy = s @ y
+        det = suu * svv - suv * suv
+        ok = det > 1e-30
+        counts["saturated"] += int((~ok).sum())
+        a1 = np.zeros_like(det)
+        a2 = np.zeros_like(det)
+        a1[ok] = (suy[ok] * svv[ok] - svy[ok] * suv[ok]) / det[ok]
+        a2[ok] = (svy[ok] * suu[ok] - suy[ok] * suv[ok]) / det[ok]
+        a1[~ok] = y.mean()
+        a2[~ok] = y.mean()
+        a1 = np.clip(a1, 0.0, 1.0 - 1e-9)
+        a2 = np.clip(a2, a1 + 1e-9, 1.0)
+        resid = a1[:, None] * u + a2[:, None] * s - y[None, :]
+        return a1, a2, np.einsum("ij,ij->i", resid, resid) / y.size
+
+    def best_cell(growths, offsets, x, y):
+        gg, oo = (m.ravel() for m in np.meshgrid(growths, offsets, indexing="ij"))
+        with np.errstate(over="ignore"):
+            z = gg[:, None] * x + oo[:, None]
+        a_low, a_high, mse = amplitudes_for(_sigmoid(z), y)
+        i = int(np.argmin(mse))
+        return gg[i], oo[i], a_low[i], a_high[i], mse[i]
+
+    x = np.array([s.snr_db for s in samples], dtype=float)
+    y = np.array([s.similarity for s in samples], dtype=float)
+    growths, h_g = np.linspace(*GROWTH_GRID, retstep=True)
+    offsets, h_o = np.linspace(*OFFSET_GRID, retstep=True)
+    growth, offset, a_low, a_high, mse = best_cell(growths, offsets, x, y)
+    ramp = np.linspace(-1.0, 1.0, 2 * FIT_BRACKET + 1)
+    for _ in range(FIT_LEVELS):
+        gs = np.clip(growth + h_g * ramp, *GROWTH_BOUNDS)
+        os = np.clip(offset + h_o * ramp, *OFFSET_BOUNDS)
+        counts["clipped"] += int(np.isin(gs, GROWTH_BOUNDS).sum())
+        counts["clipped"] += int(np.isin(os, OFFSET_BOUNDS).sum())
+        cell = best_cell(gs, os, x, y)
+        if cell[4] < mse:
+            growth, offset, a_low, a_high, mse = cell
+        else:
+            h_g, h_o = h_g / FIT_SHRINK, h_o / FIT_SHRINK
+    return LogisticParams(
+        k=samples[0].k, a_low=float(a_low), a_high=float(a_high), growth=float(growth),
+        offset=float(offset),
+    )
+
+
+def curve_samples(rng, k, n, noise, snr=(-15.0, 25.0), **truth):
+    """``n`` samples of one random curve (or of ``truth``'s fields) at uniform SNRs."""
+    params = dataclasses.replace(random_params(rng), k=k, **truth)
+    snrs = rng.uniform(*snr, size=n)
+    y = np.clip(eval_similarity(params, snrs) + rng.normal(0.0, noise, size=n), 0.0, 1.0)
+    return [SimilaritySample(k, float(x), float(v)) for x, v in zip(snrs, y)]
 
 
 def edge_targets(params):
@@ -390,6 +476,103 @@ class TestFit:
             fit_logistic(samples)
 
 
+class TestFitTable:
+    """The lockstep fit of every curve against the per-curve reference."""
+
+    # (sample count, noise, extra curve fields) per curve of each set.
+    SETS = {
+        "equal-counts": [(40, 0.02, {})] * 7,
+        "unequal-counts": [(6, 0.01, {}), (17, 0.01, {}), (40, 0.02, {}), (40, 0.0, {}),
+                           (61, 0.01, {}), (17, 0.03, {})],
+        "one-curve": [(30, 0.01, {})],
+        "noiseless": [(41, 0.0, {})] * 4,
+        # Every sample far up the curve: steep coarse cells saturate.
+        "saturated": [(25, 0.01, {"growth": 0.3, "offset": -18.0, "snr": (40.0, 80.0)})] * 2
+        + [(25, 0.01, {})],
+        # Nearly linear curves: the brackets reach the growth floor.  The
+        # offset bounds and the growth ceiling lie beyond what 40 levels
+        # of the start's spacing can reach.
+        "clipped": [(30, 0.01, {"growth": 0.01, "offset": 0.0}), (30, 0.0, {"growth": 0.02})],
+    }
+
+    @staticmethod
+    def groups(rng, curves):
+        return [
+            curve_samples(rng, k, n, noise, **fields)
+            for k, (n, noise, fields) in enumerate(curves, start=3)
+        ]
+
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_equals_the_per_curve_fit(self, rng, name):
+        counts = collections.Counter()
+        for _ in range(2):
+            groups = self.groups(rng, self.SETS[name])
+            want = ParamTable(fit_logistic_reference(g, counts) for g in groups)
+            assert fit_table(groups) == want
+            assert fit_table(reversed(groups)) == want
+        if name in ("saturated", "clipped"):
+            assert counts[name] > 0, counts
+
+    def test_one_group_is_fit_logistic(self, rng):
+        samples = curve_samples(rng, 6, 33, 0.02)
+        assert fit_logistic(samples) == fit_logistic_reference(samples)
+        assert fit_logistic(samples) == fit_table([samples])[6]
+
+    def test_every_group_is_checked_before_any_fit(self, rng, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(similarity, "_cells", lambda *args: fitted.append(args))
+        good = curve_samples(rng, 3, 20, 0.01)
+        mixed = good[:5] + [SimilaritySample(4, 0.0, 0.5)]
+        for bad, error in ((good[:3], InsufficientData), (mixed, ValueError)):
+            with pytest.raises(error):
+                fit_table([good, bad])
+        assert fitted == []
+
+    def test_huge_finite_snr_raises_no_warning(self, rng):
+        samples = curve_samples(rng, 4, 30, 0.01)
+        samples += [SimilaritySample(4, 1e308, 0.9), SimilaritySample(4, -1e308, 0.2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fit_logistic(samples)
+        assert got == fit_logistic_reference(samples)
+
+    def test_largest_temporary_stays_under_the_mmap_threshold(self, rng, monkeypatch):
+        # A cell batch's largest float temporary holds curves x cells x
+        # samples floats; its glibc chunk, plus the 8 B header rounded up
+        # to 16 B, must stay under 128 KiB, as the searches' batches do.
+        # The benchmark's fit inputs have 5 curves of 40 samples; 6 take
+        # two lockstep batches.
+        sizes = []
+        cells = similarity._cells
+
+        def spy(growth, offset, x, y):
+            sizes.append(growth.size * x.shape[1])
+            return cells(growth, offset, x, y)
+
+        monkeypatch.setattr(similarity, "_cells", spy)
+        fit_table(self.groups(rng, [(n, 0.01, {}) for n in (4, *[40] * 6, 41, 202)]))
+        assert len(sizes) > FIT_LEVELS
+        for floats in sizes:
+            chunk = -(-(floats * 8 + 8) // 16) * 16
+            assert chunk < search.MMAP_THRESHOLD, floats
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's trim threshold")
+    def test_fits_fault_in_no_pages_after_warm_up(self, rng):
+        # Before the chunked coarse grid each 5-curve fit faulted in about
+        # 2,000 pages of mmapped temporaries.
+        import resource  # Unix only, like glibc
+
+        search._keep_heap()
+        groups = self.groups(rng, [(40, 0.02, {})] * 5)
+        for _ in range(3):
+            fit_table(groups)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            fit_table(groups)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 5 <= 20
+
+
 class TestSamplesCsv:
     def test_reads_and_groups(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -424,6 +607,15 @@ class TestSamplesCsv:
         path.write_text("k,snr_db,similarity\n4,0.0,1.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2:"):
             read_samples_csv(path)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_k_reports_line(self, tmp_path, k):
+        path = tmp_path / "s.csv"
+        path.write_text(f"k,snr_db,similarity\n4,0.0,0.5\n{k},1.0,0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":3: k must be a positive integer, got {k}"):
+            read_samples_csv(path)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            SimilaritySample(k, 1.0, 0.5)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -9,8 +9,12 @@ power search calls it through that one binding, as
 calls are then replayed as they came, and the tool prints its calls,
 candidates and nanoseconds per candidate, the minimum over ``PASSES``
 passes.  The objectives are the oma and semi boundary scores and the
-minimum-power total, which scores oma and semi rows together.  The
-readings are printed, not judged: the exit status is 0.
+minimum-power total, which scores oma and semi rows together.  Then it
+prints one line for the S-curve fit: the (growth, offset) cells one
+``fit_table`` call scores on a fixed set of ``FIT_CURVES`` curves with
+``FIT_SAMPLES`` noisy samples each, and milliseconds per fit, the
+minimum over ``PASSES`` fits.  The readings are printed, not judged: the
+exit status is 0.
 
 Usage:
     python tools/kernel_times.py
@@ -27,7 +31,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sembit import cli, montecarlo, search  # noqa: E402
+import numpy as np  # noqa: E402
+
+from sembit import cli, montecarlo, search, similarity  # noqa: E402
 from sembit.boundary import trace_region  # noqa: E402
 from sembit.channel import Scenario, sample_realization  # noqa: E402
 from sembit.rates import Scheme  # noqa: E402
@@ -35,6 +41,11 @@ from sembit.rates import Scheme  # noqa: E402
 REGION_SEEDS = range(10)
 SWEEP_DRAWS = 4
 PASSES = 5
+# The fit's sample set: the first FIT_CURVES bundled curves, FIT_SAMPLES
+# samples each at uniform SNRs in [-10, 25] dB with 0.02 Gaussian noise,
+# drawn from seed 0, the shape of the benchmark's fit inputs.
+FIT_CURVES = 5
+FIT_SAMPLES = 40
 # Objective labels by the name of the function that owns the objective.
 OBJECTIVES = {
     "_oma_points": "boundary oma",
@@ -92,6 +103,32 @@ def replay_seconds(calls: list) -> float:
     return time.perf_counter() - t0
 
 
+def fit_groups() -> list[list[similarity.SimilaritySample]]:
+    """The fixed sample set of the fit line, one group per curve."""
+    rng = np.random.default_rng(0)
+    groups = []
+    for params in list(similarity.default_table())[:FIT_CURVES]:
+        snrs = rng.uniform(-10.0, 25.0, FIT_SAMPLES)
+        noisy = similarity.eval_similarity(params, snrs) + rng.normal(0.0, 0.02, FIT_SAMPLES)
+        y = np.clip(noisy, 0.0, 1.0).tolist()
+        groups.append([similarity.SimilaritySample(params.k, x, v) for x, v in zip(snrs.tolist(), y)])
+    return groups
+
+
+def fit_cells(groups: list) -> int:
+    """(growth, offset) cells a fit of ``groups`` scores: its coarse grids and bracket levels."""
+    grid = similarity.GROWTH_GRID[2] * similarity.OFFSET_GRID[2]
+    levels = similarity.FIT_LEVELS * (2 * similarity.FIT_BRACKET + 1) ** 2
+    return len(groups) * (grid + levels)
+
+
+def fit_seconds(groups: list) -> float:
+    """Wall time of one ``fit_table`` call on ``groups``."""
+    t0 = time.perf_counter()
+    similarity.fit_table(groups)
+    return time.perf_counter() - t0
+
+
 def main() -> int:
     calls = captured_calls()
     print(f"default regions at seeds {REGION_SEEDS.start}-{REGION_SEEDS.stop - 1} and one "
@@ -101,6 +138,10 @@ def main() -> int:
         n = sum(x.size for _, x in made)
         best = min(replay_seconds(made) for _ in range(PASSES))
         print(f"{label:16s}  {len(made):6d}  {n:10d}  {best / max(n, 1) * 1e9:16.1f}")
+    groups = fit_groups()
+    best = min(fit_seconds(groups) for _ in range(PASSES))
+    print(f"fit of {FIT_CURVES} curves x {FIT_SAMPLES} samples: {fit_cells(groups)} cells, "
+          f"{best * 1e3:.1f} ms per fit, min of {PASSES}")
     return 0
 
 
