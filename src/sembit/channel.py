@@ -24,6 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DistanceBelowReference, reject_unknown, require_finite, require_float, require_int
+from .jsontext import indented
 from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
@@ -165,11 +166,20 @@ class Scenario:
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
+            fh.write(indented(self.to_dict()) + "\n")
 
     def digest(self) -> str:
-        """SHA-256 of the canonical JSON form, for run manifests."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the canonical JSON form, for run manifests.
+
+        The canonical form is ``to_dict()`` as compact JSON with sorted
+        keys.  Only the scalar fields are encoded per call; the table's
+        cached ``canonical_json`` is spliced in at the ``"params"`` key.
+        """
+        scalars = {f.name: getattr(self, f.name) for f in fields(self)}
+        scalars["params"] = None
+        text = json.dumps(scalars, sort_keys=True, separators=(",", ":"))
+        head, _, tail = text.partition('"params":null')
+        blob = f'{head}"params":{self.params.canonical_json}{tail}'
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -43,6 +43,7 @@ from .errors import (
     SembitError,
     TargetUnreachable,
 )
+from .jsontext import indented
 from .montecarlo import SweepSpec, run_sweep
 from .power import PowerTargets, solve_min_powers
 from .rates import Scheme, rates_for
@@ -71,7 +72,7 @@ def _timestamp() -> str:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(indented(payload, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, scenario: Scenario | None) -> None:
@@ -217,7 +218,7 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
             fh.write("".join(lines))
         _write_manifest(out_dir, "power", params, scenario)
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(indented(report, sort_keys=True))
     if failed_verify:
         for line in failed_verify:
             print(f"verification failed: {line}", file=sys.stderr)

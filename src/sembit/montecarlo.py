@@ -29,6 +29,7 @@ import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
 from .errors import reject_unknown, require_float, require_int, require_keys
+from .jsontext import indented
 from .power import PowerTargets, solve_min_powers_rows
 from .rates import Scheme
 from .search import DEFAULT_GRID_N, check_grid_n
@@ -110,7 +111,7 @@ class SweepSpec:
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+            fh.write(indented(self.to_dict(), sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)

@@ -155,12 +155,18 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, ramp: np.ndarray) -> np.
 
 
 def _pick(values: np.ndarray, maximize: bool, tie_high: bool) -> np.ndarray:
-    """Column of each row's best candidate: the first of equals, or the last if ``tie_high``."""
-    # NaNs (dead candidates) always lose.
-    values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
+    """Column of each row's best candidate: the first of equals, or the last if ``tie_high``.
+
+    NaNs (dead candidates) always lose.  ``argmax`` and ``argmin`` return a
+    row's first NaN, so a row holds a NaN exactly when its pick scores
+    NaN; only then are the NaNs patched and the pick taken again.
+    """
     if tie_high:
         values = values[:, ::-1]
     i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
+    if np.isnan(values[np.arange(len(i)), i]).any():
+        values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
+        i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
     return values.shape[1] - 1 - i if tie_high else i
 
 

@@ -40,6 +40,7 @@ from .errors import (
     require_int,
     require_keys,
 )
+from .jsontext import indented
 from .search import BATCH_CANDIDATES
 
 LN10_OVER_10 = math.log(10.0) / 10.0
@@ -269,6 +270,11 @@ class ParamTable:
     def to_dict(self) -> dict:
         return {"entries": [{f: getattr(p, f) for f in _ENTRY_FIELDS} for p in self]}
 
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        """``to_dict()`` as compact JSON with sorted keys, built once: the table is immutable."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ParamTable":
         """The table of an ``{"entries": [...]}`` payload.
@@ -292,7 +298,7 @@ class ParamTable:
 
     def dump(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
+            fh.write(indented(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "ParamTable":
@@ -416,21 +422,25 @@ def _fit_curves(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _fit_inputs(samples: Sequence[SimilaritySample]):
-    """(k, snr_db, similarity) of one curve's samples, checked as fit_table documents."""
+    """(k, snr_db, similarity) of one curve's samples, checked as fit_table documents.
+
+    Each message names the group's k; a mixed group's lists its ks.
+    """
+    ks = sorted({s.k for s in samples})
+    if len(ks) > 1:
+        raise ValueError(f"samples mix source lengths {ks}")
+    curve = f"k={ks[0]}: " if ks else ""
     if len(samples) < 4:
-        raise InsufficientData(f"need at least 4 samples, got {len(samples)}")
-    ks = {s.k for s in samples}
-    if len(ks) != 1:
-        raise ValueError(f"samples mix source lengths {sorted(ks)}")
+        raise InsufficientData(f"{curve}need at least 4 samples, got {len(samples)}")
     x = np.array([s.snr_db for s in samples], dtype=float)
     y = np.array([s.similarity for s in samples], dtype=float)
     if np.unique(x).size < 4:
         raise InsufficientData(
-            f"need at least 4 distinct SNR points, got {np.unique(x).size}"
+            f"{curve}need at least 4 distinct SNR points, got {np.unique(x).size}"
         )
     if np.ptp(y) < 1e-12:
-        raise DegenerateData("all similarity samples are equal")
-    return ks.pop(), x, y
+        raise DegenerateData(f"{curve}all similarity samples are equal")
+    return ks[0], x, y
 
 
 def fit_table(groups: Iterable[Sequence[SimilaritySample]]) -> ParamTable:

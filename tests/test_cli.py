@@ -84,6 +84,27 @@ class TestFitCommand:
         assert "need at least 4 samples, got 2" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad_rows, message",
+        [
+            (["5,0.0,0.4", "5,1.0,0.5"], "k=5: need at least 4 samples, got 2"),
+            (
+                ["5,0.0,0.4", "5,0.0,0.5", "5,1.0,0.6", "5,1.0,0.7", "5,2.0,0.8"],
+                "k=5: need at least 4 distinct SNR points, got 3",
+            ),
+            ([f"5,{x}.0,0.5" for x in range(6)], "k=5: all similarity samples are equal"),
+        ],
+        ids=["samples", "distinct-snr", "constant-similarity"],
+    )
+    def test_fit_input_errors_name_their_curve(self, tmp_path, capsys, bad_rows, message):
+        csv_path = tmp_path / "samples.csv"
+        rows = [f"3,{x!r},{0.2 + 0.05 * x!r}" for x in range(10)] + bad_rows
+        csv_path.write_text("k,snr_db,similarity\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["fit", "--input", str(csv_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_csv_is_bad_input(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("k,snr,sim\n4,0,0.5\n", encoding="utf-8")

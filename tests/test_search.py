@@ -1,3 +1,4 @@
+import math
 import platform
 from functools import partial
 
@@ -154,6 +155,44 @@ class TestBracketShape:
                 assert [rows for phase, rows in seen if phase == bracket] == (
                     [size] * (n_rows // size) + [n_rows % size]
                 )
+
+
+def pick_reference(values, maximize, tie_high):
+    """:func:`_pick` as it was when every call patched the NaNs first."""
+    values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
+    if tie_high:
+        values = values[:, ::-1]
+    i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
+    return values.shape[1] - 1 - i if tie_high else i
+
+
+class TestPick:
+    """The NaN patch runs only for rows whose raw pick is NaN, and picks what patching all did."""
+
+    nan, inf = math.nan, math.inf
+    ROWS = [
+        [nan, 1.0, 3.0, 3.0, 2.0],  # NaN first, tie in the middle
+        [1.0, 3.0, 2.0, 3.0, nan],  # NaN last, tie apart
+        [1.0, nan, 1.0, nan, 1.0],  # NaNs in the middle of a flat row
+        [nan, nan, nan, nan, nan],  # all dead
+        [inf, nan, -inf, inf, -inf],  # both infinities, each tied
+        [-inf, -inf, -inf, -inf, -inf],
+        [2.0, 2.0, 2.0, 2.0, 2.0],
+        [0.0, -0.0, 0.0, -1.0, 1.0],  # signed zeros compare equal
+    ]
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("tie_high", [True, False])
+    def test_equals_the_patch_everything_pick(self, maximize, tie_high):
+        rng = np.random.default_rng([maximize, tie_high])
+        pool = np.array([math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0])
+        blocks = [np.array(self.ROWS), rng.choice(pool, (200, 7)), rng.random((50, 130))]
+        blocks.append(np.where(rng.random((50, 130)) < 0.01, math.nan, rng.random((50, 130))))
+        for values in blocks:
+            want = pick_reference(values, maximize, tie_high)
+            np.testing.assert_array_equal(_pick(values, maximize, tie_high), want)
+            for r in range(0, len(values), 9):  # a row alone picks as in its batch
+                np.testing.assert_array_equal(_pick(values[r:r + 1], maximize, tie_high), want[r:r + 1])
 
 
 class TestRowBatches:

@@ -475,6 +475,13 @@ class TestFit:
         with pytest.raises(ValueError, match="mix"):
             fit_logistic(samples)
 
+    def test_mixed_k_message_lists_its_ks_before_counting_samples(self):
+        # A group too small to fit is still reported as mixed: no one k names it.
+        samples = [SimilaritySample(k, float(k), 0.5) for k in (7, 4, 7)]
+        with pytest.raises(ValueError) as caught:
+            fit_table([samples])
+        assert str(caught.value) == "samples mix source lengths [4, 7]"
+
 
 class TestFitTable:
     """The lockstep fit of every curve against the per-curve reference."""

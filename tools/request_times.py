@@ -1,0 +1,181 @@
+"""Stage times of one ``power --verify --out`` request and one default ``region`` request, in process.
+
+Runs each request through ``sembit.cli.main`` with timing wrappers on the
+functions the CLI calls, and prints the microseconds per request of each
+stage, the minimum over ``PASSES`` passes of the mean over a pass's
+requests.  Every request writes into a fresh output directory, removed
+before the request and outside its time, as the benchmark does.  The
+stages, each timed by its own time only (a stage called inside another
+counts for itself, not for its caller):
+
+- parse: ``argparse``'s ``parse_args``;
+- scenario: loading the scenario, ``Scenario.to_dict`` and ``from_dict``;
+- draw: ``sample_realization``;
+- solve (power) or trace (region): ``solve_min_powers``, ``trace_region``;
+- verify (power) or contain (region): the plug-back check of each
+  allocation, ``check_containment`` of each pair of schemes;
+- digest: ``Scenario.digest`` for the manifest;
+- render: the JSON text of ``power.json``, ``containment.json`` and
+  ``manifest.json``;
+- csv (region): rendering the boundary CSVs;
+- write: opening, writing and closing each output file;
+- other: the request's time less its stages' (directory creation, the
+  power CSV's lines, the CLI's own code and the wrappers' overhead).
+
+Each row is the minimum over passes on its own, so the rows need not add
+up to the total row.  This times the CSV and manifest I/O that a traced
+benchmark slice cannot.  The readings are printed, not judged: the exit
+status is 0.
+
+Usage:
+    python tools/request_times.py
+
+Run from the root of a checkout; ``src`` goes on the import path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import functools
+import io
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sembit import boundary, channel, cli  # noqa: E402
+
+PASSES = 5
+# A target triple every scheme meets at seed 0, so every allocation is verified.
+POWER_ARGS = ["power", "--seed", "0", "--sigma", "150e3", "--floor", "0.8", "--bits", "1e6",
+              "--verify"]
+REGION_ARGS = ["region", "--seed", "0"]  # 200 points, the default grid, all schemes
+# Requests per pass: about 0.1 s of work per pass for either command.
+REQUESTS = {"power": 40, "region": 4}
+
+
+class StageClock:
+    """Self time per stage name, from wrappers that may nest."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = collections.defaultdict(float)
+        self._inner: list[float] = []  # time spent in nested stages, per open stage
+
+    def wrap(self, stage: str, fn):
+        """``fn``, its time less that of stages it calls added to ``stage``."""
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            self._inner.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - t0
+                self.seconds[stage] += elapsed - self._inner.pop()
+                if self._inner:
+                    self._inner[-1] += elapsed
+
+        return timed
+
+    def open(self, *args, **kwargs):
+        """``open``, with the call, each ``write`` and the close timed as ``write``."""
+        return _TimedFile(self.wrap("write", open)(*args, **kwargs), self)
+
+
+class _TimedFile:
+    """A file opened by :meth:`StageClock.open`, used as the CLI uses files: ``with`` and ``write``."""
+
+    def __init__(self, fh, clock: StageClock):
+        self.write = clock.wrap("write", fh.write)
+        self._close = clock.wrap("write", fh.close)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._close()
+
+
+# (owner, attribute, stage) of every timed function, as the CLI looks each one up.
+STAGES = (
+    (argparse.ArgumentParser, "parse_args", "parse"),
+    (cli, "_load_scenario", "scenario"),
+    (channel.Scenario, "to_dict", "scenario"),
+    (channel.Scenario, "from_dict", "scenario"),
+    (cli, "sample_realization", "draw"),
+    (cli, "solve_min_powers", "solve"),
+    (cli, "trace_region", "trace"),
+    (cli, "_verify_solution", "verify"),
+    (cli, "check_containment", "contain"),
+    (channel.Scenario, "digest", "digest"),
+    (cli, "indented", "render"),
+    (boundary.RegionBoundary, "write_csv", "csv"),
+)
+
+
+@contextlib.contextmanager
+def timed_stages(clock: StageClock):
+    """Install the wrappers of ``STAGES`` and a timed ``open``; restore all on exit."""
+    saved = []
+    try:
+        for owner, name, stage in STAGES:
+            saved.append((owner, name, vars(owner)[name]))
+            setattr(owner, name, clock.wrap(stage, getattr(owner, name)))
+        for module in (cli, boundary):  # their global ``open`` shadows the builtin
+            saved.append((module, "open", None))
+            module.open = clock.open
+        yield
+    finally:
+        for owner, name, original in reversed(saved):
+            if original is None:
+                delattr(owner, name)
+            else:
+                setattr(owner, name, original)
+
+
+def request_stages(argv: list[str], out: Path, requests: int) -> dict[str, float]:
+    """Mean seconds per request of each stage, ``other`` and ``total``, over ``requests`` requests."""
+    clock = StageClock()
+    total = 0.0
+    with timed_stages(clock), contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(requests):
+            shutil.rmtree(out, ignore_errors=True)
+            t0 = time.perf_counter()
+            code = cli.main(argv + ["--out", str(out)])
+            total += time.perf_counter() - t0
+            if code != cli.EXIT_OK:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    stages = {stage: s / requests for stage, s in clock.seconds.items()}
+    stages["other"] = (total - sum(clock.seconds.values())) / requests
+    stages["total"] = total / requests
+    return stages
+
+
+def best_stages(argv: list[str], out: Path, requests: int) -> dict[str, float]:
+    """Each row of :func:`request_stages` at its minimum over ``PASSES`` passes, after a warm-up."""
+    request_stages(argv, out, 1)
+    runs = [request_stages(argv, out, requests) for _ in range(PASSES)]
+    return {stage: min(run[stage] for run in runs) for stage in runs[0]}
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in (POWER_ARGS, REGION_ARGS):
+            command = argv[0]
+            stages = best_stages(argv, Path(tmp) / command, REQUESTS[command])
+            print(f"{' '.join(argv)} --out DIR: mean of {REQUESTS[command]} requests per "
+                  f"pass, min of {PASSES} passes")
+            print(f"{'stage':10s}  {'us_per_request':>14s}")
+            for stage, seconds in stages.items():
+                print(f"{stage:10s}  {seconds * 1e6:14.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
