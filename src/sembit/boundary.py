@@ -63,8 +63,8 @@ from .search import DEFAULT_GRID_N, search_rows
 from .similarity import eval_similarity, power_for_similarity_grid, required_power_for_similarity
 
 # Bracket zoom of the boundary searches: 17-point brackets over 6 levels.
-# A region solves about 126 rows per objective call, so a search costs
-# about one unit per candidate, and narrow brackets score the fewest.
+# A region solves about 185 rows per coarse objective call, so a search
+# costs about one unit per candidate, and narrow brackets score the fewest.
 SEARCH_ZOOM = 8
 
 
@@ -355,7 +355,7 @@ def _semi_points(
 
     Each row searches the shared band over [sigma*k/a_high, W], seeded
     with its similarity-seeded bands (``bands``, the :func:`_seeds` of
-    ``sigma``), the full band and the oma band, one search per row batch.
+    ``sigma``) and the oma band, one search per row batch.
     A candidate pays the semantic power pinned by the harder of the rate
     target and the similarity floor, then water-fills the rest between
     the superposed and clean bit pipes.  Ties break toward the wider
@@ -370,7 +370,8 @@ def _semi_points(
     s = sigma[live]
     lo = lemma1_bounds(scenario, s, floor)[0]
     hi = np.full(len(s), w)
-    # The oma band seeds a row's search when it fits; w pads the other rows.
+    # The oma band seeds a row's search when it fits; w, the grid's last
+    # point, pads the other rows.
     w_o = oma.w_sem[live]
     seed = np.where(oma.solved[live] & (w_o >= lo), w_o, w)
 
@@ -378,7 +379,7 @@ def _semi_points(
         p_s = sem_power(scenario, real.gain_s, s_col, floor, wm)
         return hybrid_max_rate(w, wm, p_s, p_max, real.gain_eff, real.gain_b, scenario.noise_psd)
 
-    extra = np.column_stack([bands, hi, seed])
+    extra = np.column_stack([bands, seed])
     wm, rate = search_rows(
         score, s[:, None], lo, hi, extra, grid_n, maximize=True, zoom=SEARCH_ZOOM, tie_high=True
     )

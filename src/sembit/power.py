@@ -351,16 +351,15 @@ def solve_min_powers_rows(
     are searched by one :func:`sembit.search.search_rows` call, each
     twice: first as an oma row over its Lemma-1 interval [w_low, w_up],
     then as a semi row over [w_low, W].  Each row's extras are its
-    similarity-seeded bands and its upper bound, which for an oma row
-    repeats its grid's last point and so cannot change its pick.  Every
-    row gets exactly the result a one-row solve would.
+    similarity-seeded bands; its upper bound is its grid's last point.
+    Every row gets exactly the result a one-row solve would.
     """
     rs = _row_set(scenario, reals, targets)
     data, _, _, live, w_low, w_up, bands = rs
     n = len(live)
     g = np.column_stack([np.tile(data[live], (2, 1)), np.arange(2 * n) < n])
     lo, hi = np.tile(w_low, 2), np.concatenate([w_up, np.full(n, scenario.total_bandwidth)])
-    extra = np.column_stack([np.tile(bands, (2, 1)), hi])
+    extra = np.tile(bands, (2, 1))
     x, f = search_rows(
         partial(_total, scenario), g, lo, hi, extra, grid_n, maximize=False, zoom=SEARCH_ZOOM
     )

@@ -31,10 +31,10 @@ and power search goes through, runs a row set in two phases, the coarse
 grid and then the brackets from its incumbents.  Each phase cuts the rows
 into :func:`row_batches` of its own width, so that each objective call
 stays near ``BATCH_CANDIDATES`` candidates: a default region's coarse
-phase scores batches of 126 rows x 130 candidates, and its bracket phase
-one batch of about 400 rows x 17 per scheme.  Cut to the coarse phase's
-126 rows, a 17-point bracket call would score about 2,100 candidates,
-too few to amortise numpy's per-call overhead.  A row set that fits one
+phase scores batches of 184 rows x 89 candidates (186 x 88 for oma), and
+its bracket phase one batch of about 400 rows x 17 per scheme.  Cut to
+the coarse phase's 184 rows, a 17-point bracket call would score about
+3,100 candidates, too few to amortise numpy's per-call overhead.  A row set that fits one
 batch in both phases, such as a sweep's power rows or a one-row solve,
 is searched by one :func:`refine_search` call, which scores exactly what
 the two phases would.  A minimum-power row set holds each row twice, an
@@ -44,9 +44,9 @@ Before its first batch, :func:`search_rows` raises glibc's malloc trim
 threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  Every batch's
 float temporary, with glibc's 8 B chunk header, stays under glibc's
 128 KiB mmap threshold, so the temporaries live on the heap: the semi
-boundary's coarse batches (126 x 130 x 8 + 8 = 131,048 B, a 131,056 B
-chunk), the oma coarse batches (127 x 128) and the 17-point bracket
-batches (at most 963 x 17 x 8 + 8 = 130,976 B).  With glibc's
+boundary's coarse batches (184 x 89 x 8 + 8 = 131,016 B, a 131,024 B
+chunk), the oma and power coarse batches (186 x 88) and the 17-point
+bracket batches (at most 963 x 17 x 8 + 8 = 130,976 B).  With glibc's
 default trim threshold, freeing a batch's temporaries handed the top of
 the heap back to the kernel, and the next objective call faulted the
 same pages in again: about 6,000 minor page faults, a third of the wall

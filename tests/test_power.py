@@ -447,14 +447,14 @@ class TestOneRowSearches:
 
     The row set fits one batch in both phases, so the search is one
     :func:`sembit.search.refine_search` call: the coarse grid with the
-    extras (the 64 similarity-seeded bands and the row's upper bound) for
-    the oma row and then the semi row, and the brackets from their incumbents.
+    extras (the ``EPS_BANDS`` similarity-seeded bands) for the oma row and
+    then the semi row, and the brackets from their incumbents.
     """
 
     @pytest.mark.parametrize(
         "targets, extras",
         [
-            (TRIPLE, [(2, EPS_BANDS + 1)]),  # an oma row and a semi row
+            (TRIPLE, [(2, EPS_BANDS)]),  # an oma row and a semi row
             (PowerTargets(0.0, 0.8, 8e5), []),  # no semantic stream, no band to search
             (PowerTargets(260e3, 0.8, 1e5), []),  # structurally infeasible (bandwidth-bound)
         ],
@@ -552,7 +552,7 @@ class TestSharedObjective:
             np.testing.assert_array_equal(_total(scenario, g[rows], x[rows]), want[rows])
 
     def test_search_batches_score_as_the_references(self, scenario, monkeypatch):
-        # Batches of 3 rows of 129 candidates cut 5 draws' 10 search rows
+        # Batches of 3 rows of 64 + EPS_BANDS candidates cut 5 draws' 10 search rows
         # into oma rows only, both, and semi rows only.
         triples = [*EDGE_TRIPLES, near_ceiling(scenario)]
         reals = [sample_realization(scenario, seed) for seed in range(len(triples))]
@@ -572,7 +572,7 @@ class TestSharedObjective:
 
             return original(checked, lo, hi, n, **kwargs)
 
-        monkeypatch.setattr(search, "BATCH_CANDIDATES", 3 * (64 + EPS_BANDS + 1))
+        monkeypatch.setattr(search, "BATCH_CANDIDATES", 3 * (64 + EPS_BANDS))
         monkeypatch.setattr(search, "refine_search", spy)
         split = solve_min_powers_rows(scenario, reals, triples, 64)
         assert set(kinds) == {(0.0,), (1.0,), (0.0, 1.0)}

@@ -468,13 +468,13 @@ class TestHeapTrim:
 
     def test_default_batch_temporary_stays_under_the_mmap_threshold(self):
         # The coarse calls of a default search: the oma grid and its
-        # similarity seeds (128 wide), and the semi boundary's, which adds
-        # the full band and the corner seed.  Then the bracket calls of
-        # each zoom, batched by their own width.  glibc's chunk is the
-        # request plus an 8 B header, rounded up to 16 B on x86_64, and a
-        # chunk of 128 KiB or more is mmapped: 128 rows x 128 (a 131,088 B
-        # chunk) or 127 rows x 129 (131,072 B) would be.
-        widths = (DEFAULT_GRID_N + EPS_BANDS, DEFAULT_GRID_N + EPS_BANDS + 2)
+        # similarity seeds (88 wide), and the semi boundary's, which adds
+        # the corner seed.  Then the bracket calls of each zoom, batched by
+        # their own width.  glibc's chunk is the request plus an 8 B
+        # header, rounded up to 16 B on x86_64, and a chunk of 128 KiB or
+        # more is mmapped: 187 rows x 88 (a 131,664 B chunk) or 185 rows
+        # x 89 (131,728 B) would be.
+        widths = (DEFAULT_GRID_N + EPS_BANDS, DEFAULT_GRID_N + EPS_BANDS + 1)
         for width in (*widths, *(2 * zoom + 1 for zoom in ZOOMS)):
             batch = row_batches(10_000, width)[0]
             chunk = -(-((batch.stop - batch.start) * width * 8 + 8) // 16) * 16

@@ -7,9 +7,10 @@ power budget log-uniform in 0.03-3 W and one channel draw.  On it the
 oma and semi boundary rows at ``ROWS + 1`` semantic rates evenly over
 [0, sigma_max], and the oma and semi minimum powers of ``TRIPLES``
 random target triples that the budget can meet, are solved at the
-default coarse grid and with a ``REF_GRID``-point grid whose brackets
-shrink the spacing by ``REF_SHRINK``, 64 times the default's: each search
-keeps its own zoom and runs as many more levels as that takes.
+default coarse grid and with a ``REF_GRID``-point grid, ``REF_SEEDS``
+similarity-seeded bands and brackets that shrink the spacing by
+``REF_SHRINK``, 64 times the default's: each search keeps its own zoom
+and runs as many more levels as that takes.
 
 A boundary row misses when it falls more than ``TOL`` of its boundary's
 maximum below the reference; a power row misses when its total exceeds
@@ -34,12 +35,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sembit import boundary, power, search  # noqa: E402
+from sembit import boundary, power, rates, search  # noqa: E402
 from sembit.channel import Scenario, sample_realization  # noqa: E402
 from sembit.power import PowerTargets  # noqa: E402
 from sembit.rates import Scheme  # noqa: E402
 
 REF_GRID = 4096
+REF_SEEDS = 256
 REF_SHRINK = search.REFINE_SHRINK * 64
 TOL = 1e-7
 ROWS = 12
@@ -63,7 +65,7 @@ PINNED = {
 
 @contextlib.contextmanager
 def reference_levels():
-    """Make the boundary and power searches shrink their spacing by ``REF_SHRINK``.
+    """Make the searches shrink their spacing by ``REF_SHRINK`` and seed ``REF_SEEDS`` bands.
 
     Every one of them goes through :func:`sembit.search.search_rows`, which
     calls ``refine_search`` through the one binding in :mod:`sembit.search`:
@@ -72,9 +74,12 @@ def reference_levels():
     started from their incumbents.  Every call but a coarse-only one takes
     the reference shrink, so the coarse calls still stop at the grid.  The
     shrink overrides any the caller passes, where a ``functools.partial``
-    keyword would be overridden by it.
+    keyword would be overridden by it.  The similarity seeds are
+    :func:`sembit.rates.eps_seeded_bands`'s steps, ``rates._EPS_STEPS``,
+    swapped for ``REF_SEEDS`` evenly spaced ones, so that fewer default
+    seeds do not weaken the reference that judges them.
     """
-    saved = search.refine_search
+    saved, steps = search.refine_search, rates._EPS_STEPS
 
     def deeper(*args, **kwargs):
         if kwargs.get("shrink") != 1:
@@ -82,10 +87,11 @@ def reference_levels():
         return saved(*args, **kwargs)
 
     search.refine_search = deeper
+    rates._EPS_STEPS = np.linspace(0.0, 1.0, REF_SEEDS)
     try:
         yield
     finally:
-        search.refine_search = saved
+        search.refine_search, rates._EPS_STEPS = saved, steps
 
 
 def boundary_rows(scenario, real, sigma, grid_n):
@@ -183,8 +189,9 @@ def main(argv=None) -> int:
     gaps = survey(ns.scenarios, ns.seed)
     gaps["pinned boundary"] = np.array(list(pinned_gaps().values()))
     print(
-        f"grid {search.DEFAULT_GRID_N}, shrink {search.REFINE_SHRINK} against grid {REF_GRID},"
-        f" shrink {REF_SHRINK}; zoom {boundary.SEARCH_ZOOM} boundary, {power.SEARCH_ZOOM} power"
+        f"grid {search.DEFAULT_GRID_N}, {rates.EPS_BANDS} seeds, shrink {search.REFINE_SHRINK}"
+        f" against grid {REF_GRID}, {REF_SEEDS} seeds, shrink {REF_SHRINK};"
+        f" zoom {boundary.SEARCH_ZOOM} boundary, {power.SEARCH_ZOOM} power"
     )
     misses = 0
     for name, g in gaps.items():
