@@ -14,14 +14,14 @@ its target alone gives.  A search objective scores its whole rows x
 candidates matrix with one full-width kernel of :mod:`sembit.rates`,
 :func:`~sembit.rates.orth_max_rate` or the closed-form water-fill of
 :func:`~sembit.rates.hybrid_max_rate`, which masks a candidate whose
-semantic power leaves no budget to 0.  The orthogonal score is
-:func:`~sembit.rates.pipe_rate`'s bit for bit, and the hybrid rows a
-search picks are evaluated again through
-:func:`~sembit.rates.water_fill_max_grid` and ``pipe_rate``, so each
-reported bit rate is the plug-back of its own allocation.  A traced
-boundary, :class:`RegionBoundary`, is columns too: sigma, bit rate and
-similarity, which the containment check and the CSV writer read as they
-are.
+semantic power leaves no budget to 0.  A search returns each row's
+band; the hybrid rows get their bit powers from
+:func:`~sembit.rates.water_fill_max_grid`.  Every row's bit rate and
+similarity are then :func:`~sembit.rates.rates_rows`' of its own
+allocation, so each reported row is the plug-back of that allocation by
+construction.  A traced boundary, :class:`RegionBoundary`, is columns
+too: sigma, bit rate and similarity, which the containment check and
+the CSV writer read as they are.
 
 The orthogonal and overlay solutions are hybrid corner cases, so the
 hybrid folds in the oma and noma rows it is given for the same targets
@@ -46,6 +46,7 @@ from .rates import (
     ALLOC_FIELDS,
     RatePair,
     Scheme,
+    bit_rates,
     eps_seeded_bands,
     fold_corners,
     hybrid_max_rate,
@@ -54,9 +55,8 @@ from .rates import (
     orth_max_rate,
     overlay_inv_slope,
     pipe_rate,
+    rates_rows,
     sem_power,
-    shannon_rate,
-    snr_db,
     water_fill_max_grid,
 )
 from .search import DEFAULT_GRID_N, search_rows
@@ -151,15 +151,18 @@ def oma_extremes(scenario: Scenario, real: ChannelRealization) -> Extremes:
     """
     w = scenario.total_bandwidth
     p = scenario.max_power
-    n0 = scenario.noise_psd
-    params = scenario.logistic
-    r_max = shannon_rate(w, p, real.gain_b, n0)
-    eps_full = eval_similarity(params, snr_db(p, real.gain_s, w, n0))
-    if scenario.min_similarity <= eps_full:
-        return Extremes(sigma_max=w * eps_full / scenario.k, r_max=r_max, power_limited=False)
+    # The two single-stream corners: whole band and budget to the
+    # semantic stream, then to the bit stream.
+    corners = np.array([[0.0, 0.0], [w, 0.0], [0.0, w], [p, 0.0], [0.0, 0.0], [0.0, p]])
+    sem, bit, eps = rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, corners)
+    r_max = bit.item(1)
+    if scenario.min_similarity <= eps[0]:
+        return Extremes(sigma_max=sem.item(0), r_max=r_max, power_limited=False)
     # Widest band the budget lifts to the floor: none when the floor sits
     # at or above the curve's ceiling, where the unit-band power is +inf.
-    p_unit = float(power_for_similarity_grid(params, scenario.min_similarity, 1.0, real.gain_s, n0))
+    p_unit = float(power_for_similarity_grid(
+        scenario.logistic, scenario.min_similarity, 1.0, real.gain_s, scenario.noise_psd
+    ))
     w_reach = p / p_unit
     return Extremes(
         sigma_max=w_reach * scenario.min_similarity / scenario.k,
@@ -193,7 +196,6 @@ def _oma_points(
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    n0 = scenario.noise_psd
     floor = scenario.min_similarity
     live = sigma != 0.0
     s = sigma[live]
@@ -201,43 +203,32 @@ def _oma_points(
 
     def score(s_col: np.ndarray, ws: np.ndarray) -> np.ndarray:
         p_req = sem_power(scenario, real.gain_s, s_col, floor, ws)
-        return orth_max_rate(w, ws, p_req, p_max, real.gain_b, n0)
+        return orth_max_rate(w, ws, p_req, p_max, real.gain_b, scenario.noise_psd)
 
-    rate = np.full(len(sigma), shannon_rate(w, p_max, real.gain_b, n0))
     ws, p_sem = np.zeros((2, len(sigma)))
-    ws[live], rate[live] = search_rows(
+    ws[live] = search_rows(
         score, s[:, None], lo, hi, bands, grid_n, maximize=True, zoom=SEARCH_ZOOM
-    )
+    )[0]
     p_sem[live] = sem_power(scenario, real.gain_s, s, floor, ws[live])
     zero = np.zeros_like(ws)
-    fields = np.array([rate, zero, ws, w - ws, p_sem, zero, p_max - p_sem])
+    fields = np.array([zero, ws, w - ws, p_sem, zero, p_max - p_sem])
     return _columns(scenario, real, fields, p_sem <= p_max)
 
 
-def _columns(scenario, real, best, solved) -> BoundaryRows:
-    """BoundaryRows from ``best``: a bit-rate line, then one line per :data:`ALLOC_FIELDS` entry.
+def _columns(scenario, real, alloc, solved) -> BoundaryRows:
+    """BoundaryRows of the allocations whose :data:`ALLOC_FIELDS` lines are ``alloc``.
 
-    Rows outside ``solved`` are blanked (bit rate 0, NaN fields).  The
-    rest get the similarity of their semantic stream, all in one curve
-    call; the stream rides on ``w_sem`` in a split and on ``w_shared``
-    otherwise, and a row without a semantic band gets 0.  Each SNR is
-    :func:`snr_db`'s, bit for bit: the ratio is an array, but its log is
-    ``math.log10``, since ``np.log10`` can differ by one ulp.
+    Rows outside ``solved`` are blanked to NaN fields.  Every row's bit
+    rate and similarity are then :func:`~sembit.rates.rates_rows`' of its
+    own allocation, in one call, so an unsolved row gets 0 for both.
     """
-    best[0, ~solved] = 0.0
-    best[1:, ~solved] = np.nan
-    band = best[1] + best[2]
-    ok = solved & (band > 0.0)
-    ratio = best[4, ok] * real.gain_s / (band[ok] * scenario.noise_psd)
-    # Zero power maps to -inf, as in snr_db.
-    log = [math.log10(r) if r > 0.0 else -math.inf for r in ratio.tolist()]
-    eps = np.zeros(len(band))
-    eps[ok] = eval_similarity(scenario.logistic, 10.0 * np.array(log))
-    return BoundaryRows(best[0], eps, *best[1:], solved=solved)
+    alloc[:, ~solved] = np.nan
+    _, bit, eps = rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, alloc)
+    return BoundaryRows(bit, eps, *alloc, solved=solved)
 
 
 def _fields(rows: BoundaryRows) -> np.ndarray:
-    """The (7, rows) matrix :func:`_columns` builds ``rows`` from."""
+    """A bit-rate line, then the :data:`ALLOC_FIELDS` lines of ``rows``: a corner to fold."""
     return np.array([rows.bit_rate, *(getattr(rows, f) for f in ALLOC_FIELDS)])
 
 
@@ -284,9 +275,8 @@ def _noma_points(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     p_s = sem_power(scenario, real.gain_s, sigma, scenario.min_similarity, w)
-    rate = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, scenario.noise_psd))
     zero = np.zeros_like(p_s)
-    fields = np.array([rate, zero + w, zero, zero, p_s, p_max - p_s, zero])
+    fields = np.array([zero + w, zero, zero, p_s, p_max - p_s, zero])
     # An unreachable similarity costs +inf, which fails the budget too.
     return _columns(scenario, real, fields, p_s <= p_max)
 
@@ -315,31 +305,15 @@ def noma_boundary(
             f"{p_max:.6g} W before the bit stream gets anything"
         )
     p_s = np.linspace(p_floor, p_max, n_points)
+    # np.log10, not rates_rows' per-row math.log10: the two differ by an
+    # ulp on some inputs, and this sweep through rates_rows would move 6 of
+    # the 600 numbers of region --seed 0's noma.csv by up to 2.9e-16
+    # relative, and 5 of its semi.csv by up to 6.9e-15.
     with np.errstate(divide="ignore"):
         gamma_db = 10.0 * np.log10(p_s * real.gain_s / (w * n0))
     eps = eval_similarity(scenario.logistic, gamma_db)
     bit = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, n0))
     return RegionBoundary(Scheme.NOMA, w * eps / scenario.k, bit, eps)
-
-
-def _hybrid_rate_grid(
-    scenario: Scenario,
-    real: ChannelRealization,
-    w_m: np.ndarray,
-    p_s: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Water-filled hybrid bit rate for candidate (shared band, sem power).
-
-    Returns (rate, p_bm, p_bo); candidates whose semantic power already
-    spends the budget get no bit power and rate 0.
-    """
-    n0 = scenario.noise_psd
-    budget = np.maximum(scenario.max_power - p_s, 0.0)
-    w_b = scenario.total_bandwidth - w_m
-    inv_hm = overlay_inv_slope(w_m, p_s, real.gain_eff, n0)
-    inv_hb = orth_inv_slope(w_b, real.gain_b, n0)
-    p_bm, p_bo = water_fill_max_grid(w_m, inv_hm, w_b, inv_hb, budget)
-    return pipe_rate(w_m, p_bm, inv_hm) + pipe_rate(w_b, p_bo, inv_hb), p_bm, p_bo
 
 
 def _semi_points(
@@ -385,16 +359,22 @@ def _semi_points(
     )
     p_s = sem_power(scenario, real.gain_s, s, floor, wm)
     interior = (p_s <= p_max) & (rate > 0.0)
-    r, p_bm, p_bo = _hybrid_rate_grid(scenario, real, wm, np.where(interior, p_s, 0.0))
+    # An interior optimum water-fills the rest of the budget for the largest rate.
+    wm, p_s = wm[interior], p_s[interior]
+    w_b = w - wm
+    inv_m = overlay_inv_slope(wm, p_s, real.gain_eff, scenario.noise_psd)
+    inv_b = orth_inv_slope(w_b, real.gain_b, scenario.noise_psd)
+    p_bm, p_bo = water_fill_max_grid(wm, inv_m, w_b, inv_b, p_max - p_s)
+    found = np.array([wm, np.zeros_like(wm), w_b, p_s, p_bm, p_bo])
     # A row without an interior optimum scores 0 and has no allocation
-    # until a corner beats it; comparing realised numbers keeps the
-    # dominance exact.
+    # until a corner beats it; scoring each one by the bit rate its
+    # allocation realises keeps the dominance exact.
     best = np.full((1 + len(ALLOC_FIELDS), len(sigma)), np.nan)
     best[0] = 0.0
-    found = np.array([r, wm, np.zeros_like(wm), w - wm, p_s, p_bm, p_bo])
-    best[:, live[interior]] = found[:, interior]
+    best[1:, live[interior]] = found
+    best[0, live[interior]] = bit_rates(scenario, real.gain_b, real.gain_eff, found)
     fold_corners(best, _fields(oma), _fields(noma), np.greater)
-    return _columns(scenario, real, best, ~np.isnan(best[1]))
+    return _columns(scenario, real, best[1:], ~np.isnan(best[1]))
 
 
 def _lifted(scheme, sigma, rows: BoundaryRows, on=slice(None)):

@@ -151,7 +151,11 @@ class Scenario:
         if units == "dBm":
             for name in ("max_power", "noise_psd"):
                 if name in data:
-                    data[name] = dbm_to_watt(require_float(name, data[name]))
+                    dbm = require_float(name, data[name])
+                    try:
+                        data[name] = dbm_to_watt(dbm)
+                    except OverflowError:
+                        raise ValueError(f"{name} of {dbm!r} dBm overflows a power in W") from None
         params = data.pop("params", None)
         bundled = params in (None, _default_params())
         table = default_table() if bundled else ParamTable.from_dict(params)

@@ -30,6 +30,8 @@ from importlib import resources
 from math import inf
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .boundary import check_containment, trace_region
 from .channel import Scenario, sample_realization
@@ -46,7 +48,7 @@ from .errors import (
 from .jsontext import indented
 from .montecarlo import SweepSpec, run_sweep
 from .power import PowerTargets, solve_min_powers
-from .rates import Scheme, rates_for
+from .rates import ALLOC_FIELDS, Scheme, rates_rows
 from .search import DEFAULT_GRID_N, check_grid_n
 from .similarity import fit_mse, fit_table, read_samples_csv
 
@@ -144,27 +146,32 @@ def _record(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _verify_solution(scenario, real, targets, alloc) -> list[str]:
-    """Plug the allocation back through the rate equations; list violations."""
+def _verify_solutions(scenario, real, targets, allocs) -> list[list[str]]:
+    """Plug the allocations back through the rate equations in one call; list each one's violations.
+
+    Each allocation's budget is checked against a scenario whose power
+    budget admits the largest of them: a minimum power may exceed the budget.
+    """
+    top = max(alloc.total_power for alloc in allocs)
     probe = scenario
-    if alloc.total_power > scenario.max_power:
-        probe = scenario.with_updates(max_power=alloc.total_power * (1 + 1e-12))
-    achieved = rates_for(probe, real, alloc)
-    problems = []
-    if achieved.sem_rate < targets.sigma_target * (1 - _VERIFY_RTOL):
-        problems.append(
-            f"semantic rate {achieved.sem_rate:.9g} < target {targets.sigma_target:.9g}"
-        )
-    sem_active = targets.sigma_target > 0 or alloc.scheme is Scheme.NOMA
-    if sem_active and achieved.similarity < targets.min_similarity * (1 - _VERIFY_RTOL):
-        problems.append(
-            f"similarity {achieved.similarity:.9g} < floor {targets.min_similarity:.9g}"
-        )
-    if achieved.bit_rate < targets.bit_target * (1 - _VERIFY_RTOL):
-        problems.append(
-            f"bit rate {achieved.bit_rate:.9g} < target {targets.bit_target:.9g}"
-        )
-    return problems
+    if top > scenario.max_power:
+        probe = scenario.with_updates(max_power=top * (1 + 1e-12))
+    for alloc in allocs:
+        alloc.check_budget(probe)
+    lines = np.array([[getattr(alloc, f) for alloc in allocs] for f in ALLOC_FIELDS])
+    columns = rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, lines)
+    found = []
+    for alloc, (sem_rate, bit_rate, similarity) in zip(allocs, zip(*(c.tolist() for c in columns))):
+        problems = []
+        if sem_rate < targets.sigma_target * (1 - _VERIFY_RTOL):
+            problems.append(f"semantic rate {sem_rate:.9g} < target {targets.sigma_target:.9g}")
+        sem_active = targets.sigma_target > 0 or alloc.scheme is Scheme.NOMA
+        if sem_active and similarity < targets.min_similarity * (1 - _VERIFY_RTOL):
+            problems.append(f"similarity {similarity:.9g} < floor {targets.min_similarity:.9g}")
+        if bit_rate < targets.bit_target * (1 - _VERIFY_RTOL):
+            problems.append(f"bit rate {bit_rate:.9g} < target {targets.bit_target:.9g}")
+        found.append(problems)
+    return found
 
 
 def _run_power(params: dict, out_dir: Path | None) -> int:
@@ -181,8 +188,7 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
         "seed": params["seed"],
         "schemes": {},
     }
-    feasible_any = False
-    failed_verify = []
+    feasible = {}
     for scheme, sol in solve_min_powers(scenario, real, targets, params["grid"]).items():
         name = scheme.value
         if isinstance(sol, Infeasible):
@@ -192,19 +198,21 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
                 "message": str(sol),
             }
             continue
-        feasible_any = True
-        entry = {
+        feasible[name] = sol.alloc
+        report["schemes"][name] = {
             "feasible": True,
             "min_power_w": sol.total,
             "allocation": {**_record(sol.alloc), "scheme": sol.alloc.scheme.value},
         }
-        if params["verify"]:
-            problems = _verify_solution(scenario, real, targets, sol.alloc)
+    failed_verify = []
+    if params["verify"] and feasible:
+        checks = _verify_solutions(scenario, real, targets, list(feasible.values()))
+        for name, problems in zip(feasible, checks):
+            entry = report["schemes"][name]
             entry["verified"] = not problems
             if problems:
                 entry["violations"] = problems
                 failed_verify.extend(f"{name}: {p}" for p in problems)
-        report["schemes"][name] = entry
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "power.json", report)
@@ -223,7 +231,7 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
         for line in failed_verify:
             print(f"verification failed: {line}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_OK if feasible_any else EXIT_INFEASIBLE
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 def _resolve_sweep_spec(name_or_path: str) -> dict:

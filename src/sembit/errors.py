@@ -21,11 +21,19 @@ def require_finite(obj, *fields: str) -> None:
 
 
 def require_float(name: str, value) -> float:
-    """``float(value)``, with ValueError where float() raises TypeError (None, a list)."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """``value`` as a float; ValueError for a bool, a string, a non-number or an integer too large.
+
+    JSON ``true`` and ``"2"`` are not numbers, though ``float()`` takes them.
+    """
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+        except OverflowError:
+            digits = len(str(abs(value)))
+            raise ValueError(f"{name} is too large for a float: {digits} digits") from None
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def require_int(name: str, value) -> int:

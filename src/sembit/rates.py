@@ -7,14 +7,17 @@ semantic power as interference through the weaker of the two link gains.
 Hybrid (semi): a shared sub-band carries the overlay, the remainder is an
 orthogonal bit-only band.  The other two are its corners: oma is a hybrid
 with no bit power on its shared band, noma one with no bit-only band, so
-:func:`rates_for` evaluates every allocation as a hybrid and
 :func:`fold_corners` folds their solutions into the hybrid's.
 
 Every bit pipe is described by its width w and its inverse slope inv_h,
 the noise (plus interference) power over the gain, so that it carries
 w * log2(1 + p / inv_h).  The kernels below state each equation once as
-an array function that broadcasts; the boundary and power solvers and
-the plug-back checks all call them.
+an array function that broadcasts; the boundary and power solvers call
+them.  What an allocation achieves is evaluated in one place,
+:func:`rates_rows`: it takes the :data:`ALLOC_FIELDS` lines of any number
+of allocations, evaluates each as a hybrid, and returns the semantic
+rate, bit rate and similarity columns.  Every reported boundary row, the
+scalar :func:`rates_for` and the ``power --verify`` plug-back go through it.
 """
 
 from __future__ import annotations
@@ -439,30 +442,59 @@ def snr_db(power: float, gain: float, bandwidth: float, noise_psd: float) -> flo
     return 10.0 * math.log10(power * gain / (bandwidth * noise_psd))
 
 
-def rates_for(scenario: Scenario, real: ChannelRealization, alloc: Allocation) -> RatePair:
-    """Rates that ``alloc`` achieves, evaluated as a hybrid whatever its scheme.
+def bit_rates(scenario: Scenario, gain_b, gain_eff, alloc: np.ndarray) -> np.ndarray:
+    """Bit rate of each allocation whose :data:`ALLOC_FIELDS` lines are ``alloc``.
 
-    The semantic stream rides on w_shared + w_sem, one of which is always
-    zero.  The bit rate adds an overlay pipe on w_shared, where the bit
-    user first decodes and cancels the semantic signal, so both see the
-    weaker gain gain_eff and the semantic power stays as interference,
-    and a clean pipe on w_bit.  A pipe of zero width carries exactly 0,
-    so an orthogonal split (no shared band) and an overlay (no bit band)
-    need no case of their own.  A zero semantic band is the bit-only
-    corner: semantic rate and reported similarity are both zero.
+    The bit half of :func:`rates_rows`: an overlay pipe on w_shared, where
+    the bit user first decodes and cancels the semantic signal, so both
+    see the weaker gain ``gain_eff`` and the semantic power stays as
+    interference, plus a clean pipe on w_bit.  A pipe of zero width, and
+    a NaN row, carries exactly 0, so an orthogonal split (no shared band)
+    and an overlay (no bit band) need no case of their own.  Each gain is
+    one number or one value per row.
+
+    Both pipes go through one unmasked :func:`_log_rate` call, which costs
+    little more than one pipe alone, and one ``fmax`` scores a pipe
+    without band or power, and a NaN row, 0: bit for bit
+    :func:`pipe_rate`'s on the non-negative fields of an allocation.
     """
-    alloc.check_budget(scenario)
     n0 = scenario.noise_psd
-    band = alloc.w_shared + alloc.w_sem
-    eps = sem = 0.0
-    if band > 0:
-        eps = eval_similarity(scenario.logistic, snr_db(alloc.p_sem, real.gain_s, band, n0))
-        sem = band * eps / scenario.k
-    # The overlay pipe on w_shared and the clean one on w_bit in one kernel
-    # call, which costs little more than one pipe alone.
-    widths = np.array([alloc.w_shared, alloc.w_bit])
-    powers = np.array([alloc.p_bit_shared, alloc.p_bit_orth])
-    inv_m = overlay_inv_slope(alloc.w_shared, alloc.p_sem, real.gain_eff, n0)
-    inv = np.array([inv_m, orth_inv_slope(alloc.w_bit, real.gain_b, n0)])
-    shared, orth = pipe_rate(widths, powers, inv)
-    return RatePair(sem_rate=sem, bit_rate=float(shared + orth), similarity=eps)
+    inv = np.array(
+        [overlay_inv_slope(alloc[0], alloc[3], gain_eff, n0), orth_inv_slope(alloc[2], gain_b, n0)]
+    )
+    # Lines 0 and 2 are the two widths, lines 4 and 5 the two bit powers.
+    shared, orth = np.fmax(_log_rate(alloc[0:3:2], alloc[4:6], inv), 0.0)
+    return shared + orth
+
+
+def rates_rows(scenario: Scenario, gain_s, gain_b, gain_eff, alloc: np.ndarray):
+    """(sem_rate, bit_rate, similarity) columns of the allocations whose lines are ``alloc``.
+
+    ``alloc`` holds the six :data:`ALLOC_FIELDS` lines of any number of
+    allocations, one column each, and each gain is one number or one
+    value per column.  Every allocation is evaluated as a hybrid, whatever
+    its scheme: the semantic stream rides on w_shared + w_sem, one of
+    which is always zero, and the bit rate is :func:`bit_rates`'.  A row
+    with no semantic band (zero or NaN) has semantic rate and similarity
+    0.  Each SNR is :func:`snr_db`'s, bit for bit: the ratio is an array,
+    but its log is ``math.log10``, since ``np.log10`` can differ by one ulp.
+    A band so narrow that its noise power underflows to 0 gives power an
+    SNR of +inf.
+    """
+    band = alloc[0] + alloc[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = alloc[3] * gain_s / (band * scenario.noise_psd)
+    # Zero power maps to -inf, as in snr_db; so does a row without a band, which is masked.
+    log = [math.log10(r) if r > 0.0 else -math.inf for r in ratio.tolist()]
+    on = band > 0.0
+    eps = np.where(on, eval_similarity(scenario.logistic, 10.0 * np.array(log)), 0.0)
+    sem = np.where(on, band * eps / scenario.k, 0.0)
+    return sem, bit_rates(scenario, gain_b, gain_eff, alloc), eps
+
+
+def rates_for(scenario: Scenario, real: ChannelRealization, alloc: Allocation) -> RatePair:
+    """Rates that ``alloc`` achieves: its budget checked, then its column of :func:`rates_rows`."""
+    alloc.check_budget(scenario)
+    lines = np.array([[getattr(alloc, f)] for f in ALLOC_FIELDS])
+    sem, bit, eps = rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, lines)
+    return RatePair(sem_rate=sem.item(), bit_rate=bit.item(), similarity=eps.item())

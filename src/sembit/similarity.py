@@ -112,14 +112,13 @@ class SimilaritySample:
 
 
 def _sigmoid(z):
-    """Numerically stable logistic function, scalar or ndarray."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic function of an array, with one exponential exp(-|z|).
+
+    Bit for bit the two textbook branches, 1 / (1 + exp(-z)) for z >= 0
+    and exp(z) / (1 + exp(z)) below.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def eval_similarity(params: LogisticParams, snr_db):
@@ -127,20 +126,11 @@ def eval_similarity(params: LogisticParams, snr_db):
 
     -inf maps to a_low and +inf to a_high, so callers may feed the
     log-domain SNR of a zero-power allocation directly.  A scalar
-    comes back as a float, bit for bit the array path's element.
+    comes back as a float, bit for bit an array's element.
     """
-    if np.ndim(snr_db) == 0:
-        # _sigmoid's branches on one value; np.exp, not math.exp, so the
-        # exponential is the one the array path computes.
-        z = params.growth * float(snr_db) + params.offset
-        if z >= 0:
-            sig = 1.0 / (1.0 + float(np.exp(-z)))
-        else:
-            ez = float(np.exp(z))
-            sig = ez / (1.0 + ez)
-        return params.a_low + (params.a_high - params.a_low) * sig
     z = params.growth * np.asarray(snr_db, dtype=float) + params.offset
-    return params.a_low + (params.a_high - params.a_low) * _sigmoid(z)
+    eps = params.a_low + (params.a_high - params.a_low) * _sigmoid(z)
+    return float(eps) if np.ndim(snr_db) == 0 else eps
 
 
 def invert_similarity(params: LogisticParams, target: float) -> float:
@@ -361,9 +351,7 @@ def _cells(growth: np.ndarray, offset: np.ndarray, x: np.ndarray, y: np.ndarray)
     """
     with np.errstate(over="ignore"):  # g * x of a huge finite SNR: the sigmoid saturates
         z = growth[:, :, None] * x[:, None] + offset[:, :, None]
-    # The logistic with one exponential exp(-|z|), bit for bit _sigmoid's two branches.
-    e = np.exp(-np.abs(z))
-    s = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    s = _sigmoid(z)
     u = 1.0 - s
     flat_u, flat_s = u.reshape(-1, y.shape[1]), s.reshape(-1, y.shape[1])
     suu, suv, svv = (

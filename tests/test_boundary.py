@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from sembit import boundary, search
+from sembit import boundary, rates, search
 from sembit import (
     Allocation,
     ChannelRealization,
@@ -27,14 +27,19 @@ from sembit import (
     shannon_rate,
     snr_db,
 )
+from sembit.cli import _VERIFY_RTOL
 from sembit.rates import (
+    ALLOC_FIELDS,
     EPS_BANDS,
     eps_seeded_bands,
     orth_inv_slope,
+    overlay_inv_slope,
     pipe_rate,
+    rates_rows,
     sem_power,
     water_fill_max_grid,
 )
+from sembit.search import DEFAULT_GRID_N
 
 from onerow import (
     _oma_points,
@@ -520,10 +525,21 @@ def _full_oma_score(scenario, real, s_col, ws):
 
 
 def _full_semi_score(scenario, real, s_col, wm):
-    """The semi objective as it scored every candidate, over budget or not."""
+    """The semi objective as it scored every candidate, over budget or not.
+
+    The rest of the budget is split by the clamped water-fill and each
+    pipe's rate taken on its own.
+    """
+    n0 = scenario.noise_psd
     p_s = sem_power(scenario, real.gain_s, s_col, scenario.min_similarity, wm)
     feasible = p_s <= scenario.max_power
-    rate, _, _ = boundary._hybrid_rate_grid(scenario, real, wm, np.where(feasible, p_s, 0.0))
+    p_s = np.where(feasible, p_s, 0.0)
+    w_b = scenario.total_bandwidth - wm
+    inv_m = overlay_inv_slope(wm, p_s, real.gain_eff, n0)
+    inv_b = orth_inv_slope(w_b, real.gain_b, n0)
+    budget = np.maximum(scenario.max_power - p_s, 0.0)
+    p_bm, p_bo = water_fill_max_grid(wm, inv_m, w_b, inv_b, budget)
+    rate = pipe_rate(wm, p_bm, inv_m) + pipe_rate(w_b, p_bo, inv_b)
     return np.where(feasible, rate, 0.0)
 
 
@@ -592,11 +608,11 @@ class TestSimilarityColumn:
     """Every boundary row's SNR and similarity are the scalar ``snr_db`` path's, bit for bit."""
 
     def test_rows_equal_the_scalar_snr_path(self, scenario, monkeypatch):
-        # boundary._columns takes the log of an SNR ratio array with
-        # math.log10; np.log10 differs by one ulp on about 2% of inputs,
-        # which can move output similarities.
+        # rates.rates_rows, which boundary._columns calls, takes the log of
+        # an SNR ratio array with math.log10; np.log10 differs by one ulp
+        # on about 2% of inputs, which can move output similarities.
         seen, snrs = [], []
-        columns, curve = boundary._columns, boundary.eval_similarity
+        columns, curve = boundary._columns, rates.eval_similarity
 
         def columns_spy(*args):
             rows = columns(*args)
@@ -604,12 +620,12 @@ class TestSimilarityColumn:
             return rows
 
         def curve_spy(params, snr):
-            if sys._getframe(1).f_code.co_name == "_columns":
+            if sys._getframe(2).f_code.co_name == "_columns":
                 snrs.append(snr)
             return curve(params, snr)
 
         monkeypatch.setattr(boundary, "_columns", columns_spy)
-        monkeypatch.setattr(boundary, "eval_similarity", curve_spy)
+        monkeypatch.setattr(rates, "eval_similarity", curve_spy)
         for seed in range(10):
             boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
         params, n0 = scenario.logistic, scenario.noise_psd
@@ -618,7 +634,8 @@ class TestSimilarityColumn:
             band = rows.w_shared + rows.w_sem
             live = rows.solved & (band > 0)
             want = [snr_db(p, real.gain_s, w, n0) for w, p in zip(band[live].tolist(), rows.p_sem[live].tolist())]
-            np.testing.assert_array_equal(snr.view(np.int64), np.array(want).view(np.int64))
+            # The curve sees every row; rows without a semantic stream are masked to 0.
+            np.testing.assert_array_equal(snr[live].view(np.int64), np.array(want).view(np.int64))
             eps = np.zeros(len(band))
             eps[live] = [eval_similarity(params, x) for x in want]
             np.testing.assert_array_equal(rows.similarity.view(np.int64), eps.view(np.int64))
@@ -627,6 +644,42 @@ class TestSimilarityColumn:
         callers = ("_oma_points", "_noma_points", "_semi_points")
         assert {(c, "solved") for c in callers} <= kinds
         assert {k for _, k in kinds} == {"solved", "unsolved", "zero power"}
+
+
+class TestRowsPlugBack:
+    """Every solved region row, plugged back through ``rates_rows``, meets its own target."""
+
+    def test_region_rows_meet_their_targets(self, scenario):
+        # The rows trace_region solves: oma, noma and semi on the hybrid's
+        # grid, the uniform grid merged with the overlay's sigmas.
+        w, p_max, floor = scenario.total_bandwidth, scenario.max_power, scenario.min_similarity
+        checked = 0
+        for seed in range(10):
+            real = sample_realization(scenario, seed)
+            sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 200)
+            found, empty = boundary.trace_region(scenario, real, [Scheme.NOMA])
+            if empty is None:
+                sigma = np.unique(np.concatenate([sigma, found[Scheme.NOMA].sigma]))
+            bands = boundary._seeds(scenario, sigma)
+            oma = boundary._oma_points(scenario, real, sigma, DEFAULT_GRID_N, bands)
+            noma = boundary._noma_points(scenario, real, sigma)
+            semi = boundary._semi_points(scenario, real, sigma, DEFAULT_GRID_N, bands, oma, noma)
+            for rows in (oma, noma, semi):
+                ok = rows.solved
+                alloc = np.array([getattr(rows, f)[ok] for f in ALLOC_FIELDS])
+                gains = real.gain_s, real.gain_b, real.gain_eff
+                sem, bit, eps = rates_rows(scenario, *gains, alloc)
+                assert (sem >= sigma[ok] * (1 - _VERIFY_RTOL)).all()
+                # Every semantic stream carries the floor, a zero target's too.
+                streams = alloc[0] + alloc[1] > 0.0
+                assert (eps[streams] >= floor * (1 - _VERIFY_RTOL)).all()
+                assert (alloc[3] + alloc[4] + alloc[5] <= p_max * (1 + 1e-9)).all()
+                np.testing.assert_allclose(alloc[0] + alloc[1] + alloc[2], w, rtol=1e-9)
+                # Each reported row is the plug-back of its own allocation.
+                np.testing.assert_array_equal(bit, rows.bit_rate[ok])
+                np.testing.assert_array_equal(eps, rows.similarity[ok])
+                checked += int(ok.sum())
+        assert checked > 5000
 
 
 def _columns(b):

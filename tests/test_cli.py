@@ -344,15 +344,37 @@ class TestPowerCommand:
         ("power", {"params": {"entries": [dict(ENTRY, offset=None)]}}, "offset must be a number"),
         ("sweep", {"values": [2e5, None]}, "sweep value must be a number, got None"),
         ("sweep", {"targets": {"sigma_target": None}}, "sigma_target must be a number, got None"),
+        ("power", {"max_power": True}, "max_power must be a number, got True"),
+        ("power", {"max_power": "2"}, "max_power must be a number, got '2'"),
+        ("power", {"params": {"entries": [dict(ENTRY, growth=True)]}},
+         "growth must be a number, got True"),
+        ("power", {"params": {"entries": [dict(ENTRY, a_high="0.9")]}},
+         "a_high must be a number, got '0.9'"),
+        ("sweep", {"values": [2e5, True]}, "sweep value must be a number, got True"),
+        ("sweep", {"targets": {"bit_target": "8e5"}}, "bit_target must be a number, got '8e5'"),
+        ("power", {"units": "dBm", "max_power": 4000}, "max_power of 4000.0 dBm overflows"),
+        ("region", {"units": "dBm", "max_power": 4000}, "max_power of 4000.0 dBm overflows"),
+        ("power", {"max_power": 10**400}, "max_power is too large for a float: 401 digits"),
+        ("region", {"max_power": 10**400}, "max_power is too large for a float: 401 digits"),
     ],
-    ids=["max-power-null", "d-s-list", "offset-null", "sweep-value-null", "sigma-target-null"],
+    ids=[
+        "max-power-null", "d-s-list", "offset-null", "sweep-value-null", "sigma-target-null",
+        "max-power-bool", "max-power-string", "growth-bool", "a-high-string", "sweep-value-bool",
+        "bit-target-string", "power-dbm-overflow", "region-dbm-overflow", "power-huge-integer",
+        "region-huge-integer",
+    ],
 )
 def test_null_or_list_for_a_number_is_bad_input(tmp_path, capsys, command, document, message):
-    """A JSON null or list where a number belongs exits 2, from a scenario or a sweep spec."""
+    """A JSON null, list, bool or string where a number belongs exits 2, as does one too large.
+
+    The field may sit in a scenario, its parameter table or a sweep spec.
+    """
     path = tmp_path / "input.json"
     out = tmp_path / "out"
     if command == "power":
         argv = ["power", "--scenario", str(path), "--sigma", "1e5", "--floor", "0.8", "--bits", "8e5"]
+    elif command == "region":
+        argv = ["region", "--scenario", str(path)]
     else:
         document = {
             "scenario": {},

@@ -19,8 +19,10 @@ from sembit import (
     search,
     solve_min_powers,
 )
-from sembit.cli import BUNDLED_SWEEPS
+from sembit.cli import _VERIFY_RTOL, BUNDLED_SWEEPS
 from sembit.montecarlo import SCHEME_ORDER, _sweep_totals
+from sembit.power import TARGET_FIELDS, solve_min_powers_rows
+from sembit.rates import ALLOC_FIELDS, rates_rows
 
 from onerow import min_power
 
@@ -249,6 +251,40 @@ def summary(spec, totals):
             stderr = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
             rows.append([value, mean, stderr if ok.size else math.nan, 1.0 - ok.size / len(col)])
     return np.array(rows)
+
+
+class TestSweepPlugBack:
+    """Every feasible sweep row, plugged back through ``rates_rows``, meets its targets."""
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED_SWEEPS))
+    def test_bundled_rows_meet_their_targets(self, name):
+        blob = resources.files("sembit.data").joinpath(BUNDLED_SWEEPS[name])
+        payload = json.loads(blob.read_text(encoding="utf-8"))
+        spec = SweepSpec.from_dict(dict(payload, n_realizations=60))
+        reals = [
+            sample_realization(spec.scenario, derive_seed(spec.base_seed, i)) for i in range(60)
+        ]
+        # The row sets _sweep_totals solves: every value of one source length.
+        groups: dict[int, tuple] = {}
+        for scenario, targets in map(spec.apply, spec.values):
+            groups.setdefault(scenario.k, (scenario, []))[1].append(targets)
+        checked = 0
+        for scenario, triples in groups.values():
+            targets = [t for t in triples for _ in reals]
+            solved = solve_min_powers_rows(scenario, reals * len(triples), targets, spec.grid_n)
+            gains = np.array([(r.gain_s, r.gain_b, r.gain_eff) for r in reals] * len(triples)).T
+            want = np.array([[getattr(t, f) for t in targets] for f in TARGET_FIELDS])
+            for scheme, rows in solved.items():
+                ok = rows.cause == 0
+                alloc = np.array([getattr(rows, f)[ok] for f in ALLOC_FIELDS])
+                sem, bit, eps = rates_rows(scenario, *gains[:, ok], alloc)
+                sigma, floor, bits = want[:, ok]
+                assert (sem >= sigma * (1 - _VERIFY_RTOL)).all(), scheme
+                carried = (sigma > 0) | (scheme is Scheme.NOMA)
+                assert (eps[carried] >= floor[carried] * (1 - _VERIFY_RTOL)).all(), scheme
+                assert (bit >= bits * (1 - _VERIFY_RTOL)).all(), scheme
+                checked += int(ok.sum())
+        assert checked > 0
 
 
 class TestCrossValueRows:

@@ -14,13 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sembit as sb
-from sembit.cli import _verify_solution
+from sembit.cli import _verify_solutions
 from sembit.rates import (
+    ALLOC_FIELDS,
     MIN_BAND_FRACTION,
     hybrid_max_rate,
     orth_inv_slope,
     orth_max_rate,
     overlay_inv_slope,
+    rates_rows,
     sem_power,
     water_fill_max_grid,
 )
@@ -67,7 +69,10 @@ def test_min_power_solutions(case):
     feasible = {s: sol for s, sol in sols.items() if isinstance(sol, sb.PowerSolution)}
     for scheme, sol in feasible.items():
         assert math.isfinite(sol.total)
-        assert _verify_solution(scenario, real, targets, sol.alloc) == [], scheme
+    if feasible:
+        allocs = [sol.alloc for sol in feasible.values()]
+        checks = _verify_solutions(scenario, real, targets, allocs)
+        assert checks == [[]] * len(allocs), dict(zip(feasible, checks))
     corners = [feasible[s].total for s in (sb.Scheme.OMA, sb.Scheme.NOMA) if s in feasible]
     if corners:
         assert sb.Scheme.SEMI in feasible
@@ -138,3 +143,31 @@ def test_semi_score_dominates_oma_score(case):
     shut = water_fill_max_grid(x, inv_m, w - x, inv_b, budget)[0] == 0
     assert (semi[shut] >= oma[shut]).all()
     assert (semi >= oma * (1 - 1e-12)).all()
+
+
+@st.composite
+def allocations(draw, scenario):
+    """An allocation of any scheme within the scenario's budget, empty bands and streams included."""
+    w = scenario.total_bandwidth
+    share = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    p = [draw(st.one_of(st.just(0.0), st.floats(0.0, scenario.max_power / 3))) for _ in range(3)]
+    scheme = draw(st.sampled_from(list(sb.Scheme)))
+    if scheme is sb.Scheme.OMA:
+        return sb.Allocation.orthogonal(w * share, w - w * share, p[0], p[1])
+    if scheme is sb.Scheme.NOMA:
+        return sb.Allocation.overlay(w, p[0], p[1])
+    return sb.Allocation.hybrid(w * share, w - w * share, *p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), st.data())
+def test_rates_for_is_its_column_of_rates_rows(case, data):
+    # Each column of rates_rows depends on its own allocation only, bit for bit.
+    scenario, real, _ = case
+    allocs = data.draw(st.lists(allocations(scenario), min_size=1, max_size=9))
+    lines = np.array([[getattr(a, f) for a in allocs] for f in ALLOC_FIELDS])
+    columns = np.array(rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, lines))
+    for alloc, column in zip(allocs, columns.T):
+        pair = sb.rates_for(scenario, real, alloc)
+        alone = np.array([pair.sem_rate, pair.bit_rate, pair.similarity])
+        np.testing.assert_array_equal(alone.view(np.int64), column.view(np.int64))

@@ -12,8 +12,9 @@ counts for itself, not for its caller):
 - scenario: loading the scenario, ``Scenario.to_dict`` and ``from_dict``;
 - draw: ``sample_realization``;
 - solve (power) or trace (region): ``solve_min_powers``, ``trace_region``;
-- verify (power) or contain (region): the plug-back check of each
-  allocation, ``check_containment`` of each pair of schemes;
+- verify (power) or contain (region): the plug-back check of all
+  feasible allocations in one call, ``check_containment`` of each pair
+  of schemes;
 - digest: ``Scenario.digest`` for the manifest;
 - render: the JSON text of ``power.json``, ``containment.json`` and
   ``manifest.json``;
@@ -111,7 +112,7 @@ STAGES = (
     (cli, "sample_realization", "draw"),
     (cli, "solve_min_powers", "solve"),
     (cli, "trace_region", "trace"),
-    (cli, "_verify_solution", "verify"),
+    (cli, "_verify_solutions", "verify"),
     (cli, "check_containment", "contain"),
     (channel.Scenario, "digest", "digest"),
     (cli, "indented", "render"),
