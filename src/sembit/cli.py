@@ -45,7 +45,7 @@ from .errors import (
     SembitError,
     TargetUnreachable,
 )
-from .jsontext import indented
+from .jsontext import Verbatim, indented
 from .montecarlo import SweepSpec, run_sweep
 from .power import PowerTargets, solve_min_powers
 from .rates import ALLOC_FIELDS, Scheme, rates_rows
@@ -86,7 +86,23 @@ def _write_manifest(out_dir: Path, command: str, args: dict, scenario: Scenario 
     }
     if scenario is not None:
         payload["scenario_sha256"] = scenario.digest()
+        payload["args"] = _with_table_text(command, args, scenario.params)
     _write_json(out_dir / "manifest.json", payload)
+
+
+def _with_table_text(command: str, args, table) -> dict:
+    """``args`` with its scenario's parameter table as the table's cached text, where it renders alike.
+
+    The scenario is ``args["scenario"]``, or ``args["spec"]["scenario"]``
+    for a sweep.  Every manifest sembit writes holds the table's own
+    payload; a hand-written one that renders otherwise stays as it is.
+    """
+    if command == "sweep":
+        return {**args, "spec": _with_table_text("spec", args["spec"], table)}
+    scenario = args["scenario"]
+    if not table.renders_as(scenario.get("params")):
+        return args
+    return {**args, "scenario": {**scenario, "params": Verbatim(table.sorted_indented_json)}}
 
 
 def _load_scenario(path: str | None) -> Scenario:
@@ -281,8 +297,11 @@ def _cmd_replay(ns) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built once per process.
+
+    Parsing leaves them unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="sembit",
         description="Rate regions and minimum-power allocation for mixed semantic/bit downlinks",
@@ -336,11 +355,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("manifest", help="manifest.json from an earlier run")
     p_replay.add_argument("--out", help="output directory for the replayed run")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser's ``parse_args`` parses it.
+
+    When the first token names a subcommand, its parser takes the rest
+    directly: through the top level, argparse would run its parse loop
+    once for the top level and again for the subcommand.  Leftover
+    arguments get the top level's error, as ``parse_args`` gives it.  Any
+    other argv (empty, ``--version``, ``-h``, an unknown command) goes
+    through the top level.
+    """
+    parser, subcommands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in subcommands:
+        return parser.parse_args(argv)
+    ns, extra = subcommands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    ns.command = argv[0]
+    return ns
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
+    ns = _parse(argv)
     try:
         if ns.command == "fit":
             return _run_fit({"input": ns.input}, Path(ns.out))

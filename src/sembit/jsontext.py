@@ -9,7 +9,8 @@ value, ``bool`` before ``int``, and a float subclass such as
 ``np.float64`` through ``float.__repr__``.  Non-finite floats become
 ``NaN``, ``Infinity`` and ``-Infinity``, and strings are ASCII-escaped.
 Unlike ``json``, which would coerce them, dict keys must be strings.
-Anything else raises TypeError.
+A :class:`Verbatim` value is text rendered earlier, inserted at its
+indent.  Anything else raises TypeError.
 """
 
 from __future__ import annotations
@@ -17,6 +18,18 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class Verbatim:
+    """Text :func:`indented` gave a value at the top level, to insert at the indent of another place.
+
+    The text must come from the same ``sort_keys`` as the payload it goes into.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def indented(payload, *, sort_keys: bool = False) -> str:
@@ -65,5 +78,7 @@ def _render(o, pad: str, sort_keys: bool, out) -> None:
             _render(value, inner, sort_keys, out)
             sep = "," + inner
         out(pad + "}")
+    elif isinstance(o, Verbatim):
+        out(o.text.replace("\n", pad))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

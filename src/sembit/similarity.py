@@ -45,16 +45,16 @@ from .search import BATCH_CANDIDATES
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
-# Fit search (see fit_table): a coarse (growth, offset) grid, then a
-# fixed number of bracket levels that may leave the grid but stay inside
-# the hard bounds.
+# Fit search (see fit_table): a coarse (growth, offset) grid, then up to
+# FIT_STEPS Levenberg-Marquardt steps that may leave the grid but stay
+# inside the hard bounds.  Each step scores its trial at every damping
+# of FIT_DAMPINGS at once and keeps the best.
 GROWTH_GRID = (0.05, 2.0, 32)
 OFFSET_GRID = (-10.0, 10.0, 64)
 GROWTH_BOUNDS = (1e-3, 20.0)
 OFFSET_BOUNDS = (-40.0, 40.0)
-FIT_LEVELS = 40
-FIT_BRACKET = 4
-FIT_SHRINK = 3.0
+FIT_STEPS = 24
+FIT_DAMPINGS = 4.0 ** np.arange(-10, 16)
 _AMPLITUDE_GAP = 1e-9
 
 
@@ -265,6 +265,33 @@ class ParamTable:
         """``to_dict()`` as compact JSON with sorted keys, built once: the table is immutable."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
+    @functools.cached_property
+    def sorted_indented_json(self) -> str:
+        """``to_dict()`` as indented JSON with sorted keys, built once, as manifests render it."""
+        return indented(self.to_dict(), sort_keys=True)
+
+    @functools.cached_property
+    def _dict_and_zeros(self) -> tuple[dict, list]:
+        """``to_dict()``, and the (entry, field, sign) of each zero field: -0.0 equals 0.0."""
+        payload = self.to_dict()
+        zeros = [(i, f, math.copysign(1.0, v)) for i, row in enumerate(payload["entries"])
+                 for f, v in row.items() if f != "k" and v == 0.0]
+        return payload, zeros
+
+    def renders_as(self, payload) -> bool:
+        """Whether ``payload`` renders as ``to_dict()`` does.
+
+        It must equal ``to_dict()`` with an int ``k`` and float fields (0
+        equals 0.0 but renders otherwise), and a zero field of the same sign.
+        """
+        own, zeros = self._dict_and_zeros
+        return payload == own and all(
+            # All four fields are floats.
+            type(row["k"]) is int
+            and type(row["a_low"]) is type(row["a_high"]) is type(row["growth"]) is type(row["offset"]) is float
+            for row in payload["entries"]
+        ) and all(math.copysign(1.0, payload["entries"][i][f]) == sign for i, f, sign in zeros)
+
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ParamTable":
         """The table of an ``{"entries": [...]}`` payload.
@@ -375,13 +402,66 @@ def _cells(growth: np.ndarray, offset: np.ndarray, x: np.ndarray, y: np.ndarray)
     return a_low, a_high, mse
 
 
+def _lm_steps(a_low, a_high, growth, offset, x, y):
+    """Levenberg-Marquardt (growth, offset) steps of each curve at each of ``FIT_DAMPINGS``.
+
+    Row c of ``x`` and ``y`` holds the samples of the curve whose cell
+    and clamped amplitudes are element c of the other arguments.  The
+    residual is the one :func:`_cells` scores, a_low*(1-s) + a_high*s - y
+    with the amplitudes projected out and clamped.  Its Jacobian column for
+    a parameter p is (a_high - a_low)*ds/dp + da_low/dp*(1-s) +
+    da_high/dp*s, with ds/dp = s(1-s)x for growth and s(1-s) for offset:
+    a combination of the four columns 1-s, s, span*s(1-s)*x and
+    span*s(1-s).  A free amplitude moves as the unconstrained
+    least-squares solution does (Golub and Pereyra 1973); a clamped one
+    has derivative zero, and a ceiling clamped to the floor's gap follows
+    the floor.  The normal equations are damped by each damping times
+    their diagonal (Marquardt 1963) and solved in closed form after
+    scaling that diagonal to one, so every damping gives a regular 2 x 2
+    system.  Returns the growth and offset steps, curves x dampings each.
+    """
+    with np.errstate(over="ignore"):  # g * x of a huge finite SNR: the sigmoid saturates
+        s = _sigmoid(growth[:, None] * x + offset[:, None])
+    u = 1.0 - s
+    ds = s * u
+    # Sample sums of the columns 1-s, s, ds*x, ds and y: one matmul per
+    # curve, as in _cells, since a stacked product may sum in another order.
+    gram = np.array([c @ c.T for c in np.stack((u, s, ds * x, ds, y), axis=1)])
+    g00, g01, g11 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    det = g00 * g11 - g01 * g01
+    ok = det > 1e-30  # as in _cells: saturated cells pin both amplitudes to the mean
+    inv = np.stack((g11, -g01, -g01, g00), axis=1).reshape(-1, 2, 2) / np.where(ok, det, 1.0)[:, None, None]
+    free = inv @ gram[:, :2, 4:]  # the unconstrained amplitudes
+    # Their derivatives: inv @ (dB' (y - B free) - B' dB free), where B has
+    # the columns 1-s and s and dB = [-t, t] for t = ds/dp of parameter p.
+    t_resid = gram[:, 2:4, 4] - (gram[:, 2:4, :2] @ free)[:, :, 0]
+    spread = (free[:, 1] - free[:, 0])[:, :, None] * gram[:, :2, 2:4]
+    d_free = inv @ (t_resid[:, None] * [[-1.0], [1.0]] - spread)
+    tied = (a_high == a_low + _AMPLITUDE_GAP)[:, None]
+    d_low = d_free[:, 0] * (ok & (a_low > 0.0) & (a_low < 1.0 - _AMPLITUDE_GAP))[:, None]
+    d_high = np.where(tied, d_low, d_free[:, 1] * (ok & (a_high < 1.0))[:, None])
+    # Row p: the Jacobian column of parameter p in the basis 1-s, s, ds*x, ds.
+    span = (a_high - a_low)[:, None, None] * np.eye(2)
+    coef = np.concatenate((np.stack((d_low, d_high), axis=2), span), axis=2)
+    jtj = coef @ gram[:, :4, :4] @ coef.transpose(0, 2, 1)
+    amps = np.stack((a_low, a_high), axis=1)[:, :, None]
+    jtr = (coef @ (gram[:, :4, :2] @ amps - gram[:, :4, 4:]))[:, :, 0]
+    diag = jtj[:, (0, 1), (0, 1)]
+    root = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    corr = (jtj[:, 0, 1] / (root[:, 0] * root[:, 1]))[:, None]
+    b_g, b_o = (-jtr / root).T[:, :, None]
+    damped = 1.0 + FIT_DAMPINGS
+    den = damped * damped - corr * corr
+    return (damped * b_g - corr * b_o) / (den * root[:, :1]), (damped * b_o - corr * b_g) / (den * root[:, 1:])
+
+
 def _fit_curves(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Fit the curves whose samples are the rows of ``x`` and ``y``, in lockstep.
 
     Returns one (a_low, a_high, growth, offset) row per curve.
     """
-    growths, h_g = np.linspace(*GROWTH_GRID, retstep=True)
-    offsets, h_o = np.linspace(*OFFSET_GRID, retstep=True)
+    growths = np.linspace(*GROWTH_GRID)
+    offsets = np.linspace(*OFFSET_GRID)
     gg, oo = (m.ravel() for m in np.meshgrid(growths, offsets, indexing="ij"))
     # Coarse chunks of whole growth rows.  A gemv may sum a chunk's last
     # rows in another order when the chunk is not a whole number of its
@@ -394,19 +474,20 @@ def _fit_curves(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                   for i in range(0, gg.size, step)]
         a_low, a_high, mse = (np.concatenate(col, axis=1)[0] for col in zip(*chunks))
         i = np.argmin(mse)
-        best.append((gg[i], oo[i], a_low[i], a_high[i], mse[i]))
-    fit = np.array(best).T  # rows: growth, offset, a_low, a_high, mse; a column per curve
-    h_g, h_o = np.full(len(x), h_g), np.full(len(x), h_o)
-    ramp = np.linspace(-1.0, 1.0, 2 * FIT_BRACKET + 1)
-    for _ in range(FIT_LEVELS):
-        g = np.repeat(np.clip(fit[0][:, None] + h_g[:, None] * ramp, *GROWTH_BOUNDS), ramp.size, 1)
-        o = np.tile(np.clip(fit[1][:, None] + h_o[:, None] * ramp, *OFFSET_BOUNDS), ramp.size)
-        cells = np.stack((g, o, *_cells(g, o, x, y)))
-        cell = cells[:, np.arange(len(x)), np.argmin(cells[4], axis=1)]
-        better = cell[4] < fit[4]
-        fit = np.where(better, cell, fit)
-        h_g, h_o = np.where(better, h_g, h_g / FIT_SHRINK), np.where(better, h_o, h_o / FIT_SHRINK)
-    return fit[[2, 3, 0, 1]].T
+        best.append((a_low[i], a_high[i], gg[i], oo[i], mse[i]))
+    fit = np.array(best).T  # rows: a_low, a_high, growth, offset, mse; a column per curve
+    for _ in range(FIT_STEPS):
+        d_g, d_o = _lm_steps(*fit[:4], x, y)
+        g = np.clip(fit[2][:, None] + d_g, *GROWTH_BOUNDS)
+        o = np.clip(fit[3][:, None] + d_o, *OFFSET_BOUNDS)
+        a_low, a_high, mse = _cells(g, o, x, y)
+        trials = np.stack((a_low, a_high, g, o, mse))
+        trial = trials[:, np.arange(len(x)), np.argmin(mse, axis=1)]
+        better = trial[4] < fit[4]
+        if not better.any():
+            break  # no curve moved, so every later step would score the same trials
+        fit = np.where(better, trial, fit)
+    return fit[:4].T
 
 
 def _fit_inputs(samples: Sequence[SimilaritySample]):
@@ -437,16 +518,19 @@ def fit_table(groups: Iterable[Sequence[SimilaritySample]]) -> ParamTable:
     Strategy: the two amplitudes are solved in closed form per (growth,
     offset) cell (variable projection, Golub and Pereyra 1973), so only
     those two are searched.  An exhaustive coarse grid (``GROWTH_GRID`` x
-    ``OFFSET_GRID``) picks each curve's start.  Each of ``FIT_LEVELS``
-    bracket levels then scores ``2 * FIT_BRACKET + 1`` points per axis over
-    growth +- h_g and offset +- h_o, clipped to the hard bounds, with the
-    half-widths starting at one coarse spacing.  A curve moves to its best
-    cell only when that cell's MSE is strictly lower; otherwise both its
-    half-widths shrink by ``FIT_SHRINK``.  Curves with the same number of
-    samples run in lockstep, one batch of cells per level, each with its
-    own incumbent and half-widths, and every curve scores the same cells
-    as it would alone.  Deterministic: no random restarts, ties resolved by
-    grid order.  Every group is checked before any curve is fitted.
+    ``OFFSET_GRID``) picks each curve's start.  Then each of up to
+    ``FIT_STEPS`` Levenberg-Marquardt steps (:func:`_lm_steps`) takes the
+    Jacobian of the projected, clamped residual at the curve's cell, solves
+    its damped normal equations at every damping of ``FIT_DAMPINGS``,
+    clips each trial cell to the hard bounds and scores it through the
+    same closed form.  A curve moves to its best trial only when that
+    trial's MSE is strictly lower, so no curve ends above its coarse cell.
+    A step that moves no curve ends the search: every later one would
+    score the same trials.  Curves with the same number of samples run in
+    lockstep, one batch of trials per step, and every curve ends where it
+    would alone.  Deterministic: no random restarts, ties
+    resolved by grid and damping order.  Every group is checked before any
+    curve is fitted.
 
     Raises:
         InsufficientData: fewer than 4 samples or fewer than 4 distinct SNRs.
@@ -459,9 +543,9 @@ def fit_table(groups: Iterable[Sequence[SimilaritySample]]) -> ParamTable:
         by_size.setdefault(x.size, []).append((k, x, y))
     entries = []
     for n, curves in by_size.items():
-        # A level's float temporaries hold curves x 81 cells x n floats, at
-        # most BATCH_CANDIDATES as in the searches' batches up to 202 samples.
-        per_batch = max(1, BATCH_CANDIDATES // ((2 * FIT_BRACKET + 1) ** 2 * n))
+        # A step's float temporaries hold curves x dampings x n floats, at
+        # most BATCH_CANDIDATES as in the searches' batches up to 630 samples.
+        per_batch = max(1, BATCH_CANDIDATES // (FIT_DAMPINGS.size * n))
         for i in range(0, len(curves), per_batch):
             ks, xs, ys = zip(*curves[i:i + per_batch])
             fitted = _fit_curves(np.array(xs), np.array(ys))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -419,6 +420,59 @@ class TestParserReuse:
         assert tree_bytes(out) == tree_bytes(expected)
 
 
+def parse_outcome(parse, argv, capsys):
+    """The namespace's fields or the exit code of ``parse(argv)``, with what it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+class TestParseOnce:
+    """``cli._parse`` parses a subcommand's arguments once, as ``parse_args`` of the top level would."""
+
+    ARGVS = [
+        [],
+        ["--version"],
+        ["--vers"],
+        ["-h"],
+        ["pow"],
+        ["--version", "power"],
+        ["power", "-h"],
+        ["power", "--bogus"],
+        ["power", "--version"],
+        ["power", "--sigma", "1e3"],
+        ["power", "--sig", "1e3", "--floor", "0.8", "--bits", "1e6"],
+        ["power", "--sigma", "1e3", "--floor", "0.8", "--bits", "1e6", "stray"],
+        ["power", "--sigma", "-1e3", "--floor", "0.8", "--bits", "1e6", "--verify", "--seed", "x"],
+        ["region", "--grid"],
+        ["region", "--out", "o", "--", "x"],
+        ["fit", "--input"],
+        ["sweep", "--spec", "semantic-rate", "--out", "o", "--realizations", "many"],
+        ["replay"],
+        ["replay", "manifest.json", "--out", "o", "--out", "p"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv) or "empty" for argv in ARGVS])
+    def test_same_namespace_output_and_exit_code(self, capsys, argv):
+        parser, _ = cli._build_parser()
+        assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(parser.parse_args, argv, capsys)
+
+    def test_a_subcommand_runs_one_parse(self, monkeypatch):
+        # Through the top level, argparse parses twice: once there, once in the subcommand.
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        ns = cli._parse(TestPowerCommand().power_args())
+        assert (ns.command, calls) == ("power", ["sembit power"])
+
+
 class TestSweepCommand:
     def write_spec(self, tmp_path, scenario):
         spec = {
@@ -567,6 +621,36 @@ class TestSweepCommand:
 
 
 class TestReplay:
+    @pytest.mark.parametrize("command", ["power", "region", "sweep"])
+    def test_manifest_is_json_dumps_of_its_payload(self, tmp_path, scenario, command):
+        # The parameter table's text is cached and spliced in; the file must
+        # still read as json.dumps renders what it holds.
+        out = tmp_path / command
+        argv = {
+            "power": TestPowerCommand().power_args(),
+            "region": ["region", "--seed", "7", "--points", "4"],
+            "sweep": ["sweep", "--spec", str(TestSweepCommand().write_spec(tmp_path, scenario))],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("field, value", [("a_high", 1), ("k", 3.0)])
+    def test_replay_keeps_a_hand_written_table_as_written(self, tmp_path, field, value):
+        # 1 for 1.0 and 3.0 for 3 read as the same table, but render otherwise.
+        first = tmp_path / "a"
+        assert main([*TestPowerCommand().power_args(), "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text(encoding="utf-8"))
+        entry = manifest["args"]["scenario"]["params"]["entries"][0]
+        assert entry["k"] == 3
+        entry[field] = value
+        (first / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        second = tmp_path / "b"
+        assert main(["replay", str(first / "manifest.json"), "--out", str(second)]) == 0
+        text = (second / "manifest.json").read_text(encoding="utf-8")
+        assert json.loads(text)["args"] == manifest["args"]
+        assert f'"{field}": {value!r},' in text
+
     def test_region_replay_is_byte_identical(self, tmp_path):
         out1 = tmp_path / "a"
         argv = ["region", "--seed", "7", "--points", "10", "--grid", "64", "--out", str(out1)]

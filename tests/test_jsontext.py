@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sembit import LogisticParams, ParamTable, Scenario, Scheme
-from sembit.jsontext import indented
+from sembit.jsontext import Verbatim, indented
 
 # Floats whose reprs are the least plain, and the non-finite values.
 ODD_FLOATS = [-0.0, 5e-324, 1e16, 1e-05, math.inf, -math.inf, math.nan]
@@ -52,6 +52,15 @@ trees = st.recursive(
 @example(tree={"b": [{}], "a": {}, "c": [[], {}, ()]}, sort_keys=True)
 def test_indented_equals_json_dumps(tree, sort_keys):
     assert indented(tree, sort_keys=sort_keys) == json.dumps(tree, indent=2, sort_keys=sort_keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=trees, inner=trees, sort_keys=st.booleans())
+def test_verbatim_text_renders_as_its_value(tree, inner, sort_keys):
+    # A value's text rendered at the top level, inserted at any depth.
+    payload = {"a": [tree, {"b": inner}]}
+    spliced = {"a": [tree, {"b": Verbatim(indented(inner, sort_keys=sort_keys))}]}
+    assert indented(spliced, sort_keys=sort_keys) == indented(payload, sort_keys=sort_keys)
 
 
 @pytest.mark.parametrize(

@@ -43,8 +43,15 @@ def test_fit_line_counts_the_cells_the_fit_scores(monkeypatch):
         scored.append(growth.size)
         return cells(growth, offset, x, y)
 
-    monkeypatch.setattr(similarity, "_cells", spy)
     groups = kernel_times.fit_groups()
     assert [len(g) for g in groups] == [kernel_times.FIT_SAMPLES] * kernel_times.FIT_CURVES
     assert kernel_times.fit_seconds(groups) > 0.0
-    assert sum(scored) == kernel_times.fit_cells(groups)
+    coarse, steps, trials = kernel_times.fit_work(groups)
+    assert similarity._cells is cells
+    # The five curves run in one lockstep batch: a trial per curve and damping each step.
+    # They converge, and the search ends at the first step that moves none.
+    assert 0 < steps < similarity.FIT_STEPS
+    assert trials == steps * len(groups) * similarity.FIT_DAMPINGS.size
+    monkeypatch.setattr(similarity, "_cells", spy)
+    similarity.fit_table(groups)
+    assert sum(scored) == coarse + trials

@@ -1,9 +1,11 @@
 import collections
 import dataclasses
+import importlib.util
 import json
 import math
 import platform
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,17 +31,15 @@ from sembit import (
 )
 
 from sembit import search, similarity
-from sembit.similarity import (
-    FIT_BRACKET,
-    FIT_LEVELS,
-    FIT_SHRINK,
-    GROWTH_BOUNDS,
-    GROWTH_GRID,
-    LN10_OVER_10,
-    OFFSET_BOUNDS,
-    OFFSET_GRID,
-    _sigmoid,
-)
+from sembit.similarity import LN10_OVER_10
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "fit_quality.py"
+_spec = importlib.util.spec_from_file_location("fit_quality", _TOOL)
+fit_quality = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fit_quality)
+fit_logistic_reference = fit_quality.fit_logistic_reference
+curve_samples = fit_quality.curve_samples
+random_params = fit_quality.random_params
 
 P4 = LogisticParams(k=4, a_low=0.2, a_high=0.9, growth=0.5, offset=-1.0)
 
@@ -60,76 +60,6 @@ def power_for_similarity_reference(params, targets, bandwidths, channel_gain, no
     return np.where(targets <= params.a_low, 0.0, power)
 
 
-def fit_logistic_reference(samples, counts=None):
-    """The per-curve fit as first written: one ``_best_cell`` call per grid and level.
-
-    Kept as the reference for the lockstep ``fit_table``, which must give
-    the same curves bit for bit.  ``counts``, a Counter, tallies saturated
-    cells (det <= 1e-30) and bracket cells clipped to a hard bound.  The
-    coarse product ``g * x`` may overflow to inf on a huge finite SNR,
-    where the sigmoid saturates correctly; that warning is silenced here.
-    """
-    counts = collections.Counter() if counts is None else counts
-
-    def amplitudes_for(s, y):
-        u = 1.0 - s
-        suu = np.einsum("ij,ij->i", u, u)
-        suv = np.einsum("ij,ij->i", u, s)
-        svv = np.einsum("ij,ij->i", s, s)
-        suy = u @ y
-        svy = s @ y
-        det = suu * svv - suv * suv
-        ok = det > 1e-30
-        counts["saturated"] += int((~ok).sum())
-        a1 = np.zeros_like(det)
-        a2 = np.zeros_like(det)
-        a1[ok] = (suy[ok] * svv[ok] - svy[ok] * suv[ok]) / det[ok]
-        a2[ok] = (svy[ok] * suu[ok] - suy[ok] * suv[ok]) / det[ok]
-        a1[~ok] = y.mean()
-        a2[~ok] = y.mean()
-        a1 = np.clip(a1, 0.0, 1.0 - 1e-9)
-        a2 = np.clip(a2, a1 + 1e-9, 1.0)
-        resid = a1[:, None] * u + a2[:, None] * s - y[None, :]
-        return a1, a2, np.einsum("ij,ij->i", resid, resid) / y.size
-
-    def best_cell(growths, offsets, x, y):
-        gg, oo = (m.ravel() for m in np.meshgrid(growths, offsets, indexing="ij"))
-        with np.errstate(over="ignore"):
-            z = gg[:, None] * x + oo[:, None]
-        a_low, a_high, mse = amplitudes_for(_sigmoid(z), y)
-        i = int(np.argmin(mse))
-        return gg[i], oo[i], a_low[i], a_high[i], mse[i]
-
-    x = np.array([s.snr_db for s in samples], dtype=float)
-    y = np.array([s.similarity for s in samples], dtype=float)
-    growths, h_g = np.linspace(*GROWTH_GRID, retstep=True)
-    offsets, h_o = np.linspace(*OFFSET_GRID, retstep=True)
-    growth, offset, a_low, a_high, mse = best_cell(growths, offsets, x, y)
-    ramp = np.linspace(-1.0, 1.0, 2 * FIT_BRACKET + 1)
-    for _ in range(FIT_LEVELS):
-        gs = np.clip(growth + h_g * ramp, *GROWTH_BOUNDS)
-        os = np.clip(offset + h_o * ramp, *OFFSET_BOUNDS)
-        counts["clipped"] += int(np.isin(gs, GROWTH_BOUNDS).sum())
-        counts["clipped"] += int(np.isin(os, OFFSET_BOUNDS).sum())
-        cell = best_cell(gs, os, x, y)
-        if cell[4] < mse:
-            growth, offset, a_low, a_high, mse = cell
-        else:
-            h_g, h_o = h_g / FIT_SHRINK, h_o / FIT_SHRINK
-    return LogisticParams(
-        k=samples[0].k, a_low=float(a_low), a_high=float(a_high), growth=float(growth),
-        offset=float(offset),
-    )
-
-
-def curve_samples(rng, k, n, noise, snr=(-15.0, 25.0), **truth):
-    """``n`` samples of one random curve (or of ``truth``'s fields) at uniform SNRs."""
-    params = dataclasses.replace(random_params(rng), k=k, **truth)
-    snrs = rng.uniform(*snr, size=n)
-    y = np.clip(eval_similarity(params, snrs) + rng.normal(0.0, noise, size=n), 0.0, 1.0)
-    return [SimilaritySample(k, float(x), float(v)) for x, v in zip(snrs, y)]
-
-
 def edge_targets(params):
     """Targets at, just inside and just outside both asymptotes, then 0, 1, +-inf and NaN."""
     ends = [params.a_low, params.a_high]
@@ -137,16 +67,20 @@ def edge_targets(params):
     return np.array([*ends, *around, 0.0, 1.0, -np.inf, np.inf, np.nan])
 
 
-def random_params(rng):
-    a_low = rng.uniform(0.0, 0.5)
-    a_high = rng.uniform(a_low + 0.1, 1.0)
-    return LogisticParams(
-        k=int(rng.integers(1, 40)),
-        a_low=a_low,
-        a_high=a_high,
-        growth=rng.uniform(0.05, 2.0),
-        offset=rng.uniform(-10.0, 10.0),
-    )
+def assert_no_worse(groups, counts=None):
+    """Each group's fitted MSE is at most the bracket search's, times 1 + 1e-9, and its coarse cell's.
+
+    ``counts`` tallies the bracket search's saturated and clipped cells.
+    """
+    fitted = fit_table(groups)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "FIT_STEPS", 0)
+        coarse = fit_table(groups)
+    for samples in groups:
+        mse = fit_mse(fitted[samples[0].k], samples)
+        bracketed = fit_mse(fit_logistic_reference(samples, counts), samples)
+        assert mse <= bracketed * (1 + 1e-9), (samples[0].k, mse, bracketed)
+        assert mse <= fit_mse(coarse[samples[0].k], samples)
 
 
 class TestEval:
@@ -392,6 +326,24 @@ class TestParamTable:
         payload["note"] = "annotation"
         assert ParamTable.from_dict(payload) == table
 
+    def test_renders_as_tells_apart_what_equal_payloads_render_otherwise(self):
+        table = ParamTable([LogisticParams(k=4, a_low=0.1, a_high=1.0, growth=0.5, offset=-2.0)])
+        payload = table.to_dict()
+        assert table.renders_as(payload)
+        for field, value in (("k", 4.0), ("a_high", 1), ("offset", np.float64(-2.0))):
+            entry = {**payload["entries"][0], field: value}
+            assert entry == payload["entries"][0]
+            assert not table.renders_as({"entries": [entry]}), field
+        assert not table.renders_as({**payload, "note": "a table"})
+        assert not table.renders_as(None)
+        # A zero field may come as -0.0, equal but rendered otherwise.
+        zero = ParamTable([LogisticParams(k=4, a_low=0.0, a_high=1.0, growth=0.5, offset=-0.0)])
+        payload = zero.to_dict()
+        assert zero.renders_as(payload)
+        for field, value in (("a_low", -0.0), ("offset", 0.0)):
+            entry = {**payload["entries"][0], field: value}
+            assert not zero.renders_as({"entries": [entry]}), field
+
     def test_unknown_keys_rejected(self, table):
         payload = table.to_dict()
         payload["extra_top"] = 1
@@ -454,6 +406,17 @@ class TestFit:
         samples = self.samples_from(self.TRUE, snrs)
         assert fit_logistic(samples) == fit_logistic(samples)
 
+    @pytest.mark.parametrize(
+        "truth", [TRUE, *default_table()], ids=["true", *(f"k{p.k}" for p in default_table())]
+    )
+    def test_no_worse_than_the_bracket_search(self, rng, truth):
+        # The sample sets of the tests above, for every curve they draw from.
+        assert_no_worse([
+            self.samples_from(truth, np.linspace(-15.0, 25.0, 61), noise=0.01, rng=rng),
+            self.samples_from(dataclasses.replace(truth, k=99), np.linspace(-15.0, 25.0, 41)),
+            self.samples_from(dataclasses.replace(truth, k=98), np.linspace(-12.0, 22.0, 35)),
+        ])
+
     def test_too_few_samples(self):
         snrs = [-10.0, 0.0, 10.0]
         with pytest.raises(InsufficientData):
@@ -484,7 +447,7 @@ class TestFit:
 
 
 class TestFitTable:
-    """The lockstep fit of every curve against the per-curve reference."""
+    """The lockstep fit of every curve against the same curves fitted one at a time."""
 
     # (sample count, noise, extra curve fields) per curve of each set.
     SETS = {
@@ -493,37 +456,83 @@ class TestFitTable:
                            (61, 0.01, {}), (17, 0.03, {})],
         "one-curve": [(30, 0.01, {})],
         "noiseless": [(41, 0.0, {})] * 4,
-        # Every sample far up the curve: steep coarse cells saturate.
+        # Every sample far up the curve: steep coarse cells saturate, and
+        # the steps start from clamped amplitudes.
         "saturated": [(25, 0.01, {"growth": 0.3, "offset": -18.0, "snr": (40.0, 80.0)})] * 2
         + [(25, 0.01, {})],
-        # Nearly linear curves: the brackets reach the growth floor.  The
-        # offset bounds and the growth ceiling lie beyond what 40 levels
-        # of the start's spacing can reach.
+        # Curves that reach 1 just past the top sample: the fitted ceiling
+        # is clamped to 1.
+        "ceiling": [(30, 0.02, {"a_high": 1.0, "growth": 0.3, "offset": -6.0})] * 3,
+        # Nearly linear curves: steps reach the hard bounds.
         "clipped": [(30, 0.01, {"growth": 0.01, "offset": 0.0}), (30, 0.0, {"growth": 0.02})],
+        # Falling curves (SNRs mirrored): the ceiling is clamped to the floor.
+        "falling": [(30, 0.02, {"mirror": True})] * 3,
     }
+    # The step path each of these sets must take, from TestFitTable.paths.
+    PATHS = {"saturated": "clamped", "ceiling": "ceiling", "clipped": "bound", "falling": "tied"}
 
     @staticmethod
     def groups(rng, curves):
-        return [
-            curve_samples(rng, k, n, noise, **fields)
-            for k, (n, noise, fields) in enumerate(curves, start=3)
-        ]
+        groups = []
+        for k, (n, noise, fields) in enumerate(curves, start=3):
+            fields = dict(fields)
+            sign = -1.0 if fields.pop("mirror", False) else 1.0
+            samples = curve_samples(rng, k, n, noise, **fields)
+            groups.append([SimilaritySample(k, sign * s.snr_db, s.similarity) for s in samples])
+        return groups
+
+    @staticmethod
+    def paths(monkeypatch):
+        """A Counter of the steps' special paths, filled by spies on the step functions.
+
+        ``clamped``: a curve steps from a clamped amplitude; ``ceiling``: from
+        a ceiling clamped to 1; ``tied``: from a ceiling clamped to the
+        floor; ``bound``: a trial cell is clipped to a hard bound.
+        """
+        counts = collections.Counter()
+        cells, lm_steps = similarity._cells, similarity._lm_steps
+        gap = similarity._AMPLITUDE_GAP
+
+        def steps_spy(a_low, a_high, growth, offset, x, y):
+            tied = a_high == a_low + gap
+            counts["tied"] += int(tied.sum())
+            counts["ceiling"] += int((a_high == 1.0).sum())
+            counts["clamped"] += int((tied | np.isin(a_low, (0.0, 1.0 - gap)) | (a_high == 1.0)).sum())
+            return lm_steps(a_low, a_high, growth, offset, x, y)
+
+        def cells_spy(growth, offset, x, y):
+            if growth.shape[1] == similarity.FIT_DAMPINGS.size:
+                counts["bound"] += int(np.isin(growth, similarity.GROWTH_BOUNDS).sum())
+                counts["bound"] += int(np.isin(offset, similarity.OFFSET_BOUNDS).sum())
+            return cells(growth, offset, x, y)
+
+        monkeypatch.setattr(similarity, "_lm_steps", steps_spy)
+        monkeypatch.setattr(similarity, "_cells", cells_spy)
+        return counts
 
     @pytest.mark.parametrize("name", list(SETS))
-    def test_equals_the_per_curve_fit(self, rng, name):
-        counts = collections.Counter()
+    def test_equals_the_per_curve_fit(self, rng, monkeypatch, name):
+        counts = self.paths(monkeypatch)
         for _ in range(2):
             groups = self.groups(rng, self.SETS[name])
-            want = ParamTable(fit_logistic_reference(g, counts) for g in groups)
+            want = ParamTable(p for g in groups for p in fit_table([g]))
             assert fit_table(groups) == want
             assert fit_table(reversed(groups)) == want
+        if name in self.PATHS:
+            assert counts[self.PATHS[name]] > 0, counts
+
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_no_worse_than_the_bracket_search(self, rng, name):
+        counts = collections.Counter()
+        for _ in range(2):
+            assert_no_worse(self.groups(rng, self.SETS[name]), counts)
         if name in ("saturated", "clipped"):
             assert counts[name] > 0, counts
 
     def test_one_group_is_fit_logistic(self, rng):
         samples = curve_samples(rng, 6, 33, 0.02)
-        assert fit_logistic(samples) == fit_logistic_reference(samples)
         assert fit_logistic(samples) == fit_table([samples])[6]
+        assert_no_worse([samples])
 
     def test_every_group_is_checked_before_any_fit(self, rng, monkeypatch):
         fitted = []
@@ -537,28 +546,36 @@ class TestFitTable:
 
     def test_huge_finite_snr_raises_no_warning(self, rng):
         samples = curve_samples(rng, 4, 30, 0.01)
-        samples += [SimilaritySample(4, 1e308, 0.9), SimilaritySample(4, -1e308, 0.2)]
+        huge = [SimilaritySample(4, 1e308, 0.9), SimilaritySample(4, -1e308, 0.2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = fit_logistic(samples)
-        assert got == fit_logistic_reference(samples)
+            got = fit_logistic(samples + huge)
+        with np.errstate(over="ignore"):
+            assert_no_worse([samples + huge])
+        assert got == fit_table([samples + huge])[4]
 
     def test_largest_temporary_stays_under_the_mmap_threshold(self, rng, monkeypatch):
         # A cell batch's largest float temporary holds curves x cells x
-        # samples floats; its glibc chunk, plus the 8 B header rounded up
-        # to 16 B, must stay under 128 KiB, as the searches' batches do.
-        # The benchmark's fit inputs have 5 curves of 40 samples; 6 take
-        # two lockstep batches.
-        sizes = []
-        cells = similarity._cells
+        # samples floats, and a step's sample sums stack curves x 5 x
+        # samples; each glibc chunk, plus the 8 B header rounded up to
+        # 16 B, must stay under 128 KiB, as the searches' batches do.
+        sizes, batches = [], []
+        cells, lm_steps = similarity._cells, similarity._lm_steps
 
-        def spy(growth, offset, x, y):
+        def cells_spy(growth, offset, x, y):
             sizes.append(growth.size * x.shape[1])
             return cells(growth, offset, x, y)
 
-        monkeypatch.setattr(similarity, "_cells", spy)
-        fit_table(self.groups(rng, [(n, 0.01, {}) for n in (4, *[40] * 6, 41, 202)]))
-        assert len(sizes) > FIT_LEVELS
+        def steps_spy(a_low, a_high, growth, offset, x, y):
+            batches.append(x.shape)
+            sizes.append(5 * x.size)
+            return lm_steps(a_low, a_high, growth, offset, x, y)
+
+        monkeypatch.setattr(similarity, "_cells", cells_spy)
+        monkeypatch.setattr(similarity, "_lm_steps", steps_spy)
+        fit_table(self.groups(rng, [(n, 0.01, {}) for n in (4, *[40] * 5, 41, *[202] * 4, 255)]))
+        # One batch per sample count, but the four 202-sample curves take two.
+        assert set(batches) == {(1, 4), (5, 40), (1, 41), (3, 202), (1, 202), (1, 255)}
         for floats in sizes:
             chunk = -(-(floats * 8 + 8) // 16) * 16
             assert chunk < search.MMAP_THRESHOLD, floats

@@ -10,10 +10,11 @@ calls are then replayed as they came, and the tool prints its calls,
 candidates and nanoseconds per candidate, the minimum over ``PASSES``
 passes.  The objectives are the oma and semi boundary scores and the
 minimum-power total, which scores oma and semi rows together.  Then it
-prints one line for the S-curve fit: the (growth, offset) cells one
-``fit_table`` call scores on a fixed set of ``FIT_CURVES`` curves with
-``FIT_SAMPLES`` noisy samples each, and milliseconds per fit, the
-minimum over ``PASSES`` fits.  The readings are printed, not judged: the
+prints one line for the S-curve fit of a fixed set of ``FIT_CURVES``
+curves with ``FIT_SAMPLES`` noisy samples each, one ``fit_table`` call:
+its coarse (growth, offset) cells, its Levenberg-Marquardt steps and the
+trial cells they score, and milliseconds per fit, the minimum over
+``PASSES`` fits.  The readings are printed, not judged: the
 exit status is 0.
 
 Usage:
@@ -115,11 +116,30 @@ def fit_groups() -> list[list[similarity.SimilaritySample]]:
     return groups
 
 
-def fit_cells(groups: list) -> int:
-    """(growth, offset) cells a fit of ``groups`` scores: its coarse grids and bracket levels."""
-    grid = similarity.GROWTH_GRID[2] * similarity.OFFSET_GRID[2]
-    levels = similarity.FIT_LEVELS * (2 * similarity.FIT_BRACKET + 1) ** 2
-    return len(groups) * (grid + levels)
+def fit_work(groups: list) -> tuple[int, int, int]:
+    """Coarse cells, steps and trial cells of one ``fit_table`` call on ``groups``, counted as it runs.
+
+    Every cell the fit scores goes through ``similarity._cells``, and every
+    step starts with one ``similarity._lm_steps`` call per lockstep batch.
+    """
+    scored, steps = [], []
+    saved_cells, saved_steps = similarity._cells, similarity._lm_steps
+
+    def cells(growth, *args):
+        scored.append(growth.size)
+        return saved_cells(growth, *args)
+
+    def lm_steps(*args):
+        steps.append(len(args[0]))
+        return saved_steps(*args)
+
+    similarity._cells, similarity._lm_steps = cells, lm_steps
+    try:
+        similarity.fit_table(groups)
+    finally:
+        similarity._cells, similarity._lm_steps = saved_cells, saved_steps
+    coarse = len(groups) * similarity.GROWTH_GRID[2] * similarity.OFFSET_GRID[2]
+    return coarse, len(steps), sum(scored) - coarse
 
 
 def fit_seconds(groups: list) -> float:
@@ -140,8 +160,9 @@ def main() -> int:
         print(f"{label:16s}  {len(made):6d}  {n:10d}  {best / max(n, 1) * 1e9:16.1f}")
     groups = fit_groups()
     best = min(fit_seconds(groups) for _ in range(PASSES))
-    print(f"fit of {FIT_CURVES} curves x {FIT_SAMPLES} samples: {fit_cells(groups)} cells, "
-          f"{best * 1e3:.1f} ms per fit, min of {PASSES}")
+    coarse, steps, trials = fit_work(groups)
+    print(f"fit of {FIT_CURVES} curves x {FIT_SAMPLES} samples: {coarse} coarse cells, {steps} "
+          f"steps of {trials} trial cells, {best * 1e3:.1f} ms per fit, min of {PASSES}")
     return 0
 
 

@@ -8,7 +8,7 @@ before the request and outside its time, as the benchmark does.  The
 stages, each timed by its own time only (a stage called inside another
 counts for itself, not for its caller):
 
-- parse: ``argparse``'s ``parse_args``;
+- parse: argument parsing, ``cli._parse``;
 - scenario: loading the scenario, ``Scenario.to_dict`` and ``from_dict``;
 - draw: ``sample_realization``;
 - solve (power) or trace (region): ``solve_min_powers``, ``trace_region``;
@@ -36,7 +36,6 @@ Run from the root of a checkout; ``src`` goes on the import path.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import contextlib
 import functools
@@ -105,7 +104,7 @@ class _TimedFile:
 
 # (owner, attribute, stage) of every timed function, as the CLI looks each one up.
 STAGES = (
-    (argparse.ArgumentParser, "parse_args", "parse"),
+    (cli, "_parse", "parse"),
     (cli, "_load_scenario", "scenario"),
     (channel.Scenario, "to_dict", "scenario"),
     (channel.Scenario, "from_dict", "scenario"),
