@@ -42,6 +42,7 @@ import numpy as np
 
 from .channel import ChannelRealization, Scenario
 from .errors import DomainMismatch, EmptyRegion
+from .jsontext import write_text
 from .rates import (
     ALLOC_FIELDS,
     RatePair,
@@ -125,10 +126,9 @@ class RegionBoundary:
 
         No field can need quoting, so the lines are those of ``csv.writer``.
         """
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            # A plain float's repr is plain digits, where a numpy scalar's is not.
-            lines = [f"{s!r},{b!r},{e!r}\r\n" for s, b, e in self._rows()]
-            fh.write("sigma,bit_rate,similarity\r\n" + "".join(lines))
+        # A plain float's repr is plain digits, where a numpy scalar's is not.
+        lines = [f"{s!r},{b!r},{e!r}\r\n" for s, b, e in self._rows()]
+        write_text(path, "sigma,bit_rate,similarity\r\n" + "".join(lines), newline="")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DistanceBelowReference, reject_unknown, require_finite, require_float, require_int
-from .jsontext import indented
+from .jsontext import indented, write_text
 from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
@@ -169,8 +169,7 @@ class Scenario:
             return cls.from_dict(json.load(fh))
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(indented(self.to_dict()) + "\n")
+        write_text(path, indented(self.to_dict()) + "\n")
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON form, for run manifests.
@@ -219,18 +218,38 @@ def derive_seed(base_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _philox_words(key: int) -> tuple[int, int]:
+    """First two words of Philox4x64-10 at counter (1, 0, 0, 0) and key (``key``, 0).
+
+    The block of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+    3" (SC 2011), in Python integers: numpy's ``Philox(key=key)`` steps its
+    counter from 0 to 1 before its first block.
+    """
+    c0, c1, c2, c3, k0, k1 = 1, 0, 0, 0, key, 0
+    for _ in range(10):
+        p0 = 0xD2E7470EE14C6C93 * c0
+        p1 = 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _MASK64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _MASK64
+    return c0, c1
+
+
 def sample_realization(scenario: Scenario, seed: int) -> ChannelRealization:
     """Draw one Rayleigh-faded realisation of both links.
 
     Uses a Philox counter generator keyed by the seed and inverse-CDF
     exponentials (-log1p(-u)), so the draw is reproducible across platforms
-    and independent of global RNG state.
+    and independent of global RNG state.  The uniforms are bit for bit
+    ``np.random.Generator(np.random.Philox(key=seed & (2**64 - 1))).random(2)``:
+    each word's top 53 bits times 2**-53.  The log is numpy's, since
+    ``math.log1p`` can differ by one ulp.
     """
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    u = gen.random(2)
-    e = -np.log1p(-u)
+    key = int(seed) & _MASK64
+    u = np.array([(word >> 11) * 2.0**-53 for word in _philox_words(key)])
+    e = (-np.log1p(-u)).tolist()
     return ChannelRealization(
-        gain_s=scenario.mean_gain_s * float(e[0]),
-        gain_b=scenario.mean_gain_b * float(e[1]),
-        seed=int(seed) & _MASK64,
+        gain_s=scenario.mean_gain_s * e[0],
+        gain_b=scenario.mean_gain_b * e[1],
+        seed=key,
     )

@@ -45,7 +45,7 @@ from .errors import (
     SembitError,
     TargetUnreachable,
 )
-from .jsontext import Verbatim, indented
+from .jsontext import Verbatim, indented, write_text
 from .montecarlo import SweepSpec, run_sweep
 from .power import PowerTargets, solve_min_powers
 from .rates import ALLOC_FIELDS, Scheme, rates_rows
@@ -73,8 +73,7 @@ def _timestamp() -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(indented(payload, sort_keys=True) + "\n")
+    write_text(path, indented(payload, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, scenario: Scenario | None) -> None:
@@ -232,14 +231,13 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "power.json", report)
-        with open(out_dir / "power.csv", "w", encoding="utf-8", newline="") as fh:
-            t = f"{targets.sigma_target!r},{targets.min_similarity!r},{targets.bit_target!r}"
-            lines = ["sigma_target,min_similarity,bit_target,scheme,min_power_w\r\n"]
-            for name in ("oma", "noma", "semi"):
-                entry = report["schemes"][name]
-                power = repr(entry["min_power_w"]) if entry["feasible"] else "nan"
-                lines.append(f"{t},{name},{power}\r\n")
-            fh.write("".join(lines))
+        t = f"{targets.sigma_target!r},{targets.min_similarity!r},{targets.bit_target!r}"
+        lines = ["sigma_target,min_similarity,bit_target,scheme,min_power_w\r\n"]
+        for name in ("oma", "noma", "semi"):
+            entry = report["schemes"][name]
+            power = repr(entry["min_power_w"]) if entry["feasible"] else "nan"
+            lines.append(f"{t},{name},{power}\r\n")
+        write_text(out_dir / "power.csv", "".join(lines), newline="")
         _write_manifest(out_dir, "power", params, scenario)
     else:
         print(indented(report, sort_keys=True))
@@ -296,11 +294,56 @@ def _cmd_replay(ns) -> int:
     return _dispatch(command, args, out_dir)
 
 
+_OUT = {"required": True, "help": "output directory"}
+_SCENARIO = {"help": "scenario JSON (default: built-in scenario)"}
+_GRID = {"type": int, "default": DEFAULT_GRID_N, "help": "coarse search grid size (>= 2)"}
+# Each subcommand's help and its arguments' ``add_argument`` keywords, by
+# option string or positional name: the one table that builds the argparse
+# parsers and that :func:`_table_parse` reads.
+_COMMANDS = {
+    "fit": ("fit S-curves from a k,snr_db,similarity CSV", {
+        "--input": {"required": True, "help": "measurement CSV"},
+        "--out": _OUT,
+    }),
+    "region": ("trace region boundaries for one draw", {
+        "--scenario": _SCENARIO,
+        "--seed": {"type": int, "default": 0},
+        "--points": {"type": int, "default": 200, "help": "boundary grid points"},
+        "--grid": _GRID,
+        "--schemes": {"default": "all", "help": "comma list of oma,noma,semi or 'all' (default all)"},
+        "--out": _OUT,
+    }),
+    "power": ("minimum power for a target triple", {
+        "--scenario": _SCENARIO,
+        "--seed": {"type": int, "default": 0},
+        "--sigma": {"type": float, "required": True, "help": "semantic rate target"},
+        "--floor": {"type": float, "required": True, "help": "similarity floor"},
+        "--bits": {"type": float, "required": True, "help": "bit rate target"},
+        "--grid": _GRID,
+        "--verify": {"action": "store_true", "default": False,
+                     "help": "plug allocations back through the rate equations"},
+        "--out": {"help": "output directory (default: JSON to stdout)"},
+    }),
+    "sweep": ("Monte-Carlo minimum-power sweep", {
+        "--spec": {"required": True,
+                   "help": f"sweep spec JSON path or one of {sorted(BUNDLED_SWEEPS)}"},
+        "--realizations": {"type": int, "help": "override n_realizations"},
+        "--seed": {"type": int, "help": "override base_seed"},
+        "--out": _OUT,
+    }),
+    "replay": ("re-run a command from its manifest", {
+        "manifest": {"help": "manifest.json from an earlier run"},
+        "--out": {"help": "output directory for the replayed run"},
+    }),
+}
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and its subcommands' parsers by name, built once per process.
 
-    Parsing leaves them unchanged.
+    Every subcommand's arguments come from ``_COMMANDS``.  Parsing leaves
+    the parsers unchanged.
     """
     parser = argparse.ArgumentParser(
         prog="sembit",
@@ -308,68 +351,76 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     parser.add_argument("--version", action="version", version=f"sembit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit S-curves from a k,snr_db,similarity CSV")
-    p_fit.add_argument("--input", required=True, help="measurement CSV")
-    p_fit.add_argument("--out", required=True, help="output directory")
-
-    p_region = sub.add_parser("region", help="trace region boundaries for one draw")
-    p_region.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
-    p_region.add_argument("--seed", type=int, default=0)
-    p_region.add_argument("--points", type=int, default=200, help="boundary grid points")
-    p_region.add_argument(
-        "--grid", type=int, default=DEFAULT_GRID_N, help="coarse search grid size (>= 2)"
-    )
-    p_region.add_argument(
-        "--schemes",
-        default="all",
-        help="comma list of oma,noma,semi or 'all' (default all)",
-    )
-    p_region.add_argument("--out", required=True, help="output directory")
-
-    p_power = sub.add_parser("power", help="minimum power for a target triple")
-    p_power.add_argument("--scenario", help="scenario JSON (default: built-in scenario)")
-    p_power.add_argument("--seed", type=int, default=0)
-    p_power.add_argument("--sigma", type=float, required=True, help="semantic rate target")
-    p_power.add_argument("--floor", type=float, required=True, help="similarity floor")
-    p_power.add_argument("--bits", type=float, required=True, help="bit rate target")
-    p_power.add_argument(
-        "--grid", type=int, default=DEFAULT_GRID_N, help="coarse search grid size (>= 2)"
-    )
-    p_power.add_argument(
-        "--verify", action="store_true", help="plug allocations back through the rate equations"
-    )
-    p_power.add_argument("--out", help="output directory (default: JSON to stdout)")
-
-    p_sweep = sub.add_parser("sweep", help="Monte-Carlo minimum-power sweep")
-    p_sweep.add_argument(
-        "--spec",
-        required=True,
-        help=f"sweep spec JSON path or one of {sorted(BUNDLED_SWEEPS)}",
-    )
-    p_sweep.add_argument("--realizations", type=int, help="override n_realizations")
-    p_sweep.add_argument("--seed", type=int, help="override base_seed")
-    p_sweep.add_argument("--out", required=True, help="output directory")
-
-    p_replay = sub.add_parser("replay", help="re-run a command from its manifest")
-    p_replay.add_argument("manifest", help="manifest.json from an earlier run")
-    p_replay.add_argument("--out", help="output directory for the replayed run")
-
+    for command, (text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
     return parser, sub.choices
+
+
+def _table_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``argv``, where ``_COMMANDS`` alone decides it; else None.
+
+    The table decides a subcommand followed by its own arguments, each
+    once and each spelled out: ``--opt v`` or ``--opt=v`` with a value
+    that converts, a flag as ``--opt``, a positional as a plain token.  A
+    value must be non-empty and not start with "-", so argparse would not
+    read it as an option.  Any other argv (abbreviations, repeats, "-h",
+    "--", missing or bad values, unknown options) is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _COMMANDS[argv[0]][1]
+    positional = next((name for name in arguments if not name.startswith("-")), None)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("--"):
+            name, eq, value = token.partition("=")
+        elif token.startswith("-") or positional is None:
+            return None
+        else:  # a plain token is the positional's value, as if given with "="
+            name, eq, value = positional, "=", token
+        keywords = arguments.get(name)
+        if keywords is None or name in given:
+            return None
+        if keywords.get("action") == "store_true":
+            if eq:
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value.startswith("-"):
+            return None
+        try:
+            given[name] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    ns = argparse.Namespace(command=argv[0])
+    for name, keywords in arguments.items():
+        if name not in given and keywords.get("required", name == positional):
+            return None
+        setattr(ns, name.lstrip("-"), given.get(name, keywords.get("default")))
+    return ns
 
 
 def _parse(argv) -> argparse.Namespace:
     """``argv`` parsed as the top-level parser's ``parse_args`` parses it.
 
-    When the first token names a subcommand, its parser takes the rest
-    directly: through the top level, argparse would run its parse loop
-    once for the top level and again for the subcommand.  Leftover
-    arguments get the top level's error, as ``parse_args`` gives it.  Any
-    other argv (empty, ``--version``, ``-h``, an unknown command) goes
-    through the top level.
+    An argv the option table decides (:func:`_table_parse`) runs no
+    argparse code.  Otherwise, when the first token names a subcommand,
+    its parser takes the rest directly: through the top level, argparse
+    would run its parse loop once for the top level and again for the
+    subcommand.  Leftover arguments get the top level's error, as
+    ``parse_args`` gives it.  Any other argv (empty, ``--version``, ``-h``,
+    an unknown command) goes through the top level.
     """
-    parser, subcommands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _table_parse(argv)
+    if ns is not None:
+        return ns
+    parser, subcommands = _build_parser()
     if not argv or argv[0] not in subcommands:
         return parser.parse_args(argv)
     ns, extra = subcommands[argv[0]].parse_known_args(argv[1:])

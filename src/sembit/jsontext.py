@@ -11,13 +11,18 @@ value, ``bool`` before ``int``, and a float subclass such as
 Unlike ``json``, which would coerce them, dict keys must be strings.
 A :class:`Verbatim` value is text rendered earlier, inserted at its
 indent.  Anything else raises TypeError.
+
+:func:`write_text` is the one path by which every output file reaches disk.
 """
 
 from __future__ import annotations
 
+import os
 from json.encoder import encode_basestring_ascii as _quote
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# O_BINARY keeps a Windows C runtime from translating newlines a second time.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 class Verbatim:
@@ -82,3 +87,20 @@ def _render(o, pad: str, sort_keys: bool, out) -> None:
         out(o.text.replace("\n", pad))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def write_text(path, text: str, newline: str | None = None) -> None:
+    """Write ``text`` to ``path`` as ``open(path, "w", encoding="utf-8", newline=newline)`` would.
+
+    As in text mode, ``newline=None`` turns each "\\n" into ``os.linesep``
+    and ``""`` writes the text as it is.  One ``os.open`` and as many
+    ``os.write`` calls as the system takes, without a file object.
+    """
+    sep = os.linesep if newline is None else newline or "\n"
+    data = memoryview((text if sep == "\n" else text.replace("\n", sep)).encode("utf-8"))
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)

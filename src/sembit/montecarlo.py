@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ChannelRealization, Scenario, derive_seed, sample_realization
 from .errors import reject_unknown, require_float, require_int, require_keys
-from .jsontext import indented
+from .jsontext import indented, write_text
 from .power import PowerTargets, solve_min_powers_rows
 from .rates import Scheme
 from .search import DEFAULT_GRID_N, check_grid_n
@@ -110,8 +110,7 @@ class SweepSpec:
             return cls.from_dict(json.load(fh))
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(indented(self.to_dict(), sort_keys=True) + "\n")
+        write_text(path, indented(self.to_dict(), sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -133,12 +132,11 @@ class SweepResult:
 
     def write_csv(self, path) -> None:
         """Write the rows as CSV in one call; no field can need quoting."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            lines = ["sweep_value,scheme,mean_power_w,stderr,infeasible_frac\r\n"]
-            for r in self.rows:
-                stats = f"{r.mean_power_w!r},{r.stderr!r},{r.infeasible_frac!r}"
-                lines.append(f"{r.sweep_value!r},{r.scheme},{stats}\r\n")
-            fh.write("".join(lines))
+        lines = ["sweep_value,scheme,mean_power_w,stderr,infeasible_frac\r\n"]
+        for r in self.rows:
+            stats = f"{r.mean_power_w!r},{r.stderr!r},{r.infeasible_frac!r}"
+            lines.append(f"{r.sweep_value!r},{r.scheme},{stats}\r\n")
+        write_text(path, "".join(lines), newline="")
 
 
 def _sweep_totals(spec: SweepSpec, reals: list[ChannelRealization]) -> np.ndarray:

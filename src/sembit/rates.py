@@ -456,14 +456,34 @@ def bit_rates(scenario: Scenario, gain_b, gain_eff, alloc: np.ndarray) -> np.nda
     Both pipes go through one unmasked :func:`_log_rate` call, which costs
     little more than one pipe alone, and one ``fmax`` scores a pipe
     without band or power, and a NaN row, 0: bit for bit
-    :func:`pipe_rate`'s on the non-negative fields of an allocation.
+    :func:`pipe_rate`'s on the non-negative fields of an allocation.  A
+    band so narrow that p / inv overflows (a subnormal share of the
+    carrier) carries w * log2(p / inv) taken in logs, not +inf; only then
+    is it patched.
     """
     n0 = scenario.noise_psd
     inv = np.array(
         [overlay_inv_slope(alloc[0], alloc[3], gain_eff, n0), orth_inv_slope(alloc[2], gain_b, n0)]
     )
     # Lines 0 and 2 are the two widths, lines 4 and 5 the two bit powers.
-    shared, orth = np.fmax(_log_rate(alloc[0:3:2], alloc[4:6], inv), 0.0)
+    width, power = alloc[0:3:2], alloc[4:6]
+    with np.errstate(over="ignore"):
+        rate = _log_rate(width, power, inv)
+    huge = rate == np.inf
+    if huge.any():
+        # A band so narrow that p / inv overflows: inv is under p / 1.8e308,
+        # so log1p(p / inv) is log(p) - log(inv), and log(inv) is log(w) plus
+        # the log of inv per Hz, which stays normal where inv underflows.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_hz = np.array(
+                [
+                    overlay_inv_slope(1.0, alloc[3] / alloc[0], gain_eff, n0),
+                    orth_inv_slope(np.ones_like(alloc[2]), gain_b, n0),
+                ]
+            )
+            narrow = width * (np.log(power) - np.log(width) - np.log(per_hz)) / LN2
+        rate = np.where(huge, narrow, rate)
+    shared, orth = np.fmax(rate, 0.0)
     return shared + orth
 
 

@@ -40,7 +40,7 @@ from .errors import (
     require_int,
     require_keys,
 )
-from .jsontext import indented
+from .jsontext import indented, write_text
 from .search import BATCH_CANDIDATES
 
 LN10_OVER_10 = math.log(10.0) / 10.0
@@ -314,8 +314,7 @@ class ParamTable:
         return cls(entries)
 
     def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(indented(self.to_dict()) + "\n")
+        write_text(path, indented(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "ParamTable":
@@ -476,17 +475,21 @@ def _fit_curves(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         i = np.argmin(mse)
         best.append((a_low[i], a_high[i], gg[i], oo[i], mse[i]))
     fit = np.array(best).T  # rows: a_low, a_high, growth, offset, mse; a column per curve
+    live = np.arange(len(x))  # the curves still stepping
     for _ in range(FIT_STEPS):
-        d_g, d_o = _lm_steps(*fit[:4], x, y)
-        g = np.clip(fit[2][:, None] + d_g, *GROWTH_BOUNDS)
-        o = np.clip(fit[3][:, None] + d_o, *OFFSET_BOUNDS)
-        a_low, a_high, mse = _cells(g, o, x, y)
+        at, xs, ys = fit[:, live], x[live], y[live]
+        d_g, d_o = _lm_steps(*at[:4], xs, ys)
+        g = np.clip(at[2][:, None] + d_g, *GROWTH_BOUNDS)
+        o = np.clip(at[3][:, None] + d_o, *OFFSET_BOUNDS)
+        a_low, a_high, mse = _cells(g, o, xs, ys)
         trials = np.stack((a_low, a_high, g, o, mse))
-        trial = trials[:, np.arange(len(x)), np.argmin(mse, axis=1)]
-        better = trial[4] < fit[4]
-        if not better.any():
-            break  # no curve moved, so every later step would score the same trials
-        fit = np.where(better, trial, fit)
+        trial = trials[:, np.arange(live.size), np.argmin(mse, axis=1)]
+        better = trial[4] < at[4]
+        # A curve that did not move would score the same trials at every later step.
+        live = live[better]
+        if not live.size:
+            break
+        fit[:, live] = trial[:, better]
     return fit[:4].T
 
 
@@ -525,12 +528,12 @@ def fit_table(groups: Iterable[Sequence[SimilaritySample]]) -> ParamTable:
     clips each trial cell to the hard bounds and scores it through the
     same closed form.  A curve moves to its best trial only when that
     trial's MSE is strictly lower, so no curve ends above its coarse cell.
-    A step that moves no curve ends the search: every later one would
-    score the same trials.  Curves with the same number of samples run in
-    lockstep, one batch of trials per step, and every curve ends where it
-    would alone.  Deterministic: no random restarts, ties
-    resolved by grid and damping order.  Every group is checked before any
-    curve is fitted.
+    A step that does not move a curve ends that curve's search: every later
+    one would score the same trials.  Curves with the same number of
+    samples run in lockstep, one batch of trials per step for the curves
+    still moving, and every curve ends where it would alone.
+    Deterministic: no random restarts, ties resolved by grid and damping
+    order.  Every group is checked before any curve is fitted.
 
     Raises:
         InsufficientData: fewer than 4 samples or fewer than 4 distinct SNRs.

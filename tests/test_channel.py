@@ -154,6 +154,22 @@ class TestRealization:
         c = sample_realization(scenario, 43)
         assert (a.gain_s, a.gain_b) != (c.gain_s, c.gain_b)
 
+    def test_draws_equal_numpy_philox_generator(self, scenario):
+        # The integer Philox block against numpy's Generator path, bit for bit.
+        rng = np.random.default_rng(2026)
+        edges = [0, 1, 2, 2**32, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 7, 2**100 + 3, -1]
+        seeds = edges + rng.integers(0, 2**63, 10_000, dtype=np.int64).tolist()
+        seeds += [s + 2**63 for s in seeds[-2_000:]]
+        mean = np.array([scenario.mean_gain_s, scenario.mean_gain_b])
+        for seed in seeds:
+            key = seed & (2**64 - 1)
+            u = np.random.Generator(np.random.Philox(key=key)).random(2)
+            expect = mean * -np.log1p(-u)
+            real = sample_realization(scenario, seed)
+            got = np.array([real.gain_s, real.gain_b])
+            np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64), err_msg=seed)
+            assert real.seed == key
+
     def test_gains_scale_with_mean(self, scenario):
         near = sample_realization(scenario, 5)
         far = sample_realization(scenario.with_updates(d_s=40.0), 5)

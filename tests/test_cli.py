@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sembit import ParamTable, Scenario, cli, eval_similarity
 from sembit.cli import main
@@ -429,6 +433,42 @@ def parse_outcome(parse, argv, capsys):
     return result, capsys.readouterr()
 
 
+# Values for generated argvs by type, and values the table leaves to argparse.
+GOOD_VALUES = {
+    int: ["0", "7", " 5", "+3", "1_000"],
+    float: ["1e3", "0.8", "nan", "inf", "1_0.5"],
+    str: ["o", "a=b", "power", "x y", "semantic-rate"],
+}
+BAD_VALUES = ["", "-", "-1e3", "--out", "x"]
+
+
+@st.composite
+def table_argvs(draw):
+    """An argv of one subcommand's own arguments in any order: mostly plain, some repeats and bad values."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = cli._COMMANDS[command][1]
+    names = draw(st.lists(st.sampled_from(sorted(arguments)), unique=True))
+    names += [n for n, kw in arguments.items() if kw.get("required", not n.startswith("-"))]
+    names = draw(st.permutations(list(dict.fromkeys(names))))
+    names += draw(st.lists(st.sampled_from(sorted(arguments)), max_size=1))
+    argv = [command]
+    for name in names:
+        keywords = arguments[name]
+        value = draw(st.sampled_from(GOOD_VALUES[keywords.get("type", str)] * 3 + BAD_VALUES))
+        if not name.startswith("-"):
+            argv.append(value)
+        elif keywords.get("action") == "store_true":
+            argv.append(draw(st.sampled_from([name] * 3 + [name + "=1"])))
+        else:
+            argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    return argv
+
+
+def spelled(ns) -> list:
+    """A namespace's fields as sorted (name, repr) pairs: a NaN equals a NaN, 5 differs from 5.0."""
+    return sorted((name, repr(value)) for name, value in vars(ns).items())
+
+
 class TestParseOnce:
     """``cli._parse`` parses a subcommand's arguments once, as ``parse_args`` of the top level would."""
 
@@ -453,14 +493,29 @@ class TestParseOnce:
         ["replay"],
         ["replay", "manifest.json", "--out", "o", "--out", "p"],
     ]
+    # Argvs the option table decides without argparse.
+    DECIDED = [
+        TestPowerCommand().power_args(out="o", extra=["--verify"]),
+        ["power", "--sigma=1e3", "--bits", "nan", "--floor=0.8", "--seed= 5", "--out=a=b"],
+        ["region", "--out", "o", "--schemes", "oma,semi", "--grid", "16", "--points=12"],
+        ["fit", "--input", "samples.csv", "--out", "o"],
+        ["sweep", "--spec", "semantic-rate", "--out", "o", "--realizations", "4"],
+        ["replay", "--out", "o", "manifest.json"],
+        ["replay", "manifest.json"],
+    ]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv) or "empty" for argv in ARGVS])
     def test_same_namespace_output_and_exit_code(self, capsys, argv):
         parser, _ = cli._build_parser()
         assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(parser.parse_args, argv, capsys)
 
-    def test_a_subcommand_runs_one_parse(self, monkeypatch):
-        # Through the top level, argparse parses twice: once there, once in the subcommand.
+    @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv) or "empty" for argv in ARGVS])
+    def test_odd_argvs_reach_argparse(self, argv):
+        assert cli._table_parse(argv) is None
+
+    @staticmethod
+    def counted_parses(monkeypatch) -> list:
+        """The prog of each parser that runs ``parse_known_args`` from now on, in order."""
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -469,8 +524,38 @@ class TestParseOnce:
             return parse_known_args(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-        ns = cli._parse(TestPowerCommand().power_args())
-        assert (ns.command, calls) == ("power", ["sembit power"])
+        return calls
+
+    @pytest.mark.parametrize("argv", DECIDED, ids=[" ".join(argv) for argv in DECIDED])
+    def test_the_table_decides_plain_argvs_alone(self, monkeypatch, argv):
+        parser, _ = cli._build_parser()
+        expect = spelled(parser.parse_args(argv))
+        calls = self.counted_parses(monkeypatch)
+        assert (spelled(cli._parse(argv)), calls) == (expect, [])
+
+    @settings(max_examples=400, deadline=None)
+    @given(table_argvs())
+    def test_every_argv_parses_as_argparse_parses_it(self, argv):
+        parser, _ = cli._build_parser()
+
+        def outcome(parse):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    result = spelled(parse(argv))
+                except SystemExit as exc:
+                    result = exc.code
+            return result, out.getvalue(), err.getvalue()
+
+        assert outcome(cli._parse) == outcome(parser.parse_args)
+
+    def test_a_subcommand_runs_one_parse(self, monkeypatch):
+        # An argv the table leaves to argparse (here an abbreviation) is
+        # parsed by the subcommand's parser alone.  Through the top level,
+        # argparse would parse twice: once there, once in the subcommand.
+        calls = self.counted_parses(monkeypatch)
+        ns = cli._parse(TestPowerCommand().power_args(extra=["--verif"]))
+        assert (ns.command, ns.verify, calls) == ("power", True, ["sembit power"])
 
 
 class TestSweepCommand:

@@ -1,13 +1,16 @@
-"""The JSON renderer against ``json.dumps``, and the scenario digest against its definition.
+"""The JSON renderer against ``json.dumps``, the scenario digest against its definition, and the file writer against ``open``.
 
-Both are properties over generated inputs: the renderer's text must equal
-``json.dumps`` with an indent of 2, and ``Scenario.digest`` must equal the
-SHA-256 of ``json.dumps(to_dict(), sort_keys=True, separators=(",", ":"))``.
+The first two are properties over generated inputs: the renderer's text
+must equal ``json.dumps`` with an indent of 2, and ``Scenario.digest``
+must equal the SHA-256 of ``json.dumps(to_dict(), sort_keys=True,
+separators=(",", ":"))``.  ``write_text`` must write the bytes a text-mode
+``open`` writes.
 """
 
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sembit import LogisticParams, ParamTable, Scenario, Scheme
-from sembit.jsontext import Verbatim, indented
+from sembit.jsontext import Verbatim, indented, write_text
 
 # Floats whose reprs are the least plain, and the non-finite values.
 ODD_FLOATS = [-0.0, 5e-324, 1e16, 1e-05, math.inf, -math.inf, math.nan]
@@ -138,3 +141,41 @@ def test_equal_scenarios_with_different_text_keep_different_digests(a, b):
     # equality would hand one the other's digest.
     assert a == b
     assert a.digest() == canonical_digest(a) != canonical_digest(b) == b.digest()
+
+
+# Text with bare and Windows line ends, a lone carriage return and non-ASCII.
+TEXT = 'line\nwindows\r\nlone\rcarriage "σ"\n'
+
+
+@pytest.mark.parametrize("newline", [None, "", "\n", "\r", "\r\n"])
+def test_write_text_writes_the_bytes_open_writes(tmp_path, newline):
+    with open(tmp_path / "open.txt", "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(TEXT)
+    write_text(tmp_path / "ours.txt", TEXT, newline=newline)
+    assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "open.txt").read_bytes()
+    assert (tmp_path / "ours.txt").stat().st_mode == (tmp_path / "open.txt").stat().st_mode
+
+
+@pytest.mark.parametrize("newline, ends", [(None, b"\r\n"), ("", b"\n")])
+def test_write_text_follows_the_platform_line_end(tmp_path, monkeypatch, newline, ends):
+    # As text mode does where os.linesep is "\r\n": JSON files translate, CSVs do not.
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    write_text(tmp_path / "out.txt", "a\nb\n", newline=newline)
+    assert (tmp_path / "out.txt").read_bytes() == b"a" + ends + b"b" + ends
+
+
+def test_write_text_finishes_short_writes_and_closes_on_error(tmp_path, monkeypatch):
+    write, close = os.write, os.close
+    closed = []
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+    monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+    write_text(tmp_path / "short.txt", TEXT)
+    assert (tmp_path / "short.txt").read_bytes() == TEXT.encode("utf-8")
+
+    def failing(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", failing)
+    with pytest.raises(OSError, match="No space"):
+        write_text(tmp_path / "full.txt", TEXT)
+    assert len(closed) == 2

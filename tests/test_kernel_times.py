@@ -48,10 +48,13 @@ def test_fit_line_counts_the_cells_the_fit_scores(monkeypatch):
     assert kernel_times.fit_seconds(groups) > 0.0
     coarse, steps, trials = kernel_times.fit_work(groups)
     assert similarity._cells is cells
-    # The five curves run in one lockstep batch: a trial per curve and damping each step.
-    # They converge, and the search ends at the first step that moves none.
+    # The five curves run in one lockstep batch: a trial per moving curve and
+    # damping each step.  A curve leaves the batch at its first step that
+    # does not move it, and the search ends when none is left.
     assert 0 < steps < similarity.FIT_STEPS
-    assert trials == steps * len(groups) * similarity.FIT_DAMPINGS.size
+    per_curve = similarity.FIT_DAMPINGS.size
+    assert trials % per_curve == 0
+    assert steps * per_curve < trials < steps * len(groups) * per_curve
     monkeypatch.setattr(similarity, "_cells", spy)
     similarity.fit_table(groups)
     assert sum(scored) == coarse + trials

@@ -10,11 +10,13 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sembit as sb
 from sembit.cli import _verify_solutions
+from sembit.power import _structural
 from sembit.rates import (
     ALLOC_FIELDS,
     MIN_BAND_FRACTION,
@@ -121,8 +123,14 @@ def test_min_power_monotone_in_each_target(case, field, shrink):
             assert low[scheme].total <= sol.total * (1 + MONOTONE_RTOL), scheme
 
 
+# A target at the carrier's limit that rounds over it: fl(W / k) * k > W.
+EDGE = sb.Scenario(total_bandwidth=5e5, k=7)
+EDGE_CASE = (EDGE, sb.sample_realization(EDGE, 0), sb.PowerTargets(5e5 / 7, 0.5, 0.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(cases())
+@example(EDGE_CASE)
 def test_semi_score_dominates_oma_score(case):
     # Semi is never worse than oma, candidate by candidate: at the same
     # target and band the hybrid may leave its shared pipe empty.  Where
@@ -131,6 +139,12 @@ def test_semi_score_dominates_oma_score(case):
     scenario, real, targets = case
     w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
     sigma, floor = targets.sigma_target, targets.min_similarity
+    if sigma * scenario.k > w:
+        # No band reaches the target: Lemma 1 raises, and the solvers call it bandwidth-bound.
+        with pytest.raises(sb.InfeasibleTarget):
+            sb.lemma1_bounds(scenario, sigma, floor)
+        assert _structural(scenario, targets, sb.Scheme.OMA) == 1
+        return
     lo = sb.lemma1_bounds(scenario, sigma, floor)[0]
     x = np.linspace(max(lo, w * MIN_BAND_FRACTION), w, 257)
     p_s = sem_power(scenario, real.gain_s, sigma, floor, x)

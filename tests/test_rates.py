@@ -24,6 +24,7 @@ from sembit.rates import (
     ALLOC_FIELDS,
     LN2,
     _next_up,
+    bit_rates,
     eps_seeded_bands,
     hybrid_max_rate,
     lemma1_bounds,
@@ -573,6 +574,37 @@ class TestSemi:
         )
         orth = shannon_rate(6e5, 0.5, realization.gain_b, scenario.noise_psd)
         assert pair.bit_rate == pytest.approx(shared + orth, rel=1e-12)
+
+    # A shared band so narrow that p / inv overflows: at 1e-310 the inverse
+    # slope is subnormal, at 5e-324 it underflows to 0.  The pipe carries
+    # w * log2(p * g_eff / (w * N0)), near 1e-307 bit/s at 1e-310.
+    @pytest.mark.parametrize("w", [1e-310, 5e-324])
+    def test_subnormal_shared_band_carries_a_finite_rate(self, scenario, w):
+        real = sample_realization(scenario, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = rates_for(scenario, real, Allocation.hybrid(w, 1e6 - w, 0.0, 0.3, 0.3))
+            lines = np.array([[w], [0.0], [0.0], [0.0], [0.3], [0.0]])
+            shared = bit_rates(scenario, real.gain_b, real.gain_eff, lines).item()
+        clean = shannon_rate(1e6, 0.3, real.gain_b, scenario.noise_psd)
+        assert pair.bit_rate == clean
+        log2_snr = math.log2(0.3 * real.gain_eff) - math.log2(w) - math.log2(scenario.noise_psd)
+        assert shared == pytest.approx(w * log2_snr, rel=1e-15)
+        assert 0.0 < shared < 2e-307
+
+    def test_subnormal_shared_band_of_a_drawn_case(self):
+        # The case a property test drew: the bit-only band has no power, so the shared pipe is all.
+        scenario = Scenario(total_bandwidth=5e5, k=3, min_similarity=0.5, d_s=12.0, d_b=12.0)
+        real = sample_realization(scenario, 0)
+        assert (real.gain_s, real.gain_b) == (5.60085633963867e-10, 1.3333205180857152e-08)
+        w = 5.5626846462680035e-303
+        alloc = Allocation.hybrid(w, 5e5 - w, 0.0, 0.25, 0.0)
+        assert alloc.w_bit == 5e5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = rates_for(scenario, real, alloc)
+        log2_snr = math.log2(0.25 * real.gain_eff) - math.log2(w) - math.log2(scenario.noise_psd)
+        assert pair.bit_rate == pytest.approx(w * log2_snr, rel=1e-15)
 
     def test_dispatcher_routes_by_scheme(self, scenario, realization):
         allocs = [

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sembit import boundary, cli
+from sembit import boundary, cli, jsontext
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "request_times.py"
 _spec = importlib.util.spec_from_file_location("request_times", _TOOL)
@@ -23,21 +23,21 @@ def pinned_clock(monkeypatch):
 
 def test_wrappers_are_installed_and_restored():
     before = {(owner, name): vars(owner)[name] for owner, name, _ in request_times.STAGES}
+    assert cli.write_text is boundary.write_text is jsontext.write_text
     with request_times.timed_stages(request_times.StageClock()):
         for (owner, name), original in before.items():
             assert vars(owner)[name] is not original
-        assert "open" in vars(cli) and "open" in vars(boundary)
     for (owner, name), original in before.items():
         assert vars(owner)[name] is original
-    assert "open" not in vars(cli) and "open" not in vars(boundary)
 
 
 @pytest.mark.parametrize(
     "argv, stages",
     [
-        (POWER, {"parse", "scenario", "draw", "solve", "verify", "render", "write", "digest"}),
-        (REGION, {"parse", "scenario", "draw", "trace", "contain", "render", "csv", "write",
-                  "digest"}),
+        (POWER, {"parse", "scenario", "draw", "solve", "verify", "render", "mkdir", "write",
+                 "digest"}),
+        (REGION, {"parse", "scenario", "draw", "trace", "contain", "render", "csv", "mkdir",
+                  "write", "digest"}),
     ],
     ids=["power", "region"],
 )

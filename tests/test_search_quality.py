@@ -9,14 +9,17 @@ import pytest
 from sembit import (
     PowerTargets,
     Scenario,
+    Scheme,
+    derive_seed,
     rates,
     sample_realization,
     search,
     solve_min_powers,
+    trace_region,
 )
 from sembit.power import solve_min_powers_rows
 from sembit.rates import EPS_BANDS, eps_seeded_bands
-from sembit.search import REFINE_SHRINK
+from sembit.search import DEFAULT_GRID_N, REFINE_SHRINK
 
 from onerow import solve_oma_point, solve_semi_point
 
@@ -96,6 +99,41 @@ def test_near_tie_row_finds_the_interior_basin(case):
     point = solve(scenario, sample_realization(scenario, seed), sigma)
     assert point.bit_rate >= rate
     assert point.similarity == pytest.approx(similarity, abs=5e-4)
+
+
+# Scenario 52 of the trace gate (``default_rng(5)``) at draw derive_seed(0, 3),
+# traced with every scheme: (scheme, row, sigma, the row's bit rate at grid
+# 4,096).  Grids 16 to 4,096 agree on both rows.  The default grid stops oma
+# row 194 on the free-power kink seed at 987,206 Hz, 81,960.06 bit/s, and
+# semi row 374 at 8,566.31: misses of 5.16e-5 and 4.25e-5 of the boundary
+# maximum, 1,051,197.5, which tools/search_quality.py does not report.
+MISSED = dict(
+    k=7,
+    min_similarity=0.05610992444198664,
+    d_s=34.786275253268144,
+    d_b=29.321061370756738,
+    max_power=0.033677351776943365,
+)
+MISSED_ROWS = [
+    ("oma", 194, 29334.121796074753, 82014.30633361709),
+    ("semi", 374, 30005.926214857045, 8611.00416176882),
+]
+
+
+@pytest.mark.parametrize(
+    "grid_n",
+    [16, pytest.param(DEFAULT_GRID_N, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 10"))],
+)
+def test_default_grid_miss_rows_reach_the_dense_grid(grid_n):
+    scenario = Scenario(**MISSED)
+    real = sample_realization(scenario, derive_seed(0, 3))
+    found, _ = trace_region(scenario, real, ["oma", "noma", "semi"], grid_n=grid_n)
+    top = found[Scheme.OMA].bit_rate.max()
+    assert top == pytest.approx(1_051_197.5, abs=0.1)
+    for scheme, row, sigma, rate in MISSED_ROWS:
+        boundary = found[Scheme(scheme)]
+        assert boundary.sigma[row] == sigma
+        assert boundary.bit_rate[row] >= rate - 1e-9 * top, scheme
 
 
 def test_reference_levels_swap_the_seeds_and_restore_them():

@@ -574,8 +574,13 @@ class TestFitTable:
         monkeypatch.setattr(similarity, "_cells", cells_spy)
         monkeypatch.setattr(similarity, "_lm_steps", steps_spy)
         fit_table(self.groups(rng, [(n, 0.01, {}) for n in (4, *[40] * 5, 41, *[202] * 4, 255)]))
-        # One batch per sample count, but the four 202-sample curves take two.
-        assert set(batches) == {(1, 4), (5, 40), (1, 41), (3, 202), (1, 202), (1, 255)}
+        # One batch per sample count, but the four 202-sample curves take two
+        # (3 and 1); a batch narrows as its curves stop moving.
+        widest = {}
+        for curves, n in batches:
+            widest[n] = max(widest.get(n, 0), curves)
+        assert widest == {4: 1, 40: 5, 41: 1, 202: 3, 255: 1}
+        assert (2, 40) in batches
         for floats in sizes:
             chunk = -(-(floats * 8 + 8) // 16) * 16
             assert chunk < search.MMAP_THRESHOLD, floats

@@ -19,9 +19,10 @@ counts for itself, not for its caller):
 - render: the JSON text of ``power.json``, ``containment.json`` and
   ``manifest.json``;
 - csv (region): rendering the boundary CSVs;
-- write: opening, writing and closing each output file;
-- other: the request's time less its stages' (directory creation, the
-  power CSV's lines, the CLI's own code and the wrappers' overhead).
+- mkdir: creating the output directory, ``Path.mkdir``;
+- write: opening, writing and closing each output file, ``write_text``;
+- other: the request's time less its stages' (the power CSV's lines, the
+  CLI's own code and the wrappers' overhead).
 
 Each row is the minimum over passes on its own, so the rows need not add
 up to the total row.  This times the CSV and manifest I/O that a traced
@@ -40,6 +41,7 @@ import collections
 import contextlib
 import functools
 import io
+import pathlib
 import shutil
 import sys
 import tempfile
@@ -83,24 +85,6 @@ class StageClock:
 
         return timed
 
-    def open(self, *args, **kwargs):
-        """``open``, with the call, each ``write`` and the close timed as ``write``."""
-        return _TimedFile(self.wrap("write", open)(*args, **kwargs), self)
-
-
-class _TimedFile:
-    """A file opened by :meth:`StageClock.open`, used as the CLI uses files: ``with`` and ``write``."""
-
-    def __init__(self, fh, clock: StageClock):
-        self.write = clock.wrap("write", fh.write)
-        self._close = clock.wrap("write", fh.close)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._close()
-
 
 # (owner, attribute, stage) of every timed function, as the CLI looks each one up.
 STAGES = (
@@ -116,27 +100,24 @@ STAGES = (
     (channel.Scenario, "digest", "digest"),
     (cli, "indented", "render"),
     (boundary.RegionBoundary, "write_csv", "csv"),
+    (pathlib.Path, "mkdir", "mkdir"),
+    (cli, "write_text", "write"),
+    (boundary, "write_text", "write"),
 )
 
 
 @contextlib.contextmanager
 def timed_stages(clock: StageClock):
-    """Install the wrappers of ``STAGES`` and a timed ``open``; restore all on exit."""
+    """Install the wrappers of ``STAGES``; restore them all on exit."""
     saved = []
     try:
         for owner, name, stage in STAGES:
             saved.append((owner, name, vars(owner)[name]))
             setattr(owner, name, clock.wrap(stage, getattr(owner, name)))
-        for module in (cli, boundary):  # their global ``open`` shadows the builtin
-            saved.append((module, "open", None))
-            module.open = clock.open
         yield
     finally:
         for owner, name, original in reversed(saved):
-            if original is None:
-                delattr(owner, name)
-            else:
-                setattr(owner, name, original)
+            setattr(owner, name, original)
 
 
 def request_stages(argv: list[str], out: Path, requests: int) -> dict[str, float]:
