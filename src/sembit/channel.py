@@ -14,7 +14,6 @@ Draws are Philox-keyed so realisation i of a sweep depends only on
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -29,16 +28,6 @@ from .similarity import LogisticParams, ParamTable, default_table
 
 _MASK64 = (1 << 64) - 1
 _WATT_PER_DBM = 1e-3
-
-
-@functools.cache
-def _default_params() -> dict:
-    """``default_table().to_dict()``, built once per process.
-
-    A payload equal to it parses to a table equal to the bundled one, so
-    :meth:`Scenario.from_dict` shares that table instead of rebuilding it.
-    """
-    return default_table().to_dict()
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -157,8 +146,7 @@ class Scenario:
                     except OverflowError:
                         raise ValueError(f"{name} of {dbm!r} dBm overflows a power in W") from None
         params = data.pop("params", None)
-        bundled = params in (None, _default_params())
-        table = default_table() if bundled else ParamTable.from_dict(params)
+        table = default_table() if params is None else ParamTable.from_dict(params)
         reject_unknown("scenario", data, (f.name for f in fields(cls)))
         values = {k: (require_int if k == "k" else require_float)(k, v) for k, v in data.items()}
         return cls(params=table, **values)

@@ -44,6 +44,10 @@ from .errors import (
     InsufficientData,
     SembitError,
     TargetUnreachable,
+    reject_unknown,
+    require_float,
+    require_int,
+    require_keys,
 )
 from .jsontext import Verbatim, indented, write_text
 from .montecarlo import SweepSpec, run_sweep
@@ -67,41 +71,42 @@ _VERIFY_RTOL = 1e-6
 
 
 def _timestamp() -> str:
+    """The time a manifest records: ``SOURCE_DATE_EPOCH`` where set, else now.
+
+    ValueError naming the variable for a value that is not whole seconds
+    ``gmtime`` takes.
+    """
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(pinned) if pinned else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        t = time.gmtime(int(pinned) if pinned else int(time.time()))
+    except (ValueError, OverflowError, OSError):
+        message = f"SOURCE_DATE_EPOCH must be whole seconds in range, got {pinned!r}"
+        raise ValueError(message) from None
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", t)
 
 
 def _write_json(path: Path, payload: dict) -> None:
     write_text(path, indented(payload, sort_keys=True) + "\n")
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, scenario: Scenario | None) -> None:
-    payload = {
-        "command": command,
-        "args": args,
-        "version": __version__,
-        "timestamp": _timestamp(),
-    }
-    if scenario is not None:
-        payload["scenario_sha256"] = scenario.digest()
-        payload["args"] = _with_table_text(command, args, scenario.params)
-    _write_json(out_dir / "manifest.json", payload)
+def _manifest(command: str, args: dict) -> dict:
+    """A manifest recording ``args``, timestamped now.
 
-
-def _with_table_text(command: str, args, table) -> dict:
-    """``args`` with its scenario's parameter table as the table's cached text, where it renders alike.
-
-    The scenario is ``args["scenario"]``, or ``args["spec"]["scenario"]``
-    for a sweep.  Every manifest sembit writes holds the table's own
-    payload; a hand-written one that renders otherwise stays as it is.
+    Each command builds it before its first output, so a bad
+    ``SOURCE_DATE_EPOCH`` leaves nothing written.
     """
-    if command == "sweep":
-        return {**args, "spec": _with_table_text("spec", args["spec"], table)}
-    scenario = args["scenario"]
-    if not table.renders_as(scenario.get("params")):
-        return args
-    return {**args, "scenario": {**scenario, "params": Verbatim(table.sorted_indented_json)}}
+    return {"command": command, "args": args, "version": __version__, "timestamp": _timestamp()}
+
+
+def _write_manifest(out_dir: Path, manifest: dict, scenario: Scenario | None = None) -> None:
+    if scenario is not None:
+        manifest = {**manifest, "scenario_sha256": scenario.digest()}
+    _write_json(out_dir / "manifest.json", manifest)
+
+
+def _scenario_record(scenario: Scenario) -> dict:
+    """What ``scenario.to_dict()`` renders as: its fields, its table as the table's cached text."""
+    return {**_record(scenario), "params": Verbatim(scenario.params.sorted_indented_json)}
 
 
 def _load_scenario(path: str | None) -> Scenario:
@@ -110,21 +115,26 @@ def _load_scenario(path: str | None) -> Scenario:
     return Scenario.load(path)
 
 
-def _run_fit(params: dict, out_dir: Path) -> int:
-    groups = read_samples_csv(params["input"])
+def _run_fit(path: str, out_dir: Path) -> int:
+    manifest = _manifest("fit", {"input": path})
+    groups = read_samples_csv(path)
     table = fit_table(groups.values())
     for fitted in table:
         samples = groups[fitted.k]
         print(f"k={fitted.k}: n={len(samples)} mse={fit_mse(fitted, samples):.6e}")
     out_dir.mkdir(parents=True, exist_ok=True)
     table.dump(out_dir / "params.json")
-    _write_manifest(out_dir, "fit", params, None)
+    _write_manifest(out_dir, manifest)
     return EXIT_OK
 
 
-def _run_region(params: dict, out_dir: Path) -> int:
+def _run_region(scenario: Scenario, params: dict, args: dict, out_dir: Path) -> int:
+    """Trace ``scenario``'s region with the seed, points, grid and schemes of ``params``.
+
+    The manifest records ``args``.
+    """
+    manifest = _manifest("region", args)
     check_grid_n(params["grid"])
-    scenario = Scenario.from_dict(params["scenario"])
     real = sample_realization(scenario, params["seed"])
     boundaries, empty_overlay = trace_region(
         scenario, real, params["schemes"], params["points"], params["grid"]
@@ -152,7 +162,7 @@ def _run_region(params: dict, out_dir: Path) -> int:
             verdicts[name] = {**_record(verdict), "max_violation": worst if worst != inf else "inf"}
     if verdicts:
         _write_json(out_dir / "containment.json", verdicts)
-    _write_manifest(out_dir, "region", params, scenario)
+    _write_manifest(out_dir, manifest, scenario)
     return EXIT_EMPTY_REGION if empty_overlay is not None else EXIT_OK
 
 
@@ -189,9 +199,13 @@ def _verify_solutions(scenario, real, targets, allocs) -> list[list[str]]:
     return found
 
 
-def _run_power(params: dict, out_dir: Path | None) -> int:
+def _run_power(scenario: Scenario, params: dict, args: dict, out_dir: Path | None) -> int:
+    """Solve ``scenario`` for the seed, targets, grid and verify flag of ``params``.
+
+    With ``out_dir`` the manifest records ``args``; without, the report goes to stdout.
+    """
+    manifest = _manifest("power", args) if out_dir is not None else None
     check_grid_n(params["grid"])
-    scenario = Scenario.from_dict(params["scenario"])
     real = sample_realization(scenario, params["seed"])
     targets = PowerTargets(
         sigma_target=params["sigma"],
@@ -238,7 +252,7 @@ def _run_power(params: dict, out_dir: Path | None) -> int:
             power = repr(entry["min_power_w"]) if entry["feasible"] else "nan"
             lines.append(f"{t},{name},{power}\r\n")
         write_text(out_dir / "power.csv", "".join(lines), newline="")
-        _write_manifest(out_dir, "power", params, scenario)
+        _write_manifest(out_dir, manifest, scenario)
     else:
         print(indented(report, sort_keys=True))
     if failed_verify:
@@ -260,32 +274,76 @@ def _resolve_sweep_spec(name_or_path: str) -> dict:
         return json.load(fh)
 
 
-def _run_sweep_cmd(params: dict, out_dir: Path) -> int:
-    spec = SweepSpec.from_dict(params["spec"])
+def _run_sweep_cmd(spec: SweepSpec, args: dict, out_dir: Path) -> int:
+    manifest = _manifest("sweep", args)
     result = run_sweep(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.write_csv(out_dir / "sweep.csv")
-    _write_manifest(out_dir, "sweep", params, spec.scenario)
+    _write_manifest(out_dir, manifest, spec.scenario)
     return EXIT_OK
 
 
+def _scheme_names(name: str, value) -> list[str]:
+    """``value``, a list of scheme names; ValueError for anything else or an unknown name."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ValueError(f"{name} must be a list of scheme names, got {value!r}")
+    for s in value:
+        Scheme(s)
+    return value
+
+
+def _of_type(kind: type, what: str):
+    """A manifest arg reader that takes a ``kind`` as it is; ValueError for any other value."""
+
+    def read(name: str, value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return read
+
+
+# Each command's manifest args, with the function that reads one from its
+# JSON value: it returns the value to run with or raises ValueError naming it.
+_SCENARIO_ARGS = {
+    "scenario": lambda _, payload: Scenario.from_dict(payload),
+    "seed": require_int,
+    "grid": require_int,
+}
+_MANIFEST_ARGS = {
+    "fit": {"input": _of_type(str, "a string")},
+    "region": {**_SCENARIO_ARGS, "points": require_int, "schemes": _scheme_names},
+    "power": {**_SCENARIO_ARGS, "sigma": require_float, "floor": require_float,
+              "bits": require_float, "verify": _of_type(bool, "true or false")},
+    "sweep": {"spec": lambda _, payload: SweepSpec.from_dict(payload)},
+}
+
+
 def _dispatch(command: str, args: dict, out_dir: Path | None) -> int:
+    """Run ``command`` on a manifest's ``args``, each read and checked before anything runs.
+
+    The new manifest records ``args`` as they were read.
+    """
+    readers = _MANIFEST_ARGS.get(command)
+    if readers is None:
+        raise ValueError(f"manifest names unknown command {command!r}")
+    reject_unknown(f"{command} args", args, readers)
+    require_keys(f"{command} args", args, readers)
+    params = {name: read(name, args[name]) for name, read in readers.items()}
     if command == "fit":
-        return _run_fit(args, out_dir)
-    if command == "region":
-        return _run_region(args, out_dir)
-    if command == "power":
-        return _run_power(args, out_dir)
+        return _run_fit(params["input"], out_dir)
     if command == "sweep":
-        return _run_sweep_cmd(args, out_dir)
-    raise ValueError(f"manifest names unknown command {command!r}")
+        return _run_sweep_cmd(params["spec"], args, out_dir)
+    run = _run_region if command == "region" else _run_power
+    return run(params.pop("scenario"), params, args, out_dir)
 
 
 def _cmd_replay(ns) -> int:
     with open(ns.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    command = manifest.get("command")
-    args = manifest.get("args")
+    if not isinstance(manifest, dict):
+        manifest = {}
+    command, args = manifest.get("command"), manifest.get("args")
     if not isinstance(args, dict) or not isinstance(command, str):
         raise ValueError(f"{ns.manifest}: not a sembit manifest")
     out_dir = Path(ns.out) if ns.out else None
@@ -434,42 +492,24 @@ def main(argv=None) -> int:
     ns = _parse(argv)
     try:
         if ns.command == "fit":
-            return _run_fit({"input": ns.input}, Path(ns.out))
-        if ns.command == "region":
-            schemes = (
-                ["oma", "noma", "semi"]
-                if ns.schemes == "all"
-                else [s.strip() for s in ns.schemes.split(",") if s.strip()]
-            )
-            for s in schemes:
-                Scheme(s)  # validate early; raises ValueError on a bad name
-            args = {
-                "scenario": _load_scenario(ns.scenario).to_dict(),
-                "seed": ns.seed,
-                "points": ns.points,
-                "grid": ns.grid,
-                "schemes": schemes,
-            }
-            return _run_region(args, Path(ns.out))
-        if ns.command == "power":
-            args = {
-                "scenario": _load_scenario(ns.scenario).to_dict(),
-                "seed": ns.seed,
-                "sigma": ns.sigma,
-                "floor": ns.floor,
-                "bits": ns.bits,
-                "grid": ns.grid,
-                "verify": ns.verify,
-            }
-            return _run_power(args, Path(ns.out) if ns.out else None)
+            return _run_fit(ns.input, Path(ns.out))
         if ns.command == "sweep":
             spec = SweepSpec.from_dict(_resolve_sweep_spec(ns.spec))  # validate before writing
             overrides = {"n_realizations": ns.realizations, "base_seed": ns.seed}
             spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
-            return _run_sweep_cmd({"spec": spec.to_dict()}, Path(ns.out))
+            return _run_sweep_cmd(spec, {"spec": spec.to_dict()}, Path(ns.out))
         if ns.command == "replay":
             return _cmd_replay(ns)
-        raise ValueError(f"unknown command {ns.command!r}")
+        # region or power: each manifest arg is the option of its name, the scenario's a path
+        params = {name: getattr(ns, name) for name in _MANIFEST_ARGS[ns.command]}
+        scenario_path = params.pop("scenario")
+        if ns.command == "region":
+            names = ["oma", "noma", "semi"] if ns.schemes == "all" else ns.schemes.split(",")
+            params["schemes"] = _scheme_names("schemes", [s.strip() for s in names if s.strip()])
+        scenario = _load_scenario(scenario_path)
+        args = {**params, "scenario": _scenario_record(scenario)}
+        run = _run_region if ns.command == "region" else _run_power
+        return run(scenario, params, args, Path(ns.out) if ns.out else None)
     except EmptyRegion as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_REGION

@@ -270,28 +270,6 @@ class ParamTable:
         """``to_dict()`` as indented JSON with sorted keys, built once, as manifests render it."""
         return indented(self.to_dict(), sort_keys=True)
 
-    @functools.cached_property
-    def _dict_and_zeros(self) -> tuple[dict, list]:
-        """``to_dict()``, and the (entry, field, sign) of each zero field: -0.0 equals 0.0."""
-        payload = self.to_dict()
-        zeros = [(i, f, math.copysign(1.0, v)) for i, row in enumerate(payload["entries"])
-                 for f, v in row.items() if f != "k" and v == 0.0]
-        return payload, zeros
-
-    def renders_as(self, payload) -> bool:
-        """Whether ``payload`` renders as ``to_dict()`` does.
-
-        It must equal ``to_dict()`` with an int ``k`` and float fields (0
-        equals 0.0 but renders otherwise), and a zero field of the same sign.
-        """
-        own, zeros = self._dict_and_zeros
-        return payload == own and all(
-            # All four fields are floats.
-            type(row["k"]) is int
-            and type(row["a_low"]) is type(row["a_high"]) is type(row["growth"]) is type(row["offset"]) is float
-            for row in payload["entries"]
-        ) and all(math.copysign(1.0, payload["entries"][i][f]) == sign for i, f, sign in zeros)
-
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ParamTable":
         """The table of an ``{"entries": [...]}`` payload.

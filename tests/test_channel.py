@@ -120,15 +120,6 @@ class TestScenario:
         loaded = Scenario.from_dict({"d_b": 40.0})
         assert loaded.params == table
 
-    def test_from_dict_shares_the_bundled_table(self, table):
-        assert Scenario.from_dict(Scenario().to_dict()).params is table
-        payload = Scenario().to_dict()
-        payload["params"]["entries"][1]["growth"] += 0.01
-        loaded = Scenario.from_dict(payload)
-        assert loaded.params is not table and loaded.params != table
-        assert loaded.params.to_dict() == payload["params"]
-        assert Scenario.from_dict(Scenario().to_dict()).params is table
-
     def test_digest_tracks_content(self, scenario):
         d0 = scenario.digest()
         assert d0 == scenario.digest()

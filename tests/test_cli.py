@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -813,6 +814,121 @@ class TestReplay:
         stray = tmp_path / "stray.json"
         stray.write_text(json.dumps({"hello": 1}), encoding="utf-8")
         assert main(["replay", str(stray), "--out", str(tmp_path / "o")]) == 2
+
+
+# Manifest args that replay as they stand, for the malformed cases to edit.
+POWER_ARGS = {"scenario": {}, "seed": 7, "sigma": 1e5, "floor": 0.8, "bits": 8e5, "grid": 64,
+              "verify": False}
+REGION_ARGS = {"scenario": {}, "seed": 7, "points": 5, "grid": 64, "schemes": ["oma"]}
+
+
+def manifest_of(command, base, **change):
+    return {"command": command, "args": {**base, **change}}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (["power", POWER_ARGS], "not a sembit manifest"),
+        (manifest_of("power", POWER_ARGS, grid="64"), "grid must be an integer, got '64'"),
+        (manifest_of("power", POWER_ARGS, sigma="1e5"), "sigma must be a number, got '1e5'"),
+        (manifest_of("power", POWER_ARGS, sigma=None), "sigma must be a number, got None"),
+        (manifest_of("power", POWER_ARGS, seed=5.5), "seed must be an integer, got 5.5"),
+        (manifest_of("power", POWER_ARGS, seed="5"), "seed must be an integer, got '5'"),
+        (manifest_of("power", POWER_ARGS, verify="no"), "verify must be true or false, got 'no'"),
+        (manifest_of("power", POWER_ARGS, bogus=1), "unknown power args fields: ['bogus']"),
+        ({"command": "power", "args": {k: v for k, v in POWER_ARGS.items() if k != "floor"}},
+         "power args is missing 'floor'"),
+        (manifest_of("power", POWER_ARGS, scenario=[]), "scenario must be an object, got []"),
+        (manifest_of("region", REGION_ARGS, points=5.5), "points must be an integer, got 5.5"),
+        (manifest_of("region", REGION_ARGS, schemes="oma"),
+         "schemes must be a list of scheme names, got 'oma'"),
+        (manifest_of("region", REGION_ARGS, schemes=["oma", 5]),
+         "schemes must be a list of scheme names, got ['oma', 5]"),
+        (manifest_of("region", REGION_ARGS, schemes=["bogus"]), "'bogus' is not a valid Scheme"),
+        ({"command": "fit", "args": {"input": 0}}, "input must be a string, got 0"),
+        ({"command": "fit", "args": {"input": ["a"]}}, "input must be a string, got ['a']"),
+        ({"command": "sweep", "args": {"spec": {}, "bogus": 1}},
+         "unknown sweep args fields: ['bogus']"),
+    ],
+    ids=[
+        "manifest-list", "grid-string", "sigma-string", "sigma-null", "seed-fraction",
+        "seed-string", "verify-string", "unknown-key", "missing-key", "scenario-list",
+        "points-fraction", "schemes-string", "schemes-number", "schemes-unknown", "input-number",
+        "input-list", "sweep-unknown-key",
+    ],
+)
+def test_malformed_manifest_args_are_bad_input(tmp_path, capsys, document, message):
+    """Each replayed arg is checked, and a bad one exits 2 before the output directory exists."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["replay", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base", [("power", POWER_ARGS), ("region", REGION_ARGS)])
+def test_integral_float_args_replay_as_integers_and_stay_as_written(tmp_path, command, base):
+    outs = []
+    for i, value in enumerate((7, 7.0)):
+        path = tmp_path / f"manifest{i}.json"
+        path.write_text(json.dumps(manifest_of(command, base, seed=value, grid=64.0)), "utf-8")
+        outs.append(tmp_path / f"out{i}")
+        assert main(["replay", str(path), "--out", str(outs[-1])]) == 0
+    first, second = (tree_bytes(out) for out in outs)
+    manifests = [json.loads(tree.pop("manifest.json")) for tree in (first, second)]
+    assert first == second
+    assert [m["args"]["seed"] for m in manifests] == [7, 7.0]
+    assert [type(m["args"]["seed"]) for m in manifests] == [int, float]
+
+
+@pytest.mark.parametrize("value", ["abc", "99999999999999999", "1.5"])
+def test_bad_source_date_epoch_writes_nothing(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    out = tmp_path / "power"
+    assert main(TestPowerCommand().power_args(out=out)) == 2
+    err = capsys.readouterr().err
+    assert "error: SOURCE_DATE_EPOCH must be whole seconds in range" in err
+    assert repr(value) in err
+    assert not out.exists()
+    # A report to stdout records no time.
+    assert main(TestPowerCommand().power_args()) == 0
+
+
+class TestScenarioResolvedOnce:
+    """A request builds its scenario once: no ``to_dict``/``from_dict`` round trip."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        from_dict, to_dict = vars(Scenario)["from_dict"].__func__, Scenario.to_dict
+
+        def counted_from_dict(cls, payload):
+            calls["from_dict"] += 1
+            return from_dict(cls, payload)
+
+        def counted_to_dict(self):
+            calls["to_dict"] += 1
+            return to_dict(self)
+
+        monkeypatch.setattr(Scenario, "from_dict", classmethod(counted_from_dict))
+        monkeypatch.setattr(Scenario, "to_dict", counted_to_dict)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["power", "--sigma", "150e3", "--floor", "0.8", "--bits", "1e6", "--verify"], ["region"]],
+        ids=["power", "region"],
+    )
+    def test_default_request_and_its_replay(self, tmp_path, calls, argv):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main([*argv, "--out", str(first)]) == 0
+        assert calls == {}
+        assert main(["replay", str(first / "manifest.json"), "--out", str(second)]) == 0
+        assert calls == {"from_dict": 1}
+        assert tree_bytes(first) == tree_bytes(second)
 
 
 class TestEntryPoint:

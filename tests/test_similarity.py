@@ -326,24 +326,6 @@ class TestParamTable:
         payload["note"] = "annotation"
         assert ParamTable.from_dict(payload) == table
 
-    def test_renders_as_tells_apart_what_equal_payloads_render_otherwise(self):
-        table = ParamTable([LogisticParams(k=4, a_low=0.1, a_high=1.0, growth=0.5, offset=-2.0)])
-        payload = table.to_dict()
-        assert table.renders_as(payload)
-        for field, value in (("k", 4.0), ("a_high", 1), ("offset", np.float64(-2.0))):
-            entry = {**payload["entries"][0], field: value}
-            assert entry == payload["entries"][0]
-            assert not table.renders_as({"entries": [entry]}), field
-        assert not table.renders_as({**payload, "note": "a table"})
-        assert not table.renders_as(None)
-        # A zero field may come as -0.0, equal but rendered otherwise.
-        zero = ParamTable([LogisticParams(k=4, a_low=0.0, a_high=1.0, growth=0.5, offset=-0.0)])
-        payload = zero.to_dict()
-        assert zero.renders_as(payload)
-        for field, value in (("a_low", -0.0), ("offset", 0.0)):
-            entry = {**payload["entries"][0], field: value}
-            assert not zero.renders_as({"entries": [entry]}), field
-
     def test_unknown_keys_rejected(self, table):
         payload = table.to_dict()
         payload["extra_top"] = 1

@@ -9,7 +9,8 @@ stages, each timed by its own time only (a stage called inside another
 counts for itself, not for its caller):
 
 - parse: argument parsing, ``cli._parse``;
-- scenario: loading the scenario, ``Scenario.to_dict`` and ``from_dict``;
+- scenario: loading the scenario, ``cli._load_scenario``, and its
+  manifest record, ``cli._scenario_record``;
 - draw: ``sample_realization``;
 - solve (power) or trace (region): ``solve_min_powers``, ``trace_region``;
 - verify (power) or contain (region): the plug-back check of all
@@ -90,8 +91,7 @@ class StageClock:
 STAGES = (
     (cli, "_parse", "parse"),
     (cli, "_load_scenario", "scenario"),
-    (channel.Scenario, "to_dict", "scenario"),
-    (channel.Scenario, "from_dict", "scenario"),
+    (cli, "_scenario_record", "scenario"),
     (cli, "sample_realization", "draw"),
     (cli, "solve_min_powers", "solve"),
     (cli, "trace_region", "trace"),
