@@ -397,8 +397,8 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its subcommands' parsers by name, built once per process.
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
 
     Every subcommand's arguments come from ``_COMMANDS``.  Parsing leaves
     the parsers unchanged.
@@ -413,7 +413,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p = sub.add_parser(command, help=text)
         for name, keywords in arguments.items():
             p.add_argument(name, **keywords)
-    return parser, sub.choices
+    return parser
 
 
 def _table_parse(argv: list[str]) -> argparse.Namespace | None:
@@ -467,25 +467,11 @@ def _parse(argv) -> argparse.Namespace:
     """``argv`` parsed as the top-level parser's ``parse_args`` parses it.
 
     An argv the option table decides (:func:`_table_parse`) runs no
-    argparse code.  Otherwise, when the first token names a subcommand,
-    its parser takes the rest directly: through the top level, argparse
-    would run its parse loop once for the top level and again for the
-    subcommand.  Leftover arguments get the top level's error, as
-    ``parse_args`` gives it.  Any other argv (empty, ``--version``, ``-h``,
-    an unknown command) goes through the top level.
+    argparse code; any other goes to the top-level parser.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _table_parse(argv)
-    if ns is not None:
-        return ns
-    parser, subcommands = _build_parser()
-    if not argv or argv[0] not in subcommands:
-        return parser.parse_args(argv)
-    ns, extra = subcommands[argv[0]].parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    ns.command = argv[0]
-    return ns
+    return ns if ns is not None else _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

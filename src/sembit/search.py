@@ -2,17 +2,17 @@
 
 All boundary and power searches in this package reduce to optimising a
 cheap vectorised objective over one bandwidth coordinate.  A uniform
-coarse grid of ``n`` points finds the basin.  Bracket levels then close
+coarse grid of ``grid_n`` points finds the basin.  Bracket levels then close
 in on the incumbent: each scores exactly ``2 * zoom + 1`` points over the
 incumbent plus or minus the previous level's spacing, clipped to the
 row's interval, so the spacing shrinks by ``zoom`` per level.  Every
 search shrinks it by ``REFINE_SHRINK`` in all, over
 ``levels = log_zoom(REFINE_SHRINK)`` levels, to
-``(hi - lo) / ((n - 1) * REFINE_SHRINK)``; a zoom whose powers miss the
+``(hi - lo) / ((grid_n - 1) * REFINE_SHRINK)``; a zoom whose powers miss the
 shrink is rejected.  The caller picks the zoom by what its cost follows:
-a row-batched call costs about one unit per candidate, so narrow brackets
-over more levels are cheaper, while a one-row call costs about one unit
-per objective call, so wide brackets over few levels are.  The incumbent
+a search over many rows costs about one unit per candidate, so narrow
+brackets over more levels are cheaper, while a one-row search costs about
+one unit per objective call, so wide brackets over few levels are.  The incumbent
 keeps its score from the level that found it and is not scored again; a
 bracket point replaces it only when it scores better, or equal and on
 the tie side.  A unimodal objective has its optimum within one spacing
@@ -21,24 +21,22 @@ randomness, no tolerance-dependent iteration counts: the same inputs
 always visit the same candidates, which keeps CLI outputs
 bit-reproducible.
 
-One call solves a batch of independent rows (boundary points at several
-semantic rates, or one target triple over several channel draws).  The
-objective scores a rows x candidates matrix at once, and every row sees
-exactly the candidates a one-row call would: its own ``np.linspace``
-grid and brackets, sorted.  Duplicate candidates may stay, since an
-equal x scores equally.  :func:`search_rows`, the driver every boundary
-and power search goes through, runs a row set in two phases, the coarse
-grid and then the brackets from its incumbents.  Each phase cuts the rows
-into :func:`row_batches` of its own width, so that each objective call
-stays near ``BATCH_CANDIDATES`` candidates: a default region's coarse
-phase scores batches of 184 rows x 89 candidates (186 x 88 for oma), and
-its bracket phase one batch of about 400 rows x 17 per scheme.  Cut to
-the coarse phase's 184 rows, a 17-point bracket call would score about
-3,100 candidates, too few to amortise numpy's per-call overhead.  A row set that fits one
-batch in both phases, such as a sweep's power rows or a one-row solve,
-is searched by one :func:`refine_search` call, which scores exactly what
-the two phases would.  A minimum-power row set holds each row twice, an
-oma row and a semi row, which one objective scores together.
+:func:`search_rows`, the one search every boundary and power search
+goes through, solves a set of independent rows (boundary points at
+several semantic rates, or one target triple over several channel
+draws).  The objective scores a rows x candidates matrix at once, and
+every row sees exactly the candidates a one-row search would: its own
+``np.linspace`` grid and brackets, sorted.  Duplicate candidates may
+stay, since an equal x scores equally.  A row set runs in two phases,
+the coarse grid and then the brackets from its incumbents.  Each phase
+cuts the rows into :func:`row_batches` of its own width, so that each
+objective call stays near ``BATCH_CANDIDATES`` candidates: a default
+region's coarse phase scores batches of 184 rows x 89 candidates (186 x
+88 for oma), and its bracket phase one batch of about 400 rows x 17 per
+scheme.  Cut to the coarse phase's 184 rows, a 17-point bracket call
+would score about 3,100 candidates, too few to amortise numpy's per-call
+overhead.  A minimum-power row set holds each row twice, an oma row and
+a semi row, which one objective scores together.
 
 Before its first batch, :func:`search_rows` raises glibc's malloc trim
 threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  Every batch's
@@ -63,8 +61,7 @@ with ``extra`` candidates that cover every basin they know of.
 from __future__ import annotations
 
 import ctypes
-from functools import cache, partial
-from typing import Callable, Iterable
+from functools import cache
 
 import numpy as np
 
@@ -72,8 +69,6 @@ import numpy as np
 DEFAULT_GRID_N = 64
 # Every search's final spacing is its coarse spacing over this factor.
 REFINE_SHRINK = 64**3
-# Default spacing shrink per level: brackets of 2 * 64 + 1 = 129 points, over 3 levels.
-REFINE_ZOOM = 64
 # glibc's default mmap threshold: a malloc chunk of this size or more is mmapped.
 MMAP_THRESHOLD = 128 * 1024
 # Candidates per objective call a batch aims at: large enough to amortise
@@ -170,103 +165,58 @@ def _pick(values: np.ndarray, maximize: bool, tie_high: bool) -> np.ndarray:
     return values.shape[1] - 1 - i if tie_high else i
 
 
-def refine_search(
-    objective: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    n: int,
-    *,
-    maximize: bool = True,
-    tie_high: bool = False,
-    extra: Iterable = (),
-    zoom: int = REFINE_ZOOM,
-    shrink: int = REFINE_SHRINK,
-    start: tuple | None = None,
-):
-    """Optimise ``objective`` over [lo, hi] for each row; return (x_best, f_best).
-
-    ``lo`` and ``hi`` are scalars or 1-D arrays of row bounds; scalars
-    for both make one row and a pair of floats comes back, otherwise a
-    pair of 1-D arrays.  ``objective`` maps a rows x candidates matrix
-    to its scores elementwise.  ``extra`` points (clipped into each
-    row's interval; broadcast to rows x m) join the coarse grid, so
-    known-good special cases can seed the search and the result provably
-    never falls below them.  Each of ``refine_levels(zoom, shrink)``
-    brackets then scores exactly ``2 * zoom + 1`` points within one
-    previous spacing of the incumbent; the incumbent keeps its score and
-    is not re-scored.  ``shrink=1`` stops at the coarse grid.
-    ``start=(x, f)`` skips the coarse grid (and ``extra``): the brackets
-    start from incumbents ``x`` that score ``f``, so a coarse-only call
-    and a call started from its result together equal one full call.
-    Ties break toward the smallest candidate unless ``tie_high``.
-    """
-    check_grid_n(n)
-    levels = refine_levels(zoom, shrink)
-    one_row = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape:
-        lo, hi = np.broadcast_arrays(lo, hi)
-    if (hi < lo).any():
-        raise ValueError(f"empty search interval [{lo}, {hi}]")
-    rows = np.arange(len(lo))
-
-    if start is None:
-        grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
-        # tuple() takes any iterable, but would copy a matrix row by row.
-        extra = np.asarray(extra if isinstance(extra, np.ndarray) else tuple(extra), dtype=float)
-        if extra.size:
-            grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
-            grid.sort(axis=1)
-        f = objective(grid)
-        i = _pick(f, maximize, tie_high)
-        x_best, f_best = grid[rows, i], f[rows, i]
-    else:
-        x_best, f_best = (np.atleast_1d(np.asarray(v, dtype=float)) for v in start)
-
-    half = (hi - lo) / (n - 1)
-    ramp = np.arange(2 * zoom + 1, dtype=float)
-    for _ in range(levels):
-        window = _linspace_rows(np.maximum(lo, x_best - half), np.minimum(hi, x_best + half), ramp)
-        fw = objective(window)
-        j = _pick(fw, maximize, tie_high)
-        xj, fj = window[rows, j], fw[rows, j]
-        better = fj > f_best if maximize else fj < f_best
-        better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
-        x_best = np.where(better, xj, x_best)
-        f_best = np.where(better, fj, f_best)
-        half /= zoom
-    if one_row:
-        return float(x_best[0]), float(f_best[0])
-    return x_best, f_best
-
-
 def search_rows(
     objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, zoom: int, tie_high=False
 ):
     """(x, f) optimising ``objective(cols[rows], x)`` for each row, in two row-batched phases.
 
     ``cols`` holds one line of per-row data for each row, and row i
-    searches [lo[i], hi[i]] with the candidates ``extra[i]`` added, in
-    brackets of ``2 * zoom + 1`` points; every row gets exactly the result
-    a one-row search would.  The coarse grid runs first, then the
-    brackets from its incumbents, each phase cut into :func:`row_batches`
-    of its own width; when each phase is one batch, one call runs both.
-    Every call goes to :func:`refine_search` through this module's
-    binding, which `tools/search_quality.py` and the benchmark's tracer
-    wrap.
+    searches [lo[i], hi[i]]; ``objective`` maps a batch's lines and its
+    rows x candidates matrix to the scores, elementwise.  The coarse
+    phase scores each row's ``grid_n``-point grid with the candidates
+    ``extra[i]`` added, clipped into the row's interval, so known-good
+    special cases can seed the search and the result provably never
+    falls below them.  The bracket phase then runs
+    ``refine_levels(zoom, REFINE_SHRINK)`` levels of ``2 * zoom + 1``
+    points within one previous spacing of each incumbent; an incumbent
+    keeps its score and is not scored again.  Each phase is cut into
+    :func:`row_batches` of its own width, and every row gets exactly the
+    result a one-row search would.  Ties break toward the smallest
+    candidate unless ``tie_high``.
     """
+    check_grid_n(grid_n)
+    levels = refine_levels(zoom, REFINE_SHRINK)
+    if (hi < lo).any():
+        raise ValueError(f"empty search interval [{lo}, {hi}]")
     _keep_heap()
-    kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
-    coarse = row_batches(len(lo), check_grid_n(grid_n) + extra.shape[1])
-    brackets = row_batches(len(lo), 2 * zoom + 1)
-    if len(coarse) == len(brackets) == 1:
-        return refine_search(partial(objective, cols), lo, hi, grid_n, extra=extra, **kw)
     x, f = np.empty((2, len(lo)))
-    for b in coarse:
-        batch = partial(objective, cols[b])
-        x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, extra=extra[b], shrink=1, **kw)
-    for b in brackets:
-        batch = partial(objective, cols[b])
-        x[b], f[b] = refine_search(batch, lo[b], hi[b], grid_n, start=(x[b], f[b]), **kw)
+    ramp = np.arange(grid_n, dtype=float)
+    for b in row_batches(len(lo), grid_n + extra.shape[1]):
+        grid = _linspace_rows(lo[b], hi[b], ramp)
+        if extra.shape[1]:
+            grid = np.concatenate([grid, np.clip(extra[b], lo[b, None], hi[b, None])], axis=1)
+            grid.sort(axis=1)
+        fb = objective(cols[b], grid)
+        i = _pick(fb, maximize, tie_high)
+        rows = np.arange(len(grid))
+        x[b], f[b] = grid[rows, i], fb[rows, i]
+
+    ramp = np.arange(2 * zoom + 1, dtype=float)
+    for b in row_batches(len(lo), 2 * zoom + 1):
+        lo_b, hi_b, x_best, f_best = lo[b], hi[b], x[b], f[b]
+        rows = np.arange(len(lo_b))
+        half = (hi_b - lo_b) / (grid_n - 1)
+        for _ in range(levels):
+            window = _linspace_rows(
+                np.maximum(lo_b, x_best - half), np.minimum(hi_b, x_best + half), ramp
+            )
+            fw = objective(cols[b], window)
+            j = _pick(fw, maximize, tie_high)
+            xj, fj = window[rows, j], fw[rows, j]
+            better = fj > f_best if maximize else fj < f_best
+            better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
+            x_best = np.where(better, xj, x_best)
+            f_best = np.where(better, fj, f_best)
+            half /= zoom
+        x[b], f[b] = x_best, f_best
     return x, f

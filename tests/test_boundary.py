@@ -567,21 +567,21 @@ class TestLiveOnlyScores:
         full = {"_oma_points": _full_oma_score, "_semi_points": _full_semi_score}
         scores = {}
         kinds = set()
-        original = search.refine_search
+        original = boundary.search_rows
 
-        def spy(objective, lo, hi, n, **kw):
-            owner = objective.func.__qualname__.split(".")[0]
-            scores[owner] = objective.func
+        def spy(objective, *args, **kw):
+            owner = objective.__qualname__.split(".")[0]
+            scores[owner] = objective
 
-            def checked(x):
-                got = objective(x)
-                _assert_scores(owner, got, full[owner](scenario, real, *objective.args, x))
-                kinds.update(_row_kinds(scenario, real, *objective.args, x))
+            def checked(s_col, x):
+                got = objective(s_col, x)
+                _assert_scores(owner, got, full[owner](scenario, real, s_col, x))
+                kinds.update(_row_kinds(scenario, real, s_col, x))
                 return got
 
-            return original(checked, lo, hi, n, **kw)
+            return original(checked, *args, **kw)
 
-        monkeypatch.setattr(search, "refine_search", spy)
+        monkeypatch.setattr(boundary, "search_rows", spy)
         sigma_max = oma_extremes(scenario, real).sigma_max
         boundary.trace_region(scenario, real, ["oma", "semi"], n_points=40, grid_n=64)
         assert set(scores) == set(full)  # the spy saw both searches
@@ -740,24 +740,26 @@ class TestTraceRegion:
         # (hybrid), and there is no second oma pass.  Bracket phase: one
         # 17-point batch per search, one objective call for each of its 6
         # levels; 18 (16) objective calls in all.
-        phases, objective_calls = [], []
-        original = search.refine_search
+        tie_highs, objective_calls = [], []
+        original = boundary.search_rows
 
         def counting(objective, *args, **kwargs):
-            phases.append((kwargs["tie_high"], "start" in kwargs))
+            tie_highs.append(kwargs.get("tie_high", False))
 
-            def counted(x):
+            def counted(s_col, x):
                 objective_calls.append(x.shape[1])
-                return objective(x)
+                return objective(s_col, x)
 
             return original(counted, *args, **kwargs)
 
-        monkeypatch.setattr(search, "refine_search", counting)
+        monkeypatch.setattr(boundary, "search_rows", counting)
         real = sample_realization(scenario, seed)
         boundary.trace_region(scenario, real, ["oma", "noma", "semi"])
-        # (tie_high, bracket phase): the oma search, then the hybrid search
-        oma, hybrid = [(False, False)] * (calls // 2), [(True, False)] * (calls // 2)
-        assert phases == [*oma, (False, True), *hybrid, (True, True)]
+        # The oma search, then the hybrid search, each coarse phase first.
+        assert tie_highs == [False, True]
+        coarse, bracket = DEFAULT_GRID_N + EPS_BANDS, [2 * boundary.SEARCH_ZOOM + 1] * 6
+        oma, hybrid = [coarse] * (calls // 2), [coarse + 1] * (calls // 2)
+        assert objective_calls == [*oma, *bracket, *hybrid, *bracket]
         assert len(objective_calls) == calls + 2 * 6
         assert objective_calls.count(2 * boundary.SEARCH_ZOOM + 1) == 2 * 6
 

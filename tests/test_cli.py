@@ -5,9 +5,11 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sembit import ParamTable, Scenario, cli, eval_similarity
+from sembit import ParamTable, PowerSolution, Scenario, Scheme, cli, eval_similarity
 from sembit.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -231,6 +233,30 @@ class TestPowerCommand:
         rows = (out / "power.csv").read_text().strip().split("\n")
         assert rows[0] == "sigma_target,min_similarity,bit_target,scheme,min_power_w"
         assert len(rows) == 4
+
+    def test_failed_verification_exits_1(self, tmp_path, capsys, monkeypatch):
+        # An oma allocation with half the bit power it needs: still feasible,
+        # but its bit rate falls short of the target when plugged back.
+        solve = cli.solve_min_powers
+
+        def short(scenario, real, targets, grid_n):
+            solutions = solve(scenario, real, targets, grid_n)
+            alloc = solutions[Scheme.OMA].alloc
+            alloc = replace(alloc, p_bit_orth=alloc.p_bit_orth / 2)
+            return {**solutions, Scheme.OMA: PowerSolution(alloc.total_power, alloc)}
+
+        monkeypatch.setattr(cli, "solve_min_powers", short)
+        out = tmp_path / "power"
+        assert main(self.power_args(out=out, extra=["--verify"])) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"verification failed: oma: bit rate [0-9.e+]+ < target 800000\n", err)
+        report = json.loads((out / "power.json").read_text())
+        oma = report["schemes"]["oma"]
+        assert oma["feasible"] is True and oma["verified"] is False
+        assert [f"verification failed: oma: {v}\n" for v in oma["violations"]] == [err]
+        for name in ("noma", "semi"):
+            assert report["schemes"][name]["verified"] is True
+            assert "violations" not in report["schemes"][name]
 
     def test_all_infeasible_exits_4(self, tmp_path, capsys):
         assert main(self.power_args(sigma=260e3)) == 4
@@ -471,7 +497,7 @@ def spelled(ns) -> list:
 
 
 class TestParseOnce:
-    """``cli._parse`` parses a subcommand's arguments once, as ``parse_args`` of the top level would."""
+    """``cli._parse`` gives what ``parse_args`` of the top level gives; the option table decides plain argvs alone."""
 
     ARGVS = [
         [],
@@ -507,7 +533,7 @@ class TestParseOnce:
 
     @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv) or "empty" for argv in ARGVS])
     def test_same_namespace_output_and_exit_code(self, capsys, argv):
-        parser, _ = cli._build_parser()
+        parser = cli._build_parser()
         assert parse_outcome(cli._parse, argv, capsys) == parse_outcome(parser.parse_args, argv, capsys)
 
     @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv) or "empty" for argv in ARGVS])
@@ -529,7 +555,7 @@ class TestParseOnce:
 
     @pytest.mark.parametrize("argv", DECIDED, ids=[" ".join(argv) for argv in DECIDED])
     def test_the_table_decides_plain_argvs_alone(self, monkeypatch, argv):
-        parser, _ = cli._build_parser()
+        parser = cli._build_parser()
         expect = spelled(parser.parse_args(argv))
         calls = self.counted_parses(monkeypatch)
         assert (spelled(cli._parse(argv)), calls) == (expect, [])
@@ -537,7 +563,7 @@ class TestParseOnce:
     @settings(max_examples=400, deadline=None)
     @given(table_argvs())
     def test_every_argv_parses_as_argparse_parses_it(self, argv):
-        parser, _ = cli._build_parser()
+        parser = cli._build_parser()
 
         def outcome(parse):
             out, err = io.StringIO(), io.StringIO()
@@ -549,14 +575,6 @@ class TestParseOnce:
             return result, out.getvalue(), err.getvalue()
 
         assert outcome(cli._parse) == outcome(parser.parse_args)
-
-    def test_a_subcommand_runs_one_parse(self, monkeypatch):
-        # An argv the table leaves to argparse (here an abbreviation) is
-        # parsed by the subcommand's parser alone.  Through the top level,
-        # argparse would parse twice: once there, once in the subcommand.
-        calls = self.counted_parses(monkeypatch)
-        ns = cli._parse(TestPowerCommand().power_args(extra=["--verif"]))
-        assert (ns.command, ns.verify, calls) == ("power", True, ["sembit power"])
 
 
 class TestSweepCommand:
@@ -850,12 +868,13 @@ def manifest_of(command, base, **change):
         ({"command": "fit", "args": {"input": ["a"]}}, "input must be a string, got ['a']"),
         ({"command": "sweep", "args": {"spec": {}, "bogus": 1}},
          "unknown sweep args fields: ['bogus']"),
+        ({"command": "bogus", "args": {}}, "manifest names unknown command 'bogus'"),
     ],
     ids=[
         "manifest-list", "grid-string", "sigma-string", "sigma-null", "seed-fraction",
         "seed-string", "verify-string", "unknown-key", "missing-key", "scenario-list",
         "points-fraction", "schemes-string", "schemes-number", "schemes-unknown", "input-number",
-        "input-list", "sweep-unknown-key",
+        "input-list", "sweep-unknown-key", "unknown-command",
     ],
 )
 def test_malformed_manifest_args_are_bad_input(tmp_path, capsys, document, message):

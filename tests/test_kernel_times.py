@@ -5,7 +5,15 @@ from pathlib import Path
 
 import numpy as np
 
-from sembit import PowerTargets, Scenario, sample_realization, search, similarity, solve_min_powers
+from sembit import (
+    PowerTargets,
+    Scenario,
+    boundary,
+    power,
+    sample_realization,
+    similarity,
+    solve_min_powers,
+)
 from sembit.boundary import trace_region
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_times.py"
@@ -17,12 +25,12 @@ _spec.loader.exec_module(kernel_times)
 def test_capture_records_every_objective_call_and_restores_the_search():
     scenario = Scenario()
     real = sample_realization(scenario, 7)
-    saved = search.refine_search
+    saved = boundary.search_rows, power.search_rows
     calls = {label: [] for label in kernel_times.OBJECTIVES.values()}
     with kernel_times.capture(calls):
         found, _ = trace_region(scenario, real, ["oma", "semi"], n_points=40)
         solve_min_powers(scenario, real, PowerTargets(100e3, 0.8, 8e5), 64)
-    assert search.refine_search is saved
+    assert (boundary.search_rows, power.search_rows) == saved
     assert all(calls.values()), {label: len(made) for label, made in calls.items()}
     # A replay scores what the search scored: the objective is pure.
     for made in calls.values():

@@ -15,7 +15,7 @@ from sembit import (
     sample_realization,
     solve_min_powers,
 )
-from sembit import search
+from sembit import power, search
 from sembit.cli import _verify_solutions
 from sembit.power import (
     ALLOC_FIELDS,
@@ -393,18 +393,15 @@ class TestRowSets:
         assert distinct_seeds(scenario, targets) == 1
         reals = [sample_realization(scenario, seed) for seed in range(6)]
         padded = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
-        original = search.refine_search
+        original = power.search_rows
         unpadded_calls = []
 
-        def unpadded(objective, lo, hi, n, **kwargs):
-            if "start" in kwargs:  # the bracket phase has no extras
-                return original(objective, lo, hi, n, **kwargs)
-            extra = kwargs.pop("extra")
+        def unpadded(objective, cols, lo, hi, extra, grid_n, **kwargs):
             assert (extra[:, :EPS_BANDS] == lo[:, None]).all()
             unpadded_calls.append(extra.shape)
-            return original(objective, lo, hi, n, extra=extra[:, EPS_BANDS:], **kwargs)
+            return original(objective, cols, lo, hi, extra[:, EPS_BANDS:], grid_n, **kwargs)
 
-        monkeypatch.setattr(search, "refine_search", unpadded)
+        monkeypatch.setattr(power, "search_rows", unpadded)
         plain = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
         assert unpadded_calls  # the patch fired
         assert np.isfinite(padded[Scheme.SEMI].total).all()
@@ -447,12 +444,12 @@ class TestRowSets:
 
 
 class TestOneRowSearches:
-    """A one-row solve searches its oma and semi rows in one call, or not at all.
+    """A one-row solve searches its oma and semi rows together, or not at all.
 
-    The row set fits one batch in both phases, so the search is one
-    :func:`sembit.search.refine_search` call: the coarse grid with the
-    extras (the ``EPS_BANDS`` similarity-seeded bands) for the oma row and
-    then the semi row, and the brackets from their incumbents.
+    The two rows fit one batch in both phases: one objective call scores
+    their coarse grids with the extras (the ``EPS_BANDS``
+    similarity-seeded bands), then one call per bracket level scores
+    their brackets from the incumbents.
     """
 
     @pytest.mark.parametrize(
@@ -464,17 +461,24 @@ class TestOneRowSearches:
         ],
     )
     def test_search_count(self, scenario, realization, monkeypatch, targets, extras):
-        original = search.refine_search
+        # ``extras`` holds (rows, extra candidates) of each search that
+        # scores anything: 1 coarse call, then 3 bracket levels at zoom 64.
+        original = power.search_rows
         seen = []
 
-        def counting(objective, lo, hi, n, **kwargs):
-            assert "start" not in kwargs and "shrink" not in kwargs
-            seen.append(kwargs["extra"].shape)
-            return original(objective, lo, hi, n, **kwargs)
+        def counting(objective, *args, **kwargs):
+            def counted(g, x):
+                seen.append(x.shape)
+                return objective(g, x)
 
-        monkeypatch.setattr(search, "refine_search", counting)
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(power, "search_rows", counting)
         solve_min_powers(scenario, realization, targets, 512)
-        assert seen == extras
+        bracket = 2 * power.SEARCH_ZOOM + 1
+        assert seen == [
+            shape for rows, m in extras for shape in [(rows, 512 + m)] + [(rows, bracket)] * 3
+        ]
 
 
 def oma_total_reference(scenario, g, ws):
@@ -561,23 +565,23 @@ class TestSharedObjective:
         triples = [*EDGE_TRIPLES, near_ceiling(scenario)]
         reals = [sample_realization(scenario, seed) for seed in range(len(triples))]
         whole = solve_min_powers_rows(scenario, reals, triples, 64)
-        original = search.refine_search
+        original = power.search_rows
         kinds = []
 
-        def spy(objective, lo, hi, n, **kwargs):
+        def spy(objective, *args, **kwargs):
             assert objective.func is _total
+            (scenario_,) = objective.args
 
-            def checked(x):
-                scenario_, g = objective.args
+            def checked(g, x):
                 kinds.append(tuple(np.unique(g[:, -1])))
-                got = objective(x)
+                got = objective(g, x)
                 np.testing.assert_array_equal(got, total_reference(scenario_, g, x))
                 return got
 
-            return original(checked, lo, hi, n, **kwargs)
+            return original(checked, *args, **kwargs)
 
         monkeypatch.setattr(search, "BATCH_CANDIDATES", 3 * (64 + EPS_BANDS))
-        monkeypatch.setattr(search, "refine_search", spy)
+        monkeypatch.setattr(power, "search_rows", spy)
         split = solve_min_powers_rows(scenario, reals, triples, 64)
         assert set(kinds) == {(0.0,), (1.0,), (0.0, 1.0)}
         for scheme, rows in whole.items():

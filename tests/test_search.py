@@ -1,6 +1,5 @@
 import math
 import platform
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,11 +10,9 @@ from sembit.search import (
     BATCH_CANDIDATES,
     DEFAULT_GRID_N,
     REFINE_SHRINK,
-    REFINE_ZOOM,
     _linspace_rows,
     _pick,
     refine_levels,
-    refine_search,
     row_batches,
     search_rows,
 )
@@ -24,30 +21,52 @@ from sembit.search import (
 ZOOMS = (boundary.SEARCH_ZOOM, power.SEARCH_ZOOM)
 
 
+def searched(scores, lo, hi, n, *, extra=None, maximize=True, tie_high=False, zoom=ZOOMS[1]):
+    """:func:`search_rows` over the rows of ``lo`` and ``hi``; returns (x, f) arrays.
+
+    Each row's line of ``cols`` is its index, and ``scores(rows)`` maps
+    the candidates of the rows ``rows`` to their scores.  ``extra`` is
+    a rows x m matrix, or one row's m candidates, or None for none.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    extra = np.zeros((len(lo), 0)) if extra is None else np.asarray(extra, dtype=float)
+    extra = extra.reshape(len(lo), -1)
+    cols = np.arange(len(lo))[:, None]
+    kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
+    return search_rows(lambda c, x: scores(c[:, 0])(x), cols, lo, hi, extra, n, **kw)
+
+
+def one_row(objective, lo, hi, n, **kw):
+    """(x, f) of :func:`searched` on the one row [lo, hi]; ``objective`` scores its candidates."""
+    x, f = searched(lambda rows: objective, [lo], [hi], n, **kw)
+    return x[0], f[0]
+
+
 class TestRefineSearch:
+    """The grid-plus-brackets search on one-row sets."""
+
     def test_quadratic_max(self):
-        x, f = refine_search(lambda x: -((x - 0.37) ** 2), 0.0, 1.0, 64)
+        x, f = one_row(lambda x: -((x - 0.37) ** 2), 0.0, 1.0, 64)
         assert x == pytest.approx(0.37, abs=1e-5)
         assert f == pytest.approx(0.0, abs=1e-9)
 
     def test_quadratic_min(self):
-        x, f = refine_search(
-            lambda x: (x - 2.6) ** 2 + 1.0, 0.0, 10.0, 64, maximize=False
-        )
+        x, f = one_row(lambda x: (x - 2.6) ** 2 + 1.0, 0.0, 10.0, 64, maximize=False)
         assert x == pytest.approx(2.6, abs=1e-4)
         assert f == pytest.approx(1.0, abs=1e-8)
 
     def test_boundary_optimum(self):
-        x, f = refine_search(lambda x: x, 0.0, 5.0, 32)
+        x, f = one_row(lambda x: x, 0.0, 5.0, 32)
         assert x == 5.0
         assert f == 5.0
 
     def test_tie_breaks_low_by_default(self):
-        x, _ = refine_search(lambda x: np.ones_like(x), 0.0, 1.0, 16)
+        x, _ = one_row(lambda x: np.ones_like(x), 0.0, 1.0, 16)
         assert x == 0.0
 
     def test_tie_breaks_high_on_request(self):
-        x, _ = refine_search(lambda x: np.ones_like(x), 0.0, 1.0, 16, tie_high=True)
+        x, _ = one_row(lambda x: np.ones_like(x), 0.0, 1.0, 16, tie_high=True)
         assert x == 1.0
 
     def test_extra_seed_always_wins_when_best(self):
@@ -57,59 +76,56 @@ class TestRefineSearch:
         def spiky(x):
             return np.where(np.abs(x - x0) < 1e-12, 10.0, 0.0)
 
-        x, f = refine_search(spiky, 0.0, 1.0, 11, extra=[x0])
+        x, f = one_row(spiky, 0.0, 1.0, 11, extra=[x0])
         assert x == x0
         assert f == 10.0
 
     def test_extra_clipped_into_interval(self):
-        x, f = refine_search(lambda x: -x, 0.0, 1.0, 11, extra=[-5.0, 7.0])
+        x, f = one_row(lambda x: -x, 0.0, 1.0, 11, extra=[-5.0, 7.0])
         assert x == 0.0
         assert f == 0.0
-
-    def test_extra_accepts_generator(self):
-        gen = (v for v in [0.5])
-        x, _ = refine_search(lambda x: -((x - 0.5) ** 2), 0.0, 1.0, 3, extra=gen)
-        assert x == 0.5
 
     def test_nan_candidates_lose(self):
         def partial(x):
             return np.where(x < 0.5, np.nan, -((x - 0.7) ** 2))
 
-        x, f = refine_search(partial, 0.0, 1.0, 64)
+        x, f = one_row(partial, 0.0, 1.0, 64)
         assert x == pytest.approx(0.7, abs=1e-5)
         assert not np.isnan(f)
 
     def test_all_nan_propagates_as_nan(self):
         # No live candidate anywhere: callers detect this via isnan/isfinite.
-        x, f = refine_search(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 8)
+        x, f = one_row(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 8)
         assert np.isnan(f)
 
     def test_degenerate_interval(self):
-        x, f = refine_search(lambda x: x * 2.0, 3.0, 3.0, 16)
+        x, f = one_row(lambda x: x * 2.0, 3.0, 3.0, 16)
         assert x == 3.0
         assert f == 6.0
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            refine_search(lambda x: x, 1.0, 0.0, 16)
+            one_row(lambda x: x, 1.0, 0.0, 16)
 
     def test_deterministic(self):
         def objective(x):
             return np.sin(3.0 * x) + 0.3 * np.cos(11.0 * x)
 
-        a = refine_search(objective, 0.0, 4.0, 57)
-        b = refine_search(objective, 0.0, 4.0, 57)
+        a = one_row(objective, 0.0, 4.0, 57)
+        b = one_row(objective, 0.0, 4.0, 57)
         assert a == b
 
-    def test_refinement_beats_coarse_grid(self):
+    def test_refinement_beats_coarse_grid(self, monkeypatch):
         target = 0.414213562
 
         def objective(x):
             return -np.abs(x - target)
 
-        _, f_coarse = refine_search(objective, 0.0, 1.0, 9, shrink=1)
-        for zoom in ZOOMS:
-            x_fine, f_fine = refine_search(objective, 0.0, 1.0, 9, zoom=zoom)
+        fine = [one_row(objective, 0.0, 1.0, 9, zoom=zoom) for zoom in ZOOMS]
+        # A shrink of 1 takes no bracket level: the search stops at the coarse grid.
+        monkeypatch.setattr(search, "REFINE_SHRINK", 1)
+        _, f_coarse = one_row(objective, 0.0, 1.0, 9)
+        for x_fine, f_fine in fine:
             assert f_fine > f_coarse
             assert abs(x_fine - target) < 1e-3
 
@@ -122,39 +138,42 @@ class TestBracketShape:
         assert refine_levels(power.SEARCH_ZOOM) == 3  # 129-point brackets
         for zoom in ZOOMS:
             assert zoom ** refine_levels(zoom) == REFINE_SHRINK
-        assert refine_levels(REFINE_ZOOM, shrink=1) == 0
-        assert refine_levels(8, shrink=REFINE_SHRINK * 64) == 8
+        assert refine_levels(64, 1) == 0
+        assert refine_levels(8, REFINE_SHRINK * 64) == 8
 
     @pytest.mark.parametrize("zoom", [16, 3, 1, 0, -8])
     def test_zoom_missing_the_shrink_rejected(self, zoom):
         with pytest.raises(ValueError, match="does not reach shrink"):
             refine_levels(zoom)
         with pytest.raises(ValueError, match="does not reach shrink"):
-            refine_search(lambda x: x, 0.0, 1.0, 16, zoom=zoom)
+            one_row(lambda x: x, 0.0, 1.0, 16, zoom=zoom)
 
-    def test_row_batches_size_from_the_zoom(self, monkeypatch):
+    def test_row_batches_size_from_the_zoom(self):
         # search_rows batches its coarse phase by the grid plus the extras,
-        # then its bracket phase by the 2 * zoom + 1 bracket points.
-        original = search.refine_search
+        # then its bracket phase by the 2 * zoom + 1 bracket points; each
+        # bracket batch makes one objective call per level.
         seen = []
 
-        def spy(objective, lo, hi, n, **kwargs):
-            seen.append(("start" in kwargs, len(lo)))
-            return original(objective, lo, hi, n, **kwargs)
+        def objective(c, x):
+            seen.append(x.shape)
+            return -x
 
-        monkeypatch.setattr(search, "refine_search", spy)
         n_rows = 1000
         cols, extra = np.zeros((n_rows, 1)), np.zeros((n_rows, 2))
         lo, hi = np.zeros(n_rows), np.ones(n_rows)
         for zoom in ZOOMS:
             seen.clear()
-            search_rows(lambda c, x: -x, cols, lo, hi, extra, 64, maximize=True, zoom=zoom)
-            assert [phase for phase, _ in seen] == sorted(phase for phase, _ in seen)
-            for bracket, width in ((False, 64 + 2), (True, 2 * zoom + 1)):
+            search_rows(objective, cols, lo, hi, extra, 64, maximize=True, zoom=zoom)
+            coarse, bracket = 64 + 2, 2 * zoom + 1
+            assert [width for _, width in seen] == sorted(
+                (width for _, width in seen), key=lambda w: w != coarse
+            )
+            for width, repeat in ((coarse, 1), (bracket, refine_levels(zoom))):
                 size = BATCH_CANDIDATES // width
-                assert [rows for phase, rows in seen if phase == bracket] == (
-                    [size] * (n_rows // size) + [n_rows % size]
-                )
+                batches = [size] * (n_rows // size) + [n_rows % size]
+                assert [rows for rows, w in seen if w == width] == [
+                    rows for rows in batches for _ in range(repeat)
+                ]
 
 
 def pick_reference(values, maximize, tie_high):
@@ -222,21 +241,15 @@ class TestRowBatches:
     @pytest.mark.parametrize("maximize", [True, False])
     @pytest.mark.parametrize("tie_high", [True, False])
     def test_batch_equals_rows(self, maximize, tie_high):
-        kw = dict(maximize=maximize, tie_high=tie_high, extra=self.EXTRA)
-        xs, fs = refine_search(self.scores(np.arange(5)), self.LO, self.HI, 33, **kw)
+        kw = dict(maximize=maximize, tie_high=tie_high)
+        xs, fs = searched(self.scores, self.LO, self.HI, 33, extra=self.EXTRA, **kw)
         for r in range(5):
-            kw["extra"] = self.EXTRA[r]
-            x, f = refine_search(self.scores(np.array([r])), self.LO[r], self.HI[r], 33, **kw)
+            scores = self.scores(np.array([r]))
+            x, f = one_row(scores, self.LO[r], self.HI[r], 33, extra=self.EXTRA[r], **kw)
             assert xs[r] == x
             assert fs[r] == f or (np.isnan(fs[r]) and np.isnan(f))
         assert np.isnan(fs[2]) and not np.isnan(fs[1]) and xs[1] >= 0.5
         assert xs[3] == 1.5
-
-    def test_one_row_returns_floats_and_many_rows_arrays(self):
-        x, f = refine_search(lambda v: -v, 0.0, 1.0, 8)
-        assert type(x) is float and type(f) is float
-        xs, fs = refine_search(lambda v: -v, np.zeros(3), 1.0, 8)
-        assert xs.shape == fs.shape == (3,)
 
     def test_objective_sees_rows_by_candidates(self):
         shapes = []
@@ -247,14 +260,15 @@ class TestRowBatches:
 
         for zoom in ZOOMS:
             shapes.clear()
-            refine_search(objective, np.zeros(4), np.ones(4), 16, extra=[0.5], zoom=zoom)
+            extra = np.full((4, 1), 0.5)
+            searched(lambda rows: objective, np.zeros(4), np.ones(4), 16, extra=extra, zoom=zoom)
             # Coarse grid plus the extra, then each bracket; the incumbent is not re-scored.
             assert shapes == [(4, 17)] + [(4, 2 * zoom + 1)] * refine_levels(zoom)
 
     @pytest.mark.parametrize("n", [1, 0, -4])
     def test_grid_below_two_rejected(self, n):
         with pytest.raises(ValueError, match="at least 2"):
-            refine_search(lambda x: x, 0.0, 1.0, n)
+            one_row(lambda x: x, 0.0, 1.0, n)
 
     @pytest.mark.parametrize("n", [2, 7, 512])
     def test_row_grids_match_numpy_linspace(self, n):
@@ -272,30 +286,6 @@ class TestRowBatches:
         assert np.arange(3 * size + 1)[batches[-1]].tolist() == [3 * size]
         assert row_batches(5, 10 * BATCH_CANDIDATES) == [slice(i, i + 1) for i in range(5)]
 
-    def test_one_batch_row_set_is_one_call(self, monkeypatch):
-        # Rows that fit one batch in both phases are searched by one full
-        # call, the coarse grid and every level; one more row splits the
-        # bracket phase, and the search goes back to two phases.
-        original = search.refine_search
-        seen = []
-
-        def spy(objective, lo, hi, n, **kwargs):
-            seen.append((len(lo), kwargs.get("shrink"), "start" in kwargs))
-            return original(objective, lo, hi, n, **kwargs)
-
-        monkeypatch.setattr(search, "refine_search", spy)
-        zoom = ZOOMS[1]
-        size = BATCH_CANDIDATES // (2 * zoom + 1)
-        for n_rows, calls in (
-            (size, [(size, None, False)]),
-            (size + 1, [(size + 1, 1, False), (size, None, True), (1, None, True)]),
-        ):
-            seen.clear()
-            cols, extra = np.zeros((n_rows, 1)), np.zeros((n_rows, 2))
-            lo, hi = np.zeros(n_rows), np.ones(n_rows)
-            search_rows(lambda c, x: -x, cols, lo, hi, extra, 64, maximize=True, zoom=zoom)
-            assert seen == calls
-
     @pytest.mark.parametrize("maximize", [True, False])
     def test_search_rows_equals_one_search_per_row(self, maximize, monkeypatch):
         # Each row's objective reads its own line of ``cols``: a centre and a scale.
@@ -311,7 +301,7 @@ class TestRowBatches:
 
         # (candidate budget, zoom, (coarse batches, bracket batches))
         for budget, zoom, n_batches in (
-            (n_rows * 129, ZOOMS[1], (1, 1)),  # one batch in both phases: one call
+            (n_rows * 129, ZOOMS[1], (1, 1)),  # one batch in both phases
             (BATCH_CANDIDATES, ZOOMS[0], (2, 1)),  # several coarse batches, one bracket batch
             (BATCH_CANDIDATES, ZOOMS[1], (2, 3)),
             (17 * 100, ZOOMS[0], (12, 3)),  # several bracket batches
@@ -320,10 +310,11 @@ class TestRowBatches:
             assert len(row_batches(n_rows, 64 + 2)) == n_batches[0]
             assert len(row_batches(n_rows, 2 * zoom + 1)) == n_batches[1]
             x, f = search_rows(objective, cols, lo, hi, extra, 64, maximize=maximize, zoom=zoom)
+            kw = dict(maximize=maximize, zoom=zoom)
             for r in range(n_rows):
-                one = partial(objective, cols[r : r + 1])
-                kw = dict(maximize=maximize, extra=extra[r], zoom=zoom)
-                assert refine_search(one, lo[r], hi[r], 64, **kw) == (x[r], f[r])
+                one = slice(r, r + 1)
+                got = search_rows(objective, cols[one], lo[one], hi[one], extra[one], 64, **kw)
+                assert got == (x[r], f[r])
 
 
 def unimodal(kind, rng, rows):
@@ -372,23 +363,24 @@ class TestBracketInvariant:
         lo, hi, x_star, f = unimodal(kind, np.random.default_rng(sum(map(ord, kind))), self.ROWS)
         sign = 1.0 if maximize else -1.0
 
-        def objective(x, r=slice(None)):
-            return sign * f(x, r)
+        def objective(rows):
+            return lambda x: sign * f(x, rows)
 
         spacing = (hi - lo) / ((self.N - 1) * REFINE_SHRINK)
-        f_star = objective(x_star[:, None])[:, 0]
+        everything = np.arange(self.ROWS)
+        f_star = objective(everything)(x_star[:, None])[:, 0]
         near = x_star[:, None] + spacing[:, None] * np.linspace(-1.0, 1.0, 101)
         near = np.clip(near, lo[:, None], hi[:, None])
-        change = np.max(np.abs(objective(near) - f_star[:, None]), axis=1)
+        change = np.max(np.abs(objective(everything)(near) - f_star[:, None]), axis=1)
         slack = change + 1e-12 * np.maximum(1.0, np.abs(f_star))
         dense = _linspace_rows(lo, hi, np.arange(20_001, dtype=float))
-        f_dense = sign * np.max(sign * objective(dense), axis=1)
+        f_dense = sign * np.max(sign * objective(everything)(dense), axis=1)
 
         for zoom in ZOOMS:
             kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
-            xs, fs = refine_search(objective, lo, hi, self.N, **kw)
+            xs, fs = searched(objective, lo, hi, self.N, **kw)
             for r in range(self.ROWS):
-                x, fx = refine_search(lambda v: objective(v, [r]), lo[r], hi[r], self.N, **kw)
+                x, fx = one_row(objective([r]), lo[r], hi[r], self.N, **kw)
                 assert (x, fx) == (xs[r], fs[r])
             assert np.all(np.abs(xs - x_star) <= spacing)
             assert np.all(np.abs(fs - f_star) <= slack)
@@ -396,7 +388,7 @@ class TestBracketInvariant:
 
 
 def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra, zoom):
-    """:func:`refine_search` as it was when each bracket re-scored its incumbent."""
+    """:func:`search_rows` on one batch as it was when each bracket re-scored its incumbent."""
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     rows = np.arange(len(lo))
     grid = _linspace_rows(lo, hi, np.arange(n, dtype=float))
@@ -452,10 +444,10 @@ class TestIncumbentNotRescored:
         for zoom in ZOOMS:
             kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
             want = rescoring_search(objective(everything), lo, hi, 17, extra=extra, **kw)
-            got = refine_search(objective(everything), lo, hi, 17, extra=extra, **kw)
+            got = searched(objective, lo, hi, 17, extra=extra, **kw)
             np.testing.assert_array_equal(got, want)
             for r in range(0, self.ROWS, 7):
-                one = refine_search(objective([r]), lo[r], hi[r], 17, extra=extra[r], **kw)
+                one = one_row(objective([r]), lo[r], hi[r], 17, extra=extra[r], **kw)
                 np.testing.assert_array_equal(one, [want[0][r], want[1][r]])
             f = want[1]
             assert np.isnan(f).any() and (~np.isnan(f)).sum() > self.ROWS // 2

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sembit.boundary
+import sembit.power
 from sembit import (
     PowerTargets,
     Scenario,
@@ -139,61 +141,64 @@ def test_default_grid_miss_rows_reach_the_dense_grid(grid_n):
 def test_reference_levels_swap_the_seeds_and_restore_them():
     # The reference seeds its own bands, so cutting the default seeds
     # cannot weaken the reference that judges the cut.
-    steps, original = rates._EPS_STEPS, search.refine_search
+    steps = rates._EPS_STEPS
     scenario = Scenario()
     sigma = np.array([100e3])
     with quality.reference_levels():
-        assert search.refine_search is not original
+        assert search.REFINE_SHRINK == quality.REF_SHRINK
         np.testing.assert_array_equal(rates._EPS_STEPS, np.linspace(0.0, 1.0, 256))
         assert eps_seeded_bands(scenario, sigma, 0.8).shape == (1, quality.REF_SEEDS)
-    assert rates._EPS_STEPS is steps and search.refine_search is original
+    assert rates._EPS_STEPS is steps and search.REFINE_SHRINK == REFINE_SHRINK
     assert eps_seeded_bands(scenario, sigma, 0.8).shape == (1, EPS_BANDS)
     with pytest.raises(ZeroDivisionError), quality.reference_levels():
         1 / 0
-    assert rates._EPS_STEPS is steps and search.refine_search is original
+    assert rates._EPS_STEPS is steps and search.REFINE_SHRINK == REFINE_SHRINK
 
 
 def test_reference_levels_deepen_the_searches(monkeypatch):
-    # A row set that fits one batch in both phases is searched by one call:
-    # one objective call for the coarse grid, then one per level.  An oma
-    # boundary point searches 6 levels at zoom 8 (8 under the reference); a
-    # one-row power solve searches its oma and semi rows together, 3 levels
-    # at zoom 64 (4 under the reference).  A row set that spans several
-    # batches makes coarse-phase calls of one objective call each, which the
-    # reference leaves at the grid, then bracket-phase calls: 70 draws make
-    # 140 power search rows of 88 coarse candidates, one batch at the
-    # default grid and 47 batches of at most 3 at the reference grid (4,352
-    # candidates with its 256 seeds), then 126 + 14 for the brackets.
-    original = search.refine_search
+    # Each search makes one objective call per coarse batch, then one per
+    # level for each bracket batch; the reference adds levels and leaves
+    # the coarse grid alone.  An oma boundary point searches 6 levels at
+    # zoom 8 (8 under the reference); a one-row power solve searches its
+    # oma and semi rows together, 3 levels at zoom 64 (4 under the
+    # reference).  70 draws make 140 power search rows of 88 coarse
+    # candidates, one batch at the default grid and 47 batches of at most 3
+    # at the reference grid (4,352 candidates with its 256 seeds), then
+    # bracket batches of 126 and 14 rows.  Each list holds the rows of
+    # each objective call of one search.
     calls = []
 
-    def counting(objective, *args, **kwargs):
-        def counted(x):
-            calls[-1] += 1
-            return objective(x)
+    def counting(original):
+        def spy(objective, *args, **kwargs):
+            def counted(cols, x):
+                calls[-1].append(len(x))
+                return objective(cols, x)
 
-        calls.append(0)
-        return original(counted, *args, **kwargs)
+            calls.append([])
+            return original(counted, *args, **kwargs)
 
-    monkeypatch.setattr(search, "refine_search", counting)
+        return spy
+
+    for module in (sembit.boundary, sembit.power):
+        monkeypatch.setattr(module, "search_rows", counting(module.search_rows))
     scenario = Scenario()
     real = sample_realization(scenario, 7)
     targets = PowerTargets(sigma_target=150e3, min_similarity=0.8, bit_target=1e6)
     reals = [sample_realization(scenario, seed) for seed in range(70)]
     assert quality.REF_SHRINK == REFINE_SHRINK * 64 == 64**4
     for solve, default, deeper in (
-        (lambda grid_n: solve_oma_point(scenario, real, 100e3, grid_n), [7], [9]),
-        (lambda grid_n: solve_min_powers(scenario, real, targets, grid_n), [4], [5]),
+        (lambda grid_n: solve_oma_point(scenario, real, 100e3, grid_n), [1] * 7, [1] * 9),
+        (lambda grid_n: solve_min_powers(scenario, real, targets, grid_n), [2] * 4, [2] * 5),
         (
             lambda grid_n: solve_min_powers_rows(scenario, reals, [targets] * 70, grid_n),
-            [1, 3, 3],
-            [1] * 47 + [4, 4],
+            [140] + [126] * 3 + [14] * 3,
+            [3] * 46 + [2] + [126] * 4 + [14] * 4,
         ),
     ):
         calls.clear()
         solve(64)
-        assert calls == default
+        assert calls == [default]
         calls.clear()
         with quality.reference_levels():
             solve(quality.REF_GRID)
-        assert calls == deeper
+        assert calls == [deeper]

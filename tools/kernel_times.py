@@ -3,9 +3,9 @@
 Captures every objective call of the default regions at seeds 0-9 (the
 default scenario, 200 points, the default grid, all schemes) and of one
 ``run_sweep`` on the bundled ``semantic-rate`` spec with 4 draws,
-through a wrapper on ``sembit.search.refine_search``: every boundary and
-power search calls it through that one binding, as
-``tools/search_quality.py`` relies on too.  Each objective's captured
+through wrappers on the ``search_rows`` bindings of ``sembit.boundary``
+and ``sembit.power``: every boundary and power search is one
+``search_rows`` call from one of them.  Each objective's captured
 calls are then replayed as they came, and the tool prints its calls,
 candidates and nanoseconds per candidate, the minimum over ``PASSES``
 passes.  The objectives are the oma and semi boundary scores and the
@@ -28,13 +28,14 @@ from __future__ import annotations
 import contextlib
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from sembit import cli, montecarlo, search, similarity  # noqa: E402
+from sembit import boundary, cli, montecarlo, power, similarity  # noqa: E402
 from sembit.boundary import trace_region  # noqa: E402
 from sembit.channel import Scenario, sample_realization  # noqa: E402
 from sembit.rates import Scheme  # noqa: E402
@@ -59,28 +60,33 @@ OBJECTIVES = {
 def capture(calls: dict[str, list]):
     """Append ``(objective, candidates)`` of each objective call to ``calls[label]``.
 
-    The objective a search scores is a ``functools.partial`` of a
-    boundary ``score`` closure, or of ``power._total``, with the batch's
-    row data bound; nested partials flatten, so its ``func`` names the
-    owner.
+    The objective a search scores is a boundary ``score`` closure, or a
+    ``functools.partial`` of ``power._total``, whose ``func`` names the
+    owner.  Each captured objective is a partial with the batch's row
+    data bound, so a replay scores exactly what the search scored.
     """
-    saved = search.refine_search
+    saved = [(module, module.search_rows) for module in (boundary, power)]
 
-    def spy(objective, *args, **kwargs):
-        owner = objective.func.__qualname__.split(".")[0]
-        label = OBJECTIVES[owner]
+    def spying(search_rows):
+        def spy(objective, *args, **kwargs):
+            owner = getattr(objective, "func", objective).__qualname__.split(".")[0]
+            label = OBJECTIVES[owner]
 
-        def recorded(x):
-            calls[label].append((objective, x))
-            return objective(x)
+            def recorded(cols, x):
+                calls[label].append((partial(objective, cols), x))
+                return objective(cols, x)
 
-        return saved(recorded, *args, **kwargs)
+            return search_rows(recorded, *args, **kwargs)
 
-    search.refine_search = spy
+        return spy
+
+    for module, search_rows in saved:
+        module.search_rows = spying(search_rows)
     try:
         yield
     finally:
-        search.refine_search = saved
+        for module, search_rows in saved:
+            module.search_rows = search_rows
 
 
 def captured_calls() -> dict[str, list]:

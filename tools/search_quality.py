@@ -67,31 +67,19 @@ PINNED = {
 def reference_levels():
     """Make the searches shrink their spacing by ``REF_SHRINK`` and seed ``REF_SEEDS`` bands.
 
-    Every one of them goes through :func:`sembit.search.search_rows`, which
-    calls ``refine_search`` through the one binding in :mod:`sembit.search`:
-    once for a row set that fits one batch in both phases, and otherwise in
-    two phases, coarse-grid calls with ``shrink=1`` and then bracket calls
-    started from their incumbents.  Every call but a coarse-only one takes
-    the reference shrink, so the coarse calls still stop at the grid.  The
-    shrink overrides any the caller passes, where a ``functools.partial``
-    keyword would be overridden by it.  The similarity seeds are
-    :func:`sembit.rates.eps_seeded_bands`'s steps, ``rates._EPS_STEPS``,
-    swapped for ``REF_SEEDS`` evenly spaced ones, so that fewer default
-    seeds do not weaken the reference that judges them.
+    Every one of them goes through :func:`sembit.search.search_rows`,
+    which reads ``search.REFINE_SHRINK`` at call time, so swapping it
+    deepens every bracket phase and leaves the coarse grid alone.  The
+    similarity seeds are :func:`sembit.rates.eps_seeded_bands`'s steps,
+    ``rates._EPS_STEPS``, swapped for ``REF_SEEDS`` evenly spaced ones, so
+    that fewer default seeds do not weaken the reference that judges them.
     """
-    saved, steps = search.refine_search, rates._EPS_STEPS
-
-    def deeper(*args, **kwargs):
-        if kwargs.get("shrink") != 1:
-            kwargs["shrink"] = REF_SHRINK
-        return saved(*args, **kwargs)
-
-    search.refine_search = deeper
-    rates._EPS_STEPS = np.linspace(0.0, 1.0, REF_SEEDS)
+    saved = search.REFINE_SHRINK, rates._EPS_STEPS
+    search.REFINE_SHRINK, rates._EPS_STEPS = REF_SHRINK, np.linspace(0.0, 1.0, REF_SEEDS)
     try:
         yield
     finally:
-        search.refine_search, rates._EPS_STEPS = saved, steps
+        search.REFINE_SHRINK, rates._EPS_STEPS = saved
 
 
 def boundary_rows(scenario, real, sigma, grid_n):
