@@ -19,9 +19,12 @@ band; the hybrid rows get their bit powers from
 :func:`~sembit.rates.water_fill_max_grid`.  Every row's bit rate and
 similarity are then :func:`~sembit.rates.rates_rows`' of its own
 allocation, so each reported row is the plug-back of that allocation by
-construction.  A traced boundary, :class:`RegionBoundary`, is columns
-too: sigma, bit rate and similarity, which the containment check and
-the CSV writer read as they are.
+construction.  The overlay's closed-form sweep and the region's two
+intercepts (:func:`oma_extremes`' corner allocations) are allocations
+evaluated the same way, so no boundary code states a rate or similarity
+equation of its own.  A traced boundary, :class:`RegionBoundary`, is
+columns too: sigma, bit rate and similarity, which the containment check
+and the CSV writer read as they are.
 
 The orthogonal and overlay solutions are hybrid corner cases, so the
 hybrid folds in the oma and noma rows it is given for the same targets
@@ -55,13 +58,12 @@ from .rates import (
     orth_inv_slope,
     orth_max_rate,
     overlay_inv_slope,
-    pipe_rate,
     rates_rows,
     sem_power,
     water_fill_max_grid,
 )
 from .search import DEFAULT_GRID_N, search_rows
-from .similarity import eval_similarity, power_for_similarity_grid, required_power_for_similarity
+from .similarity import power_for_similarity_grid, required_power_for_similarity
 
 # Bracket zoom of the boundary searches: 17-point brackets over 6 levels.
 # A region solves about 185 rows per coarse objective call, so a search
@@ -77,11 +79,14 @@ class Extremes:
     r_max: largest feasible bit rate (semantic stream silenced).
     power_limited: True when the similarity floor, not bandwidth, caps
         sigma_max (the budget cannot lift the full band to the floor).
+    w_sem: the semantic band of the sigma_max corner, which spends the
+        whole budget on it; power_limited is w_sem < W.
     """
 
     sigma_max: float
     r_max: float
     power_limited: bool
+    w_sem: float
 
 
 @dataclass(frozen=True)
@@ -142,33 +147,30 @@ class Containment:
 
 
 def oma_extremes(scenario: Scenario, real: ChannelRealization) -> Extremes:
-    """Endpoints of the orthogonal region for one channel draw.
+    """Endpoints of the orthogonal region for one channel draw: two corner allocations.
 
-    The bit-rate intercept always gets the full band and budget.  The
-    semantic intercept is bandwidth-limited when the budget can push the
-    full band to the similarity floor, else power-limited: the band
-    shrinks until the floor is met exactly and the spare spectrum idles.
+    The bit-rate intercept gets the full band and budget.  The semantic
+    intercept gets the whole budget on the band w_sem = min(W, P / p_unit),
+    where p_unit is the power that lifts 1 Hz to the similarity floor:
+    the full band when the budget lifts it to the floor (bandwidth-limited),
+    else the widest band it lifts there, the spare spectrum idle
+    (power-limited).  A floor at or below the curve's floor costs nothing
+    (w_sem = W); one at or above its ceiling costs +inf (w_sem = 0, so
+    sigma_max = 0).  Both intercepts are :func:`rates_rows`' of their corner.
     """
     w = scenario.total_bandwidth
     p = scenario.max_power
-    # The two single-stream corners: whole band and budget to the
-    # semantic stream, then to the bit stream.
-    corners = np.array([[0.0, 0.0], [w, 0.0], [0.0, w], [p, 0.0], [0.0, 0.0], [0.0, p]])
-    sem, bit, eps = rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, corners)
-    r_max = bit.item(1)
-    if scenario.min_similarity <= eps[0]:
-        return Extremes(sigma_max=sem.item(0), r_max=r_max, power_limited=False)
-    # Widest band the budget lifts to the floor: none when the floor sits
-    # at or above the curve's ceiling, where the unit-band power is +inf.
-    p_unit = float(power_for_similarity_grid(
+    p_unit = power_for_similarity_grid(
         scenario.logistic, scenario.min_similarity, 1.0, real.gain_s, scenario.noise_psd
-    ))
-    w_reach = p / p_unit
-    return Extremes(
-        sigma_max=w_reach * scenario.min_similarity / scenario.k,
-        r_max=r_max,
-        power_limited=True,
     )
+    with np.errstate(divide="ignore"):
+        w_sem = min(w, float(p / p_unit))
+    # The semantic corner, then the bit corner.
+    corners = np.array(
+        [[0.0, 0.0], [w_sem, 0.0], [w - w_sem, w], [p, 0.0], [0.0, 0.0], [0.0, p]]
+    )
+    sem, bit, _ = rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, corners)
+    return Extremes(sigma_max=sem.item(0), r_max=bit.item(1), power_limited=w_sem < w, w_sem=w_sem)
 
 
 def _seeds(scenario: Scenario, sigma: np.ndarray) -> np.ndarray:
@@ -193,6 +195,8 @@ def _oma_points(
     bit band; one whose power need exceeds the budget scores zero.  Ties
     break toward the smaller semantic band.  A zero target is the bit
     intercept: no semantic band, and the whole budget on the full bit band.
+    A positive target equal to sigma_max is the semantic intercept, the
+    :func:`oma_extremes` corner: band w_sem and the whole budget.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
@@ -210,6 +214,9 @@ def _oma_points(
         score, s[:, None], lo, hi, bands, grid_n, maximize=True, zoom=SEARCH_ZOOM
     )[0]
     p_sem[live] = sem_power(scenario, real.gain_s, s, floor, ws[live])
+    ext = oma_extremes(scenario, real)
+    corner = live & (sigma == ext.sigma_max)
+    ws[corner], p_sem[corner] = ext.w_sem, p_max
     zero = np.zeros_like(ws)
     fields = np.array([zero, ws, w - ws, p_sem, zero, p_max - p_sem])
     return _columns(scenario, real, fields, p_sem <= p_max)
@@ -264,21 +271,30 @@ def noma_power_floor(scenario: Scenario, real: ChannelRealization) -> float:
     )
 
 
+def _overlay_rows(scenario: Scenario, real: ChannelRealization, p_s: np.ndarray) -> BoundaryRows:
+    """Full-band overlay rows, one per semantic power of ``p_s``.
+
+    The allocation of row i is [W, 0, 0, p_s[i], P - p_s[i], 0]: the rest
+    of the budget goes to the superposed bit stream.  A power over the
+    budget is an unsolved row.
+    """
+    w = scenario.total_bandwidth
+    p_max = scenario.max_power
+    zero = np.zeros_like(p_s)
+    fields = np.array([zero + w, zero, zero, p_s, p_max - p_s, zero])
+    return _columns(scenario, real, fields, p_s <= p_max)
+
+
 def _noma_points(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> BoundaryRows:
     """Overlay rows at each target of ``sigma``, in closed form.
 
     The semantic power is pinned by whichever is harder, the rate target
-    over the full band or the similarity floor, and the rest of the budget
-    goes to the superposed bit stream.  A target the budget cannot meet
-    is an unsolved row.
+    over the full band or the similarity floor.  An unreachable
+    similarity costs +inf, which fails the budget, so its row is unsolved.
     """
     w = scenario.total_bandwidth
-    p_max = scenario.max_power
     p_s = sem_power(scenario, real.gain_s, sigma, scenario.min_similarity, w)
-    zero = np.zeros_like(p_s)
-    fields = np.array([zero + w, zero, zero, p_s, p_max - p_s, zero])
-    # An unreachable similarity costs +inf, which fails the budget too.
-    return _columns(scenario, real, fields, p_s <= p_max)
+    return _overlay_rows(scenario, real, p_s)
 
 
 def noma_boundary(
@@ -288,15 +304,17 @@ def noma_boundary(
 ) -> RegionBoundary:
     """Full overlay boundary: sweep the semantic power from floor to budget.
 
+    Each point is an :func:`_overlay_rows` allocation, so its bit rate and
+    similarity are :func:`~sembit.rates.rates_rows`', and its semantic
+    rate is W * similarity / k.
+
     Raises:
         EmptyRegion: the similarity floor cannot be met within the budget
             on this draw (power-limited), or is unreachable outright.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    w = scenario.total_bandwidth
     p_max = scenario.max_power
-    n0 = scenario.noise_psd
     noma_sigma_min(scenario)  # raises EmptyRegion for an unreachable floor
     p_floor = noma_power_floor(scenario, real)
     if p_floor > p_max:
@@ -304,16 +322,9 @@ def noma_boundary(
             f"power-limited draw: similarity floor needs {p_floor:.6g} W of "
             f"{p_max:.6g} W before the bit stream gets anything"
         )
-    p_s = np.linspace(p_floor, p_max, n_points)
-    # np.log10, not rates_rows' per-row math.log10: the two differ by an
-    # ulp on some inputs, and this sweep through rates_rows would move 6 of
-    # the 600 numbers of region --seed 0's noma.csv by up to 2.9e-16
-    # relative, and 5 of its semi.csv by up to 6.9e-15.
-    with np.errstate(divide="ignore"):
-        gamma_db = 10.0 * np.log10(p_s * real.gain_s / (w * n0))
-    eps = eval_similarity(scenario.logistic, gamma_db)
-    bit = pipe_rate(w, p_max - p_s, overlay_inv_slope(w, p_s, real.gain_eff, n0))
-    return RegionBoundary(Scheme.NOMA, w * eps / scenario.k, bit, eps)
+    rows = _overlay_rows(scenario, real, np.linspace(p_floor, p_max, n_points))
+    sigma = scenario.total_bandwidth * rows.similarity / scenario.k
+    return RegionBoundary(Scheme.NOMA, sigma, rows.bit_rate, rows.similarity)
 
 
 def _semi_points(
@@ -366,11 +377,12 @@ def _semi_points(
     inv_b = orth_inv_slope(w_b, real.gain_b, scenario.noise_psd)
     p_bm, p_bo = water_fill_max_grid(wm, inv_m, w_b, inv_b, p_max - p_s)
     found = np.array([wm, np.zeros_like(wm), w_b, p_s, p_bm, p_bo])
-    # A row without an interior optimum scores 0 and has no allocation
-    # until a corner beats it; scoring each one by the bit rate its
+    # A row without an interior optimum scores -inf and has no allocation
+    # until a corner beats it, even a solved one with zero bit rate (the
+    # semantic intercept); scoring each one by the bit rate its
     # allocation realises keeps the dominance exact.
     best = np.full((1 + len(ALLOC_FIELDS), len(sigma)), np.nan)
-    best[0] = 0.0
+    best[0] = -np.inf
     best[1:, live[interior]] = found
     best[0, live[interior]] = bit_rates(scenario, real.gain_b, real.gain_eff, found)
     fold_corners(best, _fields(oma), _fields(noma), np.greater)

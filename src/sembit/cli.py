@@ -37,13 +37,11 @@ from .boundary import check_containment, trace_region
 from .channel import Scenario, sample_realization
 from .errors import (
     DegenerateData,
+    DistanceBelowReference,
     DomainMismatch,
-    EmptyRegion,
     Infeasible,
-    InfeasibleTarget,
     InsufficientData,
     SembitError,
-    TargetUnreachable,
     reject_unknown,
     require_float,
     require_int,
@@ -496,12 +494,6 @@ def main(argv=None) -> int:
         args = {**params, "scenario": _scenario_record(scenario)}
         run = _run_region if ns.command == "region" else _run_power
         return run(scenario, params, args, Path(ns.out) if ns.out else None)
-    except EmptyRegion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_REGION
-    except (Infeasible, InfeasibleTarget, TargetUnreachable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (
         ValueError,
         OSError,
@@ -509,6 +501,7 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         InsufficientData,
         DegenerateData,
+        DistanceBelowReference,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

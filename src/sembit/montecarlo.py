@@ -13,9 +13,13 @@ semi searches, which runs one search per row batch, or one in all when
 the rows fit one batch.  Only a source-length sweep keeps one row set
 per value, since k changes the similarity S-curve.
 
-Infeasibility here is structural (bandwidth or curve-ceiling bound), so
-for a given sweep value a scheme is either feasible for every draw or for
-none; the per-row infeasible fraction is 0 or 1.
+Most infeasibility is structural (bandwidth or curve-ceiling bound), the
+same for every draw of a sweep value.  Not all: a bit target so large that
+its power overflows to +inf on a weak draw is infeasible on that draw
+alone, so a scheme can be feasible on some draws of a value and not on
+others (at bit target 1.024e9 on the bundled semantic-rate spec, noma on
+2 of 500).  A row's infeasible fraction is the share of its draws that
+are infeasible, and its mean and standard error are those of the rest.
 """
 
 from __future__ import annotations

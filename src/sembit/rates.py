@@ -16,8 +16,10 @@ an array function that broadcasts; the boundary and power solvers call
 them.  What an allocation achieves is evaluated in one place,
 :func:`rates_rows`: it takes the :data:`ALLOC_FIELDS` lines of any number
 of allocations, evaluates each as a hybrid, and returns the semantic
-rate, bit rate and similarity columns.  Every reported boundary row, the
-scalar :func:`rates_for` and the ``power --verify`` plug-back go through it.
+rate, bit rate and similarity columns, with one ``np.log10`` over all
+of their SNRs.  Every reported boundary row (the overlay sweep's too), the
+region's intercepts, the scalar :func:`rates_for` and the ``power
+--verify`` plug-back go through it.
 """
 
 from __future__ import annotations
@@ -436,10 +438,14 @@ def shannon_rate(bandwidth: float, power: float, gain: float, noise_psd: float) 
 
 
 def snr_db(power: float, gain: float, bandwidth: float, noise_psd: float) -> float:
-    """Receive SNR in dB over ``bandwidth``; zero power maps to -inf."""
+    """Receive SNR in dB over ``bandwidth``; zero power maps to -inf.
+
+    The log is ``np.log10``, as in :func:`rates_rows`, so the two agree
+    bit for bit (``math.log10`` differs by one ulp on some inputs).
+    """
     if power <= 0:
         return -math.inf
-    return 10.0 * math.log10(power * gain / (bandwidth * noise_psd))
+    return float(10.0 * np.log10(power * gain / (bandwidth * noise_psd)))
 
 
 def bit_rates(scenario: Scenario, gain_b, gain_eff, alloc: np.ndarray) -> np.ndarray:
@@ -496,18 +502,16 @@ def rates_rows(scenario: Scenario, gain_s, gain_b, gain_eff, alloc: np.ndarray):
     its scheme: the semantic stream rides on w_shared + w_sem, one of
     which is always zero, and the bit rate is :func:`bit_rates`'.  A row
     with no semantic band (zero or NaN) has semantic rate and similarity
-    0.  Each SNR is :func:`snr_db`'s, bit for bit: the ratio is an array,
-    but its log is ``math.log10``, since ``np.log10`` can differ by one ulp.
-    A band so narrow that its noise power underflows to 0 gives power an
+    0.  Each SNR is one ``np.log10`` over the ratio array, bit for bit
+    :func:`snr_db`'s, which takes the same log.  Zero power maps to -inf;
+    a band so narrow that its noise power underflows to 0 gives power an
     SNR of +inf.
     """
     band = alloc[0] + alloc[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = alloc[3] * gain_s / (band * scenario.noise_psd)
-    # Zero power maps to -inf, as in snr_db; so does a row without a band, which is masked.
-    log = [math.log10(r) if r > 0.0 else -math.inf for r in ratio.tolist()]
+        snr = 10.0 * np.log10(alloc[3] * gain_s / (band * scenario.noise_psd))
     on = band > 0.0
-    eps = np.where(on, eval_similarity(scenario.logistic, 10.0 * np.array(log)), 0.0)
+    eps = np.where(on, eval_similarity(scenario.logistic, snr), 0.0)
     sem = np.where(on, band * eps / scenario.k, 0.0)
     return sem, bit_rates(scenario, gain_b, gain_eff, alloc), eps
 

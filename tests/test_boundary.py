@@ -85,6 +85,69 @@ class TestExtremes:
         assert ext.sigma_max == 0.0
         assert ext.r_max > 0.0
 
+    @pytest.mark.parametrize(
+        "floor, max_power, share",
+        [(0.8, 1.0, 1.0), (0.0, 1.0, 1.0), (0.93, 1.0, 0.0), (0.8, 1e-4, None)],
+        ids=["bandwidth-limited", "floor-under-a_low", "floor-above-ceiling", "power-limited"],
+    )
+    def test_intercepts_are_the_rates_of_their_corners(
+        self, scenario, realization, floor, max_power, share
+    ):
+        # The semantic corner spends the whole budget on min(W, P / p_unit):
+        # the full band, the full band again at a floor under a_low (free),
+        # none at a floor above the ceiling, else the band the budget lifts
+        # to the floor.
+        tight = scenario.with_updates(min_similarity=floor, max_power=max_power)
+        ext = oma_extremes(tight, realization)
+        w, p = tight.total_bandwidth, tight.max_power
+        assert ext.power_limited is (ext.w_sem < w)
+        if share is None:
+            assert 0.0 < ext.w_sem < w
+        else:
+            assert ext.w_sem == share * w
+        sem = rates_for(tight, realization, Allocation.orthogonal(ext.w_sem, w - ext.w_sem, p, 0.0))
+        bit = rates_for(tight, realization, Allocation.orthogonal(0.0, w, 0.0, p))
+        assert (ext.sigma_max, ext.r_max) == (sem.sem_rate, bit.bit_rate)
+
+
+class TestIntercepts:
+    """Each scheme's semantic intercept is its corner allocation, with one similarity for all."""
+
+    def test_last_rows_agree_on_default_draws(self, scenario):
+        # A boundary's last row does not depend on the point count: oma's
+        # is the oma_extremes corner at sigma_max, noma's spends the whole
+        # budget on the semantic stream, and semi's row at sigma_max is
+        # what its target alone gives.  So two points per boundary suffice.
+        overlays = 0
+        for seed in range(200):
+            real = sample_realization(scenario, seed)
+            found, empty = boundary.trace_region(scenario, real, list(Scheme), n_points=2)
+            oma, semi = (found[s] for s in (Scheme.OMA, Scheme.SEMI))
+            assert oma.similarity[-1] > 0.0
+            if empty is not None:
+                assert _columns(semi)[:, -1].tolist() == _columns(oma)[:, -1].tolist()
+                continue
+            overlays += 1
+            noma = found[Scheme.NOMA]
+            assert _columns(noma)[:, -1].tolist() == _columns(oma)[:, -1].tolist()
+            # Semi may take the noma corner that sem_power rebuilds at
+            # sigma_max, with a few ulps of the budget left for bits.
+            assert semi.sigma[-1] == oma.sigma[-1]
+            ulps = semi.similarity[-1:].view(np.int64) - oma.similarity[-1:].view(np.int64)
+            assert abs(ulps.item()) <= 4
+            assert 0.0 <= semi.bit_rate[-1] < 1e-3
+        assert overlays == 198
+
+    def test_power_limited_intercept_is_solved(self, scenario):
+        real = sample_realization(scenario, 4)
+        ext = oma_extremes(scenario, real)
+        assert ext.power_limited
+        rows = _oma_points(scenario, real, np.array([0.0, ext.sigma_max]), DEFAULT_GRID_N)
+        assert rows.solved.all()
+        corner = (rows.w_sem[1], rows.p_sem[1], rows.bit_rate[1])
+        assert corner == (ext.w_sem, scenario.max_power, 0.0)
+        assert rows.similarity[1] == pytest.approx(scenario.min_similarity, rel=1e-12)
+
 
 class TestLemma1Bounds:
     def test_interval(self, scenario):
@@ -608,9 +671,9 @@ class TestSimilarityColumn:
     """Every boundary row's SNR and similarity are the scalar ``snr_db`` path's, bit for bit."""
 
     def test_rows_equal_the_scalar_snr_path(self, scenario, monkeypatch):
-        # rates.rates_rows, which boundary._columns calls, takes the log of
-        # an SNR ratio array with math.log10; np.log10 differs by one ulp
-        # on about 2% of inputs, which can move output similarities.
+        # rates.rates_rows, which boundary._columns calls, takes one np.log10
+        # over its SNR ratio array, and snr_db takes the same log of one
+        # ratio; math.log10 differs by one ulp on some inputs.
         seen, snrs = [], []
         columns, curve = boundary._columns, rates.eval_similarity
 
@@ -641,7 +704,7 @@ class TestSimilarityColumn:
             np.testing.assert_array_equal(rows.similarity.view(np.int64), eps.view(np.int64))
             for ok, p in zip(rows.solved, rows.p_sem):
                 kinds.add((caller, "unsolved" if not ok else "zero power" if p == 0 else "solved"))
-        callers = ("_oma_points", "_noma_points", "_semi_points")
+        callers = ("_oma_points", "_overlay_rows", "_semi_points")
         assert {(c, "solved") for c in callers} <= kinds
         assert {k for _, k in kinds} == {"solved", "unsolved", "zero power"}
 
@@ -680,6 +743,21 @@ class TestRowsPlugBack:
                 np.testing.assert_array_equal(eps, rows.similarity[ok])
                 checked += int(ok.sum())
         assert checked > 5000
+
+    def test_overlay_sweep_rows_are_rates_rows_of_their_allocations(self, scenario):
+        # noma_boundary's points: full band, semantic power from the floor's
+        # to the budget, the rest superposed for the bit stream.
+        w, p_max = scenario.total_bandwidth, scenario.max_power
+        for seed in range(10):
+            real = sample_realization(scenario, seed)
+            if oma_extremes(scenario, real).power_limited:
+                continue
+            b = noma_boundary(scenario, real, 200)
+            p_s = np.linspace(noma_power_floor(scenario, real), p_max, 200)
+            zero = np.zeros_like(p_s)
+            alloc = np.array([zero + w, zero, zero, p_s, p_max - p_s, zero])
+            sem, bit, eps = rates_rows(scenario, real.gain_s, real.gain_b, real.gain_eff, alloc)
+            np.testing.assert_array_equal(_columns(b), np.array([sem, bit, eps]))
 
 
 def _columns(b):

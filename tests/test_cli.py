@@ -18,7 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sembit import ParamTable, PowerSolution, Scenario, Scheme, cli, eval_similarity
+from sembit import (
+    ParamTable,
+    PowerSolution,
+    Scenario,
+    Scheme,
+    cli,
+    eval_similarity,
+    oma_extremes,
+    sample_realization,
+)
 from sembit.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -173,6 +182,19 @@ class TestRegionCommand:
         assert (out / "oma.csv").exists()
         assert (out / "semi.csv").exists()
         assert not (out / "noma.csv").exists()
+
+    def test_floor_above_the_ceiling_leaves_only_the_bit_intercept(self, tmp_path, scenario_file):
+        # No band reaches the floor, so sigma_max is 0 and every oma and semi
+        # row is the bit intercept: the full band and budget on the bit stream.
+        hopeless = Scenario().with_updates(min_similarity=0.95)
+        hopeless.dump(scenario_file)
+        out = tmp_path / "region"
+        assert main(self.region_args(out, scenario=scenario_file)) == 3
+        r_max = oma_extremes(hopeless, sample_realization(hopeless, 7)).r_max
+        for name in ("oma.csv", "semi.csv"):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == "sigma,bit_rate,similarity"
+            assert lines[1:] == [f"0.0,{r_max!r},0.0"] * 12
 
     @pytest.mark.parametrize("grid", [0, 1, -4])
     @pytest.mark.parametrize("schemes", ["all", "noma"])
@@ -885,6 +907,29 @@ def test_malformed_manifest_args_are_bad_input(tmp_path, capsys, document, messa
     assert main(["replay", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["region", "sweep", "replay"])
+def test_distance_below_the_reference_is_bad_input(tmp_path, capsys, route):
+    """A link nearer than the path-loss model's 1 m reference exits 2 before any output."""
+    if route == "region":
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"d_s": 0.5}), encoding="utf-8")
+        argv = ["region", "--scenario", str(path)]
+    elif route == "sweep":
+        spec = json.loads((REPO / "src/sembit/data/sweep_semantic_rate.json").read_text())
+        spec["scenario"]["d_s"] = 0.5
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["sweep", "--spec", str(path)]
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_of("region", REGION_ARGS, scenario={"d_s": 0.5})))
+        argv = ["replay", str(path)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: distance 0.5 m is below the 1 m reference\n"
     assert not out.exists()
 
 

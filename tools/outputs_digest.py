@@ -7,6 +7,10 @@ pinned, in a temporary directory:
   ``--schemes oma,semi`` at seed 7, ``--seed 1 --points 60 --grid 128``,
   and ``--seed 1 --points 1000 --schemes oma,semi``, whose rows span
   more than one bracket batch of the row-batched search;
+- ``region --scenario`` on two scenario files the tool writes: a
+  similarity floor of 0.95, above the curve ceiling (exit 3, every oma
+  and semi row the bit intercept), and a semantic user 0.5 m away, nearer
+  than the path-loss reference (exit 2, nothing written);
 - ``power --verify --out`` on each of ``TRIPLES`` at seeds 0, 3 and 4,
   and one ``power --verify`` to stdout;
 - the three bundled sweeps at ``--realizations 60``;
@@ -17,8 +21,8 @@ Prints each run's exit code, the SHA-256 of each file it wrote (manifests
 included) and of its stdout, and one combined digest over all of those
 lines.  Two versions whose outputs and exit codes match print the same
 lines.  The digests are printed, not judged: the exit status is 0.
-The runs work inside the temporary directory, so the fit manifest
-records a relative input path that repeats from run to run.
+The runs work inside the temporary directory, so the fit manifest and
+the scenario runs record relative input paths that repeat from run to run.
 
 ``--save DIR`` also keeps every output file, as ``DIR/<label>/<name>``
 with a run's stdout in ``DIR/<label>/stdout.txt``.  ``--compare OLD NEW``
@@ -40,6 +44,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -70,6 +75,8 @@ TRIPLES = (
 FIT_CURVES = {2: (0.2, 0.95, 0.4, 1.0), 4: (0.15, 0.9, 0.3, -0.5), 8: (0.1, 0.85, 0.25, -2.0)}
 FIT_SNR_DB = [-10.0 + 1.25 * i for i in range(25)]
 FIT_INPUT = "fit-samples.csv"
+# Scenario files of the region runs that take one, by label: their fields over the defaults.
+SCENARIOS = {"region-floor95": {"min_similarity": 0.95}, "region-near": {"d_s": 0.5}}
 STDOUT_NAME = "stdout.txt"
 # A number as the writers print it: a JSON or CSV float, an integer, or a
 # non-finite float's spelling.
@@ -99,6 +106,8 @@ def runs(tmp: Path) -> list[tuple[str, list[str]]]:
     region("region-oma-semi", "--seed", "7", "--schemes", "oma,semi")
     region("region-seed1-60-128", "--seed", "1", "--points", "60", "--grid", "128")
     region("region-seed1-1000-oma-semi", "--seed", "1", "--points", "1000", "--schemes", "oma,semi")
+    for label in SCENARIOS:
+        region(label, "--scenario", f"{label}.json")
     for i, (sigma, floor, bits) in enumerate(TRIPLES):
         for seed in (0, 3, 4):
             label = f"power-{i}-seed{seed}"
@@ -131,6 +140,8 @@ def digest(save: Path | None) -> str:
         os.chdir(tmp)
         try:
             write_fit_samples(Path(FIT_INPUT))
+            for label, fields in SCENARIOS.items():
+                Path(f"{label}.json").write_text(json.dumps(fields), encoding="utf-8")
             for label, argv in runs(Path(tmp)):
                 stdout = io.StringIO()
                 # Exit-3 and exit-4 runs explain themselves on stderr; the code is what counts.
