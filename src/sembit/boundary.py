@@ -184,6 +184,7 @@ def _oma_points(
     sigma: np.ndarray,
     grid_n: int,
     bands: np.ndarray,
+    ext: Extremes,
 ) -> BoundaryRows:
     """Orthogonal boundary rows: the largest bit rate at each target of ``sigma``.
 
@@ -196,7 +197,8 @@ def _oma_points(
     break toward the smaller semantic band.  A zero target is the bit
     intercept: no semantic band, and the whole budget on the full bit band.
     A positive target equal to sigma_max is the semantic intercept, the
-    :func:`oma_extremes` corner: band w_sem and the whole budget.
+    corner of the draw's :func:`oma_extremes` ``ext``: band w_sem and the
+    whole budget.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
@@ -214,7 +216,6 @@ def _oma_points(
         score, s[:, None], lo, hi, bands, grid_n, maximize=True, zoom=SEARCH_ZOOM
     )[0]
     p_sem[live] = sem_power(scenario, real.gain_s, s, floor, ws[live])
-    ext = oma_extremes(scenario, real)
     corner = live & (sigma == ext.sigma_max)
     ws[corner], p_sem[corner] = ext.w_sem, p_max
     zero = np.zeros_like(ws)
@@ -440,14 +441,15 @@ def trace_region(
         except EmptyRegion as exc:
             empty = exc
     if schemes - {Scheme.NOMA}:
-        uniform = sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, n_points)
+        ext = oma_extremes(scenario, real)
+        uniform = sigma = np.linspace(0.0, ext.sigma_max, n_points)
         on_uniform = slice(None)
         if Scheme.SEMI in schemes and Scheme.NOMA in found:
             merged = np.concatenate([uniform, found[Scheme.NOMA].sigma])
             sigma, inverse = np.unique(merged, return_inverse=True)
             on_uniform = inverse[:n_points]
         bands = _seeds(scenario, sigma)
-        oma = _oma_points(scenario, real, sigma, grid_n, bands)
+        oma = _oma_points(scenario, real, sigma, grid_n, bands, ext)
         if Scheme.OMA in schemes:
             found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, on_uniform)
         if Scheme.SEMI in schemes:

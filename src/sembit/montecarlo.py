@@ -166,13 +166,15 @@ def _sweep_totals(spec: SweepSpec, reals: list[ChannelRealization]) -> np.ndarra
     return totals
 
 
-def _feasible_stats(col: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of the finite entries of ``col``; NaN for both if none."""
-    ok = col[np.isfinite(col)]
+def _feasible_stats(ok: np.ndarray, exp: int) -> tuple[float, float]:
+    """Mean and standard error of ``ok * 2**exp``, ``ok`` a scaled column's finite entries.
+
+    NaN for both if there are none.
+    """
     if not ok.size:
         return math.nan, math.nan
     stderr = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-    return float(np.mean(ok)), stderr
+    return math.ldexp(float(np.mean(ok)), exp), math.ldexp(stderr, exp)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -183,20 +185,27 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     ]
     # (values, schemes, draws), draws contiguous: one reduction along them
     # gives each fully feasible column exactly what np.mean and np.std of
-    # that column alone would.  A partly feasible column drops its NaNs.
+    # that column alone would.  A partly feasible column drops its NaNs
+    # and infinities.  Each column is scaled by the power of two that
+    # brings its largest finite total into [0.5, 1): that rounds nothing,
+    # and no sum or square of the scaled totals can overflow.
     totals = np.ascontiguousarray(_sweep_totals(spec, reals).transpose(0, 2, 1))
     n = spec.n_realizations
-    n_ok = np.isfinite(totals).sum(axis=2).tolist()
-    means = totals.mean(axis=2).tolist()
-    stderrs = totals.std(axis=2, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(totals.shape[:2])
-    stderrs = stderrs.tolist()
+    finite = np.isfinite(totals)
+    n_ok = finite.sum(axis=2).tolist()
+    scaled = np.where(finite, totals, 0.0)
+    exp = np.frexp(scaled.max(axis=2))[1]
+    scaled = np.ldexp(scaled, -exp[..., None])
+    means = np.ldexp(scaled.mean(axis=2), exp).tolist()
+    stderrs = scaled.std(axis=2, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(exp.shape)
+    stderrs = np.ldexp(stderrs, exp).tolist()
     rows = []
     for v, value in enumerate(spec.values):
         for j, scheme in enumerate(SCHEME_ORDER):
             if n_ok[v][j] == n:
                 mean, stderr = means[v][j], stderrs[v][j]
             else:
-                mean, stderr = _feasible_stats(totals[v, j])
+                mean, stderr = _feasible_stats(scaled[v, j][finite[v, j]], exp.item(v, j))
             rows.append(
                 SweepRow(
                     sweep_value=float(value),

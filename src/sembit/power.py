@@ -19,8 +19,8 @@ over its shared band, and one objective call scores both kinds of row,
 computing the semantic power and the clean bit band's inverse slope
 once for all.
 
-Infeasibility is one code per row, an index into :data:`CAUSES`: the
-structural checks give it once per distinct target triple, and oma's
+Infeasibility is one code per row, an index into :data:`CAUSES`: array
+comparisons over the row set give the structural codes, and oma's
 search adds its bit-band code.  The :class:`Infeasible` that
 :func:`solve_min_powers` maps a scheme to is built from that code and
 the row's targets alone.
@@ -55,7 +55,7 @@ TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
 # The columns of a row set's data matrix, in order.
 ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
 # Infeasible.cause values by PowerRows.cause code; code 0 is a feasible row.
-# Codes 1-3 are structural (see _structural); code _BIT_BAND is a split
+# Codes 1-3 are structural (see _row_set); code _BIT_BAND is a split
 # scheme whose every semantic band leaves too little bit band.
 CAUSES = ("", "bandwidth-bound", "rate-asymptote", "similarity-asymptote", "bandwidth-bound")
 _BIT_BAND = 4
@@ -114,10 +114,16 @@ class PowerRows:
     cause: np.ndarray
 
 
-def _structural(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> int:
-    """The :data:`CAUSES` code of a structural infeasibility, independent of the draw; 0 if none.
+def _row_set(
+    scenario: Scenario, reals: Sequence[ChannelRealization], targets: Sequence[PowerTargets]
+) -> tuple:
+    """Rows of (draw, target triple): (data, oma_cause, noma_cause, live, w_low, w_up, bands).
 
-    The three causes, checked hardest-first:
+    ``data`` is one (rows, 6) matrix whose columns follow
+    :data:`ROW_COLUMNS`.  Per row come the ``oma_cause`` and ``noma_cause``
+    codes of a structural infeasibility (semi's checks are oma's): a
+    :data:`CAUSES` index independent of the draw, 0 if none, checked
+    hardest-first:
       1 bandwidth-bound      the semantic rate needs more than the carrier
                              even at similarity 1;
       2 rate-asymptote       the full band cannot reach the similarity the
@@ -125,44 +131,24 @@ def _structural(scenario: Scenario, targets: PowerTargets, scheme: Scheme) -> in
       3 similarity-asymptote the floor itself sits at or above the ceiling.
     A zero semantic-rate target drops the semantic stream for the split
     schemes, so their floor constraint is vacuous then; the overlay always
-    carries the semantic stream and keeps its floor.
+    carries the semantic stream and keeps its floor.  ``live`` holds the
+    indices of the rows that need a search, ``w_low`` and ``w_up`` their
+    Lemma-1 interval, and ``bands`` their similarity-seeded bands.
     """
     w = scenario.total_bandwidth
     a_high = scenario.logistic.a_high
-    need_bw = targets.sigma_target * scenario.k
-    if need_bw > w:
-        return 1
-    if need_bw >= w * a_high:
-        return 2
-    floor_active = targets.sigma_target > 0 or scheme is Scheme.NOMA
-    return 3 if floor_active and targets.min_similarity >= a_high else 0
-
-
-def _row_set(
-    scenario: Scenario, reals: Sequence[ChannelRealization], targets: Sequence[PowerTargets]
-) -> tuple:
-    """Rows of (draw, target triple): (data, oma_cause, noma_cause, live, w_low, w_up, bands).
-
-    ``data`` is one (rows, 6) matrix whose columns follow
-    :data:`ROW_COLUMNS`.  The structural checks are worked out once per
-    distinct triple: per row come the ``oma_cause`` and ``noma_cause``
-    codes (semi's checks are oma's).  ``live`` holds the indices of the
-    rows that need a search, ``w_low`` and ``w_up`` their Lemma-1
-    interval, and ``bands`` their similarity-seeded bands.
-    """
-    index: dict[PowerTargets, int] = {}
-    tri = [index.setdefault(t, len(index)) for t in targets]
-    triples = list(index)
-    values = [[getattr(t, f) for f in TARGET_FIELDS] for t in triples]
-    data = [(r.gain_s, r.gain_b, min(r.gain_s, r.gain_b), *values[i]) for r, i in zip(reals, tri)]
-    data = np.array(data)
-    codes = [[_structural(scenario, t, s) for s in (Scheme.OMA, Scheme.NOMA)] for t in triples]
-    oma_cause, noma_cause = np.array([codes[i] for i in tri]).T
-    searched = [c[0] == 0 and t.sigma_target > 0 for c, t in zip(codes, triples)]
-    live = np.flatnonzero([searched[i] for i in tri])
-    sigma, floor = data[live, 3], data[live, 4]
-    interval = lemma1_bounds(scenario, sigma, floor)
-    bands = eps_seeded_bands(scenario, sigma, floor)
+    draws = [(r.gain_s, r.gain_b, r.gain_eff) for r in reals]
+    values = [(t.sigma_target, t.min_similarity, t.bit_target) for t in targets]
+    data = np.array([d + v for d, v in zip(draws, values)])
+    sigma, floor = data[:, 3], data[:, 4]
+    need_bw = sigma * scenario.k
+    noma_cause = np.where(
+        need_bw > w, 1, np.where(need_bw >= w * a_high, 2, np.where(floor >= a_high, 3, 0))
+    )
+    oma_cause = np.where(sigma > 0, noma_cause, 0)
+    live = np.flatnonzero((oma_cause == 0) & (sigma > 0))
+    interval = lemma1_bounds(scenario, sigma[live], floor[live])
+    bands = eps_seeded_bands(scenario, sigma[live], floor[live])
     return data, oma_cause, noma_cause, live, *interval, bands
 
 
@@ -213,41 +199,41 @@ def _row_solutions(
     return {s: _solution(scenario, targets, s, rows, i) for s, rows in solved.items()}
 
 
-def _oma_rows(scenario: Scenario, rs: tuple, ws: np.ndarray, p_sem: np.ndarray) -> PowerRows:
-    """Oma columns of the :func:`_row_set` ``rs``, given its live rows' searched bands ``ws``.
+def _oma_rows(
+    scenario: Scenario, data: np.ndarray, cause: np.ndarray, live: np.ndarray, won: tuple
+) -> PowerRows:
+    """Oma columns of the :func:`_row_set` rows ``data`` with structural codes ``cause``.
 
-    ``p_sem`` holds the semantic power of each live row on its band; ties
-    in the search broke toward the smaller semantic band.  The bit power
-    inverts the whole bit target on the leftover band, and a row whose
-    every semantic band leaves too little of it is infeasible with code
-    ``_BIT_BAND``.
+    ``won`` holds the ``live`` rows' searched bands and each one's
+    semantic power on its band; ties in the search broke toward the
+    smaller semantic band.  The bit power inverts the whole bit target on
+    the leftover band, and a row whose every semantic band leaves too
+    little of it is infeasible with code ``_BIT_BAND``.
     """
     w = scenario.total_bandwidth
-    data, oma_cause, _, live = rs[:4]
     # Rows without a search carry no semantic stream (or are infeasible):
     # no band, no power.
     band, p_s = np.zeros((2, len(data)))
-    band[live], p_s[live] = ws, p_sem
+    band[live], p_s[live] = won
     _, gain_b, _, _, _, bit_target = data.T
     w_bit = w - band
     p_bit = pipe_power(w_bit, bit_target, orth_inv_slope(w_bit, gain_b, scenario.noise_psd))
     tot = p_s + p_bit
-    cause = np.where((oma_cause == 0) & ~np.isfinite(tot), _BIT_BAND, oma_cause)
+    cause = np.where((cause == 0) & ~np.isfinite(tot), _BIT_BAND, cause)
     zero = np.zeros_like(band)
     return _columns(cause, np.array([tot, zero, band, w_bit, p_s, zero, p_bit]))
 
 
-def _noma_rows(scenario: Scenario, rs: tuple) -> PowerRows:
-    """Cheapest full-band overlay for each row of ``rs``, in closed form.
+def _noma_rows(scenario: Scenario, data: np.ndarray, cause: np.ndarray) -> PowerRows:
+    """Cheapest full-band overlay for each :func:`_row_set` row of ``data``, in closed form.
 
     The semantic power is pinned by the harder of the rate target and the
     floor; the bit power then inverts the superposed-pipe rate with that
     interference, so a row is exactly constant in its semantic-rate target
     while the floor binds.  Structurally infeasible rows are evaluated too
-    (at +inf semantic power) and then blanked by their cause.
+    (at +inf semantic power) and then blanked by their ``cause``.
     """
     w = scenario.total_bandwidth
-    data, _, cause = rs[:3]
     gain_s, _, gain_eff, sigma, floor, bit_target = data.T[:, :, None]
     p_s = sem_power(scenario, gain_s, sigma, floor, w)
     inv_h = overlay_inv_slope(w, p_s, gain_eff, scenario.noise_psd)
@@ -296,11 +282,11 @@ def _total(scenario: Scenario, g: np.ndarray, x) -> np.ndarray:
 
 
 def _semi_rows(
-    scenario: Scenario, rs: tuple, won: tuple, oma: PowerRows, noma: PowerRows
+    scenario: Scenario, live: np.ndarray, won: tuple, oma: PowerRows, noma: PowerRows
 ) -> PowerRows:
     """Hybrid minimum per row from its interior search and the two corners.
 
-    ``won`` holds the live rows' lines (shared band, total, p_sem,
+    ``won`` holds the ``live`` rows' lines (shared band, total, p_sem,
     p_bit_shared, p_bit_orth) of the interior search over
     [sigma*k/a_high, W]; the orthogonal and overlay solutions, when
     feasible, then compete on their exact totals, so the hybrid never
@@ -308,10 +294,9 @@ def _semi_rows(
     toward the interior.
     """
     w = scenario.total_bandwidth
-    data, _, _, live = rs[:4]
     wm, f, p_s, p_m, p_o = won
     # One line per PowerRows field, in order; a row without a candidate costs +inf.
-    best = np.zeros((1 + len(ALLOC_FIELDS), len(data)))
+    best = np.zeros((1 + len(ALLOC_FIELDS), len(oma.total)))
     best[0] = np.inf
     found = np.isfinite(f)
     best[:, live[found]] = np.array([f, wm, np.zeros_like(wm), w - wm, p_s, p_m, p_o])[:, found]
@@ -354,8 +339,7 @@ def solve_min_powers_rows(
     similarity-seeded bands; its upper bound is its grid's last point.
     Every row gets exactly the result a one-row solve would.
     """
-    rs = _row_set(scenario, reals, targets)
-    data, _, _, live, w_low, w_up, bands = rs
+    data, oma_cause, noma_cause, live, w_low, w_up, bands = _row_set(scenario, reals, targets)
     n = len(live)
     g = np.column_stack([np.tile(data[live], (2, 1)), np.arange(2 * n) < n])
     lo, hi = np.tile(w_low, 2), np.concatenate([w_up, np.full(n, scenario.total_bandwidth)])
@@ -364,7 +348,7 @@ def solve_min_powers_rows(
         partial(_total, scenario), g, lo, hi, extra, grid_n, maximize=False, zoom=SEARCH_ZOOM
     )
     p_s, p_m, p_o = (p[:, 0] for p in _powers(scenario, g, x[:, None]))
-    oma = _oma_rows(scenario, rs, x[:n], p_s[:n])
-    noma = _noma_rows(scenario, rs)
-    semi = _semi_rows(scenario, rs, (x[n:], f[n:], p_s[n:], p_m, p_o[n:]), oma, noma)
+    oma = _oma_rows(scenario, data, oma_cause, live, (x[:n], p_s[:n]))
+    noma = _noma_rows(scenario, data, noma_cause)
+    semi = _semi_rows(scenario, live, (x[n:], f[n:], p_s[n:], p_m, p_o[n:]), oma, noma)
     return {Scheme.OMA: oma, Scheme.NOMA: noma, Scheme.SEMI: semi}

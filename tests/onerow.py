@@ -40,13 +40,16 @@ def _points(scheme, rows, sigma):
 
 def _oma_points(scenario, real, sigma, grid_n):
     """``boundary._oma_points`` seeded with the similarity bands of ``sigma``."""
-    return boundary._oma_points(scenario, real, sigma, grid_n, boundary._seeds(scenario, sigma))
+    bands = boundary._seeds(scenario, sigma)
+    ext = boundary.oma_extremes(scenario, real)
+    return boundary._oma_points(scenario, real, sigma, grid_n, bands, ext)
 
 
 def _semi_points(scenario, real, sigma, grid_n):
     """``boundary._semi_points`` folding the oma and noma columns of the same sigmas."""
     bands = boundary._seeds(scenario, sigma)
-    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands)
+    ext = boundary.oma_extremes(scenario, real)
+    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands, ext)
     noma = boundary._noma_points(scenario, real, sigma)
     return boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
 

@@ -361,6 +361,8 @@ class TestNomaBoundary:
         assert np.all(np.diff(b.sigma) > 0)
         assert np.all(np.diff(b.bit_rate) < 0)
         assert b.points[-1].bit_rate == 0.0  # all power on the semantic stream
+        with pytest.raises(ValueError, match="n_points must be at least 1"):
+            noma_boundary(scenario, realization, n_points=0)
 
     def test_power_limited_draw_raises(self, scenario):
         weak = ChannelRealization(gain_s=1e-13, gain_b=1e-9)
@@ -724,7 +726,8 @@ class TestRowsPlugBack:
             if empty is None:
                 sigma = np.unique(np.concatenate([sigma, found[Scheme.NOMA].sigma]))
             bands = boundary._seeds(scenario, sigma)
-            oma = boundary._oma_points(scenario, real, sigma, DEFAULT_GRID_N, bands)
+            ext = oma_extremes(scenario, real)
+            oma = boundary._oma_points(scenario, real, sigma, DEFAULT_GRID_N, bands, ext)
             noma = boundary._noma_points(scenario, real, sigma)
             semi = boundary._semi_points(scenario, real, sigma, DEFAULT_GRID_N, bands, oma, noma)
             for rows in (oma, noma, semi):
@@ -876,6 +879,9 @@ class TestContainment:
         outer = _boundary(Scheme.NOMA, [(5.0, 1.0), (6.0, 0.5)])
         with pytest.raises(DomainMismatch):
             check_containment(inner, outer)
+        empty = RegionBoundary(Scheme.NOMA, *np.zeros((3, 0)))
+        with pytest.raises(DomainMismatch, match="empty boundary"):
+            check_containment(inner, empty)
 
     def test_tolerance_absorbs_tiny_dips(self):
         inner = _boundary(Scheme.OMA, [(0.0, 10.0), (1.0, 5.0)])

@@ -84,6 +84,10 @@ class TestScenario:
     def test_validation(self, table):
         with pytest.raises(ValueError):
             Scenario(total_bandwidth=0.0)
+        with pytest.raises(ValueError, match="max_power must be positive"):
+            Scenario(max_power=0.0)
+        with pytest.raises(ValueError, match="noise_psd must be positive"):
+            Scenario(noise_psd=0.0)
         with pytest.raises(ValueError):
             Scenario(min_similarity=1.0)
         with pytest.raises(ValueError):

@@ -149,6 +149,26 @@ class TestRegionCommand:
         assert manifest["command"] == "region"
         assert len(manifest["scenario_sha256"]) == 64
 
+    def test_one_point_pure_schemes_do_not_overlap(self, tmp_path):
+        # At one point per boundary, oma's row is its bit intercept at sigma
+        # 0 and noma's sits at its sigma floor, 200,000: the two pure
+        # boundaries share no sigma, so their containment entries are errors.
+        out = tmp_path / "region"
+        assert main(self.region_args(out, points=1)) == 0
+        verdicts = json.loads((out / "containment.json").read_text())
+        assert verdicts["noma_covers_oma"] == {
+            "error": "no overlap: inner sigma in [0, 0], outer in [200000, 200000]"
+        }
+        assert verdicts["oma_covers_noma"] == {
+            "error": "no overlap: inner sigma in [200000, 200000], outer in [0, 0]"
+        }
+        for name in ("semi_covers_oma", "semi_covers_noma"):
+            assert set(verdicts[name]) == {"checked", "contained", "max_violation", "witness_sigma"}
+        _, oma = (out / "oma.csv").read_text().split()
+        _, noma = (out / "noma.csv").read_text().split()
+        assert float(oma.split(",")[0]) == 0.0
+        assert float(noma.split(",")[0]) == pytest.approx(200e3, rel=1e-12)
+
     def test_mutual_non_containment_of_pure_schemes(self, tmp_path):
         # The baseline draw is power-sufficient: each pure scheme reaches
         # points the other cannot, in both directions.
@@ -256,26 +276,49 @@ class TestPowerCommand:
         assert rows[0] == "sigma_target,min_similarity,bit_target,scheme,min_power_w"
         assert len(rows) == 4
 
-    def test_failed_verification_exits_1(self, tmp_path, capsys, monkeypatch):
-        # An oma allocation with half the bit power it needs: still feasible,
-        # but its bit rate falls short of the target when plugged back.
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            # Half the bit power it needs: the bit rate falls short.
+            (
+                lambda a: replace(a, p_bit_orth=a.p_bit_orth / 2),
+                r"bit rate [0-9.e+]+ < target 800000\n",
+            ),
+            # Half the semantic band, the rest moved to the bit band so the
+            # bands still fill the carrier: the semantic rate falls short.
+            (
+                lambda a: replace(a, w_sem=a.w_sem / 2, w_bit=a.w_bit + a.w_sem / 2),
+                r"semantic rate [0-9.e+]+ < target 100000\n",
+            ),
+            # A tenth of the semantic power: the similarity falls below
+            # the floor, and with it the semantic rate.
+            (
+                lambda a: replace(a, p_sem=a.p_sem / 10),
+                r"semantic rate [0-9.e+]+ < target 100000\n"
+                r"verification failed: oma: similarity [0-9.e+]+ < floor 0\.8\n",
+            ),
+        ],
+        ids=["bit-power", "semantic-band", "semantic-power"],
+    )
+    def test_failed_verification_exits_1(self, tmp_path, capsys, monkeypatch, cut, message):
+        # An oma allocation cut short: still feasible, but it misses a
+        # target when plugged back.
         solve = cli.solve_min_powers
 
         def short(scenario, real, targets, grid_n):
             solutions = solve(scenario, real, targets, grid_n)
-            alloc = solutions[Scheme.OMA].alloc
-            alloc = replace(alloc, p_bit_orth=alloc.p_bit_orth / 2)
+            alloc = cut(solutions[Scheme.OMA].alloc)
             return {**solutions, Scheme.OMA: PowerSolution(alloc.total_power, alloc)}
 
         monkeypatch.setattr(cli, "solve_min_powers", short)
         out = tmp_path / "power"
         assert main(self.power_args(out=out, extra=["--verify"])) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"verification failed: oma: bit rate [0-9.e+]+ < target 800000\n", err)
+        assert re.fullmatch(f"verification failed: oma: {message}", err)
         report = json.loads((out / "power.json").read_text())
         oma = report["schemes"]["oma"]
         assert oma["feasible"] is True and oma["verified"] is False
-        assert [f"verification failed: oma: {v}\n" for v in oma["violations"]] == [err]
+        assert "".join(f"verification failed: oma: {v}\n" for v in oma["violations"]) == err
         for name in ("noma", "semi"):
             assert report["schemes"][name]["verified"] is True
             assert "violations" not in report["schemes"][name]
@@ -535,6 +578,7 @@ class TestParseOnce:
         ["power", "--sig", "1e3", "--floor", "0.8", "--bits", "1e6"],
         ["power", "--sigma", "1e3", "--floor", "0.8", "--bits", "1e6", "stray"],
         ["power", "--sigma", "-1e3", "--floor", "0.8", "--bits", "1e6", "--verify", "--seed", "x"],
+        ["power", "--sigma", "1e3", "--floor", "0.8", "--bits", "1e6", "--verify=yes"],
         ["region", "--grid"],
         ["region", "--out", "o", "--", "x"],
         ["fit", "--input"],

@@ -335,3 +335,27 @@ class TestCrossValueRows:
             for r in run_sweep(spec).rows
         ]
         np.testing.assert_array_equal(np.array(got), summary(spec, totals))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_statistics_stay_finite_near_the_float_maximum(self, scenario, monkeypatch, scale):
+        # Totals of 1.0-1.5 x scale: at 1e200 the squared deviations
+        # overflow, at 1e308 the sums do.  One column has an infinite draw,
+        # as a bit power that overflows gives, and one a NaN.
+        rng = np.random.default_rng(0)
+        totals = rng.uniform(1.0, 1.5, (2, 4, 3)) * scale
+        totals[1, 0, 1] = np.inf
+        totals[1, 1, 2] = np.nan
+        monkeypatch.setattr(montecarlo, "_sweep_totals", lambda spec, reals: totals)
+        spec = small_spec(scenario, values=(0.0, 50e3), n_realizations=4)
+        got = np.array(
+            [
+                [r.sweep_value, r.mean_power_w, r.stderr, r.infeasible_frac]
+                for r in run_sweep(spec).rows
+            ]
+        )
+        assert np.isfinite(got).all()
+        # The statistics of the columns scaled by 2**-1100, scaled back.
+        want = summary(spec, np.ldexp(totals, -1100))
+        want[:, 1:3] = np.ldexp(want[:, 1:3], 1100)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

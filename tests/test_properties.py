@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import sembit as sb
 from sembit.cli import _verify_solutions
-from sembit.power import _structural
+from sembit.power import _row_set
 from sembit.rates import (
     ALLOC_FIELDS,
     MIN_BAND_FRACTION,
@@ -143,7 +143,7 @@ def test_semi_score_dominates_oma_score(case):
         # No band reaches the target: Lemma 1 raises, and the solvers call it bandwidth-bound.
         with pytest.raises(sb.InfeasibleTarget):
             sb.lemma1_bounds(scenario, sigma, floor)
-        assert _structural(scenario, targets, sb.Scheme.OMA) == 1
+        assert _row_set(scenario, [real], [targets])[1][0] == 1
         return
     lo = sb.lemma1_bounds(scenario, sigma, floor)[0]
     x = np.linspace(max(lo, w * MIN_BAND_FRACTION), w, 257)

@@ -315,10 +315,13 @@ class TestParamTable:
         path = tmp_path / "params.json"
         table.dump(path)
         assert ParamTable.load(path) == table
+        assert (table == 1) is False  # not a table: __eq__ defers
 
     def test_from_dict_requires_entries(self):
         with pytest.raises(ValueError, match="entries"):
             ParamTable.from_dict({"rows": []})
+        with pytest.raises(ValueError, match="at least one entry"):
+            ParamTable([])
 
     def test_extra_json_keys_ignored(self, table):
         # "note" is the one free-text key; the bundled table carries one.
@@ -611,6 +614,9 @@ class TestSamplesCsv:
         path = tmp_path / "s.csv"
         path.write_text("k,snr_db,similarity\n4,0.0,0.5\n4,oops,0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":3:"):
+            read_samples_csv(path)
+        path.write_text("k,snr_db,similarity\n4,0.0,0.5\n4,0.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":3: expected 3 columns, got 2$"):
             read_samples_csv(path)
 
     def test_out_of_range_similarity_reports_line(self, tmp_path):

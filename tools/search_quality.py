@@ -85,7 +85,8 @@ def reference_levels():
 def boundary_rows(scenario, real, sigma, grid_n):
     """Bit rates of the oma and semi boundary rows at the targets ``sigma``."""
     bands = boundary._seeds(scenario, sigma)
-    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands)
+    ext = boundary.oma_extremes(scenario, real)
+    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands, ext)
     noma = boundary._noma_points(scenario, real, sigma)
     semi = boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
     return {"oma": oma.bit_rate, "semi": semi.bit_rate}
