@@ -14,7 +14,6 @@ Draws are Philox-keyed so realisation i of a sweep depends only on
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -165,7 +164,11 @@ class Scenario:
         The canonical form is ``to_dict()`` as compact JSON with sorted
         keys.  Only the scalar fields are encoded per call; the table's
         cached ``canonical_json`` is spliced in at the ``"params"`` key.
+        ``hashlib`` is imported here, not with the module: it maps
+        OpenSSL into the process, and only a manifest needs a digest.
         """
+        import hashlib
+
         scalars = {f.name: getattr(self, f.name) for f in fields(self)}
         scalars["params"] = None
         text = json.dumps(scalars, sort_keys=True, separators=(",", ":"))

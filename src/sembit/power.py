@@ -56,9 +56,18 @@ TARGET_FIELDS = ("sigma_target", "min_similarity", "bit_target")
 ROW_COLUMNS = ("gain_s", "gain_b", "gain_eff", *TARGET_FIELDS)
 # Infeasible.cause values by PowerRows.cause code; code 0 is a feasible row.
 # Codes 1-3 are structural (see _row_set); code _BIT_BAND is a split
-# scheme whose every semantic band leaves too little bit band.
-CAUSES = ("", "bandwidth-bound", "rate-asymptote", "similarity-asymptote", "bandwidth-bound")
+# scheme whose every semantic band leaves too little bit band, and code
+# _SHARED_BAND an overlay whose bit power overflows on the full band.
+CAUSES = (
+    "",
+    "bandwidth-bound",
+    "rate-asymptote",
+    "similarity-asymptote",
+    "bandwidth-bound",
+    "bandwidth-bound",
+)
 _BIT_BAND = 4
+_SHARED_BAND = 5
 # Bracket zoom of the power searches: 129-point brackets over 3 levels.
 # A one-row ``power`` request costs about one unit per objective call, so
 # few wide brackets beat many narrow ones.
@@ -178,6 +187,8 @@ def _infeasible(scenario: Scenario, targets: PowerTargets, code: int) -> Infeasi
         f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
         f"below the curve ceiling {a_high} leaves a bit band of at most "
         f"{w - need_bw / a_high:.6g} Hz",
+        f"bit rate {targets.bit_target:.6g} needs infinite power on the full "
+        f"{w:.6g} Hz band shared with the semantic stream",
     )[code]
     return Infeasible(message, cause=CAUSES[code])
 
@@ -231,7 +242,8 @@ def _noma_rows(scenario: Scenario, data: np.ndarray, cause: np.ndarray) -> Power
     floor; the bit power then inverts the superposed-pipe rate with that
     interference, so a row is exactly constant in its semantic-rate target
     while the floor binds.  Structurally infeasible rows are evaluated too
-    (at +inf semantic power) and then blanked by their ``cause``.
+    (at +inf semantic power) and then blanked by their ``cause``; a row
+    whose total still overflows is infeasible with code ``_SHARED_BAND``.
     """
     w = scenario.total_bandwidth
     gain_s, _, gain_eff, sigma, floor, bit_target = data.T[:, :, None]
@@ -239,8 +251,10 @@ def _noma_rows(scenario: Scenario, data: np.ndarray, cause: np.ndarray) -> Power
     inv_h = overlay_inv_slope(w, p_s, gain_eff, scenario.noise_psd)
     p_b = pipe_power(w, bit_target, inv_h)[:, 0]
     p_s = p_s[:, 0]
+    tot = p_s + p_b
+    cause = np.where((cause == 0) & ~np.isfinite(tot), _SHARED_BAND, cause)
     zero = np.zeros_like(p_s)
-    return _columns(cause, np.array([p_s + p_b, zero + w, zero, zero, p_s, p_b, zero]))
+    return _columns(cause, np.array([tot, zero + w, zero, zero, p_s, p_b, zero]))
 
 
 def _powers(scenario: Scenario, g: np.ndarray, x):

@@ -23,6 +23,7 @@ from sembit import (
     PowerSolution,
     Scenario,
     Scheme,
+    TargetUnreachable,
     cli,
     eval_similarity,
     oma_extremes,
@@ -236,6 +237,18 @@ class TestRegionCommand:
         bad.write_text("{not json", encoding="utf-8")
         assert main(self.region_args(tmp_path / "r", scenario=bad)) == 2
 
+    def test_unexpected_solver_error_is_internal(self, tmp_path, capsys, monkeypatch):
+        # A package error that no command maps to an exit code of its own
+        # exits 1 with one line, not a traceback.
+        def unreachable(*args):
+            raise TargetUnreachable("probe")
+
+        monkeypatch.setattr(cli, "trace_region", unreachable)
+        assert main(self.region_args(tmp_path / "region")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: probe\n"
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestPowerCommand:
     def power_args(self, sigma=100e3, floor=0.8, bits=8e5, out=None, extra=()):
@@ -365,6 +378,26 @@ class TestPowerCommand:
         assert schemes["oma"]["cause"] == "bandwidth-bound"
         assert schemes["noma"]["verified"] is True
         assert schemes["semi"]["verified"] is True
+
+    @pytest.mark.parametrize("seed, code", [(4, 0), (508, 4)])
+    def test_overflowing_noma_bit_power_is_infeasible(self, tmp_path, seed, code):
+        # On these draws the overlay's bit power overflows to inf: noma is
+        # infeasible, and the split schemes survive on draw 4 only.
+        out = tmp_path / "power"
+        argv = [
+            "power", "--seed", str(seed), "--sigma", "0", "--floor", "0.8",
+            "--bits", "1.024e9", "--verify", "--out", str(out),
+        ]
+        assert main(argv) == code
+        schemes = json.loads((out / "power.json").read_text())["schemes"]
+        assert schemes["noma"]["feasible"] is False
+        assert schemes["noma"]["cause"] == "bandwidth-bound"
+        assert schemes["noma"]["message"] == (
+            "bit rate 1.024e+09 needs infinite power on the full 1e+06 Hz band "
+            "shared with the semantic stream"
+        )
+        for name in ("oma", "semi"):
+            assert schemes[name]["feasible"] is (code == 0)
 
     @pytest.mark.parametrize(
         "targets, scenario_json",
@@ -1050,6 +1083,36 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_openssl_loads_at_the_first_digest_only(self):
+        # hashlib maps OpenSSL into the process; a sweep, a solve, a trace
+        # and a power request without --out hash no manifest, so a fresh
+        # interpreter that runs them never imports it.
+        code = (
+            "import contextlib, io, sys\n"
+            "import sembit.cli\n"
+            "from sembit import (PowerTargets, Scenario, SweepSpec, run_sweep,\n"
+            "    sample_realization, solve_min_powers, trace_region)\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+            "loaded()\n"
+            "spec = sembit.cli._resolve_sweep_spec('semantic-rate')\n"
+            "run_sweep(SweepSpec.from_dict(dict(spec, n_realizations=2)))\n"
+            "scenario = Scenario()\n"
+            "real = sample_realization(scenario, 7)\n"
+            "solve_min_powers(scenario, real, PowerTargets(100e3, 0.8, 8e5), 64)\n"
+            "trace_region(scenario, real, ['oma', 'noma', 'semi'], 12, 64)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert sembit.cli.main(['power', '--seed', '7', '--sigma', '1e5',\n"
+            "        '--floor', '0.8', '--bits', '8e5', '--grid', '64']) == 0\n"
+            "loaded()\n"
+            "scenario.digest()\n"
+            "loaded()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["[]", "[]", "['_hashlib', 'hashlib']", ""]
 
     def test_console_script_installed(self):
         # The console script comes from the [project.scripts] declaration;

@@ -442,6 +442,20 @@ class TestRowSets:
                     for name in ALLOC_FIELDS:
                         assert getattr(rows, name)[i] == getattr(sol.alloc, name)
 
+    def test_overflowing_totals_are_infeasible(self, scenario):
+        # A bit rate about 1,024 times the carrier's width overflows the
+        # bit power to inf on some draws; those rows get a cause, and no
+        # feasible row keeps a non-finite field.
+        reals = [sample_realization(scenario, seed) for seed in range(2000)]
+        targets = [PowerTargets(0.0, 0.8, 1.024e9)] * len(reals)
+        solved = solve_min_powers_rows(scenario, reals, targets, 64)
+        assert (solved[Scheme.NOMA].cause == power._SHARED_BAND).any()
+        for scheme, rows in solved.items():
+            fields = np.array([rows.total, *(getattr(rows, f) for f in ALLOC_FIELDS)])
+            feasible = rows.cause == 0
+            assert np.isfinite(fields[:, feasible]).all(), scheme
+            assert np.isnan(fields[:, ~feasible]).all(), scheme
+
 
 class TestOneRowSearches:
     """A one-row solve searches its oma and semi rows together, or not at all.

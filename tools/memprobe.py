@@ -8,9 +8,12 @@ since the previous checkpoint.  Then it does the same for ``SWEEPS``
 ``run_sweep`` calls on the bundled ``semantic-rate`` spec with
 ``SWEEP_DRAWS`` draws each and base seed i, the call the benchmark's
 sweep workload times.  Each of the two runs in a fresh interpreter, so
-the regions' peak does not hide the sweeps'.  The checkpoints fix the work,
-where a timed benchmark run reads its peak after however many calls it
-completed, so two versions of the code compare call for call.  The
+the regions' peak does not hide the sweeps'; before its checkpoints each
+prints its import footprint, the peak resident set right after ``import
+sembit.cli`` and whether OpenSSL (``_hashlib``) is loaded yet.  The
+checkpoints fix the work, where a timed benchmark run reads its peak
+after however many calls it completed, so two versions of the code
+compare call for call.  The
 readings are printed, not judged: the exit status is 0 unless the
 arguments are bad.
 
@@ -52,6 +55,13 @@ def checkpoints(text: str) -> list[int]:
     if counts[0] < 1 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise argparse.ArgumentTypeError(f"counts must be positive and increasing: {text!r}")
     return counts
+
+
+def footprint() -> None:
+    """Print the peak RSS so far and whether ``_hashlib`` is loaded, before any work."""
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * RSS_UNIT / 2**20
+    loaded = "yes" if "_hashlib" in sys.modules else "no"
+    print(f"import sembit.cli: maxrss_mb {rss_mb:.2f}, _hashlib loaded: {loaded}")
 
 
 def readings(name: str, counts, run) -> None:
@@ -106,7 +116,10 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     for probe, counts in (("regions", args.regions), ("sweeps", list(SWEEPS))):
         # A fresh interpreter that loads this file as the script would.
-        code = f"import runpy; runpy.run_path({__file__!r})[{probe!r}]({counts!r})"
+        code = (
+            f"import runpy; probe = runpy.run_path({__file__!r}); "
+            f"probe['footprint'](); probe[{probe!r}]({counts!r})"
+        )
         subprocess.run([sys.executable, "-c", code], check=True)
     return 0
 
