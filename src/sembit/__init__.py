@@ -52,7 +52,6 @@ from .rates import (
     Scheme,
     lemma1_bounds,
     rates_for,
-    shannon_rate,
     snr_db,
 )
 from .similarity import (
@@ -120,7 +119,6 @@ __all__ = [
     "required_power_for_similarity",
     "run_sweep",
     "sample_realization",
-    "shannon_rate",
     "snr_db",
     "solve_min_powers",
     "trace_region",

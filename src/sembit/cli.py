@@ -36,11 +36,8 @@ from . import __version__
 from .boundary import check_containment, trace_region
 from .channel import Scenario, sample_realization
 from .errors import (
-    DegenerateData,
-    DistanceBelowReference,
     DomainMismatch,
     Infeasible,
-    InsufficientData,
     SembitError,
     reject_unknown,
     require_float,
@@ -494,15 +491,7 @@ def main(argv=None) -> int:
         args = {**params, "scenario": _scenario_record(scenario)}
         run = _run_region if ns.command == "region" else _run_power
         return run(scenario, params, args, Path(ns.out) if ns.out else None)
-    except (
-        ValueError,
-        OSError,
-        KeyError,
-        json.JSONDecodeError,
-        InsufficientData,
-        DegenerateData,
-        DistanceBelowReference,
-    ) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SembitError as exc:

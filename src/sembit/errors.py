@@ -2,7 +2,10 @@
 
 Everything derives from :class:`SembitError` so callers can catch one base
 class at CLI or sweep level and map it to an exit code or an infeasibility
-counter.  Malformed input raises ValueError, which the CLI maps to exit 2.
+counter.  Malformed input raises ValueError, which the CLI maps to exit 2;
+the package's own input errors (too few or degenerate samples, a link
+shorter than the reference distance) are ValueErrors too, so none of them
+reaches the CLI's exit 1 for an internal error.
 """
 
 from __future__ import annotations
@@ -78,15 +81,15 @@ class TargetUnreachable(SembitError):
     """Similarity target at or above the upper asymptote: no finite SNR works."""
 
 
-class InsufficientData(SembitError):
+class InsufficientData(SembitError, ValueError):
     """Too few samples (or too few distinct SNR abscissae) to fit a curve."""
 
 
-class DegenerateData(SembitError):
+class DegenerateData(SembitError, ValueError):
     """All similarity samples equal: the S-curve parameters are unidentifiable."""
 
 
-class DistanceBelowReference(SembitError):
+class DistanceBelowReference(SembitError, ValueError):
     """Link distance below the 1 m reference of the path-loss model."""
 
 

@@ -173,23 +173,28 @@ def _fields(rows: PowerRows) -> np.ndarray:
 
 
 def _infeasible(scenario: Scenario, targets: PowerTargets, code: int) -> Infeasible:
-    """The :class:`Infeasible` of a row with :data:`CAUSES` code ``code`` and targets ``targets``."""
+    """The :class:`Infeasible` of a row with :data:`CAUSES` code ``code`` and targets ``targets``.
+
+    Only the message of ``code`` is formatted.
+    """
     w = scenario.total_bandwidth
     a_high = scenario.logistic.a_high
     sigma = targets.sigma_target
     need_bw = sigma * scenario.k
     message = (
         None,
-        f"semantic rate {sigma:.6g} needs {need_bw:.6g} Hz at similarity 1; carrier has {w:.6g} Hz",
-        f"semantic rate {sigma:.6g} needs similarity {need_bw / w:.6g} on the full band; "
-        f"curve ceiling is {a_high}",
-        f"similarity floor {targets.min_similarity} is at or above the curve ceiling {a_high}",
-        f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
+        lambda: f"semantic rate {sigma:.6g} needs {need_bw:.6g} Hz at similarity 1; "
+        f"carrier has {w:.6g} Hz",
+        lambda: f"semantic rate {sigma:.6g} needs similarity {need_bw / w:.6g} on the full "
+        f"band; curve ceiling is {a_high}",
+        lambda: f"similarity floor {targets.min_similarity} is at or above the curve ceiling "
+        f"{a_high}",
+        lambda: f"bit rate {targets.bit_target:.6g} needs infinite power: a semantic band "
         f"below the curve ceiling {a_high} leaves a bit band of at most "
         f"{w - need_bw / a_high:.6g} Hz",
-        f"bit rate {targets.bit_target:.6g} needs infinite power on the full "
+        lambda: f"bit rate {targets.bit_target:.6g} needs infinite power on the full "
         f"{w:.6g} Hz band shared with the semantic stream",
-    )[code]
+    )[code]()
     return Infeasible(message, cause=CAUSES[code])
 
 
@@ -201,13 +206,6 @@ def _solution(
         return _infeasible(scenario, targets, rows.cause.item(i))
     alloc = {f: getattr(rows, f).item(i) for f in ALLOC_FIELDS}
     return PowerSolution(rows.total.item(i), Allocation(scheme, **alloc))
-
-
-def _row_solutions(
-    scenario: Scenario, targets: PowerTargets, solved: dict[Scheme, PowerRows], i: int
-) -> dict[Scheme, PowerSolution | Infeasible]:
-    """Row ``i`` of every scheme in ``solved``, as :func:`solve_min_powers` returns it."""
-    return {s: _solution(scenario, targets, s, rows, i) for s, rows in solved.items()}
 
 
 def _oma_rows(
@@ -334,7 +332,7 @@ def solve_min_powers(
     the oma and noma results instead of solving them again.
     """
     solved = solve_min_powers_rows(scenario, [real], [targets], grid_n)
-    return _row_solutions(scenario, targets, solved, 0)
+    return {s: _solution(scenario, targets, s, rows, 0) for s, rows in solved.items()}
 
 
 def solve_min_powers_rows(

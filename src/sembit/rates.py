@@ -90,12 +90,6 @@ def _log_rate(bandwidth, power, inv_slope):
         return bandwidth * np.log1p(np.divide(power, inv_slope)) / LN2
 
 
-def pipe_rate(bandwidth, power, inv_slope):
-    """Bit rate w * log2(1 + p / inv_h); no band or no power carries nothing."""
-    rate = _log_rate(bandwidth, power, inv_slope)
-    return np.where((np.asarray(bandwidth) > 0) & (np.asarray(power) > 0), rate, 0.0)
-
-
 def orth_max_rate(w, w_sem, p_sem, p_max, gain_b, noise_psd):
     """Bit rate of an orthogonal split's clean band w - w_sem with the rest of the budget.
 
@@ -103,9 +97,9 @@ def orth_max_rate(w, w_sem, p_sem, p_max, gain_b, noise_psd):
     the semantic stream spends ``p_sem`` on ``w_sem`` and the bit stream
     gets p_max - p_sem over the clean band,
     (w - w_sem) * log2(1 + (p_max - p_sem) / ((w - w_sem) * N0 / g_b)),
-    bit for bit :func:`pipe_rate`'s.  Over the budget, with no budget
-    left or with no clean band, that rate is NaN or at most 0, so one
-    ``fmax`` scores all of those 0.
+    one unmasked :func:`_log_rate`.  Over the budget, with no budget left
+    or with no clean band, that rate is NaN or at most 0, so one ``fmax``
+    scores all of those 0.
     """
     w_b = w - w_sem
     return np.fmax(_log_rate(w_b, p_max - p_sem, orth_inv_slope(w_b, gain_b, noise_psd)), 0.0)
@@ -155,7 +149,7 @@ def hybrid_max_rate(w, w_m, p_sem, p_max, gain_eff, gain_b, noise_psd):
 
 
 def pipe_power(bandwidth, rate, inv_slope):
-    """Inverse of :func:`pipe_rate`: inv_h * expm1(R * ln2 / w).
+    """Inverse of the pipe rate w * log2(1 + p / inv_h): inv_h * expm1(R * ln2 / w).
 
     No rate costs nothing; a positive rate over no band costs +inf.  Those
     cases (and NaN) show as a negative or NaN power, so one reduction
@@ -334,8 +328,9 @@ class Allocation:
     ``w_shared`` carries both streams (overlay); ``w_sem``/``w_bit`` are
     exclusive sub-bands.  ``p_bit_shared`` rides on the shared band,
     ``p_bit_orth`` on the bit-only band.  Every field is finite and
-    non-negative, and a field the scheme does not use is zero; use the
-    constructors below rather than filling fields by hand.
+    non-negative, and a field the scheme does not use is zero, so an
+    allocation names only its own: ``Allocation(Scheme.NOMA, w_shared=w,
+    p_sem=p_s, p_bit_shared=p_b)``.
     """
 
     scheme: Scheme
@@ -355,32 +350,6 @@ class Allocation:
         for name in _UNUSED[scheme]:
             if getattr(self, name) != 0:
                 raise ValueError(f"{name} must be 0 under scheme {scheme.value}")
-
-    @classmethod
-    def orthogonal(cls, w_sem: float, w_bit: float, p_sem: float, p_bit: float) -> "Allocation":
-        return cls(Scheme.OMA, w_sem=w_sem, w_bit=w_bit, p_sem=p_sem, p_bit_orth=p_bit)
-
-    @classmethod
-    def overlay(cls, w: float, p_sem: float, p_bit: float) -> "Allocation":
-        return cls(Scheme.NOMA, w_shared=w, p_sem=p_sem, p_bit_shared=p_bit)
-
-    @classmethod
-    def hybrid(
-        cls,
-        w_shared: float,
-        w_bit: float,
-        p_sem: float,
-        p_bit_shared: float,
-        p_bit_orth: float,
-    ) -> "Allocation":
-        return cls(
-            Scheme.SEMI,
-            w_shared=w_shared,
-            w_bit=w_bit,
-            p_sem=p_sem,
-            p_bit_shared=p_bit_shared,
-            p_bit_orth=p_bit_orth,
-        )
 
     @property
     def total_bandwidth(self) -> float:
@@ -432,11 +401,6 @@ class RatePair:
     similarity: float
 
 
-def shannon_rate(bandwidth: float, power: float, gain: float, noise_psd: float) -> float:
-    """AWGN capacity in bit/s; zero bandwidth or power carries nothing."""
-    return float(pipe_rate(bandwidth, power, orth_inv_slope(bandwidth, gain, noise_psd)))
-
-
 def snr_db(power: float, gain: float, bandwidth: float, noise_psd: float) -> float:
     """Receive SNR in dB over ``bandwidth``; zero power maps to -inf.
 
@@ -461,11 +425,11 @@ def bit_rates(scenario: Scenario, gain_b, gain_eff, alloc: np.ndarray) -> np.nda
 
     Both pipes go through one unmasked :func:`_log_rate` call, which costs
     little more than one pipe alone, and one ``fmax`` scores a pipe
-    without band or power, and a NaN row, 0: bit for bit
-    :func:`pipe_rate`'s on the non-negative fields of an allocation.  A
-    band so narrow that p / inv overflows (a subnormal share of the
-    carrier) carries w * log2(p / inv) taken in logs, not +inf; only then
-    is it patched.
+    without band or power, and a NaN row, 0.  On the non-negative fields
+    of an allocation, a pipe thus carries w * log2(1 + p / inv_h) where
+    w > 0 and p > 0, and exactly 0 elsewhere.  A band so narrow that
+    p / inv overflows (a subnormal share of the carrier) carries
+    w * log2(p / inv) taken in logs, not +inf; only then is it patched.
     """
     n0 = scenario.noise_psd
     inv = np.array(

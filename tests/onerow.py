@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sembit import Allocation, Infeasible, PowerSolution, Scheme, boundary, solve_min_powers
+from sembit import Allocation, Infeasible, PowerSolution, Scheme, boundary, power, solve_min_powers
 from sembit.rates import ALLOC_FIELDS
 from sembit.search import DEFAULT_GRID_N
 
@@ -87,3 +87,8 @@ def min_power(scheme, scenario, real, targets, grid_n=DEFAULT_GRID_N) -> PowerSo
     if isinstance(result, Infeasible):
         raise result
     return result
+
+
+def row_solutions(scenario, targets, solved, i):
+    """Row ``i`` of every scheme in ``solved``, as ``solve_min_powers`` returns its one row."""
+    return {s: power._solution(scenario, targets, s, rows, i) for s, rows in solved.items()}

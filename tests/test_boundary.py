@@ -24,7 +24,6 @@ from sembit import (
     rates_for,
     required_power_for_similarity,
     sample_realization,
-    shannon_rate,
     snr_db,
 )
 from sembit.cli import _VERIFY_RTOL
@@ -34,7 +33,6 @@ from sembit.rates import (
     eps_seeded_bands,
     orth_inv_slope,
     overlay_inv_slope,
-    pipe_rate,
     rates_rows,
     sem_power,
     water_fill_max_grid,
@@ -50,6 +48,7 @@ from onerow import (
     solve_semi_point,
     sweep_boundary,
 )
+from pipes import clean_rate, pipe_rate
 
 
 class TestExtremes:
@@ -62,7 +61,7 @@ class TestExtremes:
         )
         assert ext.sigma_max == pytest.approx(1e6 * eps_full / 4, rel=1e-12)
         assert ext.r_max == pytest.approx(
-            shannon_rate(1e6, 1.0, realization.gain_b, scenario.noise_psd), rel=1e-12
+            clean_rate(1e6, 1.0, realization.gain_b, scenario.noise_psd), rel=1e-12
         )
 
     def test_power_limited(self, scenario, realization):
@@ -105,8 +104,9 @@ class TestExtremes:
             assert 0.0 < ext.w_sem < w
         else:
             assert ext.w_sem == share * w
-        sem = rates_for(tight, realization, Allocation.orthogonal(ext.w_sem, w - ext.w_sem, p, 0.0))
-        bit = rates_for(tight, realization, Allocation.orthogonal(0.0, w, 0.0, p))
+        corner = Allocation(Scheme.OMA, w_sem=ext.w_sem, w_bit=w - ext.w_sem, p_sem=p)
+        sem = rates_for(tight, realization, corner)
+        bit = rates_for(tight, realization, Allocation(Scheme.OMA, w_bit=w, p_bit_orth=p))
         assert (ext.sigma_max, ext.r_max) == (sem.sem_rate, bit.bit_rate)
 
 

@@ -21,7 +21,6 @@ from sembit.power import (
     ALLOC_FIELDS,
     CAUSES,
     _row_set,
-    _row_solutions,
     _total,
     solve_min_powers_rows,
 )
@@ -36,7 +35,7 @@ from sembit.rates import (
     water_fill_min_grid,
 )
 
-from onerow import min_power
+from onerow import min_power, row_solutions
 
 TRIPLE = PowerTargets(sigma_target=100e3, min_similarity=0.8, bit_target=8e5)
 
@@ -357,7 +356,7 @@ class TestBatchedDraws:
     def test_rows_equal_per_draw_solves(self, scenario, targets):
         reals = [sample_realization(scenario, seed) for seed in range(9)]
         solved = solve_min_powers_rows(scenario, reals, [targets] * len(reals), 64)
-        batch = [_row_solutions(scenario, targets, solved, i) for i in range(len(reals))]
+        batch = [row_solutions(scenario, targets, solved, i) for i in range(len(reals))]
         assert len(batch) == len(reals)
         for real, row in zip(reals, batch):
             single = solve_min_powers(scenario, real, targets, 64)
@@ -427,7 +426,7 @@ class TestRowSets:
         solved = solve_min_powers_rows(scenario, reals, targets, 64)
         for i, (real, t) in enumerate(zip(reals, targets)):
             single = solve_min_powers(scenario, real, t, 64)
-            rebuilt = _row_solutions(scenario, t, solved, i)
+            rebuilt = row_solutions(scenario, t, solved, i)
             for scheme, sol in single.items():
                 rows = solved[scheme]
                 if isinstance(sol, Infeasible):

@@ -166,11 +166,14 @@ def allocations(draw, scenario):
     share = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
     p = [draw(st.one_of(st.just(0.0), st.floats(0.0, scenario.max_power / 3))) for _ in range(3)]
     scheme = draw(st.sampled_from(list(sb.Scheme)))
+    band, w_bit = w * share, w - w * share
     if scheme is sb.Scheme.OMA:
-        return sb.Allocation.orthogonal(w * share, w - w * share, p[0], p[1])
+        return sb.Allocation(scheme, w_sem=band, w_bit=w_bit, p_sem=p[0], p_bit_orth=p[1])
     if scheme is sb.Scheme.NOMA:
-        return sb.Allocation.overlay(w, p[0], p[1])
-    return sb.Allocation.hybrid(w * share, w - w * share, *p)
+        return sb.Allocation(scheme, w_shared=w, p_sem=p[0], p_bit_shared=p[1])
+    return sb.Allocation(
+        scheme, w_shared=band, w_bit=w_bit, p_sem=p[0], p_bit_shared=p[1], p_bit_orth=p[2]
+    )
 
 
 @settings(max_examples=100, deadline=None)

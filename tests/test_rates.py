@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from sembit import (
     eval_similarity,
     rates_for,
     sample_realization,
-    shannon_rate,
     snr_db,
     solve_min_powers,
 )
@@ -32,13 +32,13 @@ from sembit.rates import (
     orth_max_rate,
     overlay_inv_slope,
     pipe_power,
-    pipe_rate,
     sem_power,
     water_fill_max_grid,
     water_fill_min_grid,
 )
 
 from onerow import solve_noma_point, solve_oma_point, solve_semi_point
+from pipes import clean_rate, pipe_rate
 
 N0 = 1e-17
 
@@ -138,7 +138,7 @@ def _semantic_outputs(scenario, gain, bandwidth, power):
 def oma_rates(scenario, real, alloc):
     alloc.check_budget(scenario)
     eps, sem = _semantic_outputs(scenario, real.gain_s, alloc.w_sem, alloc.p_sem)
-    bit = shannon_rate(alloc.w_bit, alloc.p_bit_orth, real.gain_b, scenario.noise_psd)
+    bit = clean_rate(alloc.w_bit, alloc.p_bit_orth, real.gain_b, scenario.noise_psd)
     return RatePair(sem_rate=sem, bit_rate=bit, similarity=eps)
 
 
@@ -159,7 +159,7 @@ def semi_rates(scenario, real, alloc):
     eps, sem = _semantic_outputs(scenario, real.gain_s, w_m, alloc.p_sem)
     inv_m = overlay_inv_slope(w_m, alloc.p_sem, real.gain_eff, n0)
     bit_shared = float(pipe_rate(w_m, alloc.p_bit_shared, inv_m))
-    bit_orth = shannon_rate(alloc.w_bit, alloc.p_bit_orth, real.gain_b, n0)
+    bit_orth = clean_rate(alloc.w_bit, alloc.p_bit_orth, real.gain_b, n0)
     return RatePair(sem_rate=sem, bit_rate=bit_shared + bit_orth, similarity=eps)
 
 
@@ -179,9 +179,19 @@ def _random_allocations(scenario, rng, n):
     for _ in range(n):
         band = float(share(1)[0]) * w
         p = (share(3) * rng.dirichlet(np.ones(3)) * p_max).tolist()
-        allocs.append(Allocation.orthogonal(band, w - band, p[0], p[1]))
-        allocs.append(Allocation.overlay(w, p[0], p[1]))
-        allocs.append(Allocation.hybrid(band, w - band, *p))
+        p_sem, p_bit, p_orth = p
+        allocs += [
+            Allocation(Scheme.OMA, w_sem=band, w_bit=w - band, p_sem=p_sem, p_bit_orth=p_bit),
+            Allocation(Scheme.NOMA, w_shared=w, p_sem=p_sem, p_bit_shared=p_bit),
+            Allocation(
+                Scheme.SEMI,
+                w_shared=band,
+                w_bit=w - band,
+                p_sem=p_sem,
+                p_bit_shared=p_bit,
+                p_bit_orth=p_orth,
+            ),
+        ]
     return allocs
 
 
@@ -413,20 +423,34 @@ class TestKernelReferences:
         assert all(np.isfinite(p.bit_rate) and p.bit_rate > 0 for p in points)
 
 
+def lone_pipe_rate(width, power, gain, p_sem=0.0, shared=False):
+    """Bit rate :func:`bit_rates` gives one pipe alone, clean or shared, at N0 = 1e-17."""
+    lines = np.zeros(len(ALLOC_FIELDS))
+    lines[[0, 3, 4] if shared else [2, 3, 5]] = width, p_sem, power
+    return bit_rates(Scenario(noise_psd=1e-17), gain, gain, lines[:, None]).item()
+
+
 class TestShannon:
+    """A clean band's rate, as the package evaluates it, and the SNR in dB."""
+
     def test_hand_value(self):
         # SNR = 1 * 1e-9 / (1e6 * 1e-17) = 100
-        rate = shannon_rate(1e6, 1.0, 1e-9, 1e-17)
+        rate = lone_pipe_rate(1e6, 1.0, 1e-9)
         assert rate == pytest.approx(1e6 * math.log2(101.0), rel=1e-12)
+        assert rate == clean_rate(1e6, 1.0, 1e-9, 1e-17)
 
     def test_degenerate_inputs_carry_nothing(self):
-        assert shannon_rate(0.0, 1.0, 1e-9, 1e-17) == 0.0
-        assert shannon_rate(1e6, 0.0, 1e-9, 1e-17) == 0.0
+        # On the shared pipe too, with and without semantic interference.
+        for shared in (False, True):
+            for p_sem in (0.0, 0.3):
+                assert lone_pipe_rate(0.0, 1.0, 1e-9, p_sem, shared) == 0.0
+                assert lone_pipe_rate(1e6, 0.0, 1e-9, p_sem, shared) == 0.0
+                assert lone_pipe_rate(0.0, 0.0, 1e-9, p_sem, shared) == 0.0
 
     def test_monotone_in_power_and_band(self):
-        base = shannon_rate(1e6, 0.5, 1e-9, 1e-17)
-        assert shannon_rate(1e6, 0.6, 1e-9, 1e-17) > base
-        assert shannon_rate(1.2e6, 0.5, 1e-9, 1e-17) > base
+        base = lone_pipe_rate(1e6, 0.5, 1e-9)
+        assert lone_pipe_rate(1e6, 0.6, 1e-9) > base
+        assert lone_pipe_rate(1.2e6, 0.5, 1e-9) > base
 
     def test_snr_db(self):
         assert snr_db(1.0, 1e-9, 1e6, 1e-17) == pytest.approx(20.0, abs=1e-12)
@@ -436,33 +460,34 @@ class TestShannon:
 class TestAllocation:
     def test_negative_fields_rejected(self):
         with pytest.raises(ValueError):
-            Allocation.orthogonal(-1.0, 1e6, 0.1, 0.1)
+            Allocation(Scheme.OMA, w_sem=-1.0, w_bit=1e6, p_sem=0.1, p_bit_orth=0.1)
         with pytest.raises(ValueError):
-            Allocation.overlay(1e6, 0.1, -0.1)
+            Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.1, p_bit_shared=-0.1)
 
-    def test_constructors_route_fields(self):
-        a = Allocation.orthogonal(3e5, 7e5, 0.2, 0.6)
-        assert a.scheme is Scheme.OMA
-        assert (a.w_shared, a.p_bit_shared) == (0.0, 0.0)
+    def test_totals_add_every_field(self):
+        a = Allocation(Scheme.OMA, w_sem=3e5, w_bit=7e5, p_sem=0.2, p_bit_orth=0.6)
         assert a.total_bandwidth == 1e6
         assert a.total_power == pytest.approx(0.8)
-        b = Allocation.overlay(1e6, 0.2, 0.6)
-        assert b.scheme is Scheme.NOMA
-        assert b.w_shared == 1e6
-        c = Allocation.hybrid(4e5, 6e5, 0.2, 0.3, 0.4)
-        assert c.scheme is Scheme.SEMI
+        b = Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.2, p_bit_shared=0.6)
+        assert b.total_bandwidth == 1e6
+        c = Allocation(
+            Scheme.SEMI, w_shared=4e5, w_bit=6e5, p_sem=0.2, p_bit_shared=0.3, p_bit_orth=0.4
+        )
+        assert c.total_bandwidth == 1e6
         assert c.total_power == pytest.approx(0.9)
 
     def test_budget_check(self, scenario):
-        Allocation.orthogonal(3e5, 7e5, 0.5, 0.5).check_budget(scenario)
+        fits = Allocation(Scheme.OMA, w_sem=3e5, w_bit=7e5, p_sem=0.5, p_bit_orth=0.5)
+        fits.check_budget(scenario)
         with pytest.raises(ValueError, match="bandwidth"):
-            Allocation.orthogonal(3e5, 6e5, 0.5, 0.5).check_budget(scenario)
+            replace(fits, w_bit=6e5).check_budget(scenario)
         with pytest.raises(ValueError, match="power"):
-            Allocation.orthogonal(3e5, 7e5, 0.6, 0.6).check_budget(scenario)
+            replace(fits, p_sem=0.6, p_bit_orth=0.6).check_budget(scenario)
 
     def test_budget_check_tolerates_rounding(self, scenario):
         w = scenario.total_bandwidth
-        Allocation.orthogonal(w / 3, w - w / 3, 0.5, 0.5).check_budget(scenario)
+        third = Allocation(Scheme.OMA, w_sem=w / 3, w_bit=w - w / 3, p_sem=0.5, p_bit_orth=0.5)
+        third.check_budget(scenario)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ALLOC_FIELDS)
@@ -489,18 +514,18 @@ class TestAllocation:
 
 class TestOma:
     def test_composition(self, scenario, realization):
-        alloc = Allocation.orthogonal(4e5, 6e5, 0.3, 0.7)
+        alloc = Allocation(Scheme.OMA, w_sem=4e5, w_bit=6e5, p_sem=0.3, p_bit_orth=0.7)
         pair = rates_for(scenario, realization, alloc)
         snr = snr_db(0.3, realization.gain_s, 4e5, scenario.noise_psd)
         eps = eval_similarity(scenario.logistic, snr)
         assert pair.similarity == pytest.approx(eps, rel=1e-12)
         assert pair.sem_rate == pytest.approx(4e5 * eps / scenario.k, rel=1e-12)
         assert pair.bit_rate == pytest.approx(
-            shannon_rate(6e5, 0.7, realization.gain_b, scenario.noise_psd), rel=1e-12
+            clean_rate(6e5, 0.7, realization.gain_b, scenario.noise_psd), rel=1e-12
         )
 
     def test_bit_only_corner(self, scenario, realization):
-        alloc = Allocation.orthogonal(0.0, 1e6, 0.0, 1.0)
+        alloc = Allocation(Scheme.OMA, w_sem=0.0, w_bit=1e6, p_sem=0.0, p_bit_orth=1.0)
         pair = rates_for(scenario, realization, alloc)
         assert pair.sem_rate == 0.0
         assert pair.similarity == 0.0
@@ -515,7 +540,7 @@ class TestOma:
 
 class TestNoma:
     def test_bit_rate_uses_weaker_gain_with_interference(self, scenario, realization):
-        alloc = Allocation.overlay(1e6, 0.3, 0.7)
+        alloc = Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.3, p_bit_shared=0.7)
         pair = rates_for(scenario, realization, alloc)
         g_eff = min(realization.gain_s, realization.gain_b)
         expect = 1e6 * math.log2(
@@ -523,24 +548,27 @@ class TestNoma:
         )
         assert pair.bit_rate == pytest.approx(expect, rel=1e-12)
         # Clean own-signal decode at the bit user's own gain is never slower.
-        assert shannon_rate(1e6, 0.7, realization.gain_b, scenario.noise_psd) >= pair.bit_rate
+        assert clean_rate(1e6, 0.7, realization.gain_b, scenario.noise_psd) >= pair.bit_rate
 
     def test_interference_hurts(self, scenario, realization):
-        quiet = rates_for(scenario, realization, Allocation.overlay(1e6, 0.0, 0.7))
-        loud = rates_for(scenario, realization, Allocation.overlay(1e6, 0.3, 0.7))
+        loud = Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.3, p_bit_shared=0.7)
+        quiet = rates_for(scenario, realization, replace(loud, p_sem=0.0))
+        loud = rates_for(scenario, realization, loud)
         assert loud.bit_rate < quiet.bit_rate
 
     def test_semantic_stream_sees_no_interference(self, scenario, realization):
         # The semantic receiver decodes last in the cancellation order.
-        alone = rates_for(scenario, realization, Allocation.overlay(1e6, 0.3, 0.0))
-        shared = rates_for(scenario, realization, Allocation.overlay(1e6, 0.3, 0.7))
+        shared = Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.3, p_bit_shared=0.7)
+        alone = rates_for(scenario, realization, replace(shared, p_bit_shared=0.0))
+        shared = rates_for(scenario, realization, shared)
         assert shared.sem_rate == alone.sem_rate
         assert shared.similarity == alone.similarity
 
     def test_zero_power_floor_still_reported(self, scenario, realization):
         # The overlay keeps the semantic stream on: at zero power the
         # similarity sits at the curve floor, not at zero.
-        pair = rates_for(scenario, realization, Allocation.overlay(1e6, 0.0, 1.0))
+        alloc = Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.0, p_bit_shared=1.0)
+        pair = rates_for(scenario, realization, alloc)
         assert pair.similarity == scenario.logistic.a_low
         assert pair.sem_rate == pytest.approx(
             1e6 * scenario.logistic.a_low / scenario.k
@@ -549,8 +577,8 @@ class TestNoma:
 
 class TestSemi:
     def test_reduces_to_overlay_when_shared_band_is_all(self, scenario, realization):
-        overlay = Allocation.overlay(1e6, 0.3, 0.7)
-        hybrid = Allocation.hybrid(1e6, 0.0, 0.3, 0.7, 0.0)
+        overlay = Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.3, p_bit_shared=0.7)
+        hybrid = Allocation(Scheme.SEMI, w_shared=1e6, p_sem=0.3, p_bit_shared=0.7)
         pair_o = rates_for(scenario, realization, overlay)
         pair_h = rates_for(scenario, realization, hybrid)
         assert pair_h.sem_rate == pair_o.sem_rate
@@ -558,21 +586,23 @@ class TestSemi:
         assert pair_h.similarity == pair_o.similarity
 
     def test_reduces_to_orthogonal_when_no_shared_bit_power(self, scenario, realization):
-        orth = Allocation.orthogonal(4e5, 6e5, 0.3, 0.7)
-        hybrid = Allocation.hybrid(4e5, 6e5, 0.3, 0.0, 0.7)
+        orth = Allocation(Scheme.OMA, w_sem=4e5, w_bit=6e5, p_sem=0.3, p_bit_orth=0.7)
+        hybrid = Allocation(Scheme.SEMI, w_shared=4e5, w_bit=6e5, p_sem=0.3, p_bit_orth=0.7)
         pair_o = rates_for(scenario, realization, orth)
         pair_h = rates_for(scenario, realization, hybrid)
         assert pair_h.sem_rate == pair_o.sem_rate
         assert pair_h.bit_rate == pair_o.bit_rate
 
     def test_bit_rate_adds_both_bands(self, scenario, realization):
-        hybrid = Allocation.hybrid(4e5, 6e5, 0.2, 0.3, 0.5)
+        hybrid = Allocation(
+            Scheme.SEMI, w_shared=4e5, w_bit=6e5, p_sem=0.2, p_bit_shared=0.3, p_bit_orth=0.5
+        )
         pair = rates_for(scenario, realization, hybrid)
         g_eff = realization.gain_eff
         shared = 4e5 * math.log2(
             1.0 + 0.3 * g_eff / (0.2 * g_eff + 4e5 * scenario.noise_psd)
         )
-        orth = shannon_rate(6e5, 0.5, realization.gain_b, scenario.noise_psd)
+        orth = clean_rate(6e5, 0.5, realization.gain_b, scenario.noise_psd)
         assert pair.bit_rate == pytest.approx(shared + orth, rel=1e-12)
 
     # A shared band so narrow that p / inv overflows: at 1e-310 the inverse
@@ -583,10 +613,13 @@ class TestSemi:
         real = sample_realization(scenario, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = rates_for(scenario, real, Allocation.hybrid(w, 1e6 - w, 0.0, 0.3, 0.3))
+            alloc = Allocation(
+                Scheme.SEMI, w_shared=w, w_bit=1e6 - w, p_bit_shared=0.3, p_bit_orth=0.3
+            )
+            pair = rates_for(scenario, real, alloc)
             lines = np.array([[w], [0.0], [0.0], [0.0], [0.3], [0.0]])
             shared = bit_rates(scenario, real.gain_b, real.gain_eff, lines).item()
-        clean = shannon_rate(1e6, 0.3, real.gain_b, scenario.noise_psd)
+        clean = clean_rate(1e6, 0.3, real.gain_b, scenario.noise_psd)
         assert pair.bit_rate == clean
         log2_snr = math.log2(0.3 * real.gain_eff) - math.log2(w) - math.log2(scenario.noise_psd)
         assert shared == pytest.approx(w * log2_snr, rel=1e-15)
@@ -598,7 +631,7 @@ class TestSemi:
         real = sample_realization(scenario, 0)
         assert (real.gain_s, real.gain_b) == (5.60085633963867e-10, 1.3333205180857152e-08)
         w = 5.5626846462680035e-303
-        alloc = Allocation.hybrid(w, 5e5 - w, 0.0, 0.25, 0.0)
+        alloc = Allocation(Scheme.SEMI, w_shared=w, w_bit=5e5 - w, p_bit_shared=0.25)
         assert alloc.w_bit == 5e5
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -608,9 +641,11 @@ class TestSemi:
 
     def test_dispatcher_routes_by_scheme(self, scenario, realization):
         allocs = [
-            Allocation.orthogonal(4e5, 6e5, 0.3, 0.7),
-            Allocation.overlay(1e6, 0.3, 0.7),
-            Allocation.hybrid(4e5, 6e5, 0.2, 0.3, 0.5),
+            Allocation(Scheme.OMA, w_sem=4e5, w_bit=6e5, p_sem=0.3, p_bit_orth=0.7),
+            Allocation(Scheme.NOMA, w_shared=1e6, p_sem=0.3, p_bit_shared=0.7),
+            Allocation(
+                Scheme.SEMI, w_shared=4e5, w_bit=6e5, p_sem=0.2, p_bit_shared=0.3, p_bit_orth=0.5
+            ),
         ]
         for alloc in allocs:
             pair = rates_for(scenario, realization, alloc)
