@@ -69,6 +69,9 @@ from .similarity import power_for_similarity_grid, required_power_for_similarity
 # A region solves about 185 rows per coarse objective call, so a search
 # costs about one unit per candidate, and narrow brackets score the fewest.
 SEARCH_ZOOM = 8
+# Relative margin by which the overlay must beat :func:`_oma_rate_bound`
+# before a region skips an oma row, so that rounding cannot flip the test.
+BOUND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,7 @@ def _oma_points(
     grid_n: int,
     bands: np.ndarray,
     ext: Extremes,
+    need: np.ndarray | None = None,
 ) -> BoundaryRows:
     """Orthogonal boundary rows: the largest bit rate at each target of ``sigma``.
 
@@ -198,13 +202,16 @@ def _oma_points(
     intercept: no semantic band, and the whole budget on the full bit band.
     A positive target equal to sigma_max is the semantic intercept, the
     corner of the draw's :func:`oma_extremes` ``ext``: band w_sem and the
-    whole budget.
+    whole budget.  Rows outside the mask ``need`` (default: every row) are
+    not searched and stay unsolved.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     floor = scenario.min_similarity
+    need = np.ones(len(sigma), bool) if need is None else need
     live = sigma != 0.0
-    s = sigma[live]
+    run = live & need
+    s = sigma[run]
     lo, hi = lemma1_bounds(scenario, s, floor)
 
     def score(s_col: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -212,15 +219,31 @@ def _oma_points(
         return orth_max_rate(w, ws, p_req, p_max, real.gain_b, scenario.noise_psd)
 
     ws, p_sem = np.zeros((2, len(sigma)))
-    ws[live] = search_rows(
-        score, s[:, None], lo, hi, bands, grid_n, maximize=True, zoom=SEARCH_ZOOM
+    ws[run] = search_rows(
+        score, s[:, None], lo, hi, bands[need[live]], grid_n, maximize=True, zoom=SEARCH_ZOOM
     )[0]
-    p_sem[live] = sem_power(scenario, real.gain_s, s, floor, ws[live])
-    corner = live & (sigma == ext.sigma_max)
+    p_sem[run] = sem_power(scenario, real.gain_s, s, floor, ws[run])
+    corner = run & (sigma == ext.sigma_max)
     ws[corner], p_sem[corner] = ext.w_sem, p_max
     zero = np.zeros_like(ws)
     fields = np.array([zero, ws, w - ws, p_sem, zero, p_max - p_sem])
-    return _columns(scenario, real, fields, p_sem <= p_max)
+    return _columns(scenario, real, fields, need & (p_sem <= p_max))
+
+
+def _oma_rate_bound(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> np.ndarray:
+    """An upper bound on the bit rate of every orthogonal split at each target of ``sigma``.
+
+    The bit rate of the corner that puts the whole budget on the widest
+    bit band Lemma 1 leaves, W - w_low: infeasible, as it spends nothing
+    on the semantic stream, but B*log2(1 + Q/(B*k_b)) grows in both the
+    band B and the power Q, so no split whose semantic band lies in
+    [w_low, w_up] carries more.
+    """
+    w_low = lemma1_bounds(scenario, sigma, scenario.min_similarity)[0]
+    zero = np.zeros_like(w_low)
+    w_bit = scenario.total_bandwidth - w_low
+    corner = np.array([zero, w_low, w_bit, zero, zero, zero + scenario.max_power])
+    return bit_rates(scenario, real.gain_b, real.gain_eff, corner)
 
 
 def _columns(scenario, real, alloc, solved) -> BoundaryRows:
@@ -422,8 +445,11 @@ def trace_region(
     merged with the overlay's sigma samples (``np.unique`` of both) when
     the overlay is traced, so containment checks interpolate at exact
     hybrid knots.  Oma is solved once, on the hybrid's grid; the hybrid
-    folds in all of its rows and lifts its own.  Points are solved in row
-    batches, one search per batch.
+    folds in all of its rows and lifts its own.  An oma row that the
+    orthogonal boundary does not report is searched only where the
+    overlay fails to beat :func:`_oma_rate_bound` there: elsewhere the
+    overlay corner wins the hybrid's fold over any orthogonal split.
+    Points are solved in row batches, one search per batch.
 
     Returns the boundaries by scheme, and the :class:`EmptyRegion` that
     left out the overlay on a power-limited draw (else None).
@@ -449,11 +475,19 @@ def trace_region(
             sigma, inverse = np.unique(merged, return_inverse=True)
             on_uniform = inverse[:n_points]
         bands = _seeds(scenario, sigma)
-        oma = _oma_points(scenario, real, sigma, grid_n, bands, ext)
+        need = np.ones(len(sigma), bool)
+        if Scheme.SEMI in schemes:
+            noma = _noma_points(scenario, real, sigma)
+            # An oma row no output reports only feeds the hybrid; skip it
+            # where the overlay beats every orthogonal split.
+            bound = _oma_rate_bound(scenario, real, sigma)
+            need = ~(noma.bit_rate > bound * (1.0 + BOUND_RTOL))
+            if Scheme.OMA in schemes:
+                need[on_uniform] = True
+        oma = _oma_points(scenario, real, sigma, grid_n, bands, ext, need)
         if Scheme.OMA in schemes:
             found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, on_uniform)
         if Scheme.SEMI in schemes:
-            noma = _noma_points(scenario, real, sigma)
             semi = _semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
             found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi)
     return found, empty

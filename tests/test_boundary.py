@@ -13,8 +13,10 @@ from sembit import (
     EmptyRegion,
     InfeasibleTarget,
     RegionBoundary,
+    Scenario,
     Scheme,
     check_containment,
+    derive_seed,
     eval_similarity,
     lemma1_bounds,
     noma_boundary,
@@ -813,14 +815,18 @@ class TestTraceRegion:
         assert found[scheme].scheme is scheme
         np.testing.assert_array_equal(_columns(found[scheme]), _columns(whole[scheme]))
 
-    @pytest.mark.parametrize("seed, calls", [(7, 6), (4, 4)])
-    def test_default_region_search_count(self, scenario, monkeypatch, seed, calls):
-        # Coarse phase: the oma and the hybrid search each cut the hybrid's
-        # grid, about 400 rows (199 on a power-limited draw), into 3 (2)
-        # row batches of 186 rows of 88 candidates (oma) or 184 of 89
-        # (hybrid), and there is no second oma pass.  Bracket phase: one
-        # 17-point batch per search, one objective call for each of its 6
-        # levels; 18 (16) objective calls in all.
+    @pytest.mark.parametrize("seed, oma_calls, hybrid_calls", [(7, 2, 3), (4, 2, 2)])
+    def test_default_region_search_count(
+        self, scenario, monkeypatch, seed, oma_calls, hybrid_calls
+    ):
+        # Coarse phase: the hybrid search cuts the hybrid's grid, about 400
+        # rows (200 on a power-limited draw), into 3 (2) row batches of 184
+        # rows of 89 candidates.  The oma search cuts the rows it needs into
+        # batches of 186 rows of 88: the uniform rows but the zero target,
+        # and the knot rows the overlay does not provably beat (none on
+        # seed 7), 199 rows in 2, and there is no second oma pass.  Bracket
+        # phase: one 17-point batch per search, one objective call for each
+        # of its 6 levels; 17 (16) objective calls in all.
         tie_highs, objective_calls = [], []
         original = boundary.search_rows
 
@@ -839,10 +845,112 @@ class TestTraceRegion:
         # The oma search, then the hybrid search, each coarse phase first.
         assert tie_highs == [False, True]
         coarse, bracket = DEFAULT_GRID_N + EPS_BANDS, [2 * boundary.SEARCH_ZOOM + 1] * 6
-        oma, hybrid = [coarse] * (calls // 2), [coarse + 1] * (calls // 2)
+        oma, hybrid = [coarse] * oma_calls, [coarse + 1] * hybrid_calls
         assert objective_calls == [*oma, *bracket, *hybrid, *bracket]
-        assert len(objective_calls) == calls + 2 * 6
+        assert len(objective_calls) == oma_calls + hybrid_calls + 2 * 6
         assert objective_calls.count(2 * boundary.SEARCH_ZOOM + 1) == 2 * 6
+
+
+def _random_scenarios(n, seed):
+    """``n`` scenarios: k 3-7, floor 0-0.9, distances 5-60 m, budget log-uniform 0.03-3 W."""
+    rng = np.random.default_rng(seed)
+    return [
+        Scenario(
+            k=int(rng.integers(3, 8)),
+            min_similarity=float(rng.uniform(0.0, 0.9)),
+            d_s=float(rng.uniform(5.0, 60.0)),
+            d_b=float(rng.uniform(5.0, 60.0)),
+            max_power=math.exp(rng.uniform(math.log(0.03), math.log(3.0))),
+        )
+        for _ in range(n)
+    ]
+
+
+def _oma_calls(monkeypatch):
+    """The (sigma, need, rows) of every ``_oma_points`` call made while the list is live."""
+    calls = []
+    original = boundary._oma_points
+
+    def spy(scenario, real, sigma, grid_n, bands, ext, need=None):
+        rows = original(scenario, real, sigma, grid_n, bands, ext, need)
+        calls.append((sigma, need, rows))
+        return rows
+
+    monkeypatch.setattr(boundary, "_oma_points", spy)
+    return calls
+
+
+class TestOmaCertificate:
+    """A region searches an oma row only where an output can use it.
+
+    The overlay's bit rate above ``_oma_rate_bound``, the bit rate of all
+    the budget on the widest bit band Lemma 1 leaves, proves that no
+    orthogonal split at that target can win semi's fold.
+    """
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("schemes", [list(Scheme), ["semi"]])
+    def test_bound_caps_every_oma_row_and_skips_only_beaten_rows(self, monkeypatch, seed, schemes):
+        calls = _oma_calls(monkeypatch)
+        skipped = 0
+        for i, scenario in enumerate(_random_scenarios(8, seed)):
+            real = sample_realization(scenario, derive_seed(seed, i))
+            boundary.trace_region(scenario, real, schemes)
+            sigma, need, rows = calls.pop()
+            bound = boundary._oma_rate_bound(scenario, real, sigma)
+            # Every row a full search solves stays at or below the bound.
+            full = _oma_points(scenario, real, sigma, DEFAULT_GRID_N)
+            assert (full.bit_rate[full.solved] <= bound[full.solved]).all()
+            # A skipped row is unsolved, and the overlay beats its bound.
+            noma = boundary._noma_points(scenario, real, sigma)
+            assert (noma.bit_rate[~need] > bound[~need]).all()
+            assert not rows.solved[~need].any() and not rows.bit_rate[~need].any()
+            assert np.isnan(rows.w_sem[~need]).all()
+            # A searched row is the full search's, bit for bit.
+            for field in ("bit_rate", "similarity", *ALLOC_FIELDS):
+                np.testing.assert_array_equal(getattr(rows, field)[need], getattr(full, field)[need])
+            if Scheme.OMA in map(Scheme, schemes):
+                # oma.csv reports the uniform rows: none is skipped.
+                uniform = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 200)
+                assert not np.isin(sigma[~need], uniform).any()
+            skipped += int((~need).sum())
+        assert skipped > 0
+
+    @pytest.mark.parametrize("schemes", [["semi"], ["oma", "semi"], list(Scheme)])
+    def test_region_equals_a_trace_that_searches_every_oma_row(
+        self, scenario, monkeypatch, schemes
+    ):
+        # Seeds 0-9 of the default scenario (4 is power-limited) and random scenarios.
+        cases = [(scenario, sample_realization(scenario, seed)) for seed in range(10)]
+        for i, other in enumerate(_random_scenarios(6, 11)):
+            cases.append((other, sample_realization(other, derive_seed(11, i))))
+        calls = _oma_calls(monkeypatch)
+        skipping = [boundary.trace_region(sc, real, schemes) for sc, real in cases]
+        # Without the overlay, every oma row is a uniform one, which oma.csv reports.
+        skipped = sum(int((~need).sum()) for _, need, _ in calls)
+        assert (skipped > 0) is (schemes != ["oma", "semi"])
+        def no_bound(scenario, real, sigma):
+            return np.full(len(sigma), np.inf)
+
+        monkeypatch.setattr(boundary, "_oma_rate_bound", no_bound)
+        calls.clear()
+        for (sc, real), (found, empty) in zip(cases, skipping):
+            want, want_empty = boundary.trace_region(sc, real, schemes)
+            assert str(empty) == str(want_empty) and set(found) == set(want)
+            for scheme in want:
+                np.testing.assert_array_equal(_columns(found[scheme]), _columns(want[scheme]))
+        assert all(need.all() for _, need, _ in calls)
+
+    def test_share_of_certified_knot_rows(self, scenario, monkeypatch):
+        # Default regions at seeds 0-39: the bound certifies 7,363 of the
+        # 7,761 oma rows at the overlay's knots, 48.5% of all oma rows.
+        calls = _oma_calls(monkeypatch)
+        for seed in range(40):
+            boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
+        knots = sum(len(sigma) - 200 for sigma, _, _ in calls)
+        certified = sum(int((~need).sum()) for _, need, _ in calls)
+        assert (knots, certified) == (7761, 7363)
+        assert certified / sum(len(sigma) for sigma, _, _ in calls) == pytest.approx(0.467, abs=5e-4)
 
 
 class TestContainment:
