@@ -32,7 +32,12 @@ hybrid folds in the oma and noma rows it is given for the same targets
 at finite grid resolution by construction, not merely up to search luck.
 :func:`trace_region` is the one region driver, for any set of schemes:
 it picks each scheme's sigma grid, solves oma once on the hybrid's grid
-and lets the hybrid reuse those rows.
+and lets the hybrid reuse those rows.  Two closed-form certificates leave
+rows out of the searches where no search could change an output: an oma
+row that no output reports is not searched where the overlay beats
+:func:`_oma_rate_bound`, and a hybrid row is not searched where
+:func:`_noma_optimal` proves that no shared band beats the full band W,
+so the fold gives it the noma corner, as it would after the search.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from .rates import (
     water_fill_max_grid,
 )
 from .search import DEFAULT_GRID_N, search_rows
-from .similarity import power_for_similarity_grid, required_power_for_similarity
+from .similarity import LN10_OVER_10, power_for_similarity_grid, required_power_for_similarity
 
 # Bracket zoom of the boundary searches: 17-point brackets over 6 levels.
 # A region solves about 185 rows per coarse objective call, so a search
@@ -72,6 +77,9 @@ SEARCH_ZOOM = 8
 # Relative margin by which the overlay must beat :func:`_oma_rate_bound`
 # before a region skips an oma row, so that rounding cannot flip the test.
 BOUND_RTOL = 1e-12
+# Edges of the cells of required similarity over which :func:`_noma_optimal`
+# bounds the hybrid objective's slope, as fractions of its range: 8 cells.
+_CERT_STEPS = np.linspace(0.0, 1.0, 9)[:, None]
 
 
 @dataclass(frozen=True)
@@ -246,6 +254,74 @@ def _oma_rate_bound(scenario: Scenario, real: ChannelRealization, sigma: np.ndar
     return bit_rates(scenario, real.gain_b, real.gain_eff, corner)
 
 
+def _noma_optimal(
+    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, beats: np.ndarray
+) -> np.ndarray:
+    """Rows of ``sigma`` where no hybrid band beats the overlay corner, shared band W.
+
+    ``beats`` marks the rows where the overlay's bit rate beats
+    :func:`_oma_rate_bound` by ``BOUND_RTOL``.  A row is certified when
+    (i) e0 = sigma*k/W exceeds both the similarity floor and a_low, so the
+    rate target binds on every band; (ii) ``beats`` holds; and (iii) a
+    closed-form lower bound on the hybrid objective's slope is
+    non-negative on every band that can fit the budget.
+
+    Why no band x in [w_low, W) then beats W.  Write k_m = N0/g_eff and
+    k_b = N0/g_b (k_m >= k_b, as g_eff = min(g_s, g_b)), c =
+    ln10/(10*growth) and g(e) = ((e - a_low)/(a_high - e))^c.  By (i),
+    band x needs similarity e = sigma*k/x >= e0, and its semantic power is
+    x*k_m*q(e), with q(e) = (g_eff/g_s) * exp(-c*offset) * g(e).  With
+    both pipes open, :func:`~sembit.rates.hybrid_max_rate` scores, with
+    T(x) = P + W*k_b + x*(k_m - k_b),
+
+        f(x)*ln2 = W*ln T(x) - x*ln(k_m/k_b) - x*ln(1 + q(e)) - W*ln(W*k_b),
+        f'(x)*ln2 = A(x) + B(e),
+        A(x) = W*(k_m - k_b)/T(x) + ln(k_b/k_m) >= A(W), as T grows with x,
+        B(e) = eta(e)*s(e) - ln(1 + q(e)), with s = q/(1 + q),
+
+    where eta(e) = c*e*(a_high - a_low)/((e - a_low)*(a_high - e)), the
+    elasticity of g, falls up to e* = sqrt(a_low*a_high) and rises after
+    it, while q, s and ln(1 + q) all rise with e.  The expression f is
+    defined wherever q is finite, whether or not x fits the budget.  A
+    band within the budget has q < P*e/(sigma*k*k_m) <= q_cap =
+    P*a_high/(sigma*k*k_m), so a band whose e exceeds e_cap, where q
+    reaches q_cap, is over it.  (At e_cap the odds (e - a_low)/(a_high - e)
+    are (q_cap/q0)^(1/c), with q0 = q/g, and e_cap = a_low + (a_high -
+    a_low)/(1 + 1/odds) gives a_high, not NaN, where the odds overflow.)
+    (iii) On each cell [e_lo, e_hi] of a split of [e0, e_cap] into 8,
+    B >= eta(clip(e*, e_lo, e_hi)) * s(e_lo) - ln(1 + min(q(e_hi), q_cap)),
+    and a row passes when the least of these bounds is at least -A(W).
+    Then f' >= 0 on every band whose e is at most e_cap, so f(x) <= f(W),
+    the overlay's rate.  A band with both pipes open scores f(x); one
+    whose superposed pipe shuts scores the orthogonal rate at band x,
+    which (ii) puts below the overlay; and one over the budget scores 0.
+    So the search cannot beat the noma corner, which the hybrid's fold
+    then gives the row.  (ii) also puts the overlay itself within the
+    budget, so e0 <= e_cap; a NaN bound fails the test.
+    """
+    params = scenario.logistic
+    a_low, a_high = params.a_low, params.a_high
+    w, p_max = scenario.total_bandwidth, scenario.max_power
+    c = LN10_OVER_10 / params.growth
+    k_m = scenario.noise_psd / real.gain_eff
+    k_b = scenario.noise_psd / real.gain_b
+    a_w = w * (k_m - k_b) / (p_max + w * k_m) + math.log(k_b / k_m)
+    ln_q0 = math.log(real.gain_eff / real.gain_s) - c * params.offset
+    e0 = sigma * scenario.k / w
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q_cap = p_max * a_high / (sigma * (scenario.k * k_m))
+        odds = np.exp((np.log(q_cap) - ln_q0) / c)
+        e_cap = a_low + (a_high - a_low) / (1.0 + 1.0 / odds)
+        # One line per cell edge, one column per row.
+        e = _CERT_STEPS * (e_cap - e0) + e0
+        q = np.exp(ln_q0 + c * np.log((e - a_low) / (a_high - e)))
+        at = np.minimum(np.maximum(math.sqrt(a_low * a_high), e[:-1]), e[1:])
+        eta = c * (a_high - a_low) * at / ((at - a_low) * (a_high - at))
+        slope = eta * (q[:-1] / (1.0 + q[:-1])) - np.log1p(np.minimum(q[1:], q_cap))
+        sound = slope.min(axis=0) >= -a_w
+    return beats & (e0 > max(scenario.min_similarity, a_low)) & sound
+
+
 def _columns(scenario, real, alloc, solved) -> BoundaryRows:
     """BoundaryRows of the allocations whose :data:`ALLOC_FIELDS` lines are ``alloc``.
 
@@ -359,6 +435,7 @@ def _semi_points(
     bands: np.ndarray,
     oma: BoundaryRows,
     noma: BoundaryRows,
+    certified: np.ndarray | None = None,
 ) -> BoundaryRows:
     """Hybrid boundary rows: the largest bit rate at each target of ``sigma``.
 
@@ -371,11 +448,19 @@ def _semi_points(
     shared band.  ``oma`` and ``noma`` hold those schemes' rows for the
     same targets: the oma band seeds each row's search, and both are
     folded in as corners once it is done, so no row falls below either.
+    Rows in the mask ``certified`` (default: none), where
+    :func:`_noma_optimal` proves that no band beats the noma corner, are
+    not searched: the fold gives them that corner, as it does a row whose
+    search finds nothing better.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     floor = scenario.min_similarity
-    live = np.flatnonzero(sigma != 0.0)
+    run = sigma != 0.0
+    if certified is not None:
+        bands = bands[~certified[run]]
+        run &= ~certified
+    live = np.flatnonzero(run)
     s = sigma[live]
     lo = lemma1_bounds(scenario, s, floor)[0]
     hi = np.full(len(s), w)
@@ -449,7 +534,9 @@ def trace_region(
     orthogonal boundary does not report is searched only where the
     overlay fails to beat :func:`_oma_rate_bound` there: elsewhere the
     overlay corner wins the hybrid's fold over any orthogonal split.
-    Points are solved in row batches, one search per batch.
+    Likewise a hybrid row is searched only where :func:`_noma_optimal`
+    fails to prove that no band beats the overlay corner, which the fold
+    then gives it.  Points are solved in row batches, one search per batch.
 
     Returns the boundaries by scheme, and the :class:`EmptyRegion` that
     left out the overlay on a power-limited draw (else None).
@@ -480,15 +567,16 @@ def trace_region(
             noma = _noma_points(scenario, real, sigma)
             # An oma row no output reports only feeds the hybrid; skip it
             # where the overlay beats every orthogonal split.
-            bound = _oma_rate_bound(scenario, real, sigma)
-            need = ~(noma.bit_rate > bound * (1.0 + BOUND_RTOL))
+            beats = noma.bit_rate > _oma_rate_bound(scenario, real, sigma) * (1.0 + BOUND_RTOL)
+            certified = _noma_optimal(scenario, real, sigma, beats)
+            need = ~beats
             if Scheme.OMA in schemes:
                 need[on_uniform] = True
         oma = _oma_points(scenario, real, sigma, grid_n, bands, ext, need)
         if Scheme.OMA in schemes:
             found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, on_uniform)
         if Scheme.SEMI in schemes:
-            semi = _semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
+            semi = _semi_points(scenario, real, sigma, grid_n, bands, oma, noma, certified)
             found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi)
     return found, empty
 

@@ -815,18 +815,21 @@ class TestTraceRegion:
         assert found[scheme].scheme is scheme
         np.testing.assert_array_equal(_columns(found[scheme]), _columns(whole[scheme]))
 
-    @pytest.mark.parametrize("seed, oma_calls, hybrid_calls", [(7, 2, 3), (4, 2, 2)])
+    @pytest.mark.parametrize("seed, oma_calls, hybrid_calls", [(7, 2, 1), (4, 2, 2)])
     def test_default_region_search_count(
         self, scenario, monkeypatch, seed, oma_calls, hybrid_calls
     ):
-        # Coarse phase: the hybrid search cuts the hybrid's grid, about 400
-        # rows (200 on a power-limited draw), into 3 (2) row batches of 184
-        # rows of 89 candidates.  The oma search cuts the rows it needs into
-        # batches of 186 rows of 88: the uniform rows but the zero target,
-        # and the knot rows the overlay does not provably beat (none on
-        # seed 7), 199 rows in 2, and there is no second oma pass.  Bracket
-        # phase: one 17-point batch per search, one objective call for each
-        # of its 6 levels; 17 (16) objective calls in all.
+        # Coarse phase: the hybrid search cuts the rows it needs into batches
+        # of 184 rows of 89 candidates: the hybrid's grid but the zero
+        # target, less the rows where the noma corner is provably optimal.
+        # On seed 7 that is 174 of its 399 rows (224 certified), in 1 batch;
+        # on the power-limited seed 4, with no overlay, all 199 of its 200
+        # rows, in 2.  The oma search cuts the rows it needs into batches of
+        # 186 rows of 88: the uniform rows but the zero target, and the knot
+        # rows the overlay does not provably beat (none on seed 7), 199 rows
+        # in 2, and there is no second oma pass.  Bracket phase: one
+        # 17-point batch per search, one objective call for each of its 6
+        # levels; 15 (16) objective calls in all.
         tie_highs, objective_calls = [], []
         original = boundary.search_rows
 
@@ -851,16 +854,16 @@ class TestTraceRegion:
         assert objective_calls.count(2 * boundary.SEARCH_ZOOM + 1) == 2 * 6
 
 
-def _random_scenarios(n, seed):
-    """``n`` scenarios: k 3-7, floor 0-0.9, distances 5-60 m, budget log-uniform 0.03-3 W."""
+def _random_scenarios(n, seed, floors=(0.0, 0.9), distances=(5.0, 60.0), budgets=(0.03, 3.0)):
+    """``n`` scenarios: k 3-7, and the floor, both distances (m) and a log-uniform budget (W)."""
     rng = np.random.default_rng(seed)
     return [
         Scenario(
             k=int(rng.integers(3, 8)),
-            min_similarity=float(rng.uniform(0.0, 0.9)),
-            d_s=float(rng.uniform(5.0, 60.0)),
-            d_b=float(rng.uniform(5.0, 60.0)),
-            max_power=math.exp(rng.uniform(math.log(0.03), math.log(3.0))),
+            min_similarity=float(rng.uniform(*floors)),
+            d_s=float(rng.uniform(*distances)),
+            d_b=float(rng.uniform(*distances)),
+            max_power=math.exp(rng.uniform(*map(math.log, budgets))),
         )
         for _ in range(n)
     ]
@@ -952,6 +955,174 @@ class TestOmaCertificate:
         assert (knots, certified) == (7761, 7363)
         assert certified / sum(len(sigma) for sigma, _, _ in calls) == pytest.approx(0.467, abs=5e-4)
 
+
+def _wide_scenarios(n, seed):
+    """``n`` scenarios: k 3-7, floor 0-0.9, distances 2-80 m, budget log-uniform 0.01-10 W."""
+    return _random_scenarios(n, seed, distances=(2.0, 80.0), budgets=(0.01, 10.0))
+
+
+def _semi_calls(monkeypatch):
+    """The (args, rows) of every ``_semi_points`` call made while the list is live."""
+    calls = []
+    original = boundary._semi_points
+
+    def spy(*args):
+        rows = original(*args)
+        calls.append((args, rows))
+        return rows
+
+    monkeypatch.setattr(boundary, "_semi_points", spy)
+    return calls
+
+
+def _no_certificate(scenario, real, sigma, beats):
+    return np.zeros(len(sigma), bool)
+
+
+def _hybrid_slope(scenario, real, s, x):
+    """The both-open hybrid objective's slope f'(x) * ln2 = A(x) + B(e) at band x, e = s*k/x."""
+    params = scenario.logistic
+    a_low, a_high = params.a_low, params.a_high
+    w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
+    c = math.log(10.0) / (10.0 * params.growth)
+    k_m, k_b = n0 / real.gain_eff, n0 / real.gain_b
+    e = s * scenario.k / x
+    odds = (e - a_low) / (a_high - e)
+    q = real.gain_eff / real.gain_s * math.exp(-c * params.offset) * odds**c
+    eta = c * e * (a_high - a_low) / ((e - a_low) * (a_high - e))
+    a = w * (k_m - k_b) / (p_max + w * k_b + x * (k_m - k_b)) + math.log(k_b / k_m)
+    return a + eta * q / (1.0 + q) - math.log1p(q)
+
+
+class TestNomaCertificate:
+    """A region searches a semi row only where the noma corner is not provably its optimum.
+
+    ``_noma_optimal`` bounds the slope of the hybrid objective from below,
+    in closed form, over cells of required similarity; where the bound is
+    non-negative up to the full band, no shared band beats the overlay.
+    """
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(_random_scenarios, 0), (_random_scenarios, 1), (_random_scenarios, 2),
+         (_wide_scenarios, 3), (_wide_scenarios, 4), (_wide_scenarios, 5)],
+    )
+    def test_no_certified_row_beats_the_noma_corner_when_searched(self, monkeypatch, make, seed):
+        calls = _semi_calls(monkeypatch)
+        certified = 0
+        for i, scenario in enumerate(make(8, seed)):
+            real = sample_realization(scenario, derive_seed(seed, i))
+            boundary.trace_region(scenario, real, list(Scheme))
+            if not calls:
+                continue
+            (sc, rl, sigma, grid_n, bands, oma, noma, cert), rows = calls.pop()
+            full = boundary._semi_points(sc, rl, sigma, grid_n, bands, oma, noma)
+            # The unmasked search finds nothing above the corner, and a
+            # certified row is the corner, bit for bit.
+            assert (full.bit_rate[cert] <= noma.bit_rate[cert] * (1.0 + 1e-12)).all()
+            for field in ("bit_rate", "similarity", *ALLOC_FIELDS):
+                got = getattr(rows, field)
+                np.testing.assert_array_equal(got[cert], getattr(noma, field)[cert])
+                np.testing.assert_array_equal(got[~cert], getattr(full, field)[~cert])
+            certified += int(cert.sum())
+        assert certified > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_form_slope_matches_a_finite_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for i, scenario in enumerate(_wide_scenarios(40, seed)):
+            real = sample_realization(scenario, derive_seed(seed, i))
+            params, w = scenario.logistic, scenario.total_bandwidth
+            e = rng.uniform(max(params.a_low, scenario.min_similarity), params.a_high)
+            x = w * rng.uniform(0.2, 0.95)
+            s = e * x / scenario.k
+            h = 1e-5 * x
+            xs = np.array([x - h, x, x + h])
+            p_s = sem_power(scenario, real.gain_s, s, scenario.min_similarity, xs)
+            inv_m = overlay_inv_slope(xs, p_s, real.gain_eff, scenario.noise_psd)
+            inv_b = orth_inv_slope(w - xs, real.gain_b, scenario.noise_psd)
+            p_m, _ = water_fill_max_grid(xs, inv_m, w - xs, inv_b, scenario.max_power - p_s)
+            if not (p_s < scenario.max_power).all() or not (p_m > 0).all():
+                continue  # over the budget, or the superposed pipe shuts
+            f = rates.hybrid_max_rate(
+                w, xs, p_s, scenario.max_power, real.gain_eff, real.gain_b, scenario.noise_psd
+            )
+            slope = (f[2] - f[0]) / (2 * h) * rates.LN2
+            assert slope == pytest.approx(_hybrid_slope(scenario, real, s, x), rel=1e-5, abs=1e-9)
+            checked += 1
+        assert checked >= 10
+
+    def test_slope_bound_alone_is_sound_where_the_overlay_fits(self):
+        # Without the oma test, a row the slope bound passes still has no
+        # band with both pipes open that beats W on a 4,001-point grid.  The
+        # oma test leaves only rows whose e0 lies far above e* and whose
+        # A(x) hardly varies; here low floors put e* = sqrt(a_low*a_high)
+        # inside the cells, and far users at low SNR make A(x) =
+        # W*(k_m - k_b)/T(x) + ln(k_b/k_m) vary over [w_low, W].
+        certified = 0
+        for seed in (0, 1):
+            scenarios = _random_scenarios(40, seed, (0.0, 0.4), (2.0, 120.0), (1e-3, 10.0))
+            for i, scenario in enumerate(scenarios):
+                real = sample_realization(scenario, derive_seed(seed, i))
+                w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
+                sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 200)
+                fits = boundary._noma_points(scenario, real, sigma).bit_rate > 0.0
+                for s in sigma[boundary._noma_optimal(scenario, real, sigma, fits)]:
+                    x = np.linspace(lemma1_bounds(scenario, s, scenario.min_similarity)[0], w, 4001)
+                    p_s = sem_power(scenario, real.gain_s, s, scenario.min_similarity, x)
+                    f = rates.hybrid_max_rate(w, x, p_s, p_max, real.gain_eff, real.gain_b, n0)
+                    inv_m = overlay_inv_slope(x, p_s, real.gain_eff, n0)
+                    inv_b = orth_inv_slope(w - x, real.gain_b, n0)
+                    with np.errstate(invalid="ignore"):
+                        p_m, _ = water_fill_max_grid(x, inv_m, w - x, inv_b, p_max - p_s)
+                    both_open = (p_s < p_max) & (p_m > 0.0)
+                    assert (f[both_open] <= f[-1] * (1.0 + 1e-12)).all()
+                    certified += 1
+        assert certified == 1323
+
+    def test_certifies_only_rows_the_overlay_beats_and_the_rate_target_binds(self):
+        certified = 0
+        for i, scenario in enumerate(_wide_scenarios(20, 6)):
+            real = sample_realization(scenario, derive_seed(6, i))
+            sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 200)
+            noma = boundary._noma_points(scenario, real, sigma)
+            beats = noma.bit_rate > boundary._oma_rate_bound(scenario, real, sigma) * (1 + 1e-12)
+            cert = boundary._noma_optimal(scenario, real, sigma, beats)
+            assert not (cert & ~beats).any()
+            assert not boundary._noma_optimal(scenario, real, sigma, np.zeros_like(beats)).any()
+            floor = max(scenario.min_similarity, scenario.logistic.a_low)
+            assert not cert[sigma * scenario.k / scenario.total_bandwidth <= floor].any()
+            certified += int(cert.sum())
+        assert certified > 0
+
+    @pytest.mark.parametrize("schemes", [["semi"], ["oma", "semi"], list(Scheme)])
+    def test_region_equals_a_trace_that_searches_every_semi_row(
+        self, scenario, monkeypatch, schemes
+    ):
+        # Seeds 0-9 of the default scenario (4 is power-limited) and random scenarios.
+        cases = [(scenario, sample_realization(scenario, seed)) for seed in range(10)]
+        for i, other in enumerate(_random_scenarios(6, 11)):
+            cases.append((other, sample_realization(other, derive_seed(11, i))))
+        calls = _semi_calls(monkeypatch)
+        skipping = [boundary.trace_region(sc, real, schemes) for sc, real in cases]
+        assert sum(int(args[-1].sum()) for args, _ in calls) > 0
+        monkeypatch.setattr(boundary, "_noma_optimal", _no_certificate)
+        for (sc, real), (found, empty) in zip(cases, skipping):
+            want, want_empty = boundary.trace_region(sc, real, schemes)
+            assert str(empty) == str(want_empty) and set(found) == set(want)
+            for scheme in want:
+                np.testing.assert_array_equal(_columns(found[scheme]), _columns(want[scheme]))
+
+    def test_share_of_certified_semi_rows(self, scenario, monkeypatch):
+        # Default regions at seeds 0-39: the certificate skips the search of
+        # 8,270 of the 15,761 semi rows.
+        calls = _semi_calls(monkeypatch)
+        for seed in range(40):
+            boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
+        rows = sum(len(args[2]) for args, _ in calls)
+        certified = sum(int(args[-1].sum()) for args, _ in calls)
+        assert (rows, certified) == (15761, 8270)
 
 class TestContainment:
     def test_self_containment(self):

@@ -32,10 +32,33 @@ _spec.loader.exec_module(quality)
 
 
 def test_random_scenarios_match_the_reference():
-    gaps = quality.survey(40, seed=11)
+    gaps, certified = quality.survey(40, seed=11)
     for name, g in gaps.items():
         assert g.size, name
         assert g.max() <= quality.TOL, (name, g.max())
+    # Some default semi rows take the certified noma corner unsearched.
+    assert 0 < certified < gaps["boundary semi"].size
+
+
+def test_default_rows_skip_the_certified_semi_searches_and_the_reference_none(monkeypatch):
+    # The default run solves the semi rows as trace_region does; the
+    # reference searches every one of them.
+    scenario = Scenario()
+    real = sample_realization(scenario, 7)
+    sigma = np.linspace(0.0, sembit.boundary.oma_extremes(scenario, real).sigma_max, 13)
+    masks = []
+    original = sembit.boundary._semi_points
+
+    def spy(*args):
+        masks.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(sembit.boundary, "_semi_points", spy)
+    found, ref = quality.both(quality.boundary_rows, scenario, real, sigma)
+    assert found["certified"] == int(masks[0].sum()) > 0
+    assert ref["certified"] == 0 and not masks[1].any()
+    # The dense reference search ends at the corner the certificate gives.
+    np.testing.assert_array_equal(found["semi"][masks[0]], ref["semi"][masks[0]])
 
 
 def test_pinned_second_basin_is_found():
@@ -141,18 +164,22 @@ def test_default_grid_miss_rows_reach_the_dense_grid(grid_n):
 def test_reference_levels_swap_the_seeds_and_restore_them():
     # The reference seeds its own bands, so cutting the default seeds
     # cannot weaken the reference that judges the cut.
-    steps = rates._EPS_STEPS
+    # It also certifies no semi row, so that it searches every one.
+    steps, certify = rates._EPS_STEPS, sembit.boundary._noma_optimal
     scenario = Scenario()
     sigma = np.array([100e3])
     with quality.reference_levels():
         assert search.REFINE_SHRINK == quality.REF_SHRINK
         np.testing.assert_array_equal(rates._EPS_STEPS, np.linspace(0.0, 1.0, 256))
         assert eps_seeded_bands(scenario, sigma, 0.8).shape == (1, quality.REF_SEEDS)
+        assert sembit.boundary._noma_optimal is quality.no_certificate
     assert rates._EPS_STEPS is steps and search.REFINE_SHRINK == REFINE_SHRINK
+    assert sembit.boundary._noma_optimal is certify
     assert eps_seeded_bands(scenario, sigma, 0.8).shape == (1, EPS_BANDS)
     with pytest.raises(ZeroDivisionError), quality.reference_levels():
         1 / 0
     assert rates._EPS_STEPS is steps and search.REFINE_SHRINK == REFINE_SHRINK
+    assert sembit.boundary._noma_optimal is certify
 
 
 def test_reference_levels_deepen_the_searches(monkeypatch):

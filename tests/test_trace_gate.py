@@ -153,3 +153,114 @@ def test_a_checkout_without_its_own_package_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     with pytest.raises(SystemExit, match="not from"):
         gate.trace(tmp_path / "src", tmp_path / "out.npz", 1)
+
+
+# The sweep side of the stand-in: two bundled specs, "alpha" and "beta",
+# each 2 values x 3 draws x 3 schemes, the totals value * draw * (scheme
+# number).  PLANT edits ``totals``, for the spec ``spec.name``.
+SWEEP_CLI = '''
+BUNDLED_SWEEPS = {"alpha": "alpha.json", "beta": "beta.json"}
+
+
+def _resolve_sweep_spec(name):
+    return {"name": name}
+'''
+SWEEP_MONTECARLO = '''
+from types import SimpleNamespace
+
+import numpy as np
+
+
+class SweepSpec:
+    @classmethod
+    def from_dict(cls, payload):
+        return SimpleNamespace(
+            name=payload["name"], scenario=None, base_seed=0, n_realizations=3, values=(1.0, 2.0)
+        )
+
+
+def _sweep_totals(spec, reals):
+    totals = np.multiply.outer(np.outer(spec.values, reals), [1.0, 2.0, 3.0])
+PLANT
+    return totals
+'''
+
+
+def _sweep_checkout(root: Path, plant: str = "") -> Path:
+    _checkout(root)
+    package = root / "src" / "sembit"
+    body = textwrap.indent(textwrap.dedent(plant), "    ") or "    pass"
+    (package / "cli.py").write_text(SWEEP_CLI, encoding="utf-8")
+    (package / "montecarlo.py").write_text(SWEEP_MONTECARLO.replace("PLANT", body), encoding="utf-8")
+    return root
+
+
+def _run_sweeps(capsys, base: Path, head: Path) -> tuple[int, list[str]]:
+    code = gate.main(["--base", str(base), "--head", str(head), "--sweeps"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_equal_sweeps_hold_with_nothing_moved(tmp_path, capsys):
+    base, head = _sweep_checkout(tmp_path / "base"), _sweep_checkout(tmp_path / "head")
+    code, lines = _run_sweeps(capsys, base, head)
+    assert code == 0
+    assert lines == [
+        f"sweep gate over the bundled specs: base {base}, head {head}",
+        "spec              scheme    rows  moved  worst rise  where",
+        "alpha             oma          6      0           0  -",
+        "alpha             noma         6      0           0  -",
+        "alpha             semi         6      0           0  -",
+        "beta              oma          6      0           0  -",
+        "beta              noma         6      0           0  -",
+        "beta              semi         6      0           0  -",
+        "rows whose feasibility changed: none",
+        "specs whose shape changed or that one side lacks: none",
+        "gate holds: no minimum power may rise more than 1e-09 above the base,"
+        " and no row may change feasibility or shape",
+    ]
+
+
+def test_planted_rise_feasibility_change_and_shape_change_fail(tmp_path, capsys):
+    # alpha: the oma total at value 2.0, draw 1 rises by 2e-9 relative,
+    # another falls, and semi's row at value 1.0, draw 2 turns infeasible.
+    # beta: one more value.
+    plant = """
+    if spec.name == "alpha":
+        totals[1, 1, 0] *= 1.0 + 2e-9
+        totals[0, 0, 0] *= 0.5
+        totals[0, 2, 2] = np.nan
+    else:
+        totals = np.concatenate([totals, totals[:1]])
+    """
+    base, head = _sweep_checkout(tmp_path / "base"), _sweep_checkout(tmp_path / "head", plant)
+    code, lines = _run_sweeps(capsys, base, head)
+    assert code == 1
+    assert lines[1:] == [
+        "spec              scheme    rows  moved  worst rise  where",
+        "alpha             oma          6      2       2e-09  value 2.0 draw 1",
+        "alpha             noma         6      0           0  -",
+        "alpha             semi         6      1           0  -",
+        "rows whose feasibility changed: alpha semi value 1.0 draw 2: 306.0 -> nan",
+        "specs whose shape changed or that one side lacks: beta: shape (2, 3, 3) -> (3, 3, 3)",
+        "gate fails: no minimum power may rise more than 1e-09 above the base,"
+        " and no row may change feasibility or shape",
+    ]
+
+
+def test_a_sweep_rise_within_the_tolerance_holds(tmp_path, capsys):
+    plant = """
+    if spec.name == "beta":
+        totals[0, 1, 1] *= 1.0 + 5e-10
+    """
+    base, head = _sweep_checkout(tmp_path / "base"), _sweep_checkout(tmp_path / "head", plant)
+    code, lines = _run_sweeps(capsys, base, head)
+    assert code == 0
+    assert lines[6] == "beta              noma         6      1       5e-10  value 1.0 draw 1"
+    assert lines[-1].startswith("gate holds")
+
+
+def test_this_checkout_against_itself_moves_no_sweep_row(capsys):
+    code, lines = _run_sweeps(capsys, _ROOT, _ROOT)
+    assert code == 0
+    assert lines[2].split() == ["semantic-rate", "oma", "4500", "0", "0", "-"]
+    assert len(lines) == 2 + 9 + 3 and lines[-3].endswith("none") and lines[-2].endswith("none")

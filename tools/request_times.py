@@ -12,7 +12,14 @@ counts for itself, not for its caller):
 - scenario: loading the scenario, ``cli._load_scenario``, and its
   manifest record, ``cli._scenario_record``;
 - draw: ``sample_realization``;
-- solve (power) or trace (region): ``solve_min_powers``, ``trace_region``;
+- solve (power): ``solve_min_powers``;
+- the region's trace, in four stages: oma_search, the oma rows' search
+  (``boundary._oma_points``); certify, the two closed-form certificates
+  that leave rows out of the searches (``boundary._oma_rate_bound`` and
+  ``boundary._noma_optimal``); semi_search, the semi rows' search and
+  fold (``boundary._semi_points``); and trace, the rest of
+  ``trace_region`` (the overlay sweep, the grids, the noma rows and the
+  lifts);
 - verify (power) or contain (region): the plug-back check of all
   feasible allocations in one call, ``check_containment`` of each pair
   of schemes;
@@ -95,6 +102,10 @@ STAGES = (
     (cli, "sample_realization", "draw"),
     (cli, "solve_min_powers", "solve"),
     (cli, "trace_region", "trace"),
+    (boundary, "_oma_points", "oma_search"),
+    (boundary, "_oma_rate_bound", "certify"),
+    (boundary, "_noma_optimal", "certify"),
+    (boundary, "_semi_points", "semi_search"),
     (cli, "_verify_solutions", "verify"),
     (cli, "check_containment", "contain"),
     (channel.Scenario, "digest", "digest"),
@@ -152,9 +163,9 @@ def main() -> int:
             stages = best_stages(argv, Path(tmp) / command, REQUESTS[command])
             print(f"{' '.join(argv)} --out DIR: mean of {REQUESTS[command]} requests per "
                   f"pass, min of {PASSES} passes")
-            print(f"{'stage':10s}  {'us_per_request':>14s}")
+            print(f"{'stage':12s}  {'us_per_request':>14s}")
             for stage, seconds in stages.items():
-                print(f"{stage:10s}  {seconds * 1e6:14.1f}")
+                print(f"{stage:12s}  {seconds * 1e6:14.1f}")
     return 0
 
 

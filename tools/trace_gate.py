@@ -18,8 +18,18 @@ compared.  The gate holds when no row falls more than ``FALL_TOL`` of
 its boundary's maximum and no boundary changed length or went missing;
 the tool exits 1 when it does not.
 
+With ``--sweeps`` it compares minimum powers instead: each bundled
+sweep spec's per-(value, draw, scheme) totals, as
+``montecarlo._sweep_totals`` solves them over the spec's own draws.  For
+each spec and scheme it prints the rows, the rows that moved, and the
+worst relative rise of a head total above the base's, with the value and
+draw where it happens; then every row whose feasibility changed, and any
+spec whose shape changed or that one side lacks.  That gate holds when
+no total rises more than ``FALL_TOL`` relative and no row changed
+feasibility or shape.
+
 Usage:
-    python tools/trace_gate.py --base DIR --head DIR [--regions N]
+    python tools/trace_gate.py --base DIR --head DIR [--regions N] [--sweeps]
 
 ``--base`` and ``--head`` are checkout roots, each with ``src/sembit``;
 the tool itself may live in either or neither.  ``--regions N`` traces
@@ -65,17 +75,24 @@ def regions() -> list[tuple[str, dict, str, int]]:
     return out
 
 
-def trace(src: Path, out: Path, count: int) -> None:
+def trace(src: Path, out: Path, count: int, sweeps: bool = False) -> None:
     """Trace the first ``count`` regions with the ``sembit`` under ``src``; save columns to ``out``.
 
     Runs in the subprocess of one checkout.  Each column is saved as
-    ``<region index>:<scheme>:<column>``.
+    ``<region index>:<scheme>:<column>``.  With ``sweeps``, saves each
+    bundled spec's totals as ``<spec name>`` and its values as
+    ``<spec name>:values`` instead.
     """
     sys.path.insert(0, str(src))
     import sembit
 
     if Path(sembit.__file__).resolve().parent != (src / "sembit").resolve():
         raise SystemExit(f"imported sembit from {sembit.__file__}, not from {src}")
+    np.savez(out, **(_sweep_columns(sembit) if sweeps else _region_columns(sembit, count)))
+
+
+def _region_columns(sembit, count: int) -> dict[str, np.ndarray]:
+    """The boundary columns of the first ``count`` regions, by ``<index>:<scheme>:<column>``."""
     columns = {}
     for i, (_, fields, kind, index) in enumerate(regions()[:count]):
         scenario = sembit.Scenario(**fields)
@@ -85,13 +102,30 @@ def trace(src: Path, out: Path, count: int) -> None:
         for scheme, b in found.items():
             for name in COLUMNS:
                 columns[f"{i}:{scheme.value}:{name}"] = np.asarray(getattr(b, name))
-    np.savez(out, **columns)
+    return columns
 
 
-def run_side(root: Path, out: Path, count: int) -> dict[str, np.ndarray]:
+def _sweep_columns(sembit) -> dict[str, np.ndarray]:
+    """Each bundled spec's totals, shape (values, draws, schemes), and its values."""
+    from sembit import cli, montecarlo
+
+    columns = {}
+    for name in cli.BUNDLED_SWEEPS:
+        spec = montecarlo.SweepSpec.from_dict(cli._resolve_sweep_spec(name))
+        reals = [
+            sembit.sample_realization(spec.scenario, sembit.derive_seed(spec.base_seed, i))
+            for i in range(spec.n_realizations)
+        ]
+        columns[name] = montecarlo._sweep_totals(spec, reals)
+        columns[f"{name}:values"] = np.asarray(spec.values, dtype=float)
+    return columns
+
+
+def run_side(root: Path, out: Path, count: int, sweeps: bool = False) -> dict[str, np.ndarray]:
     """The saved columns of one checkout, traced in a subprocess from its root."""
     argv = [sys.executable, str(Path(__file__).resolve()), "--trace", str(root / "src"), str(out)]
-    subprocess.run([*argv, "--regions", str(count)], cwd=root, check=True)
+    argv += ["--regions", str(count)] + (["--sweeps"] if sweeps else [])
+    subprocess.run(argv, cwd=root, check=True)
     with np.load(out) as saved:
         return {key: saved[key] for key in saved.files}
 
@@ -144,24 +178,72 @@ def compare(base: dict, head: dict, labels: list[str]) -> tuple[list[str], bool]
     return lines, holds
 
 
+def compare_sweeps(base: dict, head: dict) -> tuple[list[str], bool]:
+    """The report lines over two sides' sweep totals, and whether the sweep gate holds."""
+    lines = [f"{'spec':<18}{'scheme':<7}{'rows':>7}{'moved':>7}{'worst rise':>12}  where"]
+    odd, flips = [], []
+    holds = True
+    names = [k for k in {**base, **head} if ":" not in k]
+    for name in names:
+        if not (name in base and name in head):
+            odd.append(f"{name}: run by the {'base' if name in base else 'head'} only")
+            continue
+        old, new, values = base[name], head[name], base[f"{name}:values"].tolist()
+        if old.shape != new.shape:
+            odd.append(f"{name}: shape {old.shape} -> {new.shape}")
+            continue
+        for j, scheme in enumerate(SCHEMES):
+            a, b = old[..., j], new[..., j]
+            for v, d in zip(*np.nonzero(np.isfinite(a) != np.isfinite(b))):
+                change = f"{a.item(v, d)!r} -> {b.item(v, d)!r}"
+                flips.append(f"{name} {scheme} value {values[v]!r} draw {d}: {change}")
+            with np.errstate(invalid="ignore"):
+                rise = np.where(b > a, (b - a) / np.maximum(a, np.finfo(float).tiny), 0.0)
+            worst, where = 0.0, "-"
+            if rise.size and rise.max() > 0.0:
+                v, d = np.unravel_index(np.argmax(rise), rise.shape)
+                worst, where = rise.item(v, d), f"value {values[v]!r} draw {d}"
+            holds &= worst <= FALL_TOL
+            moved = int(_moved(a, b).sum())
+            lines.append(f"{name:<18}{scheme:<7}{a.size:>7}{moved:>7}{worst:>12.3g}  {where}")
+    holds &= not odd and not flips
+    lines.append(f"rows whose feasibility changed: {', '.join(flips) or 'none'}")
+    lines.append(f"specs whose shape changed or that one side lacks: {', '.join(odd) or 'none'}")
+    verdict = "holds" if holds else "fails"
+    lines.append(
+        f"gate {verdict}: no minimum power may rise more than {FALL_TOL:g} above the base,"
+        " and no row may change feasibility or shape"
+    )
+    return lines, holds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, metavar="DIR")
     parser.add_argument("--head", type=Path, metavar="DIR")
     parser.add_argument("--regions", type=int, default=len(regions()), metavar="N")
+    parser.add_argument(
+        "--sweeps", action="store_true", help="compare the bundled sweeps' minimum powers"
+    )
     parser.add_argument("--trace", type=Path, nargs=2, metavar=("SRC", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.trace:
-        trace(*args.trace, args.regions)
+        trace(*args.trace, args.regions, args.sweeps)
         return 0
     if args.base is None or args.head is None:
         parser.error("--base and --head are required")
     labels = [label for label, *_ in regions()[: args.regions]]
     with tempfile.TemporaryDirectory() as tmp:
-        base = run_side(args.base.resolve(), Path(tmp) / "base.npz", args.regions)
-        head = run_side(args.head.resolve(), Path(tmp) / "head.npz", args.regions)
-    print(f"trace gate over {len(labels)} regions: base {args.base}, head {args.head}")
-    lines, holds = compare(base, head, labels)
+        sides = [
+            run_side(root.resolve(), Path(tmp) / f"{side}.npz", args.regions, args.sweeps)
+            for side, root in (("base", args.base), ("head", args.head))
+        ]
+    if args.sweeps:
+        print(f"sweep gate over the bundled specs: base {args.base}, head {args.head}")
+        lines, holds = compare_sweeps(*sides)
+    else:
+        print(f"trace gate over {len(labels)} regions: base {args.base}, head {args.head}")
+        lines, holds = compare(*sides, labels)
     print("\n".join(lines))
     return 0 if holds else 1
 
