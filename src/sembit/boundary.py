@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -138,13 +139,38 @@ class RegionBoundary:
         return zip(self.sigma.tolist(), self.bit_rate.tolist(), self.similarity.tolist())
 
     def write_csv(self, path) -> None:
-        """Write the columns as CSV, one float repr per field, in one call.
+        """Write the columns as CSV, one float repr per field, in one call."""
+        write_text(path, _csv_texts([self])[0], newline="")
 
-        No field can need quoting, so the lines are those of ``csv.writer``.
-        """
-        # A plain float's repr is plain digits, where a numpy scalar's is not.
-        lines = [f"{s!r},{b!r},{e!r}\r\n" for s, b, e in self._rows()]
-        write_text(path, "sigma,bit_rate,similarity\r\n" + "".join(lines), newline="")
+
+def write_csvs(boundaries: Sequence[RegionBoundary], out_dir) -> None:
+    """Write each boundary to ``<scheme>.csv`` in ``out_dir``, one call per file."""
+    for boundary, text in zip(boundaries, _csv_texts(boundaries)):
+        write_text(Path(out_dir) / f"{boundary.scheme.value}.csv", text, newline="")
+
+
+def _csv_texts(boundaries: Sequence[RegionBoundary]) -> list[str]:
+    """Each boundary's CSV text: a header, then sigma, bit rate and similarity per row.
+
+    No field can need quoting, so the lines are those of ``csv.writer``.
+    A region's boundaries share many floats (semi's sigma column is oma's
+    and noma's together), so each distinct float of all of them is
+    rendered once, keyed by its bits: -0.0 and 0.0 stay apart.
+    """
+    columns = [c for b in boundaries for c in (b.sigma, b.bit_rate, b.similarity)]
+    bits, inverse = np.unique(np.concatenate(columns, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    # A plain float's repr is plain digits, where a numpy scalar's is not.
+    reprs = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    fields = reprs[inverse]
+    texts, start = [], 0
+    for b in boundaries:
+        n = len(b.sigma)
+        sigma, bit_rate, similarity = fields[start:start + 3 * n].reshape(3, n).tolist()
+        rows = "".join(f"{s},{r},{e}\r\n" for s, r, e in zip(sigma, bit_rate, similarity))
+        texts.append("sigma,bit_rate,similarity\r\n" + rows)
+        start += 3 * n
+    return texts
 
 
 @dataclass(frozen=True)

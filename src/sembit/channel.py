@@ -14,6 +14,7 @@ Draws are Philox-keyed so realisation i of a sweep depends only on
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -164,17 +165,36 @@ class Scenario:
         The canonical form is ``to_dict()`` as compact JSON with sorted
         keys.  Only the scalar fields are encoded per call; the table's
         cached ``canonical_json`` is spliced in at the ``"params"`` key.
-        ``hashlib`` is imported here, not with the module: it maps
-        OpenSSL into the process, and only a manifest needs a digest.
+        The hash is :func:`_sha256`'s, the interpreter's built-in SHA-256.
         """
-        import hashlib
-
         scalars = {f.name: getattr(self, f.name) for f in fields(self)}
         scalars["params"] = None
         text = json.dumps(scalars, sort_keys=True, separators=(",", ":"))
         head, _, tail = text.partition('"params":null')
         blob = f'{head}"params":{self.params.canonical_json}{tail}'
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _sha256()(blob.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def _sha256():
+    """The interpreter's built-in SHA-256 constructor, resolved at the first digest.
+
+    ``_sha2`` from CPython 3.12, ``_sha256`` before, as ``random`` takes
+    the built-in SHA-512: ``hashlib`` maps OpenSSL's libcrypto into the
+    process, about 3.7 MB of peak memory for a hash of under 1 kB.  A
+    build with neither module falls back to ``hashlib``; the hex is the
+    same.  Resolved at the first call, not with the module, so a process
+    that hashes nothing loads nothing; cached, since a failed import is
+    retried, and costs tens of microseconds, at every call.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 @dataclass(frozen=True)

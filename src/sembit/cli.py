@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import check_containment, trace_region
+from .boundary import check_containment, trace_region, write_csvs
 from .channel import Scenario, sample_realization
 from .errors import (
     DomainMismatch,
@@ -137,8 +137,7 @@ def _run_region(scenario: Scenario, params: dict, args: dict, out_dir: Path) -> 
     if empty_overlay is not None:
         print(f"overlay region is empty on this draw: {empty_overlay}", file=sys.stderr)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for scheme, boundary in boundaries.items():
-        boundary.write_csv(out_dir / f"{scheme.value}.csv")
+    write_csvs(list(boundaries.values()), out_dir)
     verdicts = {}
     pairs = [
         ("semi_covers_oma", Scheme.OMA, Scheme.SEMI),

@@ -1084,17 +1084,20 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_openssl_loads_at_the_first_digest_only(self):
-        # hashlib maps OpenSSL into the process; a sweep, a solve, a trace
-        # and a power request without --out hash no manifest, so a fresh
-        # interpreter that runs them never imports it.
+    def test_no_run_loads_openssl(self):
+        # hashlib maps OpenSSL into the process; the digest of a manifest
+        # uses the interpreter's built-in SHA-256 instead.  A fresh
+        # interpreter that sweeps, solves, traces, serves power with and
+        # without --out, writes a region and hashes a scenario never
+        # imports hashlib or _hashlib.
         code = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, sys, tempfile\n"
             "import sembit.cli\n"
             "from sembit import (PowerTargets, Scenario, SweepSpec, run_sweep,\n"
             "    sample_realization, solve_min_powers, trace_region)\n"
             "def loaded():\n"
-            "    print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+            "    names = sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules)\n"
+            "    print(names, file=sys.__stdout__)\n"
             "loaded()\n"
             "spec = sembit.cli._resolve_sweep_spec('semantic-rate')\n"
             "run_sweep(SweepSpec.from_dict(dict(spec, n_realizations=2)))\n"
@@ -1102,17 +1105,23 @@ class TestEntryPoint:
             "real = sample_realization(scenario, 7)\n"
             "solve_min_powers(scenario, real, PowerTargets(100e3, 0.8, 8e5), 64)\n"
             "trace_region(scenario, real, ['oma', 'noma', 'semi'], 12, 64)\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert sembit.cli.main(['power', '--seed', '7', '--sigma', '1e5',\n"
-            "        '--floor', '0.8', '--bits', '8e5', '--grid', '64']) == 0\n"
             "loaded()\n"
+            "power = ['power', '--seed', '7', '--sigma', '1e5', '--floor', '0.8',\n"
+            "    '--bits', '8e5', '--grid', '64']\n"
+            "with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert sembit.cli.main(power) == 0\n"
+            "    loaded()\n"
+            "    assert sembit.cli.main(['region', '--out', tmp + '/region']) == 0\n"
+            "    loaded()\n"
+            "    assert sembit.cli.main(power + ['--verify', '--out', tmp + '/power']) == 0\n"
+            "    loaded()\n"
             "scenario.digest()\n"
             "loaded()\n"
         )
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == ["[]", "[]", "['_hashlib', 'hashlib']", ""]
+        assert proc.stdout.split("\n") == ["[]"] * 6 + [""]
 
     def test_console_script_installed(self):
         # The console script comes from the [project.scripts] declaration;

@@ -7,17 +7,19 @@ separators=(",", ":"))``.  ``write_text`` must write the bytes a text-mode
 ``open`` writes.
 """
 
+import functools
 import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sembit import LogisticParams, ParamTable, Scenario, Scheme
+from sembit import LogisticParams, ParamTable, Scenario, Scheme, channel
 from sembit.jsontext import Verbatim, indented, write_text
 
 # Floats whose reprs are the least plain, and the non-finite values.
@@ -126,6 +128,31 @@ def scenarios(draw):
 @given(scenario=scenarios())
 def test_digest_equals_the_canonical_encoding(scenario):
     assert scenario.digest() == canonical_digest(scenario)
+
+
+# The default scenario's digest; a manifest's scenario_sha256 reads it.
+DEFAULT_DIGEST = "60f7756bc33e0b7f631f6a703468d3a78934ce42f6e43ce7c85f74dcdc54d6f5"
+
+
+def test_default_digest_is_pinned():
+    assert Scenario().digest() == DEFAULT_DIGEST
+
+
+def test_digest_falls_back_to_hashlib(monkeypatch):
+    # A build without the built-in SHA-256 module hashes through hashlib,
+    # to the same hex.  A fresh cache resolves the constructor again.
+    monkeypatch.setattr(channel, "_sha256", functools.cache(channel._sha256.__wrapped__))
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    calls, sha256 = [], hashlib.sha256
+
+    def spy(data):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    assert Scenario().digest() == DEFAULT_DIGEST
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

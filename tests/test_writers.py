@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from sembit import RegionBoundary, Scheme, cli
+from sembit.boundary import write_csvs
 from sembit.cli import main
 from sembit.montecarlo import SweepResult, SweepRow, SweepSpec
 from sembit.power import PowerTargets
@@ -50,6 +51,24 @@ def test_region_csv_equals_csv_writer(tmp_path):
     rows = [["sigma", "bit_rate", "similarity"]]
     rows += [[repr(float(v)) for v in row] for row in zip(*cols)]
     assert path.read_bytes() == csv_writer_bytes(rows)
+
+
+def test_region_csvs_render_shared_floats_as_each_file_alone(tmp_path):
+    # Files of different lengths that share floats, signed zeros and NaNs
+    # among them: each distinct float is rendered once for all of them.
+    odd = np.array(ODD_FLOATS + [0.0, -math.nan])
+    boundaries = [
+        RegionBoundary(Scheme.OMA, odd, odd[::-1], np.zeros(len(odd))),
+        RegionBoundary(Scheme.NOMA, odd[:3], -odd[:3], odd[2:5]),
+        RegionBoundary(Scheme.SEMI, np.concatenate([odd, odd[:3]]), np.full(14, -0.0),
+                       np.concatenate([odd[8:], odd])),
+    ]
+    write_csvs(boundaries, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["noma.csv", "oma.csv", "semi.csv"]
+    for b in boundaries:
+        rows = [["sigma", "bit_rate", "similarity"]]
+        rows += [[repr(v) for v in row] for row in b._rows()]
+        assert (tmp_path / f"{b.scheme.value}.csv").read_bytes() == csv_writer_bytes(rows)
 
 
 def test_sweep_csv_equals_csv_writer(tmp_path, scenario):

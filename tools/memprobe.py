@@ -1,24 +1,26 @@
-"""Peak memory and minor page faults of default regions and of sweeps, each in one process.
+"""Peak memory and minor page faults of default regions, sweeps and power requests, each in one process.
 
 Runs ``sembit region --seed i --out DIR`` in process for i = 0, 1, ...
 (200 points, the default grid, all schemes; DIR is temporary) and, at
 each checkpoint, prints how many regions have run, the process's peak
-resident set (``ru_maxrss``) and the mean minor page faults per region
-since the previous checkpoint.  Then it does the same for ``SWEEPS``
-``run_sweep`` calls on the bundled ``semantic-rate`` spec with
-``SWEEP_DRAWS`` draws each and base seed i, the call the benchmark's
-sweep workload times.  Each of the two runs in a fresh interpreter, so
-the regions' peak does not hide the sweeps'; before its checkpoints each
-prints its import footprint, the peak resident set right after ``import
-sembit.cli`` and whether OpenSSL (``_hashlib``) is loaded yet.  The
-checkpoints fix the work, where a timed benchmark run reads its peak
-after however many calls it completed, so two versions of the code
-compare call for call.  The
-readings are printed, not judged: the exit status is 0 unless the
-arguments are bad.
+resident set (``ru_maxrss``), the mean minor page faults per region
+since the previous checkpoint and whether OpenSSL (``_hashlib``) is
+loaded.  Then it does the same for ``run_sweep`` calls on the bundled
+``semantic-rate`` spec with ``SWEEP_DRAWS`` draws each and base seed i,
+the call the benchmark's sweep workload times, and for ``power --verify
+--out DIR`` requests, the benchmark's ``cli-requests`` power op: request
+i takes the i-th power input of ``perfbench/reference/cli-requests.json``
+(cycling), so about one in six exits 4.  Each of the three runs in a
+fresh interpreter, so one's peak does not hide another's; before its
+checkpoints each prints its import footprint, the peak resident set
+right after ``import sembit.cli`` and whether ``_hashlib`` is loaded
+yet.  The checkpoints fix the work, where a timed benchmark run reads
+its peak after however many calls it completed, so two versions of the
+code compare call for call.  The readings are printed, not judged: the
+exit status is 0 unless the arguments are bad.
 
 Usage:
-    python tools/memprobe.py [--regions 1,60,200]
+    python tools/memprobe.py [--regions 1,60,200] [--sweeps 1,100,1000] [--powers 1,100,1000]
 
 Run from the root of a checkout; ``src`` goes on the import path.
 """
@@ -29,25 +31,28 @@ import argparse
 import collections
 import contextlib
 import io
+import json
 import resource
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 from sembit import cli, montecarlo  # noqa: E402
 
 # ru_maxrss is in KiB on Linux and in bytes on macOS.
 RSS_UNIT = 1 if sys.platform == "darwin" else 1024
-# Sweep checkpoints, and the draws of each sweep call.
-SWEEPS = (1, 100, 1000)
+# The draws of each sweep call.
 SWEEP_DRAWS = 4
+# The inputs of the benchmark's power requests.
+POWER_INPUTS = REPO / "perfbench" / "reference" / "cli-requests.json"
 
 
 def checkpoints(text: str) -> list[int]:
-    """Comma-separated region counts, positive and strictly increasing."""
+    """Comma-separated call counts, positive and strictly increasing."""
     try:
         counts = [int(part) for part in text.split(",")]
     except ValueError:
@@ -57,11 +62,15 @@ def checkpoints(text: str) -> list[int]:
     return counts
 
 
+def openssl() -> str:
+    """Whether ``_hashlib``, which maps OpenSSL into the process, is loaded."""
+    return f"_hashlib loaded: {'yes' if '_hashlib' in sys.modules else 'no'}"
+
+
 def footprint() -> None:
     """Print the peak RSS so far and whether ``_hashlib`` is loaded, before any work."""
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * RSS_UNIT / 2**20
-    loaded = "yes" if "_hashlib" in sys.modules else "no"
-    print(f"import sembit.cli: maxrss_mb {rss_mb:.2f}, _hashlib loaded: {loaded}")
+    print(f"import sembit.cli: maxrss_mb {rss_mb:.2f}, {openssl()}")
 
 
 def readings(name: str, counts, run) -> None:
@@ -75,23 +84,42 @@ def readings(name: str, counts, run) -> None:
         usage = resource.getrusage(resource.RUSAGE_SELF)
         per_call = (usage.ru_minflt - faults) / (count - done)
         rss_mb = usage.ru_maxrss * RSS_UNIT / 2**20
-        print(f"{count:7d}  {rss_mb:9.2f}  {per_call:17.1f}", flush=True)
+        print(f"{count:7d}  {rss_mb:9.2f}  {per_call:17.1f}  {openssl()}", flush=True)
         done, faults = count, usage.ru_minflt
 
 
-def regions(counts) -> None:
-    """Readings of default regions, and the tally of their exit codes."""
+def requests(name: str, counts, argv) -> None:
+    """Readings of ``cli.main(argv(i) + ["--out", DIR])``, and the tally of their exit codes."""
     codes: collections.Counter[int] = collections.Counter()
     with tempfile.TemporaryDirectory() as tmp:
-        out = str(Path(tmp) / "region")
+        out = str(Path(tmp) / "out")
 
-        def run(seed):
-            # A power-limited draw exits 3 with a message; the tally below counts it.
-            with contextlib.redirect_stderr(io.StringIO()):
-                codes[cli.main(["region", "--seed", str(seed), "--out", out])] += 1
+        def run(i):
+            # A power-limited region or an infeasible power target exits 3 or 4
+            # with a message; the tally below counts it.
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes[cli.main(argv(i) + ["--out", out])] += 1
 
-        readings("regions", counts, run)
+        readings(name, counts, run)
     print("exit codes: " + ", ".join(f"{code}: {n}" for code, n in sorted(codes.items())))
+
+
+def regions(counts) -> None:
+    """Readings of default regions."""
+    requests("regions", counts, lambda seed: ["region", "--seed", str(seed)])
+
+
+def powers(counts) -> None:
+    """Readings of the benchmark's ``power --verify --out`` requests."""
+    with open(POWER_INPUTS, encoding="utf-8") as fh:
+        items = [it["input"] for it in json.load(fh)["items"] if it["input"]["kind"] == "power"]
+
+    def argv(i):
+        inp = items[i % len(items)]
+        return ["power", "--seed", str(inp["seed"]), "--sigma", repr(inp["sigma"]),
+                "--floor", repr(inp["floor"]), "--bits", repr(inp["bits"]), "--verify"]
+
+    requests("powers", counts, argv)
 
 
 def sweeps(counts) -> None:
@@ -107,14 +135,17 @@ def sweeps(counts) -> None:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--regions",
-        type=checkpoints,
-        default=[1, 60, 200],
-        help="region counts at which to print a reading (default 1,60,200)",
-    )
+    for probe, default in (("regions", "1,60,200"), ("sweeps", "1,100,1000"),
+                           ("powers", "1,100,1000")):
+        parser.add_argument(
+            f"--{probe}",
+            type=checkpoints,
+            default=default,
+            help=f"{probe[:-1]} counts at which to print a reading (default {default})",
+        )
     args = parser.parse_args(argv)
-    for probe, counts in (("regions", args.regions), ("sweeps", list(SWEEPS))):
+    for probe in ("regions", "sweeps", "powers"):
+        counts = getattr(args, probe)
         # A fresh interpreter that loads this file as the script would.
         code = (
             f"import runpy; probe = runpy.run_path({__file__!r}); "

@@ -26,7 +26,7 @@ counts for itself, not for its caller):
 - digest: ``Scenario.digest`` for the manifest;
 - render: the JSON text of ``power.json``, ``containment.json`` and
   ``manifest.json``;
-- csv (region): rendering the boundary CSVs;
+- csv (region): rendering the boundary CSVs, ``boundary.write_csvs``;
 - mkdir: creating the output directory, ``Path.mkdir``;
 - write: opening, writing and closing each output file, ``write_text``;
 - other: the request's time less its stages' (the power CSV's lines, the
@@ -110,7 +110,7 @@ STAGES = (
     (cli, "check_containment", "contain"),
     (channel.Scenario, "digest", "digest"),
     (cli, "indented", "render"),
-    (boundary.RegionBoundary, "write_csv", "csv"),
+    (cli, "write_csvs", "csv"),
     (pathlib.Path, "mkdir", "mkdir"),
     (cli, "write_text", "write"),
     (boundary, "write_text", "write"),
