@@ -32,12 +32,18 @@ hybrid folds in the oma and noma rows it is given for the same targets
 at finite grid resolution by construction, not merely up to search luck.
 :func:`trace_region` is the one region driver, for any set of schemes:
 it picks each scheme's sigma grid, solves oma once on the hybrid's grid
-and lets the hybrid reuse those rows.  Two closed-form certificates leave
+and lets the hybrid reuse those rows.  Closed-form certificates leave
 rows out of the searches where no search could change an output: an oma
 row that no output reports is not searched where the overlay beats
-:func:`_oma_rate_bound`, and a hybrid row is not searched where
-:func:`_noma_optimal` proves that no shared band beats the full band W,
-so the fold gives it the noma corner, as it would after the search.
+:func:`_oma_rate_bound`.  Three certificates give a hybrid row its
+optimum, the top of its Lemma 1 interval or an oma split, without a
+search, each proved in its docstring: :func:`_noma_optimal` where no
+shared band beats the full band W, so the fold gives the row the noma
+corner; :func:`_kink_optimal` where none beats the kink sigma*k/floor,
+below W, at which the similarity floor starts to bind, so the row takes
+that band; and :func:`_over_budget` where the overlay alone overspends,
+so the superposed pipe shuts on every band and the fold gives the row
+its oma split.  :func:`_rises_to` is the slope bound the first two share.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ SEARCH_ZOOM = 8
 # Relative margin by which the overlay must beat :func:`_oma_rate_bound`
 # before a region skips an oma row, so that rounding cannot flip the test.
 BOUND_RTOL = 1e-12
-# Edges of the cells of required similarity over which :func:`_noma_optimal`
+# Edges of the cells of required similarity over which :func:`_rises_to`
 # bounds the hybrid objective's slope, as fractions of its range: 8 cells.
 _CERT_STEPS = np.linspace(0.0, 1.0, 9)[:, None]
 
@@ -280,6 +286,47 @@ def _oma_rate_bound(scenario: Scenario, real: ChannelRealization, sigma: np.ndar
     return bit_rates(scenario, real.gain_b, real.gain_eff, corner)
 
 
+def _rises_to(
+    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, a_top, e_start
+) -> np.ndarray:
+    """Rows of ``sigma`` where the hybrid objective provably rises with the band up to its top.
+
+    The hybrid objective's slope, derived in :func:`_noma_optimal`, is
+    f'(x)*ln2 = A(x) + B(e) on a band x whose required similarity
+    e = sigma*k/x binds.  ``a_top`` is A at the top band of the interval
+    the caller certifies, so A(x) >= ``a_top`` on every band below it, and
+    ``e_start`` is the similarity that top band needs.  A row passes when
+    a lower bound on B over [``e_start``, e_cap], e_cap the last similarity
+    a band within the budget can need, is at least -``a_top``: then
+    f' >= 0 on every band below the top that fits the budget.
+
+    The bound splits [e_start, e_cap] into 8 cells [e_lo, e_hi] and takes
+    B >= eta(clip(e*, e_lo, e_hi)) * s(e_lo) - ln(1 + min(q(e_hi), q_cap))
+    on each: eta falls up to e* = sqrt(a_low*a_high) and rises after it,
+    while s and ln(1 + q) rise with e, and a band within the budget has
+    q < q_cap.  (At e_cap the odds (e - a_low)/(a_high - e) are
+    (q_cap/q0)^(1/c), with q0 = q/g, and e_cap = a_low + (a_high -
+    a_low)/(1 + 1/odds) gives a_high, not NaN, where the odds overflow.)
+    A NaN bound fails the test.
+    """
+    params = scenario.logistic
+    a_low, a_high = params.a_low, params.a_high
+    c = LN10_OVER_10 / params.growth
+    k_m = scenario.noise_psd / real.gain_eff
+    ln_q0 = math.log(real.gain_eff / real.gain_s) - c * params.offset
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q_cap = scenario.max_power * a_high / (sigma * (scenario.k * k_m))
+        odds = np.exp((np.log(q_cap) - ln_q0) / c)
+        e_cap = a_low + (a_high - a_low) / (1.0 + 1.0 / odds)
+        # One line per cell edge, one column per row.
+        e = _CERT_STEPS * (e_cap - e_start) + e_start
+        q = np.exp(ln_q0 + c * np.log((e - a_low) / (a_high - e)))
+        at = np.minimum(np.maximum(math.sqrt(a_low * a_high), e[:-1]), e[1:])
+        eta = c * (a_high - a_low) * at / ((at - a_low) * (a_high - at))
+        slope = eta * (q[:-1] / (1.0 + q[:-1])) - np.log1p(np.minimum(q[1:], q_cap))
+        return slope.min(axis=0) >= -a_top
+
+
 def _noma_optimal(
     scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, beats: np.ndarray
 ) -> np.ndarray:
@@ -288,9 +335,10 @@ def _noma_optimal(
     ``beats`` marks the rows where the overlay's bit rate beats
     :func:`_oma_rate_bound` by ``BOUND_RTOL``.  A row is certified when
     (i) e0 = sigma*k/W exceeds both the similarity floor and a_low, so the
-    rate target binds on every band; (ii) ``beats`` holds; and (iii) a
-    closed-form lower bound on the hybrid objective's slope is
-    non-negative on every band that can fit the budget.
+    rate target binds on every band; (ii) ``beats`` holds; and (iii)
+    :func:`_rises_to` the full band: a closed-form lower bound on the
+    hybrid objective's slope is non-negative on every band that can fit
+    the budget.
 
     Why no band x in [w_low, W) then beats W.  Write k_m = N0/g_eff and
     k_b = N0/g_b (k_m >= k_b, as g_eff = min(g_s, g_b)), c =
@@ -311,41 +359,98 @@ def _noma_optimal(
     defined wherever q is finite, whether or not x fits the budget.  A
     band within the budget has q < P*e/(sigma*k*k_m) <= q_cap =
     P*a_high/(sigma*k*k_m), so a band whose e exceeds e_cap, where q
-    reaches q_cap, is over it.  (At e_cap the odds (e - a_low)/(a_high - e)
-    are (q_cap/q0)^(1/c), with q0 = q/g, and e_cap = a_low + (a_high -
-    a_low)/(1 + 1/odds) gives a_high, not NaN, where the odds overflow.)
-    (iii) On each cell [e_lo, e_hi] of a split of [e0, e_cap] into 8,
-    B >= eta(clip(e*, e_lo, e_hi)) * s(e_lo) - ln(1 + min(q(e_hi), q_cap)),
-    and a row passes when the least of these bounds is at least -A(W).
-    Then f' >= 0 on every band whose e is at most e_cap, so f(x) <= f(W),
-    the overlay's rate.  A band with both pipes open scores f(x); one
-    whose superposed pipe shuts scores the orthogonal rate at band x,
-    which (ii) puts below the overlay; and one over the budget scores 0.
-    So the search cannot beat the noma corner, which the hybrid's fold
-    then gives the row.  (ii) also puts the overlay itself within the
-    budget, so e0 <= e_cap; a NaN bound fails the test.
+    reaches q_cap, is over it.  (iii) bounds B over [e0, e_cap] by at
+    least -A(W), so f' >= 0 on every band whose e is at most e_cap, and
+    f(x) <= f(W), the overlay's rate.  A band with both pipes open scores
+    f(x); one whose superposed pipe shuts scores the orthogonal rate at
+    band x, which (ii) puts below the overlay; and one over the budget
+    scores 0.  So the search cannot beat the noma corner, which the
+    hybrid's fold then gives the row.  (ii) also puts the overlay itself
+    within the budget, so e0 <= e_cap.
     """
     params = scenario.logistic
-    a_low, a_high = params.a_low, params.a_high
     w, p_max = scenario.total_bandwidth, scenario.max_power
-    c = LN10_OVER_10 / params.growth
     k_m = scenario.noise_psd / real.gain_eff
     k_b = scenario.noise_psd / real.gain_b
     a_w = w * (k_m - k_b) / (p_max + w * k_m) + math.log(k_b / k_m)
-    ln_q0 = math.log(real.gain_eff / real.gain_s) - c * params.offset
     e0 = sigma * scenario.k / w
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q_cap = p_max * a_high / (sigma * (scenario.k * k_m))
-        odds = np.exp((np.log(q_cap) - ln_q0) / c)
-        e_cap = a_low + (a_high - a_low) / (1.0 + 1.0 / odds)
-        # One line per cell edge, one column per row.
-        e = _CERT_STEPS * (e_cap - e0) + e0
-        q = np.exp(ln_q0 + c * np.log((e - a_low) / (a_high - e)))
-        at = np.minimum(np.maximum(math.sqrt(a_low * a_high), e[:-1]), e[1:])
-        eta = c * (a_high - a_low) * at / ((at - a_low) * (a_high - at))
-        slope = eta * (q[:-1] / (1.0 + q[:-1])) - np.log1p(np.minimum(q[1:], q_cap))
-        sound = slope.min(axis=0) >= -a_w
-    return beats & (e0 > max(scenario.min_similarity, a_low)) & sound
+    cert = beats & (e0 > max(scenario.min_similarity, params.a_low))
+    cert[cert] = _rises_to(scenario, real, sigma[cert], a_w, e0[cert])
+    return cert
+
+
+def _kink_optimal(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> np.ndarray:
+    """Rows of ``sigma`` where no hybrid band beats the kink x_k = sigma*k/floor.
+
+    The kink is the top of the row's :func:`lemma1_bounds` interval where
+    the similarity floor binds on the full band: for a positive target,
+    e0 = sigma*k/W and a_low both lie below the floor, so x_k < W.  In
+    the notation of :func:`_noma_optimal`, a band x >= x_k needs the
+    floor itself, so its semantic power is x*k_m*q(floor), and with both
+    pipes open the hybrid objective's slope there is f'(x)*ln2 = A(x) -
+    ln(1 + q(floor)).  A row is certified when:
+
+    (a) A(x_k) - ln(1 + q(floor)) <= 0.  A falls as x grows, so f cannot
+        rise on [x_k, W].  (c) implies (a), so it is not tested apart:
+        the open pipe gives T(x_k) > W*k_m*(1 + q(floor)), so A(x_k) <
+        (1 - k_b/k_m)/(1 + q(floor)) - ln(k_m/k_b) <= 0, as ln r >= 1 - 1/r;
+    (b) :func:`_rises_to` x_k: the slope bound over e in [floor, e_cap] is
+        at least -A(x_k).  A(x) >= A(x_k) for x <= x_k, so f cannot fall
+        on the way up to x_k;
+    (c) the superposed pipe is open at x_k, with a margin of
+        ``BOUND_RTOL``: x_k*T(x_k) > W*inv_m(x_k), the fill of
+        :func:`~sembit.rates.hybrid_max_rate` above 1.  The semantic
+        power is linear in the band on the floor piece, x*rho with
+        rho = k_m*q(floor), so inv_m(x_k) = x_k*(k_m + rho) and the test
+        reads T(x_k) > W*(k_m + rho).  It also puts the kink within the
+        budget: P > W*rho + (W - x_k)*(k_m - k_b) >= x_k*rho.
+
+    By (c) the hybrid scores f(x_k) at the kink.  A band whose superposed
+    pipe shuts scores the orthogonal rate at band x: that split is a
+    feasible point of the water-fill, whose relaxation to any power of
+    the superposed pipe above -inv_m is concave with its maximum f(x), so
+    it scores at most f(x).  A band over the budget scores 0.  So by (a)
+    and (b) no band beats x_k, which the search scores as its first
+    similarity seed, x_k rounded up one ulp.
+    """
+    params = scenario.logistic
+    w, p_max = scenario.total_bandwidth, scenario.max_power
+    floor = scenario.min_similarity
+    n0 = scenario.noise_psd
+    k_m, k_b = n0 / real.gain_eff, n0 / real.gain_b
+    # The semantic power per hertz at the floor, k_m*q(floor): inv_m(x_k) = x_k*(k_m + rho).
+    rho = power_for_similarity_grid(params, floor, 1.0, real.gain_s, n0)
+    # A zero floor puts the kink at +inf, and a floor at the ceiling costs rho = +inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_k = sigma * scenario.k / floor
+        total = (p_max + w * k_b) + x_k * (k_m - k_b)
+        a_k = w * (k_m - k_b) / total + math.log(k_b / k_m)
+    opens = total > w * (k_m + rho) * (1.0 + BOUND_RTOL)
+    e0 = sigma * scenario.k / w
+    cert = (e0 > 0.0) & (e0 < floor) & (params.a_low < floor) & opens
+    cert[cert] = _rises_to(scenario, real, sigma[cert], a_k[cert], floor)
+    return cert
+
+
+def _over_budget(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> np.ndarray:
+    """Rows of ``sigma`` where the overlay alone overspends, so the hybrid is an orthogonal split.
+
+    A row is certified when the full-band overlay's semantic power p_s(W)
+    is at least the budget P by ``BOUND_RTOL``.  A shared band w opens its
+    superposed pipe, the fill of :func:`~sembit.rates.hybrid_max_rate`
+    above 1, exactly when w*(P - (W - w)*(k_m - k_b)) > W*p_s(w).  The
+    required similarity only rises as the band narrows, so the power per
+    hertz does too: p_s(w) >= w*p_s(W)/W.  With k_m >= k_b, opening the
+    pipe would need P > p_s(W).  So on every band the superposed pipe
+    shuts and the hybrid scores the orthogonal rate at that band, the
+    objective of :func:`_oma_points`.  Above the top of the oma interval,
+    w_up, the floor pins the power per hertz, so a wider band leaves the
+    bit stream less band and less power: the best band lies in the oma
+    interval, whose own search the hybrid's fold gives the row.
+    """
+    w, floor = scenario.total_bandwidth, scenario.min_similarity
+    p_s = sem_power(scenario, real.gain_s, sigma, floor, w)
+    return p_s >= scenario.max_power * (1.0 + BOUND_RTOL)
 
 
 def _columns(scenario, real, alloc, solved) -> BoundaryRows:
@@ -462,6 +567,8 @@ def _semi_points(
     oma: BoundaryRows,
     noma: BoundaryRows,
     certified: np.ndarray | None = None,
+    kink: np.ndarray | None = None,
+    over: np.ndarray | None = None,
 ) -> BoundaryRows:
     """Hybrid boundary rows: the largest bit rate at each target of ``sigma``.
 
@@ -474,19 +581,22 @@ def _semi_points(
     shared band.  ``oma`` and ``noma`` hold those schemes' rows for the
     same targets: the oma band seeds each row's search, and both are
     folded in as corners once it is done, so no row falls below either.
-    Rows in the mask ``certified`` (default: none), where
-    :func:`_noma_optimal` proves that no band beats the noma corner, are
-    not searched: the fold gives them that corner, as it does a row whose
-    search finds nothing better.
+    Three row masks (default: none) leave rows out of the search, each a
+    closed-form certificate of the row's optimum.  Rows in ``certified``
+    (:func:`_noma_optimal`) and ``over`` (:func:`_over_budget`) are left
+    to the fold, which gives them the noma and the oma corner, as it does
+    a row whose search finds nothing better.  A row in ``kink``
+    (:func:`_kink_optimal`) takes its first similarity seed, the kink
+    rounded up one ulp, in place of the search's band.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
     floor = scenario.min_similarity
+    none = np.zeros(len(sigma), bool)
+    certified, kink, over = (none if m is None else m for m in (certified, kink, over))
     run = sigma != 0.0
-    if certified is not None:
-        bands = bands[~certified[run]]
-        run &= ~certified
-    live = np.flatnonzero(run)
+    skip = certified | kink | over
+    live = np.flatnonzero(run & ~skip)
     s = sigma[live]
     lo = lemma1_bounds(scenario, s, floor)[0]
     hi = np.full(len(s), w)
@@ -499,12 +609,17 @@ def _semi_points(
         p_s = sem_power(scenario, real.gain_s, s_col, floor, wm)
         return hybrid_max_rate(w, wm, p_s, p_max, real.gain_eff, real.gain_b, scenario.noise_psd)
 
-    extra = np.column_stack([bands, seed])
+    extra = np.column_stack([bands[~skip[run]], seed])
     wm, rate = search_rows(
         score, s[:, None], lo, hi, extra, grid_n, maximize=True, zoom=SEARCH_ZOOM, tie_high=True
     )
-    p_s = sem_power(scenario, real.gain_s, s, floor, wm)
-    interior = (p_s <= p_max) & (rate > 0.0)
+    # A kink row takes its first seed, clipped into its interval as the search clips it.
+    at_kink = np.flatnonzero(run & kink)
+    live = np.concatenate([live, at_kink])
+    wm = np.concatenate([wm, np.minimum(bands[kink[run], 0], w)])
+    fits = np.concatenate([rate > 0.0, np.ones(len(at_kink), bool)])
+    p_s = sem_power(scenario, real.gain_s, sigma[live], floor, wm)
+    interior = (p_s <= p_max) & fits
     # An interior optimum water-fills the rest of the budget for the largest rate.
     wm, p_s = wm[interior], p_s[interior]
     w_b = w - wm
@@ -560,9 +675,14 @@ def trace_region(
     orthogonal boundary does not report is searched only where the
     overlay fails to beat :func:`_oma_rate_bound` there: elsewhere the
     overlay corner wins the hybrid's fold over any orthogonal split.
-    Likewise a hybrid row is searched only where :func:`_noma_optimal`
-    fails to prove that no band beats the overlay corner, which the fold
-    then gives it.  Points are solved in row batches, one search per batch.
+    Likewise a hybrid row is searched only where no certificate gives its
+    optimum: :func:`_noma_optimal` the overlay corner, which the fold then
+    gives it, :func:`_kink_optimal` the kink band, at which it is
+    evaluated, and :func:`_over_budget` an orthogonal split, which the
+    fold gives it from the oma row.  A power-limited draw's overlay
+    overspends at every target, so there the hybrid boundary is the
+    orthogonal one.
+    Points are solved in row batches, one search per batch.
 
     Returns the boundaries by scheme, and the :class:`EmptyRegion` that
     left out the overlay on a power-limited draw (else None).
@@ -595,6 +715,8 @@ def trace_region(
             # where the overlay beats every orthogonal split.
             beats = noma.bit_rate > _oma_rate_bound(scenario, real, sigma) * (1.0 + BOUND_RTOL)
             certified = _noma_optimal(scenario, real, sigma, beats)
+            kink = _kink_optimal(scenario, real, sigma)
+            over = _over_budget(scenario, real, sigma)
             need = ~beats
             if Scheme.OMA in schemes:
                 need[on_uniform] = True
@@ -602,7 +724,9 @@ def trace_region(
         if Scheme.OMA in schemes:
             found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, on_uniform)
         if Scheme.SEMI in schemes:
-            semi = _semi_points(scenario, real, sigma, grid_n, bands, oma, noma, certified)
+            semi = _semi_points(
+                scenario, real, sigma, grid_n, bands, oma, noma, certified, kink, over
+            )
             found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi)
     return found, empty
 

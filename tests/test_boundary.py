@@ -815,21 +815,24 @@ class TestTraceRegion:
         assert found[scheme].scheme is scheme
         np.testing.assert_array_equal(_columns(found[scheme]), _columns(whole[scheme]))
 
-    @pytest.mark.parametrize("seed, oma_calls, hybrid_calls", [(7, 2, 1), (4, 2, 2)])
+    @pytest.mark.parametrize(
+        "seed, oma_calls, hybrid_calls", [(7, 2, 0), (4, 2, 0), (3, 2, 1), (0, 3, 2)]
+    )
     def test_default_region_search_count(
         self, scenario, monkeypatch, seed, oma_calls, hybrid_calls
     ):
         # Coarse phase: the hybrid search cuts the rows it needs into batches
         # of 184 rows of 89 candidates: the hybrid's grid but the zero
-        # target, less the rows where the noma corner is provably optimal.
-        # On seed 7 that is 174 of its 399 rows (224 certified), in 1 batch;
-        # on the power-limited seed 4, with no overlay, all 199 of its 200
-        # rows, in 2.  The oma search cuts the rows it needs into batches of
-        # 186 rows of 88: the uniform rows but the zero target, and the knot
-        # rows the overlay does not provably beat (none on seed 7), 199 rows
-        # in 2, and there is no second oma pass.  Bracket phase: one
-        # 17-point batch per search, one objective call for each of its 6
-        # levels; 15 (16) objective calls in all.
+        # target, less the rows a certificate settles.  Seed 7 searches none
+        # of its 399 rows (224 at the noma corner, 173 at the kink, 1 over
+        # the budget), nor does the power-limited seed 4, whose 200 rows are
+        # all over it; seed 3 searches 177 of 399 rows, in 1 batch, and seed
+        # 0 339 of 399, in 2.  The oma search cuts the rows it needs into
+        # batches of 186 rows of 88: the uniform rows but the zero target,
+        # and the knot rows the overlay does not provably beat (none on seeds
+        # 7 and 3), 199 rows in 2 (398 in 3 on seed 0), and there is no
+        # second oma pass.  Bracket phase: one 17-point batch per search
+        # with rows, one objective call for each of its 6 levels.
         tie_highs, objective_calls = [], []
         original = boundary.search_rows
 
@@ -848,10 +851,9 @@ class TestTraceRegion:
         # The oma search, then the hybrid search, each coarse phase first.
         assert tie_highs == [False, True]
         coarse, bracket = DEFAULT_GRID_N + EPS_BANDS, [2 * boundary.SEARCH_ZOOM + 1] * 6
-        oma, hybrid = [coarse] * oma_calls, [coarse + 1] * hybrid_calls
-        assert objective_calls == [*oma, *bracket, *hybrid, *bracket]
-        assert len(objective_calls) == oma_calls + hybrid_calls + 2 * 6
-        assert objective_calls.count(2 * boundary.SEARCH_ZOOM + 1) == 2 * 6
+        oma = [coarse] * oma_calls + bracket
+        hybrid = [coarse + 1] * hybrid_calls + (bracket if hybrid_calls else [])
+        assert objective_calls == oma + hybrid
 
 
 def _random_scenarios(n, seed, floors=(0.0, 0.9), distances=(5.0, 60.0), budgets=(0.03, 3.0)):
@@ -1015,15 +1017,17 @@ class TestNomaCertificate:
             boundary.trace_region(scenario, real, list(Scheme))
             if not calls:
                 continue
-            (sc, rl, sigma, grid_n, bands, oma, noma, cert), rows = calls.pop()
+            (sc, rl, sigma, grid_n, bands, oma, noma, cert, kink, over), rows = calls.pop()
             full = boundary._semi_points(sc, rl, sigma, grid_n, bands, oma, noma)
             # The unmasked search finds nothing above the corner, and a
-            # certified row is the corner, bit for bit.
+            # certified row is the corner, bit for bit.  Every other row is
+            # that of a search that leaves out only the other certificates' rows.
             assert (full.bit_rate[cert] <= noma.bit_rate[cert] * (1.0 + 1e-12)).all()
+            rest = boundary._semi_points(sc, rl, sigma, grid_n, bands, oma, noma, None, kink, over)
             for field in ("bit_rate", "similarity", *ALLOC_FIELDS):
                 got = getattr(rows, field)
                 np.testing.assert_array_equal(got[cert], getattr(noma, field)[cert])
-                np.testing.assert_array_equal(got[~cert], getattr(full, field)[~cert])
+                np.testing.assert_array_equal(got[~cert], getattr(rest, field)[~cert])
             certified += int(cert.sum())
         assert certified > 0
 
@@ -1106,7 +1110,7 @@ class TestNomaCertificate:
             cases.append((other, sample_realization(other, derive_seed(11, i))))
         calls = _semi_calls(monkeypatch)
         skipping = [boundary.trace_region(sc, real, schemes) for sc, real in cases]
-        assert sum(int(args[-1].sum()) for args, _ in calls) > 0
+        assert sum(int(args[7].sum()) for args, _ in calls) > 0
         monkeypatch.setattr(boundary, "_noma_optimal", _no_certificate)
         for (sc, real), (found, empty) in zip(cases, skipping):
             want, want_empty = boundary.trace_region(sc, real, schemes)
@@ -1121,8 +1125,202 @@ class TestNomaCertificate:
         for seed in range(40):
             boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
         rows = sum(len(args[2]) for args, _ in calls)
-        certified = sum(int(args[-1].sum()) for args, _ in calls)
+        certified = sum(int(args[7].sum()) for args, _ in calls)
         assert (rows, certified) == (15761, 8270)
+
+
+def _no_rows(scenario, real, sigma):
+    return np.zeros(len(sigma), bool)
+
+
+def _floor_slope(scenario, real, x):
+    """The both-open hybrid objective's slope f'(x) * ln2 = A(x) - ln(1 + q(floor)) at a band x
+    wide enough that the similarity floor binds."""
+    params = scenario.logistic
+    w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
+    c = math.log(10.0) / (10.0 * params.growth)
+    k_m, k_b = n0 / real.gain_eff, n0 / real.gain_b
+    odds = (scenario.min_similarity - params.a_low) / (params.a_high - scenario.min_similarity)
+    q = real.gain_eff / real.gain_s * math.exp(-c * params.offset) * odds**c
+    a = w * (k_m - k_b) / (p_max + w * k_b + x * (k_m - k_b)) + math.log(k_b / k_m)
+    return a - math.log1p(q)
+
+
+def _superposed_power(scenario, real, s, x):
+    """The hybrid's semantic and water-filled superposed power at target ``s`` on bands ``x``."""
+    w, n0 = scenario.total_bandwidth, scenario.noise_psd
+    p_s = sem_power(scenario, real.gain_s, s, scenario.min_similarity, x)
+    inv_m = overlay_inv_slope(x, p_s, real.gain_eff, n0)
+    inv_b = orth_inv_slope(w - x, real.gain_b, n0)
+    with np.errstate(invalid="ignore"):
+        p_m, _ = water_fill_max_grid(x, inv_m, w - x, inv_b, scenario.max_power - p_s)
+    return p_s, p_m
+
+
+# The draws (CLI seeds) of the region-draws benchmark's pool, pool seed
+# 20261017; the last three are power-limited.
+POOL_SEEDS = [
+    2133285130, 877225046, 3429641606, 1530262477, 913961778, 889990738, 1131197151, 43004848,
+    2352899249, 4039403063, 4286207434, 1446972632, 441241113, 1164786922, 1983624303,
+]
+
+
+class TestKinkAndOverBudgetCertificates:
+    """A region searches a semi row only where no closed form gives its optimum.
+
+    ``_kink_optimal`` proves that the hybrid objective rises up to the kink
+    sigma*k/floor, the top of Lemma 1's interval, and falls after it;
+    ``_over_budget`` proves that the superposed pipe shuts on every band
+    when the overlay alone overspends, so that the hybrid is an orthogonal
+    split.
+    """
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(_random_scenarios, 0), (_random_scenarios, 1), (_random_scenarios, 2),
+         (_wide_scenarios, 3), (_wide_scenarios, 4), (_wide_scenarios, 5)],
+    )
+    def test_no_searched_band_beats_a_certified_row(self, monkeypatch, make, seed):
+        calls = _semi_calls(monkeypatch)
+        certified = 0
+        for i, scenario in enumerate(make(8, seed)):
+            real = sample_realization(scenario, derive_seed(seed, i))
+            boundary.trace_region(scenario, real, list(Scheme))
+            if not calls:
+                continue
+            (sc, rl, sigma, grid_n, bands, oma, noma, _, kink, over), rows = calls.pop()
+            full = boundary._semi_points(sc, rl, sigma, grid_n, bands, oma, noma)
+            # The unmasked search finds nothing above a certified row by more
+            # than 1e-12 of its rate, or of the boundary's maximum at a zero
+            # rate: the semantic intercept of a power-limited draw, where a
+            # search scores a band ulps under the corner's.
+            got = rows.bit_rate
+            slack = 1e-12 * np.where(got > 0.0, got, full.bit_rate.max())
+            assert (full.bit_rate[kink | over] <= (got + slack)[kink | over]).all()
+            # An over-budget row is its oma row, the semantic band shared.
+            for field in ("bit_rate", "similarity", "w_bit", "p_sem", "p_bit_orth"):
+                np.testing.assert_array_equal(getattr(rows, field)[over], getattr(oma, field)[over])
+            np.testing.assert_array_equal(rows.w_shared[over], oma.w_sem[over])
+            # A kink row shares its first similarity seed, the kink one ulp
+            # up, unless the fold gives it the noma corner, the full band
+            # (a kink within ulps of W).
+            seeds = np.minimum(bands[kink[sigma != 0.0], 0], sc.total_bandwidth)
+            shared = rows.w_shared[kink]
+            assert ((shared == seeds) | (shared == noma.w_shared[kink])).all()
+            assert (seeds == np.nextafter(sigma[kink] * sc.k / sc.min_similarity, np.inf)).all()
+            certified += int((kink | over).sum())
+        assert certified > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_floor_piece_slope_matches_a_finite_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for i, scenario in enumerate(_wide_scenarios(40, seed)):
+            real = sample_realization(scenario, derive_seed(seed, i))
+            floor, w = scenario.min_similarity, scenario.total_bandwidth
+            if floor <= scenario.logistic.a_low:
+                continue
+            x_k = w * rng.uniform(0.1, 0.8)
+            x = x_k + (w - x_k) * rng.uniform(0.1, 0.9)
+            s = floor * x_k / scenario.k
+            h = 1e-5 * x
+            xs = np.array([x - h, x, x + h])
+            p_s, p_m = _superposed_power(scenario, real, s, xs)
+            if not (p_s < scenario.max_power).all() or not (p_m > 0).all():
+                continue  # over the budget, or the superposed pipe shuts
+            f = rates.hybrid_max_rate(
+                w, xs, p_s, scenario.max_power, real.gain_eff, real.gain_b, scenario.noise_psd
+            )
+            slope = (f[2] - f[0]) / (2 * h) * rates.LN2
+            assert slope == pytest.approx(_floor_slope(scenario, real, x), rel=1e-5, abs=1e-9)
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _wide_scenarios(30, 6),
+         lambda: _random_scenarios(30, 6, (0.0, 0.4), (2.0, 120.0), (1e-3, 10.0))],
+        ids=["wide", "low-snr"],
+    )
+    def test_kink_rows_open_the_superposed_pipe_and_fall_past_the_kink(self, make):
+        # The water-fill at the kink gives the superposed pipe power on every
+        # certified row, and a row whose pipe shuts there is never certified.
+        # Wherever the pipe is open at the kink, certified or not, the
+        # objective falls past it, so the certificate need not test that.
+        certified = shut = opened = 0
+        for i, scenario in enumerate(make()):
+            real = sample_realization(scenario, derive_seed(6, i))
+            floor, w = scenario.min_similarity, scenario.total_bandwidth
+            sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 200)
+            kink = boundary._kink_optimal(scenario, real, sigma)
+            binds = (sigma > 0.0) & (sigma * scenario.k / w < floor)
+            if floor <= scenario.logistic.a_low or not binds.any():
+                assert not kink.any()
+                continue
+            assert not kink[~binds].any()
+            x_k = sigma[binds] * scenario.k / floor
+            p_s, p_m = _superposed_power(scenario, real, sigma[binds], x_k)
+            fits = p_s < scenario.max_power
+            assert (p_m[kink[binds]] > 0.0).all() and fits[kink[binds]].all()
+            assert not kink[binds][(p_m == 0.0) | ~fits].any()
+            open_ = (p_m > 0.0) & fits
+            slopes = np.array([_floor_slope(scenario, real, x) for x in x_k[open_]])
+            assert (slopes < 0.0).all()
+            certified += int(kink.sum())
+            shut += int(((p_m == 0.0) & fits).sum())
+            opened += int(open_.sum())
+        assert certified > 0 and shut > 0 and opened > certified
+
+    def test_over_budget_rows_shut_the_superposed_pipe_on_every_band(self):
+        certified = 0
+        for i, scenario in enumerate(_wide_scenarios(20, 7)):
+            real = sample_realization(scenario, derive_seed(7, i))
+            w = scenario.total_bandwidth
+            sigma = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 50)
+            over = boundary._over_budget(scenario, real, sigma)
+            p_w = sem_power(scenario, real.gain_s, sigma, scenario.min_similarity, w)
+            np.testing.assert_array_equal(over, p_w >= scenario.max_power * (1.0 + 1e-12))
+            for s in sigma[over & (sigma > 0.0)]:
+                x = np.linspace(lemma1_bounds(scenario, s, scenario.min_similarity)[0], w, 4001)
+                p_s, p_m = _superposed_power(scenario, real, s, x)
+                assert not p_m[p_s < scenario.max_power].any()
+                certified += 1
+        assert certified > 0
+
+    @pytest.mark.parametrize("schemes", [["semi"], ["oma", "semi"], list(Scheme)])
+    def test_region_equals_a_trace_that_searches_those_rows(self, scenario, monkeypatch, schemes):
+        # Default seeds 0-9 (7 has kink rows, 4 is power-limited), bit for bit.
+        reals = [sample_realization(scenario, seed) for seed in range(10)]
+        calls = _semi_calls(monkeypatch)
+        skipping = [boundary.trace_region(scenario, real, schemes) for real in reals]
+        assert all(sum(int(args[m].sum()) for args, _ in calls) > 0 for m in (8, 9))
+        monkeypatch.setattr(boundary, "_kink_optimal", _no_rows)
+        monkeypatch.setattr(boundary, "_over_budget", _no_rows)
+        for real, (found, empty) in zip(reals, skipping):
+            want, want_empty = boundary.trace_region(scenario, real, schemes)
+            assert str(empty) == str(want_empty) and set(found) == set(want)
+            for scheme in want:
+                np.testing.assert_array_equal(_columns(found[scheme]), _columns(want[scheme]))
+
+    @pytest.mark.parametrize(
+        "seeds, counts",
+        [(range(40), (15761, 8270, 6253, 223, 976)), (POOL_SEEDS, (5388, 2679, 1881, 606, 210))],
+        ids=["default-0-39", "region-draws-pool"],
+    )
+    def test_share_of_certified_rows(self, scenario, monkeypatch, seeds, counts):
+        # (rows, noma-corner rows, kink rows, over-budget rows, searched rows):
+        # 7,451 rows were searched on seeds 0-39 and 2,694 on the pool with
+        # the noma corner's certificate alone.
+        calls = _semi_calls(monkeypatch)
+        for seed in seeds:
+            boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
+        found = np.zeros(5, int)
+        for args, _ in calls:
+            sigma, cert, kink, over = args[2], *args[7:]
+            searched = (sigma != 0.0) & ~(cert | kink | over)
+            found += [len(sigma), cert.sum(), kink.sum(), over.sum(), searched.sum()]
+        assert tuple(found) == counts
+
 
 class TestContainment:
     def test_self_containment(self):

@@ -26,11 +26,15 @@ def test_capture_records_every_objective_call_and_restores_the_search():
     scenario = Scenario()
     real = sample_realization(scenario, 7)
     saved = boundary.search_rows, power.search_rows
+    certify = [getattr(boundary, name) for name in kernel_times.UNCERTIFIED]
     calls = {label: [] for label in kernel_times.OBJECTIVES.values()}
     with kernel_times.capture(calls):
         found, _ = trace_region(scenario, real, ["oma", "semi"], n_points=40)
         solve_min_powers(scenario, real, PowerTargets(100e3, 0.8, 8e5), 64)
     assert (boundary.search_rows, power.search_rows) == saved
+    assert [getattr(boundary, name) for name in kernel_times.UNCERTIFIED] == certify
+    # Seed 7 leaves every semi row to a certificate, so only the capture,
+    # which switches the kink and over-budget ones off, sees semi calls.
     assert all(calls.values()), {label: len(made) for label, made in calls.items()}
     # A replay scores what the search scored: the objective is pure.
     for made in calls.values():
@@ -39,6 +43,7 @@ def test_capture_records_every_objective_call_and_restores_the_search():
             assert score.shape == x.shape
             np.testing.assert_array_equal(objective(x), score)
     assert kernel_times.replay_seconds(calls["boundary semi"]) > 0.0
+    # Certified or searched, this draw's semi rows are the same, bit for bit.
     again, _ = trace_region(scenario, real, ["oma", "semi"], n_points=40)
     np.testing.assert_array_equal(again["semi"].bit_rate, found["semi"].bit_rate)
 

@@ -36,29 +36,36 @@ def test_random_scenarios_match_the_reference():
     for name, g in gaps.items():
         assert g.size, name
         assert g.max() <= quality.TOL, (name, g.max())
-    # Some default semi rows take the certified noma corner unsearched.
-    assert 0 < certified < gaps["boundary semi"].size
+    # Each certificate settles some default semi rows unsearched, but not all.
+    assert set(certified) == set(quality.CERTIFICATES)
+    for name, n in certified.items():
+        assert 0 < n < gaps["boundary semi"].size, name
+    assert sum(certified.values()) < gaps["boundary semi"].size
 
 
-def test_default_rows_skip_the_certified_semi_searches_and_the_reference_none(monkeypatch):
+@pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
+def test_default_rows_skip_the_certified_semi_searches_and_the_reference_none(monkeypatch, seed):
     # The default run solves the semi rows as trace_region does; the
     # reference searches every one of them.
     scenario = Scenario()
-    real = sample_realization(scenario, 7)
+    real = sample_realization(scenario, seed)
     sigma = np.linspace(0.0, sembit.boundary.oma_extremes(scenario, real).sigma_max, 13)
     masks = []
     original = sembit.boundary._semi_points
 
     def spy(*args):
-        masks.append(args[-1])
+        masks.append(args[7:])
         return original(*args)
 
     monkeypatch.setattr(sembit.boundary, "_semi_points", spy)
     found, ref = quality.both(quality.boundary_rows, scenario, real, sigma)
-    assert found["certified"] == int(masks[0].sum()) > 0
-    assert ref["certified"] == 0 and not masks[1].any()
-    # The dense reference search ends at the corner the certificate gives.
-    np.testing.assert_array_equal(found["semi"][masks[0]], ref["semi"][masks[0]])
+    live = sigma != 0.0
+    assert list(found["certified"].values()) == [int((m & live).sum()) for m in masks[0]]
+    assert sum(found["certified"].values()) > 0
+    assert not any(ref["certified"].values()) and not np.any(masks[1])
+    # The dense reference search ends where the certificates put the rows.
+    settled = np.logical_or.reduce(masks[0])
+    np.testing.assert_array_equal(found["semi"][settled], ref["semi"][settled])
 
 
 def test_pinned_second_basin_is_found():
@@ -165,21 +172,26 @@ def test_reference_levels_swap_the_seeds_and_restore_them():
     # The reference seeds its own bands, so cutting the default seeds
     # cannot weaken the reference that judges the cut.
     # It also certifies no semi row, so that it searches every one.
-    steps, certify = rates._EPS_STEPS, sembit.boundary._noma_optimal
+    steps = rates._EPS_STEPS
+    certify = {name: getattr(sembit.boundary, name) for name in quality.CERTIFICATES.values()}
+    assert len(certify) == 3
     scenario = Scenario()
     sigma = np.array([100e3])
     with quality.reference_levels():
         assert search.REFINE_SHRINK == quality.REF_SHRINK
         np.testing.assert_array_equal(rates._EPS_STEPS, np.linspace(0.0, 1.0, 256))
         assert eps_seeded_bands(scenario, sigma, 0.8).shape == (1, quality.REF_SEEDS)
-        assert sembit.boundary._noma_optimal is quality.no_certificate
+        for name in certify:
+            assert getattr(sembit.boundary, name) is quality.no_certificate
     assert rates._EPS_STEPS is steps and search.REFINE_SHRINK == REFINE_SHRINK
-    assert sembit.boundary._noma_optimal is certify
+    for name, original in certify.items():
+        assert getattr(sembit.boundary, name) is original
     assert eps_seeded_bands(scenario, sigma, 0.8).shape == (1, EPS_BANDS)
     with pytest.raises(ZeroDivisionError), quality.reference_levels():
         1 / 0
     assert rates._EPS_STEPS is steps and search.REFINE_SHRINK == REFINE_SHRINK
-    assert sembit.boundary._noma_optimal is certify
+    for name, original in certify.items():
+        assert getattr(sembit.boundary, name) is original
 
 
 def test_reference_levels_deepen_the_searches(monkeypatch):

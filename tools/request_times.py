@@ -14,9 +14,10 @@ counts for itself, not for its caller):
 - draw: ``sample_realization``;
 - solve (power): ``solve_min_powers``;
 - the region's trace, in four stages: oma_search, the oma rows' search
-  (``boundary._oma_points``); certify, the two closed-form certificates
-  that leave rows out of the searches (``boundary._oma_rate_bound`` and
-  ``boundary._noma_optimal``); semi_search, the semi rows' search and
+  (``boundary._oma_points``); certify, the closed-form certificates
+  that leave rows out of the searches (``boundary._oma_rate_bound``,
+  ``boundary._noma_optimal``, ``boundary._kink_optimal`` and
+  ``boundary._over_budget``); semi_search, the semi rows' search and
   fold (``boundary._semi_points``); and trace, the rest of
   ``trace_region`` (the overlay sweep, the grids, the noma rows and the
   lifts);
@@ -105,6 +106,8 @@ STAGES = (
     (boundary, "_oma_points", "oma_search"),
     (boundary, "_oma_rate_bound", "certify"),
     (boundary, "_noma_optimal", "certify"),
+    (boundary, "_kink_optimal", "certify"),
+    (boundary, "_over_budget", "certify"),
     (boundary, "_semi_points", "semi_search"),
     (cli, "_verify_solutions", "verify"),
     (cli, "check_containment", "contain"),

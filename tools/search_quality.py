@@ -19,10 +19,13 @@ reference is not.  Prints rows, misses and the worst gap per scheme, and
 exits 1 on any miss.
 
 The default boundary rows are solved as ``trace_region`` solves them: a
-semi row where ``boundary._noma_optimal`` proves the noma corner optimal
-is not searched and takes that corner.  The reference searches every
-row, so the harness judges that certificate too, and it prints how many
-default semi rows it certified.
+semi row that a certificate settles is not searched.  It takes the noma
+corner where ``boundary._noma_optimal`` proves that corner optimal, the
+kink band where ``boundary._kink_optimal`` proves the kink optimal, and
+its oma row where ``boundary._over_budget`` proves the overlay over the
+budget.  The reference searches every row, so the harness judges the
+three certificates too, and it prints how many default semi rows each
+one settled.
 
 Usage:
     python tools/search_quality.py [--scenarios N] [--seed S]
@@ -53,6 +56,10 @@ TOL = 1e-7
 ROWS = 12
 TRIPLES = 8
 SCHEMES = ("oma", "semi")
+# The certificates that settle a semi row without its search, by the name
+# the harness prints, and the function of ``boundary`` that decides it.
+CERTIFICATES = {"noma corner": "_noma_optimal", "kink": "_kink_optimal",
+                "over budget": "_over_budget"}
 # A boundary row where the default search found a second, lower basin
 # on the parent of the similarity-seeded boundary searches: reference
 # 1,588,176.36 bit/s at a 709.8 kHz band, found 1,572,008.89 at 607.0 kHz.
@@ -79,29 +86,34 @@ def reference_levels():
     similarity seeds are :func:`sembit.rates.eps_seeded_bands`'s steps,
     ``rates._EPS_STEPS``, swapped for ``REF_SEEDS`` evenly spaced ones, so
     that fewer default seeds do not weaken the reference that judges them.
-    ``boundary._noma_optimal`` certifies no row, so that the reference
-    searches every semi row.
+    The semi certificates, ``CERTIFICATES`` of ``boundary``, certify no
+    row, so that the reference searches every semi row.
     """
-    saved = search.REFINE_SHRINK, rates._EPS_STEPS, boundary._noma_optimal
+    saved = search.REFINE_SHRINK, rates._EPS_STEPS
+    certify = {name: getattr(boundary, name) for name in CERTIFICATES.values()}
     search.REFINE_SHRINK, rates._EPS_STEPS = REF_SHRINK, np.linspace(0.0, 1.0, REF_SEEDS)
-    boundary._noma_optimal = no_certificate
+    for name in certify:
+        setattr(boundary, name, no_certificate)
     try:
         yield
     finally:
-        search.REFINE_SHRINK, rates._EPS_STEPS, boundary._noma_optimal = saved
+        search.REFINE_SHRINK, rates._EPS_STEPS = saved
+        for name, original in certify.items():
+            setattr(boundary, name, original)
 
 
-def no_certificate(scenario, real, sigma, beats):
-    """A stand-in for ``boundary._noma_optimal`` that certifies no row."""
+def no_certificate(scenario, real, sigma, *_):
+    """A stand-in for each of ``CERTIFICATES`` that certifies no row."""
     return np.zeros(len(sigma), bool)
 
 
 def boundary_rows(scenario, real, sigma, grid_n):
-    """Oma and semi boundary bit rates at the targets ``sigma``, and the certified row count.
+    """Oma and semi boundary bit rates at the targets ``sigma``, and the certified row counts.
 
     The rows are solved as ``trace_region`` solves them when every scheme
-    is traced: oma searches every row, and semi skips the rows that
-    ``boundary._noma_optimal`` certifies, which ``"certified"`` counts.
+    is traced: oma searches every row, and semi skips the positive
+    targets that one of ``CERTIFICATES`` settles, which ``"certified"``
+    counts by certificate.
     """
     bands = boundary._seeds(scenario, sigma)
     ext = boundary.oma_extremes(scenario, real)
@@ -109,9 +121,14 @@ def boundary_rows(scenario, real, sigma, grid_n):
     noma = boundary._noma_points(scenario, real, sigma)
     bound = boundary._oma_rate_bound(scenario, real, sigma)
     beats = noma.bit_rate > bound * (1.0 + boundary.BOUND_RTOL)
-    certified = boundary._noma_optimal(scenario, real, sigma, beats)
-    semi = boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma, certified)
-    return {"oma": oma.bit_rate, "semi": semi.bit_rate, "certified": int(certified.sum())}
+    masks = (
+        boundary._noma_optimal(scenario, real, sigma, beats),
+        boundary._kink_optimal(scenario, real, sigma),
+        boundary._over_budget(scenario, real, sigma),
+    )
+    semi = boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma, *masks)
+    certified = {name: int((m & (sigma != 0.0)).sum()) for name, m in zip(CERTIFICATES, masks)}
+    return {"oma": oma.bit_rate, "semi": semi.bit_rate, "certified": certified}
 
 
 def power_rows(scenario, real, targets, grid_n):
@@ -176,20 +193,21 @@ def pinned_gaps() -> dict[str, float]:
     return {s: float(boundary_gaps(found[s], ref[s])[1]) for s in SCHEMES}
 
 
-def survey(n_scenarios: int, seed: int) -> tuple[dict[str, np.ndarray], int]:
+def survey(n_scenarios: int, seed: int) -> tuple[dict[str, np.ndarray], dict[str, int]]:
     """Gaps of every row, by ``"<kind> <scheme>"``, over ``n_scenarios`` random cases.
 
-    Also returns how many default semi boundary rows the certificate left
-    unsearched.
+    Also returns how many default semi boundary rows each of
+    ``CERTIFICATES`` left unsearched.
     """
     rng = np.random.default_rng(seed)
     gaps: dict[str, list] = {f"{kind} {s}": [] for kind in ("boundary", "power") for s in SCHEMES}
-    certified = 0
+    certified = dict.fromkeys(CERTIFICATES, 0)
     for _ in range(n_scenarios):
         scenario, real, sigma, targets = random_case(rng)
         if sigma[-1] > 0.0:
             found, ref = both(boundary_rows, scenario, real, sigma)
-            certified += found["certified"]
+            for name, n in found["certified"].items():
+                certified[name] += n
             for s in SCHEMES:
                 gaps[f"boundary {s}"].append(boundary_gaps(found[s], ref[s]))
         found, ref = both(power_rows, scenario, real, targets)
@@ -217,7 +235,8 @@ def main(argv=None) -> int:
         worst = f"{g.max():.3g}" if g.size else "-"
         print(f"{name:16s} rows {g.size:6d}  misses {n_miss:4d}  worst gap {worst}")
     semi_rows = gaps["boundary semi"].size
-    print(f"semi boundary rows at a certified noma corner, unsearched: {certified} of {semi_rows}")
+    for name, n in certified.items():
+        print(f"semi boundary rows certified unsearched, {name}: {n} of {semi_rows}")
     return 1 if misses else 0
 
 
