@@ -8,14 +8,15 @@ form, and the hybrid optimises a shared-band width with the residual
 power water-filled between its two bit pipes.
 
 The solvers work on sigma grids: each scheme's result is a
-:class:`BoundaryRows` of 1-D columns, one row per target, solved in row
-batches with one search per batch; each row is exactly what a grid of
-its target alone gives.  A search objective scores its whole rows x
-candidates matrix with one full-width kernel of :mod:`sembit.rates`,
-:func:`~sembit.rates.orth_max_rate` or the closed-form water-fill of
-:func:`~sembit.rates.hybrid_max_rate`, which masks a candidate whose
-semantic power leaves no budget to 0.  A search returns each row's
-band; the hybrid rows get their bit powers from
+:class:`BoundaryRows` of 1-D columns, one row per target, and one search
+solves the oma and hybrid rows of a region together, in row batches;
+each row is exactly what a grid of its target alone gives.  The search
+objective, :func:`_max_rate`, scores a batch's rows x candidates matrix
+with one semantic-power call and one full-width kernel of
+:mod:`sembit.rates` per kind of row, :func:`~sembit.rates.orth_max_rate`
+or the closed-form water-fill of :func:`~sembit.rates.hybrid_max_rate`,
+which masks a candidate whose semantic power leaves no budget to 0.  The
+search returns each row's band; the hybrid rows get their bit powers from
 :func:`~sembit.rates.water_fill_max_grid`.  Every row's bit rate and
 similarity are then :func:`~sembit.rates.rates_rows`' of its own
 allocation, so each reported row is the plug-back of that allocation by
@@ -31,9 +32,10 @@ hybrid folds in the oma and noma rows it is given for the same targets
 (:func:`sembit.rates.fold_corners`): its boundary dominates the other two
 at finite grid resolution by construction, not merely up to search luck.
 :func:`trace_region` is the one region driver, for any set of schemes:
-it picks each scheme's sigma grid, solves oma once on the hybrid's grid
-and lets the hybrid reuse those rows.  Closed-form certificates leave
-rows out of the searches where no search could change an output: an oma
+it picks each scheme's sigma grid, and :func:`_region_rows` solves oma
+and the hybrid on the hybrid's grid, which folds in those oma rows.
+Closed-form certificates, combined there alone, leave rows out of the
+search where no search could change an output: an oma
 row that no output reports is not searched where the overlay beats
 :func:`_oma_rate_bound`.  Three certificates give a hybrid row its
 optimum, the top of its Lemma 1 interval or an oma split, without a
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -78,7 +81,7 @@ from .search import DEFAULT_GRID_N, search_rows
 from .similarity import LN10_OVER_10, power_for_similarity_grid, required_power_for_similarity
 
 # Bracket zoom of the boundary searches: 17-point brackets over 6 levels.
-# A region solves about 185 rows per coarse objective call, so a search
+# A region's coarse objective calls score up to 186 rows each, so a search
 # costs about one unit per candidate, and narrow brackets score the fewest.
 SEARCH_ZOOM = 8
 # Relative margin by which the overlay must beat :func:`_oma_rate_bound`
@@ -216,57 +219,58 @@ def oma_extremes(scenario: Scenario, real: ChannelRealization) -> Extremes:
     return Extremes(sigma_max=sem.item(0), r_max=bit.item(1), power_limited=w_sem < w, w_sem=w_sem)
 
 
-def _seeds(scenario: Scenario, sigma: np.ndarray) -> np.ndarray:
-    """The :func:`eps_seeded_bands` of the nonzero targets of ``sigma``, which are searched."""
-    return eps_seeded_bands(scenario, sigma[sigma != 0.0], scenario.min_similarity)
+def _max_rate(scenario: Scenario, real: ChannelRealization, cols: np.ndarray, x) -> np.ndarray:
+    """Bit rate of the search rows ``cols`` at bands ``x``: the objective of the boundary search.
+
+    Each line of ``cols`` holds a row's semantic-rate target, then 1 on an
+    oma row and 0 on a semi row; oma rows come first, as in every
+    consecutive slice of the search's row set.  Every row pays the
+    semantic power on band x pinned by the harder of the rate target and
+    the floor.  An oma row hands the rest of the budget to the clean band
+    W - x (:func:`~sembit.rates.orth_max_rate`); a semi row water-fills it
+    between the superposed pipe on x and the clean band
+    (:func:`~sembit.rates.hybrid_max_rate`).  A candidate whose semantic
+    power exceeds the budget scores zero.
+    """
+    w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
+    k = np.count_nonzero(cols[:, 1])
+    p_s = sem_power(scenario, real.gain_s, cols[:, :1], scenario.min_similarity, x)
+    rate = orth_max_rate(w, x[:k], p_s[:k], p_max, real.gain_b, n0)
+    if k < len(x):
+        semi = hybrid_max_rate(w, x[k:], p_s[k:], p_max, real.gain_eff, real.gain_b, n0)
+        rate = np.concatenate([rate, semi])
+    return rate
 
 
 def _oma_points(
     scenario: Scenario,
     real: ChannelRealization,
     sigma: np.ndarray,
-    grid_n: int,
-    bands: np.ndarray,
     ext: Extremes,
-    need: np.ndarray | None = None,
+    need: np.ndarray,
+    ws: np.ndarray,
 ) -> BoundaryRows:
-    """Orthogonal boundary rows: the largest bit rate at each target of ``sigma``.
+    """Orthogonal boundary rows at the targets of ``sigma`` that ``need`` marks.
 
-    Each row searches the semantic band over its :func:`lemma1_bounds`
-    interval [sigma*k/a_high, min(sigma*k/floor, W)], with its
-    similarity-seeded bands ``bands`` (the :func:`_seeds` of ``sigma``)
-    added to the grid, one search per row batch.  A candidate pays the
-    exact power that meets the semantic target and hands the rest to the
-    bit band; one whose power need exceeds the budget scores zero.  Ties
-    break toward the smaller semantic band.  A zero target is the bit
-    intercept: no semantic band, and the whole budget on the full bit band.
-    A positive target equal to sigma_max is the semantic intercept, the
-    corner of the draw's :func:`oma_extremes` ``ext``: band w_sem and the
-    whole budget.  Rows outside the mask ``need`` (default: every row) are
-    not searched and stay unsolved.
+    ``ws`` holds the searched semantic band of each positive target in
+    ``need``, in order.  Such a row pays the exact power that meets its
+    semantic target on that band and hands the rest to the bit band.  A
+    zero target is the bit intercept: no semantic band, and the whole
+    budget on the full bit band.  A positive target equal to sigma_max is
+    the semantic intercept, the corner of the draw's :func:`oma_extremes`
+    ``ext``: band w_sem and the whole budget.  Rows outside ``need`` stay
+    unsolved, as does a band whose power need exceeds the budget.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    floor = scenario.min_similarity
-    need = np.ones(len(sigma), bool) if need is None else need
-    live = sigma != 0.0
-    run = live & need
-    s = sigma[run]
-    lo, hi = lemma1_bounds(scenario, s, floor)
-
-    def score(s_col: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        p_req = sem_power(scenario, real.gain_s, s_col, floor, ws)
-        return orth_max_rate(w, ws, p_req, p_max, real.gain_b, scenario.noise_psd)
-
-    ws, p_sem = np.zeros((2, len(sigma)))
-    ws[run] = search_rows(
-        score, s[:, None], lo, hi, bands[need[live]], grid_n, maximize=True, zoom=SEARCH_ZOOM
-    )[0]
-    p_sem[run] = sem_power(scenario, real.gain_s, s, floor, ws[run])
+    run = need & (sigma != 0.0)
+    w_sem, p_sem = np.zeros((2, len(sigma)))
+    w_sem[run] = ws
+    p_sem[run] = sem_power(scenario, real.gain_s, sigma[run], scenario.min_similarity, ws)
     corner = run & (sigma == ext.sigma_max)
-    ws[corner], p_sem[corner] = ext.w_sem, p_max
-    zero = np.zeros_like(ws)
-    fields = np.array([zero, ws, w - ws, p_sem, zero, p_max - p_sem])
+    w_sem[corner], p_sem[corner] = ext.w_sem, p_max
+    zero = np.zeros_like(w_sem)
+    fields = np.array([zero, w_sem, w - w_sem, p_sem, zero, p_max - p_sem])
     return _columns(scenario, real, fields, need & (p_sem <= p_max))
 
 
@@ -442,11 +446,11 @@ def _over_budget(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray
     required similarity only rises as the band narrows, so the power per
     hertz does too: p_s(w) >= w*p_s(W)/W.  With k_m >= k_b, opening the
     pipe would need P > p_s(W).  So on every band the superposed pipe
-    shuts and the hybrid scores the orthogonal rate at that band, the
-    objective of :func:`_oma_points`.  Above the top of the oma interval,
-    w_up, the floor pins the power per hertz, so a wider band leaves the
-    bit stream less band and less power: the best band lies in the oma
-    interval, whose own search the hybrid's fold gives the row.
+    shuts and the hybrid scores the orthogonal rate at that band, an oma
+    row's objective in :func:`_max_rate`.  Above the top of the oma
+    interval, w_up, the floor pins the power per hertz, so a wider band
+    leaves the bit stream less band and less power: the best band lies in
+    the oma interval, whose own search the hybrid's fold gives the row.
     """
     w, floor = scenario.total_bandwidth, scenario.min_similarity
     p_s = sem_power(scenario, real.gain_s, sigma, floor, w)
@@ -562,64 +566,24 @@ def _semi_points(
     scenario: Scenario,
     real: ChannelRealization,
     sigma: np.ndarray,
-    grid_n: int,
-    bands: np.ndarray,
+    at: np.ndarray,
+    wm: np.ndarray,
     oma: BoundaryRows,
     noma: BoundaryRows,
-    certified: np.ndarray | None = None,
-    kink: np.ndarray | None = None,
-    over: np.ndarray | None = None,
 ) -> BoundaryRows:
-    """Hybrid boundary rows: the largest bit rate at each target of ``sigma``.
+    """Hybrid boundary rows at the targets of ``sigma``: interior bands and both corners.
 
-    Each row searches the shared band over [sigma*k/a_high, W], seeded
-    with its similarity-seeded bands (``bands``, the :func:`_seeds` of
-    ``sigma``) and the oma band, one search per row batch.
-    A candidate pays the semantic power pinned by the harder of the rate
-    target and the similarity floor, then water-fills the rest between
-    the superposed and clean bit pipes.  Ties break toward the wider
-    shared band.  ``oma`` and ``noma`` hold those schemes' rows for the
-    same targets: the oma band seeds each row's search, and both are
-    folded in as corners once it is done, so no row falls below either.
-    Three row masks (default: none) leave rows out of the search, each a
-    closed-form certificate of the row's optimum.  Rows in ``certified``
-    (:func:`_noma_optimal`) and ``over`` (:func:`_over_budget`) are left
-    to the fold, which gives them the noma and the oma corner, as it does
-    a row whose search finds nothing better.  A row in ``kink``
-    (:func:`_kink_optimal`) takes its first similarity seed, the kink
-    rounded up one ulp, in place of the search's band.
+    ``at`` indexes the rows that have an interior shared band, and ``wm``
+    holds those bands.  Such a row pays the semantic power pinned by the
+    harder of the rate target and the similarity floor, then water-fills
+    the rest between the superposed and clean bit pipes.  ``oma`` and
+    ``noma`` hold those schemes' rows for the same targets, folded in as
+    corners, so no row falls below either.
     """
     w = scenario.total_bandwidth
     p_max = scenario.max_power
-    floor = scenario.min_similarity
-    none = np.zeros(len(sigma), bool)
-    certified, kink, over = (none if m is None else m for m in (certified, kink, over))
-    run = sigma != 0.0
-    skip = certified | kink | over
-    live = np.flatnonzero(run & ~skip)
-    s = sigma[live]
-    lo = lemma1_bounds(scenario, s, floor)[0]
-    hi = np.full(len(s), w)
-    # The oma band seeds a row's search when it fits; w, the grid's last
-    # point, pads the other rows.
-    w_o = oma.w_sem[live]
-    seed = np.where(oma.solved[live] & (w_o >= lo), w_o, w)
-
-    def score(s_col: np.ndarray, wm: np.ndarray) -> np.ndarray:
-        p_s = sem_power(scenario, real.gain_s, s_col, floor, wm)
-        return hybrid_max_rate(w, wm, p_s, p_max, real.gain_eff, real.gain_b, scenario.noise_psd)
-
-    extra = np.column_stack([bands[~skip[run]], seed])
-    wm, rate = search_rows(
-        score, s[:, None], lo, hi, extra, grid_n, maximize=True, zoom=SEARCH_ZOOM, tie_high=True
-    )
-    # A kink row takes its first seed, clipped into its interval as the search clips it.
-    at_kink = np.flatnonzero(run & kink)
-    live = np.concatenate([live, at_kink])
-    wm = np.concatenate([wm, np.minimum(bands[kink[run], 0], w)])
-    fits = np.concatenate([rate > 0.0, np.ones(len(at_kink), bool)])
-    p_s = sem_power(scenario, real.gain_s, sigma[live], floor, wm)
-    interior = (p_s <= p_max) & fits
+    p_s = sem_power(scenario, real.gain_s, sigma[at], scenario.min_similarity, wm)
+    interior = p_s <= p_max
     # An interior optimum water-fills the rest of the budget for the largest rate.
     wm, p_s = wm[interior], p_s[interior]
     w_b = w - wm
@@ -633,10 +597,74 @@ def _semi_points(
     # allocation realises keeps the dominance exact.
     best = np.full((1 + len(ALLOC_FIELDS), len(sigma)), np.nan)
     best[0] = -np.inf
-    best[1:, live[interior]] = found
-    best[0, live[interior]] = bit_rates(scenario, real.gain_b, real.gain_eff, found)
+    best[1:, at[interior]] = found
+    best[0, at[interior]] = bit_rates(scenario, real.gain_b, real.gain_eff, found)
     fold_corners(best, _fields(oma), _fields(noma), np.greater)
     return _columns(scenario, real, best[1:], ~np.isnan(best[1]))
+
+
+def _region_rows(
+    scenario: Scenario,
+    real: ChannelRealization,
+    sigma: np.ndarray,
+    grid_n: int,
+    ext: Extremes,
+    report: np.ndarray,
+    hybrid: bool,
+) -> tuple[BoundaryRows, BoundaryRows | None]:
+    """Oma rows at the targets of ``sigma``, and the hybrid's if ``hybrid``, from one search.
+
+    ``report`` marks the oma rows an output reports, each of which is
+    searched.  The hybrid needs an oma row only for its fold, so with
+    ``hybrid`` an oma row outside ``report`` is searched only where the
+    overlay fails to beat :func:`_oma_rate_bound`: elsewhere the overlay
+    corner wins the fold over any orthogonal split, and the row stays
+    unsolved.  A hybrid row is searched only where no certificate gives
+    its optimum: :func:`_noma_optimal` the overlay corner and
+    :func:`_over_budget` an orthogonal split, which the fold gives it, and
+    :func:`_kink_optimal` the kink band, its first similarity seed.
+
+    One :func:`~sembit.search.search_rows` call, with the :func:`_max_rate`
+    objective, searches the positive targets' oma rows over their
+    :func:`lemma1_bounds` interval [sigma*k/a_high, min(sigma*k/floor, W)]
+    and then their hybrid rows over [sigma*k/a_high, W], each row seeded
+    with its :func:`eps_seeded_bands`; there is no call when no row needs
+    one.  Ties break toward the narrower band.
+    """
+    w, floor = scenario.total_bandwidth, scenario.min_similarity
+    live = sigma != 0.0
+    need = report
+    searched, kink = np.zeros((2, len(sigma)), bool)
+    if hybrid:
+        noma = _noma_points(scenario, real, sigma)
+        beats = noma.bit_rate > _oma_rate_bound(scenario, real, sigma) * (1.0 + BOUND_RTOL)
+        need = report | ~beats
+        kink = _kink_optimal(scenario, real, sigma)
+        settled = _noma_optimal(scenario, real, sigma, beats) | kink
+        searched = live & ~(settled | _over_budget(scenario, real, sigma))
+    i_o, i_s, i_k = (np.flatnonzero(m) for m in (live & need, searched, kink))
+    n_o, n = len(i_o), len(i_o) + len(i_s)
+    s = sigma[np.concatenate([i_o, i_s, i_k])]
+    bands = eps_seeded_bands(scenario, s, floor)
+    x = f = np.empty(0)
+    if n:
+        lo, up = lemma1_bounds(scenario, s[:n], floor)
+        oma_row = np.arange(n) < n_o
+        objective = partial(_max_rate, scenario, real)
+        cols, hi = np.column_stack([s[:n], oma_row]), np.where(oma_row, up, w)
+        x, f = search_rows(
+            objective, cols, lo, hi, bands[:n], grid_n, maximize=True, zoom=SEARCH_ZOOM
+        )
+    oma = _oma_points(scenario, real, sigma, ext, need, x[:n_o])
+    if not hybrid:
+        return oma, None
+    # A hybrid row whose search scores zero has no interior band; a kink
+    # row takes its first seed, clipped into its interval as the search
+    # clips it.
+    won = f[n_o:] > 0.0
+    at = np.concatenate([i_s[won], i_k])
+    wm = np.concatenate([x[n_o:][won], np.minimum(bands[n:, 0], w)])
+    return oma, _semi_points(scenario, real, sigma, at, wm, oma, noma)
 
 
 def _lifted(scheme, sigma, rows: BoundaryRows, on=slice(None)):
@@ -662,7 +690,7 @@ def trace_region(
     n_points: int = 200,
     grid_n: int = DEFAULT_GRID_N,
 ) -> tuple[dict[Scheme, RegionBoundary], EmptyRegion | None]:
-    """The boundaries of ``schemes`` for one draw, with oma solved once.
+    """The boundaries of ``schemes`` for one draw, with one boundary search.
 
     The overlay goes first, with its own closed-form sweep
     (:func:`noma_boundary`).  The orthogonal boundary lifts (see
@@ -670,19 +698,13 @@ def trace_region(
     values over [0, sigma_max].  The hybrid's grid is that uniform grid,
     merged with the overlay's sigma samples (``np.unique`` of both) when
     the overlay is traced, so containment checks interpolate at exact
-    hybrid knots.  Oma is solved once, on the hybrid's grid; the hybrid
-    folds in all of its rows and lifts its own.  An oma row that the
-    orthogonal boundary does not report is searched only where the
-    overlay fails to beat :func:`_oma_rate_bound` there: elsewhere the
-    overlay corner wins the hybrid's fold over any orthogonal split.
-    Likewise a hybrid row is searched only where no certificate gives its
-    optimum: :func:`_noma_optimal` the overlay corner, which the fold then
-    gives it, :func:`_kink_optimal` the kink band, at which it is
-    evaluated, and :func:`_over_budget` an orthogonal split, which the
-    fold gives it from the oma row.  A power-limited draw's overlay
-    overspends at every target, so there the hybrid boundary is the
-    orthogonal one.
-    Points are solved in row batches, one search per batch.
+    hybrid knots.  Oma and the hybrid are solved together on the
+    hybrid's grid by :func:`_region_rows`, in one search: the hybrid folds
+    in the oma rows and lifts its own, and the oma rows an output reports
+    are the uniform ones.  Certificates leave out of that search the oma
+    rows no output needs and the hybrid rows whose optimum a closed form
+    gives.  A power-limited draw's overlay overspends at every target, so
+    there the hybrid boundary is the orthogonal one.
 
     Returns the boundaries by scheme, and the :class:`EmptyRegion` that
     left out the overlay on a power-limited draw (else None).
@@ -707,26 +729,12 @@ def trace_region(
             merged = np.concatenate([uniform, found[Scheme.NOMA].sigma])
             sigma, inverse = np.unique(merged, return_inverse=True)
             on_uniform = inverse[:n_points]
-        bands = _seeds(scenario, sigma)
-        need = np.ones(len(sigma), bool)
-        if Scheme.SEMI in schemes:
-            noma = _noma_points(scenario, real, sigma)
-            # An oma row no output reports only feeds the hybrid; skip it
-            # where the overlay beats every orthogonal split.
-            beats = noma.bit_rate > _oma_rate_bound(scenario, real, sigma) * (1.0 + BOUND_RTOL)
-            certified = _noma_optimal(scenario, real, sigma, beats)
-            kink = _kink_optimal(scenario, real, sigma)
-            over = _over_budget(scenario, real, sigma)
-            need = ~beats
-            if Scheme.OMA in schemes:
-                need[on_uniform] = True
-        oma = _oma_points(scenario, real, sigma, grid_n, bands, ext, need)
+        report = np.zeros(len(sigma), bool)
+        report[on_uniform] = Scheme.OMA in schemes
+        oma, semi = _region_rows(scenario, real, sigma, grid_n, ext, report, Scheme.SEMI in schemes)
         if Scheme.OMA in schemes:
             found[Scheme.OMA] = _lifted(Scheme.OMA, uniform, oma, on_uniform)
         if Scheme.SEMI in schemes:
-            semi = _semi_points(
-                scenario, real, sigma, grid_n, bands, oma, noma, certified, kink, over
-            )
             found[Scheme.SEMI] = _lifted(Scheme.SEMI, sigma, semi)
     return found, empty
 

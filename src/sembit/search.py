@@ -14,8 +14,8 @@ a search over many rows costs about one unit per candidate, so narrow
 brackets over more levels are cheaper, while a one-row search costs about
 one unit per objective call, so wide brackets over few levels are.  The incumbent
 keeps its score from the level that found it and is not scored again; a
-bracket point replaces it only when it scores better, or equal and on
-the tie side.  A unimodal objective has its optimum within one spacing
+bracket point replaces it only when it scores better, or equal and
+smaller.  A unimodal objective has its optimum within one spacing
 of the best sample, so no candidate outside the bracket could win.  No
 randomness, no tolerance-dependent iteration counts: the same inputs
 always visit the same candidates, which keeps CLI outputs
@@ -31,20 +31,22 @@ stay, since an equal x scores equally.  A row set runs in two phases,
 the coarse grid and then the brackets from its incumbents.  Each phase
 cuts the rows into :func:`row_batches` of its own width, so that each
 objective call stays near ``BATCH_CANDIDATES`` candidates: a default
-region's coarse phase scores batches of 184 rows x 89 candidates (186 x
-88 for oma), and its bracket phase one batch of about 400 rows x 17 per
-scheme.  Cut to the coarse phase's 184 rows, a 17-point bracket call
-would score about 3,100 candidates, too few to amortise numpy's per-call
-overhead.  A minimum-power row set holds each row twice, an oma row and
-a semi row, which one objective scores together.
+region's coarse phase scores batches of 186 rows x 88 candidates, and
+its bracket phase one batch of at most 963 rows x 17, which holds every
+row a default region searches.  Cut to the coarse phase's 186 rows, a
+17-point bracket call would score about 3,200 candidates, too few to
+amortise numpy's per-call overhead.  A region's row set holds the oma
+rows it searches, then the semi rows, and a minimum-power row set holds
+each row twice, an oma row and a semi row; in either, one objective
+scores both kinds together.
 
 Before its first batch, :func:`search_rows` raises glibc's malloc trim
 threshold to ``MALLOC_TRIM_THRESHOLD``, once per process.  Every batch's
 float temporary, with glibc's 8 B chunk header, stays under glibc's
-128 KiB mmap threshold, so the temporaries live on the heap: the semi
-boundary's coarse batches (184 x 89 x 8 + 8 = 131,016 B, a 131,024 B
-chunk), the oma and power coarse batches (186 x 88) and the 17-point
-bracket batches (at most 963 x 17 x 8 + 8 = 130,976 B).  With glibc's
+128 KiB mmap threshold, so the temporaries live on the heap: the
+boundary and power coarse batches (186 x 88 x 8 + 8 = 130,952 B, a
+130,960 B chunk) and the 17-point bracket batches (at most 963 x 17 x 8
++ 8 = 130,976 B).  With glibc's
 default trim threshold, freeing a batch's temporaries handed the top of
 the heap back to the kernel, and the next objective call faulted the
 same pages in again: about 6,000 minor page faults, a third of the wall
@@ -149,25 +151,21 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, ramp: np.ndarray) -> np.
     return y
 
 
-def _pick(values: np.ndarray, maximize: bool, tie_high: bool) -> np.ndarray:
-    """Column of each row's best candidate: the first of equals, or the last if ``tie_high``.
+def _pick(values: np.ndarray, maximize: bool) -> np.ndarray:
+    """Column of each row's best candidate, the first of equals.
 
     NaNs (dead candidates) always lose.  ``argmax`` and ``argmin`` return a
     row's first NaN, so a row holds a NaN exactly when its pick scores
     NaN; only then are the NaNs patched and the pick taken again.
     """
-    if tie_high:
-        values = values[:, ::-1]
     i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
     if np.isnan(values[np.arange(len(i)), i]).any():
         values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
         i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
-    return values.shape[1] - 1 - i if tie_high else i
+    return i
 
 
-def search_rows(
-    objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, zoom: int, tie_high=False
-):
+def search_rows(objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, zoom: int):
     """(x, f) optimising ``objective(cols[rows], x)`` for each row, in two row-batched phases.
 
     ``cols`` holds one line of per-row data for each row, and row i
@@ -182,7 +180,7 @@ def search_rows(
     keeps its score and is not scored again.  Each phase is cut into
     :func:`row_batches` of its own width, and every row gets exactly the
     result a one-row search would.  Ties break toward the smallest
-    candidate unless ``tie_high``.
+    candidate.
     """
     check_grid_n(grid_n)
     levels = refine_levels(zoom, REFINE_SHRINK)
@@ -197,7 +195,7 @@ def search_rows(
             grid = np.concatenate([grid, np.clip(extra[b], lo[b, None], hi[b, None])], axis=1)
             grid.sort(axis=1)
         fb = objective(cols[b], grid)
-        i = _pick(fb, maximize, tie_high)
+        i = _pick(fb, maximize)
         rows = np.arange(len(grid))
         x[b], f[b] = grid[rows, i], fb[rows, i]
 
@@ -211,10 +209,10 @@ def search_rows(
                 np.maximum(lo_b, x_best - half), np.minimum(hi_b, x_best + half), ramp
             )
             fw = objective(cols[b], window)
-            j = _pick(fw, maximize, tie_high)
+            j = _pick(fw, maximize)
             xj, fj = window[rows, j], fw[rows, j]
             better = fj > f_best if maximize else fj < f_best
-            better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
+            better |= (fj == f_best) & (xj < x_best)
             x_best = np.where(better, xj, x_best)
             f_best = np.where(better, fj, f_best)
             half /= zoom

@@ -39,19 +39,17 @@ def _points(scheme, rows, sigma):
 
 
 def _oma_points(scenario, real, sigma, grid_n):
-    """``boundary._oma_points`` seeded with the similarity bands of ``sigma``."""
-    bands = boundary._seeds(scenario, sigma)
+    """The oma rows of ``boundary._region_rows`` with every row reported and no hybrid."""
     ext = boundary.oma_extremes(scenario, real)
-    return boundary._oma_points(scenario, real, sigma, grid_n, bands, ext)
+    report = np.ones(len(sigma), bool)
+    return boundary._region_rows(scenario, real, sigma, grid_n, ext, report, False)[0]
 
 
 def _semi_points(scenario, real, sigma, grid_n):
-    """``boundary._semi_points`` folding the oma and noma columns of the same sigmas."""
-    bands = boundary._seeds(scenario, sigma)
+    """The hybrid rows of ``boundary._region_rows`` with no oma row reported."""
     ext = boundary.oma_extremes(scenario, real)
-    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands, ext)
-    noma = boundary._noma_points(scenario, real, sigma)
-    return boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma)
+    report = np.zeros(len(sigma), bool)
+    return boundary._region_rows(scenario, real, sigma, grid_n, ext, report, True)[1]
 
 
 def solve_oma_point(scenario, real, sigma_target, grid_n=DEFAULT_GRID_N) -> BoundaryPoint:

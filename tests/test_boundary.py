@@ -628,22 +628,21 @@ class TestLiveOnlyScores:
     within 1e-12 of its row's largest reference score.
     """
 
-    @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
-    def test_scores_equal_full_grid_scoring(self, scenario, monkeypatch, seed):
+    # Seeds 7 and 4 (power-limited) leave every semi row to a certificate; 0 does not.
+    @pytest.mark.parametrize("seed, searched", [(7, {"oma"}), (4, {"oma"}), (0, {"oma", "semi"})])
+    def test_scores_equal_full_grid_scoring(self, scenario, monkeypatch, seed, searched):
         real = sample_realization(scenario, seed)
-        full = {"_oma_points": _full_oma_score, "_semi_points": _full_semi_score}
-        scores = {}
-        kinds = set()
+        scores, kinds, seen = [], set(), set()
         original = boundary.search_rows
 
         def spy(objective, *args, **kw):
-            owner = objective.__qualname__.split(".")[0]
-            scores[owner] = objective
+            scores.append(objective)
 
-            def checked(s_col, x):
-                got = objective(s_col, x)
-                _assert_scores(owner, got, full[owner](scenario, real, s_col, x))
-                kinds.update(_row_kinds(scenario, real, s_col, x))
+            def checked(cols, x):
+                got = objective(cols, x)
+                _assert_stacked_scores(scenario, real, cols, x, got)
+                seen.update(_ROW_SCHEMES[int(flag)] for flag in cols[:, 1])
+                kinds.update(_row_kinds(scenario, real, cols[:, :1], x))
                 return got
 
             return original(checked, *args, **kw)
@@ -651,24 +650,64 @@ class TestLiveOnlyScores:
         monkeypatch.setattr(boundary, "search_rows", spy)
         sigma_max = oma_extremes(scenario, real).sigma_max
         boundary.trace_region(scenario, real, ["oma", "semi"], n_points=40, grid_n=64)
-        assert set(scores) == set(full)  # the spy saw both searches
+        assert len(scores) == 1 and seen == searched
         assert kinds == {"dead", "live", "mixed"}
 
         # Rows past the region's edge score nothing; thin bands are dead flanks.
-        s_col = np.linspace(0.0, 1.3 * sigma_max, 27)[:, None]
-        x = np.tile(np.geomspace(1e-300, scenario.total_bandwidth, 300), (len(s_col), 1))
-        assert {"dead", "mixed"} <= set(_row_kinds(scenario, real, s_col, x))
-        for owner, score in scores.items():
-            _assert_scores(owner, score(s_col, x), full[owner](scenario, real, s_col, x))
+        # The same targets as oma rows, then as semi rows, in one call.
+        s = np.linspace(0.0, 1.3 * sigma_max, 27)
+        cols = np.column_stack([np.tile(s, 2), np.arange(54) < 27])
+        x = np.tile(np.geomspace(1e-300, scenario.total_bandwidth, 300), (len(cols), 1))
+        assert {"dead", "mixed"} <= set(_row_kinds(scenario, real, s[:, None], x[:27]))
+        _assert_stacked_scores(scenario, real, cols, x, scores[0](cols, x))
 
 
-def _assert_scores(owner, got, want):
+# The scheme of a boundary search row, by its flag in the objective's row data.
+_ROW_SCHEMES = {1: "oma", 0: "semi"}
+
+
+def _assert_stacked_scores(scenario, real, cols, x, got):
+    """The oma rows of ``cols`` (first) and its semi rows score as the full-grid references."""
+    k = np.count_nonzero(cols[:, 1])
+    s_col = cols[:, :1]
+    _assert_scores("oma", got[:k], _full_oma_score(scenario, real, s_col[:k], x[:k]))
+    _assert_scores("semi", got[k:], _full_semi_score(scenario, real, s_col[k:], x[k:]))
+
+
+def _assert_scores(scheme, got, want):
     """Oma scores equal ``want``; semi scores lie within 1e-12 of their row's largest."""
-    if owner == "_oma_points":
+    if scheme == "oma":
         np.testing.assert_array_equal(got, want)
+        return
+    if not got.size:
         return
     tol = 1e-12 * want.max(axis=1, keepdims=True)
     assert (np.abs(got - want) <= tol).all(), np.max(np.abs(got - want) / np.maximum(tol, 1e-300))
+
+
+class TestStackedObjective:
+    """One objective scores a batch's oma rows, then its semi rows, each row as if alone."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 4, 7])  # 4 is a power-limited draw
+    def test_stacked_rows_score_as_each_kind_alone(self, scenario, seed):
+        real = sample_realization(scenario, seed)
+        w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
+        floor = scenario.min_similarity
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(0.0, oma_extremes(scenario, real).sigma_max, 40)
+        lo = lemma1_bounds(scenario, s, floor)[0]
+        x = lo[:, None] + (w - lo)[:, None] * rng.random((40, 88))
+        cols = np.column_stack([s, np.arange(40) < 15])
+        got = boundary._max_rate(scenario, real, cols, x)
+        p_s = sem_power(scenario, real.gain_s, s[:, None], floor, x)
+        oma = rates.orth_max_rate(w, x[:15], p_s[:15], p_max, real.gain_b, n0)
+        semi = rates.hybrid_max_rate(w, x[15:], p_s[15:], p_max, real.gain_eff, real.gain_b, n0)
+        np.testing.assert_array_equal(got, np.concatenate([oma, semi]))
+        assert (got[:15] > 0.0).any() and (got[15:] > 0.0).any()
+        # A batch of one kind, or of one row, scores each row the same.
+        for part in [slice(0, 15), slice(15, 40)] + [slice(r, r + 1) for r in range(0, 40, 3)]:
+            alone = boundary._max_rate(scenario, real, cols[part], x[part])
+            np.testing.assert_array_equal(alone, got[part])
 
 
 class TestSimilarityColumn:
@@ -727,11 +766,12 @@ class TestRowsPlugBack:
             found, empty = boundary.trace_region(scenario, real, [Scheme.NOMA])
             if empty is None:
                 sigma = np.unique(np.concatenate([sigma, found[Scheme.NOMA].sigma]))
-            bands = boundary._seeds(scenario, sigma)
             ext = oma_extremes(scenario, real)
-            oma = boundary._oma_points(scenario, real, sigma, DEFAULT_GRID_N, bands, ext)
+            report = np.ones(len(sigma), bool)
+            oma, semi = boundary._region_rows(
+                scenario, real, sigma, DEFAULT_GRID_N, ext, report, True
+            )
             noma = boundary._noma_points(scenario, real, sigma)
-            semi = boundary._semi_points(scenario, real, sigma, DEFAULT_GRID_N, bands, oma, noma)
             for rows in (oma, noma, semi):
                 ok = rows.solved
                 alloc = np.array([getattr(rows, f)[ok] for f in ALLOC_FIELDS])
@@ -815,45 +855,81 @@ class TestTraceRegion:
         assert found[scheme].scheme is scheme
         np.testing.assert_array_equal(_columns(found[scheme]), _columns(whole[scheme]))
 
-    @pytest.mark.parametrize(
-        "seed, oma_calls, hybrid_calls", [(7, 2, 0), (4, 2, 0), (3, 2, 1), (0, 3, 2)]
-    )
-    def test_default_region_search_count(
-        self, scenario, monkeypatch, seed, oma_calls, hybrid_calls
-    ):
-        # Coarse phase: the hybrid search cuts the rows it needs into batches
-        # of 184 rows of 89 candidates: the hybrid's grid but the zero
-        # target, less the rows a certificate settles.  Seed 7 searches none
-        # of its 399 rows (224 at the noma corner, 173 at the kink, 1 over
-        # the budget), nor does the power-limited seed 4, whose 200 rows are
-        # all over it; seed 3 searches 177 of 399 rows, in 1 batch, and seed
-        # 0 339 of 399, in 2.  The oma search cuts the rows it needs into
-        # batches of 186 rows of 88: the uniform rows but the zero target,
-        # and the knot rows the overlay does not provably beat (none on seeds
-        # 7 and 3), 199 rows in 2 (398 in 3 on seed 0), and there is no
-        # second oma pass.  Bracket phase: one 17-point batch per search
-        # with rows, one objective call for each of its 6 levels.
-        tie_highs, objective_calls = [], []
+    @pytest.mark.parametrize("schemes", [["oma"], ["semi"], ["oma", "semi"], list(Scheme)])
+    def test_one_search_per_region(self, scenario, monkeypatch, schemes):
+        # Default seeds 0-4 and random scenarios: each region searches its
+        # oma rows, then its semi rows, in one search_rows call.  A floor
+        # above the curve's ceiling leaves no positive target, and no search.
+        searched = []
         original = boundary.search_rows
 
-        def counting(objective, *args, **kwargs):
-            tie_highs.append(kwargs.get("tie_high", False))
+        def spy(objective, cols, *args, **kwargs):
+            searched.append(cols[:, 1].copy())
+            return original(objective, cols, *args, **kwargs)
 
-            def counted(s_col, x):
+        monkeypatch.setattr(boundary, "search_rows", spy)
+        cases = [(scenario, sample_realization(scenario, seed)) for seed in range(5)]
+        for i, other in enumerate(_random_scenarios(6, 12)):
+            cases.append((other, sample_realization(other, derive_seed(12, i))))
+        for sc, real in cases:
+            searched.clear()
+            boundary.trace_region(sc, real, schemes)
+            [oma_rows] = searched
+            assert (np.diff(oma_rows) <= 0).all()
+            assert oma_rows.all() or Scheme.SEMI in map(Scheme, schemes)
+        searched.clear()
+        hopeless = scenario.with_updates(min_similarity=0.93)
+        boundary.trace_region(hopeless, sample_realization(hopeless, 0), schemes)
+        assert searched == []
+
+    @pytest.mark.parametrize("seed", [0, 3, 4, 7])  # 4 is a power-limited draw
+    def test_oma_alone_equals_the_oma_of_every_scheme(self, scenario, seed):
+        # The oma rows share their search with the semi rows, and no oma
+        # row moves for it.
+        real = sample_realization(scenario, seed)
+        alone, _ = boundary.trace_region(scenario, real, ["oma"])
+        every, _ = boundary.trace_region(scenario, real, list(Scheme))
+        np.testing.assert_array_equal(_columns(alone[Scheme.OMA]), _columns(every[Scheme.OMA]))
+
+    @pytest.mark.parametrize(
+        "seed, oma_rows, hybrid_rows, coarse_calls",
+        [(7, 199, 0, 2), (4, 199, 0, 2), (3, 199, 177, 3), (0, 398, 339, 4)],
+    )
+    def test_default_region_search_count(
+        self, scenario, monkeypatch, seed, oma_rows, hybrid_rows, coarse_calls
+    ):
+        # One search per region, its oma rows first.  The oma rows: the
+        # uniform rows but the zero target, and the knot rows the overlay
+        # does not provably beat (none on seeds 7 and 3).  The hybrid rows:
+        # the hybrid's grid but the zero target, less the rows a certificate
+        # settles.  Seed 7 searches none of its 399 (224 at the noma corner,
+        # 173 at the kink, 1 over the budget), nor does the power-limited
+        # seed 4, whose 200 rows are all over it.  Coarse phase: batches of
+        # 186 rows of 88 candidates.  Bracket phase: one 17-point batch,
+        # one objective call for each of its 6 levels.
+        searches, objective_calls = [], []
+        original = boundary.search_rows
+
+        def counting(objective, cols, *args, **kwargs):
+            searches.append((np.count_nonzero(cols[:, 1]), np.count_nonzero(cols[:, 1] == 0)))
+
+            def counted(c, x):
                 objective_calls.append(x.shape[1])
-                return objective(s_col, x)
+                return objective(c, x)
 
-            return original(counted, *args, **kwargs)
+            return original(counted, cols, *args, **kwargs)
 
         monkeypatch.setattr(boundary, "search_rows", counting)
         real = sample_realization(scenario, seed)
         boundary.trace_region(scenario, real, ["oma", "noma", "semi"])
-        # The oma search, then the hybrid search, each coarse phase first.
-        assert tie_highs == [False, True]
+        assert searches == [(oma_rows, hybrid_rows)]
         coarse, bracket = DEFAULT_GRID_N + EPS_BANDS, [2 * boundary.SEARCH_ZOOM + 1] * 6
-        oma = [coarse] * oma_calls + bracket
-        hybrid = [coarse + 1] * hybrid_calls + (bracket if hybrid_calls else [])
-        assert objective_calls == oma + hybrid
+        assert -(-(oma_rows + hybrid_rows) // (search.BATCH_CANDIDATES // coarse)) == coarse_calls
+        assert objective_calls == [coarse] * coarse_calls + bracket
+        # A region with no row to search makes no search: one point, the bit intercept.
+        searches.clear()
+        boundary.trace_region(scenario, real, ["oma"], n_points=1)
+        assert searches == []
 
 
 def _random_scenarios(n, seed, floors=(0.0, 0.9), distances=(5.0, 60.0), budgets=(0.03, 3.0)):
@@ -876,8 +952,8 @@ def _oma_calls(monkeypatch):
     calls = []
     original = boundary._oma_points
 
-    def spy(scenario, real, sigma, grid_n, bands, ext, need=None):
-        rows = original(scenario, real, sigma, grid_n, bands, ext, need)
+    def spy(scenario, real, sigma, ext, need, ws):
+        rows = original(scenario, real, sigma, ext, need, ws)
         calls.append((sigma, need, rows))
         return rows
 
@@ -963,21 +1039,45 @@ def _wide_scenarios(n, seed):
     return _random_scenarios(n, seed, distances=(2.0, 80.0), budgets=(0.01, 10.0))
 
 
-def _semi_calls(monkeypatch):
-    """The (args, rows) of every ``_semi_points`` call made while the list is live."""
-    calls = []
-    original = boundary._semi_points
+# The semi certificates, in the order a region combines them.
+CERTIFICATES = ("_noma_optimal", "_kink_optimal", "_over_budget")
+_REGION_ROWS = boundary._region_rows
+
+
+def _region_calls(monkeypatch):
+    """The (args, oma, semi, masks) of every hybrid ``_region_rows`` call while the list is live.
+
+    ``masks`` maps each of ``CERTIFICATES`` to the rows it certified in the call.
+    """
+    calls, masks = [], {}
+    for name in CERTIFICATES:
+
+        def certify(*args, name=name, original=getattr(boundary, name)):
+            masks[name] = original(*args)
+            return masks[name]
+
+        monkeypatch.setattr(boundary, name, certify)
 
     def spy(*args):
-        rows = original(*args)
-        calls.append((args, rows))
-        return rows
+        masks.clear()
+        oma, semi = _REGION_ROWS(*args)
+        if semi is not None:
+            calls.append((args, oma, semi, dict(masks)))
+        return oma, semi
 
-    monkeypatch.setattr(boundary, "_semi_points", spy)
+    monkeypatch.setattr(boundary, "_region_rows", spy)
     return calls
 
 
-def _no_certificate(scenario, real, sigma, beats):
+def _searching(monkeypatch, args, names):
+    """The semi rows of ``_region_rows(*args)`` with the certificates ``names`` certifying none."""
+    with monkeypatch.context() as m:
+        for name in names:
+            m.setattr(boundary, name, _no_certificate)
+        return _REGION_ROWS(*args)[1]
+
+
+def _no_certificate(scenario, real, sigma, *_):
     return np.zeros(len(sigma), bool)
 
 
@@ -1010,20 +1110,21 @@ class TestNomaCertificate:
          (_wide_scenarios, 3), (_wide_scenarios, 4), (_wide_scenarios, 5)],
     )
     def test_no_certified_row_beats_the_noma_corner_when_searched(self, monkeypatch, make, seed):
-        calls = _semi_calls(monkeypatch)
+        calls = _region_calls(monkeypatch)
         certified = 0
         for i, scenario in enumerate(make(8, seed)):
             real = sample_realization(scenario, derive_seed(seed, i))
             boundary.trace_region(scenario, real, list(Scheme))
-            if not calls:
-                continue
-            (sc, rl, sigma, grid_n, bands, oma, noma, cert, kink, over), rows = calls.pop()
-            full = boundary._semi_points(sc, rl, sigma, grid_n, bands, oma, noma)
-            # The unmasked search finds nothing above the corner, and a
-            # certified row is the corner, bit for bit.  Every other row is
-            # that of a search that leaves out only the other certificates' rows.
+            args, _, rows, masks = calls.pop()
+            cert = masks["_noma_optimal"]
+            noma = boundary._noma_points(*args[:3])
+            full = _searching(monkeypatch, args, CERTIFICATES)
+            # The search without certificates finds nothing above the
+            # corner, and a certified row is the corner, bit for bit.  Every
+            # other row is that of a search that leaves out only the other
+            # certificates' rows.
             assert (full.bit_rate[cert] <= noma.bit_rate[cert] * (1.0 + 1e-12)).all()
-            rest = boundary._semi_points(sc, rl, sigma, grid_n, bands, oma, noma, None, kink, over)
+            rest = _searching(monkeypatch, args, ["_noma_optimal"])
             for field in ("bit_rate", "similarity", *ALLOC_FIELDS):
                 got = getattr(rows, field)
                 np.testing.assert_array_equal(got[cert], getattr(noma, field)[cert])
@@ -1108,9 +1209,9 @@ class TestNomaCertificate:
         cases = [(scenario, sample_realization(scenario, seed)) for seed in range(10)]
         for i, other in enumerate(_random_scenarios(6, 11)):
             cases.append((other, sample_realization(other, derive_seed(11, i))))
-        calls = _semi_calls(monkeypatch)
+        calls = _region_calls(monkeypatch)
         skipping = [boundary.trace_region(sc, real, schemes) for sc, real in cases]
-        assert sum(int(args[7].sum()) for args, _ in calls) > 0
+        assert sum(int(masks["_noma_optimal"].sum()) for *_, masks in calls) > 0
         monkeypatch.setattr(boundary, "_noma_optimal", _no_certificate)
         for (sc, real), (found, empty) in zip(cases, skipping):
             want, want_empty = boundary.trace_region(sc, real, schemes)
@@ -1121,16 +1222,12 @@ class TestNomaCertificate:
     def test_share_of_certified_semi_rows(self, scenario, monkeypatch):
         # Default regions at seeds 0-39: the certificate skips the search of
         # 8,270 of the 15,761 semi rows.
-        calls = _semi_calls(monkeypatch)
+        calls = _region_calls(monkeypatch)
         for seed in range(40):
             boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
-        rows = sum(len(args[2]) for args, _ in calls)
-        certified = sum(int(args[7].sum()) for args, _ in calls)
+        rows = sum(len(args[2]) for args, *_ in calls)
+        certified = sum(int(masks["_noma_optimal"].sum()) for *_, masks in calls)
         assert (rows, certified) == (15761, 8270)
-
-
-def _no_rows(scenario, real, sigma):
-    return np.zeros(len(sigma), bool)
 
 
 def _floor_slope(scenario, real, x):
@@ -1181,16 +1278,17 @@ class TestKinkAndOverBudgetCertificates:
          (_wide_scenarios, 3), (_wide_scenarios, 4), (_wide_scenarios, 5)],
     )
     def test_no_searched_band_beats_a_certified_row(self, monkeypatch, make, seed):
-        calls = _semi_calls(monkeypatch)
+        calls = _region_calls(monkeypatch)
         certified = 0
         for i, scenario in enumerate(make(8, seed)):
             real = sample_realization(scenario, derive_seed(seed, i))
             boundary.trace_region(scenario, real, list(Scheme))
-            if not calls:
-                continue
-            (sc, rl, sigma, grid_n, bands, oma, noma, _, kink, over), rows = calls.pop()
-            full = boundary._semi_points(sc, rl, sigma, grid_n, bands, oma, noma)
-            # The unmasked search finds nothing above a certified row by more
+            args, oma, rows, masks = calls.pop()
+            sc, rl, sigma = args[:3]
+            kink, over = masks["_kink_optimal"], masks["_over_budget"]
+            noma = boundary._noma_points(sc, rl, sigma)
+            full = _searching(monkeypatch, args, CERTIFICATES)
+            # The full search finds nothing above a certified row by more
             # than 1e-12 of its rate, or of the boundary's maximum at a zero
             # rate: the semantic intercept of a power-limited draw, where a
             # search scores a band ulps under the corner's.
@@ -1204,7 +1302,8 @@ class TestKinkAndOverBudgetCertificates:
             # A kink row shares its first similarity seed, the kink one ulp
             # up, unless the fold gives it the noma corner, the full band
             # (a kink within ulps of W).
-            seeds = np.minimum(bands[kink[sigma != 0.0], 0], sc.total_bandwidth)
+            bands = eps_seeded_bands(sc, sigma[kink], sc.min_similarity)
+            seeds = np.minimum(bands[:, 0], sc.total_bandwidth)
             shared = rows.w_shared[kink]
             assert ((shared == seeds) | (shared == noma.w_shared[kink])).all()
             assert (seeds == np.nextafter(sigma[kink] * sc.k / sc.min_similarity, np.inf)).all()
@@ -1289,18 +1388,36 @@ class TestKinkAndOverBudgetCertificates:
 
     @pytest.mark.parametrize("schemes", [["semi"], ["oma", "semi"], list(Scheme)])
     def test_region_equals_a_trace_that_searches_those_rows(self, scenario, monkeypatch, schemes):
-        # Default seeds 0-9 (7 has kink rows, 4 is power-limited), bit for bit.
+        # Default seeds 0-9 (7 has kink rows, 4 is power-limited), bit for
+        # bit, but on one kink row, seed 7's uniform row 90.  Its search
+        # breaks a tie low and lands on sigma*k/floor itself, one ulp under
+        # the kink band, which scores exactly as much; their plug-backs
+        # differ by one ulp of the bit rate.
         reals = [sample_realization(scenario, seed) for seed in range(10)]
-        calls = _semi_calls(monkeypatch)
+        calls = _region_calls(monkeypatch)
         skipping = [boundary.trace_region(scenario, real, schemes) for real in reals]
-        assert all(sum(int(args[m].sum()) for args, _ in calls) > 0 for m in (8, 9))
-        monkeypatch.setattr(boundary, "_kink_optimal", _no_rows)
-        monkeypatch.setattr(boundary, "_over_budget", _no_rows)
-        for real, (found, empty) in zip(reals, skipping):
+        for name in ("_kink_optimal", "_over_budget"):
+            assert sum(int(masks[name].sum()) for *_, masks in calls) > 0
+            monkeypatch.setattr(boundary, name, _no_certificate)
+        moved = []
+        for seed, (real, (found, empty)) in enumerate(zip(reals, skipping)):
             want, want_empty = boundary.trace_region(scenario, real, schemes)
             assert str(empty) == str(want_empty) and set(found) == set(want)
             for scheme in want:
-                np.testing.assert_array_equal(_columns(found[scheme]), _columns(want[scheme]))
+                got, ref = _columns(found[scheme]), _columns(want[scheme])
+                rows = np.flatnonzero((got != ref).any(axis=0))
+                moved += [(seed, scheme, got[0, i], got[1, i], ref[1, i]) for i in rows]
+                np.testing.assert_array_equal(np.delete(got, rows, 1), np.delete(ref, rows, 1))
+        real = reals[7]
+        s = np.linspace(0.0, oma_extremes(scenario, real).sigma_max, 200)[90]
+        [(seed, scheme, sigma, got, ref)] = moved
+        assert (seed, scheme, sigma) == (7, Scheme.SEMI, s)
+        assert np.nextafter(got, np.inf) == ref
+        x_k = s * scenario.k / scenario.min_similarity
+        assert solve_semi_point(scenario, real, s).alloc.w_shared == x_k
+        bands = np.array([[x_k, np.nextafter(x_k, np.inf)]])
+        score = boundary._max_rate(scenario, real, np.array([[s, 0.0]]), bands)
+        assert score[0, 0] == score[0, 1]
 
     @pytest.mark.parametrize(
         "seeds, counts",
@@ -1311,12 +1428,13 @@ class TestKinkAndOverBudgetCertificates:
         # (rows, noma-corner rows, kink rows, over-budget rows, searched rows):
         # 7,451 rows were searched on seeds 0-39 and 2,694 on the pool with
         # the noma corner's certificate alone.
-        calls = _semi_calls(monkeypatch)
+        calls = _region_calls(monkeypatch)
         for seed in seeds:
             boundary.trace_region(scenario, sample_realization(scenario, seed), list(Scheme))
         found = np.zeros(5, int)
-        for args, _ in calls:
-            sigma, cert, kink, over = args[2], *args[7:]
+        for args, _, _, masks in calls:
+            sigma = args[2]
+            cert, kink, over = (masks[name] for name in CERTIFICATES)
             searched = (sigma != 0.0) & ~(cert | kink | over)
             found += [len(sigma), cert.sum(), kink.sum(), over.sum(), searched.sum()]
         assert tuple(found) == counts

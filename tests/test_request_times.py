@@ -36,8 +36,8 @@ def test_wrappers_are_installed_and_restored():
     [
         (POWER, {"parse", "scenario", "draw", "solve", "verify", "render", "mkdir", "write",
                  "digest"}),
-        (REGION, {"parse", "scenario", "draw", "trace", "oma_search", "certify", "semi_search",
-                  "contain", "render", "csv", "mkdir", "write", "digest"}),
+        (REGION, {"parse", "scenario", "draw", "trace", "search", "certify", "contain", "render",
+                  "csv", "mkdir", "write", "digest"}),
     ],
     ids=["power", "region"],
 )

@@ -21,7 +21,7 @@ from sembit.search import (
 ZOOMS = (boundary.SEARCH_ZOOM, power.SEARCH_ZOOM)
 
 
-def searched(scores, lo, hi, n, *, extra=None, maximize=True, tie_high=False, zoom=ZOOMS[1]):
+def searched(scores, lo, hi, n, *, extra=None, maximize=True, zoom=ZOOMS[1]):
     """:func:`search_rows` over the rows of ``lo`` and ``hi``; returns (x, f) arrays.
 
     Each row's line of ``cols`` is its index, and ``scores(rows)`` maps
@@ -33,7 +33,7 @@ def searched(scores, lo, hi, n, *, extra=None, maximize=True, tie_high=False, zo
     extra = np.zeros((len(lo), 0)) if extra is None else np.asarray(extra, dtype=float)
     extra = extra.reshape(len(lo), -1)
     cols = np.arange(len(lo))[:, None]
-    kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
+    kw = dict(maximize=maximize, zoom=zoom)
     return search_rows(lambda c, x: scores(c[:, 0])(x), cols, lo, hi, extra, n, **kw)
 
 
@@ -61,13 +61,23 @@ class TestRefineSearch:
         assert x == 5.0
         assert f == 5.0
 
-    def test_tie_breaks_low_by_default(self):
+    def test_tie_breaks_low(self):
         x, _ = one_row(lambda x: np.ones_like(x), 0.0, 1.0, 16)
         assert x == 0.0
 
-    def test_tie_breaks_high_on_request(self):
-        x, _ = one_row(lambda x: np.ones_like(x), 0.0, 1.0, 16, tie_high=True)
-        assert x == 1.0
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("zoom", ZOOMS)
+    def test_plateau_ends_at_its_low_edge(self, maximize, zoom):
+        # Every x in [0.3, 1] is optimal.  Ties break low in the coarse grid
+        # and in each bracket, so the search closes in on 0.3 from above.
+        sign = 1.0 if maximize else -1.0
+
+        def plateau(x):
+            return sign * np.minimum(x, 0.3)
+
+        x, f = one_row(plateau, 0.0, 1.0, 16, maximize=maximize, zoom=zoom)
+        assert f == sign * 0.3
+        assert 0.3 <= x <= 0.3 + 1.0 / (15 * REFINE_SHRINK)
 
     def test_extra_seed_always_wins_when_best(self):
         # A spike one grid-cell wide that only the seeded point hits.
@@ -176,13 +186,10 @@ class TestBracketShape:
                 ]
 
 
-def pick_reference(values, maximize, tie_high):
+def pick_reference(values, maximize):
     """:func:`_pick` as it was when every call patched the NaNs first."""
     values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
-    if tie_high:
-        values = values[:, ::-1]
-    i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
-    return values.shape[1] - 1 - i if tie_high else i
+    return values.argmax(axis=1) if maximize else values.argmin(axis=1)
 
 
 class TestPick:
@@ -201,17 +208,16 @@ class TestPick:
     ]
 
     @pytest.mark.parametrize("maximize", [True, False])
-    @pytest.mark.parametrize("tie_high", [True, False])
-    def test_equals_the_patch_everything_pick(self, maximize, tie_high):
-        rng = np.random.default_rng([maximize, tie_high])
+    def test_equals_the_patch_everything_pick(self, maximize):
+        rng = np.random.default_rng([maximize, False])
         pool = np.array([math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0])
         blocks = [np.array(self.ROWS), rng.choice(pool, (200, 7)), rng.random((50, 130))]
         blocks.append(np.where(rng.random((50, 130)) < 0.01, math.nan, rng.random((50, 130))))
         for values in blocks:
-            want = pick_reference(values, maximize, tie_high)
-            np.testing.assert_array_equal(_pick(values, maximize, tie_high), want)
+            want = pick_reference(values, maximize)
+            np.testing.assert_array_equal(_pick(values, maximize), want)
             for r in range(0, len(values), 9):  # a row alone picks as in its batch
-                np.testing.assert_array_equal(_pick(values[r:r + 1], maximize, tie_high), want[r:r + 1])
+                np.testing.assert_array_equal(_pick(values[r:r + 1], maximize), want[r:r + 1])
 
 
 class TestRowBatches:
@@ -239,9 +245,8 @@ class TestRowBatches:
         return f
 
     @pytest.mark.parametrize("maximize", [True, False])
-    @pytest.mark.parametrize("tie_high", [True, False])
-    def test_batch_equals_rows(self, maximize, tie_high):
-        kw = dict(maximize=maximize, tie_high=tie_high)
+    def test_batch_equals_rows(self, maximize):
+        kw = dict(maximize=maximize)
         xs, fs = searched(self.scores, self.LO, self.HI, 33, extra=self.EXTRA, **kw)
         for r in range(5):
             scores = self.scores(np.array([r]))
@@ -358,8 +363,7 @@ class TestBracketInvariant:
 
     @pytest.mark.parametrize("kind", ["smooth", "kinked", "flank"])
     @pytest.mark.parametrize("maximize", [True, False])
-    @pytest.mark.parametrize("tie_high", [True, False])
-    def test_optimum_within_final_spacing(self, kind, maximize, tie_high):
+    def test_optimum_within_final_spacing(self, kind, maximize):
         lo, hi, x_star, f = unimodal(kind, np.random.default_rng(sum(map(ord, kind))), self.ROWS)
         sign = 1.0 if maximize else -1.0
 
@@ -377,7 +381,7 @@ class TestBracketInvariant:
         f_dense = sign * np.max(sign * objective(everything)(dense), axis=1)
 
         for zoom in ZOOMS:
-            kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
+            kw = dict(maximize=maximize, zoom=zoom)
             xs, fs = searched(objective, lo, hi, self.N, **kw)
             for r in range(self.ROWS):
                 x, fx = one_row(objective([r]), lo[r], hi[r], self.N, **kw)
@@ -387,7 +391,7 @@ class TestBracketInvariant:
             assert np.all(sign * (fs - f_dense) >= -slack)
 
 
-def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra, zoom):
+def rescoring_search(objective, lo, hi, n, *, maximize, extra, zoom):
     """:func:`search_rows` on one batch as it was when each bracket re-scored its incumbent."""
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     rows = np.arange(len(lo))
@@ -395,7 +399,7 @@ def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra, zoom):
     grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
     grid.sort(axis=1)
     f = objective(grid)
-    i = _pick(f, maximize, tie_high)
+    i = _pick(f, maximize)
     x_best, f_best = grid[rows, i], f[rows, i]
     half = (hi - lo) / (n - 1)
     ramp = np.arange(2 * zoom + 1, dtype=float)
@@ -404,10 +408,10 @@ def rescoring_search(objective, lo, hi, n, *, maximize, tie_high, extra, zoom):
         window = np.concatenate([window, x_best[:, None]], axis=1)
         window.sort(axis=1)
         fw = objective(window)
-        j = _pick(fw, maximize, tie_high)
+        j = _pick(fw, maximize)
         xj, fj = window[rows, j], fw[rows, j]
         better = fj > f_best if maximize else fj < f_best
-        better |= (fj == f_best) & (xj > x_best if tie_high else xj < x_best)
+        better |= (fj == f_best) & (xj < x_best)
         x_best = np.where(better, xj, x_best)
         f_best = np.where(better, fj, f_best)
         half /= zoom
@@ -420,10 +424,9 @@ class TestIncumbentNotRescored:
     ROWS = 60
 
     @pytest.mark.parametrize("maximize", [True, False])
-    @pytest.mark.parametrize("tie_high", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_rescoring_bracket(self, maximize, tie_high, seed):
-        rng = np.random.default_rng([seed, maximize, tie_high])
+    def test_equals_rescoring_bracket(self, maximize, seed):
+        rng = np.random.default_rng([seed, maximize, False])
         lo = rng.uniform(-2.0, 1.0, self.ROWS)
         hi = lo + rng.choice([0.0, 1e-12, 0.5, 3.0], self.ROWS)
         a, b = rng.uniform(0.2, 6.0, (2, self.ROWS, 1))
@@ -442,7 +445,7 @@ class TestIncumbentNotRescored:
 
         everything = np.arange(self.ROWS)
         for zoom in ZOOMS:
-            kw = dict(maximize=maximize, tie_high=tie_high, zoom=zoom)
+            kw = dict(maximize=maximize, zoom=zoom)
             want = rescoring_search(objective(everything), lo, hi, 17, extra=extra, **kw)
             got = searched(objective, lo, hi, 17, extra=extra, **kw)
             np.testing.assert_array_equal(got, want)
@@ -459,15 +462,13 @@ class TestHeapTrim:
     MMAP_THRESHOLD = 128 * 1024  # glibc's default, which setting the trim threshold pins
 
     def test_default_batch_temporary_stays_under_the_mmap_threshold(self):
-        # The coarse calls of a default search: the oma grid and its
-        # similarity seeds (88 wide), and the semi boundary's, which adds
-        # the corner seed.  Then the bracket calls of each zoom, batched by
-        # their own width.  glibc's chunk is the request plus an 8 B
-        # header, rounded up to 16 B on x86_64, and a chunk of 128 KiB or
-        # more is mmapped: 187 rows x 88 (a 131,664 B chunk) or 185 rows
-        # x 89 (131,728 B) would be.
-        widths = (DEFAULT_GRID_N + EPS_BANDS, DEFAULT_GRID_N + EPS_BANDS + 1)
-        for width in (*widths, *(2 * zoom + 1 for zoom in ZOOMS)):
+        # The coarse calls of a default search: the grid and its similarity
+        # seeds, 88 wide, for boundary and power rows alike.  Then the
+        # bracket calls of each zoom, batched by their own width.  glibc's
+        # chunk is the request plus an 8 B header, rounded up to 16 B on
+        # x86_64, and a chunk of 128 KiB or more is mmapped: 187 rows x 88
+        # (a 131,664 B chunk) would be.
+        for width in (DEFAULT_GRID_N + EPS_BANDS, *(2 * zoom + 1 for zoom in ZOOMS)):
             batch = row_batches(10_000, width)[0]
             chunk = -(-((batch.stop - batch.start) * width * 8 + 8) // 16) * 16
             assert chunk < self.MMAP_THRESHOLD, width

@@ -46,25 +46,27 @@ def test_random_scenarios_match_the_reference():
 @pytest.mark.parametrize("seed", [7, 4])  # 4 is a power-limited draw
 def test_default_rows_skip_the_certified_semi_searches_and_the_reference_none(monkeypatch, seed):
     # The default run solves the semi rows as trace_region does; the
-    # reference searches every one of them.
+    # reference searches every one of them.  No row holds two certificates,
+    # so the semi rows searched are the positive targets less the certified.
     scenario = Scenario()
     real = sample_realization(scenario, seed)
     sigma = np.linspace(0.0, sembit.boundary.oma_extremes(scenario, real).sigma_max, 13)
-    masks = []
-    original = sembit.boundary._semi_points
+    searched = []
+    original = sembit.boundary.search_rows
 
-    def spy(*args):
-        masks.append(args[7:])
-        return original(*args)
+    def spy(objective, cols, *args, **kwargs):
+        searched.append(cols[cols[:, 1] == 0.0, 0])
+        return original(objective, cols, *args, **kwargs)
 
-    monkeypatch.setattr(sembit.boundary, "_semi_points", spy)
+    monkeypatch.setattr(sembit.boundary, "search_rows", spy)
     found, ref = quality.both(quality.boundary_rows, scenario, real, sigma)
     live = sigma != 0.0
-    assert list(found["certified"].values()) == [int((m & live).sum()) for m in masks[0]]
-    assert sum(found["certified"].values()) > 0
-    assert not any(ref["certified"].values()) and not np.any(masks[1])
+    certified = sum(found["certified"].values())
+    assert len(searched) == 2 and certified > 0
+    assert len(searched[0]) == live.sum() - certified
+    assert not any(ref["certified"].values()) and len(searched[1]) == live.sum()
     # The dense reference search ends where the certificates put the rows.
-    settled = np.logical_or.reduce(masks[0])
+    settled = live & ~np.isin(sigma, searched[0])
     np.testing.assert_array_equal(found["semi"][settled], ref["semi"][settled])
 
 

@@ -5,23 +5,18 @@ default scenario, 200 points, the default grid, all schemes) and of one
 ``run_sweep`` on the bundled ``semantic-rate`` spec with 4 draws,
 through wrappers on the ``search_rows`` bindings of ``sembit.boundary``
 and ``sembit.power``: every boundary and power search is one
-``search_rows`` call from one of them.  The semi rows are captured with
-``boundary._kink_optimal`` and ``boundary._over_budget`` switched off,
-so that the semi objective is timed on the rows it scored before those
-two certificates: 73 calls of 380,854 candidates.  With them on, the 10
-regions leave 43 calls of 102,949, in batches so much smaller that
-per-call overhead would move the reading (about 34 ns per candidate
-against 27 on one 2-core x86_64 host).  ``boundary._noma_optimal`` stays
-on.  Each objective's captured calls are then replayed as they came, and
-the tool prints its calls, candidates and nanoseconds per candidate, the
-minimum over ``PASSES`` passes.  The objectives are the oma and semi boundary scores and the
-minimum-power total, which scores oma and semi rows together.  Then it
-prints one line for the S-curve fit of a fixed set of ``FIT_CURVES``
-curves with ``FIT_SAMPLES`` noisy samples each, one ``fit_table`` call:
-its coarse (growth, offset) cells, its Levenberg-Marquardt steps and the
-trial cells they score, and milliseconds per fit, the minimum over
-``PASSES`` fits.  The readings are printed, not judged: the
-exit status is 0.
+``search_rows`` call from one of them, and each searches its oma and
+semi rows together, with one objective.  The regions are captured as
+they run, certificates and all.  Each objective's captured calls are
+then replayed as they came, and the tool prints its calls, candidates
+and nanoseconds per candidate, the minimum over ``PASSES`` passes.  The
+objectives are the boundary's bit rate and the minimum-power total.
+Then it prints one line for the S-curve fit of a fixed set of
+``FIT_CURVES`` curves with ``FIT_SAMPLES`` noisy samples each, one
+``fit_table`` call: its coarse (growth, offset) cells, its
+Levenberg-Marquardt steps and the trial cells they score, and
+milliseconds per fit, the minimum over ``PASSES`` fits.  The readings
+are printed, not judged: the exit status is 0.
 
 Usage:
     python tools/kernel_times.py
@@ -54,33 +49,24 @@ PASSES = 5
 # drawn from seed 0, the shape of the benchmark's fit inputs.
 FIT_CURVES = 5
 FIT_SAMPLES = 40
-# The semi certificates switched off while the searches are captured.
-UNCERTIFIED = ("_kink_optimal", "_over_budget")
-# Objective labels by the name of the function that owns the objective.
-OBJECTIVES = {
-    "_oma_points": "boundary oma",
-    "_semi_points": "boundary semi",
-    "_total": "power oma+semi",
-}
+# Objective labels by the name of the objective function.
+OBJECTIVES = {"_max_rate": "boundary oma+semi", "_total": "power oma+semi"}
 
 
 @contextlib.contextmanager
 def capture(calls: dict[str, list]):
     """Append ``(objective, candidates)`` of each objective call to ``calls[label]``.
 
-    The objective a search scores is a boundary ``score`` closure, or a
-    ``functools.partial`` of ``power._total``, whose ``func`` names the
-    owner.  Each captured objective is a partial with the batch's row
-    data bound, so a replay scores exactly what the search scored.  The
-    semi certificates ``UNCERTIFIED`` certify no row meanwhile.
+    The objective a search scores is a ``functools.partial`` of
+    ``boundary._max_rate`` or ``power._total``, whose ``func`` names it.
+    Each captured objective is a partial with the batch's row data bound,
+    so a replay scores exactly what the search scored.
     """
     saved = [(module, module.search_rows) for module in (boundary, power)]
-    certify = {name: getattr(boundary, name) for name in UNCERTIFIED}
 
     def spying(search_rows):
         def spy(objective, *args, **kwargs):
-            owner = getattr(objective, "func", objective).__qualname__.split(".")[0]
-            label = OBJECTIVES[owner]
+            label = OBJECTIVES[objective.func.__qualname__]
 
             def recorded(cols, x):
                 calls[label].append((partial(objective, cols), x))
@@ -92,20 +78,11 @@ def capture(calls: dict[str, list]):
 
     for module, search_rows in saved:
         module.search_rows = spying(search_rows)
-    for name in certify:
-        setattr(boundary, name, no_rows)
     try:
         yield
     finally:
         for module, search_rows in saved:
             module.search_rows = search_rows
-        for name, original in certify.items():
-            setattr(boundary, name, original)
-
-
-def no_rows(scenario, real, sigma):
-    """A stand-in for each of ``UNCERTIFIED`` that certifies no row."""
-    return np.zeros(len(sigma), bool)
 
 
 def captured_calls() -> dict[str, list]:

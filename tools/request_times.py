@@ -13,14 +13,13 @@ counts for itself, not for its caller):
   manifest record, ``cli._scenario_record``;
 - draw: ``sample_realization``;
 - solve (power): ``solve_min_powers``;
-- the region's trace, in four stages: oma_search, the oma rows' search
-  (``boundary._oma_points``); certify, the closed-form certificates
-  that leave rows out of the searches (``boundary._oma_rate_bound``,
+- the region's trace, in three stages: search, the one search of the
+  oma and semi rows (``boundary.search_rows``); certify, the closed-form
+  certificates that leave rows out of it (``boundary._oma_rate_bound``,
   ``boundary._noma_optimal``, ``boundary._kink_optimal`` and
-  ``boundary._over_budget``); semi_search, the semi rows' search and
-  fold (``boundary._semi_points``); and trace, the rest of
-  ``trace_region`` (the overlay sweep, the grids, the noma rows and the
-  lifts);
+  ``boundary._over_budget``); and trace, the rest of ``trace_region``
+  (the overlay sweep, the grids, the noma rows, the similarity seeds,
+  the semi fold and the lifts);
 - verify (power) or contain (region): the plug-back check of all
   feasible allocations in one call, ``check_containment`` of each pair
   of schemes;
@@ -103,12 +102,11 @@ STAGES = (
     (cli, "sample_realization", "draw"),
     (cli, "solve_min_powers", "solve"),
     (cli, "trace_region", "trace"),
-    (boundary, "_oma_points", "oma_search"),
+    (boundary, "search_rows", "search"),
     (boundary, "_oma_rate_bound", "certify"),
     (boundary, "_noma_optimal", "certify"),
     (boundary, "_kink_optimal", "certify"),
     (boundary, "_over_budget", "certify"),
-    (boundary, "_semi_points", "semi_search"),
     (cli, "_verify_solutions", "verify"),
     (cli, "check_containment", "contain"),
     (channel.Scenario, "digest", "digest"),

@@ -18,14 +18,15 @@ the reference by more than ``TOL`` relative, or is infeasible where the
 reference is not.  Prints rows, misses and the worst gap per scheme, and
 exits 1 on any miss.
 
-The default boundary rows are solved as ``trace_region`` solves them: a
-semi row that a certificate settles is not searched.  It takes the noma
-corner where ``boundary._noma_optimal`` proves that corner optimal, the
-kink band where ``boundary._kink_optimal`` proves the kink optimal, and
-its oma row where ``boundary._over_budget`` proves the overlay over the
-budget.  The reference searches every row, so the harness judges the
-three certificates too, and it prints how many default semi rows each
-one settled.
+The default boundary rows are solved as ``trace_region`` solves them,
+by ``boundary._region_rows``: a semi row that a certificate settles is
+not searched.  It takes the noma corner where ``boundary._noma_optimal``
+proves that corner optimal, the kink band where
+``boundary._kink_optimal`` proves the kink optimal, and its oma row where
+``boundary._over_budget`` proves the overlay over the budget.  The
+reference searches every row, so the harness judges the three
+certificates too, and it prints how many default semi rows each one
+settled.
 
 Usage:
     python tools/search_quality.py [--scenarios N] [--seed S]
@@ -77,6 +78,19 @@ PINNED = {
 
 
 @contextlib.contextmanager
+def certificates(swap):
+    """Swap each of ``CERTIFICATES`` of ``boundary`` for ``swap(name, original)``; restore it."""
+    saved = {name: getattr(boundary, name) for name in CERTIFICATES.values()}
+    for name, original in saved.items():
+        setattr(boundary, name, swap(name, original))
+    try:
+        yield
+    finally:
+        for name, original in saved.items():
+            setattr(boundary, name, original)
+
+
+@contextlib.contextmanager
 def reference_levels():
     """Make the searches shrink by ``REF_SHRINK``, seed ``REF_SEEDS`` bands and skip no row.
 
@@ -90,16 +104,12 @@ def reference_levels():
     row, so that the reference searches every semi row.
     """
     saved = search.REFINE_SHRINK, rates._EPS_STEPS
-    certify = {name: getattr(boundary, name) for name in CERTIFICATES.values()}
     search.REFINE_SHRINK, rates._EPS_STEPS = REF_SHRINK, np.linspace(0.0, 1.0, REF_SEEDS)
-    for name in certify:
-        setattr(boundary, name, no_certificate)
     try:
-        yield
+        with certificates(lambda name, original: no_certificate):
+            yield
     finally:
         search.REFINE_SHRINK, rates._EPS_STEPS = saved
-        for name, original in certify.items():
-            setattr(boundary, name, original)
 
 
 def no_certificate(scenario, real, sigma, *_):
@@ -110,24 +120,27 @@ def no_certificate(scenario, real, sigma, *_):
 def boundary_rows(scenario, real, sigma, grid_n):
     """Oma and semi boundary bit rates at the targets ``sigma``, and the certified row counts.
 
-    The rows are solved as ``trace_region`` solves them when every scheme
-    is traced: oma searches every row, and semi skips the positive
-    targets that one of ``CERTIFICATES`` settles, which ``"certified"``
-    counts by certificate.
+    The rows are ``boundary._region_rows``' with every oma row reported,
+    as ``trace_region`` solves them when every scheme is traced: oma
+    searches every row, and semi skips the positive targets that one of
+    ``CERTIFICATES`` settles, which ``"certified"`` counts by certificate
+    from the rows each one returned.
     """
-    bands = boundary._seeds(scenario, sigma)
+    masks = {}
+
+    def recording(name, certify):
+        def record(*args):
+            masks[name] = certify(*args)
+            return masks[name]
+
+        return record
+
     ext = boundary.oma_extremes(scenario, real)
-    oma = boundary._oma_points(scenario, real, sigma, grid_n, bands, ext)
-    noma = boundary._noma_points(scenario, real, sigma)
-    bound = boundary._oma_rate_bound(scenario, real, sigma)
-    beats = noma.bit_rate > bound * (1.0 + boundary.BOUND_RTOL)
-    masks = (
-        boundary._noma_optimal(scenario, real, sigma, beats),
-        boundary._kink_optimal(scenario, real, sigma),
-        boundary._over_budget(scenario, real, sigma),
-    )
-    semi = boundary._semi_points(scenario, real, sigma, grid_n, bands, oma, noma, *masks)
-    certified = {name: int((m & (sigma != 0.0)).sum()) for name, m in zip(CERTIFICATES, masks)}
+    report = np.ones(len(sigma), bool)
+    with certificates(recording):
+        oma, semi = boundary._region_rows(scenario, real, sigma, grid_n, ext, report, True)
+    live = sigma != 0.0
+    certified = {label: int((masks[name] & live).sum()) for label, name in CERTIFICATES.items()}
     return {"oma": oma.bit_rate, "semi": semi.bit_rate, "certified": certified}
 
 
