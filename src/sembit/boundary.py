@@ -37,15 +37,14 @@ and the hybrid on the hybrid's grid, which folds in those oma rows.
 Closed-form certificates, combined there alone, leave rows out of the
 search where no search could change an output: an oma
 row that no output reports is not searched where the overlay beats
-:func:`_oma_rate_bound`.  Three certificates give a hybrid row its
-optimum, the top of its Lemma 1 interval or an oma split, without a
-search, each proved in its docstring: :func:`_noma_optimal` where no
-shared band beats the full band W, so the fold gives the row the noma
-corner; :func:`_kink_optimal` where none beats the kink sigma*k/floor,
-below W, at which the similarity floor starts to bind, so the row takes
-that band; and :func:`_over_budget` where the overlay alone overspends,
-so the superposed pipe shuts on every band and the fold gives the row
-its oma split.  :func:`_rises_to` is the slope bound the first two share.
+:func:`_oma_rate_bound`, or where the hybrid's optimum provably beats
+every orthogonal split.  Two certificates give a hybrid row its optimum
+without a search, each proved in its docstring: :func:`_top_optimal`
+where no shared band beats the top of the row's Lemma 1 interval,
+min(sigma*k/floor, W), so the row takes that band (the fold gives the
+full band W its noma corner); and :func:`_over_budget` where the overlay
+alone overspends, so the superposed pipe shuts on every band and the
+fold gives the row its oma split.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ SEARCH_ZOOM = 8
 # Relative margin by which the overlay must beat :func:`_oma_rate_bound`
 # before a region skips an oma row, so that rounding cannot flip the test.
 BOUND_RTOL = 1e-12
-# Edges of the cells of required similarity over which :func:`_rises_to`
+# Edges of the cells of required similarity over which :func:`_top_optimal`
 # bounds the hybrid objective's slope, as fractions of its range: 8 cells.
 _CERT_STEPS = np.linspace(0.0, 1.0, 9)[:, None]
 
@@ -146,10 +145,6 @@ class RegionBoundary:
     def _rows(self):
         """(sigma, bit rate, similarity) per row, as plain floats."""
         return zip(self.sigma.tolist(), self.bit_rate.tolist(), self.similarity.tolist())
-
-    def write_csv(self, path) -> None:
-        """Write the columns as CSV, one float repr per field, in one call."""
-        write_text(path, _csv_texts([self])[0], newline="")
 
 
 def write_csvs(boundaries: Sequence[RegionBoundary], out_dir) -> None:
@@ -220,7 +215,7 @@ def oma_extremes(scenario: Scenario, real: ChannelRealization) -> Extremes:
 
 
 def _max_rate(scenario: Scenario, real: ChannelRealization, cols: np.ndarray, x) -> np.ndarray:
-    """Bit rate of the search rows ``cols`` at bands ``x``: the objective of the boundary search.
+    """Negated bit rate of the search rows ``cols`` at bands ``x``: the boundary search's objective.
 
     Each line of ``cols`` holds a row's semantic-rate target, then 1 on an
     oma row and 0 on a semi row; oma rows come first, as in every
@@ -230,7 +225,8 @@ def _max_rate(scenario: Scenario, real: ChannelRealization, cols: np.ndarray, x)
     W - x (:func:`~sembit.rates.orth_max_rate`); a semi row water-fills it
     between the superposed pipe on x and the clean band
     (:func:`~sembit.rates.hybrid_max_rate`).  A candidate whose semantic
-    power exceeds the budget scores zero.
+    power exceeds the budget scores zero.  The search minimises, so the
+    rate comes back negated, which is exact.
     """
     w, p_max, n0 = scenario.total_bandwidth, scenario.max_power, scenario.noise_psd
     k = np.count_nonzero(cols[:, 1])
@@ -239,7 +235,7 @@ def _max_rate(scenario: Scenario, real: ChannelRealization, cols: np.ndarray, x)
     if k < len(x):
         semi = hybrid_max_rate(w, x[k:], p_s[k:], p_max, real.gain_eff, real.gain_b, n0)
         rate = np.concatenate([rate, semi])
-    return rate
+    return np.negative(rate, out=rate)
 
 
 def _oma_points(
@@ -290,150 +286,99 @@ def _oma_rate_bound(scenario: Scenario, real: ChannelRealization, sigma: np.ndar
     return bit_rates(scenario, real.gain_b, real.gain_eff, corner)
 
 
-def _rises_to(
-    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, a_top, e_start
-) -> np.ndarray:
-    """Rows of ``sigma`` where the hybrid objective provably rises with the band up to its top.
+def _top_optimal(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> np.ndarray:
+    """Rows of ``sigma`` where no hybrid band beats the top of the row's Lemma 1 interval.
 
-    The hybrid objective's slope, derived in :func:`_noma_optimal`, is
-    f'(x)*ln2 = A(x) + B(e) on a band x whose required similarity
-    e = sigma*k/x binds.  ``a_top`` is A at the top band of the interval
-    the caller certifies, so A(x) >= ``a_top`` on every band below it, and
-    ``e_start`` is the similarity that top band needs.  A row passes when
-    a lower bound on B over [``e_start``, e_cap], e_cap the last similarity
-    a band within the budget can need, is at least -``a_top``: then
-    f' >= 0 on every band below the top that fits the budget.
+    Write e0 = sigma*k/W and e_t = max(e0, floor).  The top of the
+    :func:`lemma1_bounds` interval is x_t = min(sigma*k/floor, W), the
+    band that needs e_t: the full band W where e0 >= floor, else the kink
+    sigma*k/floor, at which the similarity floor starts to bind.  A row is
+    certified when:
 
-    The bound splits [e_start, e_cap] into 8 cells [e_lo, e_hi] and takes
-    B >= eta(clip(e*, e_lo, e_hi)) * s(e_lo) - ln(1 + min(q(e_hi), q_cap))
-    on each: eta falls up to e* = sqrt(a_low*a_high) and rises after it,
-    while s and ln(1 + q) rise with e, and a band within the budget has
-    q < q_cap.  (At e_cap the odds (e - a_low)/(a_high - e) are
-    (q_cap/q0)^(1/c), with q0 = q/g, and e_cap = a_low + (a_high -
-    a_low)/(1 + 1/odds) gives a_high, not NaN, where the odds overflow.)
-    A NaN bound fails the test.
-    """
-    params = scenario.logistic
-    a_low, a_high = params.a_low, params.a_high
-    c = LN10_OVER_10 / params.growth
-    k_m = scenario.noise_psd / real.gain_eff
-    ln_q0 = math.log(real.gain_eff / real.gain_s) - c * params.offset
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        q_cap = scenario.max_power * a_high / (sigma * (scenario.k * k_m))
-        odds = np.exp((np.log(q_cap) - ln_q0) / c)
-        e_cap = a_low + (a_high - a_low) / (1.0 + 1.0 / odds)
-        # One line per cell edge, one column per row.
-        e = _CERT_STEPS * (e_cap - e_start) + e_start
-        q = np.exp(ln_q0 + c * np.log((e - a_low) / (a_high - e)))
-        at = np.minimum(np.maximum(math.sqrt(a_low * a_high), e[:-1]), e[1:])
-        eta = c * (a_high - a_low) * at / ((at - a_low) * (a_high - at))
-        slope = eta * (q[:-1] / (1.0 + q[:-1])) - np.log1p(np.minimum(q[1:], q_cap))
-        return slope.min(axis=0) >= -a_top
+    (i) e0 > 0 and e_t > a_low;
+    (ii) the superposed pipe is open at x_t, with a margin of
+        ``BOUND_RTOL``: x_t*T(x_t) > W*inv_m(x_t), the fill of
+        :func:`~sembit.rates.hybrid_max_rate` above 1.  The semantic
+        power at x_t is x_t*rho, with rho = k_m*q(e_t) its power per
+        hertz, so the test reads T(x_t) > W*(k_m + rho).  It also puts x_t
+        within the budget: P > W*rho + (W - x_t)*(k_m - k_b) >= x_t*rho;
+    (iii) a lower bound on B, below, over [e_t, e_cap] is at least -A(x_t).
 
-
-def _noma_optimal(
-    scenario: Scenario, real: ChannelRealization, sigma: np.ndarray, beats: np.ndarray
-) -> np.ndarray:
-    """Rows of ``sigma`` where no hybrid band beats the overlay corner, shared band W.
-
-    ``beats`` marks the rows where the overlay's bit rate beats
-    :func:`_oma_rate_bound` by ``BOUND_RTOL``.  A row is certified when
-    (i) e0 = sigma*k/W exceeds both the similarity floor and a_low, so the
-    rate target binds on every band; (ii) ``beats`` holds; and (iii)
-    :func:`_rises_to` the full band: a closed-form lower bound on the
-    hybrid objective's slope is non-negative on every band that can fit
-    the budget.
-
-    Why no band x in [w_low, W) then beats W.  Write k_m = N0/g_eff and
-    k_b = N0/g_b (k_m >= k_b, as g_eff = min(g_s, g_b)), c =
-    ln10/(10*growth) and g(e) = ((e - a_low)/(a_high - e))^c.  By (i),
-    band x needs similarity e = sigma*k/x >= e0, and its semantic power is
-    x*k_m*q(e), with q(e) = (g_eff/g_s) * exp(-c*offset) * g(e).  With
-    both pipes open, :func:`~sembit.rates.hybrid_max_rate` scores, with
-    T(x) = P + W*k_b + x*(k_m - k_b),
+    Why no band beats x_t.  Write k_m = N0/g_eff and k_b = N0/g_b (k_m >=
+    k_b, as g_eff = min(g_s, g_b)), c = ln10/(10*growth) and g(e) =
+    ((e - a_low)/(a_high - e))^c.  A band x needs the similarity e =
+    max(sigma*k/x, floor), and its semantic power is x*k_m*q(e), with q(e)
+    = (g_eff/g_s) * exp(-c*offset) * g(e).  With both pipes open,
+    :func:`~sembit.rates.hybrid_max_rate` scores, with T(x) = P + W*k_b +
+    x*(k_m - k_b),
 
         f(x)*ln2 = W*ln T(x) - x*ln(k_m/k_b) - x*ln(1 + q(e)) - W*ln(W*k_b),
-        f'(x)*ln2 = A(x) + B(e),
-        A(x) = W*(k_m - k_b)/T(x) + ln(k_b/k_m) >= A(W), as T grows with x,
+        A(x) = W*(k_m - k_b)/T(x) + ln(k_b/k_m), which falls as x grows.
+
+    The expression f is defined wherever q is finite, whether or not
+    either pipe is open or x fits the budget.  Below x_t the rate target
+    binds, e = sigma*k/x > e_t, and
+
+        f'(x)*ln2 = A(x) + B(e) >= A(x_t) + B(e),
         B(e) = eta(e)*s(e) - ln(1 + q(e)), with s = q/(1 + q),
 
     where eta(e) = c*e*(a_high - a_low)/((e - a_low)*(a_high - e)), the
     elasticity of g, falls up to e* = sqrt(a_low*a_high) and rises after
-    it, while q, s and ln(1 + q) all rise with e.  The expression f is
-    defined wherever q is finite, whether or not x fits the budget.  A
-    band within the budget has q < P*e/(sigma*k*k_m) <= q_cap =
-    P*a_high/(sigma*k*k_m), so a band whose e exceeds e_cap, where q
-    reaches q_cap, is over it.  (iii) bounds B over [e0, e_cap] by at
-    least -A(W), so f' >= 0 on every band whose e is at most e_cap, and
-    f(x) <= f(W), the overlay's rate.  A band with both pipes open scores
-    f(x); one whose superposed pipe shuts scores the orthogonal rate at
-    band x, which (ii) puts below the overlay; and one over the budget
-    scores 0.  So the search cannot beat the noma corner, which the
-    hybrid's fold then gives the row.  (ii) also puts the overlay itself
-    within the budget, so e0 <= e_cap.
+    it, while q, s and ln(1 + q) all rise with e.  A band within the
+    budget has q < P*e/(sigma*k*k_m) <= q_cap = P*a_high/(sigma*k*k_m), so
+    a band whose e exceeds e_cap, where q reaches q_cap, is over it.  The
+    bound splits [e_t, e_cap] into 8 cells [e_lo, e_hi] and takes B >=
+    eta(clip(e*, e_lo, e_hi)) * s(e_lo) - ln(1 + min(q(e_hi), q_cap)) on
+    each.  (At e_cap the odds (e - a_low)/(a_high - e) are
+    (q_cap/q0)^(1/c), with q0 = q/g, and e_cap = a_low + (a_high -
+    a_low)/(1 + 1/odds) gives a_high, not NaN, where the odds overflow.)
+    A NaN bound fails (iii).  By (iii), f' >= 0 on every band below x_t
+    within the budget, so f rises up to x_t.  Above x_t, where x_t < W,
+    the floor binds and the power x*rho is linear in the band, so
+    f'(x)*ln2 = A(x) - ln(1 + q(floor)), which falls with A.  By (ii),
+    T(x_t) > W*k_m*(1 + q(floor)), so A(x_t) < (1 - k_b/k_m)/(1 +
+    q(floor)) - ln(k_m/k_b) <= 0, as ln r >= 1 - 1/r: f falls on [x_t, W].
+
+    So f(x) <= f(x_t) on every band within the budget, and by (ii) the
+    hybrid scores f(x_t) at x_t.  A band with both pipes open scores
+    f(x).  A band whose superposed pipe shuts scores the orthogonal rate
+    at band x: that split is a feasible point of the water-fill, whose
+    relaxation to any power of the superposed pipe above -inv_m is concave
+    with its maximum f(x), so it scores at most f(x).  A band over the
+    budget scores 0.  So no band beats x_t, and no orthogonal split beats
+    it either, whatever :func:`_oma_rate_bound` says.  Where x_t = W, the
+    hybrid's fold gives the row the noma corner; below W, the row takes
+    x_t rounded up one ulp, the search's first similarity seed.
     """
     params = scenario.logistic
-    w, p_max = scenario.total_bandwidth, scenario.max_power
-    k_m = scenario.noise_psd / real.gain_eff
-    k_b = scenario.noise_psd / real.gain_b
-    a_w = w * (k_m - k_b) / (p_max + w * k_m) + math.log(k_b / k_m)
-    e0 = sigma * scenario.k / w
-    cert = beats & (e0 > max(scenario.min_similarity, params.a_low))
-    cert[cert] = _rises_to(scenario, real, sigma[cert], a_w, e0[cert])
-    return cert
-
-
-def _kink_optimal(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> np.ndarray:
-    """Rows of ``sigma`` where no hybrid band beats the kink x_k = sigma*k/floor.
-
-    The kink is the top of the row's :func:`lemma1_bounds` interval where
-    the similarity floor binds on the full band: for a positive target,
-    e0 = sigma*k/W and a_low both lie below the floor, so x_k < W.  In
-    the notation of :func:`_noma_optimal`, a band x >= x_k needs the
-    floor itself, so its semantic power is x*k_m*q(floor), and with both
-    pipes open the hybrid objective's slope there is f'(x)*ln2 = A(x) -
-    ln(1 + q(floor)).  A row is certified when:
-
-    (a) A(x_k) - ln(1 + q(floor)) <= 0.  A falls as x grows, so f cannot
-        rise on [x_k, W].  (c) implies (a), so it is not tested apart:
-        the open pipe gives T(x_k) > W*k_m*(1 + q(floor)), so A(x_k) <
-        (1 - k_b/k_m)/(1 + q(floor)) - ln(k_m/k_b) <= 0, as ln r >= 1 - 1/r;
-    (b) :func:`_rises_to` x_k: the slope bound over e in [floor, e_cap] is
-        at least -A(x_k).  A(x) >= A(x_k) for x <= x_k, so f cannot fall
-        on the way up to x_k;
-    (c) the superposed pipe is open at x_k, with a margin of
-        ``BOUND_RTOL``: x_k*T(x_k) > W*inv_m(x_k), the fill of
-        :func:`~sembit.rates.hybrid_max_rate` above 1.  The semantic
-        power is linear in the band on the floor piece, x*rho with
-        rho = k_m*q(floor), so inv_m(x_k) = x_k*(k_m + rho) and the test
-        reads T(x_k) > W*(k_m + rho).  It also puts the kink within the
-        budget: P > W*rho + (W - x_k)*(k_m - k_b) >= x_k*rho.
-
-    By (c) the hybrid scores f(x_k) at the kink.  A band whose superposed
-    pipe shuts scores the orthogonal rate at band x: that split is a
-    feasible point of the water-fill, whose relaxation to any power of
-    the superposed pipe above -inv_m is concave with its maximum f(x), so
-    it scores at most f(x).  A band over the budget scores 0.  So by (a)
-    and (b) no band beats x_k, which the search scores as its first
-    similarity seed, x_k rounded up one ulp.
-    """
-    params = scenario.logistic
-    w, p_max = scenario.total_bandwidth, scenario.max_power
-    floor = scenario.min_similarity
+    a_low, a_high = params.a_low, params.a_high
+    w, p_max, floor = scenario.total_bandwidth, scenario.max_power, scenario.min_similarity
     n0 = scenario.noise_psd
     k_m, k_b = n0 / real.gain_eff, n0 / real.gain_b
-    # The semantic power per hertz at the floor, k_m*q(floor): inv_m(x_k) = x_k*(k_m + rho).
-    rho = power_for_similarity_grid(params, floor, 1.0, real.gain_s, n0)
-    # A zero floor puts the kink at +inf, and a floor at the ceiling costs rho = +inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_k = sigma * scenario.k / floor
-        total = (p_max + w * k_b) + x_k * (k_m - k_b)
-        a_k = w * (k_m - k_b) / total + math.log(k_b / k_m)
-    opens = total > w * (k_m + rho) * (1.0 + BOUND_RTOL)
+    c = LN10_OVER_10 / params.growth
+    ln_q0 = math.log(real.gain_eff / real.gain_s) - c * params.offset
     e0 = sigma * scenario.k / w
-    cert = (e0 > 0.0) & (e0 < floor) & (params.a_low < floor) & opens
-    cert[cert] = _rises_to(scenario, real, sigma[cert], a_k[cert], floor)
-    return cert
+    e_t = np.maximum(e0, floor)
+    # The semantic power per hertz at x_t, k_m*q(e_t): +inf at the ceiling.
+    rho = power_for_similarity_grid(params, e_t, 1.0, real.gain_s, n0)
+    # A zero target or floor, or a similarity at the ceiling, gives infs and
+    # NaNs below: a zero floor's kink is never taken, and a NaN fails its test.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x_t = np.where(e0 < floor, sigma * scenario.k / floor, w)
+        total = (p_max + w * k_b) + x_t * (k_m - k_b)
+        a_t = w * (k_m - k_b) / total + math.log(k_b / k_m)
+        q_cap = p_max * a_high / (sigma * (scenario.k * k_m))
+        odds = np.exp((np.log(q_cap) - ln_q0) / c)
+        e_cap = a_low + (a_high - a_low) / (1.0 + 1.0 / odds)
+        # One line per cell edge, one column per row.
+        e = _CERT_STEPS * (e_cap - e_t) + e_t
+        q = np.exp(ln_q0 + c * np.log((e - a_low) / (a_high - e)))
+        at = np.minimum(np.maximum(math.sqrt(a_low * a_high), e[:-1]), e[1:])
+        eta = c * (a_high - a_low) * at / ((at - a_low) * (a_high - at))
+        slope = eta * (q[:-1] / (1.0 + q[:-1])) - np.log1p(np.minimum(q[1:], q_cap))
+        rises = slope.min(axis=0) >= -a_t
+    opens = total > w * (k_m + rho) * (1.0 + BOUND_RTOL)
+    return (e0 > 0.0) & (e_t > a_low) & opens & rises
 
 
 def _over_budget(scenario: Scenario, real: ChannelRealization, sigma: np.ndarray) -> np.ndarray:
@@ -619,10 +564,13 @@ def _region_rows(
     ``hybrid`` an oma row outside ``report`` is searched only where the
     overlay fails to beat :func:`_oma_rate_bound`: elsewhere the overlay
     corner wins the fold over any orthogonal split, and the row stays
-    unsolved.  A hybrid row is searched only where no certificate gives
-    its optimum: :func:`_noma_optimal` the overlay corner and
-    :func:`_over_budget` an orthogonal split, which the fold gives it, and
-    :func:`_kink_optimal` the kink band, its first similarity seed.
+    unsolved, or where :func:`_top_optimal` certifies the hybrid row,
+    whose optimum then beats every orthogonal split.  A hybrid row is
+    searched only where no certificate gives its optimum:
+    :func:`_top_optimal` the top of its interval, the overlay corner on
+    the full band, which the fold gives it, or else the kink band, its
+    first similarity seed; and :func:`_over_budget` an orthogonal split,
+    which the fold gives it.
 
     One :func:`~sembit.search.search_rows` call, with the :func:`_max_rate`
     objective, searches the positive targets' oma rows over their
@@ -638,10 +586,10 @@ def _region_rows(
     if hybrid:
         noma = _noma_points(scenario, real, sigma)
         beats = noma.bit_rate > _oma_rate_bound(scenario, real, sigma) * (1.0 + BOUND_RTOL)
-        need = report | ~beats
-        kink = _kink_optimal(scenario, real, sigma)
-        settled = _noma_optimal(scenario, real, sigma, beats) | kink
-        searched = live & ~(settled | _over_budget(scenario, real, sigma))
+        top = _top_optimal(scenario, real, sigma)
+        need = report | ~(beats | top)
+        kink = top & (sigma * scenario.k / w < floor)
+        searched = live & ~(top | _over_budget(scenario, real, sigma))
     i_o, i_s, i_k = (np.flatnonzero(m) for m in (live & need, searched, kink))
     n_o, n = len(i_o), len(i_o) + len(i_s)
     s = sigma[np.concatenate([i_o, i_s, i_k])]
@@ -652,16 +600,14 @@ def _region_rows(
         oma_row = np.arange(n) < n_o
         objective = partial(_max_rate, scenario, real)
         cols, hi = np.column_stack([s[:n], oma_row]), np.where(oma_row, up, w)
-        x, f = search_rows(
-            objective, cols, lo, hi, bands[:n], grid_n, maximize=True, zoom=SEARCH_ZOOM
-        )
+        x, f = search_rows(objective, cols, lo, hi, bands[:n], grid_n, zoom=SEARCH_ZOOM)
     oma = _oma_points(scenario, real, sigma, ext, need, x[:n_o])
     if not hybrid:
         return oma, None
-    # A hybrid row whose search scores zero has no interior band; a kink
-    # row takes its first seed, clipped into its interval as the search
-    # clips it.
-    won = f[n_o:] > 0.0
+    # A hybrid row whose search scores zero has no interior band (the
+    # objective is the negated bit rate); a kink row takes its first seed,
+    # clipped into its interval as the search clips it.
+    won = f[n_o:] < 0.0
     at = np.concatenate([i_s[won], i_k])
     wm = np.concatenate([x[n_o:][won], np.minimum(bands[n:, 0], w)])
     return oma, _semi_points(scenario, real, sigma, at, wm, oma, noma)

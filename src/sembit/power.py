@@ -356,9 +356,7 @@ def solve_min_powers_rows(
     g = np.column_stack([np.tile(data[live], (2, 1)), np.arange(2 * n) < n])
     lo, hi = np.tile(w_low, 2), np.concatenate([w_up, np.full(n, scenario.total_bandwidth)])
     extra = np.tile(bands, (2, 1))
-    x, f = search_rows(
-        partial(_total, scenario), g, lo, hi, extra, grid_n, maximize=False, zoom=SEARCH_ZOOM
-    )
+    x, f = search_rows(partial(_total, scenario), g, lo, hi, extra, grid_n, zoom=SEARCH_ZOOM)
     p_s, p_m, p_o = (p[:, 0] for p in _powers(scenario, g, x[:, None]))
     oma = _oma_rows(scenario, data, oma_cause, live, (x[:n], p_s[:n]))
     noma = _noma_rows(scenario, data, noma_cause)

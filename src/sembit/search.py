@@ -1,7 +1,8 @@
 """Deterministic 1-D grid search with bracketing refinement, over rows of problems.
 
-All boundary and power searches in this package reduce to optimising a
-cheap vectorised objective over one bandwidth coordinate.  A uniform
+All boundary and power searches in this package reduce to minimising a
+cheap vectorised objective over one bandwidth coordinate (a boundary
+search minimises the negated bit rate).  A uniform
 coarse grid of ``grid_n`` points finds the basin.  Bracket levels then close
 in on the incumbent: each scores exactly ``2 * zoom + 1`` points over the
 incumbent plus or minus the previous level's spacing, clipped to the
@@ -14,7 +15,7 @@ a search over many rows costs about one unit per candidate, so narrow
 brackets over more levels are cheaper, while a one-row search costs about
 one unit per objective call, so wide brackets over few levels are.  The incumbent
 keeps its score from the level that found it and is not scored again; a
-bracket point replaces it only when it scores better, or equal and
+bracket point replaces it only when it scores lower, or equal and
 smaller.  A unimodal objective has its optimum within one spacing
 of the best sample, so no candidate outside the bracket could win.  No
 randomness, no tolerance-dependent iteration counts: the same inputs
@@ -151,22 +152,21 @@ def _linspace_rows(start: np.ndarray, stop: np.ndarray, ramp: np.ndarray) -> np.
     return y
 
 
-def _pick(values: np.ndarray, maximize: bool) -> np.ndarray:
-    """Column of each row's best candidate, the first of equals.
+def _pick(values: np.ndarray) -> np.ndarray:
+    """Column of each row's smallest candidate, the first of equals.
 
-    NaNs (dead candidates) always lose.  ``argmax`` and ``argmin`` return a
-    row's first NaN, so a row holds a NaN exactly when its pick scores
-    NaN; only then are the NaNs patched and the pick taken again.
+    NaNs (dead candidates) always lose.  ``argmin`` returns a row's first
+    NaN, so a row holds a NaN exactly when its pick scores NaN; only then
+    are the NaNs patched and the pick taken again.
     """
-    i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
+    i = values.argmin(axis=1)
     if np.isnan(values[np.arange(len(i)), i]).any():
-        values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
-        i = values.argmax(axis=1) if maximize else values.argmin(axis=1)
+        i = np.where(np.isnan(values), np.inf, values).argmin(axis=1)
     return i
 
 
-def search_rows(objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, zoom: int):
-    """(x, f) optimising ``objective(cols[rows], x)`` for each row, in two row-batched phases.
+def search_rows(objective, cols, lo, hi, extra, grid_n: int, *, zoom: int):
+    """(x, f) minimising ``objective(cols[rows], x)`` for each row, in two row-batched phases.
 
     ``cols`` holds one line of per-row data for each row, and row i
     searches [lo[i], hi[i]]; ``objective`` maps a batch's lines and its
@@ -195,7 +195,7 @@ def search_rows(objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, 
             grid = np.concatenate([grid, np.clip(extra[b], lo[b, None], hi[b, None])], axis=1)
             grid.sort(axis=1)
         fb = objective(cols[b], grid)
-        i = _pick(fb, maximize)
+        i = _pick(fb)
         rows = np.arange(len(grid))
         x[b], f[b] = grid[rows, i], fb[rows, i]
 
@@ -209,10 +209,9 @@ def search_rows(objective, cols, lo, hi, extra, grid_n: int, *, maximize: bool, 
                 np.maximum(lo_b, x_best - half), np.minimum(hi_b, x_best + half), ramp
             )
             fw = objective(cols[b], window)
-            j = _pick(fw, maximize)
+            j = _pick(fw)
             xj, fj = window[rows, j], fw[rows, j]
-            better = fj > f_best if maximize else fj < f_best
-            better |= (fj == f_best) & (xj < x_best)
+            better = (fj < f_best) | ((fj == f_best) & (xj < x_best))
             x_best = np.where(better, xj, x_best)
             f_best = np.where(better, fj, f_best)
             half /= zoom

@@ -21,7 +21,7 @@ from sembit.search import (
 ZOOMS = (boundary.SEARCH_ZOOM, power.SEARCH_ZOOM)
 
 
-def searched(scores, lo, hi, n, *, extra=None, maximize=True, zoom=ZOOMS[1]):
+def searched(scores, lo, hi, n, *, extra=None, zoom=ZOOMS[1]):
     """:func:`search_rows` over the rows of ``lo`` and ``hi``; returns (x, f) arrays.
 
     Each row's line of ``cols`` is its index, and ``scores(rows)`` maps
@@ -33,8 +33,7 @@ def searched(scores, lo, hi, n, *, extra=None, maximize=True, zoom=ZOOMS[1]):
     extra = np.zeros((len(lo), 0)) if extra is None else np.asarray(extra, dtype=float)
     extra = extra.reshape(len(lo), -1)
     cols = np.arange(len(lo))[:, None]
-    kw = dict(maximize=maximize, zoom=zoom)
-    return search_rows(lambda c, x: scores(c[:, 0])(x), cols, lo, hi, extra, n, **kw)
+    return search_rows(lambda c, x: scores(c[:, 0])(x), cols, lo, hi, extra, n, zoom=zoom)
 
 
 def one_row(objective, lo, hi, n, **kw):
@@ -44,39 +43,41 @@ def one_row(objective, lo, hi, n, **kw):
 
 
 class TestRefineSearch:
-    """The grid-plus-brackets search on one-row sets."""
+    """The grid-plus-brackets search on one-row sets.
+
+    Every search minimises; a maximisation searches the negated objective.
+    """
 
     def test_quadratic_max(self):
-        x, f = one_row(lambda x: -((x - 0.37) ** 2), 0.0, 1.0, 64)
+        x, f = one_row(lambda x: (x - 0.37) ** 2, 0.0, 1.0, 64)
         assert x == pytest.approx(0.37, abs=1e-5)
         assert f == pytest.approx(0.0, abs=1e-9)
 
     def test_quadratic_min(self):
-        x, f = one_row(lambda x: (x - 2.6) ** 2 + 1.0, 0.0, 10.0, 64, maximize=False)
+        x, f = one_row(lambda x: (x - 2.6) ** 2 + 1.0, 0.0, 10.0, 64)
         assert x == pytest.approx(2.6, abs=1e-4)
         assert f == pytest.approx(1.0, abs=1e-8)
 
     def test_boundary_optimum(self):
-        x, f = one_row(lambda x: x, 0.0, 5.0, 32)
+        x, f = one_row(lambda x: -x, 0.0, 5.0, 32)
         assert x == 5.0
-        assert f == 5.0
+        assert f == -5.0
 
     def test_tie_breaks_low(self):
         x, _ = one_row(lambda x: np.ones_like(x), 0.0, 1.0, 16)
         assert x == 0.0
 
-    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("top", [1.0, 0.6])
     @pytest.mark.parametrize("zoom", ZOOMS)
-    def test_plateau_ends_at_its_low_edge(self, maximize, zoom):
-        # Every x in [0.3, 1] is optimal.  Ties break low in the coarse grid
-        # and in each bracket, so the search closes in on 0.3 from above.
-        sign = 1.0 if maximize else -1.0
-
+    def test_plateau_ends_at_its_low_edge(self, top, zoom):
+        # Every x in [0.3, top] is optimal, a plateau that reaches the end
+        # of the interval or stops inside it.  Ties break low in the coarse
+        # grid and in each bracket, so the search closes in on 0.3 from above.
         def plateau(x):
-            return sign * np.minimum(x, 0.3)
+            return np.maximum(-np.minimum(x, 0.3), x - top - 0.3)
 
-        x, f = one_row(plateau, 0.0, 1.0, 16, maximize=maximize, zoom=zoom)
-        assert f == sign * 0.3
+        x, f = one_row(plateau, 0.0, 1.0, 16, zoom=zoom)
+        assert f == -0.3
         assert 0.3 <= x <= 0.3 + 1.0 / (15 * REFINE_SHRINK)
 
     def test_extra_seed_always_wins_when_best(self):
@@ -84,20 +85,20 @@ class TestRefineSearch:
         x0 = 0.123456789
 
         def spiky(x):
-            return np.where(np.abs(x - x0) < 1e-12, 10.0, 0.0)
+            return np.where(np.abs(x - x0) < 1e-12, -10.0, 0.0)
 
         x, f = one_row(spiky, 0.0, 1.0, 11, extra=[x0])
         assert x == x0
-        assert f == 10.0
+        assert f == -10.0
 
     def test_extra_clipped_into_interval(self):
-        x, f = one_row(lambda x: -x, 0.0, 1.0, 11, extra=[-5.0, 7.0])
+        x, f = one_row(lambda x: x, 0.0, 1.0, 11, extra=[-5.0, 7.0])
         assert x == 0.0
         assert f == 0.0
 
     def test_nan_candidates_lose(self):
         def partial(x):
-            return np.where(x < 0.5, np.nan, -((x - 0.7) ** 2))
+            return np.where(x < 0.5, np.nan, (x - 0.7) ** 2)
 
         x, f = one_row(partial, 0.0, 1.0, 64)
         assert x == pytest.approx(0.7, abs=1e-5)
@@ -129,14 +130,14 @@ class TestRefineSearch:
         target = 0.414213562
 
         def objective(x):
-            return -np.abs(x - target)
+            return np.abs(x - target)
 
         fine = [one_row(objective, 0.0, 1.0, 9, zoom=zoom) for zoom in ZOOMS]
         # A shrink of 1 takes no bracket level: the search stops at the coarse grid.
         monkeypatch.setattr(search, "REFINE_SHRINK", 1)
         _, f_coarse = one_row(objective, 0.0, 1.0, 9)
         for x_fine, f_fine in fine:
-            assert f_fine > f_coarse
+            assert f_fine < f_coarse
             assert abs(x_fine - target) < 1e-3
 
 
@@ -173,7 +174,7 @@ class TestBracketShape:
         lo, hi = np.zeros(n_rows), np.ones(n_rows)
         for zoom in ZOOMS:
             seen.clear()
-            search_rows(objective, cols, lo, hi, extra, 64, maximize=True, zoom=zoom)
+            search_rows(objective, cols, lo, hi, extra, 64, zoom=zoom)
             coarse, bracket = 64 + 2, 2 * zoom + 1
             assert [width for _, width in seen] == sorted(
                 (width for _, width in seen), key=lambda w: w != coarse
@@ -187,13 +188,17 @@ class TestBracketShape:
 
 
 def pick_reference(values, maximize):
-    """:func:`_pick` as it was when every call patched the NaNs first."""
+    """Each row's first maximum (or minimum), NaNs patched to lose first."""
     values = np.where(np.isnan(values), -np.inf if maximize else np.inf, values)
     return values.argmax(axis=1) if maximize else values.argmin(axis=1)
 
 
 class TestPick:
-    """The NaN patch runs only for rows whose raw pick is NaN, and picks what patching all did."""
+    """The NaN patch runs only for rows whose raw pick is NaN, and picks what patching all did.
+
+    Picking the minimum of the negated values picks each row's first
+    maximum, as a maximising pick did: negation is exact, and NaN still loses.
+    """
 
     nan, inf = math.nan, math.inf
     ROWS = [
@@ -215,9 +220,10 @@ class TestPick:
         blocks.append(np.where(rng.random((50, 130)) < 0.01, math.nan, rng.random((50, 130))))
         for values in blocks:
             want = pick_reference(values, maximize)
-            np.testing.assert_array_equal(_pick(values, maximize), want)
+            scores = -values if maximize else values
+            np.testing.assert_array_equal(_pick(scores), want)
             for r in range(0, len(values), 9):  # a row alone picks as in its batch
-                np.testing.assert_array_equal(_pick(values[r:r + 1], maximize), want[r:r + 1])
+                np.testing.assert_array_equal(_pick(scores[r:r + 1]), want[r:r + 1])
 
 
 class TestRowBatches:
@@ -244,13 +250,15 @@ class TestRowBatches:
 
         return f
 
-    @pytest.mark.parametrize("maximize", [True, False])
-    def test_batch_equals_rows(self, maximize):
-        kw = dict(maximize=maximize)
-        xs, fs = searched(self.scores, self.LO, self.HI, 33, extra=self.EXTRA, **kw)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_batch_equals_rows(self, sign):
+        def signed(rows):
+            return lambda x: sign * self.scores(rows)(x)
+
+        xs, fs = searched(signed, self.LO, self.HI, 33, extra=self.EXTRA)
         for r in range(5):
-            scores = self.scores(np.array([r]))
-            x, f = one_row(scores, self.LO[r], self.HI[r], 33, extra=self.EXTRA[r], **kw)
+            scores = signed(np.array([r]))
+            x, f = one_row(scores, self.LO[r], self.HI[r], 33, extra=self.EXTRA[r])
             assert xs[r] == x
             assert fs[r] == f or (np.isnan(fs[r]) and np.isnan(f))
         assert np.isnan(fs[2]) and not np.isnan(fs[1]) and xs[1] >= 0.5
@@ -261,7 +269,7 @@ class TestRowBatches:
 
         def objective(x):
             shapes.append(x.shape)
-            return -x
+            return x
 
         for zoom in ZOOMS:
             shapes.clear()
@@ -291,18 +299,19 @@ class TestRowBatches:
         assert np.arange(3 * size + 1)[batches[-1]].tolist() == [3 * size]
         assert row_batches(5, 10 * BATCH_CANDIDATES) == [slice(i, i + 1) for i in range(5)]
 
-    @pytest.mark.parametrize("maximize", [True, False])
-    def test_search_rows_equals_one_search_per_row(self, maximize, monkeypatch):
-        # Each row's objective reads its own line of ``cols``: a centre and a scale.
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_search_rows_equals_one_search_per_row(self, sign, monkeypatch):
+        # Each row's objective reads its own line of ``cols``: a centre and a
+        # scale.  A parabola's minimum lies inside the interval, and its
+        # negation's at one of its ends.
         rng = np.random.default_rng(3)
         n_rows = 300
         cols = rng.uniform(0.1, 1.0, (n_rows, 2))
         lo, hi = np.zeros(n_rows), np.ones(n_rows)
         extra = rng.uniform(-0.5, 1.5, (n_rows, 2))
-        sign = 1.0 if maximize else -1.0
 
         def objective(c, x):
-            return -sign * c[:, 1:] * (x - c[:, :1]) ** 2
+            return sign * c[:, 1:] * (x - c[:, :1]) ** 2
 
         # (candidate budget, zoom, (coarse batches, bracket batches))
         for budget, zoom, n_batches in (
@@ -314,11 +323,10 @@ class TestRowBatches:
             monkeypatch.setattr(search, "BATCH_CANDIDATES", budget)
             assert len(row_batches(n_rows, 64 + 2)) == n_batches[0]
             assert len(row_batches(n_rows, 2 * zoom + 1)) == n_batches[1]
-            x, f = search_rows(objective, cols, lo, hi, extra, 64, maximize=maximize, zoom=zoom)
-            kw = dict(maximize=maximize, zoom=zoom)
+            x, f = search_rows(objective, cols, lo, hi, extra, 64, zoom=zoom)
             for r in range(n_rows):
                 one = slice(r, r + 1)
-                got = search_rows(objective, cols[one], lo[one], hi[one], extra[one], 64, **kw)
+                got = search_rows(objective, cols[one], lo[one], hi[one], extra[one], 64, zoom=zoom)
                 assert got == (x[r], f[r])
 
 
@@ -362,13 +370,19 @@ class TestBracketInvariant:
     ROWS = 40
 
     @pytest.mark.parametrize("kind", ["smooth", "kinked", "flank"])
-    @pytest.mark.parametrize("maximize", [True, False])
-    def test_optimum_within_final_spacing(self, kind, maximize):
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_optimum_within_final_spacing(self, kind, mirror):
+        # The search maximises each objective by minimising its negation.
+        # Mirrored about the interval's centre, the kink's steep side and
+        # the dead flank lie on the other side of the peak.
         lo, hi, x_star, f = unimodal(kind, np.random.default_rng(sum(map(ord, kind))), self.ROWS)
-        sign = 1.0 if maximize else -1.0
+        if mirror:
+            x_star = lo + hi - x_star
 
         def objective(rows):
-            return lambda x: sign * f(x, rows)
+            if mirror:
+                return lambda x: -f(lo[rows, None] + hi[rows, None] - x, rows)
+            return lambda x: -f(x, rows)
 
         spacing = (hi - lo) / ((self.N - 1) * REFINE_SHRINK)
         everything = np.arange(self.ROWS)
@@ -378,20 +392,19 @@ class TestBracketInvariant:
         change = np.max(np.abs(objective(everything)(near) - f_star[:, None]), axis=1)
         slack = change + 1e-12 * np.maximum(1.0, np.abs(f_star))
         dense = _linspace_rows(lo, hi, np.arange(20_001, dtype=float))
-        f_dense = sign * np.max(sign * objective(everything)(dense), axis=1)
+        f_dense = np.min(objective(everything)(dense), axis=1)
 
         for zoom in ZOOMS:
-            kw = dict(maximize=maximize, zoom=zoom)
-            xs, fs = searched(objective, lo, hi, self.N, **kw)
+            xs, fs = searched(objective, lo, hi, self.N, zoom=zoom)
             for r in range(self.ROWS):
-                x, fx = one_row(objective([r]), lo[r], hi[r], self.N, **kw)
+                x, fx = one_row(objective([r]), lo[r], hi[r], self.N, zoom=zoom)
                 assert (x, fx) == (xs[r], fs[r])
             assert np.all(np.abs(xs - x_star) <= spacing)
             assert np.all(np.abs(fs - f_star) <= slack)
-            assert np.all(sign * (fs - f_dense) >= -slack)
+            assert np.all(fs - f_dense <= slack)
 
 
-def rescoring_search(objective, lo, hi, n, *, maximize, extra, zoom):
+def rescoring_search(objective, lo, hi, n, *, extra, zoom):
     """:func:`search_rows` on one batch as it was when each bracket re-scored its incumbent."""
     lo, hi = np.atleast_1d(lo).astype(float), np.atleast_1d(hi).astype(float)
     rows = np.arange(len(lo))
@@ -399,7 +412,7 @@ def rescoring_search(objective, lo, hi, n, *, maximize, extra, zoom):
     grid = np.concatenate([grid, np.clip(extra, lo[:, None], hi[:, None])], axis=1)
     grid.sort(axis=1)
     f = objective(grid)
-    i = _pick(f, maximize)
+    i = _pick(f)
     x_best, f_best = grid[rows, i], f[rows, i]
     half = (hi - lo) / (n - 1)
     ramp = np.arange(2 * zoom + 1, dtype=float)
@@ -408,10 +421,9 @@ def rescoring_search(objective, lo, hi, n, *, maximize, extra, zoom):
         window = np.concatenate([window, x_best[:, None]], axis=1)
         window.sort(axis=1)
         fw = objective(window)
-        j = _pick(fw, maximize)
+        j = _pick(fw)
         xj, fj = window[rows, j], fw[rows, j]
-        better = fj > f_best if maximize else fj < f_best
-        better |= (fj == f_best) & (xj < x_best)
+        better = (fj < f_best) | ((fj == f_best) & (xj < x_best))
         x_best = np.where(better, xj, x_best)
         f_best = np.where(better, fj, f_best)
         half /= zoom
@@ -423,10 +435,10 @@ class TestIncumbentNotRescored:
 
     ROWS = 60
 
-    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equals_rescoring_bracket(self, maximize, seed):
-        rng = np.random.default_rng([seed, maximize, False])
+    def test_equals_rescoring_bracket(self, sign, seed):
+        rng = np.random.default_rng([seed, sign < 0.0, False])
         lo = rng.uniform(-2.0, 1.0, self.ROWS)
         hi = lo + rng.choice([0.0, 1e-12, 0.5, 3.0], self.ROWS)
         a, b = rng.uniform(0.2, 6.0, (2, self.ROWS, 1))
@@ -437,7 +449,7 @@ class TestIncumbentNotRescored:
 
         def objective(rows):
             def f(x):
-                y = np.round(scale[rows] * (np.sin(a[rows] * x) + b[rows] * np.cos(2.0 * x)))
+                y = sign * np.round(scale[rows] * (np.sin(a[rows] * x) + b[rows] * np.cos(2.0 * x)))
                 dead = np.where(high_flank[rows], x > cut[rows], x < cut[rows])
                 return np.where(dead, np.nan, y)
 
@@ -445,7 +457,7 @@ class TestIncumbentNotRescored:
 
         everything = np.arange(self.ROWS)
         for zoom in ZOOMS:
-            kw = dict(maximize=maximize, zoom=zoom)
+            kw = dict(zoom=zoom)
             want = rescoring_search(objective(everything), lo, hi, 17, extra=extra, **kw)
             got = searched(objective, lo, hi, 17, extra=extra, **kw)
             np.testing.assert_array_equal(got, want)

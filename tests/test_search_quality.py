@@ -176,7 +176,7 @@ def test_reference_levels_swap_the_seeds_and_restore_them():
     # It also certifies no semi row, so that it searches every one.
     steps = rates._EPS_STEPS
     certify = {name: getattr(sembit.boundary, name) for name in quality.CERTIFICATES.values()}
-    assert len(certify) == 3
+    assert len(certify) == 2
     scenario = Scenario()
     sigma = np.array([100e3])
     with quality.reference_levels():

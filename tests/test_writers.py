@@ -45,12 +45,10 @@ def json_dump_bytes(payload, **kw) -> bytes:
 
 def test_region_csv_equals_csv_writer(tmp_path):
     cols = [np.roll(ODD_FLOATS, i) for i in range(3)]
-    boundary = RegionBoundary(Scheme.SEMI, *cols)
-    path = tmp_path / "semi.csv"
-    boundary.write_csv(path)
+    write_csvs([RegionBoundary(Scheme.SEMI, *cols)], tmp_path)
     rows = [["sigma", "bit_rate", "similarity"]]
     rows += [[repr(float(v)) for v in row] for row in zip(*cols)]
-    assert path.read_bytes() == csv_writer_bytes(rows)
+    assert (tmp_path / "semi.csv").read_bytes() == csv_writer_bytes(rows)
 
 
 def test_region_csvs_render_shared_floats_as_each_file_alone(tmp_path):

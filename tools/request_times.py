@@ -16,10 +16,9 @@ counts for itself, not for its caller):
 - the region's trace, in three stages: search, the one search of the
   oma and semi rows (``boundary.search_rows``); certify, the closed-form
   certificates that leave rows out of it (``boundary._oma_rate_bound``,
-  ``boundary._noma_optimal``, ``boundary._kink_optimal`` and
-  ``boundary._over_budget``); and trace, the rest of ``trace_region``
-  (the overlay sweep, the grids, the noma rows, the similarity seeds,
-  the semi fold and the lifts);
+  ``boundary._top_optimal`` and ``boundary._over_budget``); and trace,
+  the rest of ``trace_region`` (the overlay sweep, the grids, the noma
+  rows, the similarity seeds, the semi fold and the lifts);
 - verify (power) or contain (region): the plug-back check of all
   feasible allocations in one call, ``check_containment`` of each pair
   of schemes;
@@ -104,8 +103,7 @@ STAGES = (
     (cli, "trace_region", "trace"),
     (boundary, "search_rows", "search"),
     (boundary, "_oma_rate_bound", "certify"),
-    (boundary, "_noma_optimal", "certify"),
-    (boundary, "_kink_optimal", "certify"),
+    (boundary, "_top_optimal", "certify"),
     (boundary, "_over_budget", "certify"),
     (cli, "_verify_solutions", "verify"),
     (cli, "check_containment", "contain"),

@@ -20,13 +20,12 @@ exits 1 on any miss.
 
 The default boundary rows are solved as ``trace_region`` solves them,
 by ``boundary._region_rows``: a semi row that a certificate settles is
-not searched.  It takes the noma corner where ``boundary._noma_optimal``
-proves that corner optimal, the kink band where
-``boundary._kink_optimal`` proves the kink optimal, and its oma row where
+not searched.  It takes the top of its Lemma 1 interval where
+``boundary._top_optimal`` proves that band optimal (the noma corner at
+the full band, else the kink band), and its oma row where
 ``boundary._over_budget`` proves the overlay over the budget.  The
-reference searches every row, so the harness judges the three
-certificates too, and it prints how many default semi rows each one
-settled.
+reference searches every row, so the harness judges both certificates
+too, and it prints how many default semi rows each one settled.
 
 Usage:
     python tools/search_quality.py [--scenarios N] [--seed S]
@@ -59,8 +58,7 @@ TRIPLES = 8
 SCHEMES = ("oma", "semi")
 # The certificates that settle a semi row without its search, by the name
 # the harness prints, and the function of ``boundary`` that decides it.
-CERTIFICATES = {"noma corner": "_noma_optimal", "kink": "_kink_optimal",
-                "over budget": "_over_budget"}
+CERTIFICATES = {"top": "_top_optimal", "over budget": "_over_budget"}
 # A boundary row where the default search found a second, lower basin
 # on the parent of the similarity-seeded boundary searches: reference
 # 1,588,176.36 bit/s at a 709.8 kHz band, found 1,572,008.89 at 607.0 kHz.
